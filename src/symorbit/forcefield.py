@@ -79,8 +79,7 @@ def circular_speed(params: PowerLawParams, p: float) -> float:
     return math.sqrt(p * u1)
 
 
-# Parity rules per built-in perturbation family: symmetry holds iff the
-# listed predicate on the family parameters is true.
+# Built-in perturbation families; PerturbationSpec.term dispatches on the name.
 _FAMILIES = ("zero", "radial_power", "axis_poly", "uniform")
 
 
@@ -96,11 +95,15 @@ class PerturbationSpec:
 
     declared_symmetries is what the caller claims; check_symmetry verifies it
     numerically, so a wrong declaration is constructible on purpose.
+
+    params is copied at construction and the family constants are resolved
+    from it once, so mutating the caller's dict later changes nothing.
     """
 
     kind: str = "zero"
     params: dict = field(default_factory=dict)
     declared_symmetries: frozenset = frozenset()
+    _constants: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _FAMILIES:
@@ -110,30 +113,42 @@ class PerturbationSpec:
             for s in self.declared_symmetries
         )
         object.__setattr__(self, "declared_symmetries", syms)
+        params = dict(self.params)
+        object.__setattr__(self, "params", params)
         if self.kind == "axis_poly":
             for key in ("px", "py"):
-                v = self.params.get(key, 3)
+                v = params.get(key, 3)
                 if v != int(v) or v < 0:
                     raise ValueError(f"axis_poly exponent {key} must be a nonnegative integer")
+        if self.kind == "radial_power":
+            constants = (params.get("lam", 1.0), params.get("beta", 3.0) + 2.0)
+        elif self.kind == "axis_poly":
+            constants = (
+                params.get("cx", 0.0),
+                int(params.get("px", 3)),
+                params.get("cy", 0.0),
+                int(params.get("py", 3)),
+            )
+        elif self.kind == "uniform":
+            constants = (params.get("ux", 0.0), params.get("uy", 0.0))
+        else:
+            constants = ()
+        object.__setattr__(self, "_constants", constants)
 
     def term(self, x: float, y: float) -> tuple[float, float]:
         """Unscaled perturbation vector at (x, y); multiply by mu for the force."""
-        if self.kind == "zero":
+        kind = self.kind
+        if kind == "zero":
             return 0.0, 0.0
-        if self.kind == "radial_power":
-            lam = self.params.get("lam", 1.0)
-            beta = self.params.get("beta", 3.0)
-            r = math.hypot(x, y)
-            s = -lam / r ** (beta + 2.0)
+        if kind == "radial_power":
+            lam, exponent = self._constants
+            s = -lam / math.hypot(x, y) ** exponent
             return s * x, s * y
-        if self.kind == "axis_poly":
-            cx = self.params.get("cx", 0.0)
-            cy = self.params.get("cy", 0.0)
-            px = int(self.params.get("px", 3))
-            py = int(self.params.get("py", 3))
+        if kind == "axis_poly":
+            cx, px, cy, py = self._constants
             return cx * x**px, cy * y**py
         # uniform
-        return self.params.get("ux", 0.0), self.params.get("uy", 0.0)
+        return self._constants
 
 
 def radial_power_perturbation(lam: float = 1.0, beta: float = 3.0) -> PerturbationSpec:

@@ -5,6 +5,11 @@ the embedded fourth-order result, and attaches a quartic interpolant to every
 accepted step so downstream event detection can refine crossing times without
 re-integrating. Leaving the validity annulus terminates the flow with a
 DomainExit carrying the refined exit time and state.
+
+The step loop runs on plain floats: the state is four floats, each stage is a
+4-tuple (velocity, force) and the tableau products are unrolled. Arrays are
+built only for an accepted step, its node state and its interpolant
+coefficients; rejected steps allocate none.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .forcefield import ForceField
 
 # Dormand-Prince 5(4) tableau; the propagated solution is order 5 and the
 # last row of A doubles as its weights (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = np.array(
     [
         [0, 0, 0, 0, 0, 0],
@@ -48,6 +52,14 @@ _P = np.array(
     ]
 )
 
+# Float copies of A, B and E for the scalar step loop; the second weight of
+# B and E is zero, so stage 2 enters only the later stages.
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), (
+    _A61, _A62, _A63, _A64, _A65
+) = (tuple(float(a) for a in _A[i, :i]) for i in range(1, 6))
+_B1, _B3, _B4, _B5, _B6 = (float(_B[j]) for j in (0, 2, 3, 4, 5))
+_E1, _E3, _E4, _E5, _E6, _E7 = (float(_E[j]) for j in (0, 2, 3, 4, 5, 6))
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -59,7 +71,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     max_step: float | None = None  # None: t_end / 50
     first_step: float | None = None  # None: automatic selection
-    min_radius_guard: float | None = None  # None: annulus inner radius
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -142,15 +153,19 @@ class Trajectory:
                 fh.write(",".join(format(v, fmt) for v in row) + "\n")
 
 
-def _initial_step(rhs, y0, f0, t_end, rtol, atol, max_step):
-    # Hairer-style starting-step heuristic.
-    scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+def _rms(values, scale) -> float:
+    return math.sqrt(sum((c / s) ** 2 for c, s in zip(values, scale)) / len(values))
+
+
+def _initial_step(accel, mu, y0, f0, t_end, rtol, atol, max_step):
+    # Hairer-style starting-step heuristic; y0 and f0 are 4-tuples of floats.
+    scale = [atol + rtol * abs(c) for c in y0]
+    d0 = _rms(y0, scale)
+    d1 = _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = rhs(y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    y1 = [c + h0 * f for c, f in zip(y0, f0)]
+    f1 = (y1[2], y1[3], *accel(y1[0], y1[1], mu))
+    d2 = _rms([a - b for a, b in zip(f1, f0)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -161,24 +176,117 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol, max_step):
 def _refine_domain_exit(dense_step, r_in, r_out):
     """Bisect inside one step for the earliest time the radius leaves [r_in, r_out]."""
     t_left, h, y_left, q = dense_step
+    # Per component: y_left and the coefficients of q @ [t, t^2, t^3, t^4].
+    quartics = [(y0, *row) for y0, row in zip(y_left.tolist(), q.tolist())]
 
-    def excess(theta):
-        tp = np.array([theta, theta**2, theta**3, theta**4])
-        y = y_left + h * (q @ tp)
-        r = math.hypot(y[0], y[1])
-        return max(r_in - r, r - r_out)
+    def at(theta, components):
+        return [
+            c0 + h * (theta * (c1 + theta * (c2 + theta * (c3 + theta * c4))))
+            for c0, c1, c2, c3, c4 in components
+        ]
 
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
+        r = math.hypot(*at(mid, quartics[:2]))
+        if max(r_in - r, r - r_out) > 0.0:
             hi = mid
         else:
             lo = mid
-    theta = hi
-    tp = np.array([theta, theta**2, theta**3, theta**4])
-    y = y_left + h * (q @ tp)
-    return t_left + theta * h, y
+    return t_left + hi * h, np.array(at(hi, quartics))
+
+
+def _dp5_step(accel, mu, h, state, force, rtol, atol):
+    """One trial step of the 5(4) pair on floats.
+
+    state is (x, y, vx, vy) and force the acceleration there, the first stage
+    (FSAL). Returns (new state, the seven stage derivatives (vx, vy, ax, ay)
+    one after another in one flat tuple, error norm), or None when a stage
+    position is non-finite or within 1e-12 of the origin, a stage velocity is
+    non-finite, or a stage force is non-finite: the caller then halves h.
+    """
+    hypot, isfinite, inf = math.hypot, math.isfinite, math.inf
+    x, y, u1, w1 = state
+    gx1, gy1 = force
+    if not (isfinite(gx1) and isfinite(gy1)):
+        return None
+    x2 = x + h * (_A21 * u1)
+    y2 = y + h * (_A21 * w1)
+    u2 = u1 + h * (_A21 * gx1)
+    w2 = w1 + h * (_A21 * gy1)
+    # A NaN radius fails `1e-12 <= r < inf` as an infinite one does.
+    if not (1e-12 <= hypot(x2, y2) < inf and isfinite(u2) and isfinite(w2)):
+        return None
+    gx2, gy2 = accel(x2, y2, mu)
+    if not (isfinite(gx2) and isfinite(gy2)):
+        return None
+    x3 = x + h * (_A31 * u1 + _A32 * u2)
+    y3 = y + h * (_A31 * w1 + _A32 * w2)
+    u3 = u1 + h * (_A31 * gx1 + _A32 * gx2)
+    w3 = w1 + h * (_A31 * gy1 + _A32 * gy2)
+    if not (1e-12 <= hypot(x3, y3) < inf and isfinite(u3) and isfinite(w3)):
+        return None
+    gx3, gy3 = accel(x3, y3, mu)
+    if not (isfinite(gx3) and isfinite(gy3)):
+        return None
+    x4 = x + h * (_A41 * u1 + _A42 * u2 + _A43 * u3)
+    y4 = y + h * (_A41 * w1 + _A42 * w2 + _A43 * w3)
+    u4 = u1 + h * (_A41 * gx1 + _A42 * gx2 + _A43 * gx3)
+    w4 = w1 + h * (_A41 * gy1 + _A42 * gy2 + _A43 * gy3)
+    if not (1e-12 <= hypot(x4, y4) < inf and isfinite(u4) and isfinite(w4)):
+        return None
+    gx4, gy4 = accel(x4, y4, mu)
+    if not (isfinite(gx4) and isfinite(gy4)):
+        return None
+    x5 = x + h * (_A51 * u1 + _A52 * u2 + _A53 * u3 + _A54 * u4)
+    y5 = y + h * (_A51 * w1 + _A52 * w2 + _A53 * w3 + _A54 * w4)
+    u5 = u1 + h * (_A51 * gx1 + _A52 * gx2 + _A53 * gx3 + _A54 * gx4)
+    w5 = w1 + h * (_A51 * gy1 + _A52 * gy2 + _A53 * gy3 + _A54 * gy4)
+    if not (1e-12 <= hypot(x5, y5) < inf and isfinite(u5) and isfinite(w5)):
+        return None
+    gx5, gy5 = accel(x5, y5, mu)
+    if not (isfinite(gx5) and isfinite(gy5)):
+        return None
+    x6 = x + h * (_A61 * u1 + _A62 * u2 + _A63 * u3 + _A64 * u4 + _A65 * u5)
+    y6 = y + h * (_A61 * w1 + _A62 * w2 + _A63 * w3 + _A64 * w4 + _A65 * w5)
+    u6 = u1 + h * (_A61 * gx1 + _A62 * gx2 + _A63 * gx3 + _A64 * gx4 + _A65 * gx5)
+    w6 = w1 + h * (_A61 * gy1 + _A62 * gy2 + _A63 * gy3 + _A64 * gy4 + _A65 * gy5)
+    if not (1e-12 <= hypot(x6, y6) < inf and isfinite(u6) and isfinite(w6)):
+        return None
+    gx6, gy6 = accel(x6, y6, mu)
+    if not (isfinite(gx6) and isfinite(gy6)):
+        return None
+    # Fifth-order solution; its derivative is the seventh (FSAL) stage.
+    xn = x + h * (_B1 * u1 + _B3 * u3 + _B4 * u4 + _B5 * u5 + _B6 * u6)
+    yn = y + h * (_B1 * w1 + _B3 * w3 + _B4 * w4 + _B5 * w5 + _B6 * w6)
+    un = u1 + h * (_B1 * gx1 + _B3 * gx3 + _B4 * gx4 + _B5 * gx5 + _B6 * gx6)
+    wn = w1 + h * (_B1 * gy1 + _B3 * gy3 + _B4 * gy4 + _B5 * gy5 + _B6 * gy6)
+    if not (1e-12 <= hypot(xn, yn) < inf and isfinite(un) and isfinite(wn)):
+        return None
+    gx7, gy7 = accel(xn, yn, mu)
+    if not (isfinite(gx7) and isfinite(gy7)):
+        return None
+
+    ex = h * (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * un)
+    ey = h * (_E1 * w1 + _E3 * w3 + _E4 * w4 + _E5 * w5 + _E6 * w6 + _E7 * wn)
+    eu = h * (_E1 * gx1 + _E3 * gx3 + _E4 * gx4 + _E5 * gx5 + _E6 * gx6 + _E7 * gx7)
+    ew = h * (_E1 * gy1 + _E3 * gy3 + _E4 * gy4 + _E5 * gy5 + _E6 * gy6 + _E7 * gy7)
+    ex /= atol + rtol * max(abs(x), abs(xn))
+    ey /= atol + rtol * max(abs(y), abs(yn))
+    eu /= atol + rtol * max(abs(u1), abs(un))
+    ew /= atol + rtol * max(abs(w1), abs(wn))
+    err = math.sqrt((ex * ex + ey * ey + eu * eu + ew * ew) / 4.0)
+
+    stages = (
+        u1, w1, gx1, gy1,
+        u2, w2, gx2, gy2,
+        u3, w3, gx3, gy3,
+        u4, w4, gx4, gy4,
+        u5, w5, gx5, gy5,
+        u6, w6, gx6, gy6,
+        un, wn, gx7, gy7,
+    )  # fmt: skip
+    return (xn, yn, un, wn), stages, err
 
 
 def flow(
@@ -201,31 +309,24 @@ def flow(
     if not field.contains(x[0], x[1]):
         raise DomainExit(f"initial position {tuple(x)} outside annulus", t_exit=0.0, state=x)
 
-    r_out = field.annulus[1]
-    r_in = field.annulus[0] if cfg.min_radius_guard is None else cfg.min_radius_guard
+    r_in, r_out = field.annulus
     accel = field.acceleration
-
-    def rhs(y):
-        ax, ay = accel(y[0], y[1], mu)
-        return np.array([y[2], y[3], ax, ay])
-
     max_step = cfg.max_step if cfg.max_step is not None else t_end / 50.0
     rtol, atol = cfg.rel_tol, cfg.abs_tol
 
-    y = np.concatenate([x, v])
+    state = (float(x[0]), float(x[1]), float(v[0]), float(v[1]))
     t = 0.0
-    f_first = rhs(y)
+    force = accel(state[0], state[1], mu)
     if cfg.first_step is not None:
         h = min(cfg.first_step, max_step, t_end)
     else:
-        h = _initial_step(rhs, y, f_first, t_end, rtol, atol, max_step)
+        h = _initial_step(accel, mu, state, (state[2], state[3], *force), t_end, rtol, atol, max_step)
     min_step = 1e-14 * max(t_end, 1.0)
 
+    node = np.array(state)  # shared by ys and the next step's dense record
     ts = [0.0]
-    ys = [y.copy()]
+    ys = [node]
     dense = []
-    k_first = f_first
-    K = np.empty((7, 4))
 
     while t < t_end:
         if t_end - t <= min_step:
@@ -234,38 +335,22 @@ def flow(
         if h < min_step:
             raise StepFailure(f"step size underflow at t={t} (h={h})")
 
-        K[0] = k_first
-        bad_stage = False
-        for i in range(1, 6):
-            y_stage = y + h * (K[:i].T @ _A[i, :i])
-            if not np.all(np.isfinite(y_stage)) or math.hypot(y_stage[0], y_stage[1]) < 1e-12:
-                bad_stage = True
-                break
-            K[i] = rhs(y_stage)
-        if not bad_stage:
-            y_new = y + h * (K[:6].T @ _B)
-            if not np.all(np.isfinite(y_new)) or math.hypot(y_new[0], y_new[1]) < 1e-12:
-                bad_stage = True
-            else:
-                K[6] = rhs(y_new)
-        if bad_stage or not np.all(np.isfinite(K)):
+        trial = _dp5_step(accel, mu, h, state, force, rtol, atol)
+        if trial is None:
             h *= 0.5
             continue
-
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((h * (_E @ K) / scale) ** 2)))
-
+        state_new, stages, err = trial
         if err > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             continue
 
-        q = K.T @ _P
-        dense.append((t, h, y.copy(), q))
+        dense.append((t, h, node, np.dot(np.array(stages).reshape(7, 4).T, _P)))
         t_next = t + h
+        node = np.array(state_new)
         ts.append(t_next)
-        ys.append(y_new.copy())
+        ys.append(node)
 
-        rr = math.hypot(y_new[0], y_new[1])
+        rr = math.hypot(state_new[0], state_new[1])
         if rr < r_in or rr > r_out:
             t_exit, y_exit = _refine_domain_exit(dense[-1], r_in, r_out)
             ts[-1] = t_exit
@@ -280,7 +365,7 @@ def flow(
 
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(1.0, _SAFETY * err**-0.2))
         h *= factor
-        t, y, k_first = t_next, y_new, K[6].copy()
+        t, state, force = t_next, state_new, stages[26:]
 
     return Trajectory(ts, ys, dense)
 

@@ -2,9 +2,12 @@
 
 A section is a finite closed segment; a crossing counts only if the refined
 point is strictly interior to the segment and the transverse velocity
-component clears a floor. Candidate times come from sign changes of the
-segment-normal coordinate sampled on the dense output, then bisection
-refinement down to a fixed fraction of the window.
+component clears a floor. On each step of the dense output the
+segment-normal coordinate is a quartic in the step fraction, so its five
+coefficients are computed once per step. Candidate times are its sign changes
+on a grid of step nodes plus a few interior points per step (evaluated by
+Horner's rule), refined by bisection on the same quartic down to a fixed
+fraction of the window.
 """
 
 from __future__ import annotations
@@ -105,60 +108,79 @@ def first_transversal_crossing(
     bt = section.boundary_tol if section.boundary_tol is not None else 1e-6 * section.length
     time_tol = 1e-12 * max(t_hi, 1.0)
 
-    def g(t):
-        return section.normal_coord(traj._eval(t)[:2])
+    # Steps from the one holding t_lo to the one holding t_hi; a time t is
+    # evaluated on the step Trajectory._eval picks for it, so a grid point on a
+    # node uses the later step at theta = 0.
+    dense = traj._dense
+    n = len(dense)
+    first, last = (
+        min(max(int(i) - 1, 0), n - 1)
+        for i in np.searchsorted(traj.ts, (t_lo, t_hi), side="right")
+    )
+    block = dense[first : last + 1]
+    t_left = np.array([d[0] for d in block])
+    h = np.array([d[1] for d in block])
+    y_left = np.array([d[2] for d in block])
+    q = np.array([d[3] for d in block])
+
+    # g(theta) = c0 + c1 theta + ... + c4 theta^4 on each step.
+    (n0, n1), (s0, s1) = section.normal.tolist(), section.start
+    c0 = n0 * (y_left[:, 0] - s0) + n1 * (y_left[:, 1] - s1)
+    c = h[:, None] * (n0 * q[:, 0, :] + n1 * q[:, 1, :])
 
     # Scan grid: step nodes plus a few interior points per step.
-    grid = [t_lo]
-    for t_left, h, _, _ in traj._dense:
-        if t_left + h <= t_lo or t_left >= t_hi:
-            continue
-        for k in range(1, subsamples + 1):
-            t = t_left + h * k / subsamples
-            if t_lo < t < t_hi:
-                grid.append(t)
-    grid.append(t_hi)
-    grid = sorted(set(grid))
+    k = np.arange(1, subsamples + 1)
+    interior = (t_left[:, None] + h[:, None] * k / subsamples).ravel()
+    interior = interior[(t_lo < interior) & (interior < t_hi)]
+    # Already sorted; a repeated point only adds an empty interval, which
+    # cannot show a sign change.
+    grid = np.concatenate(([t_lo], interior, [t_hi]))
+    step = np.clip(np.searchsorted(traj.ts, grid, side="right") - 1, 0, n - 1) - first
+    theta = (grid - t_left[step]) / h[step]
+    c1, c2, c3, c4 = c[step].T
+    g = c0[step] + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
 
-    g_prev = g(grid[0])
-    for t_prev, t_next in zip(grid[:-1], grid[1:]):
-        g_next = g(t_next)
-        if g_prev * g_next < 0.0:
-            a, b, ga = t_prev, t_next, g_prev
-            while b - a > time_tol:
-                m = 0.5 * (a + b)
-                gm = g(m)
-                if ga * gm <= 0.0:
-                    b = m
-                else:
-                    a, ga = m, gm
-            t_star = 0.5 * (a + b)
-            y = traj._eval(t_star)
-            tau = section.tangent_coord(y[:2])
-            if -bt < tau < bt or section.length - bt < tau < section.length + bt:
-                raise BoundaryCrossing(
-                    f"crossing at t={t_star:.6g} within {bt:g} of a segment endpoint",
+    for j in np.flatnonzero(g[:-1] * g[1:] < 0.0):
+        # Both ends lie on one step (every interior node is a grid point), and
+        # the midpoints fall strictly inside it.
+        i = step[j]
+        left, width = float(t_left[i]), float(h[i])
+        b0, b1, b2, b3, b4 = float(c0[i]), *c[i].tolist()
+        a, b, ga = float(grid[j]), float(grid[j + 1]), float(g[j])
+        while b - a > time_tol:
+            m = 0.5 * (a + b)
+            th = (m - left) / width
+            gm = b0 + th * (b1 + th * (b2 + th * (b3 + th * b4)))
+            if ga * gm <= 0.0:
+                b = m
+            else:
+                a, ga = m, gm
+        t_star = 0.5 * (a + b)
+        y = traj._eval(t_star)
+        tau = section.tangent_coord(y[:2])
+        if -bt < tau < bt or section.length - bt < tau < section.length + bt:
+            raise BoundaryCrossing(
+                f"crossing at t={t_star:.6g} within {bt:g} of a segment endpoint",
+                t_star=t_star,
+                point=y[:2],
+            )
+        if 0.0 <= tau <= section.length:
+            n_speed = float(section.normal @ y[2:])
+            if abs(n_speed) < section.transversality_floor:
+                raise TangentialCrossing(
+                    f"normal speed {n_speed:.3g} below floor "
+                    f"{section.transversality_floor:g} at t={t_star:.6g}",
                     t_star=t_star,
-                    point=y[:2],
-                )
-            if 0.0 <= tau <= section.length:
-                n_speed = float(section.normal @ y[2:])
-                if abs(n_speed) < section.transversality_floor:
-                    raise TangentialCrossing(
-                        f"normal speed {n_speed:.3g} below floor "
-                        f"{section.transversality_floor:g} at t={t_star:.6g}",
-                        t_star=t_star,
-                        normal_speed=n_speed,
-                    )
-                state = State(t=t_star, position=y[:2], velocity=y[2:])
-                return CrossingEvent(
-                    t_star=t_star,
-                    state=state,
                     normal_speed=n_speed,
-                    tangent_speed=float(section.tangent @ y[2:]),
                 )
-            # Crossed the supporting line outside the segment: keep scanning.
-        g_prev = g_next
+            state = State(t=t_star, position=y[:2], velocity=y[2:])
+            return CrossingEvent(
+                t_star=t_star,
+                state=state,
+                normal_speed=n_speed,
+                tangent_speed=float(section.tangent @ y[2:]),
+            )
+        # Crossed the supporting line outside the segment: keep scanning.
 
     raise NoCrossing(f"no transversal crossing of {section.kind} in [{t_lo:.6g}, {t_hi:.6g}]")
 

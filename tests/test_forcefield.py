@@ -152,6 +152,40 @@ class TestParamsValidation:
             PerturbationSpec(kind="magnetic")
 
 
+class TestPerturbationSpec:
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("radial_power", {"lam": 0.5, "beta": 2.0}),
+            ("axis_poly", {"cx": 1.0, "px": 2, "cy": -0.5, "py": 3}),
+            ("uniform", {"ux": 0.25, "uy": -0.1}),
+        ],
+    )
+    def test_later_mutation_of_params_changes_nothing(self, kind, params):
+        spec = PerturbationSpec(kind=kind, params=params)
+        before = spec.term(1.1, -0.7)
+        for key in list(params):
+            params[key] = 7
+        assert spec.term(1.1, -0.7) == before
+        assert spec.params != params
+
+    def test_term_values(self):
+        radial = radial_power_perturbation(lam=0.5, beta=2.0)
+        r = math.hypot(1.1, -0.7)
+        assert radial.term(1.1, -0.7) == pytest.approx((-0.5 * 1.1 / r**4, 0.5 * 0.7 / r**4))
+        poly = axis_poly_perturbation(cx=2.0, px=2, cy=-1.0, py=3)
+        assert poly.term(1.5, -0.5) == pytest.approx((2.0 * 1.5**2, 0.125))
+        assert PerturbationSpec().term(1.0, 1.0) == (0.0, 0.0)
+        assert PerturbationSpec(kind="uniform").term(1.0, 1.0) == (0.0, 0.0)
+
+    def test_pickle_round_trip(self, kepler_radial_field):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(kepler_radial_field))
+        assert copy == kepler_radial_field
+        assert copy.acceleration(1.2, 0.4, 0.1) == kepler_radial_field.acceleration(1.2, 0.4, 0.1)
+
+
 class TestSymmetry:
     def test_pure_kepler_both_reflections(self, kepler_field):
         residuals = check_symmetry(kepler_field, 0.0, sample_count=32)

@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from symorbit import (
     ForceField,
     IntegratorConfig,
     PowerLawParams,
+    State,
     angular_momentum,
     circular_speed,
     energy,
@@ -32,8 +35,6 @@ class TestFlow:
 
     def test_energy_drift_one_radial_period(self, kepler_field, kepler_params):
         # sigma = 1.1 ellipse over one full radial period
-        from symorbit import State
-
         cfg = IntegratorConfig()
         x, v = launch_state(1.1, kepler_params)
         period = kepler_period(semi_major_axis(1.0, 1.1, 1.0), 1.0)
@@ -208,3 +209,184 @@ class TestReflectionCheck:
             flow_with_reflection_check(kepler_field, 0.0, (1.0, 0.1), (0.0, 1.0), 1.0)
         with pytest.raises(ValueError):
             flow_with_reflection_check(kepler_field, 0.0, (1.0, 0.0), (0.3, 1.0), 1.0)
+
+
+# Reference: the numpy step loop flow() used before the step arithmetic moved
+# to plain floats. Same tableau, controller and guards; only the summation
+# order differs, so step counts must match and dense states agree to round-off
+# (node times may move by ~1e-7: the embedded error estimate cancels heavily).
+def _reference_initial_step(rhs, y0, f0, t_end, rtol, atol, max_step):
+    scale = atol + rtol * np.abs(y0)
+    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
+    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    y1 = y0 + h0 * f0
+    f1 = rhs(y1)
+    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, max_step, t_end)
+
+
+def _reference_refine_domain_exit(dense_step, r_in, r_out):
+    t_left, h, y_left, q = dense_step
+
+    def excess(theta):
+        tp = np.array([theta, theta**2, theta**3, theta**4])
+        y = y_left + h * (q @ tp)
+        r = math.hypot(y[0], y[1])
+        return max(r_in - r, r - r_out)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    theta = hi
+    tp = np.array([theta, theta**2, theta**3, theta**4])
+    return t_left + theta * h, y_left + h * (q @ tp)
+
+
+def _reference_flow(field, mu, x, v, t_end, cfg=IntegratorConfig()):
+    """(trajectory, number of bad-stage halvings); raises DomainExit like flow()."""
+    from symorbit.integrator import _A, _B, _E, _P, Trajectory
+
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    r_in, r_out = field.annulus
+    accel = field.acceleration
+
+    def rhs(y):
+        ax, ay = accel(y[0], y[1], mu)
+        return np.array([y[2], y[3], ax, ay])
+
+    max_step = cfg.max_step if cfg.max_step is not None else t_end / 50.0
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    y = np.concatenate([x, v])
+    t = 0.0
+    f_first = rhs(y)
+    if cfg.first_step is not None:
+        h = min(cfg.first_step, max_step, t_end)
+    else:
+        h = _reference_initial_step(rhs, y, f_first, t_end, rtol, atol, max_step)
+    min_step = 1e-14 * max(t_end, 1.0)
+    ts, ys, dense, halvings = [0.0], [y.copy()], [], 0
+    k_first = f_first
+    K = np.empty((7, 4))
+    while t < t_end:
+        if t_end - t <= min_step:
+            break
+        h = min(h, max_step, t_end - t)
+        assert h >= min_step, "step size underflow"
+        K[0] = k_first
+        bad_stage = False
+        for i in range(1, 6):
+            y_stage = y + h * (K[:i].T @ _A[i, :i])
+            if not np.all(np.isfinite(y_stage)) or math.hypot(y_stage[0], y_stage[1]) < 1e-12:
+                bad_stage = True
+                break
+            K[i] = rhs(y_stage)
+        if not bad_stage:
+            y_new = y + h * (K[:6].T @ _B)
+            if not np.all(np.isfinite(y_new)) or math.hypot(y_new[0], y_new[1]) < 1e-12:
+                bad_stage = True
+            else:
+                K[6] = rhs(y_new)
+        if bad_stage or not np.all(np.isfinite(K)):
+            h *= 0.5
+            halvings += 1
+            continue
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = math.sqrt(float(np.mean((h * (_E @ K) / scale) ** 2)))
+        if err > 1.0:
+            h *= max(0.2, 0.9 * err**-0.2)
+            continue
+        dense.append((t, h, y.copy(), K.T @ _P))
+        t_next = t + h
+        ts.append(t_next)
+        ys.append(y_new.copy())
+        rr = math.hypot(y_new[0], y_new[1])
+        if rr < r_in or rr > r_out:
+            t_exit, y_exit = _reference_refine_domain_exit(dense[-1], r_in, r_out)
+            ts[-1], ys[-1] = t_exit, y_exit
+            raise DomainExit(
+                "left annulus",
+                t_exit=t_exit,
+                state=State(t=t_exit, position=y_exit[:2], velocity=y_exit[2:]),
+                trajectory=Trajectory(ts, ys, dense, t_end=t_exit),
+            )
+        factor = 5.0 if err == 0.0 else min(5.0, max(1.0, 0.9 * err**-0.2))
+        h *= factor
+        t, y, k_first = t_next, y_new, K[6].copy()
+    return Trajectory(ts, ys, dense), halvings
+
+
+@dataclass(frozen=True)
+class _WalledField(ForceField):
+    """Kepler field whose force is NaN beyond radius `wall`; counts the hits."""
+
+    wall: float = 1.5
+    hits: list = dataclass_field(default_factory=list, compare=False)
+
+    def acceleration(self, x, y, mu):
+        if math.hypot(x, y) > self.wall:
+            self.hits.append((x, y))
+            return math.nan, math.nan
+        return super().acceleration(x, y, mu)
+
+
+def _assert_dense_agreement(traj, ref, t_end):
+    assert traj.n_steps == ref.n_steps
+    for t in np.linspace(0.0, t_end, 500):
+        assert np.max(np.abs(traj._eval(t) - ref._eval(t))) < 1e-10
+
+
+class TestFloatStepLoopMatchesReference:
+    def test_kepler_ellipse(self, kepler_field, kepler_params):
+        x, v = launch_state(1.1, kepler_params)
+        period = kepler_period(semi_major_axis(1.0, 1.1, 1.0), 1.0)
+        ref, halvings = _reference_flow(kepler_field, 0.0, x, v, period)
+        _assert_dense_agreement(flow(kepler_field, 0.0, x, v, period), ref, period)
+        assert halvings == 0
+
+    def test_radial_power(self, kepler_radial_field, kepler_params):
+        x, v = launch_state(1.05, kepler_params)
+        ref, _ = _reference_flow(kepler_radial_field, 0.1, x, v, 2 * math.pi)
+        traj = flow(kepler_radial_field, 0.1, x, v, 2 * math.pi)
+        _assert_dense_agreement(traj, ref, 2 * math.pi)
+
+    def test_axis_poly_alpha_3(self, half_field_a3):
+        x, v = launch_state(1.005, half_field_a3.base)
+        ref, _ = _reference_flow(half_field_a3, 0.01, x, v, 2 * math.pi)
+        traj = flow(half_field_a3, 0.01, x, v, 2 * math.pi)
+        _assert_dense_agreement(traj, ref, 2 * math.pi)
+
+    def test_domain_exit(self, kepler_field):
+        with pytest.raises(DomainExit) as ref_err:
+            _reference_flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 2.0), 20.0)
+        with pytest.raises(DomainExit) as err:
+            flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 2.0), 20.0)
+        ref, got = ref_err.value, err.value
+        assert got.t_exit == pytest.approx(ref.t_exit, abs=1e-10)
+        assert np.allclose(got.state.position, ref.state.position, rtol=0, atol=1e-10)
+        assert np.allclose(got.state.velocity, ref.state.velocity, rtol=0, atol=1e-10)
+        _assert_dense_agreement(got.trajectory, ref.trajectory, ref.t_exit)
+
+    @pytest.mark.parametrize("first_step", [2.2, 4.0])
+    def test_bad_stage_halving(self, kepler_params, first_step):
+        # Oversized first steps on the unit circle throw trial stages past the
+        # NaN wall at r = 1.5, which the orbit itself never reaches: with 2.2
+        # only the fifth-order solution lands there (the FSAL force is NaN),
+        # with 4.0 intermediate stages do.
+        cfg = IntegratorConfig(first_step=first_step, max_step=first_step)
+        walled = _WalledField(base=kepler_params)
+        ref, halvings = _reference_flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
+        assert halvings > 0
+        walled.hits.clear()
+        traj = flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
+        assert walled.hits
+        _assert_dense_agreement(traj, ref, 2 * math.pi)

@@ -138,3 +138,108 @@ class TestCrossingContinuity:
         )
         assert 0 < t_star < 3.0
         assert event.state.position[1] > 0
+
+
+# Reference: the crossing scan as it was before the per-step quartic
+# coefficients, evaluating the normal coordinate through Trajectory._eval.
+def _reference_crossing_time(traj, section, window=None, subsamples=4):
+    """t* of the first transversal crossing; raises like first_transversal_crossing."""
+    t_lo, t_hi = (0.0, traj.t_end) if window is None else window
+    t_hi = min(t_hi, traj.t_end)
+    bt = section.boundary_tol if section.boundary_tol is not None else 1e-6 * section.length
+    time_tol = 1e-12 * max(t_hi, 1.0)
+
+    def g(t):
+        return section.normal_coord(traj._eval(t)[:2])
+
+    grid = [t_lo]
+    for t_left, h, _, _ in traj._dense:
+        if t_left + h <= t_lo or t_left >= t_hi:
+            continue
+        for k in range(1, subsamples + 1):
+            t = t_left + h * k / subsamples
+            if t_lo < t < t_hi:
+                grid.append(t)
+    grid.append(t_hi)
+    grid = sorted(set(grid))
+
+    g_prev = g(grid[0])
+    for t_prev, t_next in zip(grid[:-1], grid[1:]):
+        g_next = g(t_next)
+        if g_prev * g_next < 0.0:
+            a, b, ga = t_prev, t_next, g_prev
+            while b - a > time_tol:
+                m = 0.5 * (a + b)
+                gm = g(m)
+                if ga * gm <= 0.0:
+                    b = m
+                else:
+                    a, ga = m, gm
+            t_star = 0.5 * (a + b)
+            y = traj._eval(t_star)
+            tau = section.tangent_coord(y[:2])
+            if -bt < tau < bt or section.length - bt < tau < section.length + bt:
+                raise BoundaryCrossing("boundary", t_star=t_star, point=y[:2])
+            if 0.0 <= tau <= section.length:
+                n_speed = float(section.normal @ y[2:])
+                if abs(n_speed) < section.transversality_floor:
+                    raise TangentialCrossing("tangential", t_star=t_star, normal_speed=n_speed)
+                return t_star
+        g_prev = g_next
+    raise NoCrossing("none")
+
+
+def _outcome(scan, *args, **kwargs):
+    """(exception type or None, crossing time or None) of one scan."""
+    try:
+        result = scan(*args, **kwargs)
+    except (BoundaryCrossing, TangentialCrossing, NoCrossing) as exc:
+        return type(exc), getattr(exc, "t_star", None)
+    return None, getattr(result, "t_star", result)
+
+
+def _assert_same_outcome(traj, section, window=None):
+    got = _outcome(first_transversal_crossing, traj, section, window=window)
+    ref = _outcome(_reference_crossing_time, traj, section, window=window)
+    assert got[0] is ref[0]
+    if ref[1] is not None:
+        t_hi = traj.t_end if window is None else min(window[1], traj.t_end)
+        assert abs(got[1] - ref[1]) <= 10 * 1e-12 * max(t_hi, 1.0)
+    return got
+
+
+class TestQuarticScanMatchesReference:
+    @pytest.mark.parametrize("sigma", [0.95, 1.0, 1.02, 1.05])
+    def test_positive_y_axis(self, kepler_radial_field, y_section, sigma):
+        traj = flow(kepler_radial_field, 0.05, (1.0, 0.0), (0.0, sigma), 2.5)
+        kind, _ = _assert_same_outcome(traj, y_section)
+        assert kind is None
+
+    @pytest.mark.parametrize("sigma", [0.98, 1.0, 1.03])
+    def test_negative_x_axis(self, half_field_a05, sigma):
+        section = SectionSpec.negative_x_axis(1.0)
+        traj = flow(half_field_a05, 0.03, (1.0, 0.0), (0.0, sigma), 6.0)
+        kind, _ = _assert_same_outcome(traj, section)
+        assert kind is None
+        # A window that starts mid-step and ends before the crossing.
+        kind, _ = _assert_same_outcome(traj, section, window=(0.3, 2.0))
+        assert kind is NoCrossing
+
+    def test_line_crossed_outside_segment_first(self, kepler_field, y_section):
+        # Clockwise circle: x = 0 is first crossed at (0, -1), below the
+        # segment, then at (0, 1) on it.
+        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, -1.0), 5.0)
+        kind, t_star = _assert_same_outcome(traj, y_section)
+        assert kind is None
+        assert t_star == pytest.approx(1.5 * math.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("offset", [-1e-15, 0.0, 1e-15, 1e-12])
+    def test_crossing_on_step_node(self, kepler_field, offset):
+        # A vertical segment through a node position: the normal coordinate
+        # vanishes at (or within round-off of) that node, where the scan must
+        # take the node value from the later step, as Trajectory._eval does.
+        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2.0)
+        i = len(traj.ts) // 3
+        px, py = traj.ys[i][:2]
+        section = SectionSpec(start=(px + offset, py - 0.5), end=(px + offset, py + 0.5))
+        _assert_same_outcome(traj, section)
