@@ -466,6 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("mu", "sigma"):
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            sys.stderr.write(f"configuration error: --{flag} must be finite, got {value}\n")
+            return EXIT_CONFIG
     try:
         config = RunConfig.load(args.config)
     except (OSError, KeyError, ValueError) as exc:

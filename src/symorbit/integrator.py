@@ -332,7 +332,7 @@ def flow(
         if t_end - t <= min_step:
             break  # remainder below time resolution: the span is covered
         h = min(h, max_step, t_end - t)
-        if h < min_step:
+        if not h >= min_step:  # a NaN step (non-finite launch force) never shrinks below it
             raise StepFailure(f"step size underflow at t={t} (h={h})")
 
         trial = _dp5_step(accel, mu, h, state, force, rtol, atol)

@@ -4,9 +4,12 @@ A half segment (x-axis to x-axis, both ends orthogonal) extends to a period-2tau
 orbit by reflecting across the x-axis with time reversal. A quarter segment
 (x-axis to y-axis, orthogonal at both ends) extends to a period-4tau orbit using
 both axis reflections. The assembled orbit is checked independently: closure by
-re-integration, simplicity by a segment-pair sweep, origin enclosure by winding
-number, trace symmetry by reflected-sample distance, and the two-point x-axis
-crossing property by a refined sign scan.
+re-integration, simplicity by orientation tests on the segment pairs that share
+a cell of a uniform grid, origin enclosure by winding number, trace symmetry by
+the distance from each reflected sample to the segments in its 3x3 block of
+grid cells (all segments when none is nearer than a cell side), and the
+two-point x-axis crossing property by a refined sign scan. Both grid-pruned
+checks return exactly what an all-pairs sweep returns.
 """
 
 from __future__ import annotations
@@ -222,37 +225,111 @@ def _polyline(orbit_or_points) -> np.ndarray:
     return pts
 
 
+_QUAD = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])  # cell offsets a segment may reach
+_BLOCK = np.array([[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])  # 3x3 block offsets
+
+
+class _SegmentGrid:
+    """Uniform grid of square cells indexing the segments starts[k] -> ends[k].
+
+    The cell side h is the largest axis extent of any segment's bounding box,
+    inflated by 1e-9 so that rounding cannot spread a segment over three cells:
+    each segment is registered in the 1x1 to 2x2 cells its bounding box
+    touches, and two segments whose bounding boxes overlap share a cell
+    (`floor` is monotone). A closed polyline of n segments spans at most n*h
+    per axis, which bounds the cell indices by n.
+    """
+
+    def __init__(self, starts: np.ndarray, ends: np.ndarray):
+        lo = np.minimum(starts, ends)
+        hi = np.maximum(starts, ends)
+        extent = float(np.max(hi - lo))  # NaN or inf when any point is not finite
+        if not math.isfinite(extent):
+            raise ValueError("polyline points and segment extents must be finite")
+        self.h = extent * (1.0 + 1e-9) if extent > 0.0 else 1.0
+        self.origin = np.min(lo, axis=0)
+        self.n = len(starts)
+        c0 = self._cells(lo).astype(np.intp)
+        c1 = self._cells(hi).astype(np.intp)
+        # Query cells are clipped to [-2, top + 2]; their blocks reach one further.
+        self.top = int(np.max(c1))
+        self.width = self.top + 7
+        cells = c0[:, None, :] + _QUAD
+        keep = np.all(_QUAD <= (c1 - c0)[:, None, :], axis=2)
+        keys = self._key(cells[keep])
+        segs = np.nonzero(keep)[0]
+        order = np.lexsort((segs, keys))  # by cell, then segment index
+        self.keys = keys[order]
+        self.segs = segs[order]
+
+    def _cells(self, points: np.ndarray) -> np.ndarray:
+        return np.floor((points - self.origin) / self.h)
+
+    def _key(self, cells: np.ndarray) -> np.ndarray:
+        return (cells[..., 0] + 3) * self.width + (cells[..., 1] + 3)
+
+    def near(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point, segment) index pairs: each point with every segment registered
+        in the 3x3 block of cells around it. A point at least two cells outside
+        the grid gets none."""
+        cells = np.clip(self._cells(points), -2, self.top + 2).astype(np.intp)
+        keys = self._key(cells[:, None, :] + _BLOCK).ravel()
+        first = np.searchsorted(self.keys, keys, "left")
+        count = np.searchsorted(self.keys, keys, "right") - first
+        owner, pos = _ranges(first, count)
+        return owner // len(_BLOCK), self.segs[pos]
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Segment index pairs (i, j), i < j, that share a cell, each once, in
+        lexicographic order."""
+        at = np.arange(len(self.keys))
+        cell_end = np.searchsorted(self.keys, self.keys, "right")
+        owner, partner = _ranges(at + 1, cell_end - at - 1)
+        code = np.unique(self.segs[owner] * self.n + self.segs[partner])
+        return code // self.n, code % self.n
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenation over k of the positions first[k] .. first[k] + count[k] - 1,
+    each with its owner k."""
+    owner = np.repeat(np.arange(len(count)), count)
+    shift = np.repeat(np.cumsum(count) - count - first, count)
+    return owner, np.arange(len(owner)) - shift
+
+
 def is_simple_closed(orbit_or_points, min_points: int = 256):
     """(True, None) when no two non-adjacent polyline segments cross properly,
-    else (False, crossing point)."""
+    else (False, crossing point) of the lexicographically first crossing pair.
+
+    A proper crossing needs overlapping bounding boxes, so only segments that
+    share a cell of a `_SegmentGrid` are tested.
+    """
     pts = _polyline(orbit_or_points)
     n = len(pts)
     if n < min_points:
         raise ValueError(f"need at least {min_points} sample points, got {n}")
     nxt = np.roll(pts, -1, axis=0)
     d = nxt - pts  # segment direction vectors
+    i, j = _SegmentGrid(pts, nxt).pairs()
+    keep = (j >= i + 2) & ((i > 0) | (j < n - 1))  # not adjacent, not the wrap pair (0, n-1)
+    i, j = i[keep], j[keep]
 
     def cross(u, v):
         return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
-    for i in range(n - 2):
-        j0 = i + 2
-        j1 = n if i > 0 else n - 1  # skip the wrap-adjacent pair (0, n-1)
-        if j0 >= j1:
-            continue
-        a, b, da = pts[i], nxt[i], d[i]
-        c, e, dc = pts[j0:j1], nxt[j0:j1], d[j0:j1]
-        d1 = cross(dc, a - c)
-        d2 = cross(dc, b - c)
-        d3 = cross(da[None, :], c - a)
-        d4 = cross(da[None, :], e - a)
-        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-        if np.any(hit):
-            k = int(np.argmax(hit))
-            # Line-line intersection point of the first crossing pair.
-            t = d3[k] / (d3[k] - d4[k])
-            return False, c[k] + t * dc[k]
-    return True, None
+    a, b, da = pts[i], nxt[i], d[i]
+    c, e, dc = pts[j], nxt[j], d[j]
+    d1 = cross(dc, a - c)
+    d2 = cross(dc, b - c)
+    d3 = cross(da, c - a)
+    d4 = cross(da, e - a)
+    hits = np.flatnonzero((d1 * d2 < 0) & (d3 * d4 < 0))
+    if len(hits) == 0:
+        return True, None
+    k = hits[0]
+    # Line-line intersection point of the first crossing pair.
+    t = d3[k] / (d3[k] - d4[k])
+    return False, c[k] + t * dc[k]
 
 
 def winding_number(orbit_or_points, point=(0.0, 0.0)) -> int:
@@ -269,32 +346,50 @@ def winding_number(orbit_or_points, point=(0.0, 0.0)) -> int:
     return int(round(float(np.sum(d)) / (2.0 * math.pi)))
 
 
+def _segment_distance(q, starts, d, len2):
+    """Distance from q to the segments starts + [0, 1] * d, row by row (q may
+    be one point). Same float operations in the same order as a dense sweep
+    over all pairs, so minima over any candidate set agree bit for bit."""
+    wx = q[..., 0] - starts[:, 0]
+    wy = q[..., 1] - starts[:, 1]
+    t = np.clip((wx * d[:, 0] + wy * d[:, 1]) / len2, 0.0, 1.0)
+    dx = q[..., 0] - (starts[:, 0] + t * d[:, 0])
+    dy = q[..., 1] - (starts[:, 1] + t * d[:, 1])
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def symmetry_residual(orbit: PeriodicOrbit, reflections=None) -> dict:
-    """Largest distance from any reflected sample to the orbit trace, per reflection."""
+    """Largest distance from any reflected sample to the orbit trace, per reflection.
+
+    `reflections` holds `Reflection` members or their names. Each reflected
+    sample is compared with the segments in its 3x3 block of `_SegmentGrid`
+    cells; every other segment is at least one cell side h away, so a block
+    minimum below h is the minimum over all segments. A sample without one is
+    compared with all segments.
+    """
     refls = orbit.symmetry if reflections is None else reflections
     pts = _polyline(orbit)
     starts = pts
     ends = np.roll(pts, -1, axis=0)
     d = ends - starts
     len2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
+    grid = _SegmentGrid(starts, ends)
+    # Rounding moves cell indices and distances by a few ulp of the coordinates.
+    limit = grid.h - 1e-9 * (grid.h + float(np.max(np.abs(pts))))
 
     out = {}
-    for refl in sorted(refls, key=lambda r: r.value):
-        refl = Reflection(refl)
+    for refl in sorted((Reflection(r) for r in refls), key=lambda r: r.value):
         q = pts.copy()
         if refl is Reflection.X_AXIS:
             q[:, 1] = -q[:, 1]
         else:
             q[:, 0] = -q[:, 0]
-        worst = 0.0
-        for lo in range(0, len(q), 128):
-            chunk = q[lo : lo + 128]
-            w = chunk[:, None, :] - starts[None, :, :]
-            t = np.clip(np.sum(w * d[None, :, :], axis=2) / len2[None, :], 0.0, 1.0)
-            proj = starts[None, :, :] + t[:, :, None] * d[None, :, :]
-            dist = np.min(np.linalg.norm(chunk[:, None, :] - proj, axis=2), axis=1)
-            worst = max(worst, float(np.max(dist)))
-        out[refl] = worst
+        k, seg = grid.near(q)
+        best = np.full(len(q), np.inf)
+        np.minimum.at(best, k, _segment_distance(q[k], starts[seg], d[seg], len2[seg]))
+        for p in np.flatnonzero(~(best < limit)):
+            best[p] = np.min(_segment_distance(q[p], starts, d, len2))
+        out[refl] = float(np.max(best))
     return out
 
 

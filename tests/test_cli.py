@@ -95,6 +95,11 @@ class TestSolveCommand:
         cfg = write_config(tmp_path / "c.json", solve_tol=0.0)
         assert main(["solve", "--config", str(cfg), "--mu", "0.0"]) == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_mu_rejected(self, config_path, capsys, value):
+        assert main(["solve", "--config", str(config_path), f"--mu={value}"]) == 1
+        assert "--mu must be finite" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["solve", "--config", str(missing)]) == 1
@@ -156,6 +161,12 @@ class TestAnalyzeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["circular"] is True
         assert payload["Phi"] == payload["Phi_limit"]
+
+    @pytest.mark.parametrize("flag", ["--mu", "--sigma"])
+    def test_non_finite_flag_rejected(self, config_path, capsys, flag):
+        argv = ["analyze", "--config", str(config_path), "--sigma", "1.0", flag, "nan"]
+        assert main(argv) == 1
+        assert f"{flag} must be finite" in capsys.readouterr().err
 
     def test_nonzero_mu_rejected(self, config_path):
         assert (

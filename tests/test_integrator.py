@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +89,28 @@ class TestFlow:
     def test_initial_point_outside_annulus(self, kepler_field):
         with pytest.raises(DomainExit):
             flow(kepler_field, 0.0, (2.5, 0.0), (0.0, 1.0), 1.0)
+
+    def test_nan_launch_force_raises_step_failure(self):
+        # A NaN force gives a NaN initial step; the loop once spun on it forever,
+        # so the call runs in a child process that a timeout can stop.
+        code = (
+            "from symorbit import ForceField, PowerLawParams, StepFailure, flow\n"
+            "field = ForceField(base=PowerLawParams(1.0, 1.0))\n"
+            "try:\n"
+            "    flow(field, float('nan'), (1.0, 0.0), (0.0, 1.0), 2.0)\n"
+            "except StepFailure:\n"
+            "    print('StepFailure')\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "StepFailure"
 
     def test_convergence_order(self, kepler_field, kepler_params):
         # Fixed-step mode (huge tolerances, pinned step): the closure error of

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symorbit import (
     HypothesisViolation,
@@ -24,6 +24,7 @@ from symorbit import (
     verify_closure,
     winding_number,
 )
+from symorbit.orbit import _polyline
 
 from oracles import kepler_period, semi_major_axis
 
@@ -256,6 +257,166 @@ class TestSymmetryResidual:
         orb = extend_half(sol.segment, mu=0.03)
         res = symmetry_residual(orb, {Reflection.Y_AXIS})
         assert res[Reflection.Y_AXIS] > 1e-3
+
+    def test_reflection_names_accepted(self, solved_perturbed_orbit):
+        by_name = symmetry_residual(solved_perturbed_orbit, ["y_axis", "x_axis"])
+        by_member = symmetry_residual(
+            solved_perturbed_orbit, [Reflection.X_AXIS, Reflection.Y_AXIS]
+        )
+        assert by_name == by_member
+
+
+def all_pairs_is_simple_closed(points):
+    """Reference: every non-adjacent segment pair, first crossing in (i, j) order."""
+    pts = _polyline(points)
+    n = len(pts)
+    nxt = np.roll(pts, -1, axis=0)
+    d = nxt - pts
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    for i in range(n - 2):
+        j0 = i + 2
+        j1 = n if i > 0 else n - 1  # skip the wrap-adjacent pair (0, n-1)
+        if j0 >= j1:
+            continue
+        a, b, da = pts[i], nxt[i], d[i]
+        c, e, dc = pts[j0:j1], nxt[j0:j1], d[j0:j1]
+        d1 = cross(dc, a - c)
+        d2 = cross(dc, b - c)
+        d3 = cross(da[None, :], c - a)
+        d4 = cross(da[None, :], e - a)
+        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+        if np.any(hit):
+            k = int(np.argmax(hit))
+            t = d3[k] / (d3[k] - d4[k])
+            return False, c[k] + t * dc[k]
+    return True, None
+
+
+def all_pairs_symmetry_residual(points, reflections):
+    """Reference: distance from every reflected sample to every segment."""
+    pts = _polyline(points)
+    starts = pts
+    ends = np.roll(pts, -1, axis=0)
+    d = ends - starts
+    len2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
+    out = {}
+    for refl in reflections:
+        q = pts.copy()
+        if refl is Reflection.X_AXIS:
+            q[:, 1] = -q[:, 1]
+        else:
+            q[:, 0] = -q[:, 0]
+        worst = 0.0
+        for lo in range(0, len(q), 128):
+            chunk = q[lo : lo + 128]
+            w = chunk[:, None, :] - starts[None, :, :]
+            t = np.clip(np.sum(w * d[None, :, :], axis=2) / len2[None, :], 0.0, 1.0)
+            proj = starts[None, :, :] + t[:, :, None] * d[None, :, :]
+            dist = np.min(np.linalg.norm(chunk[:, None, :] - proj, axis=2), axis=1)
+            worst = max(worst, float(np.max(dist)))
+        out[refl] = worst
+    return out
+
+
+def assert_matches_all_pairs(points):
+    """Both grid-pruned checks return exactly what the all-pairs references do."""
+    refls = [Reflection.X_AXIS, Reflection.Y_AXIS]
+    assert symmetry_residual(points, refls) == all_pairs_symmetry_residual(points, refls)
+    simple, pt = is_simple_closed(points, min_points=3)
+    ref_simple, ref_pt = all_pairs_is_simple_closed(points)
+    assert simple == ref_simple
+    if ref_pt is None:
+        assert pt is None
+    else:
+        assert pt[0] == ref_pt[0] and pt[1] == ref_pt[1]
+    return ref_simple
+
+
+def limacon(ratio):
+    return lambda th: np.column_stack(
+        [(1 + ratio * np.cos(th)) * np.cos(th), (1 + ratio * np.cos(th)) * np.sin(th)]
+    )
+
+
+@pytest.fixture(scope="module")
+def half_orbit_a05(half_problem_a05):
+    return extend_half(solve(half_problem_a05, 0.02).segment, mu=0.02)
+
+
+@pytest.fixture(scope="module")
+def half_orbit_a3(half_problem_a3):
+    return extend_half(solve(half_problem_a3, 0.005).segment, mu=0.005)
+
+
+class TestGridPrunedChecksMatchAllPairs:
+    @pytest.mark.parametrize(
+        "orbit_fixture", ["solved_perturbed_orbit", "half_orbit_a05", "half_orbit_a3"]
+    )
+    def test_acceptance_orbits(self, request, orbit_fixture):
+        # Both reflections: the y-axis one of a half orbit is ~1e-2 off the trace,
+        # so most of its samples fall back to the comparison with all segments.
+        orb = request.getfixturevalue(orbit_fixture)
+        assert assert_matches_all_pairs(orb.positions)
+
+    def test_circle(self, circle_quarter_segment):
+        assert assert_matches_all_pairs(extend_quarter(circle_quarter_segment).positions)
+        assert assert_matches_all_pairs(loop_points())
+
+    def test_inner_loop(self):
+        assert not assert_matches_all_pairs(loop_points(512, limacon(1.5)))
+
+    def test_figure_eight_crossing_on_a_sample(self):
+        # One lobe passes the origin at sample 0, the other on the chord from
+        # p to -p, whose line contains the origin exactly.
+        n = 512
+        th = 2 * math.pi * (np.arange(n) + 0.5) / n
+        th[0] = 0.0
+        pts = np.column_stack([np.sin(th), np.sin(th) * np.cos(th)])
+        pts[n // 2] = -pts[n // 2 - 1]
+        assert_matches_all_pairs(pts)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(256, 600), st.booleans())
+    @example(8, 256, False)  # a nearest segment lies in a neighbouring cell
+    def test_random_walks(self, seed, n, lattice):
+        steps = np.random.default_rng(seed).normal(size=(n, 2))
+        if lattice:
+            # Quarter-unit steps: exact orientation tests, touching and
+            # overlapping segments, and zero-length steps.
+            steps = np.round(4.0 * steps) / 4.0
+        simple = assert_matches_all_pairs(np.cumsum(steps, axis=0))
+        if not lattice:
+            assert not simple
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.5])
+    def test_repeated_points(self, ratio):
+        pts = loop_points(300, limacon(ratio))
+        assert_matches_all_pairs(np.repeat(pts, 1 + np.arange(300) % 3, axis=0))
+
+    def test_all_points_identical(self):
+        assert assert_matches_all_pairs(np.tile([0.3, -0.7], (300, 1)))
+
+    def test_non_finite_points_rejected(self):
+        pts = loop_points(300)
+        pts[7, 1] = np.nan
+        with pytest.raises(ValueError):
+            is_simple_closed(pts)
+        with pytest.raises(ValueError):
+            symmetry_residual(pts, [Reflection.X_AXIS])
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.5])
+    def test_segment_lengths_spanning_a_million(self, ratio):
+        # 300 steps of 1e-7 rad, then 60 of about 0.1 rad.
+        th = np.concatenate(
+            [np.arange(300) * 1e-7, np.linspace(3e-5, 2 * math.pi, 61)[:-1]]
+        )
+        pts = limacon(ratio)(th)
+        lengths = np.hypot(*np.diff(pts, axis=0).T)
+        assert lengths.max() / lengths.min() > 1e6
+        assert assert_matches_all_pairs(pts) == (ratio < 1)
 
 
 class TestAxisCrossings:
