@@ -3,8 +3,9 @@
 All commands read one JSON configuration file, take a few numeric overrides on
 the command line, and emit deterministic machine-readable output (JSON and
 CSV, floats at 17 significant digits). Exit codes classify failures: 2 for
-bracketing, 3 for bisection convergence, 4 for validation, 5 for leaving the
-problem's domain of validity, 1 for configuration problems.
+bracketing, 3 for root-finding convergence, 4 for validation, 5 for leaving
+the problem's domain of validity, 1 for configuration problems and command
+line usage errors.
 """
 
 from __future__ import annotations
@@ -355,13 +356,16 @@ def _check_radial_accel_identity(config: RunConfig):
 
 def _check_crossing_continuity(config: RunConfig):
     # Probes stay inside the configured bracket band so steep-force setups
-    # are not pushed out of range.
+    # are not pushed out of range. A narrow band marks a steep force whose
+    # usable mu range is narrow too (alpha = 3 with eta = 0.04 has no crossing
+    # near sigma = 1.02 beyond mu ~ 0.024), so mu is capped at eta / 2 as well.
     rng = np.random.default_rng(config.seed)
     problem = config.problem()
+    mu_cap = min(0.05, 0.5 * config.field.mu_range, 0.5 * problem.eta)
     ok, probes = True, []
     for _ in range(3):
         sigma = 1.0 + float(rng.uniform(-0.5 * problem.eta, 0.5 * problem.eta))
-        mu = float(rng.uniform(0.0, min(0.05, 0.5 * config.field.mu_range)))
+        mu = float(rng.uniform(0.0, mu_cap))
         devs = crossing_time_deviation(problem, mu, sigma)
         probes.append({"sigma": sigma, "mu": mu, "deviations": devs})
         ok = ok and devs[0] > devs[1] > devs[2]
@@ -465,7 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed help (code 0) or a usage error (code 2, which
+        # here would read as a bracketing failure).
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     for flag in ("mu", "sigma"):
         value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):

@@ -62,7 +62,7 @@ class BracketFailure(SolverError):
 
 
 class NonConvergence(SolverError):
-    """Bisection hit its iteration cap without meeting the miss tolerance."""
+    """The launch-speed root-finder stopped without meeting the miss tolerance."""
 
 
 class HypothesisViolation(SolverError):

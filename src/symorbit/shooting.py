@@ -5,8 +5,9 @@ one-parameter family. The miss function is the velocity component along the
 section at the first transversal crossing: vertical component on the positive
 y-axis in quarter mode, horizontal component on the negative x-axis in half
 mode. Its zero is an orthogonal crossing, found by sign bracketing around
-sigma = 1 and bisection; the bracket orientation flips with the force exponent
-in half mode, matching the four-cell sign pattern reproduced by sign_table.
+sigma = 1 and safeguarded Illinois regula falsi on the bracket; the bracket
+orientation flips with the force exponent in half mode, matching the four-cell
+sign pattern reproduced by sign_table.
 """
 
 from __future__ import annotations
@@ -201,34 +202,58 @@ def solve(
     max_iter: int = 200,
     prebuilt: Bracket | None = None,
 ) -> ShootingSolution:
-    """Bisect the miss function to an orthogonal crossing velocity.
+    """Find an orthogonal crossing velocity by Illinois regula falsi.
+
+    False-position steps on the sign-change bracket, with the stored miss of
+    an end kept twice in a row halved (Dowell & Jarratt 1971), converge
+    superlinearly on the smooth miss function. Every iterate lies strictly
+    inside the bracket. A step that would leave it, or any step once the
+    bracket has gone three iterations without halving, is replaced by the
+    midpoint, so the bracket halves at least every four iterations. Not
+    after two: on a smooth miss the step that moves the kept end is often
+    the third (two steps on one side, then the halved-miss step across).
 
     Returns the launch velocity, the crossing time tau, and the generating
     trajectory segment over [0, tau].
     """
     br = prebuilt if prebuilt is not None else bracket(problem, mu)
-    lo, hi = br.sigma_lo, br.sigma_hi
-    f_lo = br.miss_lo.value
-    best = br.miss_lo if abs(br.miss_lo.value) <= abs(br.miss_hi.value) else br.miss_hi
+    a, b = br.sigma_lo, br.sigma_hi
+    f_a, f_b = br.miss_lo.value, br.miss_hi.value
+    best = br.miss_lo if abs(f_a) <= abs(f_b) else br.miss_hi
 
     if abs(best.value) >= tol:
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            m_mid = miss(problem, mid, mu)
-            if abs(m_mid.value) < abs(best.value):
-                best = m_mid
-            if abs(m_mid.value) < tol:
+        kept = 0  # +1 / -1 while the lower / upper end stayed put
+        width_ref, stalled = b - a, 0
+        steps = 0
+        for steps in range(1, max_iter + 1):
+            x = (a * f_b - b * f_a) / (f_b - f_a)
+            if stalled >= 3 or not a < x < b:
+                x = 0.5 * (a + b)
+            m = miss(problem, x, mu)
+            if abs(m.value) < abs(best.value):
+                best = m
+            if abs(m.value) < tol:
                 break
-            if f_lo * m_mid.value < 0.0:
-                hi = mid
+            if (m.value < 0.0) == (f_a < 0.0):
+                a, f_a = x, m.value
+                if kept == -1:
+                    f_b *= 0.5
+                kept = -1
             else:
-                lo, f_lo = mid, m_mid.value
-            if hi - lo < 1e-15:
+                b, f_b = x, m.value
+                if kept == 1:
+                    f_a *= 0.5
+                kept = 1
+            if b - a <= 0.5 * width_ref:
+                width_ref, stalled = b - a, 0
+            else:
+                stalled += 1
+            if b - a < 1e-15:
                 break
         if abs(best.value) >= tol:
             raise NonConvergence(
                 f"|miss|={abs(best.value):.3g} still above tol={tol} after "
-                f"{max_iter} bisection steps at mu={mu}"
+                f"{steps} root-finding steps at mu={mu}"
             )
 
     tau = best.crossing.t_star

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from symorbit import serialize
+from symorbit import NoCrossing, cli, serialize
 from symorbit.cli import main
 
 
@@ -174,6 +174,29 @@ class TestAnalyzeCommand:
         )
 
 
+def write_steep_half_config(path, seed):
+    # The alpha = 3 half family: miss is undefined near sigma = 1.02 beyond
+    # mu ~ 0.024, hence the narrow eta.
+    return write_config(
+        path,
+        field={
+            "kappa": 1.0,
+            "alpha": 3.0,
+            "perturbation": {
+                "kind": "axis_poly",
+                "params": {"cx": 1.0, "px": 2, "cy": 1.0, "py": 3},
+                "symmetries": ["x_axis"],
+            },
+            "mu_range": 0.5,
+            "annulus": [0.5, 2.0],
+        },
+        mode="half",
+        eta=0.04,
+        mu=0.005,
+        seed=seed,
+    )
+
+
 class TestVerifyCommand:
     def test_default_config_passes(self, config_path, capsys):
         assert main(["verify", "--config", str(config_path), "--json"]) == 0
@@ -213,3 +236,52 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(config_path)]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
+
+    # Seeds whose continuity probes drew mu past the family's range (NoCrossing)
+    # while mu was capped only by 0.05 and half the mu range.
+    @pytest.mark.parametrize("seed", [0, 5, 13])
+    def test_steep_force_continuity_probes_stay_in_range(self, tmp_path, capsys, seed):
+        cfg = write_steep_half_config(tmp_path / "a3.json", seed)
+        assert main(["verify", "--config", str(cfg), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        check = {c["name"]: c for c in payload["checks"]}["crossing_continuity"]
+        assert check["passed"] is True
+        assert all(0.0 <= p["mu"] <= 0.02 for p in check["detail"])
+
+    def test_quarter_continuity_probes_unchanged(self, config_path, capsys):
+        assert main(["verify", "--config", str(config_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        check = {c["name"]: c for c in payload["checks"]}["crossing_continuity"]
+        drawn = [(p["sigma"], p["mu"]) for p in check["detail"]]
+        assert drawn == [
+            (1.0136961687321455, 0.013489335688193516),
+            (0.9540973523936195, 0.0008263817764264548),
+            (1.0313270239200272, 0.04563777886388609),
+        ]
+
+    def test_continuity_probe_error_fails_the_check(self, config_path, capsys, monkeypatch):
+        def no_crossing(*args, **kwargs):
+            raise NoCrossing("forced")
+
+        monkeypatch.setattr(cli, "crossing_time_deviation", no_crossing)
+        assert main(["verify", "--config", str(config_path), "--json"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False
+        check = {c["name"]: c for c in payload["checks"]}["crossing_continuity"]
+        assert check["passed"] is False
+        assert check["detail"]["error"] == "NoCrossing"
+
+
+class TestUsage:
+    def test_usage_error_is_config_class(self, config_path, capsys):
+        # "-inf" as a separate argument reads as an unknown option.
+        assert main(["solve", "--config", str(config_path), "--mu", "-inf"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+
+    def test_missing_required_flag(self, capsys):
+        assert main(["solve"]) == 1
+        assert "--config" in capsys.readouterr().err
+
+    def test_help_exits_ok(self, capsys):
+        assert main(["solve", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symorbit import (
+    Bracket,
     BracketFailure,
     ForceField,
     Mode,
@@ -17,6 +18,8 @@ from symorbit import (
     sign_table,
     solve,
 )
+from symorbit import shooting
+from symorbit.shooting import MissValue
 
 from oracles import perturbed_radial_sigma
 
@@ -103,6 +106,44 @@ class TestBracket:
         assert br.sigma_lo < root < br.sigma_hi
 
 
+def bisection_sigma(problem, mu, tol=1e-10, max_iter=200):
+    """sigma* of the bisection solve that Illinois regula falsi replaced."""
+    br = bracket(problem, mu)
+    lo, hi = br.sigma_lo, br.sigma_hi
+    f_lo = br.miss_lo.value
+    best = br.miss_lo if abs(br.miss_lo.value) <= abs(br.miss_hi.value) else br.miss_hi
+    if abs(best.value) >= tol:
+        for _ in range(max_iter):
+            mid = 0.5 * (lo + hi)
+            m_mid = shooting.miss(problem, mid, mu)
+            if abs(m_mid.value) < abs(best.value):
+                best = m_mid
+            if abs(m_mid.value) < tol:
+                break
+            if f_lo * m_mid.value < 0.0:
+                hi = mid
+            else:
+                lo, f_lo = mid, m_mid.value
+            if hi - lo < 1e-15:
+                break
+        assert abs(best.value) < tol
+    return best.sigma
+
+
+@pytest.fixture()
+def miss_sigmas(monkeypatch):
+    """Every sigma handed to shooting.miss, in call order."""
+    sigmas = []
+    real = shooting.miss
+
+    def counting(problem, sigma, mu):
+        sigmas.append(sigma)
+        return real(problem, sigma, mu)
+
+    monkeypatch.setattr(shooting, "miss", counting)
+    return sigmas
+
+
 class TestSolve:
     def test_kepler_circular_root(self, quarter_problem):
         sol = solve(quarter_problem, 0.0, tol=1e-10)
@@ -150,11 +191,97 @@ class TestSolve:
         with pytest.raises(NonConvergence):
             solve(quarter_problem, 0.0, tol=0.0, max_iter=5)
 
+    def test_nonconvergence_reports_steps_taken(self, quarter_problem, miss_sigmas):
+        # tol = 0 is never met; the bracket collapses below 1e-15 long before
+        # the iteration cap, and the message counts the steps actually taken.
+        with pytest.raises(NonConvergence) as info:
+            solve(quarter_problem, 0.0, tol=0.0, max_iter=200)
+        steps = len(miss_sigmas) - 2  # minus the two bracket probes
+        assert steps < 200
+        assert f"after {steps} root-finding steps" in str(info.value)
+
     def test_bisection_keeps_bracket_signs(self, quarter_problem_radial):
         # The returned root must sit inside the initial bracket.
         br = bracket(quarter_problem_radial, 0.05)
         sol = solve(quarter_problem_radial, 0.05, prebuilt=br)
         assert br.sigma_lo <= sol.sigma_star <= br.sigma_hi
+
+
+class TestRootFinder:
+    # The acceptance solves: bisection needed 31 / 27 / 32 misses, bracket
+    # probes included; Illinois regula falsi needs 7 / 7 / 9.
+    @pytest.mark.parametrize(
+        "problem_name,mu",
+        [("quarter_problem_radial", 0.05), ("half_problem_a05", 0.02), ("half_problem_a3", 0.005)],
+    )
+    def test_few_miss_evaluations(self, request, miss_sigmas, problem_name, mu):
+        sol = solve(request.getfixturevalue(problem_name), mu, tol=1e-10)
+        assert abs(sol.miss_residual) < 1e-10
+        assert len(miss_sigmas) <= 12
+
+    @pytest.mark.parametrize(
+        "problem_name,mus",
+        [("half_problem_a05", (0.0, 0.02, 0.04)), ("half_problem_a3", (0.0, 0.005, 0.01))],
+    )
+    def test_matches_bisection(self, request, problem_name, mus):
+        problem = request.getfixturevalue(problem_name)
+        for mu in mus:
+            sol = solve(problem, mu, tol=1e-10)
+            assert abs(sol.sigma_star - bisection_sigma(problem, mu)) < 100 * 1e-10
+
+    def test_exact_zero_at_bracket_end_accepted(self, quarter_problem, miss_sigmas):
+        m_lo = shooting.miss(quarter_problem, 0.95, 0.0)
+        m_hi = shooting.miss(quarter_problem, 1.05, 0.0)
+        zero = MissValue(0.95, 0.0, m_lo.crossing, m_lo.trajectory)
+        miss_sigmas.clear()
+        sol = solve(quarter_problem, 0.0, prebuilt=Bracket(0.95, 1.05, zero, m_hi))
+        assert sol.sigma_star == 0.95 and sol.miss_residual == 0.0
+        assert miss_sigmas == []
+
+    ROOT = 0.97 + 1e-3 / 3
+    SHAPES = {
+        # Steep on one side: the false-position step creeps in from the flat end.
+        "exponential": lambda d: math.expm1(200.0 * d),
+        # Flat at the root: |miss| < tol already holds on a wide band.
+        "seventh_power": lambda d: 1e6 * d**7,
+        # Slopes differing by 1e6 on the two sides of the root.
+        "kink": lambda d: d if d < 0.0 else 1e6 * d,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_safeguard_on_synthetic_miss(self, quarter_problem, monkeypatch, shape):
+        f = self.SHAPES[shape]
+        carrier = shooting.miss(quarter_problem, 1.0, 0.0)  # a real crossing to return
+        sigmas = []
+
+        def synthetic(problem, sigma, mu):
+            sigmas.append(sigma)
+            return MissValue(sigma, f(sigma - self.ROOT), carrier.crossing, carrier.trajectory)
+
+        monkeypatch.setattr(shooting, "miss", synthetic)
+        lo, hi = 0.95, 1.05
+        br = Bracket(lo, hi, synthetic(None, lo, 0.0), synthetic(None, hi, 0.0))
+        sigmas.clear()
+        sol = solve(quarter_problem, 0.0, tol=1e-10, prebuilt=br)
+        assert abs(sol.miss_residual) < 1e-10
+        assert lo < sol.sigma_star < hi
+
+        # Replay the iterates: each lies strictly inside the bracket spanned by
+        # the latest iterates of each sign, and the bracket halves at least
+        # every four iterations.
+        a, f_a, b = lo, f(lo - self.ROOT), hi
+        midpoints = 0
+        for k, x in enumerate(sigmas):
+            assert b - a <= (hi - lo) * 0.5 ** (k // 4)
+            assert a < x < b
+            midpoints += x == 0.5 * (a + b)
+            fx = f(x - self.ROOT)
+            if (fx < 0.0) == (f_a < 0.0):
+                a, f_a = x, fx
+            else:
+                b = x
+        assert midpoints >= 1
+        assert len(sigmas) <= 120
 
 
 class TestSignTable:
