@@ -221,10 +221,10 @@ def _mu_grids(config: RunConfig):
     return grids
 
 
-def cmd_sweep(config: RunConfig, out_dir, as_json: bool, threads: int) -> int:
+def cmd_sweep(config: RunConfig, out_dir, as_json: bool) -> int:
     problem = config.problem()
     grids = _mu_grids(config)
-    curves = [run_sweep(problem, g, tol=config.solve_tol, threads=threads) for g in grids]
+    curves = [run_sweep(problem, g, tol=config.solve_tol) for g in grids]
 
     scan_cfg = config.scan
     sigmas = np.linspace(
@@ -456,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="mu continuation sweep plus miss-sign scan")
     common(p_sweep)
     p_sweep.add_argument("--out", default=None, help="directory for CSV/JSON outputs")
-    p_sweep.add_argument("--threads", type=int, default=1)
 
     p_analyze = sub.add_parser("analyze", help="central-force diagnostics of a launch")
     common(p_analyze)
@@ -491,7 +490,7 @@ def main(argv=None) -> int:
             mu = config.mu if args.mu is None else args.mu
             return cmd_solve(config, mu, args.out, args.json)
         if args.command == "sweep":
-            return cmd_sweep(config, args.out, args.json, args.threads)
+            return cmd_sweep(config, args.out, args.json)
         if args.command == "analyze":
             return cmd_analyze(config, args.sigma, args.mu, args.json)
         return cmd_verify(config, args.json)

@@ -10,7 +10,6 @@ checkable footprint of a connected zero set crossing the whole mu range.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -86,49 +85,27 @@ def sweep(
     problem: ShootingProblem,
     mu_grid,
     tol: float = 1e-10,
-    threads: int = 1,
 ) -> ContinuationCurve:
     """Solve along a mu grid (starting at 0, one sign, monotone outward).
 
-    Single-threaded runs warm-start each bracket at the previous sigma*;
-    parallel runs use cold brackets so results stay order-independent. Either
-    way the curve truncates at the first solve or validation failure.
+    Each bracket is warm-started at the previous sigma*; the curve truncates
+    at the first solve or validation failure.
     """
     grid = _check_grid(problem, mu_grid)
     curve = ContinuationCurve()
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_solve_and_validate, problem, float(mu), tol, None)
-                for mu in grid
-            ]
-            results = []
-            for mu, fut in zip(grid, futures):
-                try:
-                    results.append((float(mu), fut.result(), None))
-                except SolverError as exc:
-                    results.append((float(mu), None, exc))
-    else:
-        results = []
-        warm = None
-        for mu in grid:
-            try:
-                res = _solve_and_validate(problem, float(mu), tol, warm_center=warm)
-                warm = res[0].sigma_star
-                results.append((float(mu), res, None))
-            except SolverError as exc:
-                results.append((float(mu), None, exc))
-                break
-
-    for mu, res, exc in results:
-        if exc is not None:
+    warm = None
+    for mu in grid:
+        mu = float(mu)
+        try:
+            sol, orbit, ok, diag = _solve_and_validate(problem, mu, tol, warm_center=warm)
+        except SolverError as exc:
             curve.failure = {"mu": mu, "error": type(exc).__name__, "message": str(exc)}
             break
-        sol, orbit, ok, diag = res
         if not ok:
             curve.failure = {"mu": mu, "error": "ValidationFailure", "diagnostics": diag}
             break
+        warm = sol.sigma_star
         curve.entries.append(
             CurveEntry(
                 mu=mu,

@@ -4,7 +4,11 @@ The integrator propagates the fifth-order solution, estimates local error from
 the embedded fourth-order result, and attaches a quartic interpolant to every
 accepted step so downstream event detection can refine crossing times without
 re-integrating. Leaving the validity annulus terminates the flow with a
-DomainExit carrying the refined exit time and state.
+DomainExit carrying the refined exit time and state. An optional stop callback
+sees each accepted step's dense record and end state after the annulus check
+and ends the flow after the first step for which it returns true: terminal
+event location (Hairer, Norsett & Wanner, Solving ODEs I, II.6). It changes
+no step before that one.
 
 The step loop runs on plain floats: the state is four floats, each stage is a
 4-tuple (velocity, force) and the tableau products are unrolled. Arrays are
@@ -110,12 +114,7 @@ class Trajectory:
     def _eval(self, t: float) -> np.ndarray:
         i = int(np.searchsorted(self.ts, t, side="right")) - 1
         i = min(max(i, 0), len(self._dense) - 1)
-        t_left, h, y_left, q = self._dense[i]
-        theta = (t - t_left) / h
-        if theta == 0.0:
-            return y_left.copy()
-        tp = np.array([theta, theta**2, theta**3, theta**4])
-        return y_left + h * (q @ tp)
+        return _step_eval(self._dense[i], t)
 
     def interpolate(self, t: float) -> State:
         y = self._eval(float(t))
@@ -151,6 +150,16 @@ class Trajectory:
             for t, s in zip(ts, states):
                 row = [t, s[0], s[1], s[2], s[3]]
                 fh.write(",".join(format(v, fmt) for v in row) + "\n")
+
+
+def _step_eval(step, t: float) -> np.ndarray:
+    """State at time t on the quartic of one dense record (t_left, h, y_left, Q)."""
+    t_left, h, y_left, q = step
+    theta = (t - t_left) / h
+    if theta == 0.0:
+        return y_left.copy()
+    tp = np.array([theta, theta**2, theta**3, theta**4])
+    return y_left + h * (q @ tp)
 
 
 def _rms(values, scale) -> float:
@@ -296,11 +305,16 @@ def flow(
     v,
     t_end: float,
     cfg: IntegratorConfig = IntegratorConfig(),
+    stop=None,
 ) -> Trajectory:
     """Integrate r'' = g(r, mu) from (x, v) over [0, t_end].
 
     Raises DomainExit (with partial trajectory) when the orbit leaves the
-    annulus, StepFailure if the step size underflows.
+    annulus, StepFailure if the step size underflows. `stop(step, y_right)`,
+    when given, is called with the dense record (t_left, h, y_left, Q) and the
+    end state (four floats) of every accepted step that stays in the annulus;
+    the trajectory then ends after the first step for which it returns true.
+    The step sequence up to there is the one without `stop`.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -362,6 +376,8 @@ def flow(
                 state=State(t=t_exit, position=y_exit[:2], velocity=y_exit[2:]),
                 trajectory=traj,
             )
+        if stop is not None and stop(dense[-1], state_new):
+            break
 
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(1.0, _SAFETY * err**-0.2))
         h *= factor

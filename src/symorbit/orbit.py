@@ -298,11 +298,16 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def is_simple_closed(orbit_or_points, min_points: int = 256):
-    """(True, None) when no two non-adjacent polyline segments cross properly,
-    else (False, crossing point) of the lexicographically first crossing pair.
+    """(True, None) when no two non-adjacent polyline segments meet, else
+    (False, meeting point) of the lexicographically first such pair.
 
-    A proper crossing needs overlapping bounding boxes, so only segments that
-    share a cell of a `_SegmentGrid` are tested.
+    Two segments meet when each has its end points on opposite sides of the
+    other's line, or on it: a zero orientation counts when the other test is
+    strict, so a crossing or touch through a sample point is found. Pairs
+    where both tests give zero (a shared end point, collinear or zero-length
+    segments, as repeated samples give) do not count. Meeting
+    segments have overlapping bounding boxes, so only segments that share a
+    cell of a `_SegmentGrid` are tested.
     """
     pts = _polyline(orbit_or_points)
     n = len(pts)
@@ -323,11 +328,13 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
     d2 = cross(dc, b - c)
     d3 = cross(da, c - a)
     d4 = cross(da, e - a)
-    hits = np.flatnonzero((d1 * d2 < 0) & (d3 * d4 < 0))
+    p12, p34 = d1 * d2, d3 * d4
+    hits = np.flatnonzero(((p12 < 0) & (p34 <= 0)) | ((p12 <= 0) & (p34 < 0)))
     if len(hits) == 0:
         return True, None
     k = hits[0]
-    # Line-line intersection point of the first crossing pair.
+    # Line-line intersection point of the first pair. d3 == d4 would need
+    # both of c, e on the line of a, b, which no hit allows.
     t = d3[k] / (d3[k] - d4[k])
     return False, c[k] + t * dc[k]
 

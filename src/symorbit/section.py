@@ -3,11 +3,23 @@
 A section is a finite closed segment; a crossing counts only if the refined
 point is strictly interior to the segment and the transverse velocity
 component clears a floor. On each step of the dense output the
-segment-normal coordinate is a quartic in the step fraction, so its five
-coefficients are computed once per step. Candidate times are its sign changes
-on a grid of step nodes plus a few interior points per step (evaluated by
-Horner's rule), refined by bisection on the same quartic down to a fixed
-fraction of the window.
+segment-normal coordinate is a quartic in the step fraction, and one
+per-step scanner (`_SectionScan`) searches it:
+
+- a step whose constant coefficient outweighs the sum of the others' moduli
+  has no root and is passed over;
+- otherwise candidate times are the sign changes on the step's nodes plus a
+  few interior points (Horner's rule), a grid value of exactly zero counting
+  as the end of a sign change; when the grid shows none, the quartic's
+  extrema (roots of its derivative cubic) join the grid, so two crossings
+  inside one grid interval are not lost;
+- each candidate is refined by bisection on the same quartic down to a fixed
+  fraction of the window, then classified.
+
+`first_transversal_crossing` runs the scanner over the steps of a finished
+trajectory. `crossing_time` hands it to `flow` as the stop callback, so each
+integration ends at the step that holds the first crossing (terminal event
+location) instead of running to the end of its window.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ import numpy as np
 
 from .errors import BoundaryCrossing, DomainExit, NoCrossing, TangentialCrossing
 from .forcefield import ForceField
-from .integrator import IntegratorConfig, State, Trajectory, flow
+from .integrator import IntegratorConfig, State, Trajectory, _step_eval, flow
 
 # Section segments span [0.25 R, 4 R] along their axis so every desk-scale
 # crossing is comfortably interior and interiority stays checkable.
@@ -88,6 +100,173 @@ class CrossingEvent:
     tangent_speed: float  # signed velocity component along the segment
 
 
+class _SectionScan:
+    """Search of the window [t_lo, t_hi] for the first transversal crossing, one step at a time.
+
+    Called with the dense record (t_left, h, y_left, Q) of consecutive steps,
+    the first one holding t_lo, and each step's end state (x, y, vx, vy),
+    which a step reaching t_hi does not need; returns True once the window is
+    covered or a crossing found, which is then in `event`. Raises
+    BoundaryCrossing or TangentialCrossing like `first_transversal_crossing`.
+    """
+
+    def __init__(self, section: SectionSpec, t_lo: float, t_hi: float, time_tol: float, subsamples: int = 4):
+        self.section = section
+        (self._n0, self._n1), (self._s0, self._s1) = section.normal.tolist(), section.start
+        self._bt = section.boundary_tol if section.boundary_tol is not None else 1e-6 * section.length
+        self.t_lo, self.t_hi, self.time_tol = t_lo, t_hi, time_tol
+        self._subsamples = subsamples
+        self._g = None  # normal coordinate at the left end of the next step
+        self.event: CrossingEvent | None = None
+
+    def __call__(self, step, y_right) -> bool:
+        t_left, h, y_left, q = step
+        n0, n1, s0, s1 = self._n0, self._n1, self._s0, self._s1
+        t_lo, t_hi = self.t_lo, self.t_hi
+
+        # g(theta) = c0 + c1 theta + ... + c4 theta^4 on this step; after the
+        # first step, c0 is the previous step's right-node value.
+        first = self._g is None
+        c0 = n0 * (float(y_left[0]) - s0) + n1 * (float(y_left[1]) - s1) if first else self._g
+        (qx1, qx2, qx3, qx4), (qy1, qy2, qy3, qy4) = q[:2].tolist()
+        c1 = h * (n0 * qx1 + n1 * qy1)
+        c2 = h * (n0 * qx2 + n1 * qy2)
+        c3 = h * (n0 * qx3 + n1 * qy3)
+        c4 = h * (n0 * qx4 + n1 * qy4)
+        c = (c0, c1, c2, c3, c4)
+
+        if first:
+            t_a, g_a = t_lo, _quartic(c, (t_lo - t_left) / h)
+        else:
+            t_a, g_a = t_left, c0
+        t_b = t_left + h
+        last = not t_b < t_hi
+        if last:
+            t_b, g_b = t_hi, _quartic(c, (t_hi - t_left) / h)
+        else:
+            # Bit for bit the next step's c0, as Trajectory._eval takes a node
+            # from the later step.
+            g_b = n0 * (y_right[0] - s0) + n1 * (y_right[1] - s1)
+        self._g = g_b
+
+        if g_a * g_b > 0.0 and abs(c0) > abs(c1) + abs(c2) + abs(c3) + abs(c4):
+            # No root of the quartic on [0, 1]; the end-sign test keeps a node
+            # value that rounding put on the other side.
+            return last
+
+        grid = [(t_a, g_a)]
+        for k in range(1, self._subsamples):
+            t = t_left + h * k / self._subsamples
+            if t_lo < t < t_hi:
+                grid.append((t, _quartic(c, (t - t_left) / h)))
+        grid.append((t_b, g_b))
+        changes = _sign_changes(grid)
+        if not changes:
+            # Two crossings between grid points leave no sign change on the
+            # grid; the quartic's extrema between them do.
+            extrema = [
+                (t_left + th * h, _quartic(c, th))
+                for th in _quartic_extrema(c, (t_a - t_left) / h, (t_b - t_left) / h)
+            ]
+            changes = _sign_changes(sorted(grid + extrema))
+        for a, b, ga in changes:
+            event = self._refine(step, c, a, b, ga)
+            if event is not None:
+                self.event = event
+                return True
+        return last
+
+    def _refine(self, step, coeffs, a, b, ga) -> CrossingEvent | None:
+        """Bisect the sign change on [a, b] and classify the crossing; None
+        when it misses the segment (the supporting line was crossed)."""
+        left, width = step[0], step[1]
+        while b - a > self.time_tol:
+            m = 0.5 * (a + b)
+            gm = _quartic(coeffs, (m - left) / width)
+            if ga * gm <= 0.0:
+                b = m
+            else:
+                a, ga = m, gm
+        t_star = 0.5 * (a + b)
+        section, bt = self.section, self._bt
+        y = _step_eval(step, t_star)
+        tau = section.tangent_coord(y[:2])
+        if -bt < tau < bt or section.length - bt < tau < section.length + bt:
+            raise BoundaryCrossing(
+                f"crossing at t={t_star:.6g} within {bt:g} of a segment endpoint",
+                t_star=t_star,
+                point=y[:2],
+            )
+        if not 0.0 <= tau <= section.length:
+            return None
+        n_speed = float(section.normal @ y[2:])
+        if abs(n_speed) < section.transversality_floor:
+            raise TangentialCrossing(
+                f"normal speed {n_speed:.3g} below floor "
+                f"{section.transversality_floor:g} at t={t_star:.6g}",
+                t_star=t_star,
+                normal_speed=n_speed,
+            )
+        return CrossingEvent(
+            t_star=t_star,
+            state=State(t=t_star, position=y[:2], velocity=y[2:]),
+            normal_speed=n_speed,
+            tangent_speed=float(section.tangent @ y[2:]),
+        )
+
+
+def _quartic(c, th: float) -> float:
+    """c[0] + c[1] th + ... + c[4] th^4 by Horner's rule."""
+    return c[0] + th * (c[1] + th * (c[2] + th * (c[3] + th * c[4])))
+
+
+def _sign_changes(points) -> list:
+    """(a, b, g(a)) for each consecutive pair of (t, g) points where g changes
+    sign; a zero counts at the end of the interval it is reached on."""
+    return [
+        (a, b, ga)
+        for (a, ga), (b, gb) in zip(points, points[1:])
+        if ga * gb < 0.0 or (gb == 0.0 and ga != 0.0)
+    ]
+
+
+def _quartic_extrema(c, lo: float, hi: float) -> list:
+    """Fractions in (lo, hi] where the quartic `c` has a local extremum: the
+    roots of its derivative cubic, each bracketed on an interval where the
+    cubic is monotone (split at the roots of the cubic's derivative)."""
+    _, c1, c2, c3, c4 = c
+
+    def slope(t):
+        return c1 + t * (2.0 * c2 + t * (3.0 * c3 + t * 4.0 * c4))
+
+    qa, qb, qc = 12.0 * c4, 6.0 * c3, 2.0 * c2  # the cubic's derivative
+    roots = []
+    if qa != 0.0:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc >= 0.0:
+            r = math.sqrt(disc)
+            roots = [(-qb - r) / (2.0 * qa), (-qb + r) / (2.0 * qa)]
+    elif qb != 0.0:
+        roots = [-qc / qb]
+    cuts = [lo, *sorted(r for r in roots if lo < r < hi), hi]
+
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        da, db = slope(a), slope(b)
+        if db == 0.0:
+            out.append(b)
+        elif da * db < 0.0:
+            for _ in range(60):
+                m = 0.5 * (a + b)
+                dm = slope(m)
+                if da * dm <= 0.0:
+                    b = m
+                else:
+                    a, da = m, dm
+            out.append(0.5 * (a + b))
+    return out
+
+
 def first_transversal_crossing(
     traj: Trajectory,
     section: SectionSpec,
@@ -105,84 +284,16 @@ def first_transversal_crossing(
     t_hi = min(t_hi, traj.t_end)
     if t_hi <= t_lo:
         raise NoCrossing(f"empty window [{t_lo}, {t_hi}]")
-    bt = section.boundary_tol if section.boundary_tol is not None else 1e-6 * section.length
-    time_tol = 1e-12 * max(t_hi, 1.0)
-
-    # Steps from the one holding t_lo to the one holding t_hi; a time t is
-    # evaluated on the step Trajectory._eval picks for it, so a grid point on a
-    # node uses the later step at theta = 0.
+    scan = _SectionScan(section, t_lo, t_hi, 1e-12 * max(t_hi, 1.0), subsamples)
     dense = traj._dense
-    n = len(dense)
-    first, last = (
-        min(max(int(i) - 1, 0), n - 1)
-        for i in np.searchsorted(traj.ts, (t_lo, t_hi), side="right")
-    )
-    block = dense[first : last + 1]
-    t_left = np.array([d[0] for d in block])
-    h = np.array([d[1] for d in block])
-    y_left = np.array([d[2] for d in block])
-    q = np.array([d[3] for d in block])
-
-    # g(theta) = c0 + c1 theta + ... + c4 theta^4 on each step.
-    (n0, n1), (s0, s1) = section.normal.tolist(), section.start
-    c0 = n0 * (y_left[:, 0] - s0) + n1 * (y_left[:, 1] - s1)
-    c = h[:, None] * (n0 * q[:, 0, :] + n1 * q[:, 1, :])
-
-    # Scan grid: step nodes plus a few interior points per step.
-    k = np.arange(1, subsamples + 1)
-    interior = (t_left[:, None] + h[:, None] * k / subsamples).ravel()
-    interior = interior[(t_lo < interior) & (interior < t_hi)]
-    # Already sorted; a repeated point only adds an empty interval, which
-    # cannot show a sign change.
-    grid = np.concatenate(([t_lo], interior, [t_hi]))
-    step = np.clip(np.searchsorted(traj.ts, grid, side="right") - 1, 0, n - 1) - first
-    theta = (grid - t_left[step]) / h[step]
-    c1, c2, c3, c4 = c[step].T
-    g = c0[step] + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
-
-    for j in np.flatnonzero(g[:-1] * g[1:] < 0.0):
-        # Both ends lie on one step (every interior node is a grid point), and
-        # the midpoints fall strictly inside it.
-        i = step[j]
-        left, width = float(t_left[i]), float(h[i])
-        b0, b1, b2, b3, b4 = float(c0[i]), *c[i].tolist()
-        a, b, ga = float(grid[j]), float(grid[j + 1]), float(g[j])
-        while b - a > time_tol:
-            m = 0.5 * (a + b)
-            th = (m - left) / width
-            gm = b0 + th * (b1 + th * (b2 + th * (b3 + th * b4)))
-            if ga * gm <= 0.0:
-                b = m
-            else:
-                a, ga = m, gm
-        t_star = 0.5 * (a + b)
-        y = traj._eval(t_star)
-        tau = section.tangent_coord(y[:2])
-        if -bt < tau < bt or section.length - bt < tau < section.length + bt:
-            raise BoundaryCrossing(
-                f"crossing at t={t_star:.6g} within {bt:g} of a segment endpoint",
-                t_star=t_star,
-                point=y[:2],
-            )
-        if 0.0 <= tau <= section.length:
-            n_speed = float(section.normal @ y[2:])
-            if abs(n_speed) < section.transversality_floor:
-                raise TangentialCrossing(
-                    f"normal speed {n_speed:.3g} below floor "
-                    f"{section.transversality_floor:g} at t={t_star:.6g}",
-                    t_star=t_star,
-                    normal_speed=n_speed,
-                )
-            state = State(t=t_star, position=y[:2], velocity=y[2:])
-            return CrossingEvent(
-                t_star=t_star,
-                state=state,
-                normal_speed=n_speed,
-                tangent_speed=float(section.tangent @ y[2:]),
-            )
-        # Crossed the supporting line outside the segment: keep scanning.
-
-    raise NoCrossing(f"no transversal crossing of {section.kind} in [{t_lo:.6g}, {t_hi:.6g}]")
+    # The step that Trajectory._eval picks for t_lo: a node belongs to the later step.
+    first = min(max(int(np.searchsorted(traj.ts, t_lo, side="right")) - 1, 0), len(dense) - 1)
+    for i in range(first, len(dense)):
+        if scan(dense[i], traj.ys[i + 1].tolist()):
+            break
+    if scan.event is None:
+        raise NoCrossing(f"no transversal crossing of {section.kind} in [{t_lo:.6g}, {t_hi:.6g}]")
+    return scan.event
 
 
 def crossing_time(
@@ -197,13 +308,17 @@ def crossing_time(
 ) -> tuple[float, CrossingEvent, Trajectory]:
     """Crossing time t(v, mu) of the flow from (x0, v) with the section.
 
-    Integrates over [0, t_bar] and returns (t*, event, trajectory). If the
-    orbit leaves the annulus before t_bar, the partial trajectory is still
-    scanned; DomainExit propagates only when no crossing happened before exit.
+    Integrates from 0 towards t_bar with the section scan as the flow's stop
+    callback and returns (t*, event, trajectory); the trajectory ends with the
+    step that holds t*. The result is the one `first_transversal_crossing`
+    gives on the flow over the whole window, with the bisection tolerance
+    taken from the window's nominal end. If the orbit leaves the annulus
+    first, the exit step is scanned up to the exit; DomainExit propagates
+    only when no crossing happened before it.
 
     t_hint is an expected crossing time: integration then first covers a
-    prefix window around it and only extends to t_bar when nothing crossed,
-    which cannot change which crossing is first.
+    prefix window of 1.6 t_hint and only repeats over [0, t_bar] when nothing
+    crossed, which cannot change which crossing is first.
     """
     windows = []
     if t_hint is not None and 1.6 * t_hint < t_bar:
@@ -211,17 +326,20 @@ def crossing_time(
     windows.append(t_bar)
 
     for t_stop in windows:
+        scan = _SectionScan(section, 0.0, t_stop, 1e-12 * max(t_stop, 1.0))
         exit_exc = None
         try:
-            traj = flow(field, mu, x0, v, t_stop, cfg)
+            traj = flow(field, mu, x0, v, t_stop, cfg, stop=scan)
         except DomainExit as exc:
             if exc.trajectory is None:
                 raise
             traj, exit_exc = exc.trajectory, exc
-        try:
-            event = first_transversal_crossing(traj, section, window=(0.0, traj.t_end))
-            return event.t_star, event, traj
-        except NoCrossing:
-            if exit_exc is not None:
-                raise exit_exc
+        if exit_exc is not None:
+            # The flow offers the scan no step that leaves the annulus.
+            scan.t_hi = traj.t_end
+            scan(traj._dense[-1], None)
+        if scan.event is not None:
+            return scan.event.t_star, scan.event, traj
+        if exit_exc is not None:
+            raise exit_exc
     raise NoCrossing(f"no transversal crossing of {section.kind} in [0, {t_bar:.6g}]")

@@ -69,14 +69,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(quarter_problem_radial, [0.0, 0.8])  # beyond mu_range
 
-    def test_parallel_matches_sequential(self, quarter_problem_radial):
-        grid = np.arange(0.0, 0.0201, 0.01)
-        seq = sweep(quarter_problem_radial, grid, threads=1)
-        par = sweep(quarter_problem_radial, grid, threads=2)
-        assert len(seq.entries) == len(par.entries)
-        for a, b in zip(seq.entries, par.entries):
-            assert a.sigma_star == pytest.approx(b.sigma_star, abs=1e-8)
-
     def test_half_mode_sweep(self, half_problem_a05):
         curve = sweep(half_problem_a05, np.arange(0.0, 0.0201, 0.005))
         assert curve.failure is None

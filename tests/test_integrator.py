@@ -416,3 +416,40 @@ class TestFloatStepLoopMatchesReference:
         traj = flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
         assert walled.hits
         _assert_dense_agreement(traj, ref, 2 * math.pi)
+
+
+class TestStopCallback:
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    def test_stopped_flow_is_a_prefix(self, kepler_radial_field, kepler_params, k):
+        x, v = launch_state(1.05, kepler_params)
+        full = flow(kepler_radial_field, 0.1, x, v, 2 * math.pi)
+        seen = []
+
+        def stop(step, y_right):
+            seen.append(y_right)
+            return len(seen) == k
+
+        traj = flow(kepler_radial_field, 0.1, x, v, 2 * math.pi, stop=stop)
+        assert traj.n_steps == k and len(seen) == k
+        for got, ref in zip(traj._dense, full._dense[:k]):
+            assert got[:2] == ref[:2]
+            assert np.array_equal(got[2], ref[2]) and np.array_equal(got[3], ref[3])
+        assert np.array_equal(traj.ts, full.ts[: k + 1])
+        assert np.array_equal(traj.ys, full.ys[: k + 1])
+        assert [list(y) for y in seen] == full.ys[1 : k + 1].tolist()
+        assert traj.t_end == full.ts[k]
+
+    def test_never_stopping_changes_nothing(self, kepler_radial_field, kepler_params):
+        x, v = launch_state(0.95, kepler_params)
+        full = flow(kepler_radial_field, 0.1, x, v, 2 * math.pi)
+        traj = flow(kepler_radial_field, 0.1, x, v, 2 * math.pi, stop=lambda step, y: False)
+        assert np.array_equal(traj.ts, full.ts) and np.array_equal(traj.ys, full.ys)
+        assert traj.t_end == full.t_end
+
+    def test_step_leaving_the_annulus_is_not_offered(self, kepler_field):
+        offered = []
+        with pytest.raises(DomainExit) as err:
+            flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 2.0), 20.0, stop=lambda s, y: offered.append(s))
+        dense = err.value.trajectory._dense
+        assert len(offered) == len(dense) - 1
+        assert all(a is b for a, b in zip(offered, dense))

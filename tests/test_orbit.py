@@ -267,7 +267,7 @@ class TestSymmetryResidual:
 
 
 def all_pairs_is_simple_closed(points):
-    """Reference: every non-adjacent segment pair, first crossing in (i, j) order."""
+    """Reference: every non-adjacent segment pair, first meeting in (i, j) order."""
     pts = _polyline(points)
     n = len(pts)
     nxt = np.roll(pts, -1, axis=0)
@@ -287,7 +287,8 @@ def all_pairs_is_simple_closed(points):
         d2 = cross(dc, b - c)
         d3 = cross(da[None, :], c - a)
         d4 = cross(da[None, :], e - a)
-        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+        p12, p34 = d1 * d2, d3 * d4
+        hit = ((p12 < 0) & (p34 <= 0)) | ((p12 <= 0) & (p34 < 0))
         if np.any(hit):
             k = int(np.argmax(hit))
             t = d3[k] / (d3[k] - d4[k])
@@ -376,7 +377,9 @@ class TestGridPrunedChecksMatchAllPairs:
         th[0] = 0.0
         pts = np.column_stack([np.sin(th), np.sin(th) * np.cos(th)])
         pts[n // 2] = -pts[n // 2 - 1]
-        assert_matches_all_pairs(pts)
+        assert not assert_matches_all_pairs(pts)
+        simple, pt = is_simple_closed(pts, min_points=3)
+        assert not simple and np.array_equal(pt, [0.0, 0.0])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(256, 600), st.booleans())

@@ -5,12 +5,18 @@ import pytest
 
 from symorbit import (
     BoundaryCrossing,
+    DomainExit,
+    ForceField,
+    IntegratorConfig,
     NoCrossing,
+    PowerLawParams,
     SectionSpec,
     TangentialCrossing,
+    circular_speed,
     crossing_time,
     first_transversal_crossing,
     flow,
+    miss,
 )
 
 
@@ -140,8 +146,9 @@ class TestCrossingContinuity:
         assert event.state.position[1] > 0
 
 
-# Reference: the crossing scan as it was before the per-step quartic
-# coefficients, evaluating the normal coordinate through Trajectory._eval.
+# Reference: the crossing scan on a grid of step nodes and interior points,
+# evaluating the normal coordinate through Trajectory._eval. A grid value of
+# exactly zero ends a sign change; extrema between grid points are not searched.
 def _reference_crossing_time(traj, section, window=None, subsamples=4):
     """t* of the first transversal crossing; raises like first_transversal_crossing."""
     t_lo, t_hi = (0.0, traj.t_end) if window is None else window
@@ -166,7 +173,7 @@ def _reference_crossing_time(traj, section, window=None, subsamples=4):
     g_prev = g(grid[0])
     for t_prev, t_next in zip(grid[:-1], grid[1:]):
         g_next = g(t_next)
-        if g_prev * g_next < 0.0:
+        if g_prev * g_next < 0.0 or (g_next == 0.0 and g_prev != 0.0):
             a, b, ga = t_prev, t_next, g_prev
             while b - a > time_tol:
                 m = 0.5 * (a + b)
@@ -238,8 +245,133 @@ class TestQuarticScanMatchesReference:
         # A vertical segment through a node position: the normal coordinate
         # vanishes at (or within round-off of) that node, where the scan must
         # take the node value from the later step, as Trajectory._eval does.
+        # An exact zero at the node is a crossing too.
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2.0)
         i = len(traj.ts) // 3
         px, py = traj.ys[i][:2]
         section = SectionSpec(start=(px + offset, py - 0.5), end=(px + offset, py + 0.5))
-        _assert_same_outcome(traj, section)
+        kind, t_star = _assert_same_outcome(traj, section)
+        assert kind is None
+        assert t_star == pytest.approx(traj.ts[i], abs=1e-9)
+
+
+class TestDoubleCrossingInOneStep:
+    # At rel_tol = 1e-6 the unit circle takes steps long enough to cross the
+    # chord y = 1 - 1e-5 (at x = +-0.0045) twice between two grid points, so
+    # the normal coordinate shows no sign change on the grid.
+    CFG = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6)
+    CHORD = SectionSpec(start=(-0.5, 1.0 - 1e-5), end=(0.5, 1.0 - 1e-5))
+
+    def _check(self, event):
+        x, y = event.state.position
+        assert y == pytest.approx(1.0 - 1e-5, abs=1e-12)
+        assert 0.0 < x < 0.01  # the first of the two crossings, moving left
+        assert event.normal_speed > 0.0 and event.tangent_speed < 0.0
+
+    def test_grid_alone_misses_it(self, kepler_field):
+        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, self.CFG)
+        with pytest.raises(NoCrossing):
+            _reference_crossing_time(traj, self.CHORD)
+
+    def test_found_through_the_quartic_extremum(self, kepler_field):
+        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, self.CFG)
+        self._check(first_transversal_crossing(traj, self.CHORD))
+        _, event, _ = crossing_time(
+            kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), self.CHORD, 2 * math.pi, self.CFG
+        )
+        self._check(event)
+
+
+def _events_equal(a, b):
+    return (a.t_star, a.normal_speed, a.tangent_speed) == (b.t_star, b.normal_speed, b.tangent_speed)
+
+
+class TestTerminalEvent:
+    """crossing_time stops each flow at the crossing step and still returns
+    what a scan of the flow over the whole window returns."""
+
+    @pytest.mark.parametrize(
+        "problem_fixture, sigma, mu",
+        [
+            ("quarter_problem_radial", 1.02, 0.05),
+            ("half_problem_a05", 0.97, 0.02),
+            ("half_problem_a3", 1.0, 0.005),
+        ],
+    )
+    def test_acceptance_problems(self, request, problem_fixture, sigma, mu):
+        p = request.getfixturevalue(problem_fixture)
+        x0, v = p.launch_point, p.launch_velocity(sigma)
+        t_star, event, traj = crossing_time(
+            p.field, mu, x0, v, p.section, p.window, p.integrator, t_hint=p.crossing_hint
+        )
+        t_stop = 1.6 * p.crossing_hint
+        full = flow(p.field, mu, x0, v, t_stop, p.integrator)
+        assert _events_equal(event, first_transversal_crossing(full, p.section))
+        assert t_star == event.t_star
+        # The stopped flow is a prefix of the full one ending with the crossing step.
+        assert traj.ts[-2] <= t_star <= traj.t_end < t_stop
+        assert np.array_equal(traj.ts, full.ts[: len(traj.ts)])
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+    def test_sign_table_geometry(self, alpha):
+        # The probe of shooting.sign_table: pure power law, wide annulus, a
+        # three-period window without a hint.
+        params = PowerLawParams(1.0, alpha)
+        field = ForceField(base=params, mu_range=1.0, annulus=(0.05, 20.0))
+        v0 = circular_speed(params, 1.0)
+        section = SectionSpec(
+            start=(-8.0, 0.0), end=(-0.1, 0.0), transversality_floor=1e-6 * v0, kind="negative_x_axis"
+        )
+        t_bar = 3.0 * 2.0 * math.pi / v0
+        _, event, traj = crossing_time(field, 0.0, (1.0, 0.0), (0.0, 1.05 * v0), section, t_bar)
+        full = flow(field, 0.0, (1.0, 0.0), (0.0, 1.05 * v0), t_bar)
+        assert _events_equal(event, first_transversal_crossing(full, section))
+        assert traj.n_steps < full.n_steps
+
+    def test_alpha_3_launch_leaving_the_annulus_after_crossing(self, half_problem_a3):
+        p, sigma, mu = half_problem_a3, 0.98, 0.005
+        x0, v = p.launch_point, p.launch_velocity(sigma)
+        t_stop = 1.6 * p.crossing_hint
+        with pytest.raises(DomainExit) as err:
+            flow(p.field, mu, x0, v, t_stop, p.integrator)
+        partial = err.value.trajectory
+        ref = first_transversal_crossing(partial, p.section)
+        assert ref.t_star < partial.t_end
+        t_star, event, traj = crossing_time(
+            p.field, mu, x0, v, p.section, p.window, p.integrator, t_hint=p.crossing_hint
+        )
+        assert traj.t_end < partial.t_end
+        # The bisection tolerance now comes from the window end, not the exit
+        # time, so t* may move within that tolerance.
+        assert abs(t_star - ref.t_star) <= 2e-12 * t_stop
+        assert event.tangent_speed == pytest.approx(ref.tangent_speed, rel=1e-9)
+        assert event.normal_speed == pytest.approx(ref.normal_speed, rel=1e-9)
+
+    def test_crossing_inside_the_exit_step(self, kepler_field):
+        # Escaping launch; the section is the segment across the path at a
+        # point inside the step that leaves the annulus.
+        x0, v = (1.0, 0.0), (0.0, 1.35)
+        with pytest.raises(DomainExit) as err:
+            flow(kepler_field, 0.0, x0, v, 20.0)
+        partial = err.value.trajectory
+        t_left, h = partial._dense[-1][:2]
+        t_cross = t_left + 0.5 * (partial.t_end - t_left)
+        s = partial.interpolate(t_cross)
+        u = s.velocity / np.linalg.norm(s.velocity)  # the section's normal
+        ends = [tuple(s.position + w * np.array([u[1], -u[0]])) for w in (-0.1, 0.1)]
+        section = SectionSpec(start=ends[0], end=ends[1])
+        ref = first_transversal_crossing(partial, section)
+        assert ref.t_star == pytest.approx(t_cross, abs=1e-9)
+        t_star, event, _ = crossing_time(kepler_field, 0.0, x0, v, section, 20.0)
+        assert abs(t_star - ref.t_star) <= 2e-12 * 20.0
+        assert event.normal_speed == pytest.approx(ref.normal_speed, rel=1e-9)
+
+    def test_scan_grid_step_budget(self, quarter_problem_radial):
+        # The 41x21 (sigma, mu) miss-sign grid: 129,840 accepted steps when
+        # every flow ran to the end of its window, 77,839 when stopped.
+        steps = sum(
+            miss(quarter_problem_radial, float(s), float(m)).trajectory.n_steps
+            for s in np.linspace(0.9, 1.1, 41)
+            for m in np.linspace(0.0, 0.05, 21)
+        )
+        assert steps <= 85_000
