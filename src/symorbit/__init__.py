@@ -41,7 +41,6 @@ from .forcefield import (
     circular_speed,
     eval_force,
     field_from_config,
-    field_from_json,
     potential,
     potential_derivatives,
     radial_power_perturbation,
@@ -70,8 +69,6 @@ from .shooting import (
     bracket,
     crossing_time_deviation,
     miss,
-    miss_half,
-    miss_quarter,
     sign_table,
     solve,
 )

@@ -52,7 +52,7 @@ from .forcefield import (
     circular_speed,
     field_from_config,
 )
-from .integrator import IntegratorConfig, flow
+from .integrator import IntegratorConfig, State, flow
 from .orbit import extend_half, extend_quarter, validate_orbit
 from .shooting import (
     Mode,
@@ -96,6 +96,37 @@ def exit_code_for(exc: SolverError) -> int:
     return EXIT_VALIDATION
 
 
+# Every key a configuration is read for, by section; any other key is refused.
+# The field's perturbation "params" are family constants and are not listed.
+_CONFIG_KEYS = {
+    "": (
+        "field", "mode", "radius", "eta", "delta", "solve_tol", "t_bar", "integrator",
+        "mu", "mu_grid", "scan", "samples", "seed", "symmetry_samples",
+    ),
+    "field": ("kappa", "alpha", "perturbation", "mu_range", "annulus"),
+    "field.perturbation": ("kind", "params", "symmetries"),
+    "integrator": ("rel_tol", "abs_tol", "max_step", "first_step"),
+    "mu_grid": ("stop", "step", "count", "mirror"),
+    "scan": ("sigma_min", "sigma_max", "sigma_count", "mu_max", "mu_count"),
+}  # fmt: skip
+
+
+def _check_keys(raw: dict):
+    """Raise ValueError naming the path of the first key that no section reads."""
+    for path, known in _CONFIG_KEYS.items():
+        section = raw
+        for part in path.split(".") if path else ():
+            section = section.get(part) if isinstance(section, dict) else None
+        if section is None:
+            continue
+        if not isinstance(section, dict):
+            raise ValueError(f"configuration key {path!r} must hold an object")
+        for key in section:
+            if key not in known:
+                name = f"{path}.{key}" if path else key
+                raise ValueError(f"unknown configuration key {name!r}")
+
+
 @dataclass
 class RunConfig:
     field: ForceField
@@ -115,6 +146,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("configuration must be a JSON object")
+        _check_keys(raw)
         field = field_from_config(raw["field"])
         icfg = raw.get("integrator", {})
         integrator = IntegratorConfig(
@@ -123,6 +157,8 @@ class RunConfig:
             max_step=icfg.get("max_step"),
             first_step=icfg.get("first_step"),
         )
+        mu = float(raw.get("mu", 0.0))
+        _check_mu(mu, field, "configuration key 'mu'")
         return cls(
             field=field,
             mode=Mode(raw.get("mode", "quarter")),
@@ -132,7 +168,7 @@ class RunConfig:
             solve_tol=float(raw.get("solve_tol", 1e-10)),
             t_bar=raw.get("t_bar"),
             integrator=integrator,
-            mu=float(raw.get("mu", 0.0)),
+            mu=mu,
             mu_grid=dict(raw.get("mu_grid", {})),
             scan=dict(
                 raw.get(
@@ -162,6 +198,11 @@ class RunConfig:
             t_bar=self.t_bar,
             integrator=self.integrator,
         )
+
+
+def _check_mu(mu: float, field: ForceField, name: str):
+    if not abs(mu) < field.mu_range:
+        raise ValueError(f"{name} = {mu} outside the field's mu range (-{field.mu_range}, {field.mu_range})")
 
 
 def _emit(payload: dict, as_json: bool, stream=None):
@@ -390,7 +431,8 @@ def _check_conservation(config: RunConfig):
         )
     except DomainExit as exc:
         traj = exc.trajectory
-    states = [traj.interpolate(t) for t in np.linspace(0.0, traj.t_end, 256)]
+    ts = np.linspace(0.0, traj.t_end, 256)
+    states = [State(t=t, position=y[:2], velocity=y[2:]) for t, y in zip(ts, traj.eval_many(ts))]
     h0 = energy(params, states[0])
     k0 = angular_momentum(states[0])
     scale_h = max(abs(h0), 0.5 * v0 * v0)  # |H| may vanish at alpha = 2
@@ -487,8 +529,10 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "solve":
-            mu = config.mu if args.mu is None else args.mu
-            return cmd_solve(config, mu, args.out, args.json)
+            if args.mu is None:
+                return cmd_solve(config, config.mu, args.out, args.json)
+            _check_mu(args.mu, config.field, "--mu")
+            return cmd_solve(config, args.mu, args.out, args.json)
         if args.command == "sweep":
             return cmd_sweep(config, args.out, args.json)
         if args.command == "analyze":

@@ -9,7 +9,6 @@ checked numerically against samples.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -277,8 +276,7 @@ def field_from_config(cfg: dict) -> ForceField:
 
     Expected keys: kappa, alpha, perturbation{kind, params, symmetries},
     mu_range (half-width), annulus [r_in, r_out]. Missing perturbation means
-    the pure power law; missing annulus defaults to [0.5, 2.0] scaled by
-    cfg["radius_scale"] if present.
+    the pure power law; missing annulus defaults to [0.5, 2.0].
     """
     base = PowerLawParams(kappa=float(cfg["kappa"]), alpha=float(cfg["alpha"]))
     pcfg = cfg.get("perturbation")
@@ -290,16 +288,10 @@ def field_from_config(cfg: dict) -> ForceField:
             params=dict(pcfg.get("params", {})),
             declared_symmetries=frozenset(pcfg.get("symmetries", [])),
         )
-    scale = float(cfg.get("radius_scale", 1.0))
-    annulus = tuple(cfg.get("annulus", (0.5 * scale, 2.0 * scale)))
+    annulus = tuple(cfg.get("annulus", (0.5, 2.0)))
     return ForceField(
         base=base,
         perturbation=pert,
         mu_range=float(cfg.get("mu_range", 0.5)),
         annulus=annulus,
     )
-
-
-def field_from_json(path) -> ForceField:
-    with open(path, "r", encoding="utf-8") as fh:
-        return field_from_config(json.load(fh))

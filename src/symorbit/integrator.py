@@ -14,6 +14,12 @@ The step loop runs on plain floats: the state is four floats, each stage is a
 4-tuple (velocity, force) and the tableau products are unrolled. Arrays are
 built only for an accepted step, its node state and its interpolant
 coefficients; rejected steps allocate none.
+
+A trajectory evaluates its dense output one time at a time (`interpolate`) or
+for many times at once (`eval_many`): one `searchsorted` over the step nodes,
+then a Horner pass over the gathered per-step quartics. The stacked per-step
+arrays that `eval_many` gathers from are built on its first call, so a flow
+that is never sampled pays nothing for them.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .errors import DomainExit, StepFailure
 from .forcefield import ForceField
 
@@ -101,6 +108,7 @@ class Trajectory:
         self.ts = np.asarray(ts)
         self.ys = np.asarray(ys)
         self._dense = dense  # list of (t_left, h, y_left, Q) per step
+        self._stacked = None  # the same records as arrays, built by eval_many
         self.t_end = float(self.ts[-1]) if t_end is None else float(t_end)
 
     @property
@@ -116,6 +124,25 @@ class Trajectory:
         i = min(max(i, 0), len(self._dense) - 1)
         return _step_eval(self._dense[i], t)
 
+    def eval_many(self, ts) -> np.ndarray:
+        """States at every time of ts, shape (len(ts), 4).
+
+        Each time goes to the step `_eval` picks (a node belongs to the later
+        step) and is evaluated on that step's quartic by Horner's rule; a node
+        time gives the node state exactly.
+        """
+        if self._stacked is None:
+            self._stacked = tuple(np.array(column) for column in zip(*self._dense))
+        t_left, h, y_left, q = self._stacked
+        ts = np.asarray(ts, dtype=float)
+        i = np.clip(np.searchsorted(self.ts, ts, side="right") - 1, 0, len(h) - 1)
+        h, y_left, q = h[i, None], y_left[i], q[i]
+        theta = (ts - t_left[i])[:, None] / h
+        acc = q[:, :, 3]
+        for k in (2, 1, 0):
+            acc = acc * theta + q[:, :, k]
+        return np.where(theta == 0.0, y_left, y_left + h * (theta * acc))
+
     def interpolate(self, t: float) -> State:
         y = self._eval(float(t))
         return State(t=float(t), position=y[:2], velocity=y[2:])
@@ -123,10 +150,7 @@ class Trajectory:
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, states) at n uniform times across the full span."""
         ts = np.linspace(0.0, self.t_end, n)
-        out = np.empty((n, 4))
-        for k, t in enumerate(ts):
-            out[k] = self._eval(t)
-        return ts, out
+        return ts, self.eval_many(ts)
 
     def final_state(self) -> State:
         return self.interpolate(self.t_end)
@@ -143,13 +167,9 @@ class Trajectory:
         ys[-1] = self._eval(t_cut)
         return Trajectory(np.array(ts), np.array(ys), keep, t_end=t_cut)
 
-    def write_csv(self, path, n_samples: int = 1024, fmt: str = ".17g"):
+    def write_csv(self, path, n_samples: int = 1024):
         ts, states = self.sample(n_samples)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,x,y,vx,vy\n")
-            for t, s in zip(ts, states):
-                row = [t, s[0], s[1], s[2], s[3]]
-                fh.write(",".join(format(v, fmt) for v in row) + "\n")
+        serialize.write_csv(path, ["t", "x", "y", "vx", "vy"], np.column_stack([ts, states]).tolist())
 
 
 def _step_eval(step, t: float) -> np.ndarray:
@@ -415,9 +435,8 @@ def flow_with_reflection_check(
     traj1 = flow(field, mu, x0, v, t_end, cfg)
     traj2 = flow(field, mu, mirror @ x0, mirror @ v, t_end, cfg)
 
-    worst = 0.0
-    for t in np.linspace(0.0, t_end, n_samples):
-        p1 = traj1.interpolate(t).position
-        p2 = traj2.interpolate(t).position
-        worst = max(worst, float(np.linalg.norm(mirror @ p1 - p2)))
+    ts = np.linspace(0.0, t_end, n_samples)
+    p1 = traj1.eval_many(ts)[:, :2]
+    p2 = traj2.eval_many(ts)[:, :2]
+    worst = float(np.max(np.linalg.norm(p1 @ mirror.T - p2, axis=1)))
     return traj1, worst

@@ -3,8 +3,14 @@
 A half segment (x-axis to x-axis, both ends orthogonal) extends to a period-2tau
 orbit by reflecting across the x-axis with time reversal. A quarter segment
 (x-axis to y-axis, orthogonal at both ends) extends to a period-4tau orbit using
-both axis reflections. The assembled orbit is checked independently: closure by
-re-integration, simplicity by orientation tests on the segment pairs that share
+both axis reflections. One table describes both: per mode, the branches of a
+period, each a segment time map a*tau + c*s and a state sign vector, and the
+end conditions under which the branches join. An orbit evaluates any batch of
+times with one `Trajectory.eval_many` call on the mapped times, multiplied by
+the gathered sign vectors.
+
+The assembled orbit is checked independently: closure by re-integration,
+simplicity by orientation and on-segment tests on the segment pairs that share
 a cell of a uniform grid, origin enclosure by winding number, trace symmetry by
 the distance from each reflected sample to the segments in its 3x3 block of
 grid cells (all segments when none is nearer than a cell side), and the
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .errors import HypothesisViolation, PointOnCurve
 from .forcefield import ForceField, Reflection
 from .integrator import IntegratorConfig, State, Trajectory, flow
@@ -27,24 +34,80 @@ _ENDPOINT_RTOL = 1e-8  # on-axis / orthogonality tolerance relative to segment s
 _DEFAULT_SAMPLES = 1024
 
 
-class PeriodicOrbit:
-    """Closed orbit assembled from a solved segment.
+@dataclass(frozen=True)
+class _Extension:
+    """How one solved segment closes into a periodic orbit.
 
-    `samples` holds n+1 uniformly spaced states over one period, first and last
+    Branch k of `branches` is (a, c, signs): on s in [k tau, (k+1) tau] of the
+    period the orbit is the segment at time a*tau + c*s, its state (x, y, vx,
+    vy) multiplied by `signs`. The branches join continuously when every
+    `vanishing` entry (name, end, component) holds: that state component is 0
+    at the segment start (end 0) or end (end 1).
+    """
+
+    label: str
+    branches: tuple
+    vanishing: tuple
+    symmetry: frozenset
+
+
+_SAME = (1.0, 1.0, 1.0, 1.0)
+_X_MIRROR = (1.0, -1.0, -1.0, 1.0)  # (x, y) -> (x, -y) traversed backwards
+_Y_MIRROR = (-1.0, 1.0, 1.0, -1.0)  # (x, y) -> (-x, y) traversed backwards
+_BOTH_MIRRORS = (-1.0, -1.0, -1.0, -1.0)  # (x, y) -> (-x, -y) traversed forwards
+
+# The second half of a half orbit is the x-axis mirror image traversed
+# backwards. A quarter orbit continues with the y-axis mirror (the unique C1
+# continuation at tau), then both mirrors, then the x-axis mirror.
+_HALF = _Extension(
+    label="half",
+    branches=((0.0, 1.0, _SAME), (2.0, -1.0, _X_MIRROR)),
+    vanishing=(("y(0)", 0, 1), ("y(tau)", 1, 1), ("vx(0)", 0, 2), ("vx(tau)", 1, 2)),
+    symmetry=frozenset({Reflection.X_AXIS}),
+)
+_QUARTER = _Extension(
+    label="quarter",
+    branches=(
+        (0.0, 1.0, _SAME),
+        (2.0, -1.0, _Y_MIRROR),
+        (-2.0, 1.0, _BOTH_MIRRORS),
+        (4.0, -1.0, _X_MIRROR),
+    ),
+    vanishing=(("y(0)", 0, 1), ("vx(0)", 0, 2), ("x(tau)", 1, 0), ("vy(tau)", 1, 3)),
+    symmetry=frozenset({Reflection.X_AXIS, Reflection.Y_AXIS}),
+)
+
+
+class PeriodicOrbit:
+    """Closed orbit assembled from a solved segment by a reflection table.
+
+    `states` holds n+1 uniformly spaced states over one period, first and last
     coinciding up to construction round-off; `at(t)` evaluates the underlying
     piecewise-reflected interpolant at any time.
     """
 
-    def __init__(self, period, segment, branch_eval, symmetry, mu, v_mu, n_samples):
-        self.period = float(period)
+    def __init__(self, segment: Trajectory, extension: _Extension, mu, n_samples):
+        tau = segment.t_end
+        branches = extension.branches
+        self.period = float(len(branches) * tau)
         self.segment = segment
-        self._branch_eval = branch_eval
-        self.symmetry = frozenset(symmetry)
+        # Branch k covers s in (k tau, (k+1) tau]; branch 0 also takes s = 0.
+        self._edges = np.array([k * tau for k in range(1, len(branches))])
+        self._offsets = np.array([a * tau for a, _, _ in branches])
+        self._slopes = np.array([c for _, c, _ in branches])
+        self._signs = np.array([signs for _, _, signs in branches])
+        self.symmetry = extension.symmetry
         self.mu = float(mu)
-        self.v_mu = np.asarray(v_mu, dtype=float)
+        self.v_mu = segment.interpolate(0.0).velocity
         self.times = np.linspace(0.0, self.period, n_samples + 1)
-        self.states = np.array([branch_eval(t) for t in self.times])
+        self.states = self._eval(self.times)
         self.diagnostics: dict = {}
+
+    def _eval(self, ts) -> np.ndarray:
+        """States at the times ts (any reals), shape (len(ts), 4)."""
+        s = np.asarray(ts, dtype=float) % self.period
+        k = np.searchsorted(self._edges, s)
+        return self.segment.eval_many(self._offsets[k] + self._slopes[k] * s) * self._signs[k]
 
     @property
     def symmetry_label(self) -> str:
@@ -53,7 +116,7 @@ class PeriodicOrbit:
         return "x_axis"
 
     def at(self, t: float) -> State:
-        y = self._branch_eval(float(t))
+        y = self._eval([float(t)])[0]
         return State(t=float(t), position=y[:2], velocity=y[2:])
 
     def initial_state(self) -> State:
@@ -67,6 +130,9 @@ class PeriodicOrbit:
     def velocities(self) -> np.ndarray:
         return self.states[:, 2:]
 
+    def _rows(self) -> list:
+        return np.column_stack([self.times, self.states]).tolist()
+
     def to_dict(self, include_samples: bool = True) -> dict:
         out = {
             "mu": self.mu,
@@ -76,24 +142,30 @@ class PeriodicOrbit:
             "diagnostics": self.diagnostics,
         }
         if include_samples:
-            out["samples"] = [
-                [t, s[0], s[1], s[2], s[3]] for t, s in zip(self.times, self.states)
-            ]
+            out["samples"] = self._rows()
         return out
 
-    def write_csv(self, path, fmt: str = ".17g"):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,x,y,vx,vy\n")
-            for t, s in zip(self.times, self.states):
-                fh.write(",".join(format(v, fmt) for v in (t, s[0], s[1], s[2], s[3])) + "\n")
+    def write_csv(self, path):
+        serialize.write_csv(path, ["t", "x", "y", "vx", "vy"], self._rows())
 
 
-def _segment_scales(segment: Trajectory) -> tuple[float, float]:
-    s0 = segment.interpolate(0.0)
-    s1 = segment.interpolate(segment.t_end)
-    r_scale = max(np.max(np.abs(s0.position)), np.max(np.abs(s1.position)), 1e-30)
-    v_scale = max(np.max(np.abs(s0.velocity)), np.max(np.abs(s1.velocity)), 1e-30)
-    return float(r_scale), float(v_scale)
+def _extend(segment: Trajectory, extension: _Extension, mu: float, n_samples: int) -> PeriodicOrbit:
+    """Check the segment's end conditions for `extension`, then build the orbit."""
+    ends = np.array([segment._eval(0.0), segment._eval(segment.t_end)])
+    r_scale = max(np.max(np.abs(ends[:, :2])), 1e-30)
+    v_scale = max(np.max(np.abs(ends[:, 2:])), 1e-30)
+    scale = (r_scale, r_scale, v_scale, v_scale)
+    bad = {
+        name: ends[end][i]
+        for name, end, i in extension.vanishing
+        if abs(ends[end][i]) > _ENDPOINT_RTOL * scale[i]
+    }
+    if bad:
+        raise HypothesisViolation(
+            f"{extension.label}-extension endpoint conditions violated: {bad} "
+            f"(tolerance {_ENDPOINT_RTOL:g} of scale)"
+        )
+    return PeriodicOrbit(segment, extension, mu, n_samples)
 
 
 def extend_half(
@@ -106,42 +178,7 @@ def extend_half(
     The second half is the x-axis mirror image traversed backwards; the result
     has period 2*tau and an x-axis-symmetric trace.
     """
-    tau = segment.t_end
-    s0 = segment.interpolate(0.0)
-    s1 = segment.interpolate(tau)
-    r_scale, v_scale = _segment_scales(segment)
-    checks = {
-        "y(0)": (s0.position[1], _ENDPOINT_RTOL * r_scale),
-        "y(tau)": (s1.position[1], _ENDPOINT_RTOL * r_scale),
-        "vx(0)": (s0.velocity[0], _ENDPOINT_RTOL * v_scale),
-        "vx(tau)": (s1.velocity[0], _ENDPOINT_RTOL * v_scale),
-    }
-    bad = {k: v for k, (v, tol) in checks.items() if abs(v) > tol}
-    if bad:
-        raise HypothesisViolation(
-            f"half-extension endpoint conditions violated: {bad} "
-            f"(tolerance {_ENDPOINT_RTOL:g} of scale)"
-        )
-
-    period = 2.0 * tau
-
-    def branch_eval(t: float) -> np.ndarray:
-        s = t % period
-        if s <= tau:
-            y = segment._eval(s)
-            return y.copy()
-        y = segment._eval(period - s)
-        return np.array([y[0], -y[1], -y[2], y[3]])
-
-    return PeriodicOrbit(
-        period=period,
-        segment=segment,
-        branch_eval=branch_eval,
-        symmetry={Reflection.X_AXIS},
-        mu=mu,
-        v_mu=s0.velocity,
-        n_samples=n_samples,
-    )
+    return _extend(segment, _HALF, mu, n_samples)
 
 
 def extend_quarter(
@@ -152,49 +189,7 @@ def extend_quarter(
     """Close a segment running from the x-axis (vertical velocity) to the
     y-axis (horizontal velocity) using both axis reflections; period 4*tau.
     """
-    tau = segment.t_end
-    s0 = segment.interpolate(0.0)
-    s1 = segment.interpolate(tau)
-    r_scale, v_scale = _segment_scales(segment)
-    checks = {
-        "y(0)": (s0.position[1], _ENDPOINT_RTOL * r_scale),
-        "vx(0)": (s0.velocity[0], _ENDPOINT_RTOL * v_scale),
-        "x(tau)": (s1.position[0], _ENDPOINT_RTOL * r_scale),
-        "vy(tau)": (s1.velocity[1], _ENDPOINT_RTOL * v_scale),
-    }
-    bad = {k: v for k, (v, tol) in checks.items() if abs(v) > tol}
-    if bad:
-        raise HypothesisViolation(
-            f"quarter-extension endpoint conditions violated: {bad} "
-            f"(tolerance {_ENDPOINT_RTOL:g} of scale)"
-        )
-
-    period = 4.0 * tau
-
-    def branch_eval(t: float) -> np.ndarray:
-        s = t % period
-        if s <= tau:
-            y = segment._eval(s)
-            return y.copy()
-        if s <= 2.0 * tau:
-            # y-axis mirror, time reversed; the unique C1 continuation at tau.
-            y = segment._eval(2.0 * tau - s)
-            return np.array([-y[0], y[1], y[2], -y[3]])
-        if s <= 3.0 * tau:
-            y = segment._eval(s - 2.0 * tau)
-            return np.array([-y[0], -y[1], -y[2], -y[3]])
-        y = segment._eval(period - s)
-        return np.array([y[0], -y[1], -y[2], y[3]])
-
-    return PeriodicOrbit(
-        period=period,
-        segment=segment,
-        branch_eval=branch_eval,
-        symmetry={Reflection.X_AXIS, Reflection.Y_AXIS},
-        mu=mu,
-        v_mu=s0.velocity,
-        n_samples=n_samples,
-    )
+    return _extend(segment, _QUARTER, mu, n_samples)
 
 
 def verify_closure(
@@ -301,18 +296,26 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
     """(True, None) when no two non-adjacent polyline segments meet, else
     (False, meeting point) of the lexicographically first such pair.
 
-    Two segments meet when each has its end points on opposite sides of the
-    other's line, or on it: a zero orientation counts when the other test is
-    strict, so a crossing or touch through a sample point is found. Pairs
-    where both tests give zero (a shared end point, collinear or zero-length
-    segments, as repeated samples give) do not count. Meeting
+    Consecutive exactly repeated samples are collapsed first, so no segment
+    has zero length. Two segments meet when each has its end points on
+    opposite sides of the other's line, or on it: a zero orientation counts
+    when the other test is strict, so a crossing or touch through a sample
+    point is found. When both tests give zero (collinear segments, or an end
+    point on the other segment's line) they meet only if an end point of one
+    lies on the other (the on-segment test of Cormen et al., Introduction to
+    Algorithms, 33.1); the meeting point reported is that end point. Meeting
     segments have overlapping bounding boxes, so only segments that share a
     cell of a `_SegmentGrid` are tested.
     """
     pts = _polyline(orbit_or_points)
+    if len(pts) < min_points:
+        raise ValueError(f"need at least {min_points} sample points, got {len(pts)}")
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    pts = pts[keep]
+    if len(pts) > 1 and np.array_equal(pts[-1], pts[0]):
+        pts = pts[:-1]
     n = len(pts)
-    if n < min_points:
-        raise ValueError(f"need at least {min_points} sample points, got {n}")
     nxt = np.roll(pts, -1, axis=0)
     d = nxt - pts  # segment direction vectors
     i, j = _SegmentGrid(pts, nxt).pairs()
@@ -329,14 +332,28 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
     d3 = cross(da, c - a)
     d4 = cross(da, e - a)
     p12, p34 = d1 * d2, d3 * d4
-    hits = np.flatnonzero(((p12 < 0) & (p34 <= 0)) | ((p12 <= 0) & (p34 < 0)))
+    hit = ((p12 < 0) & (p34 <= 0)) | ((p12 <= 0) & (p34 < 0))
+    # Both products 0: an end point q lies on the line of the other segment
+    # (s0, s1) and meets it when it lies in that segment's bounding box too.
+    both = np.flatnonzero((p12 == 0) & (p34 == 0))
+    ends = ((d1, c, e, a), (d2, c, e, b), (d3, a, b, c), (d4, a, b, e))
+    on = np.zeros((4, len(both)), dtype=bool)
+    for m, (o, s0, s1, q) in enumerate(ends):
+        s0, s1, q = s0[both], s1[both], q[both]
+        in_box = np.all((np.minimum(s0, s1) <= q) & (q <= np.maximum(s0, s1)), axis=1)
+        on[m] = (o[both] == 0) & in_box
+    hit[both] = np.any(on, axis=0)
+    hits = np.flatnonzero(hit)
     if len(hits) == 0:
         return True, None
     k = hits[0]
-    # Line-line intersection point of the first pair. d3 == d4 would need
-    # both of c, e on the line of a, b, which no hit allows.
-    t = d3[k] / (d3[k] - d4[k])
-    return False, c[k] + t * dc[k]
+    if p12[k] != 0 or p34[k] != 0:
+        # Line-line intersection point. d3 == d4 would need both of c, e on
+        # the line of a, b, and then p12 == 0 too.
+        t = d3[k] / (d3[k] - d4[k])
+        return False, c[k] + t * dc[k]
+    first = int(np.argmax(on[:, np.searchsorted(both, k)]))
+    return False, ends[first][3][k].copy()
 
 
 def winding_number(orbit_or_points, point=(0.0, 0.0)) -> int:
@@ -452,27 +469,22 @@ def axis_crossings(orbit: PeriodicOrbit, axis: str = "x") -> list[AxisCrossing]:
                     AxisCrossing(t=float(ts[mid]), point=state[:2].copy(), normal_speed=float(state[vi]))
                 )
 
-    for k in range(n):
-        k2 = (k + 1) % n
-        if is_zero[k] or is_zero[k2]:
-            continue
-        if vals[k] * vals[k2] < 0.0:
-            a = ts[k]
-            b = orbit.times[k + 1]  # == period for the wrap interval
-            fa = vals[k]
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = orbit._branch_eval(m)[ci]
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            t_star = 0.5 * (a + b)
-            y = orbit._branch_eval(t_star)
+    # Sign changes between samples off the zero band, the last one wrapping to
+    # the period; all of them are bisected together on the orbit interpolant.
+    k = np.flatnonzero(~is_zero & ~np.roll(is_zero, -1) & (vals * np.roll(vals, -1) < 0.0))
+    if len(k):
+        a, b, fa = ts[k], orbit.times[k + 1], vals[k]
+        for _ in range(80):
+            m = 0.5 * (a + b)
+            fm = orbit._eval(m)[:, ci]
+            left = fa * fm <= 0.0
+            b = np.where(left, m, b)
+            a = np.where(left, a, m)
+            fa = np.where(left, fa, fm)
+        t_star = 0.5 * (a + b)
+        for t, y in zip(t_star.tolist(), orbit._eval(t_star)):
             if abs(y[vi]) >= floor:
-                crossings.append(
-                    AxisCrossing(t=t_star, point=y[:2].copy(), normal_speed=float(y[vi]))
-                )
+                crossings.append(AxisCrossing(t=t, point=y[:2].copy(), normal_speed=float(y[vi])))
 
     crossings.sort(key=lambda c: c.t)
     return crossings

@@ -6,10 +6,11 @@ import json
 import math
 
 _MARK = "@~f17~@"  # sentinel stripped after encoding; never appears in payload strings
+_DIGITS = ".17g"
 
 
 def fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(float(x), _DIGITS)
 
 
 def _tag(obj):
@@ -40,7 +41,8 @@ def dump(obj, path, indent: int = 2):
 
 
 def write_csv(path, header: list[str], rows):
+    """The one CSV writer: floats at 17 significant digits, anything else as str."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            fh.write(",".join(format(v, _DIGITS) if isinstance(v, float) else str(v) for v in row) + "\n")

@@ -135,20 +135,6 @@ def miss(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
     return MissValue(sigma=sigma, value=event.tangent_speed, crossing=event, trajectory=traj)
 
 
-def miss_quarter(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
-    """Vertical velocity at the first positive-y-axis crossing (quarter mode)."""
-    if problem.mode is not Mode.QUARTER:
-        raise ValueError("miss_quarter requires a quarter-mode problem")
-    return miss(problem, sigma, mu)
-
-
-def miss_half(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
-    """Horizontal velocity at the first negative-x-axis crossing (half mode)."""
-    if problem.mode is not Mode.HALF:
-        raise ValueError("miss_half requires a half-mode problem")
-    return miss(problem, sigma, mu)
-
-
 @dataclass(frozen=True)
 class Bracket:
     sigma_lo: float

@@ -86,10 +86,24 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(config_path), "--mu", "0.45", "--json"])
         assert code == 2
 
-    def test_far_out_of_range_mu_is_bracket_class(self, config_path, capsys):
-        # Wildly strong perturbation: the probe orbits leave the annulus, which
-        # surfaces as a bracketing failure (the usable-range signal).
-        assert main(["solve", "--config", str(config_path), "--mu", "10"]) == 2
+    def test_far_out_of_range_mu_is_bracket_class(self, tmp_path, capsys):
+        # Wildly strong perturbation inside a wide declared mu range: the probe
+        # orbits leave the annulus, which surfaces as a bracketing failure (the
+        # usable-range signal).
+        cfg = json.loads(write_config(tmp_path / "c.json").read_text())
+        cfg["field"]["mu_range"] = 20.0
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(tmp_path / "c.json"), "--mu", "10"]) == 2
+
+    @pytest.mark.parametrize("value", ["0.5", "-0.5", "0.7", "10"])
+    def test_mu_outside_field_range_is_config_class(self, config_path, capsys, value):
+        assert main(["solve", "--config", str(config_path), f"--mu={value}"]) == 1
+        assert "--mu" in capsys.readouterr().err
+
+    def test_config_mu_outside_field_range_is_config_class(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", mu=0.7)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "'mu'" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", solve_tol=0.0)
@@ -106,6 +120,50 @@ class TestSolveCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"field": {"kappa": -1, "alpha": 1}}')
         assert main(["solve", "--config", str(bad)]) == 1
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "solve_tolerance",
+            "field.radius_scale",
+            "field.perturbation.kinds",
+            "integrator.rtol",
+            "mu_grid.stpe",
+            "scan.sigma_cnt",
+        ],
+    )
+    def test_unknown_key_rejected_by_path(self, tmp_path, capsys, path):
+        cfg = json.loads(write_config(tmp_path / "c.json").read_text())
+        cfg.setdefault("integrator", {})
+        *parents, key = path.split(".")
+        section = cfg
+        for part in parents:
+            section = section[part]
+        section[key] = 1e-3
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(tmp_path / "c.json")]) == 1
+        assert f"unknown configuration key '{path}'" in capsys.readouterr().err
+
+    def test_section_must_be_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", scan=[0.9, 1.1])
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "'scan'" in capsys.readouterr().err
+
+    def test_every_documented_key_accepted(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json",
+            eta=0.1,
+            delta=0.2,
+            solve_tol=1e-10,
+            t_bar=None,
+            integrator={"rel_tol": 1e-12, "abs_tol": 1e-12, "max_step": None, "first_step": None},
+            mu_grid={"stop": 0.01, "count": 3, "mirror": False},
+            symmetry_samples=64,
+        )
+        config = cli.RunConfig.load(cfg)
+        assert config.solve_tol == 1e-10 and config.mu == 0.02
 
 
 class TestSweepCommand:

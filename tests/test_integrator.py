@@ -206,6 +206,42 @@ class TestDenseOutput:
         assert first == [0.0, 1.0, 0.0, 0.0, 1.0]
 
 
+def assert_eval_many_matches(traj, ts):
+    """eval_many rows agree with one _eval per time to 8 ulp of max(1, |y|)."""
+    got = traj.eval_many(ts)
+    want = np.array([traj._eval(t) for t in ts])
+    assert got.shape == (len(ts), 4)
+    bound = 8 * np.finfo(float).eps * np.maximum(1.0, np.max(np.abs(want), axis=1))
+    assert np.all(np.max(np.abs(got - want), axis=1) <= bound)
+    return got
+
+
+class TestEvalMany:
+    @pytest.fixture(scope="class")
+    def traj(self, kepler_radial_field):
+        return flow(kepler_radial_field, 0.07, (1.0, 0.0), (0.0, 1.1), 7.0)
+
+    def test_nodes_are_exact(self, traj):
+        # A node belongs to the later step, at theta = 0: its state exactly.
+        got = assert_eval_many_matches(traj, traj.ts[:-1])
+        assert np.array_equal(got, traj.ys[:-1])
+
+    def test_either_side_of_nodes(self, traj):
+        nodes = traj.ts[1:-1]
+        assert_eval_many_matches(traj, np.nextafter(nodes, -np.inf))
+        assert_eval_many_matches(traj, np.nextafter(nodes, np.inf))
+
+    def test_interior_times_and_span_ends(self, traj):
+        ts = np.random.default_rng(0).uniform(0.0, traj.t_end, 500)
+        assert_eval_many_matches(traj, np.concatenate([[0.0, traj.t_end], ts, [traj.t_end, 0.0]]))
+
+    def test_truncated_trajectory(self, traj):
+        cut = traj.truncated(0.37 * traj.t_end)
+        ts = np.concatenate([cut.ts, np.linspace(0.0, cut.t_end, 97)])
+        assert_eval_many_matches(cut, ts)
+        assert np.array_equal(cut.eval_many([0.0])[0], traj.ys[0])
+
+
 class TestReflectionCheck:
     def test_circle_exact_symmetry(self, kepler_field):
         _, res = flow_with_reflection_check(

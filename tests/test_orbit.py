@@ -132,6 +132,61 @@ class TestExtendHalf:
         assert pos_res > 1e-3
 
 
+def branch_eval_reference(segment, mode):
+    """Per-sample construction the reflection table replaced: one dense-output
+    evaluation per time through explicit branch formulas."""
+    tau = segment.t_end
+    period = (4.0 if mode == "quarter" else 2.0) * tau
+
+    def branch_eval(t):
+        s = t % period
+        if s <= tau:
+            return segment._eval(s).copy()
+        if mode == "half":
+            y = segment._eval(period - s)
+            return np.array([y[0], -y[1], -y[2], y[3]])
+        if s <= 2.0 * tau:
+            y = segment._eval(2.0 * tau - s)
+            return np.array([-y[0], y[1], y[2], -y[3]])
+        if s <= 3.0 * tau:
+            y = segment._eval(s - 2.0 * tau)
+            return np.array([-y[0], -y[1], -y[2], -y[3]])
+        y = segment._eval(period - s)
+        return np.array([y[0], -y[1], -y[2], y[3]])
+
+    return branch_eval
+
+
+def assert_states_close(got, want):
+    """Rows agree to 8 ulp of the larger of 1 and the row's largest entry."""
+    bound = 8 * np.finfo(float).eps * np.maximum(1.0, np.max(np.abs(want), axis=1))
+    assert np.all(np.max(np.abs(got - want), axis=1) <= bound)
+
+
+class TestReflectionTable:
+    @pytest.mark.parametrize(
+        "orbit_fixture, mode",
+        [("solved_perturbed_orbit", "quarter"), ("half_orbit_a05", "half"), ("half_orbit_a3", "half")],
+    )
+    def test_states_match_per_sample_construction(self, request, orbit_fixture, mode):
+        orb = request.getfixturevalue(orbit_fixture)
+        branch_eval = branch_eval_reference(orb.segment, mode)
+        assert_states_close(orb.states, np.array([branch_eval(t) for t in orb.times]))
+        # Off-sample times, branch joints and times beyond one period.
+        ts = np.concatenate([
+            np.random.default_rng(1).uniform(-orb.period, 2 * orb.period, 200),
+            np.arange(5) * orb.period / (4 if mode == "quarter" else 2),
+        ])
+        want = np.array([branch_eval(t) for t in ts])
+        assert_states_close(np.array([np.r_[orb.at(t).position, orb.at(t).velocity] for t in ts]), want)
+
+    def test_start_is_the_segment_start(self, solved_perturbed_orbit):
+        start = solved_perturbed_orbit.segment.ys[0]
+        s0 = solved_perturbed_orbit.initial_state()
+        assert np.array_equal(np.r_[s0.position, s0.velocity], start)
+        assert np.array_equal(solved_perturbed_orbit.states[0], start)
+
+
 class TestClosureScaling:
     def test_residual_shrinks_with_tolerance(self, quarter_problem_radial, kepler_radial_field):
         residuals = []
@@ -267,14 +322,24 @@ class TestSymmetryResidual:
 
 
 def all_pairs_is_simple_closed(points):
-    """Reference: every non-adjacent segment pair, first meeting in (i, j) order."""
-    pts = _polyline(points)
+    """Reference: every non-adjacent segment pair, first meeting in (i, j) order,
+    after collapsing consecutive repeated samples (the closing wrap included)."""
+    distinct = []
+    for p in _polyline(points):
+        if not distinct or not np.array_equal(p, distinct[-1]):
+            distinct.append(p)
+    if len(distinct) > 1 and np.array_equal(distinct[-1], distinct[0]):
+        distinct.pop()
+    pts = np.array(distinct)
     n = len(pts)
     nxt = np.roll(pts, -1, axis=0)
     d = nxt - pts
 
     def cross(u, v):
         return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    def in_box(p, q, r):
+        return np.all((np.minimum(p, q) <= r) & (r <= np.maximum(p, q)), axis=-1)
 
     for i in range(n - 2):
         j0 = i + 2
@@ -289,8 +354,19 @@ def all_pairs_is_simple_closed(points):
         d4 = cross(da[None, :], e - a)
         p12, p34 = d1 * d2, d3 * d4
         hit = ((p12 < 0) & (p34 <= 0)) | ((p12 <= 0) & (p34 < 0))
+        # Both products zero: segments meet only at an end point on the other one.
+        on = [
+            (d1 == 0) & in_box(c, e, a),
+            (d2 == 0) & in_box(c, e, b),
+            (d3 == 0) & in_box(a, b, c),
+            (d4 == 0) & in_box(a, b, e),
+        ]
+        hit |= (p12 == 0) & (p34 == 0) & (on[0] | on[1] | on[2] | on[3])
         if np.any(hit):
             k = int(np.argmax(hit))
+            if p12[k] == 0 and p34[k] == 0:
+                first = [o[k] for o in on].index(True)
+                return False, [a, b, c[k], e[k]][first]
             t = d3[k] / (d3[k] - d4[k])
             return False, c[k] + t * dc[k]
     return True, None
@@ -380,6 +456,26 @@ class TestGridPrunedChecksMatchAllPairs:
         assert not assert_matches_all_pairs(pts)
         simple, pt = is_simple_closed(pts, min_points=3)
         assert not simple and np.array_equal(pt, [0.0, 0.0])
+
+    def test_figure_eight_both_lobes_through_one_sample(self):
+        # Lemniscate (sin th, sin th cos th): both lobes pass the origin, at
+        # sample 0 and at sample 256, set to the origin exactly. The segments
+        # meeting there share an end point and both orientation products are 0.
+        n = 512
+        th = 2 * math.pi * np.arange(n) / n
+        pts = np.column_stack([np.sin(th), np.sin(th) * np.cos(th)])
+        pts[n // 2] = (0.0, 0.0)
+        assert not assert_matches_all_pairs(pts)
+        simple, pt = is_simple_closed(pts, min_points=3)
+        assert not simple and np.array_equal(pt, [0.0, 0.0])
+
+    def test_collinear_segments(self):
+        # A square with one side traced twice meets itself; a zig-zag whose
+        # collinear pieces leave a gap between them does not.
+        square = np.array([[0, 0], [2, 0], [2, 2], [0, 2], [0, 0], [1, 0], [3, 0], [3, -1]], float)
+        assert not assert_matches_all_pairs(square)
+        gaps = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 0], [3, 0], [3, -1], [0, -1]], float)
+        assert assert_matches_all_pairs(gaps)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(256, 600), st.booleans())

@@ -13,8 +13,7 @@ from symorbit import (
     ShootingProblem,
     bracket,
     crossing_time_deviation,
-    miss_half,
-    miss_quarter,
+    miss,
     sign_table,
     solve,
 )
@@ -47,28 +46,28 @@ class TestProblemValidation:
 
 class TestMissSigns:
     def test_quarter_circle_zero(self, quarter_problem):
-        m = miss_quarter(quarter_problem, 1.0, 0.0)
+        m = miss(quarter_problem, 1.0, 0.0)
         assert abs(m.value) < 1e-10
 
     def test_quarter_fast_launch_positive(self, quarter_problem):
         # Above circular speed the launch is a pericenter, the radius is still
         # growing at the quarter crossing, and the vertical component is the
         # outward radial one: positive.
-        assert miss_quarter(quarter_problem, 1.05, 0.0).value > 0
+        assert miss(quarter_problem, 1.05, 0.0).value > 0
 
     def test_quarter_slow_launch_negative(self, quarter_problem):
-        assert miss_quarter(quarter_problem, 0.95, 0.0).value < 0
+        assert miss(quarter_problem, 0.95, 0.0).value < 0
 
     def test_half_circle_zero(self, half_problem_a05):
-        assert abs(miss_half(half_problem_a05, 1.0, 0.0).value) < 1e-10
+        assert abs(miss(half_problem_a05, 1.0, 0.0).value) < 1e-10
 
     def test_half_sign_pattern_low_alpha(self, half_problem_a05):
-        assert miss_half(half_problem_a05, 1.05, 0.0).value > 0
-        assert miss_half(half_problem_a05, 0.95, 0.0).value < 0
+        assert miss(half_problem_a05, 1.05, 0.0).value > 0
+        assert miss(half_problem_a05, 0.95, 0.0).value < 0
 
     def test_half_sign_pattern_high_alpha(self, half_problem_a3):
-        assert miss_half(half_problem_a3, 1.02, 0.0).value < 0
-        assert miss_half(half_problem_a3, 0.98, 0.0).value > 0
+        assert miss(half_problem_a3, 1.02, 0.0).value < 0
+        assert miss(half_problem_a3, 0.98, 0.0).value > 0
 
     def test_launch_is_vertical(self, quarter_problem):
         v = quarter_problem.launch_velocity(1.03)
@@ -76,13 +75,7 @@ class TestMissSigns:
 
     def test_sigma_outside_band_rejected(self, quarter_problem):
         with pytest.raises(ValueError):
-            miss_quarter(quarter_problem, 1.5, 0.0)
-
-    def test_mode_mismatch(self, quarter_problem, half_problem_a05):
-        with pytest.raises(ValueError):
-            miss_half(quarter_problem, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            miss_quarter(half_problem_a05, 1.0, 0.0)
+            miss(quarter_problem, 1.5, 0.0)
 
 
 class TestBracket:
