@@ -39,14 +39,13 @@ from .forcefield import (
     axis_poly_perturbation,
     check_symmetry,
     circular_speed,
-    eval_force,
     field_from_config,
     potential,
     potential_derivatives,
     radial_power_perturbation,
     zero_perturbation,
 )
-from .integrator import IntegratorConfig, State, Trajectory, flow, flow_with_reflection_check
+from .integrator import IntegratorConfig, State, Trajectory, flow
 from .orbit import (
     AxisCrossing,
     PeriodicOrbit,

@@ -6,6 +6,12 @@ potential K^2/(2 r^2) + U(r); turning radii bracket the circular radius, and
 the polar-angle advance between consecutive apsides is a quadrature with
 inverse-square-root endpoint singularities removed by a sin^2 substitution.
 Near the circular solution the advance approaches a closed-form limit.
+
+Both searches go through the package's one bisection primitive
+(`integrator._bisect`): a turning radius is bracketed by one expansion loop
+(`_turning_radius`), bisected and Newton-polished; an apsis is a sign change
+of the radial speed, sampled along the dense output with one `eval_many`
+call and bisected on the interpolant.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .forcefield import (
     potential,
     potential_derivatives,
 )
-from .integrator import State, Trajectory
+from .integrator import State, Trajectory, _bisect
 
 _GAUSS_NODES = 128
 
@@ -104,46 +110,39 @@ def turning_radii(
     def g(r):
         return effective_potential(params, K, r) - E
 
-    def dg(r):
-        u1, _ = potential_derivatives(params, r)
-        return -K * K / r**3 + u1
-
     # Inner root: centrifugal barrier dominates as r -> 0 when alpha < 2.
-    lo = r_c
-    while g(lo) < 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise NoBoundedMotion("no inner turning radius found")
-    r_min = _polish(g, dg, _bisect(g, lo, r_c, rel_tol))
-
-    hi = r_c
-    while g(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise NoBoundedMotion("no outer turning radius found")
-    r_max = _polish(g, dg, _bisect(g, r_c, hi, rel_tol))
+    r_min = _turning_radius(params, K, g, r_c, r_c, 0.5, rel_tol)
+    r_max = _turning_radius(params, K, g, r_c, r_c, 2.0, rel_tol)
     return r_min, r_max
 
 
-def _bisect(g, a, b, rel_tol):
+def _turning_radius(params, K, g, inside, start, factor, rel_tol):
+    """Root of g between `inside`, where g < 0, and the first radius of start,
+    start * factor, start * factor^2, ... where g >= 0 (factor 0.5 searches
+    inwards, 2 outwards).
+
+    `_bisect` halves the bracket to a width of rel_tol times the radius: its
+    upper end bounds the radius on a first pass, the lower end that pass
+    leaves on a second. A few Newton steps on g' = -K^2 / r^3 + U'(r) then
+    push the root to full double precision, which the endpoint-singular
+    quadrature needs.
+    """
+    out = start
+    while g(out) < 0.0:
+        out *= factor
+        if not 1e-300 <= out <= 1e300:
+            raise NoBoundedMotion(f"no {'inner' if factor < 1.0 else 'outer'} turning radius found")
+    a, b = (out, inside) if factor < 1.0 else (inside, out)
     ga = g(a)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if b - a <= rel_tol * abs(m):
-            return m
-        gm = g(m)
-        if ga * gm <= 0.0:
-            b = m
-        else:
-            a, ga = m, gm
-    return 0.5 * (a + b)
 
+    def pred(m):
+        return ga * g(m) <= 0.0
 
-def _polish(g, dg, r):
-    # A few Newton steps push the bisection root to full double precision,
-    # which the endpoint-singular quadrature needs.
+    a, b = _bisect(pred, a, b, rel_tol * b)
+    a, b = _bisect(pred, a, b, rel_tol * a)
+    r = 0.5 * (a + b)
     for _ in range(3):
-        d = dg(r)
+        d = -K * K / r**3 + potential_derivatives(params, r)[0]
         if d == 0.0:
             break
         step = g(r) / d
@@ -196,25 +195,13 @@ def radial_problem_from_launch(
     def g(r):
         return -_ueff_increment(params, K, a, r)  # U_eff(r) - U_eff(a)
 
-    def dg(r):
-        u1, _ = potential_derivatives(params, r)
-        return -K * K / r**3 + u1
-
     r_c = _circular_radius(params, abs(K))
     if sigma > 1.0:
-        hi = max(2.0 * r_c, 2.0 * a)
-        while g(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e300:
-                raise NoBoundedMotion("no outer turning radius found")
-        other = _polish(g, dg, _bisect(g, max(r_c, a * (1.0 + 1e-12)), hi, 1e-12))
+        inside = max(r_c, a * (1.0 + 1e-12))
+        other = _turning_radius(params, K, g, inside, max(2.0 * r_c, 2.0 * a), 2.0, 1e-12)
         return RadialProblem(params=params, E=E, K=K, r_min=a, r_max=other)
-    lo = min(0.5 * r_c, 0.5 * a)
-    while g(lo) < 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise NoBoundedMotion("no inner turning radius found")
-    other = _polish(g, dg, _bisect(g, lo, min(r_c, a * (1.0 - 1e-12)), 1e-12))
+    inside = min(r_c, a * (1.0 - 1e-12))
+    other = _turning_radius(params, K, g, inside, min(0.5 * r_c, 0.5 * a), 0.5, 1e-12)
     return RadialProblem(params=params, E=E, K=K, r_min=other, r_max=a)
 
 
@@ -236,12 +223,13 @@ def apsides(traj: Trajectory, subsamples: int = 4) -> list[ApsisEvent]:
         for k in range(1, subsamples + 1):
             ts.append(t_left + h * k / subsamples)
     ts = np.array(ts)
+    ys = traj.eval_many(ts)
+    vals = (ys[:, 0] * ys[:, 2] + ys[:, 1] * ys[:, 3]) / np.hypot(ys[:, 0], ys[:, 1])
 
     def rdot(t):
         y = traj._eval(t)
         return (y[0] * y[2] + y[1] * y[3]) / math.hypot(y[0], y[1])
 
-    vals = np.array([rdot(t) for t in ts])
     speeds = np.linalg.norm(traj.ys[:, 2:], axis=1)
     v_scale = float(np.max(speeds))
     if float(np.max(np.abs(vals))) < 1e-9 * v_scale:
@@ -259,19 +247,12 @@ def apsides(traj: Trajectory, subsamples: int = 4) -> list[ApsisEvent]:
         kind = ApsisKind.PERICENTER if radius(ts[0] + h) > radius(ts[0]) else ApsisKind.APOCENTER
         events.append(ApsisEvent(kind=kind, t=0.0, r=radius(0.0)))
 
-    for a, b, fa, fb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
-        if fa * fb < 0.0:
-            lo, hi, flo = a, b, fa
-            for _ in range(80):
-                m = 0.5 * (lo + hi)
-                fm = rdot(m)
-                if flo * fm <= 0.0:
-                    hi = m
-                else:
-                    lo, flo = m, fm
-            t_star = 0.5 * (lo + hi)
-            kind = ApsisKind.PERICENTER if fa < 0.0 else ApsisKind.APOCENTER
-            events.append(ApsisEvent(kind=kind, t=t_star, r=radius(t_star)))
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        fa = float(vals[i])
+        lo, hi = _bisect(lambda m: fa * rdot(m) <= 0.0, float(ts[i]), float(ts[i + 1]))
+        t_star = 0.5 * (lo + hi)
+        kind = ApsisKind.PERICENTER if fa < 0.0 else ApsisKind.APOCENTER
+        events.append(ApsisEvent(kind=kind, t=t_star, r=radius(t_star)))
     return events
 
 

@@ -127,6 +127,24 @@ def _check_keys(raw: dict):
                 raise ValueError(f"unknown configuration key {name!r}")
 
 
+def _positive(section: dict, key: str, path: str) -> float | None:
+    """section[key] as a positive finite float; None when absent or null."""
+    value = section.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ValueError(f"configuration key {path!r} must be a positive number or null, got {value!r}")
+    return float(value)
+
+
+def _count(raw: dict, key: str, default: int, minimum: int) -> int:
+    """raw[key] (default when absent) as an integer of at least `minimum`."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"configuration key {key!r} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     field: ForceField
@@ -154,8 +172,8 @@ class RunConfig:
         integrator = IntegratorConfig(
             rel_tol=float(icfg.get("rel_tol", 1e-12)),
             abs_tol=float(icfg.get("abs_tol", 1e-12)),
-            max_step=icfg.get("max_step"),
-            first_step=icfg.get("first_step"),
+            max_step=_positive(icfg, "max_step", "integrator.max_step"),
+            first_step=_positive(icfg, "first_step", "integrator.first_step"),
         )
         mu = float(raw.get("mu", 0.0))
         _check_mu(mu, field, "configuration key 'mu'")
@@ -166,7 +184,7 @@ class RunConfig:
             eta=float(raw.get("eta", 0.1)),
             delta=float(raw.get("delta", 0.2)),
             solve_tol=float(raw.get("solve_tol", 1e-10)),
-            t_bar=raw.get("t_bar"),
+            t_bar=_positive(raw, "t_bar", "t_bar"),
             integrator=integrator,
             mu=mu,
             mu_grid=dict(raw.get("mu_grid", {})),
@@ -176,9 +194,10 @@ class RunConfig:
                     {"sigma_min": 0.9, "sigma_max": 1.1, "sigma_count": 41, "mu_max": 0.05, "mu_count": 21},
                 )
             ),
-            samples=int(raw.get("samples", 1024)),
-            seed=int(raw.get("seed", 0)),
-            symmetry_samples=int(raw.get("symmetry_samples", 64)),
+            # validate_orbit's simplicity check needs 256 samples per period.
+            samples=_count(raw, "samples", 1024, 256),
+            seed=_count(raw, "seed", 0, 0),
+            symmetry_samples=_count(raw, "symmetry_samples", 64, 1),
         )
 
     @classmethod

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainExit, SymmetryViolation
+from .errors import SymmetryViolation
 
 
 class Reflection(enum.Enum):
@@ -218,19 +218,6 @@ class ForceField:
         s = -self.base.kappa / r ** (self.base.alpha + 2.0)
         px, py = self.perturbation.term(x, y)
         return s * x + mu * px, s * y + mu * py
-
-
-def eval_force(field_: ForceField, r, mu: float) -> np.ndarray:
-    """Force at position r for parameter mu; errors if r is outside the annulus."""
-    r = np.asarray(r, dtype=float)
-    if abs(mu) > field_.mu_range:
-        raise ValueError(f"mu={mu} outside (-{field_.mu_range}, {field_.mu_range})")
-    if not field_.contains(r[0], r[1]):
-        raise DomainExit(
-            f"position {tuple(r)} outside annulus {field_.annulus}", state=r
-        )
-    ax, ay = field_.acceleration(r[0], r[1], mu)
-    return np.array([ax, ay])
 
 
 def check_symmetry(

@@ -20,6 +20,11 @@ for many times at once (`eval_many`): one `searchsorted` over the step nodes,
 then a Horner pass over the gathered per-step quartics. The stacked per-step
 arrays that `eval_many` gathers from are built on its first call, so a flow
 that is never sampled pays nothing for them.
+
+`_bisect` is the package's one interval-halving loop. It refines the annulus
+exit time here and, in the other modules, section crossings and the extrema
+of their quartics, axis crossings of an assembled orbit, apsides and turning
+radii.
 """
 
 from __future__ import annotations
@@ -88,6 +93,8 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.max_step is not None and self.max_step <= 0:
             raise ValueError("max_step must be positive")
+        if self.first_step is not None and self.first_step <= 0:
+            raise ValueError("first_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -202,8 +209,24 @@ def _initial_step(accel, mu, y0, f0, t_end, rtol, atol, max_step):
     return min(100 * h0, h1, max_step, t_end)
 
 
+def _bisect(pred, a: float, b: float, tol: float = 0.0) -> tuple[float, float]:
+    """Halve [a, b], where pred(a) is false and pred(b) true, keeping that
+    property, until b - a <= tol or the midpoint rounds to an end (with tol 0:
+    a and b adjacent floats). The one bisection loop of the package."""
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            break
+        if pred(m):
+            b = m
+        else:
+            a = m
+    return a, b
+
+
 def _refine_domain_exit(dense_step, r_in, r_out):
-    """Bisect inside one step for the earliest time the radius leaves [r_in, r_out]."""
+    """Earliest time inside one step at which the radius leaves [r_in, r_out],
+    bisected on the step's quartic."""
     t_left, h, y_left, q = dense_step
     # Per component: y_left and the coefficients of q @ [t, t^2, t^3, t^4].
     quartics = [(y0, *row) for y0, row in zip(y_left.tolist(), q.tolist())]
@@ -214,14 +237,11 @@ def _refine_domain_exit(dense_step, r_in, r_out):
             for c0, c1, c2, c3, c4 in components
         ]
 
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        r = math.hypot(*at(mid, quartics[:2]))
-        if max(r_in - r, r - r_out) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    def outside(theta):
+        r = math.hypot(*at(theta, quartics[:2]))
+        return max(r_in - r, r - r_out) > 0.0
+
+    _, hi = _bisect(outside, 0.0, 1.0)
     return t_left + hi * h, np.array(at(hi, quartics))
 
 
@@ -405,38 +425,3 @@ def flow(
 
     return Trajectory(ts, ys, dense)
 
-
-def flow_with_reflection_check(
-    field: ForceField,
-    mu: float,
-    x0,
-    v,
-    t_end: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
-    n_samples: int = 256,
-) -> tuple[Trajectory, float]:
-    """Integrate (x0, v) and its x-axis mirror image, report the equivariance residual.
-
-    For a launch on the x-axis with vertical velocity, the mirrored initial
-    condition is (x0, -v); if the field commutes with the reflection the two
-    solutions are mirror images for all time, so the residual is integration
-    noise. Requires x0 on the x-axis and v vertical.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    v = np.asarray(v, dtype=float)
-    scale_x = max(1.0, float(np.max(np.abs(x0))))
-    scale_v = max(1.0, float(np.max(np.abs(v))))
-    if abs(x0[1]) > 1e-9 * scale_x:
-        raise ValueError(f"launch point must lie on the x-axis, got y={x0[1]}")
-    if abs(v[0]) > 1e-9 * scale_v:
-        raise ValueError(f"launch velocity must be vertical, got vx={v[0]}")
-
-    mirror = np.array([[1.0, 0.0], [0.0, -1.0]])
-    traj1 = flow(field, mu, x0, v, t_end, cfg)
-    traj2 = flow(field, mu, mirror @ x0, mirror @ v, t_end, cfg)
-
-    ts = np.linspace(0.0, t_end, n_samples)
-    p1 = traj1.eval_many(ts)[:, :2]
-    p2 = traj2.eval_many(ts)[:, :2]
-    worst = float(np.max(np.linalg.norm(p1 @ mirror.T - p2, axis=1)))
-    return traj1, worst

@@ -14,7 +14,9 @@ simplicity by orientation and on-segment tests on the segment pairs that share
 a cell of a uniform grid, origin enclosure by winding number, trace symmetry by
 the distance from each reflected sample to the segments in its 3x3 block of
 grid cells (all segments when none is nearer than a cell side), and the
-two-point x-axis crossing property by a refined sign scan. Both grid-pruned
+two-point x-axis crossing property by a sign scan whose sign changes between
+samples are refined by the package's one bisection primitive
+(`integrator._bisect`) on the orbit interpolant. Both grid-pruned
 checks return exactly what an all-pairs sweep returns.
 """
 
@@ -28,7 +30,7 @@ import numpy as np
 from . import serialize
 from .errors import HypothesisViolation, PointOnCurve
 from .forcefield import ForceField, Reflection
-from .integrator import IntegratorConfig, State, Trajectory, flow
+from .integrator import IntegratorConfig, State, Trajectory, _bisect, flow
 
 _ENDPOINT_RTOL = 1e-8  # on-axis / orthogonality tolerance relative to segment scale
 _DEFAULT_SAMPLES = 1024
@@ -428,7 +430,7 @@ def axis_crossings(orbit: PeriodicOrbit, axis: str = "x") -> list[AxisCrossing]:
     """Transversal crossings of a coordinate axis over one period.
 
     Crossings at sample points (e.g. the launch point) are recognized by a
-    zero band; crossings between samples are refined by bisection on the
+    zero band; crossings between samples are refined by `_bisect` on the
     orbit interpolant.
     """
     if axis not in ("x", "y"):
@@ -470,21 +472,18 @@ def axis_crossings(orbit: PeriodicOrbit, axis: str = "x") -> list[AxisCrossing]:
                 )
 
     # Sign changes between samples off the zero band, the last one wrapping to
-    # the period; all of them are bisected together on the orbit interpolant.
-    k = np.flatnonzero(~is_zero & ~np.roll(is_zero, -1) & (vals * np.roll(vals, -1) < 0.0))
-    if len(k):
-        a, b, fa = ts[k], orbit.times[k + 1], vals[k]
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = orbit._eval(m)[:, ci]
-            left = fa * fm <= 0.0
-            b = np.where(left, m, b)
-            a = np.where(left, a, m)
-            fa = np.where(left, fa, fm)
-        t_star = 0.5 * (a + b)
-        for t, y in zip(t_star.tolist(), orbit._eval(t_star)):
-            if abs(y[vi]) >= floor:
-                crossings.append(AxisCrossing(t=t, point=y[:2].copy(), normal_speed=float(y[vi])))
+    # the period, each bisected on the orbit interpolant.
+    for k in np.flatnonzero(~is_zero & ~np.roll(is_zero, -1) & (vals * np.roll(vals, -1) < 0.0)):
+        fa = float(vals[k])
+
+        def past(m):
+            return fa * orbit._eval([m])[0, ci] <= 0.0
+
+        a, b = _bisect(past, float(ts[k]), float(orbit.times[k + 1]))
+        t = 0.5 * (a + b)
+        y = orbit._eval([t])[0]
+        if abs(y[vi]) >= floor:
+            crossings.append(AxisCrossing(t=t, point=y[:2].copy(), normal_speed=float(y[vi])))
 
     crossings.sort(key=lambda c: c.t)
     return crossings

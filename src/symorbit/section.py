@@ -13,8 +13,9 @@ per-step scanner (`_SectionScan`) searches it:
   as the end of a sign change; when the grid shows none, the quartic's
   extrema (roots of its derivative cubic) join the grid, so two crossings
   inside one grid interval are not lost;
-- each candidate is refined by bisection on the same quartic down to a fixed
-  fraction of the window, then classified.
+- each candidate is refined on the same quartic by the package's one
+  bisection primitive (`integrator._bisect`) down to a fixed fraction of the
+  window, then classified; the extrema are bisected by it too.
 
 `first_transversal_crossing` runs the scanner over the steps of a finished
 trajectory. `crossing_time` hands it to `flow` as the stop callback, so each
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import BoundaryCrossing, DomainExit, NoCrossing, TangentialCrossing
 from .forcefield import ForceField
-from .integrator import IntegratorConfig, State, Trajectory, _step_eval, flow
+from .integrator import IntegratorConfig, State, Trajectory, _bisect, _step_eval, flow
 
 # Section segments span [0.25 R, 4 R] along their axis so every desk-scale
 # crossing is comfortably interior and interiority stays checkable.
@@ -180,13 +181,7 @@ class _SectionScan:
         """Bisect the sign change on [a, b] and classify the crossing; None
         when it misses the segment (the supporting line was crossed)."""
         left, width = step[0], step[1]
-        while b - a > self.time_tol:
-            m = 0.5 * (a + b)
-            gm = _quartic(coeffs, (m - left) / width)
-            if ga * gm <= 0.0:
-                b = m
-            else:
-                a, ga = m, gm
+        a, b = _bisect(lambda m: ga * _quartic(coeffs, (m - left) / width) <= 0.0, a, b, self.time_tol)
         t_star = 0.5 * (a + b)
         section, bt = self.section, self._bt
         y = _step_eval(step, t_star)
@@ -256,13 +251,7 @@ def _quartic_extrema(c, lo: float, hi: float) -> list:
         if db == 0.0:
             out.append(b)
         elif da * db < 0.0:
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                dm = slope(m)
-                if da * dm <= 0.0:
-                    b = m
-                else:
-                    a, da = m, dm
+            a, b = _bisect(lambda m: da * slope(m) <= 0.0, a, b)
             out.append(0.5 * (a + b))
     return out
 

@@ -19,7 +19,7 @@ def _tag(obj):
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"non-finite value {obj} not serializable")
-        return _MARK + fmt(obj) + _MARK
+        return _MARK + format(obj, _DIGITS) + _MARK
     if isinstance(obj, dict):
         return {k: _tag(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -39,6 +39,19 @@ def write_config(path, **overrides):
     return path
 
 
+def write_config_with(path, key_path, value):
+    """The test configuration with the dotted key path set to value."""
+    cfg = json.loads(write_config(path).read_text())
+    cfg.setdefault("integrator", {})
+    *parents, key = key_path.split(".")
+    section = cfg
+    for part in parents:
+        section = section[part]
+    section[key] = value
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     return write_config(tmp_path / "config.json")
@@ -135,16 +148,25 @@ class TestConfigKeys:
         ],
     )
     def test_unknown_key_rejected_by_path(self, tmp_path, capsys, path):
-        cfg = json.loads(write_config(tmp_path / "c.json").read_text())
-        cfg.setdefault("integrator", {})
-        *parents, key = path.split(".")
-        section = cfg
-        for part in parents:
-            section = section[part]
-        section[key] = 1e-3
-        (tmp_path / "c.json").write_text(json.dumps(cfg))
-        assert main(["solve", "--config", str(tmp_path / "c.json")]) == 1
+        cfg = write_config_with(tmp_path / "c.json", path, 1e-3)
+        assert main(["solve", "--config", str(cfg)]) == 1
         assert f"unknown configuration key '{path}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("t_bar", "abc"),
+            ("samples", -5),
+            ("symmetry_samples", 0),
+            ("seed", 1.5),
+            ("integrator.max_step", "x"),
+            ("integrator.first_step", -1.0),
+        ],
+    )
+    def test_bad_value_rejected_by_path(self, tmp_path, capsys, path, value):
+        cfg = write_config_with(tmp_path / "c.json", path, value)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert f"configuration error: configuration key '{path}' must be" in capsys.readouterr().err
 
     def test_section_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", scan=[0.9, 1.1])

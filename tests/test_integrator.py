@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symorbit import (
     DomainExit,
@@ -19,8 +20,8 @@ from symorbit import (
     circular_speed,
     energy,
     flow,
-    flow_with_reflection_check,
 )
+from symorbit.integrator import _bisect
 
 from oracles import kepler_period, semi_major_axis
 
@@ -242,37 +243,6 @@ class TestEvalMany:
         assert np.array_equal(cut.eval_many([0.0])[0], traj.ys[0])
 
 
-class TestReflectionCheck:
-    def test_circle_exact_symmetry(self, kepler_field):
-        _, res = flow_with_reflection_check(
-            kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 6.0
-        )
-        assert res <= 1e-10
-
-    def test_x_only_symmetric_field(self, half_field_a05):
-        _, res = flow_with_reflection_check(
-            half_field_a05, 0.03, (1.0, 0.0), (0.0, 1.0), 5.0
-        )
-        assert res <= 1e-8
-
-    def test_broken_symmetry_visible(self):
-        from symorbit import PerturbationSpec
-
-        broken = PerturbationSpec(
-            kind="uniform", params={"ux": 0.0, "uy": 0.05}, declared_symmetries={"x_axis"}
-        )
-        f = ForceField(base=PowerLawParams(1.0, 1.0), perturbation=broken, mu_range=2.0)
-        _, res = flow_with_reflection_check(f, 1.0, (1.0, 0.0), (0.0, 1.0), 5.0)
-        # Deviation driven by the 0.05-magnitude asymmetric term.
-        assert res > 1e-2
-
-    def test_rejects_bad_launch(self, kepler_field):
-        with pytest.raises(ValueError):
-            flow_with_reflection_check(kepler_field, 0.0, (1.0, 0.1), (0.0, 1.0), 1.0)
-        with pytest.raises(ValueError):
-            flow_with_reflection_check(kepler_field, 0.0, (1.0, 0.0), (0.3, 1.0), 1.0)
-
-
 # Reference: the numpy step loop flow() used before the step arithmetic moved
 # to plain floats. Same tableau, controller and guards; only the summation
 # order differs, so step counts must match and dense states agree to round-off
@@ -489,3 +459,59 @@ class TestStopCallback:
         dense = err.value.trajectory._dense
         assert len(offered) == len(dense) - 1
         assert all(a is b for a, b in zip(offered, dense))
+
+
+@pytest.mark.parametrize("key", ["max_step", "first_step"])
+def test_non_positive_step_settings_rejected(key):
+    with pytest.raises(ValueError, match=key):
+        IntegratorConfig(**{key: -1.0})
+    with pytest.raises(ValueError, match=key):
+        IntegratorConfig(**{key: 0.0})
+
+
+class TestBisect:
+    def test_stops_at_the_tolerance(self):
+        a, b = _bisect(lambda m: m >= 0.3, 0.0, 1.0, 1e-3)
+        # 2^-10 is the first halving of [0, 1] at or below 1e-3.
+        assert b - a == 2.0**-10
+        assert a < 0.3 <= b
+
+    @pytest.mark.parametrize(
+        "lo, hi, root",
+        [(0.0, 1.0, 0.7), (0.0, 1.0, 1e-300), (1e-300, 3e-300, 2.2e-300), (1e6, 1e6 + 1.0, 1e6 + 0.3)],
+    )
+    def test_zero_tolerance_ends_at_adjacent_floats(self, lo, hi, root):
+        a, b = _bisect(lambda m: m >= root, lo, hi)
+        assert b == np.nextafter(a, np.inf)
+        assert a < root <= b
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-1e6, 1e6),
+        st.floats(1e-9, 1e3),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1e-12, 1e-6, 0.1]),
+    )
+    def test_keeps_the_bracket_property(self, lo, width, where, tol):
+        hi = lo + width
+        root = lo + where * width
+
+        def pred(m):
+            return m >= root
+
+        if pred(lo) or not pred(hi):
+            return
+        a, b = _bisect(pred, lo, hi, tol)
+        assert lo <= a < b <= hi
+        assert not pred(a) and pred(b)
+        assert b - a <= tol or b == np.nextafter(a, np.inf)
+
+    def test_terminates_when_the_midpoint_rounds_to_an_end(self):
+        # Adjacent ends: no midpoint lies between them, and a tolerance below
+        # their spacing cannot be met.
+        calls = []
+        a0, b0 = 1e6, np.nextafter(1e6, np.inf)
+        assert _bisect(lambda m: calls.append(m) or True, a0, b0, 1e-300) == (a0, b0)
+        assert not calls
+        a, b = _bisect(lambda m: calls.append(m) or m >= 1e6 + 0.5, 1e6, 1e6 + 1.0, 1e-300)
+        assert b == np.nextafter(a, np.inf) and len(calls) <= 40

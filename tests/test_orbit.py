@@ -550,6 +550,58 @@ class TestAxisCrossings:
         assert xs[1] == pytest.approx(1.0, abs=1e-9)
 
 
+def batched_refined_crossings(orbit, axis):
+    """Reference for axis_crossings' refinement: (t, x, y, normal speed) of
+    each crossing between samples, all sign changes bisected together with
+    80 halvings, one batched orbit evaluation per halving."""
+    ci = 1 if axis == "x" else 0
+    vi = ci + 2
+    z_tol = 1e-9 * float(np.max(np.abs(orbit.positions)))
+    floor = 1e-6 * float(np.max(np.abs(orbit.velocities)))
+    ts = orbit.times[:-1]
+    vals = orbit.states[:-1, ci]
+    is_zero = np.abs(vals) < z_tol
+    k = np.flatnonzero(~is_zero & ~np.roll(is_zero, -1) & (vals * np.roll(vals, -1) < 0.0))
+    a, b, fa = ts[k], orbit.times[k + 1], vals[k]
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        fm = orbit._eval(m)[:, ci]
+        left = fa * fm <= 0.0
+        b = np.where(left, m, b)
+        a = np.where(left, a, m)
+        fa = np.where(left, fa, fm)
+    t_star = 0.5 * (a + b)
+    return [
+        (t, *y[:2].tolist(), float(y[vi]))
+        for t, y in zip(t_star.tolist(), orbit._eval(t_star))
+        if abs(y[vi]) >= floor
+    ]
+
+
+class TestAxisCrossingRefinement:
+    @pytest.mark.parametrize(
+        "orbit_fixture", ["solved_perturbed_orbit", "half_orbit_a05", "half_orbit_a3"]
+    )
+    @pytest.mark.parametrize("n_samples", [1023, 1000])
+    def test_matches_batched_bisection(self, request, orbit_fixture, n_samples):
+        # With 1023 samples no symmetry time of a period is a sample: of the
+        # two x-axis and two y-axis crossings only the launch point is one.
+        base = request.getfixturevalue(orbit_fixture)
+        extend = extend_quarter if Reflection.Y_AXIS in base.symmetry else extend_half
+        orb = extend(base.segment, mu=base.mu, n_samples=n_samples)
+        samples = set(orb.times.tolist())
+        refined = 0
+        for axis in ("x", "y"):
+            got = [
+                (c.t, *c.point.tolist(), c.normal_speed)
+                for c in axis_crossings(orb, axis)
+                if c.t not in samples
+            ]
+            assert got == batched_refined_crossings(orb, axis)
+            refined += len(got)
+        assert refined == 3 or n_samples == 1000
+
+
 class TestValidateOrbit:
     def test_full_battery_passes(self, solved_perturbed_orbit, kepler_radial_field):
         ok, diag = validate_orbit(solved_perturbed_orbit, kepler_radial_field, 0.05)
