@@ -127,22 +127,63 @@ def _check_keys(raw: dict):
                 raise ValueError(f"unknown configuration key {name!r}")
 
 
-def _positive(section: dict, key: str, path: str) -> float | None:
-    """section[key] as a positive finite float; None when absent or null."""
-    value = section.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise ValueError(f"configuration key {path!r} must be a positive number or null, got {value!r}")
+def _number(section: dict, key: str, path: str, default, valid=lambda v: v > 0, requirement="a positive number") -> float:
+    """section[key] (default when absent) as a finite float that passes `valid`."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (math.isfinite(value) and valid(value)):
+        raise ValueError(f"configuration key {path!r} must be {requirement}, got {value!r}")
     return float(value)
 
 
-def _count(raw: dict, key: str, default: int, minimum: int) -> int:
-    """raw[key] (default when absent) as an integer of at least `minimum`."""
-    value = raw.get(key, default)
+def _positive(section: dict, key: str, path: str) -> float | None:
+    """section[key] as a positive finite float; None when absent or null."""
+    if section.get(key) is None:
+        return None
+    return _number(section, key, path, None, requirement="a positive number or null")
+
+
+def _count(section: dict, key: str, path: str, default: int, minimum: int) -> int:
+    """section[key] (default when absent) as an integer of at least `minimum`."""
+    value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"configuration key {key!r} must be an integer >= {minimum}, got {value!r}")
+        raise ValueError(f"configuration key {path!r} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _mu_grid_config(raw: dict, mu_range: float) -> dict:
+    """The mu_grid section, checked: the grid stays inside the open mu range."""
+    grid = raw.get("mu_grid", {})
+    mirror = grid.get("mirror", False)
+    if not isinstance(mirror, bool):
+        raise ValueError(f"configuration key 'mu_grid.mirror' must be true or false, got {mirror!r}")
+    # Default sweep range: 64 uniform points over [0, half the mu range].
+    stop = _number(
+        grid, "stop", "mu_grid.stop", 0.5 * mu_range, lambda v: 0 < v < mu_range, f"a number in (0, {mu_range})"
+    )
+    return {
+        "stop": stop,
+        "step": _positive(grid, "step", "mu_grid.step"),
+        "count": _count(grid, "count", "mu_grid.count", 64, 1),
+        "mirror": mirror,
+    }
+
+
+def _scan_config(raw: dict) -> dict:
+    """The scan section, checked. The sigmas are checked against the speed band
+    (1 - delta, 1 + delta) only when the scan runs: the default 0.9 and 1.1 lie
+    outside a narrow band that a solve-only configuration may declare."""
+    scan = raw.get("scan", {})
+    sigma_min = _number(scan, "sigma_min", "scan.sigma_min", 0.9)
+    sigma_max = _number(
+        scan, "sigma_max", "scan.sigma_max", 1.1, lambda v: v > sigma_min, f"a number above sigma_min = {sigma_min}"
+    )
+    return {
+        "sigma_min": sigma_min,
+        "sigma_max": sigma_max,
+        "sigma_count": _count(scan, "sigma_count", "scan.sigma_count", 41, 2),
+        "mu_max": _number(scan, "mu_max", "scan.mu_max", 0.05, lambda v: True, "a finite number"),
+        "mu_count": _count(scan, "mu_count", "scan.mu_count", 21, 1),
+    }
 
 
 @dataclass
@@ -170,34 +211,31 @@ class RunConfig:
         field = field_from_config(raw["field"])
         icfg = raw.get("integrator", {})
         integrator = IntegratorConfig(
-            rel_tol=float(icfg.get("rel_tol", 1e-12)),
-            abs_tol=float(icfg.get("abs_tol", 1e-12)),
+            rel_tol=_number(icfg, "rel_tol", "integrator.rel_tol", 1e-12),
+            abs_tol=_number(icfg, "abs_tol", "integrator.abs_tol", 1e-12),
             max_step=_positive(icfg, "max_step", "integrator.max_step"),
             first_step=_positive(icfg, "first_step", "integrator.first_step"),
         )
-        mu = float(raw.get("mu", 0.0))
-        _check_mu(mu, field, "configuration key 'mu'")
+        eta = _number(raw, "eta", "eta", 0.1, lambda v: 0 < v < 1, "a number in (0, 1)")
+        delta = _number(raw, "delta", "delta", 0.2, lambda v: eta < v < 1, f"a number in (eta = {eta}, 1)")
+        a = field.mu_range
+        mu = _number(raw, "mu", "mu", 0.0, lambda v: abs(v) < a, f"a number in the field's mu range (-{a}, {a})")
         return cls(
             field=field,
             mode=Mode(raw.get("mode", "quarter")),
-            radius=float(raw.get("radius", 1.0)),
-            eta=float(raw.get("eta", 0.1)),
-            delta=float(raw.get("delta", 0.2)),
-            solve_tol=float(raw.get("solve_tol", 1e-10)),
+            radius=_number(raw, "radius", "radius", 1.0),
+            eta=eta,
+            delta=delta,
+            solve_tol=_number(raw, "solve_tol", "solve_tol", 1e-10, lambda v: v >= 0, "a non-negative number"),
             t_bar=_positive(raw, "t_bar", "t_bar"),
             integrator=integrator,
             mu=mu,
-            mu_grid=dict(raw.get("mu_grid", {})),
-            scan=dict(
-                raw.get(
-                    "scan",
-                    {"sigma_min": 0.9, "sigma_max": 1.1, "sigma_count": 41, "mu_max": 0.05, "mu_count": 21},
-                )
-            ),
+            mu_grid=_mu_grid_config(raw, a),
+            scan=_scan_config(raw),
             # validate_orbit's simplicity check needs 256 samples per period.
-            samples=_count(raw, "samples", 1024, 256),
-            seed=_count(raw, "seed", 0, 0),
-            symmetry_samples=_count(raw, "symmetry_samples", 64, 1),
+            samples=_count(raw, "samples", "samples", 1024, 256),
+            seed=_count(raw, "seed", "seed", 0, 0),
+            symmetry_samples=_count(raw, "symmetry_samples", "symmetry_samples", 64, 1),
         )
 
     @classmethod
@@ -260,23 +298,16 @@ def cmd_solve(config: RunConfig, mu: float, out_dir, as_json: bool) -> int:
 
 
 def _mu_grids(config: RunConfig):
-    # Default sweep range: 64 uniform points over [0, half the mu range].
-    stop = float(config.mu_grid.get("stop", 0.5 * config.field.mu_range))
-    if stop <= 0:
-        raise ValueError("mu_grid stop must be positive")
-    if "step" in config.mu_grid:
-        step = float(config.mu_grid["step"])
-        if step <= 0:
-            raise ValueError("mu_grid step must be positive")
-        n = int(round(stop / step))
-        forward = np.linspace(0.0, n * step, n + 1)
+    stop, step = config.mu_grid["stop"], config.mu_grid["step"]
+    if step is not None:
+        # The last multiple of step not past stop; a stop within rounding of a
+        # multiple (0.1 with step 0.005) still ends the grid at stop.
+        n = math.floor(stop / step * (1.0 + 1e-12))
+        forward = np.minimum(np.linspace(0.0, n * step, n + 1), stop)
     else:
-        count = int(config.mu_grid.get("count", 64))
-        if count < 1:
-            raise ValueError("mu_grid count must be at least 1")
-        forward = np.linspace(0.0, stop, count)
+        forward = np.linspace(0.0, stop, config.mu_grid["count"])
     grids = [forward]
-    if config.mu_grid.get("mirror", False):
+    if config.mu_grid["mirror"]:
         grids.append(-forward)
     return grids
 
@@ -287,12 +318,8 @@ def cmd_sweep(config: RunConfig, out_dir, as_json: bool) -> int:
     curves = [run_sweep(problem, g, tol=config.solve_tol) for g in grids]
 
     scan_cfg = config.scan
-    sigmas = np.linspace(
-        float(scan_cfg.get("sigma_min", 0.9)),
-        float(scan_cfg.get("sigma_max", 1.1)),
-        int(scan_cfg.get("sigma_count", 41)),
-    )
-    scan_mus = np.linspace(0.0, float(scan_cfg.get("mu_max", 0.05)), int(scan_cfg.get("mu_count", 21)))
+    sigmas = np.linspace(scan_cfg["sigma_min"], scan_cfg["sigma_max"], scan_cfg["sigma_count"])
+    scan_mus = np.linspace(0.0, scan_cfg["mu_max"], scan_cfg["mu_count"])
     scan = zero_set_scan(problem, sigmas, scan_mus)
 
     rows = []

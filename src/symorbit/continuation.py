@@ -1,11 +1,14 @@
 """Parameter sweeps of the shooting solve and a sign scan of the miss function.
 
-The sweep walks mu away from zero, warm-starting each speed bracket at the
-previous solution, and validates every assembled orbit; the first failure
-truncates the curve and defines the empirical usable perturbation range. The
-scan evaluates miss-function signs on a (sigma, mu) grid: uniform opposite
-signs on the sigma boundaries plus a sign change inside every mu row is the
-checkable footprint of a connected zero set crossing the whole mu range.
+The sweep walks mu away from zero by predictor-corrector continuation
+(Allgower & Georg 1990, ch. 2): a polynomial through the last three solutions
+predicts sigma*(mu), and two miss probes near the prediction give the
+sign-change bracket that the regula falsi solve refines. Every assembled orbit
+is validated; the first failure truncates the curve and defines the empirical
+usable perturbation range. The scan evaluates miss-function signs on a
+(sigma, mu) grid: uniform opposite signs on the sigma boundaries plus a sign
+change inside every mu row is the checkable footprint of a connected zero set
+crossing the whole mu range.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import BoundaryHypothesisFailure, BracketFailure, SolverError
 from .orbit import PeriodicOrbit, extend_half, extend_quarter, validate_orbit
-from .shooting import Mode, ShootingProblem, bracket, miss, solve
+from .shooting import Bracket, Mode, ShootingProblem, bracket, miss, solve
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,8 @@ def _check_grid(problem: ShootingProblem, mu_grid) -> np.ndarray:
     signs = np.sign(grid[grid != 0.0])
     if signs.size and not (np.all(signs > 0) or np.all(signs < 0)):
         raise ValueError("mu grid must keep one sign; sweep directions separately")
-    if np.max(np.abs(grid)) > problem.field.mu_range:
-        raise ValueError("mu grid exceeds the field's mu range")
+    if np.max(np.abs(grid)) >= problem.field.mu_range:
+        raise ValueError("mu grid leaves the field's open mu range")
     return grid
 
 
@@ -65,12 +68,58 @@ def _extend(problem: ShootingProblem, solution, mu: float) -> PeriodicOrbit:
     return extend_half(solution.segment, mu=mu)
 
 
-def _solve_and_validate(problem, mu, tol, warm_center=None):
-    """One sweep cell: bracket (warm then cold), solve, extend, validate."""
-    br = None
-    if warm_center is not None:
+def _predicted_bracket(problem: ShootingProblem, mu: float, history) -> Bracket | None:
+    """Sign-change bracket near the predicted sigma*(mu), or None.
+
+    `history` holds (mu, sigma*, slope) of the cells solved so far, slope being
+    the miss secant across the bracket the cell was solved on. The predictor is
+    the Lagrange polynomial through the last three (mu, sigma*); on the curved
+    alpha = 0.5 branch a secant misses by up to ~7e-4 per grid step, this by
+    ten times less, which keeps the corrector's bracket narrow. The corrector
+    probes the miss there and once more 1.5 Newton steps further, so the second
+    probe lands past the root. Both probes must stay inside the previous
+    sigma* +- eta/4, the window the warm bracket searches, so the prediction
+    never reaches a root the warm bracket could not.
+    """
+    nodes = history[-3:]
+    center = 0.0
+    for i, (mu_i, sigma_i, _) in enumerate(nodes):
+        weight = 1.0
+        for j, (mu_j, _, _) in enumerate(nodes):
+            if j != i:
+                weight *= (mu - mu_j) / (mu_i - mu_j)
+        center += weight * sigma_i
+    _, previous, slope = history[-1]
+    reach = 0.25 * problem.eta
+    if not (abs(center - previous) <= reach and slope != 0.0):
+        return None
+    try:
+        m_center = miss(problem, center, mu)
+        probe = center - 1.5 * m_center.value / slope
+        if not (abs(probe - previous) <= reach and probe != center):
+            return None
+        m_probe = miss(problem, probe, mu)
+    except (SolverError, ValueError):
+        return None
+    if m_center.value * m_probe.value > 0.0:
+        return None
+    if probe < center:
+        return Bracket(probe, center, m_probe, m_center)
+    return Bracket(center, probe, m_center, m_probe)
+
+
+def _solve_and_validate(problem, mu, tol, history):
+    """One sweep cell: bracket, solve, extend, validate.
+
+    The bracket is the predicted one, else the warm one (half-width eta/4
+    around the previous sigma*), else the cold one around sigma = 1; the first
+    cell has no history and brackets cold. Also returns the miss secant slope
+    across the bracket, for the next cell's corrector.
+    """
+    br = _predicted_bracket(problem, mu, history) if history else None
+    if br is None and history:
         try:
-            br = bracket(problem, mu, center=warm_center, half_widths=(0.25 * problem.eta,))
+            br = bracket(problem, mu, center=history[-1][1], half_widths=(0.25 * problem.eta,))
         except BracketFailure:
             br = None
     if br is None:
@@ -78,7 +127,8 @@ def _solve_and_validate(problem, mu, tol, warm_center=None):
     sol = solve(problem, mu, tol=tol, prebuilt=br)
     orbit = _extend(problem, sol, mu)
     ok, diag = validate_orbit(orbit, problem.field, mu, problem.integrator)
-    return sol, orbit, ok, diag
+    slope = (br.miss_hi.value - br.miss_lo.value) / (br.sigma_hi - br.sigma_lo)
+    return sol, orbit, ok, diag, slope
 
 
 def sweep(
@@ -88,24 +138,27 @@ def sweep(
 ) -> ContinuationCurve:
     """Solve along a mu grid (starting at 0, one sign, monotone outward).
 
-    Each bracket is warm-started at the previous sigma*; the curve truncates
-    at the first solve or validation failure.
+    Each cell's bracket comes from the predictor-corrector step on the cells
+    before it, falling back to the warm and then the cold bracket; the curve
+    truncates at the first solve or validation failure.
     """
     grid = _check_grid(problem, mu_grid)
     curve = ContinuationCurve()
 
-    warm = None
+    history = []  # (mu, sigma*, miss slope) per solved cell, distinct mu
     for mu in grid:
         mu = float(mu)
         try:
-            sol, orbit, ok, diag = _solve_and_validate(problem, mu, tol, warm_center=warm)
+            sol, orbit, ok, diag, slope = _solve_and_validate(problem, mu, tol, history)
         except SolverError as exc:
             curve.failure = {"mu": mu, "error": type(exc).__name__, "message": str(exc)}
             break
         if not ok:
             curve.failure = {"mu": mu, "error": "ValidationFailure", "diagnostics": diag}
             break
-        warm = sol.sigma_star
+        if history and history[-1][0] == mu:
+            history.pop()  # a repeated grid value would make the interpolation singular
+        history.append((mu, sol.sigma_star, slope))
         curve.entries.append(
             CurveEntry(
                 mu=mu,

@@ -161,12 +161,40 @@ class TestConfigKeys:
             ("seed", 1.5),
             ("integrator.max_step", "x"),
             ("integrator.first_step", -1.0),
+            ("radius", "abc"),
+            ("eta", "0.1"),
+            ("delta", True),
+            ("solve_tol", "1e-10"),
+            ("mu", "0.05"),
+            ("integrator.rel_tol", "x"),
+            ("integrator.abs_tol", float("nan")),
+            ("mu_grid.stop", 0.5),
+            ("mu_grid.stop", 0.0),
+            ("mu_grid.step", 0.0),
+            ("mu_grid.count", 0),
+            ("mu_grid.mirror", "false"),
+            ("scan.sigma_min", "0.95"),
+            ("scan.sigma_max", 0.9),
+            ("scan.sigma_count", 1),
+            ("scan.mu_max", float("inf")),
+            ("scan.mu_count", 2.0),
         ],
     )
     def test_bad_value_rejected_by_path(self, tmp_path, capsys, path, value):
         cfg = write_config_with(tmp_path / "c.json", path, value)
         assert main(["solve", "--config", str(cfg)]) == 1
         assert f"configuration error: configuration key '{path}' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stop, step, points",
+        [(0.026, 0.01, 3), (0.1, 0.005, 21), (0.3, 0.1, 4), (0.01, 0.005, 3)],
+    )
+    def test_step_grid_never_passes_stop(self, tmp_path, stop, step, points):
+        cfg = write_config(tmp_path / "c.json", mu_grid={"stop": stop, "step": step})
+        (forward,) = cli._mu_grids(cli.RunConfig.load(cfg))
+        assert len(forward) == points
+        assert forward[-1] <= stop
+        assert forward[-1] == pytest.approx((points - 1) * step, abs=1e-15)
 
     def test_section_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", scan=[0.9, 1.1])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,18 @@ import pytest
 
 from symorbit import (
     BoundaryHypothesisFailure,
+    BracketFailure,
+    DomainExit,
     ForceField,
     Mode,
     ShootingProblem,
+    bracket,
+    continuation,
+    extend_half,
+    extend_quarter,
     radial_power_perturbation,
+    shooting,
+    solve,
     sweep,
     zero_set_scan,
 )
@@ -68,6 +77,14 @@ class TestSweep:
             sweep(quarter_problem_radial, [0.0, 0.01, -0.02])  # mixed signs
         with pytest.raises(ValueError):
             sweep(quarter_problem_radial, [0.0, 0.8])  # beyond mu_range
+        with pytest.raises(ValueError):
+            sweep(quarter_problem_radial, [0.0, -0.5])  # mu_range is the open (-0.5, 0.5)
+
+    def test_repeated_grid_value(self, quarter_problem_radial):
+        curve = sweep(quarter_problem_radial, [0.0, 0.005, 0.005, 0.01])
+        assert curve.failure is None
+        for e in curve.entries:
+            assert e.sigma_star == pytest.approx(math.sqrt(1.0 + e.mu), abs=1e-9)
 
     def test_half_mode_sweep(self, half_problem_a05):
         curve = sweep(half_problem_a05, np.arange(0.0, 0.0201, 0.005))
@@ -75,6 +92,179 @@ class TestSweep:
         for e in curve.entries:
             assert e.diagnostics["valid"]
             assert abs(e.sigma_star - 1.0) < half_problem_a05.eta
+
+
+SOLVE_TOL = 1e-10
+
+
+def family_grids(seed):
+    """The acceptance sweep grids; another seed pulls every nonzero mu towards 0
+    by the same random fraction (below half) of the grid step."""
+    shift = 0.0 if seed == 0 else float(np.random.default_rng(seed).uniform(0.0, 0.5))
+    grids = {
+        "quarter": (np.arange(0.0, 0.1001, 0.005), 0.005),
+        "half_a05": (np.linspace(0.0, 0.04, 9), 0.005),
+        "half_a3": (np.linspace(0.0, 0.01, 9), 0.00125),
+    }
+    for grid, step in grids.values():
+        grid[1:] -= shift * step
+    return {key: grid for key, (grid, _) in grids.items()}
+
+
+def warm_bracket_sweep(problem, grid, tol=SOLVE_TOL):
+    """(sigma*, period) per mu from the sweep without a predictor: each bracket
+    is tried at half-width eta/4 around the previous sigma*, then cold."""
+    extend = extend_quarter if problem.mode is Mode.QUARTER else extend_half
+    out, warm = [], None
+    for mu in grid:
+        mu = float(mu)
+        br = None
+        if warm is not None:
+            try:
+                br = bracket(problem, mu, center=warm, half_widths=(0.25 * problem.eta,))
+            except BracketFailure:
+                br = None
+        if br is None:
+            br = bracket(problem, mu)
+        sol = solve(problem, mu, tol=tol, prebuilt=br)
+        out.append((sol.sigma_star, extend(sol.segment, mu=mu).period))
+        warm = sol.sigma_star
+    return out
+
+
+@pytest.fixture(scope="module")
+def family_sweeps(quarter_problem_radial, half_problem_a05, half_problem_a3):
+    """seed -> family -> (problem, curve, miss evaluations), each seed swept once."""
+    problems = {
+        "quarter": quarter_problem_radial,
+        "half_a05": half_problem_a05,
+        "half_a3": half_problem_a3,
+    }
+    cache = {}
+
+    def run(seed):
+        if seed in cache:
+            return cache[seed]
+        calls, real_miss = [0], shooting.miss
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real_miss(*args, **kwargs)
+
+        cache[seed] = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shooting, "miss", counted)
+            mp.setattr(continuation, "miss", counted)
+            for key, grid in family_grids(seed).items():
+                calls[0] = 0
+                curve = sweep(problems[key], grid, tol=SOLVE_TOL)
+                cache[seed][key] = (problems[key], curve, calls[0])
+        return cache[seed]
+
+    return run
+
+
+class TestPredictorCorrector:
+    def test_miss_count_ceiling(self, family_sweeps):
+        # 268 evaluations with the warm bracket alone (quarter 128, alpha 0.5
+        # 59, alpha 3 81); 146 with the predictor.
+        sweeps = family_sweeps(0)
+        assert sum(calls for _, _, calls in sweeps.values()) <= 150
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_warm_bracket_sweep(self, family_sweeps, seed):
+        grids = family_grids(seed)
+        for key, (problem, curve, _) in family_sweeps(seed).items():
+            assert curve.failure is None
+            assert len(curve.entries) == len(grids[key])
+            expected = warm_bracket_sweep(problem, grids[key])
+            for e, (sigma, period) in zip(curve.entries, expected):
+                assert e.diagnostics["valid"]
+                assert abs(e.sigma_star - sigma) < 100 * SOLVE_TOL
+                assert abs(e.period - period) < 1000 * SOLVE_TOL
+
+    @pytest.mark.parametrize(
+        "lam, entries, failure_mu",
+        [(10.0, 9, 0.045), (20.0, 3, 0.015), (100.0, 1, 0.005)],
+    )
+    def test_stress_truncation_unchanged(self, kepler_params, lam, entries, failure_mu):
+        # The predictor only reaches inside the warm bracket's window, so the
+        # usable range ends where the warm-bracket sweep ended it.
+        strong = ForceField(
+            base=kepler_params, perturbation=radial_power_perturbation(lam=lam, beta=3.0)
+        )
+        problem = ShootingProblem(field=strong, radius=1.0, mode=Mode.QUARTER)
+        curve = sweep(problem, np.arange(0.0, 0.0501, 0.005))
+        assert len(curve.entries) == entries
+        assert curve.failure["mu"] == pytest.approx(failure_mu, abs=1e-12)
+        assert curve.failure["error"] == "BracketFailure"
+        for e in curve.entries:
+            assert e.sigma_star == pytest.approx(math.sqrt(1.0 + lam * e.mu), abs=1e-9)
+
+
+def raise_domain_exit(real_miss):
+    def miss(problem, sigma, mu):
+        raise DomainExit("forced")
+
+    return miss
+
+
+def keep_one_sign(real_miss):
+    def miss(problem, sigma, mu):
+        m = real_miss(problem, sigma, mu)
+        return dataclasses.replace(m, value=abs(m.value))
+
+    return miss
+
+
+def record_brackets(monkeypatch):
+    """Patch the sweep's bracket to log ("warm" | "cold", mu, raised) per call."""
+    calls, real_bracket = [], continuation.bracket
+
+    def logged(problem, mu, **kwargs):
+        kind = "warm" if "center" in kwargs else "cold"
+        try:
+            br = real_bracket(problem, mu, **kwargs)
+        except BracketFailure:
+            calls.append((kind, mu, True))
+            raise
+        calls.append((kind, mu, False))
+        return br
+
+    monkeypatch.setattr(continuation, "bracket", logged)
+    return calls
+
+
+class TestBracketFallbacks:
+    @pytest.mark.parametrize("broken", [raise_domain_exit, keep_one_sign])
+    def test_predicted_falls_back_to_warm(self, quarter_problem_radial, monkeypatch, broken):
+        # The predictor's probes are the only misses the sweep makes itself.
+        monkeypatch.setattr(continuation, "miss", broken(shooting.miss))
+        calls = record_brackets(monkeypatch)
+        curve = sweep(quarter_problem_radial, [0.0, 0.005, 0.01])
+        assert calls == [("cold", 0.0, False), ("warm", 0.005, False), ("warm", 0.01, False)]
+        for e in curve.entries:
+            assert e.sigma_star == pytest.approx(math.sqrt(1.0 + e.mu), abs=1e-9)
+
+    @pytest.mark.parametrize("broken", [raise_domain_exit, keep_one_sign])
+    def test_warm_falls_back_to_cold(self, quarter_problem_radial, monkeypatch, broken):
+        # The warm bracket probes the sweep's first sigma* +- eta/4.
+        sigma0 = solve(quarter_problem_radial, 0.0).sigma_star
+        reach = 0.25 * quarter_problem_radial.eta
+        warm_probes = {sigma0 - reach, sigma0 + reach}
+        real_miss = shooting.miss
+        broken_miss = broken(real_miss)
+
+        def miss(problem, sigma, mu):
+            return (broken_miss if sigma in warm_probes else real_miss)(problem, sigma, mu)
+
+        monkeypatch.setattr(continuation, "miss", raise_domain_exit(real_miss))
+        monkeypatch.setattr(shooting, "miss", miss)
+        calls = record_brackets(monkeypatch)
+        curve = sweep(quarter_problem_radial, [0.0, 0.005])
+        assert calls == [("cold", 0.0, False), ("warm", 0.005, True), ("cold", 0.005, False)]
+        assert curve.failure is None
+        assert curve.entries[1].sigma_star == pytest.approx(math.sqrt(1.005), abs=1e-9)
 
 
 class TestZeroSetScan:
