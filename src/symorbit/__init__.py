@@ -39,7 +39,6 @@ from .forcefield import (
     axis_poly_perturbation,
     check_symmetry,
     circular_speed,
-    field_from_config,
     potential,
     potential_derivatives,
     radial_power_perturbation,

@@ -32,6 +32,7 @@ from .forcefield import (
 from .integrator import State, Trajectory, _bisect
 
 _GAUSS_NODES = 128
+_SUBSAMPLES = 4  # radial-speed samples per step in apsides
 
 
 class ApsisKind(enum.Enum):
@@ -211,7 +212,7 @@ def radial_speed(state: State) -> float:
     return float(state.position @ state.velocity) / r
 
 
-def apsides(traj: Trajectory, subsamples: int = 4) -> list[ApsisEvent]:
+def apsides(traj: Trajectory) -> list[ApsisEvent]:
     """Radial turning points along a trajectory, alternating in kind.
 
     A launch point with vanishing radial speed is itself classified by the
@@ -220,8 +221,8 @@ def apsides(traj: Trajectory, subsamples: int = 4) -> list[ApsisEvent]:
     """
     ts = [0.0]
     for t_left, h, _, _ in traj._dense:
-        for k in range(1, subsamples + 1):
-            ts.append(t_left + h * k / subsamples)
+        for k in range(1, _SUBSAMPLES + 1):
+            ts.append(t_left + h * k / _SUBSAMPLES)
     ts = np.array(ts)
     ys = traj.eval_many(ts)
     vals = (ys[:, 0] * ys[:, 2] + ys[:, 1] * ys[:, 3]) / np.hypot(ys[:, 0], ys[:, 1])

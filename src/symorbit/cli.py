@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +46,14 @@ from .errors import (
     BoundaryCrossing,
 )
 from .forcefield import (
+    _FAMILIES,
     ForceField,
+    PerturbationSpec,
     PowerLawParams,
+    Reflection,
     check_symmetry,
     circular_speed,
-    field_from_config,
+    zero_perturbation,
 )
 from .integrator import IntegratorConfig, State, flow
 from .orbit import extend_half, extend_quarter, validate_orbit
@@ -96,94 +99,131 @@ def exit_code_for(exc: SolverError) -> int:
     return EXIT_VALIDATION
 
 
-# Every key a configuration is read for, by section; any other key is refused.
-# The field's perturbation "params" are family constants and are not listed.
-_CONFIG_KEYS = {
-    "": (
-        "field", "mode", "radius", "eta", "delta", "solve_tol", "t_bar", "integrator",
-        "mu", "mu_grid", "scan", "samples", "seed", "symmetry_samples",
-    ),
-    "field": ("kappa", "alpha", "perturbation", "mu_range", "annulus"),
-    "field.perturbation": ("kind", "params", "symmetries"),
-    "integrator": ("rel_tol", "abs_tol", "max_step", "first_step"),
-    "mu_grid": ("stop", "step", "count", "mirror"),
-    "scan": ("sigma_min", "sigma_max", "sigma_count", "mu_max", "mu_count"),
-}  # fmt: skip
+_REQUIRED = object()  # the default of a key that must be given
+_ABSENT = object()  # a key the configuration leaves out
 
 
-def _check_keys(raw: dict):
-    """Raise ValueError naming the path of the first key that no section reads."""
-    for path, known in _CONFIG_KEYS.items():
-        section = raw
-        for part in path.split(".") if path else ():
-            section = section.get(part) if isinstance(section, dict) else None
-        if section is None:
-            continue
-        if not isinstance(section, dict):
-            raise ValueError(f"configuration key {path!r} must hold an object")
-        for key in section:
-            if key not in known:
-                name = f"{path}.{key}" if path else key
-                raise ValueError(f"unknown configuration key {name!r}")
+def _finite(value) -> bool:
+    """A JSON number (not a bool) that is finite."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _number(section: dict, key: str, path: str, default, valid=lambda v: v > 0, requirement="a positive number") -> float:
-    """section[key] (default when absent) as a finite float that passes `valid`."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (math.isfinite(value) and valid(value)):
-        raise ValueError(f"configuration key {path!r} must be {requirement}, got {value!r}")
-    return float(value)
+_POSITIVE = (lambda v, c: v > 0, "a positive number")
 
 
-def _positive(section: dict, key: str, path: str) -> float | None:
-    """section[key] as a positive finite float; None when absent or null."""
-    if section.get(key) is None:
-        return None
-    return _number(section, key, path, None, requirement="a positive number or null")
+def _at_least(n: int):
+    return lambda v, c: v >= n, f"an integer >= {n}"
 
 
-def _count(section: dict, key: str, path: str, default: int, minimum: int) -> int:
-    """section[key] (default when absent) as an integer of at least `minimum`."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"configuration key {path!r} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _mu_grid_config(raw: dict, mu_range: float) -> dict:
-    """The mu_grid section, checked: the grid stays inside the open mu range."""
-    grid = raw.get("mu_grid", {})
-    mirror = grid.get("mirror", False)
-    if not isinstance(mirror, bool):
-        raise ValueError(f"configuration key 'mu_grid.mirror' must be true or false, got {mirror!r}")
+# Every key a configuration is read for, in reading order: (dotted path,
+# default or _REQUIRED, JSON type, check over the value and the values read
+# before it by path, the requirement an error names). A float is a finite JSON
+# number; a key whose default is null also takes null; an object holds only
+# the keys of its rows, and "field.perturbation.params" only the constants of
+# its family (forcefield._FAMILIES), each a finite number.
+_KEYS = (
+    ("field", _REQUIRED, dict, None, "an object"),
+    ("field.kappa", _REQUIRED, float, *_POSITIVE),
+    ("field.alpha", _REQUIRED, float, lambda v, c: v >= 0, "a non-negative number"),
+    ("field.mu_range", 0.5, float, *_POSITIVE),
+    ("field.annulus", [0.5, 2.0], list, lambda v, c: len(v) == 2 and all(map(_finite, v)) and 0 < v[0] < v[1],
+     "[r_in, r_out] with 0 < r_in < r_out"),
+    # Absent or null: the pure power law, declared symmetric about both axes.
+    ("field.perturbation", None, dict, None, "an object"),
+    ("field.perturbation.kind", "zero", str, lambda v, c: v in _FAMILIES, f"one of {', '.join(map(repr, _FAMILIES))}"),
+    ("field.perturbation.params", {}, dict, None, "an object"),
+    ("field.perturbation.symmetries", [], list, lambda v, c: all(s in [r.value for r in Reflection] for s in v),
+     "a list of 'x_axis' and 'y_axis'"),
+    ("mode", "quarter", str, lambda v, c: v in [m.value for m in Mode], "'quarter' or 'half'"),
+    ("radius", 1.0, float, *_POSITIVE),
+    ("eta", 0.1, float, lambda v, c: 0 < v < 1, "a number in (0, 1)"),
+    ("delta", 0.2, float, lambda v, c: c["eta"] < v < 1, "a number in (eta, 1)"),
+    ("solve_tol", 1e-10, float, lambda v, c: v >= 0, "a non-negative number"),
+    ("t_bar", None, float, *_POSITIVE),
+    ("integrator", {}, dict, None, "an object"),
+    ("integrator.rel_tol", 1e-12, float, *_POSITIVE),
+    ("integrator.abs_tol", 1e-12, float, *_POSITIVE),
+    ("integrator.max_step", None, float, *_POSITIVE),
+    ("integrator.first_step", None, float, *_POSITIVE),
+    ("mu", 0.0, float, lambda v, c: abs(v) < c["field.mu_range"], "a number in (-field.mu_range, field.mu_range)"),
+    ("mu_grid", {}, dict, None, "an object"),
     # Default sweep range: 64 uniform points over [0, half the mu range].
-    stop = _number(
-        grid, "stop", "mu_grid.stop", 0.5 * mu_range, lambda v: 0 < v < mu_range, f"a number in (0, {mu_range})"
-    )
-    return {
-        "stop": stop,
-        "step": _positive(grid, "step", "mu_grid.step"),
-        "count": _count(grid, "count", "mu_grid.count", 64, 1),
-        "mirror": mirror,
-    }
+    ("mu_grid.stop", lambda c: 0.5 * c["field.mu_range"], float, lambda v, c: 0 < v < c["field.mu_range"],
+     "a number in (0, field.mu_range)"),
+    ("mu_grid.step", None, float, *_POSITIVE),
+    ("mu_grid.count", 64, int, *_at_least(1)),
+    ("mu_grid.mirror", False, bool, None, "true or false"),
+    # sweep checks the sigmas against the speed band (1 - delta, 1 + delta):
+    # the defaults lie outside a narrow band that a solve-only configuration
+    # may declare.
+    ("scan", {}, dict, None, "an object"),
+    ("scan.sigma_min", 0.9, float, *_POSITIVE),
+    ("scan.sigma_max", 1.1, float, lambda v, c: v > c["scan.sigma_min"], "a number above scan.sigma_min"),
+    ("scan.sigma_count", 41, int, *_at_least(2)),
+    ("scan.mu_max", 0.05, float, None, "a finite number"),
+    ("scan.mu_count", 21, int, *_at_least(1)),
+    # validate_orbit's simplicity check needs 256 samples per period.
+    ("samples", 1024, int, *_at_least(256)),
+    ("seed", 0, int, *_at_least(0)),
+    ("symmetry_samples", 64, int, *_at_least(1)),
+)  # fmt: skip
+_ROW = {row[0]: row for row in _KEYS}
+# The keys of the rows directly below each path; "" is the whole configuration.
+_BELOW = {path: [p.rpartition(".")[2] for p in _ROW if p.rpartition(".")[0] == path] for path in ("", *_ROW)}
+_CONSTANT = ("", 0.0, float, None, "a finite number")  # the row of each family constant
+_PARAMS = "field.perturbation.params"
 
 
-def _scan_config(raw: dict) -> dict:
-    """The scan section, checked. The sigmas are checked against the speed band
-    (1 - delta, 1 + delta) only when the scan runs: the default 0.9 and 1.1 lie
-    outside a narrow band that a solve-only configuration may declare."""
-    scan = raw.get("scan", {})
-    sigma_min = _number(scan, "sigma_min", "scan.sigma_min", 0.9)
-    sigma_max = _number(
-        scan, "sigma_max", "scan.sigma_max", 1.1, lambda v: v > sigma_min, f"a number above sigma_min = {sigma_min}"
-    )
-    return {
-        "sigma_min": sigma_min,
-        "sigma_max": sigma_max,
-        "sigma_count": _count(scan, "sigma_count", "scan.sigma_count", 41, 2),
-        "mu_max": _number(scan, "mu_max", "scan.mu_max", 0.05, lambda v: True, "a finite number"),
-        "mu_count": _count(scan, "mu_count", "scan.mu_count", 21, 1),
-    }
+def _checked(name: str, value, row, values: dict):
+    """value, a float when the row's type is float; raises ValueError naming
+    `name` unless it has the row's type and passes the row's check."""
+    _, default, kind, check, requirement = row
+    if value is None and default is None:
+        return None
+    typed = _finite(value) if kind is float else isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    if not (typed and (check is None or check(value, values))):
+        raise ValueError(f"{name} must be {requirement}{' or null' if default is None else ''}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _check_keys(section: dict, path: str, known):
+    """Raise ValueError naming the path of the first key of the object at
+    `path` that is not in `known`."""
+    for key in section:
+        if key not in known:
+            name = f"{path}.{key}" if path else key
+            raise ValueError(f"unknown configuration key {name!r}")
+
+
+def _read(raw) -> dict:
+    """Every configuration value by key path, checked row by row in table
+    order, with absent keys at their defaults."""
+    if not isinstance(raw, dict):
+        raise ValueError("configuration must be a JSON object")
+    _check_keys(raw, "", _BELOW[""])
+    values = {}
+    for row in _KEYS:
+        path, default, *_, requirement = row
+        value = raw
+        for part in path.split("."):
+            value = value.get(part, _ABSENT) if isinstance(value, dict) else _ABSENT
+        if value is _ABSENT:
+            if default is _REQUIRED:
+                raise ValueError(f"configuration key {path!r} must be given: {requirement}")
+            value = default(values) if callable(default) else default
+        values[path] = value = _checked(f"configuration key {path!r}", value, row, values)
+        if path == _PARAMS:
+            _check_keys(value, path, _FAMILIES[values["field.perturbation.kind"]])
+            for name, constant in value.items():
+                _checked(f"configuration key '{path}.{name}'", constant, _CONSTANT, values)
+        elif isinstance(value, dict):
+            _check_keys(value, path, _BELOW[path])
+    return values
+
+
+def _section(values: dict, name: str) -> dict:
+    """The values of the keys of section `name`, by key."""
+    return {key: values[f"{name}.{key}"] for key in _BELOW[name]}
 
 
 @dataclass
@@ -205,38 +245,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ValueError("configuration must be a JSON object")
-        _check_keys(raw)
-        field = field_from_config(raw["field"])
-        icfg = raw.get("integrator", {})
-        integrator = IntegratorConfig(
-            rel_tol=_number(icfg, "rel_tol", "integrator.rel_tol", 1e-12),
-            abs_tol=_number(icfg, "abs_tol", "integrator.abs_tol", 1e-12),
-            max_step=_positive(icfg, "max_step", "integrator.max_step"),
-            first_step=_positive(icfg, "first_step", "integrator.first_step"),
+        v = _read(raw)
+        if v["field.perturbation"] is None:
+            pert = zero_perturbation()
+        else:
+            pert = PerturbationSpec(v["field.perturbation.kind"], v[_PARAMS], v["field.perturbation.symmetries"])
+        field = ForceField(
+            base=PowerLawParams(v["field.kappa"], v["field.alpha"]),
+            perturbation=pert,
+            mu_range=v["field.mu_range"],
+            annulus=tuple(map(float, v["field.annulus"])),
         )
-        eta = _number(raw, "eta", "eta", 0.1, lambda v: 0 < v < 1, "a number in (0, 1)")
-        delta = _number(raw, "delta", "delta", 0.2, lambda v: eta < v < 1, f"a number in (eta = {eta}, 1)")
-        a = field.mu_range
-        mu = _number(raw, "mu", "mu", 0.0, lambda v: abs(v) < a, f"a number in the field's mu range (-{a}, {a})")
-        return cls(
+        attrs = {f.name: v[f.name] for f in fields(cls)}  # each attribute is a top-level key
+        attrs.update(
             field=field,
-            mode=Mode(raw.get("mode", "quarter")),
-            radius=_number(raw, "radius", "radius", 1.0),
-            eta=eta,
-            delta=delta,
-            solve_tol=_number(raw, "solve_tol", "solve_tol", 1e-10, lambda v: v >= 0, "a non-negative number"),
-            t_bar=_positive(raw, "t_bar", "t_bar"),
-            integrator=integrator,
-            mu=mu,
-            mu_grid=_mu_grid_config(raw, a),
-            scan=_scan_config(raw),
-            # validate_orbit's simplicity check needs 256 samples per period.
-            samples=_count(raw, "samples", "samples", 1024, 256),
-            seed=_count(raw, "seed", "seed", 0, 0),
-            symmetry_samples=_count(raw, "symmetry_samples", "symmetry_samples", 64, 1),
+            mode=Mode(v["mode"]),
+            integrator=IntegratorConfig(**_section(v, "integrator")),
+            mu_grid=_section(v, "mu_grid"),
+            scan=_section(v, "scan"),
         )
+        return cls(**attrs)
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -255,11 +283,6 @@ class RunConfig:
             t_bar=self.t_bar,
             integrator=self.integrator,
         )
-
-
-def _check_mu(mu: float, field: ForceField, name: str):
-    if not abs(mu) < field.mu_range:
-        raise ValueError(f"{name} = {mu} outside the field's mu range (-{field.mu_range}, {field.mu_range})")
 
 
 def _emit(payload: dict, as_json: bool, stream=None):
@@ -313,11 +336,14 @@ def _mu_grids(config: RunConfig):
 
 
 def cmd_sweep(config: RunConfig, out_dir, as_json: bool) -> int:
+    scan_cfg = config.scan
+    for key in ("sigma_min", "sigma_max"):  # before any sweep runs; miss refuses a sigma outside the band
+        if not 1.0 - config.delta < scan_cfg[key] < 1.0 + config.delta:
+            raise ValueError(f"configuration key 'scan.{key}' must be a number in (1 - delta, 1 + delta), got {scan_cfg[key]!r}")
     problem = config.problem()
     grids = _mu_grids(config)
     curves = [run_sweep(problem, g, tol=config.solve_tol) for g in grids]
 
-    scan_cfg = config.scan
     sigmas = np.linspace(scan_cfg["sigma_min"], scan_cfg["sigma_max"], scan_cfg["sigma_count"])
     scan_mus = np.linspace(0.0, scan_cfg["mu_max"], scan_cfg["mu_count"])
     scan = zero_set_scan(problem, sigmas, scan_mus)
@@ -569,7 +595,7 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
     try:
         config = RunConfig.load(args.config)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
 
@@ -577,7 +603,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             if args.mu is None:
                 return cmd_solve(config, config.mu, args.out, args.json)
-            _check_mu(args.mu, config.field, "--mu")
+            _checked("--mu", args.mu, _ROW["mu"], {"field.mu_range": config.field.mu_range})
             return cmd_solve(config, args.mu, args.out, args.json)
         if args.command == "sweep":
             return cmd_sweep(config, args.out, args.json)

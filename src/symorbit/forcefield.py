@@ -78,8 +78,14 @@ def circular_speed(params: PowerLawParams, p: float) -> float:
     return math.sqrt(p * u1)
 
 
-# Built-in perturbation families; PerturbationSpec.term dispatches on the name.
-_FAMILIES = ("zero", "radial_power", "axis_poly", "uniform")
+# Built-in perturbation families: kind -> {constant: default}.
+# PerturbationSpec.term dispatches on the kind.
+_FAMILIES = {
+    "zero": {},
+    "radial_power": {"lam": 1.0, "beta": 3.0},
+    "axis_poly": {"cx": 0.0, "px": 3, "cy": 0.0, "py": 3},
+    "uniform": {"ux": 0.0, "uy": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,9 @@ class PerturbationSpec:
     declared_symmetries is what the caller claims; check_symmetry verifies it
     numerically, so a wrong declaration is constructible on purpose.
 
-    params is copied at construction and the family constants are resolved
-    from it once, so mutating the caller's dict later changes nothing.
+    params names family constants (defaults in _FAMILIES); it is copied at
+    construction and the constants are resolved from it once, so mutating
+    the caller's dict later changes nothing.
     """
 
     kind: str = "zero"
@@ -114,22 +121,17 @@ class PerturbationSpec:
         object.__setattr__(self, "declared_symmetries", syms)
         params = dict(self.params)
         object.__setattr__(self, "params", params)
+        k = {**_FAMILIES[self.kind], **params}  # absent constants take the family defaults
         if self.kind == "axis_poly":
             for key in ("px", "py"):
-                v = params.get(key, 3)
-                if v != int(v) or v < 0:
+                if k[key] != int(k[key]) or k[key] < 0:
                     raise ValueError(f"axis_poly exponent {key} must be a nonnegative integer")
         if self.kind == "radial_power":
-            constants = (params.get("lam", 1.0), params.get("beta", 3.0) + 2.0)
+            constants = (k["lam"], k["beta"] + 2.0)
         elif self.kind == "axis_poly":
-            constants = (
-                params.get("cx", 0.0),
-                int(params.get("px", 3)),
-                params.get("cy", 0.0),
-                int(params.get("py", 3)),
-            )
+            constants = (k["cx"], int(k["px"]), k["cy"], int(k["py"]))
         elif self.kind == "uniform":
-            constants = (params.get("ux", 0.0), params.get("uy", 0.0))
+            constants = (k["ux"], k["uy"])
         else:
             constants = ()
         object.__setattr__(self, "_constants", constants)
@@ -257,28 +259,3 @@ def check_symmetry(
         )
     return residuals
 
-
-def field_from_config(cfg: dict) -> ForceField:
-    """Build a ForceField from the JSON configuration layout.
-
-    Expected keys: kappa, alpha, perturbation{kind, params, symmetries},
-    mu_range (half-width), annulus [r_in, r_out]. Missing perturbation means
-    the pure power law; missing annulus defaults to [0.5, 2.0].
-    """
-    base = PowerLawParams(kappa=float(cfg["kappa"]), alpha=float(cfg["alpha"]))
-    pcfg = cfg.get("perturbation")
-    if pcfg is None:
-        pert = zero_perturbation()
-    else:
-        pert = PerturbationSpec(
-            kind=pcfg.get("kind", "zero"),
-            params=dict(pcfg.get("params", {})),
-            declared_symmetries=frozenset(pcfg.get("symmetries", [])),
-        )
-    annulus = tuple(cfg.get("annulus", (0.5, 2.0)))
-    return ForceField(
-        base=base,
-        perturbation=pert,
-        mu_range=float(cfg.get("mu_range", 0.5)),
-        annulus=annulus,
-    )

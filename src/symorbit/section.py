@@ -38,16 +38,22 @@ from .integrator import IntegratorConfig, State, Trajectory, _bisect, _step_eval
 # crossing is comfortably interior and interiority stays checkable.
 _INNER_MARGIN = 0.25
 _OUTER_MARGIN = 4.0
+# The scan grid splits each step into this many parts: its two nodes plus
+# three interior points.
+_SUBSAMPLES = 4
 
 
 @dataclass(frozen=True)
 class SectionSpec:
-    """Closed segment from `start` to `end` with a transversality floor."""
+    """Closed segment from `start` to `end` with a transversality floor.
+
+    A crossing within 1e-6 segment lengths of an endpoint counts as a
+    boundary crossing.
+    """
 
     start: tuple[float, float]
     end: tuple[float, float]
     transversality_floor: float = 1e-6
-    boundary_tol: float | None = None  # None: 1e-6 * length
     kind: str = "segment"
 
     def __post_init__(self):
@@ -111,12 +117,11 @@ class _SectionScan:
     BoundaryCrossing or TangentialCrossing like `first_transversal_crossing`.
     """
 
-    def __init__(self, section: SectionSpec, t_lo: float, t_hi: float, time_tol: float, subsamples: int = 4):
+    def __init__(self, section: SectionSpec, t_lo: float, t_hi: float, time_tol: float):
         self.section = section
         (self._n0, self._n1), (self._s0, self._s1) = section.normal.tolist(), section.start
-        self._bt = section.boundary_tol if section.boundary_tol is not None else 1e-6 * section.length
+        self._bt = 1e-6 * section.length
         self.t_lo, self.t_hi, self.time_tol = t_lo, t_hi, time_tol
-        self._subsamples = subsamples
         self._g = None  # normal coordinate at the left end of the next step
         self.event: CrossingEvent | None = None
 
@@ -156,8 +161,8 @@ class _SectionScan:
             return last
 
         grid = [(t_a, g_a)]
-        for k in range(1, self._subsamples):
-            t = t_left + h * k / self._subsamples
+        for k in range(1, _SUBSAMPLES):
+            t = t_left + h * k / _SUBSAMPLES
             if t_lo < t < t_hi:
                 grid.append((t, _quartic(c, (t - t_left) / h)))
         grid.append((t_b, g_b))
@@ -260,20 +265,20 @@ def first_transversal_crossing(
     traj: Trajectory,
     section: SectionSpec,
     window: tuple[float, float] | None = None,
-    subsamples: int = 4,
 ) -> CrossingEvent:
     """Smallest t in the window where the trajectory crosses the segment.
 
     Sign changes of the normal coordinate whose refined point misses the
     segment are skipped (the trajectory crossed the supporting line, not the
-    section); a hit within boundary_tol of an endpoint raises BoundaryCrossing
-    and a transverse speed below the floor raises TangentialCrossing.
+    section); a hit within 1e-6 segment lengths of an endpoint raises
+    BoundaryCrossing and a transverse speed below the floor raises
+    TangentialCrossing.
     """
     t_lo, t_hi = (0.0, traj.t_end) if window is None else window
     t_hi = min(t_hi, traj.t_end)
     if t_hi <= t_lo:
         raise NoCrossing(f"empty window [{t_lo}, {t_hi}]")
-    scan = _SectionScan(section, t_lo, t_hi, 1e-12 * max(t_hi, 1.0), subsamples)
+    scan = _SectionScan(section, t_lo, t_hi, 1e-12 * max(t_hi, 1.0))
     dense = traj._dense
     # The step that Trajectory._eval picks for t_lo: a node belongs to the later step.
     first = min(max(int(np.searchsorted(traj.ts, t_lo, side="right")) - 1, 0), len(dense) - 1)
@@ -293,7 +298,6 @@ def crossing_time(
     section: SectionSpec,
     t_bar: float,
     cfg: IntegratorConfig = IntegratorConfig(),
-    t_hint: float | None = None,
 ) -> tuple[float, CrossingEvent, Trajectory]:
     """Crossing time t(v, mu) of the flow from (x0, v) with the section.
 
@@ -304,31 +308,19 @@ def crossing_time(
     taken from the window's nominal end. If the orbit leaves the annulus
     first, the exit step is scanned up to the exit; DomainExit propagates
     only when no crossing happened before it.
-
-    t_hint is an expected crossing time: integration then first covers a
-    prefix window of 1.6 t_hint and only repeats over [0, t_bar] when nothing
-    crossed, which cannot change which crossing is first.
     """
-    windows = []
-    if t_hint is not None and 1.6 * t_hint < t_bar:
-        windows.append(1.6 * t_hint)
-    windows.append(t_bar)
-
-    for t_stop in windows:
-        scan = _SectionScan(section, 0.0, t_stop, 1e-12 * max(t_stop, 1.0))
-        exit_exc = None
-        try:
-            traj = flow(field, mu, x0, v, t_stop, cfg, stop=scan)
-        except DomainExit as exc:
-            if exc.trajectory is None:
-                raise
-            traj, exit_exc = exc.trajectory, exc
-        if exit_exc is not None:
-            # The flow offers the scan no step that leaves the annulus.
-            scan.t_hi = traj.t_end
-            scan(traj._dense[-1], None)
-        if scan.event is not None:
-            return scan.event.t_star, scan.event, traj
-        if exit_exc is not None:
-            raise exit_exc
+    scan = _SectionScan(section, 0.0, t_bar, 1e-12 * max(t_bar, 1.0))
+    try:
+        traj = flow(field, mu, x0, v, t_bar, cfg, stop=scan)
+    except DomainExit as exc:
+        if exc.trajectory is None:
+            raise
+        traj = exc.trajectory
+        # The flow offers the scan no step that leaves the annulus.
+        scan.t_hi = traj.t_end
+        scan(traj._dense[-1], None)
+        if scan.event is None:
+            raise
+    if scan.event is not None:
+        return scan.event.t_star, scan.event, traj
     raise NoCrossing(f"no transversal crossing of {section.kind} in [0, {t_bar:.6g}]")

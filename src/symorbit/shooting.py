@@ -90,12 +90,6 @@ class ShootingProblem:
             return SectionSpec.positive_y_axis(self.radius, transversality_floor=floor)
         return SectionSpec.negative_x_axis(self.radius, transversality_floor=floor)
 
-    @property
-    def crossing_hint(self) -> float:
-        # Circular-orbit crossing time: quarter revolution or half revolution.
-        fraction = 0.25 if self.mode is Mode.QUARTER else 0.5
-        return fraction * (2.0 * math.pi / self.angular_speed)
-
     def launch_velocity(self, sigma: float) -> np.ndarray:
         return np.array([0.0, sigma * self.circular_velocity])
 
@@ -130,7 +124,6 @@ def miss(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
         problem.section,
         problem.window,
         problem.integrator,
-        t_hint=problem.crossing_hint,
     )
     return MissValue(sigma=sigma, value=event.tangent_speed, crossing=event, trajectory=traj)
 
@@ -146,18 +139,17 @@ class Bracket:
 def bracket(
     problem: ShootingProblem,
     mu: float,
-    eta: float | None = None,
     center: float = 1.0,
     half_widths: tuple[float, ...] | None = None,
 ) -> Bracket:
     """Two launch multipliers around `center` with opposite miss signs.
 
-    Tries half-width eta/2 first, then eta. Failure at the full width is the
-    operational definition of mu exceeding the usable perturbation range, so
-    every evaluation error is folded into BracketFailure.
+    Tries half-width eta/2 first, then eta (the problem's). Failure at the
+    full width is the operational definition of mu exceeding the usable
+    perturbation range, so every evaluation error is folded into
+    BracketFailure.
     """
-    eta = problem.eta if eta is None else eta
-    widths = half_widths if half_widths is not None else (0.5 * eta, eta)
+    widths = half_widths if half_widths is not None else (0.5 * problem.eta, problem.eta)
     last_cause = None
     for w in widths:
         lo, hi = center - w, center + w

@@ -1,10 +1,15 @@
 import json
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from symorbit import NoCrossing, cli, serialize
+from symorbit import NoCrossing, Reflection, cli, serialize
 from symorbit.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(path, **overrides):
@@ -39,15 +44,22 @@ def write_config(path, **overrides):
     return path
 
 
+MISSING = object()
+
+
 def write_config_with(path, key_path, value):
-    """The test configuration with the dotted key path set to value."""
+    """The test configuration with the dotted key path set to value, or
+    removed when value is MISSING."""
     cfg = json.loads(write_config(path).read_text())
     cfg.setdefault("integrator", {})
     *parents, key = key_path.split(".")
     section = cfg
     for part in parents:
         section = section[part]
-    section[key] = value
+    if value is MISSING:
+        del section[key]
+    else:
+        section[key] = value
     path.write_text(json.dumps(cfg))
     return path
 
@@ -145,6 +157,7 @@ class TestConfigKeys:
             "integrator.rtol",
             "mu_grid.stpe",
             "scan.sigma_cnt",
+            "field.perturbation.params.lamda",
         ],
     )
     def test_unknown_key_rejected_by_path(self, tmp_path, capsys, path):
@@ -178,6 +191,18 @@ class TestConfigKeys:
             ("scan.sigma_count", 1),
             ("scan.mu_max", float("inf")),
             ("scan.mu_count", 2.0),
+            ("field.kappa", "1.0"),
+            ("field.alpha", None),
+            ("field.alpha", True),
+            ("field.mu_range", "0.5"),
+            ("field.annulus", [0.5]),
+            ("field.annulus", "ab"),
+            ("field.annulus", [2.0, 0.5]),
+            ("mode", "quater"),
+            ("field.perturbation.symmetries", ["x_axi"]),
+            ("field.perturbation.params", [1]),
+            ("field.perturbation.params.lam", "abc"),
+            ("field.kappa", MISSING),
         ],
     )
     def test_bad_value_rejected_by_path(self, tmp_path, capsys, path, value):
@@ -214,6 +239,44 @@ class TestConfigKeys:
         )
         config = cli.RunConfig.load(cfg)
         assert config.solve_tol == 1e-10 and config.mu == 0.02
+        # The README's configuration schema loads as written.
+        schema = re.search(r"### Configuration schema\n\n```json\n(.*?)```", README.read_text(), re.S)
+        (tmp_path / "readme.json").write_text(schema.group(1))
+        config = cli.RunConfig.load(tmp_path / "readme.json")
+        assert config.mu == 0.05 and config.mu_grid["step"] == 0.005
+
+
+class TestConfigLoading:
+    @staticmethod
+    def force(field, p, mu):
+        return np.array(field.acceleration(float(p[0]), float(p[1]), mu))
+
+    def test_round_trip(self):
+        cfg = {
+            "kappa": 2.0,
+            "alpha": 0.5,
+            "perturbation": {
+                "kind": "radial_power",
+                "params": {"lam": 1.5, "beta": 3.0},
+                "symmetries": ["x_axis", "y_axis"],
+            },
+            "mu_range": 0.3,
+            "annulus": [0.4, 2.5],
+        }
+        f = cli.RunConfig.from_dict({"field": cfg}).field
+        assert f.base.kappa == 2.0
+        assert f.base.alpha == 0.5
+        assert f.mu_range == 0.3
+        assert f.annulus == (0.4, 2.5)
+        assert f.symmetries == frozenset({Reflection.X_AXIS, Reflection.Y_AXIS})
+        assert np.allclose(
+            self.force(f, (1.0, 0.0), 0.1), [-2.0 - 0.1 * 1.5, 0.0]
+        )
+
+    def test_defaults(self):
+        f = cli.RunConfig.from_dict({"field": {"kappa": 1.0, "alpha": 1.0}}).field
+        assert f.perturbation.kind == "zero"
+        assert f.annulus == (0.5, 2.0)
 
 
 class TestSweepCommand:
@@ -241,6 +304,17 @@ class TestSweepCommand:
         assert summary["empirical_delta0_negative"] == pytest.approx(0.01)
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 7  # -0.01..0.01 with 0 listed once per direction
+
+    @pytest.mark.parametrize("key, sigmas", [("sigma_min", (0.9, 1.04)), ("sigma_max", (0.96, 1.1))])
+    def test_scan_outside_speed_band_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch, key, sigmas):
+        started = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: started.append("sweep"))
+        monkeypatch.setattr(cli, "zero_set_scan", lambda *a, **k: started.append("scan"))
+        scan = {"sigma_min": sigmas[0], "sigma_max": sigmas[1], "sigma_count": 7, "mu_max": 0.01, "mu_count": 3}
+        cfg = write_config(tmp_path / "c.json", eta=0.04, delta=0.05, scan=scan)
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert f"configuration key 'scan.{key}' must be" in capsys.readouterr().err
+        assert started == []
 
     def test_zero_set_csv_shape(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

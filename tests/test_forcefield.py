@@ -13,7 +13,6 @@ from symorbit import (
     axis_poly_perturbation,
     check_symmetry,
     circular_speed,
-    field_from_config,
     potential,
     potential_derivatives,
     radial_power_perturbation,
@@ -233,31 +232,3 @@ class TestSymmetry:
             rhs = Reflection.Y_AXIS.apply(np.array(f.acceleration(p[0], p[1], mu)))
             assert not np.allclose(lhs, rhs, atol=1e-6)
 
-
-class TestConfigLoading:
-    def test_round_trip(self):
-        cfg = {
-            "kappa": 2.0,
-            "alpha": 0.5,
-            "perturbation": {
-                "kind": "radial_power",
-                "params": {"lam": 1.5, "beta": 3.0},
-                "symmetries": ["x_axis", "y_axis"],
-            },
-            "mu_range": 0.3,
-            "annulus": [0.4, 2.5],
-        }
-        f = field_from_config(cfg)
-        assert f.base.kappa == 2.0
-        assert f.base.alpha == 0.5
-        assert f.mu_range == 0.3
-        assert f.annulus == (0.4, 2.5)
-        assert f.symmetries == frozenset({Reflection.X_AXIS, Reflection.Y_AXIS})
-        assert np.allclose(
-            force(f, (1.0, 0.0), 0.1), [-2.0 - 0.1 * 1.5, 0.0]
-        )
-
-    def test_defaults(self):
-        f = field_from_config({"kappa": 1.0, "alpha": 1.0})
-        assert f.perturbation.kind == "zero"
-        assert f.annulus == (0.5, 2.0)

@@ -153,7 +153,7 @@ def _reference_crossing_time(traj, section, window=None, subsamples=4):
     """t* of the first transversal crossing; raises like first_transversal_crossing."""
     t_lo, t_hi = (0.0, traj.t_end) if window is None else window
     t_hi = min(t_hi, traj.t_end)
-    bt = section.boundary_tol if section.boundary_tol is not None else 1e-6 * section.length
+    bt = 1e-6 * section.length
     time_tol = 1e-12 * max(t_hi, 1.0)
 
     def g(t):
@@ -301,10 +301,8 @@ class TestTerminalEvent:
     def test_acceptance_problems(self, request, problem_fixture, sigma, mu):
         p = request.getfixturevalue(problem_fixture)
         x0, v = p.launch_point, p.launch_velocity(sigma)
-        t_star, event, traj = crossing_time(
-            p.field, mu, x0, v, p.section, p.window, p.integrator, t_hint=p.crossing_hint
-        )
-        t_stop = 1.6 * p.crossing_hint
+        t_star, event, traj = crossing_time(p.field, mu, x0, v, p.section, p.window, p.integrator)
+        t_stop = p.window
         full = flow(p.field, mu, x0, v, t_stop, p.integrator)
         assert _events_equal(event, first_transversal_crossing(full, p.section))
         assert t_star == event.t_star
@@ -315,7 +313,7 @@ class TestTerminalEvent:
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
     def test_sign_table_geometry(self, alpha):
         # The probe of shooting.sign_table: pure power law, wide annulus, a
-        # three-period window without a hint.
+        # three-period window.
         params = PowerLawParams(1.0, alpha)
         field = ForceField(base=params, mu_range=1.0, annulus=(0.05, 20.0))
         v0 = circular_speed(params, 1.0)
@@ -331,15 +329,13 @@ class TestTerminalEvent:
     def test_alpha_3_launch_leaving_the_annulus_after_crossing(self, half_problem_a3):
         p, sigma, mu = half_problem_a3, 0.98, 0.005
         x0, v = p.launch_point, p.launch_velocity(sigma)
-        t_stop = 1.6 * p.crossing_hint
+        t_stop = p.window
         with pytest.raises(DomainExit) as err:
             flow(p.field, mu, x0, v, t_stop, p.integrator)
         partial = err.value.trajectory
         ref = first_transversal_crossing(partial, p.section)
         assert ref.t_star < partial.t_end
-        t_star, event, traj = crossing_time(
-            p.field, mu, x0, v, p.section, p.window, p.integrator, t_hint=p.crossing_hint
-        )
+        t_star, event, traj = crossing_time(p.field, mu, x0, v, p.section, p.window, p.integrator)
         assert traj.t_end < partial.t_end
         # The bisection tolerance now comes from the window end, not the exit
         # time, so t* may move within that tolerance.
