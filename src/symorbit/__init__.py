@@ -12,7 +12,6 @@ from .analysis import (
     energy,
     radial_accel_at_launch,
     radial_problem_from_launch,
-    turning_radii,
 )
 from .continuation import ContinuationCurve, CurveEntry, ScanResult, sweep, zero_set_scan
 from .errors import (
@@ -57,7 +56,7 @@ from .orbit import (
     verify_closure,
     winding_number,
 )
-from .section import CrossingEvent, SectionSpec, crossing_time, first_transversal_crossing
+from .section import CrossingEvent, SectionSpec, crossing_time
 from .shooting import (
     Bracket,
     MissValue,

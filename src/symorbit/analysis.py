@@ -83,40 +83,6 @@ def _circular_radius(params: PowerLawParams, K: float) -> float:
     return (K * K / params.kappa) ** (1.0 / (2.0 - params.alpha))
 
 
-def turning_radii(
-    params: PowerLawParams, E: float, K: float, rel_tol: float = 1e-12
-) -> tuple[float, float]:
-    """Roots of E = U_eff(r) bracketing the circular radius.
-
-    Requires a bounded radial oscillation: alpha < 2 (interior minimum of the
-    effective potential) and E between that minimum and the large-r barrier.
-    A circular level set returns a double root.
-    """
-    if K == 0.0:
-        raise NoBoundedMotion("zero angular momentum admits no radial oscillation")
-    if params.alpha >= 2.0:
-        raise NoBoundedMotion(
-            f"alpha={params.alpha}: the effective potential has no interior minimum"
-        )
-    r_c = _circular_radius(params, abs(K))
-    e_min = effective_potential(params, K, r_c)
-    scale = abs(E) + abs(e_min) + 1e-30
-    if E < e_min - 1e-13 * scale:
-        raise NoBoundedMotion(f"E={E} below the effective-potential minimum {e_min}")
-    if E - e_min < 1e-13 * scale:
-        return r_c, r_c
-    if params.alpha > 0.0 and E >= 0.0:
-        raise NoBoundedMotion(f"E={E} >= 0 is unbounded for alpha={params.alpha}")
-
-    def g(r):
-        return effective_potential(params, K, r) - E
-
-    # Inner root: centrifugal barrier dominates as r -> 0 when alpha < 2.
-    r_min = _turning_radius(params, K, g, r_c, r_c, 0.5, rel_tol)
-    r_max = _turning_radius(params, K, g, r_c, r_c, 2.0, rel_tol)
-    return r_min, r_max
-
-
 def _turning_radius(params, K, g, inside, start, factor, rel_tol):
     """Root of g between `inside`, where g < 0, and the first radius of start,
     start * factor, start * factor^2, ... where g >= 0 (factor 0.5 searches

@@ -170,7 +170,10 @@ _KEYS = (
 _ROW = {row[0]: row for row in _KEYS}
 # The keys of the rows directly below each path; "" is the whole configuration.
 _BELOW = {path: [p.rpartition(".")[2] for p in _ROW if p.rpartition(".")[0] == path] for path in ("", *_ROW)}
-_CONSTANT = ("", 0.0, float, None, "a finite number")  # the row of each family constant
+# The row of each family constant; a constant whose default is an integer is
+# an exponent (axis_poly px, py).
+_CONSTANT = ("", 0.0, float, None, "a finite number")
+_EXPONENT = ("", 0, float, lambda v, c: v >= 0 and float(v).is_integer(), "a nonnegative integer")
 _PARAMS = "field.perturbation.params"
 
 
@@ -213,9 +216,11 @@ def _read(raw) -> dict:
             value = default(values) if callable(default) else default
         values[path] = value = _checked(f"configuration key {path!r}", value, row, values)
         if path == _PARAMS:
-            _check_keys(value, path, _FAMILIES[values["field.perturbation.kind"]])
+            defaults = _FAMILIES[values["field.perturbation.kind"]]
+            _check_keys(value, path, defaults)
             for name, constant in value.items():
-                _checked(f"configuration key '{path}.{name}'", constant, _CONSTANT, values)
+                row = _EXPONENT if isinstance(defaults[name], int) else _CONSTANT
+                _checked(f"configuration key '{path}.{name}'", constant, row, values)
         elif isinstance(value, dict):
             _check_keys(value, path, _BELOW[path])
     return values
@@ -337,9 +342,15 @@ def _mu_grids(config: RunConfig):
 
 def cmd_sweep(config: RunConfig, out_dir, as_json: bool) -> int:
     scan_cfg = config.scan
-    for key in ("sigma_min", "sigma_max"):  # before any sweep runs; miss refuses a sigma outside the band
+    # Before any sweep runs; miss refuses a sigma outside the speed band and a
+    # mu outside the field's mu range.
+    for key in ("sigma_min", "sigma_max"):
         if not 1.0 - config.delta < scan_cfg[key] < 1.0 + config.delta:
             raise ValueError(f"configuration key 'scan.{key}' must be a number in (1 - delta, 1 + delta), got {scan_cfg[key]!r}")
+    if not abs(scan_cfg["mu_max"]) < config.field.mu_range:
+        raise ValueError(
+            f"configuration key 'scan.mu_max' must be a number in (-field.mu_range, field.mu_range), got {scan_cfg['mu_max']!r}"
+        )
     problem = config.problem()
     grids = _mu_grids(config)
     curves = [run_sweep(problem, g, tol=config.solve_tol) for g in grids]

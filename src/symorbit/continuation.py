@@ -125,9 +125,10 @@ def _solve_and_validate(problem, mu, tol, history):
     if br is None:
         br = bracket(problem, mu)
     sol = solve(problem, mu, tol=tol, prebuilt=br)
+    slope = (br.miss_hi.value - br.miss_lo.value) / (br.sigma_hi - br.sigma_lo)
+    del br  # its two trajectories need not stay alive through validation
     orbit = _extend(problem, sol, mu)
     ok, diag = validate_orbit(orbit, problem.field, mu, problem.integrator)
-    slope = (br.miss_hi.value - br.miss_lo.value) / (br.sigma_hi - br.sigma_lo)
     return sol, orbit, ok, diag, slope
 
 

@@ -1,30 +1,32 @@
 """Adaptive Dormand-Prince 5(4) integration of r'' = g(r, mu) with dense output.
 
 The integrator propagates the fifth-order solution, estimates local error from
-the embedded fourth-order result, and attaches a quartic interpolant to every
-accepted step so downstream event detection can refine crossing times without
-re-integrating. Leaving the validity annulus terminates the flow with a
-DomainExit carrying the refined exit time and state. An optional stop callback
-sees each accepted step's dense record and end state after the annulus check
-and ends the flow after the first step for which it returns true: terminal
-event location (Hairer, Norsett & Wanner, Solving ODEs I, II.6). It changes
-no step before that one.
+the embedded fourth-order result, and keeps with every accepted step what its
+quartic interpolant is built from, so downstream event detection can refine
+crossing times without re-integrating. Leaving the validity annulus terminates
+the flow with a DomainExit carrying the refined exit time and state. An
+optional stop callback sees each accepted step's record and end state after
+the annulus check and ends the flow after the first step for which it returns
+true: terminal event location (Hairer, Norsett & Wanner, Solving ODEs I,
+II.6). It changes no step before that one.
 
-The step loop runs on plain floats: the state is four floats, each stage is a
-4-tuple (velocity, force) and the tableau products are unrolled. Arrays are
-built only for an accepted step, its node state and its interpolant
-coefficients; rejected steps allocate none.
+The step loop runs on plain floats and calls no numpy: the state is four
+floats, each stage is a 4-tuple (velocity, force) and the tableau products are
+unrolled. An accepted step keeps the record (t_left, h, y_left, stages): its
+start time and size, its start state as a 4-tuple and its seven stages as one
+flat 28-tuple.
 
-A trajectory evaluates its dense output one time at a time (`interpolate`) or
-for many times at once (`eval_many`): one `searchsorted` over the step nodes,
-then a Horner pass over the gathered per-step quartics. The stacked per-step
-arrays that `eval_many` gathers from are built on its first call, so a flow
-that is never sampled pays nothing for them.
+The interpolant's coefficients Q = K^T P (K the 7 x 4 stage matrix) are built
+only where something samples the step (`_quartics`): `interpolate`,
+`final_state`, `truncated` and the annulus-exit refinement build the one step
+they read, and `eval_many` stacks every step's Q in one batched product on its
+first call, then evaluates many times at once with one `searchsorted` over the
+step nodes and a Horner pass. A flow that is never sampled builds no Q.
 
 `_bisect` is the package's one interval-halving loop. It refines the annulus
-exit time here and, in the other modules, section crossings and the extrema
-of their quartics, axis crossings of an assembled orbit, apsides and turning
-radii.
+exit time here and, in the other modules, section crossings and the roots of
+their polynomials' derivatives, axis crossings of an assembled orbit, apsides
+and turning radii.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
 from .errors import DomainExit, StepFailure
 from .forcefield import ForceField
 
@@ -114,8 +115,8 @@ class Trajectory:
     def __init__(self, ts, ys, dense, t_end=None):
         self.ts = np.asarray(ts)
         self.ys = np.asarray(ys)
-        self._dense = dense  # list of (t_left, h, y_left, Q) per step
-        self._stacked = None  # the same records as arrays, built by eval_many
+        self._dense = dense  # list of (t_left, h, y_left, stages) per step
+        self._stacked = None  # t_left, h, y_left and Q of every step as arrays, built by eval_many
         self.t_end = float(self.ts[-1]) if t_end is None else float(t_end)
 
     @property
@@ -139,7 +140,9 @@ class Trajectory:
         time gives the node state exactly.
         """
         if self._stacked is None:
-            self._stacked = tuple(np.array(column) for column in zip(*self._dense))
+            t_left, h, y_left, stages = zip(*self._dense)
+            k = np.array(stages).reshape(len(h), 7, 4)
+            self._stacked = np.array(t_left), np.array(h), np.array(y_left), k.transpose(0, 2, 1) @ _P
         t_left, h, y_left, q = self._stacked
         ts = np.asarray(ts, dtype=float)
         i = np.clip(np.searchsorted(self.ts, ts, side="right") - 1, 0, len(h) - 1)
@@ -153,11 +156,6 @@ class Trajectory:
     def interpolate(self, t: float) -> State:
         y = self._eval(float(t))
         return State(t=float(t), position=y[:2], velocity=y[2:])
-
-    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(times, states) at n uniform times across the full span."""
-        ts = np.linspace(0.0, self.t_end, n)
-        return ts, self.eval_many(ts)
 
     def final_state(self) -> State:
         return self.interpolate(self.t_end)
@@ -174,19 +172,23 @@ class Trajectory:
         ys[-1] = self._eval(t_cut)
         return Trajectory(np.array(ts), np.array(ys), keep, t_end=t_cut)
 
-    def write_csv(self, path, n_samples: int = 1024):
-        ts, states = self.sample(n_samples)
-        serialize.write_csv(path, ["t", "x", "y", "vx", "vy"], np.column_stack([ts, states]).tolist())
+
+def _quartics(stages) -> np.ndarray:
+    """Q = K^T P of one step from its 28 stage floats: row i holds the
+    coefficients of theta, ..., theta^4 of state component i, so that
+    y(t_left + theta h) = y_left + h Q @ [theta, theta^2, theta^3, theta^4]."""
+    return np.dot(np.array(stages).reshape(7, 4).T, _P)
 
 
 def _step_eval(step, t: float) -> np.ndarray:
-    """State at time t on the quartic of one dense record (t_left, h, y_left, Q)."""
-    t_left, h, y_left, q = step
+    """State at time t on the quartic of one step record (t_left, h, y_left, stages)."""
+    t_left, h, y_left, stages = step
+    y_left = np.array(y_left)
     theta = (t - t_left) / h
     if theta == 0.0:
-        return y_left.copy()
+        return y_left
     tp = np.array([theta, theta**2, theta**3, theta**4])
-    return y_left + h * (q @ tp)
+    return y_left + h * (_quartics(stages) @ tp)
 
 
 def _rms(values, scale) -> float:
@@ -224,12 +226,12 @@ def _bisect(pred, a: float, b: float, tol: float = 0.0) -> tuple[float, float]:
     return a, b
 
 
-def _refine_domain_exit(dense_step, r_in, r_out):
+def _refine_domain_exit(step, r_in, r_out):
     """Earliest time inside one step at which the radius leaves [r_in, r_out],
     bisected on the step's quartic."""
-    t_left, h, y_left, q = dense_step
-    # Per component: y_left and the coefficients of q @ [t, t^2, t^3, t^4].
-    quartics = [(y0, *row) for y0, row in zip(y_left.tolist(), q.tolist())]
+    t_left, h, y_left, stages = step
+    # Per component: y_left and the coefficients of Q @ [t, t^2, t^3, t^4].
+    quartics = [(y0, *row) for y0, row in zip(y_left, _quartics(stages).tolist())]
 
     def at(theta, components):
         return [
@@ -351,7 +353,7 @@ def flow(
 
     Raises DomainExit (with partial trajectory) when the orbit leaves the
     annulus, StepFailure if the step size underflows. `stop(step, y_right)`,
-    when given, is called with the dense record (t_left, h, y_left, Q) and the
+    when given, is called with the record (t_left, h, y_left, stages) and the
     end state (four floats) of every accepted step that stays in the annulus;
     the trajectory then ends after the first step for which it returns true.
     The step sequence up to there is the one without `stop`.
@@ -377,9 +379,8 @@ def flow(
         h = _initial_step(accel, mu, state, (state[2], state[3], *force), t_end, rtol, atol, max_step)
     min_step = 1e-14 * max(t_end, 1.0)
 
-    node = np.array(state)  # shared by ys and the next step's dense record
     ts = [0.0]
-    ys = [node]
+    ys = [state]
     dense = []
 
     while t < t_end:
@@ -398,15 +399,15 @@ def flow(
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             continue
 
-        dense.append((t, h, node, np.dot(np.array(stages).reshape(7, 4).T, _P)))
+        step = (t, h, state, stages)
+        dense.append(step)
         t_next = t + h
-        node = np.array(state_new)
         ts.append(t_next)
-        ys.append(node)
+        ys.append(state_new)
 
         rr = math.hypot(state_new[0], state_new[1])
         if rr < r_in or rr > r_out:
-            t_exit, y_exit = _refine_domain_exit(dense[-1], r_in, r_out)
+            t_exit, y_exit = _refine_domain_exit(step, r_in, r_out)
             ts[-1] = t_exit
             ys[-1] = y_exit
             traj = Trajectory(ts, ys, dense, t_end=t_exit)
@@ -416,7 +417,7 @@ def flow(
                 state=State(t=t_exit, position=y_exit[:2], velocity=y_exit[2:]),
                 trajectory=traj,
             )
-        if stop is not None and stop(dense[-1], state_new):
+        if stop is not None and stop(step, state_new):
             break
 
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(1.0, _SAFETY * err**-0.2))

@@ -1,24 +1,31 @@
-"""First transversal crossing of a trajectory with a closed section segment.
+"""First transversal crossing of a flow with a closed section segment.
 
 A section is a finite closed segment; a crossing counts only if the refined
 point is strictly interior to the segment and the transverse velocity
 component clears a floor. On each step of the dense output the
-segment-normal coordinate is a quartic in the step fraction, and one
-per-step scanner (`_SectionScan`) searches it:
+segment-normal coordinate is a polynomial in the step fraction (a quartic for
+the integrator's interpolant), and one per-step scanner (`_SectionScan`)
+searches it:
 
+- its coefficients come straight from the step record: the stage velocities
+  projected on the segment normal, dotted with the columns of the
+  interpolant matrix P, so no array is built for a step the scan passes over;
 - a step whose constant coefficient outweighs the sum of the others' moduli
   has no root and is passed over;
 - otherwise candidate times are the sign changes on the step's nodes plus a
-  few interior points (Horner's rule), a grid value of exactly zero counting
-  as the end of a sign change; when the grid shows none, the quartic's
-  extrema (roots of its derivative cubic) join the grid, so two crossings
-  inside one grid interval are not lost;
-- each candidate is refined on the same quartic by the package's one
+  few interior points (Horner's rule, `_horner`), a grid value of exactly
+  zero counting as the end of a sign change; when the grid shows none, the
+  polynomial's extrema join the grid, so two crossings inside one grid
+  interval are not lost. The extrema are the sign changes of its
+  derivative, found by `_roots`, which cuts an interval at the roots of the
+  derivative's own derivative, recursively down to degree 1, and bisects
+  each monotone piece;
+- each candidate is refined on the same polynomial by the package's one
   bisection primitive (`integrator._bisect`) down to a fixed fraction of the
-  window, then classified; the extrema are bisected by it too.
+  window, then classified; only then is the step's state at the crossing
+  built.
 
-`first_transversal_crossing` runs the scanner over the steps of a finished
-trajectory. `crossing_time` hands it to `flow` as the stop callback, so each
+`crossing_time` hands the scanner to `flow` as the stop callback, so each
 integration ends at the step that holds the first crossing (terminal event
 location) instead of running to the end of its window.
 """
@@ -32,7 +39,7 @@ import numpy as np
 
 from .errors import BoundaryCrossing, DomainExit, NoCrossing, TangentialCrossing
 from .forcefield import ForceField
-from .integrator import IntegratorConfig, State, Trajectory, _bisect, _step_eval, flow
+from .integrator import _P, IntegratorConfig, State, Trajectory, _bisect, _step_eval, flow
 
 # Section segments span [0.25 R, 4 R] along their axis so every desk-scale
 # crossing is comfortably interior and interiority stays checkable.
@@ -41,6 +48,11 @@ _OUTER_MARGIN = 4.0
 # The scan grid splits each step into this many parts: its two nodes plus
 # three interior points.
 _SUBSAMPLES = 4
+# Float copies of P, rows by stage and columns by power of theta; the second
+# stage's row is zero and left out.
+(_P11, _P12, _P13, _P14), (_P31, _P32, _P33, _P34), (_P41, _P42, _P43, _P44), (
+    _P51, _P52, _P53, _P54
+), (_P61, _P62, _P63, _P64), (_P71, _P72, _P73, _P74) = (tuple(_P[j].tolist()) for j in (0, 2, 3, 4, 5, 6))
 
 
 @dataclass(frozen=True)
@@ -110,11 +122,11 @@ class CrossingEvent:
 class _SectionScan:
     """Search of the window [t_lo, t_hi] for the first transversal crossing, one step at a time.
 
-    Called with the dense record (t_left, h, y_left, Q) of consecutive steps,
+    Called with the record (t_left, h, y_left, stages) of consecutive steps,
     the first one holding t_lo, and each step's end state (x, y, vx, vy),
     which a step reaching t_hi does not need; returns True once the window is
     covered or a crossing found, which is then in `event`. Raises
-    BoundaryCrossing or TangentialCrossing like `first_transversal_crossing`.
+    BoundaryCrossing or TangentialCrossing when the first crossing is one.
     """
 
     def __init__(self, section: SectionSpec, t_lo: float, t_hi: float, time_tol: float):
@@ -126,29 +138,36 @@ class _SectionScan:
         self.event: CrossingEvent | None = None
 
     def __call__(self, step, y_right) -> bool:
-        t_left, h, y_left, q = step
+        t_left, h, y_left, k = step
         n0, n1, s0, s1 = self._n0, self._n1, self._s0, self._s1
         t_lo, t_hi = self.t_lo, self.t_hi
 
         # g(theta) = c0 + c1 theta + ... + c4 theta^4 on this step; after the
-        # first step, c0 is the previous step's right-node value.
+        # first step, c0 is the previous step's right-node value. c1..c4 are
+        # h times the normal components of the stage velocities dotted with
+        # the columns of P (the second stage has a zero row in P).
         first = self._g is None
-        c0 = n0 * (float(y_left[0]) - s0) + n1 * (float(y_left[1]) - s1) if first else self._g
-        (qx1, qx2, qx3, qx4), (qy1, qy2, qy3, qy4) = q[:2].tolist()
-        c1 = h * (n0 * qx1 + n1 * qy1)
-        c2 = h * (n0 * qx2 + n1 * qy2)
-        c3 = h * (n0 * qx3 + n1 * qy3)
-        c4 = h * (n0 * qx4 + n1 * qy4)
+        c0 = n0 * (y_left[0] - s0) + n1 * (y_left[1] - s1) if first else self._g
+        p1 = n0 * k[0] + n1 * k[1]
+        p3 = n0 * k[8] + n1 * k[9]
+        p4 = n0 * k[12] + n1 * k[13]
+        p5 = n0 * k[16] + n1 * k[17]
+        p6 = n0 * k[20] + n1 * k[21]
+        p7 = n0 * k[24] + n1 * k[25]
+        c1 = h * (p1 * _P11 + p3 * _P31 + p4 * _P41 + p5 * _P51 + p6 * _P61 + p7 * _P71)
+        c2 = h * (p1 * _P12 + p3 * _P32 + p4 * _P42 + p5 * _P52 + p6 * _P62 + p7 * _P72)
+        c3 = h * (p1 * _P13 + p3 * _P33 + p4 * _P43 + p5 * _P53 + p6 * _P63 + p7 * _P73)
+        c4 = h * (p1 * _P14 + p3 * _P34 + p4 * _P44 + p5 * _P54 + p6 * _P64 + p7 * _P74)
         c = (c0, c1, c2, c3, c4)
 
         if first:
-            t_a, g_a = t_lo, _quartic(c, (t_lo - t_left) / h)
+            t_a, g_a = t_lo, _horner(c, (t_lo - t_left) / h)
         else:
             t_a, g_a = t_left, c0
         t_b = t_left + h
         last = not t_b < t_hi
         if last:
-            t_b, g_b = t_hi, _quartic(c, (t_hi - t_left) / h)
+            t_b, g_b = t_hi, _horner(c, (t_hi - t_left) / h)
         else:
             # Bit for bit the next step's c0, as Trajectory._eval takes a node
             # from the later step.
@@ -161,18 +180,18 @@ class _SectionScan:
             return last
 
         grid = [(t_a, g_a)]
-        for k in range(1, _SUBSAMPLES):
-            t = t_left + h * k / _SUBSAMPLES
+        for j in range(1, _SUBSAMPLES):
+            t = t_left + h * j / _SUBSAMPLES
             if t_lo < t < t_hi:
-                grid.append((t, _quartic(c, (t - t_left) / h)))
+                grid.append((t, _horner(c, (t - t_left) / h)))
         grid.append((t_b, g_b))
         changes = _sign_changes(grid)
         if not changes:
             # Two crossings between grid points leave no sign change on the
-            # grid; the quartic's extrema between them do.
+            # grid; g's extrema (the roots of g') between them do.
             extrema = [
-                (t_left + th * h, _quartic(c, th))
-                for th in _quartic_extrema(c, (t_a - t_left) / h, (t_b - t_left) / h)
+                (t_left + th * h, _horner(c, th))
+                for th in _roots(_derivative(c), (t_a - t_left) / h, (t_b - t_left) / h)
             ]
             changes = _sign_changes(sorted(grid + extrema))
         for a, b, ga in changes:
@@ -186,7 +205,7 @@ class _SectionScan:
         """Bisect the sign change on [a, b] and classify the crossing; None
         when it misses the segment (the supporting line was crossed)."""
         left, width = step[0], step[1]
-        a, b = _bisect(lambda m: ga * _quartic(coeffs, (m - left) / width) <= 0.0, a, b, self.time_tol)
+        a, b = _bisect(lambda m: _crossed(ga, _horner(coeffs, (m - left) / width)), a, b, self.time_tol)
         t_star = 0.5 * (a + b)
         section, bt = self.section, self._bt
         y = _step_eval(step, t_star)
@@ -215,79 +234,45 @@ class _SectionScan:
         )
 
 
-def _quartic(c, th: float) -> float:
-    """c[0] + c[1] th + ... + c[4] th^4 by Horner's rule."""
-    return c[0] + th * (c[1] + th * (c[2] + th * (c[3] + th * c[4])))
+def _horner(c, th: float) -> float:
+    """c[0] + c[1] th + ... + c[-1] th^(len(c) - 1) by Horner's rule."""
+    acc = c[-1]
+    for ck in reversed(c[:-1]):
+        acc = ck + th * acc
+    return acc
+
+
+def _crossed(ga: float, g: float) -> bool:
+    """g is zero or of the other sign than the nonzero ga: ga * g <= 0
+    without a product that can underflow to zero."""
+    return g <= 0.0 if ga > 0.0 else g >= 0.0
 
 
 def _sign_changes(points) -> list:
     """(a, b, g(a)) for each consecutive pair of (t, g) points where g changes
     sign; a zero counts at the end of the interval it is reached on."""
-    return [
-        (a, b, ga)
-        for (a, ga), (b, gb) in zip(points, points[1:])
-        if ga * gb < 0.0 or (gb == 0.0 and ga != 0.0)
-    ]
+    return [(a, b, ga) for (a, ga), (b, gb) in zip(points, points[1:]) if ga != 0.0 and _crossed(ga, gb)]
 
 
-def _quartic_extrema(c, lo: float, hi: float) -> list:
-    """Fractions in (lo, hi] where the quartic `c` has a local extremum: the
-    roots of its derivative cubic, each bracketed on an interval where the
-    cubic is monotone (split at the roots of the cubic's derivative)."""
-    _, c1, c2, c3, c4 = c
-
-    def slope(t):
-        return c1 + t * (2.0 * c2 + t * (3.0 * c3 + t * 4.0 * c4))
-
-    qa, qb, qc = 12.0 * c4, 6.0 * c3, 2.0 * c2  # the cubic's derivative
-    roots = []
-    if qa != 0.0:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc >= 0.0:
-            r = math.sqrt(disc)
-            roots = [(-qb - r) / (2.0 * qa), (-qb + r) / (2.0 * qa)]
-    elif qb != 0.0:
-        roots = [-qc / qb]
-    cuts = [lo, *sorted(r for r in roots if lo < r < hi), hi]
-
-    out = []
-    for a, b in zip(cuts, cuts[1:]):
-        da, db = slope(a), slope(b)
-        if db == 0.0:
-            out.append(b)
-        elif da * db < 0.0:
-            a, b = _bisect(lambda m: da * slope(m) <= 0.0, a, b)
-            out.append(0.5 * (a + b))
-    return out
+def _derivative(c) -> list:
+    return [j * cj for j, cj in enumerate(c)][1:]
 
 
-def first_transversal_crossing(
-    traj: Trajectory,
-    section: SectionSpec,
-    window: tuple[float, float] | None = None,
-) -> CrossingEvent:
-    """Smallest t in the window where the trajectory crosses the segment.
+def _roots(c, lo: float, hi: float) -> list:
+    """The points of (lo, hi] where the polynomial with coefficients c
+    (constant first) changes sign, by the rule of `_sign_changes`, in order.
 
-    Sign changes of the normal coordinate whose refined point misses the
-    segment are skipped (the trajectory crossed the supporting line, not the
-    section); a hit within 1e-6 segment lengths of an endpoint raises
-    BoundaryCrossing and a transverse speed below the floor raises
-    TangentialCrossing.
+    [lo, hi] is cut at the roots of the derivative, found by the same search
+    one degree lower (down to degree 1, which is monotone), so the polynomial
+    is monotone between cuts and each cut interval whose ends change sign
+    holds one root. It is bisected to adjacent floats, and the later one,
+    the first point found past the sign change, is returned.
     """
-    t_lo, t_hi = (0.0, traj.t_end) if window is None else window
-    t_hi = min(t_hi, traj.t_end)
-    if t_hi <= t_lo:
-        raise NoCrossing(f"empty window [{t_lo}, {t_hi}]")
-    scan = _SectionScan(section, t_lo, t_hi, 1e-12 * max(t_hi, 1.0))
-    dense = traj._dense
-    # The step that Trajectory._eval picks for t_lo: a node belongs to the later step.
-    first = min(max(int(np.searchsorted(traj.ts, t_lo, side="right")) - 1, 0), len(dense) - 1)
-    for i in range(first, len(dense)):
-        if scan(dense[i], traj.ys[i + 1].tolist()):
-            break
-    if scan.event is None:
-        raise NoCrossing(f"no transversal crossing of {section.kind} in [{t_lo:.6g}, {t_hi:.6g}]")
-    return scan.event
+    cuts = [lo, *(_roots(_derivative(c), lo, hi) if len(c) > 2 else ()), hi]
+    return [
+        _bisect(lambda m: _crossed(ga, _horner(c, m)), a, b)[1]
+        for a, b, ga in _sign_changes([(x, _horner(c, x)) for x in cuts])
+    ]
 
 
 def crossing_time(
@@ -303,9 +288,9 @@ def crossing_time(
 
     Integrates from 0 towards t_bar with the section scan as the flow's stop
     callback and returns (t*, event, trajectory); the trajectory ends with the
-    step that holds t*. The result is the one `first_transversal_crossing`
-    gives on the flow over the whole window, with the bisection tolerance
-    taken from the window's nominal end. If the orbit leaves the annulus
+    step that holds t*. The result is the one the scan gives on the flow
+    over the whole window, with the bisection tolerance taken from the
+    window's nominal end. If the orbit leaves the annulus
     first, the exit step is scanned up to the exit; DomainExit propagates
     only when no crossing happened before it.
     """

@@ -21,9 +21,8 @@ from symorbit import (
     potential_derivatives,
     radial_accel_at_launch,
     radial_problem_from_launch,
-    turning_radii,
 )
-from symorbit.analysis import radial_accel_finite_difference
+from symorbit.analysis import _circular_radius, _turning_radius, radial_accel_finite_difference
 
 from oracles import apsidal_limit_power_law, kepler_apsis_radii
 
@@ -72,6 +71,33 @@ class TestEffectivePotential:
         # Calculus oracle: d/dr (1/2r^2 - 1/r) vanishes at r = 1 for K = 1.
         vals = [effective_potential(kepler_params, 1.0, r) for r in (0.99, 1.0, 1.01)]
         assert vals[1] < vals[0] and vals[1] < vals[2]
+
+
+def turning_radii(params, E, K, rel_tol=1e-12):
+    """Roots of E = U_eff(r) bracketing the circular radius, for any (E, K):
+    the generic counterpart of radial_problem_from_launch, which takes the
+    launch radius as one root. Raises NoBoundedMotion without a bounded
+    radial oscillation; a circular level set gives a double root."""
+    if K == 0.0:
+        raise NoBoundedMotion("zero angular momentum admits no radial oscillation")
+    if params.alpha >= 2.0:
+        raise NoBoundedMotion(f"alpha={params.alpha}: the effective potential has no interior minimum")
+    r_c = _circular_radius(params, abs(K))
+    e_min = effective_potential(params, K, r_c)
+    scale = abs(E) + abs(e_min) + 1e-30
+    if E < e_min - 1e-13 * scale:
+        raise NoBoundedMotion(f"E={E} below the effective-potential minimum {e_min}")
+    if E - e_min < 1e-13 * scale:
+        return r_c, r_c
+    if params.alpha > 0.0 and E >= 0.0:
+        raise NoBoundedMotion(f"E={E} >= 0 is unbounded for alpha={params.alpha}")
+
+    def g(r):
+        return effective_potential(params, K, r) - E
+
+    r_min = _turning_radius(params, K, g, r_c, r_c, 0.5, rel_tol)
+    r_max = _turning_radius(params, K, g, r_c, r_c, 2.0, rel_tol)
+    return r_min, r_max
 
 
 class TestTurningRadii:

@@ -210,6 +210,23 @@ class TestConfigKeys:
         assert main(["solve", "--config", str(cfg)]) == 1
         assert f"configuration error: configuration key '{path}' must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("px", 2.5), ("py", 2.5), ("px", -1), ("py", "3")])
+    def test_axis_poly_exponent_rejected_by_path(self, tmp_path, capsys, key, value):
+        cfg = write_config_with(tmp_path / "c.json", "field.perturbation.kind", "axis_poly")
+        raw = json.loads(cfg.read_text())
+        raw["field"]["perturbation"]["params"] = {"cx": 0.0, "cy": 0.0, key: value}
+        cfg.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        path = f"field.perturbation.params.{key}"
+        assert f"configuration error: configuration key '{path}' must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_axis_poly_integral_exponents_accepted(self, tmp_path):
+        cfg = write_config_with(tmp_path / "c.json", "field.perturbation.kind", "axis_poly")
+        raw = json.loads(cfg.read_text())
+        raw["field"]["perturbation"]["params"] = {"px": 2, "py": 3.0}
+        cfg.write_text(json.dumps(raw))
+        assert cli.RunConfig.load(cfg).field.perturbation.params == {"px": 2, "py": 3.0}
+
     @pytest.mark.parametrize(
         "stop, step, points",
         [(0.026, 0.01, 3), (0.1, 0.005, 21), (0.3, 0.1, 4), (0.01, 0.005, 3)],
@@ -314,6 +331,18 @@ class TestSweepCommand:
         cfg = write_config(tmp_path / "c.json", eta=0.04, delta=0.05, scan=scan)
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert f"configuration key 'scan.{key}' must be" in capsys.readouterr().err
+        assert started == []
+
+    @pytest.mark.parametrize("mu_max", [0.6, -0.5])
+    def test_scan_outside_mu_range_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch, mu_max):
+        started = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: started.append("sweep"))
+        monkeypatch.setattr(cli, "zero_set_scan", lambda *a, **k: started.append("scan"))
+        scan = {"sigma_min": 0.95, "sigma_max": 1.05, "sigma_count": 7, "mu_max": mu_max, "mu_count": 3}
+        cfg = write_config(tmp_path / "c.json", scan=scan)
+        cli.RunConfig.load(cfg)  # a solve reads the same configuration
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "configuration key 'scan.mu_max' must be" in capsys.readouterr().err
         assert started == []
 
     def test_zero_set_csv_shape(self, config_path, tmp_path, capsys):

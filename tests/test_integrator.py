@@ -8,20 +8,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from symorbit import (
     DomainExit,
     ForceField,
     IntegratorConfig,
     PowerLawParams,
+    SectionSpec,
     State,
     angular_momentum,
     circular_speed,
+    crossing_time,
     energy,
     flow,
 )
-from symorbit.integrator import _bisect
+from symorbit import integrator, serialize
+from symorbit.integrator import _P, _bisect
+from symorbit.section import _horner, _roots, _sign_changes
 
 from oracles import kepler_period, semi_major_axis
 
@@ -34,7 +38,7 @@ class TestFlow:
     def test_circular_orbit_stays_circular(self, kepler_field, kepler_params):
         x, v = launch_state(1.0, kepler_params)
         traj = flow(kepler_field, 0.0, x, v, 2 * math.pi)
-        _, states = traj.sample(512)
+        states = traj.eval_many(np.linspace(0.0, traj.t_end, 512))
         radii = np.hypot(states[:, 0], states[:, 1])
         assert np.max(np.abs(radii - 1.0)) < 1e-8
 
@@ -199,7 +203,8 @@ class TestDenseOutput:
     def test_csv_export(self, kepler_field, tmp_path):
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 1.0)
         path = tmp_path / "traj.csv"
-        traj.write_csv(path, n_samples=16)
+        ts = np.linspace(0.0, traj.t_end, 16)
+        serialize.write_csv(path, ["t", "x", "y", "vx", "vy"], np.column_stack([ts, traj.eval_many(ts)]).tolist())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x,y,vx,vy"
         assert len(lines) == 17
@@ -247,6 +252,8 @@ class TestEvalMany:
 # to plain floats. Same tableau, controller and guards; only the summation
 # order differs, so step counts must match and dense states agree to round-off
 # (node times may move by ~1e-7: the embedded error estimate cancels heavily).
+# Its steps are stored as flow() stores them, (t_left, h, y_left, stages) with
+# the stage matrix K flattened row by row, for Trajectory to sample.
 def _reference_initial_step(rhs, y0, f0, t_end, rtol, atol, max_step):
     scale = atol + rtol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
@@ -263,7 +270,9 @@ def _reference_initial_step(rhs, y0, f0, t_end, rtol, atol, max_step):
 
 
 def _reference_refine_domain_exit(dense_step, r_in, r_out):
-    t_left, h, y_left, q = dense_step
+    t_left, h, y_left, stages = dense_step
+    y_left = np.array(y_left)
+    q = np.array(stages).reshape(7, 4).T @ _P
 
     def excess(theta):
         tp = np.array([theta, theta**2, theta**3, theta**4])
@@ -285,7 +294,7 @@ def _reference_refine_domain_exit(dense_step, r_in, r_out):
 
 def _reference_flow(field, mu, x, v, t_end, cfg=IntegratorConfig()):
     """(trajectory, number of bad-stage halvings); raises DomainExit like flow()."""
-    from symorbit.integrator import _A, _B, _E, _P, Trajectory
+    from symorbit.integrator import _A, _B, _E, Trajectory
 
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -337,7 +346,7 @@ def _reference_flow(field, mu, x, v, t_end, cfg=IntegratorConfig()):
         if err > 1.0:
             h *= max(0.2, 0.9 * err**-0.2)
             continue
-        dense.append((t, h, y.copy(), K.T @ _P))
+        dense.append((t, h, tuple(y), tuple(K.ravel())))
         t_next = t + h
         ts.append(t_next)
         ys.append(y_new.copy())
@@ -422,6 +431,33 @@ class TestFloatStepLoopMatchesReference:
         traj = flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
         assert walled.hits
         _assert_dense_agreement(traj, ref, 2 * math.pi)
+
+
+class TestRecordsBuiltWhenSampled:
+    """flow keeps each step's stages; the interpolant's coefficients are built
+    only for the steps something samples."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        quartics = integrator._quartics
+        monkeypatch.setattr(integrator, "_quartics", lambda stages: calls.append(stages) or quartics(stages))
+        return calls
+
+    def test_crossing_time_builds_one_record(self, kepler_field, built):
+        section = SectionSpec.positive_y_axis(1.0)
+        _, event, traj = crossing_time(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.05), section, 4.7)
+        assert traj.n_steps > 10
+        assert len(built) == 1 and built[0] == traj._dense[-1][3]  # the crossing step's
+        assert traj._stacked is None
+
+    def test_unsampled_flow_builds_nothing(self, kepler_field, built):
+        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.05), 4.7)
+        assert built == [] and traj._stacked is None
+        traj.final_state()
+        assert len(built) == 1 and built[0] is traj._dense[-1][3]
+        traj.eval_many([0.5, 1.5])  # one batched product, no per-step build
+        assert len(built) == 1 and traj._stacked is not None
 
 
 class TestStopCallback:
@@ -515,3 +551,69 @@ class TestBisect:
         assert not calls
         a, b = _bisect(lambda m: calls.append(m) or m >= 1e6 + 0.5, 1e6, 1e6 + 1.0, 1e-300)
         assert b == np.nextafter(a, np.inf) and len(calls) <= 40
+
+
+def _poly(roots, scale):
+    """Coefficients, constant first, of scale * prod(x - r)."""
+    return [float(c) for c in np.polynomial.polynomial.polyfromroots(roots) * scale]
+
+
+class TestPolynomialSignChanges:
+    """section._roots against dense sampling: it finds every sign change the
+    samples show and reports only points where the polynomial vanishes to
+    rounding."""
+
+    @staticmethod
+    def _check(c, lo, hi):
+        got = _roots(c, lo, hi)
+        assert all(lo < x <= hi for x in got) and got == sorted(got)
+        noise = 1e-12 * sum(abs(ck) for ck in c)
+        assert all(abs(_horner(c, x)) <= noise for x in got)
+        xs = np.linspace(lo, hi, 4001)
+        samples = [(x, _horner(c, x)) for x in xs.tolist()]
+        for a, b, _ in _sign_changes(samples):
+            if min(abs(_horner(c, a)), abs(_horner(c, b))) > noise:
+                assert any(a <= x <= b for x in got), (a, b, got)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-0.25, 1.25), st.sampled_from([1, 1, 1, 2])), min_size=1, max_size=7),
+        st.floats(0.1, 10.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(0.0, 0.4),
+        st.floats(0.6, 1.0),
+    )
+    def test_matches_dense_sampling(self, factors, scale, sign, lo, hi):
+        roots = [r for r, k in factors for _ in range(k)][:7]
+        distinct = sorted({r for r, _ in factors})
+        assume(all(b - a >= 1e-3 for a, b in zip(distinct, distinct[1:])))
+        self._check(_poly(roots, sign * scale), lo, hi)
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_simple_roots_of_each_degree(self, degree):
+        roots = [0.05 + 0.9 * j / degree for j in range(degree)]
+        got = self._check(_poly(roots, 1.0), 0.0, 1.0)
+        assert got == pytest.approx(roots, abs=1e-12)
+
+    def test_two_roots_inside_one_grid_interval(self):
+        # Both roots lie between the scan's grid points 0.5 and 0.75, where
+        # the quartic has the same sign.
+        c = _poly([0.55, 0.6, -0.5, 2.0], 1.0)
+        assert _horner(c, 0.5) * _horner(c, 0.75) > 0.0
+        assert self._check(c, 0.0, 1.0) == pytest.approx([0.55, 0.6], abs=1e-12)
+
+    def test_root_at_the_ends(self):
+        # Exact dyadic roots: p(0) and p(1) are exactly 0. A zero counts at the
+        # end of the interval it is reached on, so hi is a sign change and lo
+        # is not.
+        c = _poly([0.0, 0.25, 1.0], 1.0)
+        assert _horner(c, 0.0) == 0.0 and _horner(c, 1.0) == 0.0
+        got = self._check(c, 0.0, 1.0)
+        assert got == pytest.approx([0.25, 1.0], abs=1e-15)
+
+    def test_double_root(self):
+        # (x - 0.5)^2 touches zero without a sign change: only the simple root
+        # is a change.
+        c = _poly([0.5, 0.5, 0.25], 1.0)
+        assert self._check(c, 0.0, 1.0) == pytest.approx([0.25], abs=1e-12)

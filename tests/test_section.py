@@ -14,10 +14,37 @@ from symorbit import (
     TangentialCrossing,
     circular_speed,
     crossing_time,
-    first_transversal_crossing,
     flow,
     miss,
 )
+from symorbit.section import _SectionScan
+
+
+def first_transversal_crossing(traj, section, window=None):
+    """Smallest t in the window where a finished trajectory crosses the segment.
+
+    The full-window reference for crossing_time: the section scan run over
+    every step of the trajectory from the one holding the window start.
+    Sign changes of the normal coordinate whose refined point misses the
+    segment are skipped (the trajectory crossed the supporting line, not the
+    section); a hit within 1e-6 segment lengths of an endpoint raises
+    BoundaryCrossing and a transverse speed below the floor raises
+    TangentialCrossing.
+    """
+    t_lo, t_hi = (0.0, traj.t_end) if window is None else window
+    t_hi = min(t_hi, traj.t_end)
+    if t_hi <= t_lo:
+        raise NoCrossing(f"empty window [{t_lo}, {t_hi}]")
+    scan = _SectionScan(section, t_lo, t_hi, 1e-12 * max(t_hi, 1.0))
+    dense = traj._dense
+    # The step that Trajectory._eval picks for t_lo: a node belongs to the later step.
+    first = min(max(int(np.searchsorted(traj.ts, t_lo, side="right")) - 1, 0), len(dense) - 1)
+    for i in range(first, len(dense)):
+        if scan(dense[i], traj.ys[i + 1].tolist()):
+            break
+    if scan.event is None:
+        raise NoCrossing(f"no transversal crossing of {section.kind} in [{t_lo:.6g}, {t_hi:.6g}]")
+    return scan.event
 
 
 @pytest.fixture(scope="module")
