@@ -24,12 +24,13 @@ import numpy as np
 
 from .errors import DegenerateLimit, NoBoundedMotion
 from .forcefield import (
+    ForceField,
     PowerLawParams,
     circular_speed,
     potential,
     potential_derivatives,
 )
-from .integrator import State, Trajectory, _bisect
+from .integrator import IntegratorConfig, State, Trajectory, _bisect, flow
 
 _GAUSS_NODES = 128
 _SUBSAMPLES = 4  # radial-speed samples per step in apsides
@@ -185,11 +186,7 @@ def apsides(traj: Trajectory) -> list[ApsisEvent]:
     sign of the subsequent radial motion. Circular trajectories (radial speed
     at noise level throughout) yield an empty list.
     """
-    ts = [0.0]
-    for t_left, h, _, _ in traj._dense:
-        for k in range(1, _SUBSAMPLES + 1):
-            ts.append(t_left + h * k / _SUBSAMPLES)
-    ts = np.array(ts)
+    ts = traj.step_grid(_SUBSAMPLES)
     ys = traj.eval_many(ts)
     vals = (ys[:, 0] * ys[:, 2] + ys[:, 1] * ys[:, 3]) / np.hypot(ys[:, 0], ys[:, 1])
 
@@ -223,7 +220,7 @@ def apsides(traj: Trajectory) -> list[ApsisEvent]:
     return events
 
 
-def apsidal_angle(problem: RadialProblem, n_nodes: int = _GAUSS_NODES) -> float:
+def apsidal_angle(problem: RadialProblem) -> float:
     """Polar-angle advance between consecutive turning radii.
 
     Gauss-Legendre quadrature after r = r_min + (r_max - r_min) sin^2(theta),
@@ -236,7 +233,7 @@ def apsidal_angle(problem: RadialProblem, n_nodes: int = _GAUSS_NODES) -> float:
     if span < 1e-9:
         return apsidal_limit(params, 0.5 * (r_min + r_max))
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     theta = 0.25 * math.pi * (nodes + 1.0)
     w = 0.25 * math.pi * weights
     s, c = np.sin(theta), np.cos(theta)
@@ -267,24 +264,15 @@ def radial_accel_at_launch(params: PowerLawParams, a: float, epsilon: float) -> 
     return epsilon * (2.0 + epsilon) * u1
 
 
-def radial_accel_finite_difference(
-    params: PowerLawParams,
-    a: float,
-    epsilon: float,
-    h: float = 1e-3,
-    cfg=None,
-) -> float:
-    """Numerical r''(0) from a short integration: 2 (r(h) - r(0)) / h^2.
+def radial_accel_finite_difference(params: PowerLawParams, a: float, epsilon: float) -> float:
+    """Numerical r''(0) from a short integration: 2 (r(h) - r(0)) / h^2, h = 1e-3.
 
     The launch is a radial turning point and the radius is even in time there,
     so the one-sided difference is second-order accurate.
     """
-    from .forcefield import ForceField
-    from .integrator import IntegratorConfig, flow
-
-    cfg = cfg if cfg is not None else IntegratorConfig(max_step=h / 8.0)
+    h = 1e-3
     field = ForceField(base=params, mu_range=1.0, annulus=(0.1 * a, 10.0 * a))
     v = (1.0 + epsilon) * circular_speed(params, a)
-    traj = flow(field, 0.0, (a, 0.0), (0.0, v), h, cfg)
+    traj = flow(field, 0.0, (a, 0.0), (0.0, v), h, IntegratorConfig(max_step=h / 8.0))
     y = traj._eval(h)
     return 2.0 * (math.hypot(y[0], y[1]) - a) / (h * h)

@@ -135,7 +135,9 @@ _KEYS = (
     ("field.perturbation.symmetries", [], list, lambda v, c: all(s in [r.value for r in Reflection] for s in v),
      "a list of 'x_axis' and 'y_axis'"),
     ("mode", "quarter", str, lambda v, c: v in [m.value for m in Mode], "'quarter' or 'half'"),
-    ("radius", 1.0, float, *_POSITIVE),
+    # The launch point (radius, 0) must lie in the annulus, as ForceField.contains tests it.
+    ("radius", 1.0, float, lambda v, c: c["field.annulus"][0] <= v <= c["field.annulus"][1],
+     "a number in field.annulus [r_in, r_out]"),
     ("eta", 0.1, float, lambda v, c: 0 < v < 1, "a number in (0, 1)"),
     ("delta", 0.2, float, lambda v, c: c["eta"] < v < 1, "a number in (eta, 1)"),
     ("solve_tol", 1e-10, float, lambda v, c: v >= 0, "a non-negative number"),
@@ -311,7 +313,7 @@ def cmd_solve(config: RunConfig, mu: float, out_dir, as_json: bool) -> int:
     orbit = extend(solution.segment, mu=mu, n_samples=config.samples)
     ok, diag = validate_orbit(orbit, config.field, mu, config.integrator)
 
-    payload = orbit.to_dict(include_samples=True)
+    payload = orbit.to_dict()
     payload["sigma_star"] = solution.sigma_star
     payload["tau"] = solution.tau
     payload["miss_residual"] = solution.miss_residual

@@ -113,8 +113,9 @@ def _solve_and_validate(problem, mu, tol, history):
 
     The bracket is the predicted one, else the warm one (half-width eta/4
     around the previous sigma*), else the cold one around sigma = 1; the first
-    cell has no history and brackets cold. Also returns the miss secant slope
-    across the bracket, for the next cell's corrector.
+    cell has no history and brackets cold. Returns (sigma*, v_mu, period, ok,
+    diagnostics, the miss secant slope across the bracket for the next cell's
+    corrector), no trajectory: the cell's segment and orbit die here.
     """
     br = _predicted_bracket(problem, mu, history) if history else None
     if br is None and history:
@@ -129,7 +130,7 @@ def _solve_and_validate(problem, mu, tol, history):
     del br  # its two trajectories need not stay alive through validation
     orbit = _extend(problem, sol, mu)
     ok, diag = validate_orbit(orbit, problem.field, mu, problem.integrator)
-    return sol, orbit, ok, diag, slope
+    return sol.sigma_star, sol.v_mu, orbit.period, ok, diag, slope
 
 
 def sweep(
@@ -150,7 +151,7 @@ def sweep(
     for mu in grid:
         mu = float(mu)
         try:
-            sol, orbit, ok, diag, slope = _solve_and_validate(problem, mu, tol, history)
+            sigma_star, v_mu, period, ok, diag, slope = _solve_and_validate(problem, mu, tol, history)
         except SolverError as exc:
             curve.failure = {"mu": mu, "error": type(exc).__name__, "message": str(exc)}
             break
@@ -159,13 +160,13 @@ def sweep(
             break
         if history and history[-1][0] == mu:
             history.pop()  # a repeated grid value would make the interpolation singular
-        history.append((mu, sol.sigma_star, slope))
+        history.append((mu, sigma_star, slope))
         curve.entries.append(
             CurveEntry(
                 mu=mu,
-                sigma_star=sol.sigma_star,
-                v_mu=(float(sol.v_mu[0]), float(sol.v_mu[1])),
-                period=orbit.period,
+                sigma_star=sigma_star,
+                v_mu=(float(v_mu[0]), float(v_mu[1])),
+                period=period,
                 closure_residual=diag["closure_position"],
                 diagnostics=diag,
             )
@@ -184,7 +185,7 @@ class ScanResult:
     mus: np.ndarray
     signs: np.ndarray  # (n_sigma, n_mu) in {-1, 0, +1}; 0 marks a failed evaluation
     change_cells: list  # (i, j): sign change between sigma_i and sigma_{i+1} at mu_j
-    components: list  # connected components of change cells (4-neighborhood)
+    components: list  # connected components of change cells (8-neighborhood)
     row_complete: bool  # every mu column contains at least one sign change
 
     def component_count(self) -> int:

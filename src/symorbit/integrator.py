@@ -2,26 +2,28 @@
 
 The integrator propagates the fifth-order solution, estimates local error from
 the embedded fourth-order result, and keeps with every accepted step what its
-quartic interpolant is built from, so downstream event detection can refine
-crossing times without re-integrating. Leaving the validity annulus terminates
-the flow with a DomainExit carrying the refined exit time and state. An
-optional stop callback sees each accepted step's record and end state after
-the annulus check and ends the flow after the first step for which it returns
-true: terminal event location (Hairer, Norsett & Wanner, Solving ODEs I,
-II.6). It changes no step before that one.
+interpolant is built from, so downstream event detection can refine crossing
+times without re-integrating. Leaving the validity annulus terminates the flow
+with a DomainExit carrying the refined exit time and state. An optional stop
+callback sees each accepted step's record and end state after the annulus
+check and ends the flow after the first step for which it returns true:
+terminal event location (Hairer, Norsett & Wanner, Solving ODEs I, II.6). It
+changes no step before that one.
 
-The step loop runs on plain floats and calls no numpy: the state is four
-floats, each stage is a 4-tuple (velocity, force) and the tableau products are
-unrolled. An accepted step keeps the record (t_left, h, y_left, stages): its
-start time and size, its start state as a 4-tuple and its seven stages as one
-flat 28-tuple.
+Only this module knows the tableau, the step record, the dense-output matrix
+P and, from P's shape, the stage count and the interpolant's degree. The step
+loop runs on plain floats and calls no numpy, with the tableau products
+unrolled. A step's record is (t_left, h, y_left, stages): its start time and
+size, its start state as a 4-tuple and its stages (velocity, force) as one
+flat tuple. A `Trajectory` is its step records plus its end node.
 
-The interpolant's coefficients Q = K^T P (K the 7 x 4 stage matrix) are built
-only where something samples the step (`_quartics`): `interpolate`,
-`final_state`, `truncated` and the annulus-exit refinement build the one step
-they read, and `eval_many` stacks every step's Q in one batched product on its
-first call, then evaluates many times at once with one `searchsorted` over the
-step nodes and a Horner pass. A flow that is never sampled builds no Q.
+The interpolant's coefficients Q = K^T P (K the stage matrix) are built only
+where something samples the step (`_quartics`) and evaluated by one Horner
+rule: on floats for one step (`_step_eval`, the annulus exit) and on arrays
+for many times at once (`eval_many`, over all steps' Q stacked in one batched
+product), bit for bit alike. The section scan takes the coefficients of a
+step's position projected on its normal from `_normal_coefficients`, formed
+from the stages without building Q.
 
 `_bisect` is the package's one interval-halving loop. It refines the annulus
 exit time here and, in the other modules, section crossings and the roots of
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +59,8 @@ _B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _E = np.array(
     [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
-# Quartic dense-output coefficients (Shampine); y(t0 + th) = y0 + h * (K^T P) @ [t, t^2, t^3, t^4].
+# Dense-output coefficients (Shampine), rows by stage and columns by power of
+# theta: y(t0 + theta h) = y0 + h (K^T P) @ [theta, theta^2, theta^3, theta^4].
 _P = np.array(
     [
         [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -68,6 +72,7 @@ _P = np.array(
         [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ]
 )
+_STAGES, _DEGREE = _P.shape
 
 # Float copies of A, B and E for the scalar step loop; the second weight of
 # B and E is zero, so stage 2 enters only the later stages.
@@ -76,6 +81,11 @@ _P = np.array(
 ) = (tuple(float(a) for a in _A[i, :i]) for i in range(1, 6))
 _B1, _B3, _B4, _B5, _B6 = (float(_B[j]) for j in (0, 2, 3, 4, 5))
 _E1, _E3, _E4, _E5, _E6, _E7 = (float(_E[j]) for j in (0, 2, 3, 4, 5, 6))
+# Float copies of P's rows for `_normal_coefficients`; the second stage's row
+# is zero and left out.
+(_P11, _P12, _P13, _P14), (_P31, _P32, _P33, _P34), (_P41, _P42, _P43, _P44), (
+    _P51, _P52, _P53, _P54
+), (_P61, _P62, _P63, _P64), (_P71, _P72, _P73, _P74) = (tuple(_P[j].tolist()) for j in (0, 2, 3, 4, 5, 6))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -108,24 +118,41 @@ class State:
 class Trajectory:
     """Dense numerical solution on [0, t_end].
 
-    Node states are reproduced exactly by interpolate(); interior times use the
-    per-step quartic interpolant, continuous across the whole span.
+    Built from the records (t_left, h, y_left, stages) of its steps and its
+    end node (t_end, y_end); the nodes `ts`, `ys` are the steps' left ends and
+    the end node. Node states are reproduced exactly by interpolate(); interior
+    times use the step's interpolant, continuous across the whole span.
     """
 
-    def __init__(self, ts, ys, dense, t_end=None):
-        self.ts = np.asarray(ts)
-        self.ys = np.asarray(ys)
-        self._dense = dense  # list of (t_left, h, y_left, stages) per step
-        self._stacked = None  # t_left, h, y_left and Q of every step as arrays, built by eval_many
-        self.t_end = float(self.ts[-1]) if t_end is None else float(t_end)
+    def __init__(self, steps: list, t_end: float, y_end):
+        self._dense = steps
+        self.t_end = float(t_end)
+        self._y_end = y_end
+        self._stacked = None  # t_left, h, y_left and Q of every step as arrays, built by _arrays
 
-    @property
-    def t_span(self):
-        return 0.0, self.t_end
+    @cached_property
+    def ts(self) -> np.ndarray:
+        return np.array([step[0] for step in self._dense] + [self.t_end])
+
+    @cached_property
+    def ys(self) -> np.ndarray:
+        return np.array([step[2] for step in self._dense] + [self._y_end])
 
     @property
     def n_steps(self):
         return len(self._dense)
+
+    def _arrays(self):
+        """t_left, h, y_left and Q of every step as arrays, built on first use."""
+        if self._stacked is None:
+            t_left, h, y_left, stages = zip(*self._dense)
+            self._stacked = np.array(t_left), np.array(h), np.array(y_left), _q_matrices(stages)
+        return self._stacked
+
+    def step_grid(self, parts: int) -> np.ndarray:
+        """0 and the points t_left + h j / parts, j = 1..parts, of every step."""
+        t_left, h, _, _ = self._arrays()
+        return np.concatenate([[0.0], (t_left[:, None] + h[:, None] * np.arange(1, parts + 1) / parts).ravel()])
 
     def _eval(self, t: float) -> np.ndarray:
         i = int(np.searchsorted(self.ts, t, side="right")) - 1
@@ -136,21 +163,18 @@ class Trajectory:
         """States at every time of ts, shape (len(ts), 4).
 
         Each time goes to the step `_eval` picks (a node belongs to the later
-        step) and is evaluated on that step's quartic by Horner's rule; a node
+        step) and is evaluated by `_step_eval`'s rule, with the same float
+        operations on arrays, so each row equals `_eval` bit for bit; a node
         time gives the node state exactly.
         """
-        if self._stacked is None:
-            t_left, h, y_left, stages = zip(*self._dense)
-            k = np.array(stages).reshape(len(h), 7, 4)
-            self._stacked = np.array(t_left), np.array(h), np.array(y_left), k.transpose(0, 2, 1) @ _P
-        t_left, h, y_left, q = self._stacked
+        t_left, h, y_left, q = self._arrays()
         ts = np.asarray(ts, dtype=float)
         i = np.clip(np.searchsorted(self.ts, ts, side="right") - 1, 0, len(h) - 1)
         h, y_left, q = h[i, None], y_left[i], q[i]
         theta = (ts - t_left[i])[:, None] / h
-        acc = q[:, :, 3]
-        for k in (2, 1, 0):
-            acc = acc * theta + q[:, :, k]
+        acc = q[:, :, -1]
+        for k in range(_DEGREE - 2, -1, -1):
+            acc = q[:, :, k] + theta * acc
         return np.where(theta == 0.0, y_left, y_left + h * (theta * acc))
 
     def interpolate(self, t: float) -> State:
@@ -164,31 +188,60 @@ class Trajectory:
         """Restriction to [0, t_cut]; keeps the step that straddles t_cut."""
         if not 0.0 < t_cut <= self.t_end + 1e-15:
             raise ValueError(f"t_cut={t_cut} outside span (0, {self.t_end}]")
-        keep = [d for d in self._dense if d[0] < t_cut]
-        n = len(keep)
-        ts = list(self.ts[: n + 1])
-        ys = list(self.ys[: n + 1])
-        ts[-1] = t_cut
-        ys[-1] = self._eval(t_cut)
-        return Trajectory(np.array(ts), np.array(ys), keep, t_end=t_cut)
+        return Trajectory([d for d in self._dense if d[0] < t_cut], t_cut, self._eval(t_cut))
+
+
+def _q_matrices(stage_rows) -> np.ndarray:
+    """Q = K^T P of each step, shape (steps, 4, degree): row i holds the
+    coefficients of theta, ..., theta^degree of state component i."""
+    k = np.array(stage_rows).reshape(len(stage_rows), _STAGES, 4)
+    return k.transpose(0, 2, 1) @ _P
 
 
 def _quartics(stages) -> np.ndarray:
-    """Q = K^T P of one step from its 28 stage floats: row i holds the
-    coefficients of theta, ..., theta^4 of state component i, so that
-    y(t_left + theta h) = y_left + h Q @ [theta, theta^2, theta^3, theta^4]."""
-    return np.dot(np.array(stages).reshape(7, 4).T, _P)
+    """Q of one step, by the batched product `eval_many` uses."""
+    return _q_matrices([stages])[0]
+
+
+def _horner(c, th: float) -> float:
+    """c[0] + c[1] th + ... + c[-1] th^(len(c) - 1) by Horner's rule."""
+    acc = c[-1]
+    for ck in reversed(c[:-1]):
+        acc = ck + th * acc
+    return acc
+
+
+def _dense_at(y_left, h: float, rows, theta: float) -> list:
+    """The one dense-output rule: component i at theta is y_left[i] + h theta
+    (q1 + theta (q2 + ...)) over row i of Q, and y_left[i] itself at theta 0."""
+    if theta == 0.0:
+        return list(y_left)
+    return [y0 + h * (theta * _horner(row, theta)) for y0, row in zip(y_left, rows)]
 
 
 def _step_eval(step, t: float) -> np.ndarray:
-    """State at time t on the quartic of one step record (t_left, h, y_left, stages)."""
+    """State at time t on the interpolant of one step record."""
     t_left, h, y_left, stages = step
-    y_left = np.array(y_left)
-    theta = (t - t_left) / h
-    if theta == 0.0:
-        return y_left
-    tp = np.array([theta, theta**2, theta**3, theta**4])
-    return y_left + h * (_quartics(stages) @ tp)
+    return np.array(_dense_at(y_left, h, _quartics(stages).tolist(), (t - t_left) / h))
+
+
+def _normal_coefficients(step, n0: float, n1: float) -> tuple:
+    """c1, ..., cD of g(theta) = n0 x + n1 y = g(0) + c1 theta + ... + cD
+    theta^D on one step: h times the stage velocities projected on (n0, n1)
+    dotted with the columns of P, on floats."""
+    _, h, _, k = step
+    p1 = n0 * k[0] + n1 * k[1]
+    p3 = n0 * k[8] + n1 * k[9]
+    p4 = n0 * k[12] + n1 * k[13]
+    p5 = n0 * k[16] + n1 * k[17]
+    p6 = n0 * k[20] + n1 * k[21]
+    p7 = n0 * k[24] + n1 * k[25]
+    return (
+        h * (p1 * _P11 + p3 * _P31 + p4 * _P41 + p5 * _P51 + p6 * _P61 + p7 * _P71),
+        h * (p1 * _P12 + p3 * _P32 + p4 * _P42 + p5 * _P52 + p6 * _P62 + p7 * _P72),
+        h * (p1 * _P13 + p3 * _P33 + p4 * _P43 + p5 * _P53 + p6 * _P63 + p7 * _P73),
+        h * (p1 * _P14 + p3 * _P34 + p4 * _P44 + p5 * _P54 + p6 * _P64 + p7 * _P74),
+    )
 
 
 def _rms(values, scale) -> float:
@@ -228,23 +281,16 @@ def _bisect(pred, a: float, b: float, tol: float = 0.0) -> tuple[float, float]:
 
 def _refine_domain_exit(step, r_in, r_out):
     """Earliest time inside one step at which the radius leaves [r_in, r_out],
-    bisected on the step's quartic."""
+    bisected on the step's interpolant."""
     t_left, h, y_left, stages = step
-    # Per component: y_left and the coefficients of Q @ [t, t^2, t^3, t^4].
-    quartics = [(y0, *row) for y0, row in zip(y_left, _quartics(stages).tolist())]
-
-    def at(theta, components):
-        return [
-            c0 + h * (theta * (c1 + theta * (c2 + theta * (c3 + theta * c4))))
-            for c0, c1, c2, c3, c4 in components
-        ]
+    rows = _quartics(stages).tolist()
 
     def outside(theta):
-        r = math.hypot(*at(theta, quartics[:2]))
+        r = math.hypot(*_dense_at(y_left[:2], h, rows[:2], theta))
         return max(r_in - r, r - r_out) > 0.0
 
     _, hi = _bisect(outside, 0.0, 1.0)
-    return t_left + hi * h, np.array(at(hi, quartics))
+    return t_left + hi * h, np.array(_dense_at(y_left, h, rows, hi))
 
 
 def _dp5_step(accel, mu, h, state, force, rtol, atol):
@@ -363,7 +409,7 @@ def flow(
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if not field.contains(x[0], x[1]):
-        raise DomainExit(f"initial position {tuple(x)} outside annulus", t_exit=0.0, state=x)
+        raise DomainExit(f"initial position {tuple(x.tolist())} outside annulus", t_exit=0.0, state=State(0.0, x, v))
 
     r_in, r_out = field.annulus
     accel = field.acceleration
@@ -379,8 +425,6 @@ def flow(
         h = _initial_step(accel, mu, state, (state[2], state[3], *force), t_end, rtol, atol, max_step)
     min_step = 1e-14 * max(t_end, 1.0)
 
-    ts = [0.0]
-    ys = [state]
     dense = []
 
     while t < t_end:
@@ -402,27 +446,22 @@ def flow(
         step = (t, h, state, stages)
         dense.append(step)
         t_next = t + h
-        ts.append(t_next)
-        ys.append(state_new)
 
         rr = math.hypot(state_new[0], state_new[1])
         if rr < r_in or rr > r_out:
             t_exit, y_exit = _refine_domain_exit(step, r_in, r_out)
-            ts[-1] = t_exit
-            ys[-1] = y_exit
-            traj = Trajectory(ts, ys, dense, t_end=t_exit)
             raise DomainExit(
                 f"orbit left annulus [{r_in}, {r_out}] at t={t_exit:.6g}",
                 t_exit=t_exit,
                 state=State(t=t_exit, position=y_exit[:2], velocity=y_exit[2:]),
-                trajectory=traj,
+                trajectory=Trajectory(dense, t_exit, y_exit),
             )
         if stop is not None and stop(step, state_new):
-            break
+            return Trajectory(dense, t_next, state_new)
 
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(1.0, _SAFETY * err**-0.2))
         h *= factor
-        t, state, force = t_next, state_new, stages[26:]
+        t, state, force = t_next, state_new, stages[-2:]
 
-    return Trajectory(ts, ys, dense)
+    return Trajectory(dense, t, state)
 

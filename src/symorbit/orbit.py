@@ -34,6 +34,9 @@ from .integrator import IntegratorConfig, State, Trajectory, _bisect, flow
 
 _ENDPOINT_RTOL = 1e-8  # on-axis / orthogonality tolerance relative to segment scale
 _DEFAULT_SAMPLES = 1024
+# validate_orbit's acceptance tolerances: closure position and velocity
+# mismatch, symmetry residual, x-axis crossings' distance from +-x0.
+_CLOSURE_POS_TOL, _CLOSURE_VEL_TOL, _SYMMETRY_TOL, _CROSSING_TOL = 1e-6, 1e-5, 1e-7, 1e-6
 
 
 @dataclass(frozen=True)
@@ -135,17 +138,15 @@ class PeriodicOrbit:
     def _rows(self) -> list:
         return np.column_stack([self.times, self.states]).tolist()
 
-    def to_dict(self, include_samples: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "mu": self.mu,
             "v_mu": list(self.v_mu),
             "period": self.period,
             "symmetry": self.symmetry_label,
             "diagnostics": self.diagnostics,
+            "samples": self._rows(),
         }
-        if include_samples:
-            out["samples"] = self._rows()
-        return out
 
     def write_csv(self, path):
         serialize.write_csv(path, ["t", "x", "y", "vx", "vy"], self._rows())
@@ -494,10 +495,6 @@ def validate_orbit(
     field: ForceField,
     mu: float,
     cfg: IntegratorConfig = IntegratorConfig(),
-    pos_tol: float = 1e-6,
-    vel_tol: float = 1e-5,
-    sym_tol: float = 1e-7,
-    crossing_tol: float = 1e-6,
 ) -> tuple[bool, dict]:
     """Full acceptance battery for a constructed orbit.
 
@@ -517,9 +514,9 @@ def validate_orbit(
     if crossing_ok:
         xs = sorted(c.point[0] for c in crossings)
         if Reflection.Y_AXIS in orbit.symmetry:
-            crossing_ok = abs(xs[0] + x0) < crossing_tol and abs(xs[1] - x0) < crossing_tol
+            crossing_ok = abs(xs[0] + x0) < _CROSSING_TOL and abs(xs[1] - x0) < _CROSSING_TOL
         else:
-            crossing_ok = xs[0] < 0.0 and abs(xs[1] - x0) < crossing_tol
+            crossing_ok = xs[0] < 0.0 and abs(xs[1] - x0) < _CROSSING_TOL
 
     diag = {
         "closure_position": pos_res,
@@ -535,11 +532,11 @@ def validate_orbit(
         "crossings_ok": bool(crossing_ok),
     }
     ok = (
-        pos_res < pos_tol
-        and vel_res < vel_tol
+        pos_res < _CLOSURE_POS_TOL
+        and vel_res < _CLOSURE_VEL_TOL
         and simple
         and abs(wind) == 1
-        and all(v < sym_tol for v in sym.values())
+        and all(v < _SYMMETRY_TOL for v in sym.values())
         and crossing_ok
     )
     diag["valid"] = bool(ok)

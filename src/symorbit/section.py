@@ -3,26 +3,24 @@
 A section is a finite closed segment; a crossing counts only if the refined
 point is strictly interior to the segment and the transverse velocity
 component clears a floor. On each step of the dense output the
-segment-normal coordinate is a polynomial in the step fraction (a quartic for
-the integrator's interpolant), and one per-step scanner (`_SectionScan`)
-searches it:
+segment-normal coordinate is a polynomial in the step fraction, of the
+interpolant's degree, and one per-step scanner (`_SectionScan`) searches it.
+The polynomial belongs to the integrator: its coefficients come from
+`integrator._normal_coefficients` and its values from `integrator._horner`,
+so this module knows neither the stages nor the degree. The scanner:
 
-- its coefficients come straight from the step record: the stage velocities
-  projected on the segment normal, dotted with the columns of the
-  interpolant matrix P, so no array is built for a step the scan passes over;
-- a step whose constant coefficient outweighs the sum of the others' moduli
-  has no root and is passed over;
-- otherwise candidate times are the sign changes on the step's nodes plus a
-  few interior points (Horner's rule, `_horner`), a grid value of exactly
-  zero counting as the end of a sign change; when the grid shows none, the
-  polynomial's extrema join the grid, so two crossings inside one grid
-  interval are not lost. The extrema are the sign changes of its
-  derivative, found by `_roots`, which cuts an interval at the roots of the
-  derivative's own derivative, recursively down to degree 1, and bisects
-  each monotone piece;
-- each candidate is refined on the same polynomial by the package's one
+- passes over a step whose constant coefficient outweighs the sum of the
+  others' moduli, which has no root;
+- otherwise takes as candidate times the sign changes on the step's nodes
+  plus a few interior points, a grid value of exactly zero counting as the
+  end of a sign change; when the grid shows none, the polynomial's extrema
+  join the grid, so two crossings inside one grid interval are not lost. The
+  extrema are the sign changes of its derivative, found by `_roots`, which
+  cuts an interval at the roots of the derivative's own derivative,
+  recursively down to degree 1, and bisects each monotone piece;
+- refines each candidate on the same polynomial by the package's one
   bisection primitive (`integrator._bisect`) down to a fixed fraction of the
-  window, then classified; only then is the step's state at the crossing
+  window, then classifies it; only then is the step's state at the crossing
   built.
 
 `crossing_time` hands the scanner to `flow` as the stop callback, so each
@@ -39,7 +37,7 @@ import numpy as np
 
 from .errors import BoundaryCrossing, DomainExit, NoCrossing, TangentialCrossing
 from .forcefield import ForceField
-from .integrator import _P, IntegratorConfig, State, Trajectory, _bisect, _step_eval, flow
+from .integrator import IntegratorConfig, State, Trajectory, _bisect, _horner, _normal_coefficients, _step_eval, flow
 
 # Section segments span [0.25 R, 4 R] along their axis so every desk-scale
 # crossing is comfortably interior and interiority stays checkable.
@@ -48,11 +46,6 @@ _OUTER_MARGIN = 4.0
 # The scan grid splits each step into this many parts: its two nodes plus
 # three interior points.
 _SUBSAMPLES = 4
-# Float copies of P, rows by stage and columns by power of theta; the second
-# stage's row is zero and left out.
-(_P11, _P12, _P13, _P14), (_P31, _P32, _P33, _P34), (_P41, _P42, _P43, _P44), (
-    _P51, _P52, _P53, _P54
-), (_P61, _P62, _P63, _P64), (_P71, _P72, _P73, _P74) = (tuple(_P[j].tolist()) for j in (0, 2, 3, 4, 5, 6))
 
 
 @dataclass(frozen=True)
@@ -138,27 +131,15 @@ class _SectionScan:
         self.event: CrossingEvent | None = None
 
     def __call__(self, step, y_right) -> bool:
-        t_left, h, y_left, k = step
+        t_left, h, y_left, _ = step
         n0, n1, s0, s1 = self._n0, self._n1, self._s0, self._s1
         t_lo, t_hi = self.t_lo, self.t_hi
 
-        # g(theta) = c0 + c1 theta + ... + c4 theta^4 on this step; after the
-        # first step, c0 is the previous step's right-node value. c1..c4 are
-        # h times the normal components of the stage velocities dotted with
-        # the columns of P (the second stage has a zero row in P).
+        # g(theta) = c0 + c1 theta + ... on this step; after the first step,
+        # c0 is the previous step's right-node value.
         first = self._g is None
         c0 = n0 * (y_left[0] - s0) + n1 * (y_left[1] - s1) if first else self._g
-        p1 = n0 * k[0] + n1 * k[1]
-        p3 = n0 * k[8] + n1 * k[9]
-        p4 = n0 * k[12] + n1 * k[13]
-        p5 = n0 * k[16] + n1 * k[17]
-        p6 = n0 * k[20] + n1 * k[21]
-        p7 = n0 * k[24] + n1 * k[25]
-        c1 = h * (p1 * _P11 + p3 * _P31 + p4 * _P41 + p5 * _P51 + p6 * _P61 + p7 * _P71)
-        c2 = h * (p1 * _P12 + p3 * _P32 + p4 * _P42 + p5 * _P52 + p6 * _P62 + p7 * _P72)
-        c3 = h * (p1 * _P13 + p3 * _P33 + p4 * _P43 + p5 * _P53 + p6 * _P63 + p7 * _P73)
-        c4 = h * (p1 * _P14 + p3 * _P34 + p4 * _P44 + p5 * _P54 + p6 * _P64 + p7 * _P74)
-        c = (c0, c1, c2, c3, c4)
+        c = (c0, *_normal_coefficients(step, n0, n1))
 
         if first:
             t_a, g_a = t_lo, _horner(c, (t_lo - t_left) / h)
@@ -174,9 +155,12 @@ class _SectionScan:
             g_b = n0 * (y_right[0] - s0) + n1 * (y_right[1] - s1)
         self._g = g_b
 
-        if g_a * g_b > 0.0 and abs(c0) > abs(c1) + abs(c2) + abs(c3) + abs(c4):
-            # No root of the quartic on [0, 1]; the end-sign test keeps a node
-            # value that rounding put on the other side.
+        bound = 0.0  # summed left to right: builtin sum() rounds otherwise from Python 3.12 on
+        for cj in c[1:]:
+            bound += abs(cj)
+        if g_a * g_b > 0.0 and abs(c0) > bound:
+            # No root of g on [0, 1]; the end-sign test keeps a node value
+            # that rounding put on the other side.
             return last
 
         grid = [(t_a, g_a)]
@@ -232,14 +216,6 @@ class _SectionScan:
             normal_speed=n_speed,
             tangent_speed=float(section.tangent @ y[2:]),
         )
-
-
-def _horner(c, th: float) -> float:
-    """c[0] + c[1] th + ... + c[-1] th^(len(c) - 1) by Horner's rule."""
-    acc = c[-1]
-    for ck in reversed(c[:-1]):
-        acc = ck + th * acc
-    return acc
 
 
 def _crossed(ga: float, g: float) -> bool:

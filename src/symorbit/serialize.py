@@ -29,15 +29,15 @@ def _tag(obj):
     return obj
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """json.dumps with floats rendered at fixed precision (sorted keys)."""
-    text = json.dumps(_tag(obj), indent=indent, sort_keys=True)
+def dumps(obj) -> str:
+    """json.dumps with floats rendered at fixed precision (sorted keys, indent 2)."""
+    text = json.dumps(_tag(obj), indent=2, sort_keys=True)
     return text.replace('"' + _MARK, "").replace(_MARK + '"', "")
 
 
-def dump(obj, path, indent: int = 2):
+def dump(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj, indent=indent) + "\n")
+        fh.write(dumps(obj) + "\n")
 
 
 def write_csv(path, header: list[str], rows):

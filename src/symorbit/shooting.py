@@ -256,7 +256,6 @@ def sign_table(
     params: PowerLawParams,
     epsilon: float = 0.05,
     radius: float = 1.0,
-    cfg: IntegratorConfig | None = None,
 ) -> int:
     """Sign of the horizontal velocity at the first negative-x-axis crossing.
 
@@ -281,7 +280,6 @@ def sign_table(
         transversality_floor=1e-6 * v0,
         kind="negative_x_axis",
     )
-    cfg = cfg if cfg is not None else IntegratorConfig()
     _, event, _ = crossing_time(
         field,
         0.0,
@@ -289,7 +287,6 @@ def sign_table(
         np.array([0.0, (1.0 + epsilon) * v0]),
         section,
         3.0 * (2.0 * math.pi / w),
-        cfg,
     )
     return 1 if event.tangent_speed > 0 else -1
 
@@ -298,8 +295,7 @@ def crossing_time_deviation(
     problem: ShootingProblem,
     mu: float,
     sigma: float,
-    steps: tuple[float, ...] = (1e-3, 1e-4, 1e-5),
 ) -> list[float]:
-    """|t(sigma + h, mu) - t(sigma, mu)| for each h: a continuity probe."""
+    """|t(sigma + h, mu) - t(sigma, mu)| for h = 1e-3, 1e-4, 1e-5: a continuity probe."""
     t0 = miss(problem, sigma, mu).crossing.t_star
-    return [abs(miss(problem, sigma + h, mu).crossing.t_star - t0) for h in steps]
+    return [abs(miss(problem, sigma + h, mu).crossing.t_star - t0) for h in (1e-3, 1e-4, 1e-5)]

@@ -210,6 +210,21 @@ class TestConfigKeys:
         assert main(["solve", "--config", str(cfg)]) == 1
         assert f"configuration error: configuration key '{path}' must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", [3.0, 0.25])
+    @pytest.mark.parametrize(
+        "command", [["solve"], ["verify"], ["analyze", "--sigma", "1.05"], ["sweep"]], ids=lambda c: c[0]
+    )
+    def test_radius_outside_annulus_refused(self, tmp_path, capsys, command, radius):
+        # The launch point (radius, 0) must lie in field.annulus [0.5, 2.0].
+        cfg = write_config(tmp_path / "c.json", radius=radius)
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: configuration key 'radius' must be a number in field.annulus" in err
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_radius_on_the_annulus_accepted(self, tmp_path, radius):
+        assert cli.RunConfig.load(write_config(tmp_path / "c.json", radius=radius)).radius == radius
+
     @pytest.mark.parametrize("key, value", [("px", 2.5), ("py", 2.5), ("px", -1), ("py", "3")])
     def test_axis_poly_exponent_rejected_by_path(self, tmp_path, capsys, key, value):
         cfg = write_config_with(tmp_path / "c.json", "field.perturbation.kind", "axis_poly")

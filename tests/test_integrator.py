@@ -24,8 +24,8 @@ from symorbit import (
     flow,
 )
 from symorbit import integrator, serialize
-from symorbit.integrator import _P, _bisect
-from symorbit.section import _horner, _roots, _sign_changes
+from symorbit.integrator import _P, _bisect, _horner
+from symorbit.section import _roots, _sign_changes
 
 from oracles import kepler_period, semi_major_axis
 
@@ -92,8 +92,13 @@ class TestFlow:
         assert np.hypot(*err.value.state.position) == pytest.approx(0.5, abs=1e-9)
 
     def test_initial_point_outside_annulus(self, kepler_field):
-        with pytest.raises(DomainExit):
-            flow(kepler_field, 0.0, (2.5, 0.0), (0.0, 1.0), 1.0)
+        with pytest.raises(DomainExit) as err:
+            flow(kepler_field, 0.0, np.array([2.5, 0.0]), (0.0, 1.0), 1.0)
+        # The launch state, as every other DomainExit carries a State; plain floats in the message.
+        exc = err.value
+        assert str(exc) == "initial position (2.5, 0.0) outside annulus"
+        assert exc.t_exit == 0.0 and exc.trajectory is None and exc.state.t == 0.0
+        assert exc.state.position.tolist() == [2.5, 0.0] and exc.state.velocity.tolist() == [0.0, 1.0]
 
     def test_nan_launch_force_raises_step_failure(self):
         # A NaN force gives a NaN initial step; the loop once spun on it forever,
@@ -248,12 +253,56 @@ class TestEvalMany:
         assert np.array_equal(cut.eval_many([0.0])[0], traj.ys[0])
 
 
+class TestOneEvaluationRule:
+    """`_eval` (one step, on floats) and `eval_many` (every step, on arrays)
+    evaluate the interpolant by one rule: equal bit for bit at any time, node
+    times and their neighbours included."""
+
+    @pytest.fixture(scope="class", params=["full", "truncated", "domain_exit"])
+    def traj(self, request, kepler_field, kepler_radial_field):
+        if request.param == "domain_exit":
+            with pytest.raises(DomainExit) as err:
+                flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.35), 20.0)
+            return err.value.trajectory
+        full = flow(kepler_radial_field, 0.07, (1.0, 0.0), (0.0, 1.1), 7.0)
+        return full if request.param == "full" else full.truncated(0.37 * full.t_end)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+        st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([-1, 0, 1])), max_size=10),
+    )
+    def test_eval_equals_eval_many(self, traj, fractions, nodes):
+        ts = [f * traj.t_end for f in fractions]
+        for k, side in nodes:
+            t = float(traj.ts[k % len(traj.ts)])
+            ts.append(t if side == 0 else float(np.nextafter(t, side * np.inf)))
+        for t, row in zip(ts, traj.eval_many(ts)):
+            assert np.array_equal(traj._eval(t), row), t
+
+
+def test_normal_coefficients_are_the_projected_interpolant(kepler_radial_field):
+    # The scan's coefficients c1..cD of n . position on a step are h (n . Q)
+    # with Q from `_quartics`, formed without building Q. Relative to the
+    # moduli of the terms summed: the higher coefficients cancel heavily.
+    traj = flow(kepler_radial_field, 0.07, (1.0, 0.0), (0.0, 1.1), 7.0)
+    for t_left, h, y_left, stages in traj._dense:
+        velocities = np.array(stages).reshape(len(_P), 4)[:, :2]
+        for n in [(0.0, 1.0), (-1.0, 0.0), (0.6, -0.8)]:
+            got = np.array(integrator._normal_coefficients((t_left, h, y_left, stages), *n))
+            want = h * (np.array(n) @ integrator._quartics(stages)[:2])
+            terms = h * (np.abs(velocities @ np.array(n)) @ np.abs(_P))
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * terms)
+
+
 # Reference: the numpy step loop flow() used before the step arithmetic moved
 # to plain floats. Same tableau, controller and guards; only the summation
 # order differs, so step counts must match and dense states agree to round-off
 # (node times may move by ~1e-7: the embedded error estimate cancels heavily).
 # Its steps are stored as flow() stores them, (t_left, h, y_left, stages) with
-# the stage matrix K flattened row by row, for Trajectory to sample.
+# the stage matrix K flattened row by row, and with the end node they make the
+# Trajectory that samples them.
 def _reference_initial_step(rhs, y0, f0, t_end, rtol, atol, max_step):
     scale = atol + rtol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
@@ -315,7 +364,7 @@ def _reference_flow(field, mu, x, v, t_end, cfg=IntegratorConfig()):
     else:
         h = _reference_initial_step(rhs, y, f_first, t_end, rtol, atol, max_step)
     min_step = 1e-14 * max(t_end, 1.0)
-    ts, ys, dense, halvings = [0.0], [y.copy()], [], 0
+    dense, halvings = [], 0
     k_first = f_first
     K = np.empty((7, 4))
     while t < t_end:
@@ -348,22 +397,19 @@ def _reference_flow(field, mu, x, v, t_end, cfg=IntegratorConfig()):
             continue
         dense.append((t, h, tuple(y), tuple(K.ravel())))
         t_next = t + h
-        ts.append(t_next)
-        ys.append(y_new.copy())
         rr = math.hypot(y_new[0], y_new[1])
         if rr < r_in or rr > r_out:
             t_exit, y_exit = _reference_refine_domain_exit(dense[-1], r_in, r_out)
-            ts[-1], ys[-1] = t_exit, y_exit
             raise DomainExit(
                 "left annulus",
                 t_exit=t_exit,
                 state=State(t=t_exit, position=y_exit[:2], velocity=y_exit[2:]),
-                trajectory=Trajectory(ts, ys, dense, t_end=t_exit),
+                trajectory=Trajectory(dense, t_exit, y_exit),
             )
         factor = 5.0 if err == 0.0 else min(5.0, max(1.0, 0.9 * err**-0.2))
         h *= factor
         t, y, k_first = t_next, y_new, K[6].copy()
-    return Trajectory(ts, ys, dense), halvings
+    return Trajectory(dense, t, y), halvings
 
 
 @dataclass(frozen=True)
