@@ -7,11 +7,12 @@ the polar-angle advance between consecutive apsides is a quadrature with
 inverse-square-root endpoint singularities removed by a sin^2 substitution.
 Near the circular solution the advance approaches a closed-form limit.
 
-Both searches go through the package's one bisection primitive
-(`integrator._bisect`): a turning radius is bracketed by one expansion loop
-(`_turning_radius`), bisected and Newton-polished; an apsis is a sign change
-of the radial speed, sampled along the dense output with one `eval_many`
-call and bisected on the interpolant.
+A turning radius is bracketed by one expansion loop (`_turning_radius`),
+bisected by the package's one bisection loop (`integrator._bisect`) and
+Newton-polished. An apsis is a sign change of the radial speed at the step
+nodes, found by the integrator's sign-change rule (`_sign_changes`) and
+refined on its step's interpolant (`Trajectory.refine_in_step`); no step is
+sampled that holds no apsis.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .forcefield import (
     potential,
     potential_derivatives,
 )
-from .integrator import IntegratorConfig, State, Trajectory, _bisect, flow
+from .integrator import IntegratorConfig, State, Trajectory, _bisect, _crossed, _sign_changes, flow
 
 _GAUSS_NODES = 128
-_SUBSAMPLES = 4  # radial-speed samples per step in apsides
 
 
 class ApsisKind(enum.Enum):
@@ -173,50 +173,30 @@ def radial_problem_from_launch(
     return RadialProblem(params=params, E=E, K=K, r_min=other, r_max=a)
 
 
-def radial_speed(state: State) -> float:
-    """dr/dt as the radial projection of the velocity (accurate near apsides)."""
-    r = float(np.hypot(*state.position))
-    return float(state.position @ state.velocity) / r
-
-
 def apsides(traj: Trajectory) -> list[ApsisEvent]:
     """Radial turning points along a trajectory, alternating in kind.
 
-    A launch point with vanishing radial speed is itself classified by the
-    sign of the subsequent radial motion. Circular trajectories (radial speed
-    at noise level throughout) yield an empty list.
+    The radial speed is read at the step nodes; each of its sign changes is
+    refined on its step's interpolant. A launch point with vanishing radial
+    speed is itself an apsis, classified by the radius at the next node.
+    Circular trajectories (radial speed at noise level at every node) yield
+    an empty list.
     """
-    ts = traj.step_grid(_SUBSAMPLES)
-    ys = traj.eval_many(ts)
-    vals = (ys[:, 0] * ys[:, 2] + ys[:, 1] * ys[:, 3]) / np.hypot(ys[:, 0], ys[:, 1])
-
-    def rdot(t):
-        y = traj._eval(t)
-        return (y[0] * y[2] + y[1] * y[3]) / math.hypot(y[0], y[1])
-
-    speeds = np.linalg.norm(traj.ys[:, 2:], axis=1)
-    v_scale = float(np.max(speeds))
+    ys = traj.ys
+    radii = np.hypot(ys[:, 0], ys[:, 1])
+    vals = (ys[:, 0] * ys[:, 2] + ys[:, 1] * ys[:, 3]) / radii
+    v_scale = float(np.max(np.linalg.norm(ys[:, 2:], axis=1)))
     if float(np.max(np.abs(vals))) < 1e-9 * v_scale:
         return []  # circular to working precision
 
-    def radius(t):
-        y = traj._eval(t)
-        return math.hypot(y[0], y[1])
-
     events = []
-    z_tol = 1e-9 * v_scale
-    if abs(vals[0]) < z_tol:
-        # Endpoint apsis: classify by comparing nearby radii.
-        h = ts[1] - ts[0]
-        kind = ApsisKind.PERICENTER if radius(ts[0] + h) > radius(ts[0]) else ApsisKind.APOCENTER
-        events.append(ApsisEvent(kind=kind, t=0.0, r=radius(0.0)))
-
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        fa = float(vals[i])
-        lo, hi = _bisect(lambda m: fa * rdot(m) <= 0.0, float(ts[i]), float(ts[i + 1]))
-        t_star = 0.5 * (lo + hi)
-        kind = ApsisKind.PERICENTER if fa < 0.0 else ApsisKind.APOCENTER
-        events.append(ApsisEvent(kind=kind, t=t_star, r=radius(t_star)))
+    if abs(vals[0]) < 1e-9 * v_scale:
+        kind = ApsisKind.PERICENTER if radii[1] > radii[0] else ApsisKind.APOCENTER
+        events.append(ApsisEvent(kind=kind, t=0.0, r=math.hypot(ys[0, 0], ys[0, 1])))
+    for i, _, ga in _sign_changes(list(enumerate(vals.tolist()))):
+        t, y = traj.refine_in_step(i, lambda s: _crossed(ga, s[0] * s[2] + s[1] * s[3]))
+        kind = ApsisKind.PERICENTER if ga < 0.0 else ApsisKind.APOCENTER
+        events.append(ApsisEvent(kind=kind, t=t, r=math.hypot(y[0], y[1])))
     return events
 
 

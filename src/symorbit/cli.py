@@ -353,6 +353,9 @@ def cmd_sweep(config: RunConfig, out_dir, as_json: bool) -> int:
         raise ValueError(
             f"configuration key 'scan.mu_max' must be a number in (-field.mu_range, field.mu_range), got {scan_cfg['mu_max']!r}"
         )
+    check_symmetry(
+        config.field, config.mu_grid["stop"], sample_count=config.symmetry_samples, seed=config.seed
+    )
     problem = config.problem()
     grids = _mu_grids(config)
     curves = [run_sweep(problem, g, tol=config.solve_tol) for g in grids]

@@ -19,16 +19,26 @@ flat tuple. A `Trajectory` is its step records plus its end node.
 
 The interpolant's coefficients Q = K^T P (K the stage matrix) are built only
 where something samples the step (`_quartics`) and evaluated by one Horner
-rule: on floats for one step (`_step_eval`, the annulus exit) and on arrays
+rule: on floats for one step (`_step_eval`, `_refine_in_step`) and on arrays
 for many times at once (`eval_many`, over all steps' Q stacked in one batched
 product), bit for bit alike. The section scan takes the coefficients of a
 step's position projected on its normal from `_normal_coefficients`, formed
 from the stages without building Q.
 
-`_bisect` is the package's one interval-halving loop. It refines the annulus
-exit time here and, in the other modules, section crossings and the roots of
-their polynomials' derivatives, axis crossings of an assembled orbit, apsides
-and turning radii.
+Every event search of the package is built from three primitives here:
+`_bisect`, the one interval-halving loop; `_crossed` and `_sign_changes`, the
+one rule for where a sampled function changes sign (a zero counts at the end
+of the interval that reaches it); and `_refine_in_step`, the one refinement
+of an event inside a step, which bisects the step fraction with the step's Q
+built once. The annulus exit and the apsides are refined by the last; the
+section scan, its polynomial root search and the axis crossings of an
+assembled orbit bisect with `_crossed` as the predicate; turning radii are
+bisected on the effective potential.
+
+The annulus check reads each accepted step's end node and, where the radial
+speed changes sign across the step and a node lies within reach of a bound,
+the turning point between the nodes: an apsis just past a bound is an exit
+even when both nodes are inside.
 """
 
 from __future__ import annotations
@@ -149,10 +159,10 @@ class Trajectory:
             self._stacked = np.array(t_left), np.array(h), np.array(y_left), _q_matrices(stages)
         return self._stacked
 
-    def step_grid(self, parts: int) -> np.ndarray:
-        """0 and the points t_left + h j / parts, j = 1..parts, of every step."""
-        t_left, h, _, _ = self._arrays()
-        return np.concatenate([[0.0], (t_left[:, None] + h[:, None] * np.arange(1, parts + 1) / parts).ravel()])
+    def refine_in_step(self, i: int, pred):
+        """`_refine_in_step` on step i: (t, state) at the first point of the
+        step where pred(state), a predicate on (x, y, vx, vy), holds."""
+        return _refine_in_step(self._dense[i], pred)
 
     def _eval(self, t: float) -> np.ndarray:
         i = int(np.searchsorted(self.ts, t, side="right")) - 1
@@ -279,18 +289,54 @@ def _bisect(pred, a: float, b: float, tol: float = 0.0) -> tuple[float, float]:
     return a, b
 
 
-def _refine_domain_exit(step, r_in, r_out):
-    """Earliest time inside one step at which the radius leaves [r_in, r_out],
-    bisected on the step's interpolant."""
+def _crossed(ga: float, g: float) -> bool:
+    """g is zero or of the other sign than the nonzero ga: ga * g <= 0
+    without a product that can underflow to zero."""
+    return g <= 0.0 if ga > 0.0 else g >= 0.0
+
+
+def _sign_changes(points) -> list:
+    """(a, b, g(a)) for each consecutive pair of (t, g) points where g changes
+    sign; a zero counts at the end of the interval it is reached on. The one
+    sign-change rule of the package's event searches."""
+    return [(a, b, ga) for (a, ga), (b, gb) in zip(points, points[1:]) if ga != 0.0 and _crossed(ga, gb)]
+
+
+def _refine_in_step(step, pred):
+    """(t, state) at the first point of one step's interpolant where
+    pred(state) holds, given that it holds at the step's end and not at its
+    start: theta bisected to adjacent floats with the step's Q built once. The
+    one refinement of an event inside a step."""
     t_left, h, y_left, stages = step
     rows = _quartics(stages).tolist()
-
-    def outside(theta):
-        r = math.hypot(*_dense_at(y_left[:2], h, rows[:2], theta))
-        return max(r_in - r, r - r_out) > 0.0
-
-    _, hi = _bisect(outside, 0.0, 1.0)
+    _, hi = _bisect(lambda theta: pred(_dense_at(y_left, h, rows, theta)), 0.0, 1.0)
     return t_left + hi * h, np.array(_dense_at(y_left, h, rows, hi))
+
+
+def _outside(s, r_in: float, r_out: float) -> bool:
+    r = math.hypot(s[0], s[1])
+    return r < r_in or r > r_out
+
+
+def _turning_exit(step, g_left, r_right, g_right, r_in, r_out):
+    """(t, state) of an annulus exit inside a step whose nodes lie in the
+    annulus while r dr/dt = x vx + y vy changes sign from g_left to g_right
+    across it, or None.
+
+    Where dr/dt is monotone on the step, the turning radius is within
+    h (|dr/dt|_left + |dr/dt|_right) of either node radius, so a step whose
+    node radii are further than that from both bounds is passed over.
+    Otherwise the step is bisected for the first point outside the annulus or
+    past the turning point: the exit comes first when the turning point is
+    outside.
+    """
+    _, h, y_left, _ = step
+    r_left = math.hypot(y_left[0], y_left[1])
+    reach = h * (abs(g_left) / r_left + abs(g_right) / r_right)
+    if r_in <= min(r_left, r_right) - reach and max(r_left, r_right) + reach <= r_out:
+        return None
+    t, s = _refine_in_step(step, lambda s: _outside(s, r_in, r_out) or _crossed(g_left, s[0] * s[2] + s[1] * s[3]))
+    return (t, s) if _outside(s, r_in, r_out) else None
 
 
 def _dp5_step(accel, mu, h, state, force, rtol, atol):
@@ -424,6 +470,7 @@ def flow(
     else:
         h = _initial_step(accel, mu, state, (state[2], state[3], *force), t_end, rtol, atol, max_step)
     min_step = 1e-14 * max(t_end, 1.0)
+    g_left = state[0] * state[2] + state[1] * state[3]  # r dr/dt at the step's left node
 
     dense = []
 
@@ -448,8 +495,15 @@ def flow(
         t_next = t + h
 
         rr = math.hypot(state_new[0], state_new[1])
+        g = state_new[0] * state_new[2] + state_new[1] * state_new[3]  # r dr/dt
         if rr < r_in or rr > r_out:
-            t_exit, y_exit = _refine_domain_exit(step, r_in, r_out)
+            exit_ = _refine_in_step(step, lambda s: _outside(s, r_in, r_out))
+        elif g_left != 0.0 and _crossed(g_left, g):
+            exit_ = _turning_exit(step, g_left, rr, g, r_in, r_out)
+        else:
+            exit_ = None
+        if exit_ is not None:
+            t_exit, y_exit = exit_
             raise DomainExit(
                 f"orbit left annulus [{r_in}, {r_out}] at t={t_exit:.6g}",
                 t_exit=t_exit,
@@ -461,7 +515,7 @@ def flow(
 
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(1.0, _SAFETY * err**-0.2))
         h *= factor
-        t, state, force = t_next, state_new, stages[-2:]
+        t, state, force, g_left = t_next, state_new, stages[-2:], g
 
     return Trajectory(dense, t, state)
 

@@ -14,10 +14,10 @@ simplicity by orientation and on-segment tests on the segment pairs that share
 a cell of a uniform grid, origin enclosure by winding number, trace symmetry by
 the distance from each reflected sample to the segments in its 3x3 block of
 grid cells (all segments when none is nearer than a cell side), and the
-two-point x-axis crossing property by a sign scan whose sign changes between
-samples are refined by the package's one bisection primitive
-(`integrator._bisect`) on the orbit interpolant. Both grid-pruned
-checks return exactly what an all-pairs sweep returns.
+two-point x-axis crossing property by the integrator's sign-change rule
+(`_sign_changes`) over the samples, a crossing between samples refined by the
+package's one bisection loop (`integrator._bisect`) on the orbit interpolant.
+Both grid-pruned checks return exactly what an all-pairs sweep returns.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from . import serialize
 from .errors import HypothesisViolation, PointOnCurve
 from .forcefield import ForceField, Reflection
-from .integrator import IntegratorConfig, State, Trajectory, _bisect, flow
+from .integrator import IntegratorConfig, State, Trajectory, _bisect, _crossed, _sign_changes, flow
 
 _ENDPOINT_RTOL = 1e-8  # on-axis / orthogonality tolerance relative to segment scale
 _DEFAULT_SAMPLES = 1024
@@ -430,9 +430,11 @@ class AxisCrossing:
 def axis_crossings(orbit: PeriodicOrbit, axis: str = "x") -> list[AxisCrossing]:
     """Transversal crossings of a coordinate axis over one period.
 
-    Crossings at sample points (e.g. the launch point) are recognized by a
-    zero band; crossings between samples are refined by `_bisect` on the
-    orbit interpolant.
+    Samples within a zero band of the axis are taken as on it, and the
+    package's sign-change rule (`integrator._sign_changes`) runs over the
+    samples: an interval that ends on the axis is a crossing at that sample
+    (the launch point, for one), any other sign change is refined by
+    `_bisect` on the orbit interpolant.
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
@@ -443,49 +445,21 @@ def axis_crossings(orbit: PeriodicOrbit, axis: str = "x") -> list[AxisCrossing]:
     z_tol = 1e-9 * r_scale
     floor = 1e-6 * v_scale
 
-    ts = orbit.times[:-1]
+    # Samples in the zero band are on the axis; the samples wrap once around
+    # the period, so the launch point is reached at the end of the last interval.
+    times, n = orbit.times, len(orbit.times) - 1
     vals = orbit.states[:-1, ci]
-    n = len(ts)
-    is_zero = np.abs(vals) < z_tol
-
+    vals = np.where(np.abs(vals) < z_tol, 0.0, vals).tolist()
     crossings = []
-    visited = np.zeros(n, dtype=bool)
-    for k in range(n):
-        if is_zero[k] and not visited[k]:
-            # Cluster of consecutive on-axis samples (wraparound-aware).
-            idxs = [k]
-            visited[k] = True
-            j = (k + 1) % n
-            while is_zero[j] and not visited[j]:
-                visited[j] = True
-                idxs.append(j)
-                j = (j + 1) % n
-            j = (k - 1) % n
-            while is_zero[j] and not visited[j]:
-                visited[j] = True
-                idxs.insert(0, j)
-                j = (j - 1) % n
-            mid = idxs[len(idxs) // 2]
-            state = orbit.states[mid]
-            if abs(state[vi]) >= floor:
-                crossings.append(
-                    AxisCrossing(t=float(ts[mid]), point=state[:2].copy(), normal_speed=float(state[vi]))
-                )
-
-    # Sign changes between samples off the zero band, the last one wrapping to
-    # the period, each bisected on the orbit interpolant.
-    for k in np.flatnonzero(~is_zero & ~np.roll(is_zero, -1) & (vals * np.roll(vals, -1) < 0.0)):
-        fa = float(vals[k])
-
-        def past(m):
-            return fa * orbit._eval([m])[0, ci] <= 0.0
-
-        a, b = _bisect(past, float(ts[k]), float(orbit.times[k + 1]))
-        t = 0.5 * (a + b)
-        y = orbit._eval([t])[0]
+    for k, j, fa in _sign_changes(list(enumerate(vals + vals[:1]))):
+        if vals[j % n] == 0.0:
+            t, y = float(times[j % n]), orbit.states[j % n]
+        else:
+            a, b = _bisect(lambda m: _crossed(fa, orbit._eval([m])[0, ci]), float(times[k]), float(times[j]))
+            t = 0.5 * (a + b)
+            y = orbit._eval([t])[0]
         if abs(y[vi]) >= floor:
             crossings.append(AxisCrossing(t=t, point=y[:2].copy(), normal_speed=float(y[vi])))
-
     crossings.sort(key=lambda c: c.t)
     return crossings
 

@@ -12,8 +12,9 @@ so this module knows neither the stages nor the degree. The scanner:
 - passes over a step whose constant coefficient outweighs the sum of the
   others' moduli, which has no root;
 - otherwise takes as candidate times the sign changes on the step's nodes
-  plus a few interior points, a grid value of exactly zero counting as the
-  end of a sign change; when the grid shows none, the polynomial's extrema
+  plus a few interior points, by the integrator's sign-change rule
+  (`integrator._sign_changes`: a grid value of exactly zero counts as the
+  end of a sign change); when the grid shows none, the polynomial's extrema
   join the grid, so two crossings inside one grid interval are not lost. The
   extrema are the sign changes of its derivative, found by `_roots`, which
   cuts an interval at the roots of the derivative's own derivative,
@@ -37,7 +38,8 @@ import numpy as np
 
 from .errors import BoundaryCrossing, DomainExit, NoCrossing, TangentialCrossing
 from .forcefield import ForceField
-from .integrator import IntegratorConfig, State, Trajectory, _bisect, _horner, _normal_coefficients, _step_eval, flow
+from .integrator import IntegratorConfig, State, Trajectory, flow
+from .integrator import _bisect, _crossed, _horner, _normal_coefficients, _sign_changes, _step_eval
 
 # Section segments span [0.25 R, 4 R] along their axis so every desk-scale
 # crossing is comfortably interior and interiority stays checkable.
@@ -78,9 +80,6 @@ class SectionSpec:
     def normal(self) -> np.ndarray:
         u = self.tangent
         return np.array([-u[1], u[0]])
-
-    def normal_coord(self, p) -> float:
-        return float(self.normal @ (np.asarray(p) - np.asarray(self.start)))
 
     def tangent_coord(self, p) -> float:
         return float(self.tangent @ (np.asarray(p) - np.asarray(self.start)))
@@ -216,18 +215,6 @@ class _SectionScan:
             normal_speed=n_speed,
             tangent_speed=float(section.tangent @ y[2:]),
         )
-
-
-def _crossed(ga: float, g: float) -> bool:
-    """g is zero or of the other sign than the nonzero ga: ga * g <= 0
-    without a product that can underflow to zero."""
-    return g <= 0.0 if ga > 0.0 else g >= 0.0
-
-
-def _sign_changes(points) -> list:
-    """(a, b, g(a)) for each consecutive pair of (t, g) points where g changes
-    sign; a zero counts at the end of the interval it is reached on."""
-    return [(a, b, ga) for (a, ga), (b, gb) in zip(points, points[1:]) if ga != 0.0 and _crossed(ga, gb)]
 
 
 def _derivative(c) -> list:

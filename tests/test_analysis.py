@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from symorbit import (
     ApsisKind,
     DegenerateLimit,
+    ForceField,
     NoBoundedMotion,
     PowerLawParams,
     State,
@@ -23,6 +24,7 @@ from symorbit import (
     radial_problem_from_launch,
 )
 from symorbit.analysis import _circular_radius, _turning_radius, radial_accel_finite_difference
+from symorbit.integrator import _bisect
 
 from oracles import apsidal_limit_power_law, kepler_apsis_radii
 
@@ -173,6 +175,73 @@ class TestApsides:
         traj = flow(field_, 0.0, (1.0, 0.0), (0.0, 1.05 * circular_speed(params, 1.0)), 8.0)
         events = apsides(traj)
         assert events[0].kind == ApsisKind.PERICENTER
+
+
+def sampled_apsides(traj):
+    """Reference for apsides: (kind, t, r) from the radial speed sampled at
+    four points per step, sign changes found by products and each bisected in
+    t through Trajectory._eval; an endpoint apsis is classified by the radius
+    at the first sample."""
+    t_left = np.array([step[0] for step in traj._dense])
+    h = np.array([step[1] for step in traj._dense])
+    ts = np.concatenate([[0.0], (t_left[:, None] + h[:, None] * np.arange(1, 5) / 4).ravel()])
+    ys = traj.eval_many(ts)
+    vals = (ys[:, 0] * ys[:, 2] + ys[:, 1] * ys[:, 3]) / np.hypot(ys[:, 0], ys[:, 1])
+
+    def rdot(t):
+        y = traj._eval(t)
+        return (y[0] * y[2] + y[1] * y[3]) / math.hypot(y[0], y[1])
+
+    def radius(t):
+        return math.hypot(*traj._eval(t)[:2])
+
+    v_scale = float(np.max(np.linalg.norm(traj.ys[:, 2:], axis=1)))
+    if float(np.max(np.abs(vals))) < 1e-9 * v_scale:
+        return []
+    events = []
+    if abs(vals[0]) < 1e-9 * v_scale:
+        kind = ApsisKind.PERICENTER if radius(ts[1]) > radius(0.0) else ApsisKind.APOCENTER
+        events.append((kind, 0.0, radius(0.0)))
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        fa = float(vals[i])
+        lo, hi = _bisect(lambda m: fa * rdot(m) <= 0.0, float(ts[i]), float(ts[i + 1]))
+        t = 0.5 * (lo + hi)
+        events.append((ApsisKind.PERICENTER if fa < 0.0 else ApsisKind.APOCENTER, t, radius(t)))
+    return events
+
+
+def _analyze_launch(alpha, sigma):
+    """The trajectory `analyze` integrates: one circular period from (1, 0)."""
+    params = PowerLawParams(1.0, alpha)
+    v = circular_speed(params, 1.0)
+    return flow(ForceField(base=params), 0.0, (1.0, 0.0), (0.0, sigma * v), 2.0 * math.pi / v)
+
+
+class TestApsidesMatchSampledSearch:
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("sigma", [0.95, 1.05, 1.1])
+    def test_analyze_launches(self, alpha, sigma):
+        traj = _analyze_launch(alpha, sigma)
+        got = [(e.kind, e.t, e.r) for e in apsides(traj)]
+        want = sampled_apsides(traj)
+        assert [e[0] for e in got] == [e[0] for e in want] and len(got) >= 2
+        for (_, t, r), (_, t_ref, r_ref) in zip(got, want):
+            assert abs(t - t_ref) <= 4 * np.spacing(t_ref)
+            assert abs(r - r_ref) <= 4 * np.spacing(r_ref)
+
+    def test_builds_one_record_per_apsis_inside_the_span(self, monkeypatch):
+        # The nodes locate every apsis; only the steps that hold one are
+        # sampled, each once, and nothing stacks the steps.
+        from symorbit import integrator
+
+        built = []
+        quartics = integrator._quartics
+        monkeypatch.setattr(integrator, "_quartics", lambda stages: built.append(stages) or quartics(stages))
+        traj = _analyze_launch(1.0, 1.1)
+        events = apsides(traj)
+        inside = [e for e in events if e.t != 0.0]
+        assert len(inside) >= 1 and len(built) == len(inside)
+        assert traj._stacked is None
 
 
 class TestApsidalAngle:

@@ -360,6 +360,20 @@ class TestSweepCommand:
         assert "configuration key 'scan.mu_max' must be" in capsys.readouterr().err
         assert started == []
 
+    def test_broken_symmetry_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        # A uniform force declared symmetric about both axes, as `solve` refuses it.
+        started = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: started.append("sweep"))
+        monkeypatch.setattr(cli, "zero_set_scan", lambda *a, **k: started.append("scan"))
+        pert = {"kind": "uniform", "params": {"ux": 0.0, "uy": 0.1}, "symmetries": ["x_axis", "y_axis"]}
+        field = {"kappa": 1.0, "alpha": 1.0, "perturbation": pert, "mu_range": 0.5, "annulus": [0.5, 2.0]}
+        cfg = write_config(tmp_path / "c.json", field=field)
+        assert main(["solve", "--config", str(cfg)]) == 4
+        assert "SymmetryViolation" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(cfg)]) == 4
+        assert "SymmetryViolation" in capsys.readouterr().err
+        assert started == []
+
     def test_zero_set_csv_shape(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         main(["sweep", "--config", str(config_path), "--out", str(out)])

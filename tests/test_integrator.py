@@ -24,8 +24,8 @@ from symorbit import (
     flow,
 )
 from symorbit import integrator, serialize
-from symorbit.integrator import _P, _bisect, _horner
-from symorbit.section import _roots, _sign_changes
+from symorbit.integrator import _P, _bisect, _horner, _sign_changes
+from symorbit.section import _roots
 
 from oracles import kepler_period, semi_major_axis
 
@@ -251,6 +251,43 @@ class TestEvalMany:
         ts = np.concatenate([cut.ts, np.linspace(0.0, cut.t_end, 97)])
         assert_eval_many_matches(cut, ts)
         assert np.array_equal(cut.eval_many([0.0])[0], traj.ys[0])
+
+
+def _kepler_launch_to(r_other):
+    """Launch speed at (1, 0) of the Kepler ellipse with its other apsis at
+    r_other, and its period."""
+    a = 0.5 * (1.0 + r_other)
+    return math.sqrt(2.0 * r_other / (1.0 + r_other)), 2.0 * math.pi * a**1.5
+
+
+class TestExitInsideOneStep:
+    """An apsis just past an annulus bound with both neighbouring step nodes
+    inside it: the dense output leaves the annulus inside one step."""
+
+    @pytest.mark.parametrize("r_other", [2.0 + 1e-6, 0.5 - 1e-7])
+    def test_raises_just_past_the_bound(self, kepler_params, kepler_field, r_other):
+        v, period = _kepler_launch_to(r_other)
+        with pytest.raises(DomainExit) as err:
+            flow(kepler_field, 0.0, (1.0, 0.0), (0.0, v), period)
+        exc = err.value
+        traj = exc.trajectory
+        # Every node is inside; the exit lies just past the bound, before the
+        # apsis half a period from the launch.
+        r_nodes = np.hypot(traj.ys[:-1, 0], traj.ys[:-1, 1])
+        assert np.all((0.5 <= r_nodes) & (r_nodes <= 2.0))
+        r_exit = math.hypot(*exc.state.position)
+        assert not 0.5 <= r_exit <= 2.0 and r_exit == pytest.approx(2.0 if r_other > 1.0 else 0.5, abs=1e-12)
+        assert exc.t_exit < 0.5 * period and exc.t_exit == pytest.approx(0.5 * period, abs=1e-2)
+        assert traj.t_end == exc.t_exit
+        assert np.array_equal(traj.ys[-1], np.concatenate([exc.state.position, exc.state.velocity]))
+        # The steps up to the exit are those of the same flow in a wider annulus.
+        wide = flow(ForceField(base=kepler_params, annulus=(0.25, 4.0)), 0.0, (1.0, 0.0), (0.0, v), period)
+        assert traj._dense == wide._dense[: traj.n_steps]
+
+    def test_apsis_just_inside_runs_to_the_end(self, kepler_field):
+        v, period = _kepler_launch_to(2.0 - 1e-6)
+        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, v), period)
+        assert traj.t_end == period
 
 
 class TestOneEvaluationRule:

@@ -602,6 +602,62 @@ class TestAxisCrossingRefinement:
         assert refined == 3 or n_samples == 1000
 
 
+def cluster_walk_axis_crossings(orbit, axis):
+    """Reference for axis_crossings' sign rule: (t, x, y, normal speed) of
+    each crossing, on-sample crossings found as runs of samples in the zero
+    band (wrapping around the period, the middle sample of each run taken)
+    and the sign changes between samples off the band found by products."""
+    from symorbit.integrator import _bisect
+
+    ci = 1 if axis == "x" else 0
+    vi = ci + 2
+    z_tol = 1e-9 * float(np.max(np.abs(orbit.positions)))
+    floor = 1e-6 * float(np.max(np.abs(orbit.velocities)))
+    ts = orbit.times[:-1]
+    vals = orbit.states[:-1, ci]
+    n = len(ts)
+    is_zero = np.abs(vals) < z_tol
+    found = []
+    visited = np.zeros(n, dtype=bool)
+    for k in range(n):
+        if is_zero[k] and not visited[k]:
+            idxs = [k]
+            visited[k] = True
+            j = (k + 1) % n
+            while is_zero[j] and not visited[j]:
+                visited[j] = True
+                idxs.append(j)
+                j = (j + 1) % n
+            j = (k - 1) % n
+            while is_zero[j] and not visited[j]:
+                visited[j] = True
+                idxs.insert(0, j)
+                j = (j - 1) % n
+            mid = idxs[len(idxs) // 2]
+            found.append((float(ts[mid]), orbit.states[mid]))
+    for k in np.flatnonzero(~is_zero & ~np.roll(is_zero, -1) & (vals * np.roll(vals, -1) < 0.0)):
+        fa = float(vals[k])
+        a, b = _bisect(lambda m: fa * orbit._eval([m])[0, ci] <= 0.0, float(ts[k]), float(orbit.times[k + 1]))
+        t = 0.5 * (a + b)
+        found.append((t, orbit._eval([t])[0]))
+    return sorted((t, *y[:2].tolist(), float(y[vi])) for t, y in found if abs(y[vi]) >= floor)
+
+
+class TestAxisCrossingsMatchClusterWalk:
+    @pytest.mark.parametrize(
+        "orbit_fixture", ["solved_perturbed_orbit", "half_orbit_a05", "half_orbit_a3"]
+    )
+    @pytest.mark.parametrize("n_samples", [1024, 1023, 1000])
+    def test_equal(self, request, orbit_fixture, n_samples):
+        base = request.getfixturevalue(orbit_fixture)
+        extend = extend_quarter if Reflection.Y_AXIS in base.symmetry else extend_half
+        orb = extend(base.segment, mu=base.mu, n_samples=n_samples)
+        for axis in ("x", "y"):
+            got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(orb, axis)]
+            assert got == cluster_walk_axis_crossings(orb, axis)
+            assert len(got) == 2
+
+
 class TestValidateOrbit:
     def test_full_battery_passes(self, solved_perturbed_orbit, kepler_radial_field):
         ok, diag = validate_orbit(solved_perturbed_orbit, kepler_radial_field, 0.05)

@@ -184,7 +184,7 @@ def _reference_crossing_time(traj, section, window=None, subsamples=4):
     time_tol = 1e-12 * max(t_hi, 1.0)
 
     def g(t):
-        return section.normal_coord(traj._eval(t)[:2])
+        return float(section.normal @ (traj._eval(t)[:2] - np.asarray(section.start)))
 
     grid = [t_lo]
     for t_left, h, _, _ in traj._dense:
