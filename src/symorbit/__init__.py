@@ -8,7 +8,6 @@ from .analysis import (
     apsidal_angle,
     apsidal_limit,
     apsides,
-    effective_potential,
     energy,
     radial_accel_at_launch,
     radial_problem_from_launch,

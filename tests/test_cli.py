@@ -221,6 +221,20 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert "configuration error: configuration key 'radius' must be a number in field.annulus" in err
 
+    @pytest.mark.parametrize(
+        "key, value, requirement",
+        [("field.alpha", 0.5, "alpha == 1"), ("field.perturbation.symmetries", ["x_axis"], "both reflection symmetries")],
+    )
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    def test_mode_that_does_not_fit_the_field_named(self, tmp_path, capsys, command, key, value, requirement):
+        # Checked when a command builds the shooting problem, not at load
+        # time: analyze never reads the mode.
+        cfg = write_config_with(tmp_path / "c.json", key, value)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: configuration key 'mode'" in err
+        assert f"quarter mode requires {requirement}" in err
+
     @pytest.mark.parametrize("radius", [0.5, 2.0])
     def test_radius_on_the_annulus_accepted(self, tmp_path, radius):
         assert cli.RunConfig.load(write_config(tmp_path / "c.json", radius=radius)).radius == radius

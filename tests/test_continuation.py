@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -85,6 +86,20 @@ class TestSweep:
         assert curve.failure is None
         for e in curve.entries:
             assert e.sigma_star == pytest.approx(math.sqrt(1.0 + e.mu), abs=1e-9)
+
+    def test_failed_validation_truncates(self, quarter_problem_radial, monkeypatch):
+        real_validate = continuation.validate_orbit
+
+        def validate(orbit, field, mu, cfg):
+            if mu >= 0.01:
+                return False, {"valid": False, "forced": True}
+            return real_validate(orbit, field, mu, cfg)
+
+        monkeypatch.setattr(continuation, "validate_orbit", validate)
+        curve = sweep(quarter_problem_radial, [0.0, 0.005, 0.01, 0.015])
+        assert [e.mu for e in curve.entries] == [0.0, 0.005]
+        assert curve.failure == {"mu": 0.01, "error": "ValidationFailure", "diagnostics": {"valid": False, "forced": True}}
+        assert curve.empirical_delta0 == 0.005
 
     def test_half_mode_sweep(self, half_problem_a05):
         curve = sweep(half_problem_a05, np.arange(0.0, 0.0201, 0.005))
@@ -266,6 +281,14 @@ class TestBracketFallbacks:
         assert curve.failure is None
         assert curve.entries[1].sigma_star == pytest.approx(math.sqrt(1.005), abs=1e-9)
 
+    def test_tiny_same_sign_probes_make_no_predicted_bracket(self, quarter_problem, monkeypatch):
+        # Their product underflows to zero; the sign rule sees no change.
+        miss, calls = stub_miss(value=lambda sigma, mu: 1e-200)
+        monkeypatch.setattr(continuation, "miss", miss)
+        # One node predicts sigma 1; the slope puts the second probe at 0.985.
+        assert continuation._predicted_bracket(quarter_problem, 0.0, [(0.0, 1.0, 1e-198)]) is None
+        assert [sigma for sigma, _ in calls] == [1.0, pytest.approx(0.985)]
+
 
 class TestZeroSetScan:
     def test_band_through_central_roots(self, quarter_problem_radial):
@@ -304,3 +327,47 @@ class TestZeroSetScan:
     def test_rejects_trivial_grids(self, quarter_problem_radial):
         with pytest.raises(ValueError):
             zero_set_scan(quarter_problem_radial, [1.0], [0.0])
+
+
+SCAN_SIGMAS = np.linspace(0.91, 1.11, 5)  # no sigma on sqrt(1 + mu)
+SCAN_MUS = np.array([0.0, 0.02])
+
+
+def stub_miss(failing=(), value=lambda sigma, mu: sigma - math.sqrt(1.0 + mu)):
+    """A miss with the closed-form sign of the quarter radial family that
+    raises DomainExit at the (sigma, mu) cells in `failing`; logs each call."""
+    calls = []
+
+    def miss(problem, sigma, mu):
+        calls.append((sigma, mu))
+        if (sigma, mu) in failing:
+            raise DomainExit("forced")
+        return types.SimpleNamespace(value=value(sigma, mu))
+
+    return miss, calls
+
+
+class TestZeroSetScanFailures:
+    def test_failed_cell_is_zero_and_the_scan_continues(self, quarter_problem_radial, monkeypatch):
+        miss, calls = stub_miss(failing={(SCAN_SIGMAS[2], SCAN_MUS[1])})
+        monkeypatch.setattr(continuation, "miss", miss)
+        scan = zero_set_scan(quarter_problem_radial, SCAN_SIGMAS, SCAN_MUS)
+        assert len(calls) == SCAN_SIGMAS.size * SCAN_MUS.size
+        expected = np.sign(SCAN_SIGMAS[:, None] - np.sqrt(1.0 + SCAN_MUS[None, :])).astype(int)
+        expected[2, 1] = 0
+        assert np.array_equal(scan.signs, expected)
+        # A failed cell borders no sign-change cell, so its mu row has none.
+        assert scan.change_cells == [(1, 0)]
+        assert not scan.row_complete
+
+    def test_failed_cell_on_a_sigma_boundary(self, quarter_problem_radial, monkeypatch):
+        miss, _ = stub_miss(failing={(SCAN_SIGMAS[-1], SCAN_MUS[1])})
+        monkeypatch.setattr(continuation, "miss", miss)
+        with pytest.raises(BoundaryHypothesisFailure, match="miss function undefined on a sigma boundary"):
+            zero_set_scan(quarter_problem_radial, SCAN_SIGMAS, SCAN_MUS)
+
+    def test_equal_boundary_signs(self, quarter_problem_radial, monkeypatch):
+        miss, _ = stub_miss(value=lambda sigma, mu: 1.0)
+        monkeypatch.setattr(continuation, "miss", miss)
+        with pytest.raises(BoundaryHypothesisFailure, match=r"equal signs \(\+1\) on both sigma boundaries"):
+            zero_set_scan(quarter_problem_radial, SCAN_SIGMAS, SCAN_MUS)

@@ -23,7 +23,7 @@ from symorbit import (
     energy,
     flow,
 )
-from symorbit import integrator, serialize
+from symorbit import integrator, section, serialize
 from symorbit.integrator import _P, _bisect, _horner, _sign_changes
 from symorbit.section import _roots
 
@@ -680,11 +680,19 @@ class TestPolynomialSignChanges:
         assert got == pytest.approx(roots, abs=1e-12)
 
     def test_two_roots_inside_one_grid_interval(self):
-        # Both roots lie between the scan's grid points 0.5 and 0.75, where
-        # the quartic has the same sign.
+        # Both roots lie between the quarter points 0.5 and 0.75, where the
+        # quartic has the same sign.
         c = _poly([0.55, 0.6, -0.5, 2.0], 1.0)
         assert _horner(c, 0.5) * _horner(c, 0.75) > 0.0
         assert self._check(c, 0.0, 1.0) == pytest.approx([0.55, 0.6], abs=1e-12)
+
+    def test_bound_rules_out_a_root_without_search(self, monkeypatch):
+        # |c0| = 1 > 0.3 + 0.4 + 0.2 rules out a root on [0, 1], so nothing is
+        # bisected, not even the derivative's root at 2/3.
+        calls, real_bisect = [], section._bisect
+        monkeypatch.setattr(section, "_bisect", lambda *a, **k: calls.append(a[1:]) or real_bisect(*a, **k))
+        assert _roots([1.0, 0.3, -0.4, 0.2], 0.0, 1.0) == []
+        assert calls == []
 
     def test_root_at_the_ends(self):
         # Exact dyadic roots: p(0) and p(1) are exactly 0. A zero counts at the

@@ -17,6 +17,7 @@ from symorbit import (
     flow,
     miss,
 )
+from symorbit.integrator import _P, _normal_coefficients
 from symorbit.section import _SectionScan
 
 
@@ -307,6 +308,23 @@ class TestDoubleCrossingInOneStep:
             kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), self.CHORD, 2 * math.pi, self.CFG
         )
         self._check(event)
+
+
+class TestCloseCrossingsInOneStep:
+    def test_first_of_three_crossings(self):
+        # A synthetic step, h = 1, whose normal coordinate on the positive
+        # y-axis section, g = -x, is (theta - 0.05)(theta - 0.1)(theta - 0.15)
+        # (theta - 2): three crossings inside the step's first quarter. The
+        # stage velocities are fitted to P's rows so that h (K^T P) gives x's
+        # coefficients of theta, ..., theta^4.
+        g = np.polynomial.polynomial.polyfromroots([0.05, 0.1, 0.15, 2.0])
+        vx = np.linalg.lstsq(_P.T, -g[1:], rcond=None)[0].tolist()
+        stages = tuple(v for vx_s in vx for v in (vx_s, 0.0, 0.0, 0.0))
+        step = (0.0, 1.0, (-float(g[0]), 1.0, 1.0, 0.0), stages)
+        assert _normal_coefficients(step, -1.0, 0.0) == pytest.approx(g[1:], abs=1e-15)
+        scan = _SectionScan(SectionSpec.positive_y_axis(1.0), 0.0, 1.0, 1e-12)
+        assert scan(step, None)
+        assert scan.event.t_star == pytest.approx(0.05, abs=1e-11)
 
 
 def _events_equal(a, b):

@@ -93,6 +93,18 @@ class TestBracket:
         with pytest.raises(BracketFailure):
             bracket(quarter_problem_radial, 0.45)
 
+    def test_tiny_opposite_misses_bracket(self, quarter_problem, monkeypatch):
+        # Their product underflows to zero; the sign rule still sees the change.
+        carrier = shooting.miss(quarter_problem, 1.0, 0.0)
+
+        def tiny(problem, sigma, mu):
+            return MissValue(sigma, math.copysign(1e-200, sigma - 1.0), carrier.crossing, carrier.trajectory)
+
+        monkeypatch.setattr(shooting, "miss", tiny)
+        br = bracket(quarter_problem, 0.0)
+        assert (br.sigma_lo, br.sigma_hi) == (0.95, 1.05)
+        assert (br.miss_lo.value, br.miss_hi.value) == (-1e-200, 1e-200)
+
     def test_custom_center(self, quarter_problem_radial):
         root = perturbed_radial_sigma(0.1, 1.0, 3.0, 1.0, 1.0, 1.0)
         br = bracket(quarter_problem_radial, 0.1, center=root, half_widths=(0.01,))
