@@ -81,24 +81,28 @@ def _circular_radius(params: PowerLawParams, K: float) -> float:
 def _turning_radius(params, K, g, inside, start, factor, rel_tol):
     """Root of g between `inside`, where g < 0, and the first radius of start,
     start * factor, start * factor^2, ... where g >= 0 (factor 0.5 searches
-    inwards, 2 outwards).
+    inwards, 2 outwards); that radius itself when g is exactly 0 there.
 
-    `_bisect` halves the bracket to a width of rel_tol times the radius: its
-    upper end bounds the radius on a first pass, the lower end that pass
-    leaves on a second. A few Newton steps on g' = -K^2 / r^3 + U'(r) then
-    push the root to full double precision, which the endpoint-singular
-    quadrature needs.
+    `_bisect` halves the bracket, deciding by the package's sign-change rule
+    (`_crossed`), to a width of rel_tol times the radius: its upper end bounds
+    the radius on a first pass, the lower end that pass leaves on a second. A
+    few Newton steps on g' = -K^2 / r^3 + U'(r) then push the root to full
+    double precision, which the endpoint-singular quadrature needs.
     """
     out = start
-    while g(out) < 0.0:
+    g_out = g(out)
+    while g_out < 0.0:
         out *= factor
         if not 1e-300 <= out <= 1e300:
             raise NoBoundedMotion(f"no {'inner' if factor < 1.0 else 'outer'} turning radius found")
+        g_out = g(out)
+    if g_out == 0.0:
+        return out
     a, b = (out, inside) if factor < 1.0 else (inside, out)
     ga = g(a)
 
     def pred(m):
-        return ga * g(m) <= 0.0
+        return _crossed(ga, g(m))
 
     a, b = _bisect(pred, a, b, rel_tol * b)
     a, b = _bisect(pred, a, b, rel_tol * a)

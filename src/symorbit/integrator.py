@@ -1,29 +1,37 @@
-"""Adaptive Dormand-Prince 5(4) integration of r'' = g(r, mu) with dense output.
+"""Adaptive DOP853 integration of r'' = g(r, mu) with dense output.
 
-The integrator propagates the fifth-order solution, estimates local error from
-the embedded fourth-order result, and keeps with every accepted step what its
-interpolant is built from, so downstream event detection can refine crossing
-times without re-integrating. Leaving the validity annulus terminates the flow
+The integrator propagates the eighth-order solution of Dormand and Prince's
+8(5,3) pair, controls the step with the error norm of its fifth- and
+third-order estimators, and keeps with every accepted step what its
+seventh-order interpolant is built from, so downstream event detection can
+refine crossing times without re-integrating (Hairer, Norsett & Wanner,
+Solving ODEs I, II.5 and II.6). The step size is not capped unless the
+configuration asks for it. Leaving the validity annulus terminates the flow
 with a DomainExit carrying the refined exit time and state. An optional stop
 callback sees each accepted step's record and end state after the annulus
 check and ends the flow after the first step for which it returns true:
-terminal event location (Hairer, Norsett & Wanner, Solving ODEs I, II.6). It
-changes no step before that one.
+terminal event location (II.6). It changes no step before that one.
 
 Only this module knows the tableau, the step record, the dense-output matrix
 P and, from P's shape, the stage count and the interpolant's degree. The step
 loop runs on plain floats and calls no numpy, with the tableau products
-unrolled. A step's record is (t_left, h, y_left, stages): its start time and
-size, its start state as a 4-tuple and its stages (velocity, force) as one
-flat tuple. A `Trajectory` is its step records plus its end node.
+unrolled. A trial step evaluates the 12 stages and the error norm; only an
+accepted one goes on to the FSAL stage f(t + h, y_new) and the three extra
+stages of the dense output. A step's record is (t_left, h, y_left, stages):
+its start time and size, its start state as a 4-tuple and its 16 stages
+(velocity, force) as one flat tuple. A `Trajectory` is its step records plus
+its end node.
 
-The interpolant's coefficients Q = K^T P (K the stage matrix) are built only
-where something samples the step (`_quartics`) and evaluated by one Horner
-rule: on floats for one step (`_step_eval`, `_refine_in_step`) and on arrays
-for many times at once (`eval_many`, over all steps' Q stacked in one batched
-product), bit for bit alike. The section scan takes the coefficients of a
-step's position projected on its normal from `_normal_coefficients`, formed
-from the stages without building Q.
+P is the interpolant in monomial form, y(t_left + theta h) = y_left +
+h K^T P [theta, ..., theta^7] (K the stage matrix), derived once in exact
+rational arithmetic from the weights and the dense-output coefficients. The
+coefficients Q = K^T P are built only where something samples the step
+(`_q_matrix`) and evaluated by one Horner rule: on floats for one step
+(`_step_eval`, `_refine_in_step`) and on arrays for many times at once
+(`eval_many`, over all steps' Q stacked in one batched product), bit for bit
+alike. The section scan takes the coefficients of a step's position
+projected on its normal from `_normal_coefficients`, formed from the stages
+without building Q.
 
 Every event search of the package is built from three primitives here:
 `_bisect`, the one interval-halving loop; `_crossed` and `_sign_changes`, the
@@ -31,9 +39,8 @@ one rule for where a sampled function changes sign (a zero counts at the end
 of the interval that reaches it); and `_refine_in_step`, the one refinement
 of an event inside a step, which bisects the step fraction with the step's Q
 built once. The annulus exit and the apsides are refined by the last; the
-section scan, its polynomial root search and the axis crossings of an
-assembled orbit bisect with `_crossed` as the predicate; turning radii are
-bisected on the effective potential.
+section scan, its polynomial root search, the axis crossings of an assembled
+orbit and the turning radii bisect with `_crossed` as the predicate.
 
 The annulus check reads each accepted step's end node and, where the radial
 speed changes sign across the step and a node lies within reach of a bound,
@@ -52,50 +59,284 @@ import numpy as np
 from .errors import DomainExit, StepFailure
 from .forcefield import ForceField
 
-# Dormand-Prince 5(4) tableau; the propagated solution is order 5 and the
-# last row of A doubles as its weights (FSAL).
-_A = np.array(
-    [
-        [0, 0, 0, 0, 0, 0],
-        [1 / 5, 0, 0, 0, 0, 0],
-        [3 / 40, 9 / 40, 0, 0, 0, 0],
-        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.5 and II.6):
+# twelve stages for the eighth-order solution, whose derivative is stage 12
+# (the next step's first stage, FSAL), and stages 13-15 for the seventh-order
+# dense output. Nonzero entries of A by row (stage, 0-based) and column; the
+# field is autonomous, so the nodes c (the row sums) are not needed. Row 12
+# is the weight vector B.
+_A_ENTRIES = (
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {
+        0: 2.41365134159266685502369798665e-1,
+        2: -8.84549479328286085344864962717e-1,
+        3: 9.24834003261792003115737966543e-1,
+    },
+    {
+        0: 3.7037037037037037037037037037e-2,
+        3: 1.70828608729473871279604482173e-1,
+        4: 1.25467687566822425016691814123e-1,
+    },
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1, 4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {
+        0: 3.70920001185047927108779319836e-2,
+        3: 1.70383925712239993810214054705e-1,
+        4: 1.07262030446373284651809199168e-1,
+        5: -1.53194377486244017527936158236e-2,
+        6: 8.27378916381402288758473766002e-3,
+    },
+    {
+        0: 6.24110958716075717114429577812e-1,
+        3: -3.36089262944694129406857109825,
+        4: -8.68219346841726006818189891453e-1,
+        5: 2.75920996994467083049415600797e1,
+        6: 2.01540675504778934086186788979e1,
+        7: -4.34898841810699588477366255144e1,
+    },
+    {
+        0: 4.77662536438264365890433908527e-1,
+        3: -2.48811461997166764192642586468,
+        4: -5.90290826836842996371446475743e-1,
+        5: 2.12300514481811942347288949897e1,
+        6: 1.52792336328824235832596922938e1,
+        7: -3.32882109689848629194453265587e1,
+        8: -2.03312017085086261358222928593e-2,
+    },
+    {
+        0: -9.3714243008598732571704021658e-1,
+        3: 5.18637242884406370830023853209,
+        4: 1.09143734899672957818500254654,
+        5: -8.14978701074692612513997267357,
+        6: -1.85200656599969598641566180701e1,
+        7: 2.27394870993505042818970056734e1,
+        8: 2.49360555267965238987089396762,
+        9: -3.0467644718982195003823669022,
+    },
+    {
+        0: 2.27331014751653820792359768449,
+        3: -1.05344954667372501984066689879e1,
+        4: -2.00087205822486249909675718444,
+        5: -1.79589318631187989172765950534e1,
+        6: 2.79488845294199600508499808837e1,
+        7: -2.85899827713502369474065508674,
+        8: -8.87285693353062954433549289258,
+        9: 1.23605671757943030647266201528e1,
+        10: 6.43392746015763530355970484046e-1,
+    },
+    {
+        0: 5.42937341165687622380535766363e-2,
+        5: 4.45031289275240888144113950566,
+        6: 1.89151789931450038304281599044,
+        7: -5.8012039600105847814672114227,
+        8: 3.1116436695781989440891606237e-1,
+        9: -1.52160949662516078556178806805e-1,
+        10: 2.01365400804030348374776537501e-1,
+        11: 4.47106157277725905176885569043e-2,
+    },
+    {
+        0: 5.61675022830479523392909219681e-2,
+        6: 2.53500210216624811088794765333e-1,
+        7: -2.46239037470802489917441475441e-1,
+        8: -1.24191423263816360469010140626e-1,
+        9: 1.5329179827876569731206322685e-1,
+        10: 8.20105229563468988491666602057e-3,
+        11: 7.56789766054569976138603589584e-3,
+        12: -8.298e-3,
+    },
+    {
+        0: 3.18346481635021405060768473261e-2,
+        5: 2.83009096723667755288322961402e-2,
+        6: 5.35419883074385676223797384372e-2,
+        7: -5.49237485713909884646569340306e-2,
+        10: -1.08347328697249322858509316994e-4,
+        11: 3.82571090835658412954920192323e-4,
+        12: -3.40465008687404560802977114492e-4,
+        13: 1.41312443674632500278074618366e-1,
+    },
+    {
+        0: -4.28896301583791923408573538692e-1,
+        5: -4.69762141536116384314449447206,
+        6: 7.68342119606259904184240953878,
+        7: 4.06898981839711007970213554331,
+        8: 3.56727187455281109270669543021e-1,
+        12: -1.39902416515901462129418009734e-3,
+        13: 2.9475147891527723389556272149,
+        14: -9.15095847217987001081870187138,
+    },
+)
+# The error estimators: B minus the third-order weights (E3), and the
+# fifth-order error weights (E5). Neither reads stage 12.
+_BHH_ENTRIES = {
+    0: 0.244094488188976377952755905512,
+    8: 0.733846688281611857341361741547,
+    11: 0.220588235294117647058823529412e-1,
+}
+_E5_ENTRIES = {
+    0: 0.1312004499419488073250102996e-1,
+    5: -0.1225156446376204440720569753e1,
+    6: -0.4957589496572501915214079952,
+    7: 0.1664377182454986536961530415e1,
+    8: -0.3503288487499736816886487290,
+    9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-1,
+    11: -0.2235530786388629525884427845e-1,
+}
+# The dense output's last four coefficient vectors (II.6), by stage.
+_D_ENTRIES = (
+    {
+        0: -0.84289382761090128651353491142e1,
+        5: 0.56671495351937776962531783590,
+        6: -0.30689499459498916912797304727e1,
+        7: 0.23846676565120698287728149680e1,
+        8: 0.21170345824450282767155149946e1,
+        9: -0.87139158377797299206789907490,
+        10: 0.22404374302607882758541771650e1,
+        11: 0.63157877876946881815570249290,
+        12: -0.88990336451333310820698117400e-1,
+        13: 0.18148505520854727256656404962e2,
+        14: -0.91946323924783554000451984436e1,
+        15: -0.44360363875948939664310572000e1,
+    },
+    {
+        0: 0.10427508642579134603413151009e2,
+        5: 0.24228349177525818288430175319e3,
+        6: 0.16520045171727028198505394887e3,
+        7: -0.37454675472269020279518312152e3,
+        8: -0.22113666853125306036270938578e2,
+        9: 0.77334326684722638389603898808e1,
+        10: -0.30674084731089398182061213626e2,
+        11: -0.93321305264302278729567221706e1,
+        12: 0.15697238121770843886131091075e2,
+        13: -0.31139403219565177677282850411e2,
+        14: -0.93529243588444783865713862664e1,
+        15: 0.35816841486394083752465898540e2,
+    },
+    {
+        0: 0.19985053242002433820987653617e2,
+        5: -0.38703730874935176555105901742e3,
+        6: -0.18917813819516756882830838328e3,
+        7: 0.52780815920542364900561016686e3,
+        8: -0.11573902539959630126141871134e2,
+        9: 0.68812326946963000169666922661e1,
+        10: -0.10006050966910838403183860980e1,
+        11: 0.77771377980534432092869265740,
+        12: -0.27782057523535084065932004339e1,
+        13: -0.60196695231264120758267380846e2,
+        14: 0.84320405506677161018159903784e2,
+        15: 0.11992291136182789328035130030e2,
+    },
+    {
+        0: -0.25693933462703749003312586129e2,
+        5: -0.15418974869023643374053993627e3,
+        6: -0.23152937917604549567536039109e3,
+        7: 0.35763911791061412378285349910e3,
+        8: 0.93405324183624310003907691704e2,
+        9: -0.37458323136451633156875139351e2,
+        10: 0.10409964950896230045147246184e3,
+        11: 0.29840293426660503123344363579e2,
+        12: -0.43533456590011143754432175058e2,
+        13: 0.96324553959188282948394950600e2,
+        14: -0.39177261675615439165231486172e2,
+        15: -0.14972683625798562581422125276e3,
+    },
+)
+
+
+def _table(rows, width: int) -> np.ndarray:
+    """Dense array of the nonzero entries {column: value} of each row."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            out[i, j] = a
+    return out
+
+
+_A = _table(_A_ENTRIES, 16)
+_B = _A[12, :12]
+_E3 = _B - _table([_BHH_ENTRIES], 12)[0]
+_E5 = _table([_E5_ENTRIES], 12)[0]
+_D = _table(_D_ENTRIES, 16)
+
+
+def _monomial_dense_output(b, d) -> np.ndarray:
+    """P of y(t0 + theta h) = y0 + h K^T P [theta, ..., theta^7], K the 16
+    stages: each entry the exact value, rounded once, that the weights b and
+    the rows of d give.
+
+    The interpolant of II.6 is y0 + theta (f0 + (1 - theta) (f1 + theta (f2 +
+    (1 - theta) (f3 + theta (f4 + (1 - theta) (f5 + theta f6)))))) with
+    f0 = h b.K (the step's increment), f1 = h k0 - f0, f2 = 2 f0 - h (k12 +
+    k0) and f3..f6 = h d.K: row s of P collects the stage-s weight of each f_j
+    times the monomial coefficients of theta^a (1 - theta)^c, the product in
+    front of f_j. Every such term is a float (a weight, its negative or twice
+    it) repeated |binomial| times, so `math.fsum` of an entry's terms is its
+    exact rational value rounded once.
+    """
+    n = d.shape[1]
+    b = b.tolist() + [0.0] * (n - len(b))
+    e0, e12 = ([1.0 if s == i else 0.0 for s in range(n)] for i in (0, 12))
+    f = [
+        [[w] for w in b],
+        [[one, -w] for one, w in zip(e0, b)],
+        [[2.0 * w, -one12, -one0] for w, one12, one0 in zip(b, e12, e0)],
+        *([[w] for w in row] for row in d.tolist()),
     ]
-)
-_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-# Difference between 5th- and 4th-order weights, including the FSAL stage.
-_E = np.array(
-    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-# Dense-output coefficients (Shampine), rows by stage and columns by power of
-# theta: y(t0 + theta h) = y0 + h (K^T P) @ [theta, theta^2, theta^3, theta^4].
-_P = np.array(
-    [
-        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
+    terms = [[[] for _ in f] for _ in range(n)]
+    for j, fj in enumerate(f):
+        a, c = (j + 2) // 2, (j + 1) // 2  # theta^a (1 - theta)^c in front of f_j
+        for i in range(c + 1):
+            sign, count = (-1.0) ** i, math.comb(c, i)
+            for s in range(n):
+                terms[s][a + i - 1] += [sign * t for t in fj[s]] * count
+    return np.array([[math.fsum(entry) for entry in row] for row in terms])
+
+
+_P = _monomial_dense_output(_B, _D)
 _STAGES, _DEGREE = _P.shape
 
-# Float copies of A, B and E for the scalar step loop; the second weight of
-# B and E is zero, so stage 2 enters only the later stages.
-(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), (
-    _A61, _A62, _A63, _A64, _A65
-) = (tuple(float(a) for a in _A[i, :i]) for i in range(1, 6))
-_B1, _B3, _B4, _B5, _B6 = (float(_B[j]) for j in (0, 2, 3, 4, 5))
-_E1, _E3, _E4, _E5, _E6, _E7 = (float(_E[j]) for j in (0, 2, 3, 4, 5, 6))
-# Float copies of P's rows for `_normal_coefficients`; the second stage's row
-# is zero and left out.
-(_P11, _P12, _P13, _P14), (_P31, _P32, _P33, _P34), (_P41, _P42, _P43, _P44), (
-    _P51, _P52, _P53, _P54
-), (_P61, _P62, _P63, _P64), (_P71, _P72, _P73, _P74) = (tuple(_P[j].tolist()) for j in (0, 2, 3, 4, 5, 6))
+
+def _nonzero(row) -> tuple:
+    return tuple(float(a) for a in row if a != 0.0)
+
+
+# Float copies of the tableau's nonzero entries for the scalar step loop,
+# named by row and column; _A12_j are the weights B.
+(_A1_0,) = _nonzero(_A[1])
+_A2_0, _A2_1 = _nonzero(_A[2])
+_A3_0, _A3_2 = _nonzero(_A[3])
+_A4_0, _A4_2, _A4_3 = _nonzero(_A[4])
+_A5_0, _A5_3, _A5_4 = _nonzero(_A[5])
+_A6_0, _A6_3, _A6_4, _A6_5 = _nonzero(_A[6])
+_A7_0, _A7_3, _A7_4, _A7_5, _A7_6 = _nonzero(_A[7])
+_A8_0, _A8_3, _A8_4, _A8_5, _A8_6, _A8_7 = _nonzero(_A[8])
+_A9_0, _A9_3, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = _nonzero(_A[9])
+_A10_0, _A10_3, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = _nonzero(_A[10])
+_A11_0, _A11_3, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = _nonzero(_A[11])
+_A12_0, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = _nonzero(_A[12])
+_A13_0, _A13_6, _A13_7, _A13_8, _A13_9, _A13_10, _A13_11, _A13_12 = _nonzero(_A[13])
+_A14_0, _A14_5, _A14_6, _A14_7, _A14_10, _A14_11, _A14_12, _A14_13 = _nonzero(_A[14])
+_A15_0, _A15_5, _A15_6, _A15_7, _A15_8, _A15_12, _A15_13, _A15_14 = _nonzero(_A[15])
+_E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11 = _nonzero(_E3)
+_E5_0, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11 = _nonzero(_E5)
+# Float copies of P's nonzero rows (stages 0 and 5-15) for
+# `_normal_coefficients`, named by stage and power of theta.
+(
+    (_P0_1, _P0_2, _P0_3, _P0_4, _P0_5, _P0_6, _P0_7),
+    (_P5_1, _P5_2, _P5_3, _P5_4, _P5_5, _P5_6, _P5_7),
+    (_P6_1, _P6_2, _P6_3, _P6_4, _P6_5, _P6_6, _P6_7),
+    (_P7_1, _P7_2, _P7_3, _P7_4, _P7_5, _P7_6, _P7_7),
+    (_P8_1, _P8_2, _P8_3, _P8_4, _P8_5, _P8_6, _P8_7),
+    (_P9_1, _P9_2, _P9_3, _P9_4, _P9_5, _P9_6, _P9_7),
+    (_P10_1, _P10_2, _P10_3, _P10_4, _P10_5, _P10_6, _P10_7),
+    (_P11_1, _P11_2, _P11_3, _P11_4, _P11_5, _P11_6, _P11_7),
+    (_P12_1, _P12_2, _P12_3, _P12_4, _P12_5, _P12_6, _P12_7),
+    (_P13_1, _P13_2, _P13_3, _P13_4, _P13_5, _P13_6, _P13_7),
+    (_P14_1, _P14_2, _P14_3, _P14_4, _P14_5, _P14_6, _P14_7),
+    (_P15_1, _P15_2, _P15_3, _P15_4, _P15_5, _P15_6, _P15_7),
+) = (tuple(_P[s].tolist()) for s in (0, *range(5, 16)))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -106,7 +347,7 @@ _MAX_FACTOR = 5.0
 class IntegratorConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    max_step: float | None = None  # None: t_end / 50
+    max_step: float | None = None  # None: no cap
     first_step: float | None = None  # None: automatic selection
 
     def __post_init__(self):
@@ -211,7 +452,7 @@ def _q_matrices(stage_rows) -> np.ndarray:
     return k.transpose(0, 2, 1) @ _P
 
 
-def _quartics(stages) -> np.ndarray:
+def _q_matrix(stages) -> np.ndarray:
     """Q of one step, by the batched product `eval_many` uses."""
     return _q_matrices([stages])[0]
 
@@ -235,7 +476,7 @@ def _dense_at(y_left, h: float, rows, theta: float) -> list:
 def _step_eval(step, t: float) -> np.ndarray:
     """State at time t on the interpolant of one step record."""
     t_left, h, y_left, stages = step
-    return np.array(_dense_at(y_left, h, _quartics(stages).tolist(), (t - t_left) / h))
+    return np.array(_dense_at(y_left, h, _q_matrix(stages).tolist(), (t - t_left) / h))
 
 
 def _normal_coefficients(step, n0: float, n1: float) -> tuple:
@@ -243,17 +484,47 @@ def _normal_coefficients(step, n0: float, n1: float) -> tuple:
     theta^D on one step: h times the stage velocities projected on (n0, n1)
     dotted with the columns of P, on floats."""
     _, h, _, k = step
-    p1 = n0 * k[0] + n1 * k[1]
-    p3 = n0 * k[8] + n1 * k[9]
-    p4 = n0 * k[12] + n1 * k[13]
-    p5 = n0 * k[16] + n1 * k[17]
-    p6 = n0 * k[20] + n1 * k[21]
-    p7 = n0 * k[24] + n1 * k[25]
+    p0 = n0 * k[0] + n1 * k[1]
+    p5 = n0 * k[20] + n1 * k[21]
+    p6 = n0 * k[24] + n1 * k[25]
+    p7 = n0 * k[28] + n1 * k[29]
+    p8 = n0 * k[32] + n1 * k[33]
+    p9 = n0 * k[36] + n1 * k[37]
+    p10 = n0 * k[40] + n1 * k[41]
+    p11 = n0 * k[44] + n1 * k[45]
+    p12 = n0 * k[48] + n1 * k[49]
+    p13 = n0 * k[52] + n1 * k[53]
+    p14 = n0 * k[56] + n1 * k[57]
+    p15 = n0 * k[60] + n1 * k[61]
     return (
-        h * (p1 * _P11 + p3 * _P31 + p4 * _P41 + p5 * _P51 + p6 * _P61 + p7 * _P71),
-        h * (p1 * _P12 + p3 * _P32 + p4 * _P42 + p5 * _P52 + p6 * _P62 + p7 * _P72),
-        h * (p1 * _P13 + p3 * _P33 + p4 * _P43 + p5 * _P53 + p6 * _P63 + p7 * _P73),
-        h * (p1 * _P14 + p3 * _P34 + p4 * _P44 + p5 * _P54 + p6 * _P64 + p7 * _P74),
+        h * (
+            p0 * _P0_1 + p5 * _P5_1 + p6 * _P6_1 + p7 * _P7_1 + p8 * _P8_1 + p9 * _P9_1 + p10 * _P10_1 + p11 * _P11_1
+            + p12 * _P12_1 + p13 * _P13_1 + p14 * _P14_1 + p15 * _P15_1
+        ),
+        h * (
+            p0 * _P0_2 + p5 * _P5_2 + p6 * _P6_2 + p7 * _P7_2 + p8 * _P8_2 + p9 * _P9_2 + p10 * _P10_2 + p11 * _P11_2
+            + p12 * _P12_2 + p13 * _P13_2 + p14 * _P14_2 + p15 * _P15_2
+        ),
+        h * (
+            p0 * _P0_3 + p5 * _P5_3 + p6 * _P6_3 + p7 * _P7_3 + p8 * _P8_3 + p9 * _P9_3 + p10 * _P10_3 + p11 * _P11_3
+            + p12 * _P12_3 + p13 * _P13_3 + p14 * _P14_3 + p15 * _P15_3
+        ),
+        h * (
+            p0 * _P0_4 + p5 * _P5_4 + p6 * _P6_4 + p7 * _P7_4 + p8 * _P8_4 + p9 * _P9_4 + p10 * _P10_4 + p11 * _P11_4
+            + p12 * _P12_4 + p13 * _P13_4 + p14 * _P14_4 + p15 * _P15_4
+        ),
+        h * (
+            p0 * _P0_5 + p5 * _P5_5 + p6 * _P6_5 + p7 * _P7_5 + p8 * _P8_5 + p9 * _P9_5 + p10 * _P10_5 + p11 * _P11_5
+            + p12 * _P12_5 + p13 * _P13_5 + p14 * _P14_5 + p15 * _P15_5
+        ),
+        h * (
+            p0 * _P0_6 + p5 * _P5_6 + p6 * _P6_6 + p7 * _P7_6 + p8 * _P8_6 + p9 * _P9_6 + p10 * _P10_6 + p11 * _P11_6
+            + p12 * _P12_6 + p13 * _P13_6 + p14 * _P14_6 + p15 * _P15_6
+        ),
+        h * (
+            p0 * _P0_7 + p5 * _P5_7 + p6 * _P6_7 + p7 * _P7_7 + p8 * _P8_7 + p9 * _P9_7 + p10 * _P10_7 + p11 * _P11_7
+            + p12 * _P12_7 + p13 * _P13_7 + p14 * _P14_7 + p15 * _P15_7
+        ),
     )
 
 
@@ -273,7 +544,7 @@ def _initial_step(accel, mu, y0, f0, t_end, rtol, atol, max_step):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125  # 1 / (error order 7 + 1)
     return min(100 * h0, h1, max_step, t_end)
 
 
@@ -311,7 +582,7 @@ def _refine_in_step(step, pred):
     start: theta bisected to adjacent floats with the step's Q built once. The
     one refinement of an event inside a step."""
     t_left, h, y_left, stages = step
-    rows = _quartics(stages).tolist()
+    rows = _q_matrix(stages).tolist()
     _, hi = _bisect(lambda theta: pred(_dense_at(y_left, h, rows, theta)), 0.0, 1.0)
     return t_left + hi * h, np.array(_dense_at(y_left, h, rows, hi))
 
@@ -342,97 +613,293 @@ def _turning_exit(step, g_left, r_right, g_right, r_in, r_out):
     return (t, s) if _outside(s, r_in, r_out) else None
 
 
-def _dp5_step(accel, mu, h, state, force, rtol, atol):
-    """One trial step of the 5(4) pair on floats.
+def _dop853_step(accel, mu, h, state, force, rtol, atol):
+    """One trial step of DOP853 on floats.
 
     state is (x, y, vx, vy) and force the acceleration there, the first stage
-    (FSAL). Returns (new state, the seven stage derivatives (vx, vy, ax, ay)
-    one after another in one flat tuple, error norm), or None when a stage
-    position is non-finite or within 1e-12 of the origin, a stage velocity is
-    non-finite, or a stage force is non-finite: the caller then halves h.
+    (FSAL). Returns None when a stage position is non-finite or within 1e-12
+    of the origin, a stage velocity is non-finite, or a stage force is
+    non-finite: the caller then halves h. Otherwise returns (error norm, new
+    state, stages). The error norm reads stages 0-11 only, so a rejected
+    trial, one whose norm is not <= 1 (NaN included), stops there with 11
+    force evaluations and returns (error norm, None, None). An accepted one
+    goes on to the FSAL stage f(t + h, new state) and the dense output's
+    three extra stages, under the same guards, and returns the 16 stage
+    derivatives (vx, vy, ax, ay) one after another in one flat tuple.
     """
     hypot, isfinite, inf = math.hypot, math.isfinite, math.inf
-    x, y, u1, w1 = state
-    gx1, gy1 = force
+    x, y, u0, w0 = state
+    gx0, gy0 = force
+    if not (isfinite(gx0) and isfinite(gy0)):
+        return None
+    # A NaN radius fails `1e-12 <= r < inf` as an infinite one does.
+    x1 = x + h * (_A1_0 * u0)
+    y1 = y + h * (_A1_0 * w0)
+    u1 = u0 + h * (_A1_0 * gx0)
+    w1 = w0 + h * (_A1_0 * gy0)
+    if not (1e-12 <= hypot(x1, y1) < inf and isfinite(u1) and isfinite(w1)):
+        return None
+    gx1, gy1 = accel(x1, y1, mu)
     if not (isfinite(gx1) and isfinite(gy1)):
         return None
-    x2 = x + h * (_A21 * u1)
-    y2 = y + h * (_A21 * w1)
-    u2 = u1 + h * (_A21 * gx1)
-    w2 = w1 + h * (_A21 * gy1)
-    # A NaN radius fails `1e-12 <= r < inf` as an infinite one does.
+    x2 = x + h * (_A2_0 * u0 + _A2_1 * u1)
+    y2 = y + h * (_A2_0 * w0 + _A2_1 * w1)
+    u2 = u0 + h * (_A2_0 * gx0 + _A2_1 * gx1)
+    w2 = w0 + h * (_A2_0 * gy0 + _A2_1 * gy1)
     if not (1e-12 <= hypot(x2, y2) < inf and isfinite(u2) and isfinite(w2)):
         return None
     gx2, gy2 = accel(x2, y2, mu)
     if not (isfinite(gx2) and isfinite(gy2)):
         return None
-    x3 = x + h * (_A31 * u1 + _A32 * u2)
-    y3 = y + h * (_A31 * w1 + _A32 * w2)
-    u3 = u1 + h * (_A31 * gx1 + _A32 * gx2)
-    w3 = w1 + h * (_A31 * gy1 + _A32 * gy2)
+    x3 = x + h * (_A3_0 * u0 + _A3_2 * u2)
+    y3 = y + h * (_A3_0 * w0 + _A3_2 * w2)
+    u3 = u0 + h * (_A3_0 * gx0 + _A3_2 * gx2)
+    w3 = w0 + h * (_A3_0 * gy0 + _A3_2 * gy2)
     if not (1e-12 <= hypot(x3, y3) < inf and isfinite(u3) and isfinite(w3)):
         return None
     gx3, gy3 = accel(x3, y3, mu)
     if not (isfinite(gx3) and isfinite(gy3)):
         return None
-    x4 = x + h * (_A41 * u1 + _A42 * u2 + _A43 * u3)
-    y4 = y + h * (_A41 * w1 + _A42 * w2 + _A43 * w3)
-    u4 = u1 + h * (_A41 * gx1 + _A42 * gx2 + _A43 * gx3)
-    w4 = w1 + h * (_A41 * gy1 + _A42 * gy2 + _A43 * gy3)
+    x4 = x + h * (_A4_0 * u0 + _A4_2 * u2 + _A4_3 * u3)
+    y4 = y + h * (_A4_0 * w0 + _A4_2 * w2 + _A4_3 * w3)
+    u4 = u0 + h * (_A4_0 * gx0 + _A4_2 * gx2 + _A4_3 * gx3)
+    w4 = w0 + h * (_A4_0 * gy0 + _A4_2 * gy2 + _A4_3 * gy3)
     if not (1e-12 <= hypot(x4, y4) < inf and isfinite(u4) and isfinite(w4)):
         return None
     gx4, gy4 = accel(x4, y4, mu)
     if not (isfinite(gx4) and isfinite(gy4)):
         return None
-    x5 = x + h * (_A51 * u1 + _A52 * u2 + _A53 * u3 + _A54 * u4)
-    y5 = y + h * (_A51 * w1 + _A52 * w2 + _A53 * w3 + _A54 * w4)
-    u5 = u1 + h * (_A51 * gx1 + _A52 * gx2 + _A53 * gx3 + _A54 * gx4)
-    w5 = w1 + h * (_A51 * gy1 + _A52 * gy2 + _A53 * gy3 + _A54 * gy4)
+    x5 = x + h * (_A5_0 * u0 + _A5_3 * u3 + _A5_4 * u4)
+    y5 = y + h * (_A5_0 * w0 + _A5_3 * w3 + _A5_4 * w4)
+    u5 = u0 + h * (_A5_0 * gx0 + _A5_3 * gx3 + _A5_4 * gx4)
+    w5 = w0 + h * (_A5_0 * gy0 + _A5_3 * gy3 + _A5_4 * gy4)
     if not (1e-12 <= hypot(x5, y5) < inf and isfinite(u5) and isfinite(w5)):
         return None
     gx5, gy5 = accel(x5, y5, mu)
     if not (isfinite(gx5) and isfinite(gy5)):
         return None
-    x6 = x + h * (_A61 * u1 + _A62 * u2 + _A63 * u3 + _A64 * u4 + _A65 * u5)
-    y6 = y + h * (_A61 * w1 + _A62 * w2 + _A63 * w3 + _A64 * w4 + _A65 * w5)
-    u6 = u1 + h * (_A61 * gx1 + _A62 * gx2 + _A63 * gx3 + _A64 * gx4 + _A65 * gx5)
-    w6 = w1 + h * (_A61 * gy1 + _A62 * gy2 + _A63 * gy3 + _A64 * gy4 + _A65 * gy5)
+    x6 = x + h * (_A6_0 * u0 + _A6_3 * u3 + _A6_4 * u4 + _A6_5 * u5)
+    y6 = y + h * (_A6_0 * w0 + _A6_3 * w3 + _A6_4 * w4 + _A6_5 * w5)
+    u6 = u0 + h * (_A6_0 * gx0 + _A6_3 * gx3 + _A6_4 * gx4 + _A6_5 * gx5)
+    w6 = w0 + h * (_A6_0 * gy0 + _A6_3 * gy3 + _A6_4 * gy4 + _A6_5 * gy5)
     if not (1e-12 <= hypot(x6, y6) < inf and isfinite(u6) and isfinite(w6)):
         return None
     gx6, gy6 = accel(x6, y6, mu)
     if not (isfinite(gx6) and isfinite(gy6)):
         return None
-    # Fifth-order solution; its derivative is the seventh (FSAL) stage.
-    xn = x + h * (_B1 * u1 + _B3 * u3 + _B4 * u4 + _B5 * u5 + _B6 * u6)
-    yn = y + h * (_B1 * w1 + _B3 * w3 + _B4 * w4 + _B5 * w5 + _B6 * w6)
-    un = u1 + h * (_B1 * gx1 + _B3 * gx3 + _B4 * gx4 + _B5 * gx5 + _B6 * gx6)
-    wn = w1 + h * (_B1 * gy1 + _B3 * gy3 + _B4 * gy4 + _B5 * gy5 + _B6 * gy6)
-    if not (1e-12 <= hypot(xn, yn) < inf and isfinite(un) and isfinite(wn)):
+    x7 = x + h * (_A7_0 * u0 + _A7_3 * u3 + _A7_4 * u4 + _A7_5 * u5 + _A7_6 * u6)
+    y7 = y + h * (_A7_0 * w0 + _A7_3 * w3 + _A7_4 * w4 + _A7_5 * w5 + _A7_6 * w6)
+    u7 = u0 + h * (_A7_0 * gx0 + _A7_3 * gx3 + _A7_4 * gx4 + _A7_5 * gx5 + _A7_6 * gx6)
+    w7 = w0 + h * (_A7_0 * gy0 + _A7_3 * gy3 + _A7_4 * gy4 + _A7_5 * gy5 + _A7_6 * gy6)
+    if not (1e-12 <= hypot(x7, y7) < inf and isfinite(u7) and isfinite(w7)):
         return None
-    gx7, gy7 = accel(xn, yn, mu)
+    gx7, gy7 = accel(x7, y7, mu)
     if not (isfinite(gx7) and isfinite(gy7)):
         return None
+    x8 = x + h * (_A8_0 * u0 + _A8_3 * u3 + _A8_4 * u4 + _A8_5 * u5 + _A8_6 * u6 + _A8_7 * u7)
+    y8 = y + h * (_A8_0 * w0 + _A8_3 * w3 + _A8_4 * w4 + _A8_5 * w5 + _A8_6 * w6 + _A8_7 * w7)
+    u8 = u0 + h * (_A8_0 * gx0 + _A8_3 * gx3 + _A8_4 * gx4 + _A8_5 * gx5 + _A8_6 * gx6 + _A8_7 * gx7)
+    w8 = w0 + h * (_A8_0 * gy0 + _A8_3 * gy3 + _A8_4 * gy4 + _A8_5 * gy5 + _A8_6 * gy6 + _A8_7 * gy7)
+    if not (1e-12 <= hypot(x8, y8) < inf and isfinite(u8) and isfinite(w8)):
+        return None
+    gx8, gy8 = accel(x8, y8, mu)
+    if not (isfinite(gx8) and isfinite(gy8)):
+        return None
+    x9 = x + h * (_A9_0 * u0 + _A9_3 * u3 + _A9_4 * u4 + _A9_5 * u5 + _A9_6 * u6 + _A9_7 * u7 + _A9_8 * u8)
+    y9 = y + h * (_A9_0 * w0 + _A9_3 * w3 + _A9_4 * w4 + _A9_5 * w5 + _A9_6 * w6 + _A9_7 * w7 + _A9_8 * w8)
+    u9 = u0 + h * (_A9_0 * gx0 + _A9_3 * gx3 + _A9_4 * gx4 + _A9_5 * gx5 + _A9_6 * gx6 + _A9_7 * gx7 + _A9_8 * gx8)
+    w9 = w0 + h * (_A9_0 * gy0 + _A9_3 * gy3 + _A9_4 * gy4 + _A9_5 * gy5 + _A9_6 * gy6 + _A9_7 * gy7 + _A9_8 * gy8)
+    if not (1e-12 <= hypot(x9, y9) < inf and isfinite(u9) and isfinite(w9)):
+        return None
+    gx9, gy9 = accel(x9, y9, mu)
+    if not (isfinite(gx9) and isfinite(gy9)):
+        return None
+    x10 = x + h * (
+        _A10_0 * u0 + _A10_3 * u3 + _A10_4 * u4 + _A10_5 * u5 + _A10_6 * u6 + _A10_7 * u7 + _A10_8 * u8 + _A10_9 * u9
+    )
+    y10 = y + h * (
+        _A10_0 * w0 + _A10_3 * w3 + _A10_4 * w4 + _A10_5 * w5 + _A10_6 * w6 + _A10_7 * w7 + _A10_8 * w8 + _A10_9 * w9
+    )
+    u10 = u0 + h * (
+        _A10_0 * gx0 + _A10_3 * gx3 + _A10_4 * gx4 + _A10_5 * gx5 + _A10_6 * gx6 + _A10_7 * gx7 + _A10_8 * gx8
+        + _A10_9 * gx9
+    )
+    w10 = w0 + h * (
+        _A10_0 * gy0 + _A10_3 * gy3 + _A10_4 * gy4 + _A10_5 * gy5 + _A10_6 * gy6 + _A10_7 * gy7 + _A10_8 * gy8
+        + _A10_9 * gy9
+    )
+    if not (1e-12 <= hypot(x10, y10) < inf and isfinite(u10) and isfinite(w10)):
+        return None
+    gx10, gy10 = accel(x10, y10, mu)
+    if not (isfinite(gx10) and isfinite(gy10)):
+        return None
+    x11 = x + h * (
+        _A11_0 * u0 + _A11_3 * u3 + _A11_4 * u4 + _A11_5 * u5 + _A11_6 * u6 + _A11_7 * u7 + _A11_8 * u8 + _A11_9 * u9
+        + _A11_10 * u10
+    )
+    y11 = y + h * (
+        _A11_0 * w0 + _A11_3 * w3 + _A11_4 * w4 + _A11_5 * w5 + _A11_6 * w6 + _A11_7 * w7 + _A11_8 * w8 + _A11_9 * w9
+        + _A11_10 * w10
+    )
+    u11 = u0 + h * (
+        _A11_0 * gx0 + _A11_3 * gx3 + _A11_4 * gx4 + _A11_5 * gx5 + _A11_6 * gx6 + _A11_7 * gx7 + _A11_8 * gx8
+        + _A11_9 * gx9 + _A11_10 * gx10
+    )
+    w11 = w0 + h * (
+        _A11_0 * gy0 + _A11_3 * gy3 + _A11_4 * gy4 + _A11_5 * gy5 + _A11_6 * gy6 + _A11_7 * gy7 + _A11_8 * gy8
+        + _A11_9 * gy9 + _A11_10 * gy10
+    )
+    if not (1e-12 <= hypot(x11, y11) < inf and isfinite(u11) and isfinite(w11)):
+        return None
+    gx11, gy11 = accel(x11, y11, mu)
+    if not (isfinite(gx11) and isfinite(gy11)):
+        return None
+    # Eighth-order solution; stage 12 is its derivative.
+    xn = x + h * (
+        _A12_0 * u0 + _A12_5 * u5 + _A12_6 * u6 + _A12_7 * u7 + _A12_8 * u8 + _A12_9 * u9 + _A12_10 * u10
+        + _A12_11 * u11
+    )
+    yn = y + h * (
+        _A12_0 * w0 + _A12_5 * w5 + _A12_6 * w6 + _A12_7 * w7 + _A12_8 * w8 + _A12_9 * w9 + _A12_10 * w10
+        + _A12_11 * w11
+    )
+    u12 = u0 + h * (
+        _A12_0 * gx0 + _A12_5 * gx5 + _A12_6 * gx6 + _A12_7 * gx7 + _A12_8 * gx8 + _A12_9 * gx9 + _A12_10 * gx10
+        + _A12_11 * gx11
+    )
+    w12 = w0 + h * (
+        _A12_0 * gy0 + _A12_5 * gy5 + _A12_6 * gy6 + _A12_7 * gy7 + _A12_8 * gy8 + _A12_9 * gy9 + _A12_10 * gy10
+        + _A12_11 * gy11
+    )
+    if not (1e-12 <= hypot(xn, yn) < inf and isfinite(u12) and isfinite(w12)):
+        return None
 
-    ex = h * (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * un)
-    ey = h * (_E1 * w1 + _E3 * w3 + _E4 * w4 + _E5 * w5 + _E6 * w6 + _E7 * wn)
-    eu = h * (_E1 * gx1 + _E3 * gx3 + _E4 * gx4 + _E5 * gx5 + _E6 * gx6 + _E7 * gx7)
-    ew = h * (_E1 * gy1 + _E3 * gy3 + _E4 * gy4 + _E5 * gy5 + _E6 * gy6 + _E7 * gy7)
-    ex /= atol + rtol * max(abs(x), abs(xn))
-    ey /= atol + rtol * max(abs(y), abs(yn))
-    eu /= atol + rtol * max(abs(u1), abs(un))
-    ew /= atol + rtol * max(abs(w1), abs(wn))
-    err = math.sqrt((ex * ex + ey * ey + eu * eu + ew * ew) / 4.0)
+    # Error norm of the 5th- and 3rd-order estimators, scaled per component.
+    sx = atol + rtol * max(abs(x), abs(xn))
+    sy = atol + rtol * max(abs(y), abs(yn))
+    su = atol + rtol * max(abs(u0), abs(u12))
+    sw = atol + rtol * max(abs(w0), abs(w12))
+    e5x = (
+        _E5_0 * u0 + _E5_5 * u5 + _E5_6 * u6 + _E5_7 * u7 + _E5_8 * u8 + _E5_9 * u9 + _E5_10 * u10 + _E5_11 * u11
+    ) / sx
+    e5y = (
+        _E5_0 * w0 + _E5_5 * w5 + _E5_6 * w6 + _E5_7 * w7 + _E5_8 * w8 + _E5_9 * w9 + _E5_10 * w10 + _E5_11 * w11
+    ) / sy
+    e5u = (
+        _E5_0 * gx0 + _E5_5 * gx5 + _E5_6 * gx6 + _E5_7 * gx7 + _E5_8 * gx8 + _E5_9 * gx9 + _E5_10 * gx10
+        + _E5_11 * gx11
+    ) / su
+    e5w = (
+        _E5_0 * gy0 + _E5_5 * gy5 + _E5_6 * gy6 + _E5_7 * gy7 + _E5_8 * gy8 + _E5_9 * gy9 + _E5_10 * gy10
+        + _E5_11 * gy11
+    ) / sw
+    e3x = (
+        _E3_0 * u0 + _E3_5 * u5 + _E3_6 * u6 + _E3_7 * u7 + _E3_8 * u8 + _E3_9 * u9 + _E3_10 * u10 + _E3_11 * u11
+    ) / sx
+    e3y = (
+        _E3_0 * w0 + _E3_5 * w5 + _E3_6 * w6 + _E3_7 * w7 + _E3_8 * w8 + _E3_9 * w9 + _E3_10 * w10 + _E3_11 * w11
+    ) / sy
+    e3u = (
+        _E3_0 * gx0 + _E3_5 * gx5 + _E3_6 * gx6 + _E3_7 * gx7 + _E3_8 * gx8 + _E3_9 * gx9 + _E3_10 * gx10
+        + _E3_11 * gx11
+    ) / su
+    e3w = (
+        _E3_0 * gy0 + _E3_5 * gy5 + _E3_6 * gy6 + _E3_7 * gy7 + _E3_8 * gy8 + _E3_9 * gy9 + _E3_10 * gy10
+        + _E3_11 * gy11
+    ) / sw
+    n5 = e5x * e5x + e5y * e5y + e5u * e5u + e5w * e5w
+    n3 = e3x * e3x + e3y * e3y + e3u * e3u + e3w * e3w
+    err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
+    if not err <= 1.0:  # NaN (both norms overflowed) is rejected too
+        return err, None, None
+
+    # Accepted: the FSAL stage and the dense output's three extra stages.
+    gx12, gy12 = accel(xn, yn, mu)
+    if not (isfinite(gx12) and isfinite(gy12)):
+        return None
+    x13 = x + h * (
+        _A13_0 * u0 + _A13_6 * u6 + _A13_7 * u7 + _A13_8 * u8 + _A13_9 * u9 + _A13_10 * u10 + _A13_11 * u11
+        + _A13_12 * u12
+    )
+    y13 = y + h * (
+        _A13_0 * w0 + _A13_6 * w6 + _A13_7 * w7 + _A13_8 * w8 + _A13_9 * w9 + _A13_10 * w10 + _A13_11 * w11
+        + _A13_12 * w12
+    )
+    u13 = u0 + h * (
+        _A13_0 * gx0 + _A13_6 * gx6 + _A13_7 * gx7 + _A13_8 * gx8 + _A13_9 * gx9 + _A13_10 * gx10 + _A13_11 * gx11
+        + _A13_12 * gx12
+    )
+    w13 = w0 + h * (
+        _A13_0 * gy0 + _A13_6 * gy6 + _A13_7 * gy7 + _A13_8 * gy8 + _A13_9 * gy9 + _A13_10 * gy10 + _A13_11 * gy11
+        + _A13_12 * gy12
+    )
+    if not (1e-12 <= hypot(x13, y13) < inf and isfinite(u13) and isfinite(w13)):
+        return None
+    gx13, gy13 = accel(x13, y13, mu)
+    if not (isfinite(gx13) and isfinite(gy13)):
+        return None
+    x14 = x + h * (
+        _A14_0 * u0 + _A14_5 * u5 + _A14_6 * u6 + _A14_7 * u7 + _A14_10 * u10 + _A14_11 * u11 + _A14_12 * u12
+        + _A14_13 * u13
+    )
+    y14 = y + h * (
+        _A14_0 * w0 + _A14_5 * w5 + _A14_6 * w6 + _A14_7 * w7 + _A14_10 * w10 + _A14_11 * w11 + _A14_12 * w12
+        + _A14_13 * w13
+    )
+    u14 = u0 + h * (
+        _A14_0 * gx0 + _A14_5 * gx5 + _A14_6 * gx6 + _A14_7 * gx7 + _A14_10 * gx10 + _A14_11 * gx11 + _A14_12 * gx12
+        + _A14_13 * gx13
+    )
+    w14 = w0 + h * (
+        _A14_0 * gy0 + _A14_5 * gy5 + _A14_6 * gy6 + _A14_7 * gy7 + _A14_10 * gy10 + _A14_11 * gy11 + _A14_12 * gy12
+        + _A14_13 * gy13
+    )
+    if not (1e-12 <= hypot(x14, y14) < inf and isfinite(u14) and isfinite(w14)):
+        return None
+    gx14, gy14 = accel(x14, y14, mu)
+    if not (isfinite(gx14) and isfinite(gy14)):
+        return None
+    x15 = x + h * (
+        _A15_0 * u0 + _A15_5 * u5 + _A15_6 * u6 + _A15_7 * u7 + _A15_8 * u8 + _A15_12 * u12 + _A15_13 * u13
+        + _A15_14 * u14
+    )
+    y15 = y + h * (
+        _A15_0 * w0 + _A15_5 * w5 + _A15_6 * w6 + _A15_7 * w7 + _A15_8 * w8 + _A15_12 * w12 + _A15_13 * w13
+        + _A15_14 * w14
+    )
+    u15 = u0 + h * (
+        _A15_0 * gx0 + _A15_5 * gx5 + _A15_6 * gx6 + _A15_7 * gx7 + _A15_8 * gx8 + _A15_12 * gx12 + _A15_13 * gx13
+        + _A15_14 * gx14
+    )
+    w15 = w0 + h * (
+        _A15_0 * gy0 + _A15_5 * gy5 + _A15_6 * gy6 + _A15_7 * gy7 + _A15_8 * gy8 + _A15_12 * gy12 + _A15_13 * gy13
+        + _A15_14 * gy14
+    )
+    if not (1e-12 <= hypot(x15, y15) < inf and isfinite(u15) and isfinite(w15)):
+        return None
+    gx15, gy15 = accel(x15, y15, mu)
+    if not (isfinite(gx15) and isfinite(gy15)):
+        return None
 
     stages = (
+        u0, w0, gx0, gy0,
         u1, w1, gx1, gy1,
         u2, w2, gx2, gy2,
         u3, w3, gx3, gy3,
         u4, w4, gx4, gy4,
         u5, w5, gx5, gy5,
         u6, w6, gx6, gy6,
-        un, wn, gx7, gy7,
+        u7, w7, gx7, gy7,
+        u8, w8, gx8, gy8,
+        u9, w9, gx9, gy9,
+        u10, w10, gx10, gy10,
+        u11, w11, gx11, gy11,
+        u12, w12, gx12, gy12,
+        u13, w13, gx13, gy13,
+        u14, w14, gx14, gy14,
+        u15, w15, gx15, gy15,
     )  # fmt: skip
-    return (xn, yn, un, wn), stages, err
+    return err, (xn, yn, u12, w12), stages
 
 
 def flow(
@@ -462,7 +929,7 @@ def flow(
 
     r_in, r_out = field.annulus
     accel = field.acceleration
-    max_step = cfg.max_step if cfg.max_step is not None else t_end / 50.0
+    max_step = cfg.max_step if cfg.max_step is not None else math.inf
     rtol, atol = cfg.rel_tol, cfg.abs_tol
 
     state = (float(x[0]), float(x[1]), float(v[0]), float(v[1]))
@@ -484,13 +951,13 @@ def flow(
         if not h >= min_step:  # a NaN step (non-finite launch force) never shrinks below it
             raise StepFailure(f"step size underflow at t={t} (h={h})")
 
-        trial = _dp5_step(accel, mu, h, state, force, rtol, atol)
+        trial = _dop853_step(accel, mu, h, state, force, rtol, atol)
         if trial is None:
             h *= 0.5
             continue
-        state_new, stages, err = trial
-        if err > 1.0:
-            h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
+        err, state_new, stages = trial
+        if state_new is None:
+            h *= max(_MIN_FACTOR, _SAFETY * err**-0.125)
             continue
 
         step = (t, h, state, stages)
@@ -516,9 +983,9 @@ def flow(
         if stop is not None and stop(step, state_new):
             return Trajectory(dense, t_next, state_new)
 
-        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(1.0, _SAFETY * err**-0.2))
+        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(1.0, _SAFETY * err**-0.125))
         h *= factor
-        t, state, force, g_left = t_next, state_new, stages[-2:], g
+        t, state, force, g_left = t_next, state_new, stages[50:52], g  # stage 12's force (FSAL)
 
     return Trajectory(dense, t, state)
 

@@ -26,7 +26,7 @@ from symorbit import (
 from symorbit.analysis import _circular_radius, _turning_radius, radial_accel_finite_difference
 from symorbit.integrator import _bisect
 
-from oracles import apsidal_limit_power_law, kepler_apsis_radii
+from oracles import apsidal_limit_power_law, kepler_apsis_radii, kepler_period, semi_major_axis
 
 
 def mkstate(px, py, vx, vy):
@@ -150,6 +150,21 @@ class TestTurningRadii:
         with pytest.raises(NoBoundedMotion):
             turning_radii(kepler_params, -0.5, 0.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200])
+    def test_tiny_values_keep_their_sign(self, kepler_params, scale):
+        # At scale 1e-200 the product of two values of g underflows to 0,
+        # which a product test reads as a sign change anywhere; the package's
+        # sign-change rule compares signs. With K = 0 the Newton polish uses
+        # g' = U'(r), which moves the root of these linear g only at round-off.
+        outward = _turning_radius(kepler_params, 0.0, lambda r: scale * (r - 1.3), 1.0, 1.0, 2.0, 1e-12)
+        inward = _turning_radius(kepler_params, 0.0, lambda r: scale * (0.7 - r), 1.0, 1.0, 0.5, 1e-12)
+        assert outward == pytest.approx(1.3, rel=1e-10)
+        assert inward == pytest.approx(0.7, rel=1e-10)
+
+    def test_exact_zero_at_the_expanded_end_is_the_root(self, kepler_params):
+        assert _turning_radius(kepler_params, 0.0, lambda r: r - 2.0, 1.0, 1.0, 2.0, 1e-12) == 2.0
+        assert _turning_radius(kepler_params, 0.0, lambda r: 0.5 - r, 1.0, 1.0, 0.5, 1e-12) == 0.5
+
 
 class TestApsides:
     def test_circle_is_empty(self, kepler_field):
@@ -173,6 +188,23 @@ class TestApsides:
         events = apsides(traj)
         assert events[0].kind == ApsisKind.APOCENTER
         assert events[0].t == 0.0
+
+    @pytest.mark.parametrize("sigma", [0.8, 1.3, 1.38])
+    def test_no_apsis_lost_to_long_steps(self, kepler_params, sigma):
+        # Vertical Kepler launches integrated over 1.9 radial periods T with
+        # the default, uncapped steps: every apsis, at t = k T / 2 for
+        # k = 0..3, alternating in kind. The span stops short of 2 T, where
+        # an apsis at the span's end would be sign-ambiguous.
+        period = kepler_period(semi_major_axis(1.0, sigma, 1.0), 1.0)
+        field_ = __import__("symorbit").ForceField(base=kepler_params, annulus=(0.05, 50.0))
+        events = apsides(flow(field_, 0.0, (1.0, 0.0), (0.0, sigma), 1.9 * period))
+        first, second = (ApsisKind.PERICENTER, ApsisKind.APOCENTER)[:: 1 if sigma > 1.0 else -1]
+        assert [e.kind for e in events] == [first, second, first, second]
+        for k, e in enumerate(events):
+            assert abs(e.t - 0.5 * k * period) <= 1e-9 * period
+        lo, hi = kepler_apsis_radii(1.0, sigma)
+        for e in events:
+            assert e.r == pytest.approx(lo if e.kind is ApsisKind.PERICENTER else hi, rel=1e-9)
 
     def test_soft_force_launch_pericenter(self):
         # epsilon > 0 launch point is a radius minimum.
@@ -241,8 +273,8 @@ class TestApsidesMatchSampledSearch:
         from symorbit import integrator
 
         built = []
-        quartics = integrator._quartics
-        monkeypatch.setattr(integrator, "_quartics", lambda stages: built.append(stages) or quartics(stages))
+        q_matrix = integrator._q_matrix
+        monkeypatch.setattr(integrator, "_q_matrix", lambda stages: built.append(stages) or q_matrix(stages))
         traj = _analyze_launch(1.0, 1.1)
         events = apsides(traj)
         inside = [e for e in events if e.t != 0.0]

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from symorbit import (
     PowerLawParams,
     SectionSpec,
     State,
+    StepFailure,
     angular_momentum,
     circular_speed,
     crossing_time,
@@ -24,7 +26,7 @@ from symorbit import (
     flow,
 )
 from symorbit import integrator, section, serialize
-from symorbit.integrator import _P, _bisect, _horner, _sign_changes
+from symorbit.integrator import _A, _B, _D, _E3, _E5, _P, Trajectory, _bisect, _horner, _sign_changes
 from symorbit.section import _roots
 
 from oracles import kepler_period, semi_major_axis
@@ -55,7 +57,7 @@ class TestFlow:
         drift = np.max(np.abs(np.array(h) - h[0])) / abs(h[0])
         assert drift < 1e-9
         # The propagated (node) solution meets the tighter 10*rel_tol bound;
-        # dense samples add quartic-interpolant error on top.
+        # dense samples add the interpolant's error on top.
         h_nodes = [
             energy(kepler_params, State(t=t, position=y[:2], velocity=y[2:]))
             for t, y in zip(traj.ts, traj.ys)
@@ -124,11 +126,12 @@ class TestFlow:
 
     def test_convergence_order(self, kepler_field, kepler_params):
         # Fixed-step mode (huge tolerances, pinned step): the closure error of
-        # a known ellipse over one period must scale with the method order.
+        # a known ellipse over one period must scale with the method order,
+        # 8. Steps of period/32 to period/128 keep the error above round-off.
         x, v = launch_state(1.1, kepler_params)
         period = kepler_period(semi_major_axis(1.0, 1.1, 1.0), 1.0)
         errors = []
-        steps = [period / 64, period / 128, period / 256, period / 512]
+        steps = [period / 32, period / 64, period / 128]
         for h in steps:
             cfg = IntegratorConfig(rel_tol=1e6, abs_tol=1e6, max_step=h, first_step=h)
             traj = flow(kepler_field, 0.0, x, v, period, cfg)
@@ -137,7 +140,16 @@ class TestFlow:
             math.log2(e0 / e1) for e0, e1 in zip(errors[:-1], errors[1:])
         ]
         mean_slope = sum(slopes) / len(slopes)
-        assert 4.5 < mean_slope < 5.5
+        assert 7.0 < mean_slope < 8.5
+
+    def test_overflowing_error_norm_is_rejected(self, kepler_field):
+        # At tolerances of 1e-300 both error estimators' squared norms
+        # overflow, and the norm |h| n5 / sqrt((n5 + 0.01 n3) 4) is NaN. A NaN
+        # norm must reject the step: every trial fails until the step size
+        # underflows, where a test `err > 1` would accept them all.
+        cfg = IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300, first_step=0.1)
+        with pytest.raises(StepFailure, match="step size underflow"):
+            flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 1.0, cfg)
 
     def test_tolerance_halving_shrinks_closure(self, kepler_field, kepler_params):
         x, v = launch_state(1.1, kepler_params)
@@ -320,26 +332,29 @@ class TestOneEvaluationRule:
 
 def test_normal_coefficients_are_the_projected_interpolant(kepler_radial_field):
     # The scan's coefficients c1..cD of n . position on a step are h (n . Q)
-    # with Q from `_quartics`, formed without building Q. Relative to the
+    # with Q from `_q_matrix`, formed without building Q. Relative to the
     # moduli of the terms summed: the higher coefficients cancel heavily.
     traj = flow(kepler_radial_field, 0.07, (1.0, 0.0), (0.0, 1.1), 7.0)
     for t_left, h, y_left, stages in traj._dense:
         velocities = np.array(stages).reshape(len(_P), 4)[:, :2]
         for n in [(0.0, 1.0), (-1.0, 0.0), (0.6, -0.8)]:
             got = np.array(integrator._normal_coefficients((t_left, h, y_left, stages), *n))
-            want = h * (np.array(n) @ integrator._quartics(stages)[:2])
+            want = h * (np.array(n) @ integrator._q_matrix(stages)[:2])
             terms = h * (np.abs(velocities @ np.array(n)) @ np.abs(_P))
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-14 * terms)
 
 
-# Reference: the numpy step loop flow() used before the step arithmetic moved
-# to plain floats. Same tableau, controller and guards; only the summation
-# order differs, so step counts must match and dense states agree to round-off
-# (node times may move by ~1e-7: the embedded error estimate cancels heavily).
-# Its steps are stored as flow() stores them, (t_left, h, y_left, stages) with
-# the stage matrix K flattened row by row, and with the end node they make the
-# Trajectory that samples them.
+# Reference: DOP853 as a numpy step loop over the stage matrix K (16 rows: the
+# 12 stages, the FSAL stage f(t + h, y_new) and the dense output's 3 extra
+# ones), with flow()'s controller and guards: a bad stage halves h, the error
+# norm is formed from the first 12 stages before the FSAL stage, and the last
+# four stages are evaluated only for a step whose norm passes. Only the
+# summation order differs from the unrolled float step, so step counts must
+# match and dense states agree to round-off. Its steps are stored as flow()
+# stores them, (t_left, h, y_left, stages) with K flattened row by row, and
+# with the end node they make the Trajectory that samples them. It refines an
+# annulus exit on the interpolant in Hairer's form (II.6), not through P.
 def _reference_initial_step(rhs, y0, f0, t_end, rtol, atol, max_step):
     scale = atol + rtol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
@@ -351,18 +366,29 @@ def _reference_initial_step(rhs, y0, f0, t_end, rtol, atol, max_step):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, max_step, t_end)
+
+
+def _hairer_dense(y_left, h, k, theta):
+    """The DOP853 interpolant as II.6 writes it: y_left + theta (f0 + (1 -
+    theta) (f1 + theta (f2 + ...))), with f0 = h B.K, f1 = h k0 - f0,
+    f2 = 2 f0 - h (k12 + k0) and f3..f6 = h D.K."""
+    f0 = h * (k[:12].T @ _B)
+    f = [f0, h * k[0] - f0, 2.0 * f0 - h * (k[12] + k[0]), *(h * (_D @ k))]
+    acc = f[-1]
+    for j in range(len(f) - 2, -1, -1):
+        acc = f[j] + (theta if j % 2 else 1.0 - theta) * acc
+    return y_left + theta * acc
 
 
 def _reference_refine_domain_exit(dense_step, r_in, r_out):
     t_left, h, y_left, stages = dense_step
     y_left = np.array(y_left)
-    q = np.array(stages).reshape(7, 4).T @ _P
+    k = np.array(stages).reshape(16, 4)
 
     def excess(theta):
-        tp = np.array([theta, theta**2, theta**3, theta**4])
-        y = y_left + h * (q @ tp)
+        y = _hairer_dense(y_left, h, k, theta)
         r = math.hypot(y[0], y[1])
         return max(r_in - r, r - r_out)
 
@@ -373,15 +399,15 @@ def _reference_refine_domain_exit(dense_step, r_in, r_out):
             hi = mid
         else:
             lo = mid
-    theta = hi
-    tp = np.array([theta, theta**2, theta**3, theta**4])
-    return t_left + theta * h, y_left + h * (q @ tp)
+    return t_left + hi * h, _hairer_dense(y_left, h, k, hi)
+
+
+def _bad(y):
+    return not np.all(np.isfinite(y)) or math.hypot(y[0], y[1]) < 1e-12
 
 
 def _reference_flow(field, mu, x, v, t_end, cfg=IntegratorConfig()):
     """(trajectory, number of bad-stage halvings); raises DomainExit like flow()."""
-    from symorbit.integrator import _A, _B, _E, Trajectory
-
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     r_in, r_out = field.annulus
@@ -391,7 +417,18 @@ def _reference_flow(field, mu, x, v, t_end, cfg=IntegratorConfig()):
         ax, ay = accel(y[0], y[1], mu)
         return np.array([y[2], y[3], ax, ay])
 
-    max_step = cfg.max_step if cfg.max_step is not None else t_end / 50.0
+    def stages(K, y, h, rows):
+        """Fill K[rows]; False at the first bad stage position or non-finite stage."""
+        for i in rows:
+            y_stage = y + h * (K[:i].T @ _A[i, :i])
+            if _bad(y_stage):
+                return False
+            K[i] = rhs(y_stage)
+            if not np.all(np.isfinite(K[i])):
+                return False
+        return True
+
+    max_step = cfg.max_step if cfg.max_step is not None else math.inf
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     y = np.concatenate([x, v])
     t = 0.0
@@ -402,35 +439,33 @@ def _reference_flow(field, mu, x, v, t_end, cfg=IntegratorConfig()):
         h = _reference_initial_step(rhs, y, f_first, t_end, rtol, atol, max_step)
     min_step = 1e-14 * max(t_end, 1.0)
     dense, halvings = [], 0
-    k_first = f_first
-    K = np.empty((7, 4))
+    K = np.empty((16, 4))
+    K[0] = f_first
     while t < t_end:
         if t_end - t <= min_step:
             break
         h = min(h, max_step, t_end - t)
         assert h >= min_step, "step size underflow"
-        K[0] = k_first
-        bad_stage = False
-        for i in range(1, 6):
-            y_stage = y + h * (K[:i].T @ _A[i, :i])
-            if not np.all(np.isfinite(y_stage)) or math.hypot(y_stage[0], y_stage[1]) < 1e-12:
-                bad_stage = True
-                break
-            K[i] = rhs(y_stage)
-        if not bad_stage:
-            y_new = y + h * (K[:6].T @ _B)
-            if not np.all(np.isfinite(y_new)) or math.hypot(y_new[0], y_new[1]) < 1e-12:
-                bad_stage = True
-            else:
-                K[6] = rhs(y_new)
-        if bad_stage or not np.all(np.isfinite(K)):
+        if not (np.all(np.isfinite(K[0])) and stages(K, y, h, range(1, 12))):
+            h *= 0.5
+            halvings += 1
+            continue
+        y_new = y + h * (K[:12].T @ _B)
+        if _bad(y_new):
             h *= 0.5
             halvings += 1
             continue
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((h * (_E @ K) / scale) ** 2)))
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err**-0.2)
+        n5 = float(np.sum((K[:12].T @ _E5 / scale) ** 2))
+        n3 = float(np.sum((K[:12].T @ _E3 / scale) ** 2))
+        err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
+        if not err <= 1.0:
+            h *= max(0.2, 0.9 * err ** (-1 / 8))
+            continue
+        K[12] = rhs(y_new)
+        if not (np.all(np.isfinite(K[12])) and stages(K, y, h, range(13, 16))):
+            h *= 0.5
+            halvings += 1
             continue
         dense.append((t, h, tuple(y), tuple(K.ravel())))
         t_next = t + h
@@ -443,9 +478,9 @@ def _reference_flow(field, mu, x, v, t_end, cfg=IntegratorConfig()):
                 state=State(t=t_exit, position=y_exit[:2], velocity=y_exit[2:]),
                 trajectory=Trajectory(dense, t_exit, y_exit),
             )
-        factor = 5.0 if err == 0.0 else min(5.0, max(1.0, 0.9 * err**-0.2))
+        factor = 5.0 if err == 0.0 else min(5.0, max(1.0, 0.9 * err ** (-1 / 8)))
         h *= factor
-        t, y, k_first = t_next, y_new, K[6].copy()
+        t, y, K[0] = t_next, y_new, K[12]
     return Trajectory(dense, t, y), halvings
 
 
@@ -502,18 +537,70 @@ class TestFloatStepLoopMatchesReference:
 
     @pytest.mark.parametrize("first_step", [2.2, 4.0])
     def test_bad_stage_halving(self, kepler_params, first_step):
-        # Oversized first steps on the unit circle throw trial stages past the
-        # NaN wall at r = 1.5, which the orbit itself never reaches: with 2.2
-        # only the fifth-order solution lands there (the FSAL force is NaN),
-        # with 4.0 intermediate stages do.
-        cfg = IntegratorConfig(first_step=first_step, max_step=first_step)
-        walled = _WalledField(base=kepler_params)
+        # Oversized first steps on the unit circle throw trial stages past a
+        # NaN wall that the orbit itself never reaches. With 2.2, stage 11
+        # lands at r = 1.013, past a wall at 1.01. With 4.0 and tolerances so
+        # loose that every error norm passes, only the dense output's stage 15
+        # lands past a wall at 2.4 (at r = 2.58; stage 11 reaches 2.36), so
+        # the step is halved after its error norm passed.
+        wall, tol = {2.2: (1.01, 1e-12), 4.0: (2.4, 1e6)}[first_step]
+        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol, first_step=first_step, max_step=first_step)
+        walled = _WalledField(base=kepler_params, wall=wall)
         ref, halvings = _reference_flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
         assert halvings > 0
         walled.hits.clear()
         traj = flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
         assert walled.hits
         _assert_dense_agreement(traj, ref, 2 * math.pi)
+
+
+class TestTableau:
+    def test_matches_scipy_dop853(self):
+        # scipy ships the same DOP853 constants; the field is autonomous, so
+        # the nodes C enter only as the row sums of A.
+        coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert np.array_equal(_A, coeffs.A)
+        assert np.array_equal(_B, coeffs.B)
+        assert np.max(np.abs(_A.sum(axis=1) - coeffs.C)) <= 1e-15
+        # scipy's error vectors carry the FSAL stage, which neither reads.
+        assert np.array_equal(_E3, coeffs.E3[:12]) and coeffs.E3[12] == 0.0
+        assert np.array_equal(_E5, coeffs.E5[:12]) and coeffs.E5[12] == 0.0
+        assert np.array_equal(_D, coeffs.D)
+
+    def test_dense_output_rows_sum_to_the_weights(self):
+        # At theta = 1 the interpolant is the step's solution: P's row sums are B.
+        assert _P.shape == (16, 7)
+        assert np.max(np.abs(_P.sum(axis=1) - np.concatenate([_B, np.zeros(4)]))) <= 1e-13
+        assert not np.any(_P[1:5])  # stages 1-4 do not enter the dense output
+
+    def test_dense_output_is_the_exact_derivation_rounded_once(self):
+        # P derived again in exact rational arithmetic, entry by entry.
+        b = [Fraction(w) for w in _B.tolist()] + [Fraction(0)] * 4
+        f = [
+            b,
+            [int(s == 0) - w for s, w in enumerate(b)],
+            [2 * w - int(s == 12) - int(s == 0) for s, w in enumerate(b)],
+            *([Fraction(w) for w in row] for row in _D.tolist()),
+        ]
+        exact = [[Fraction(0)] * 7 for _ in range(16)]
+        for j, fj in enumerate(f):
+            a, c = (j + 2) // 2, (j + 1) // 2  # theta^a (1 - theta)^c in front of f_j
+            for i in range(c + 1):
+                for s in range(16):
+                    exact[s][a + i - 1] += math.comb(c, i) * (-1) ** i * fj[s]
+        assert np.array_equal(_P, np.array([[float(v) for v in row] for row in exact]))
+
+    def test_monomial_form_is_the_interpolant_of_ii_6(self):
+        # h K^T P [theta, ..., theta^7] against Hairer's nested form, for
+        # random stages, relative to the moduli of the terms summed.
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            k, h, y_left = rng.normal(size=(16, 4)), rng.uniform(0.01, 2.0), rng.normal(size=4)
+            for theta in (0.0, 0.1, 0.5, 0.9, 1.0):
+                powers = theta ** np.arange(1, 8)
+                got = y_left + h * (k.T @ _P) @ powers
+                terms = h * (np.abs(k.T) @ np.abs(_P)) @ powers
+                assert np.all(np.abs(got - _hairer_dense(y_left, h, k, theta)) <= 1e-14 * (terms + 1.0))
 
 
 class TestRecordsBuiltWhenSampled:
@@ -523,8 +610,8 @@ class TestRecordsBuiltWhenSampled:
     @pytest.fixture
     def built(self, monkeypatch):
         calls = []
-        quartics = integrator._quartics
-        monkeypatch.setattr(integrator, "_quartics", lambda stages: calls.append(stages) or quartics(stages))
+        q_matrix = integrator._q_matrix
+        monkeypatch.setattr(integrator, "_q_matrix", lambda stages: calls.append(stages) or q_matrix(stages))
         return calls
 
     def test_crossing_time_builds_one_record(self, kepler_field, built):
