@@ -50,7 +50,6 @@ from .orbit import (
     extend_half,
     extend_quarter,
     is_simple_closed,
-    symmetry_residual,
     validate_orbit,
     verify_closure,
     winding_number,

@@ -529,7 +529,10 @@ def _normal_coefficients(step, n0: float, n1: float) -> tuple:
 
 
 def _rms(values, scale) -> float:
-    return math.sqrt(sum((c / s) ** 2 for c, s in zip(values, scale)) / len(values))
+    try:
+        return math.sqrt(sum((c / s) ** 2 for c, s in zip(values, scale)) / len(values))
+    except OverflowError:  # float ** raises where x * x would round to inf
+        return math.inf
 
 
 def _initial_step(accel, mu, y0, f0, t_end, rtol, atol, max_step):

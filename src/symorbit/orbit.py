@@ -9,15 +9,16 @@ end conditions under which the branches join. An orbit evaluates any batch of
 times with one `Trajectory.eval_many` call on the mapped times, multiplied by
 the gathered sign vectors.
 
-The assembled orbit is checked independently: closure by re-integration,
-simplicity by orientation and on-segment tests on the segment pairs that share
-a cell of a uniform grid, origin enclosure by winding number, trace symmetry by
-the distance from each reflected sample to the segments in its 3x3 block of
-grid cells (all segments when none is nearer than a cell side), and the
+The assembled orbit is checked independently of that construction. One
+re-integration of the period from the orbit start gives closure (the state
+after one period against the start) and symmetry (for each declared
+reflection, the time-reversal residual of the re-integrated positions at the
+sample times); simplicity is checked by orientation and on-segment tests on
+the segment pairs that share a cell of a uniform grid, which returns exactly
+what an all-pairs sweep returns; origin enclosure by winding number; and the
 two-point x-axis crossing property by the integrator's sign-change rule
 (`_sign_changes`) over the samples, a crossing between samples refined by the
 package's one bisection loop (`integrator._bisect`) on the orbit interpolant.
-Both grid-pruned checks return exactly what an all-pairs sweep returns.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ _SAME = (1.0, 1.0, 1.0, 1.0)
 _X_MIRROR = (1.0, -1.0, -1.0, 1.0)  # (x, y) -> (x, -y) traversed backwards
 _Y_MIRROR = (-1.0, 1.0, 1.0, -1.0)  # (x, y) -> (-x, y) traversed backwards
 _BOTH_MIRRORS = (-1.0, -1.0, -1.0, -1.0)  # (x, y) -> (-x, -y) traversed forwards
+# Per reflection S: its position signs and c / T, where S q(t) = q(c - t) on
+# an orbit q of period T that S reverses.
+_REVERSAL = {Reflection.X_AXIS: (_X_MIRROR[:2], 0.0), Reflection.Y_AXIS: (_Y_MIRROR[:2], 0.5)}
 
 # The second half of a half orbit is the x-axis mirror image traversed
 # backwards. A quarter orbit continues with the y-axis mirror (the unique C1
@@ -200,15 +204,36 @@ def verify_closure(
     field: ForceField,
     mu: float,
     cfg: IntegratorConfig = IntegratorConfig(),
-) -> tuple[float, float]:
-    """Re-integrate one full period from the orbit start; return the position
-    and velocity mismatches. Independent of the reflection construction."""
+) -> tuple[float, float, dict]:
+    """Re-integrate one full period from the orbit start, independently of the
+    reflection construction, and read closure and symmetry off that one
+    trajectory q.
+
+    Returns the position and velocity mismatches between q(0) and q(T), and
+    per declared reflection S the time-reversal residual max_k |S q(t_k) -
+    q(c - t_k)| over the orbit's sample times t_k, on positions, with the
+    mirrored time taken modulo the period T. A reversible periodic orbit
+    satisfies S q(t) = q(c - t) (Devaney, Trans. AMS 218, 1976; Lamb and
+    Roberts, Physica D 112, 1998); c is 0 for the x-axis mirror, which fixes
+    the launch point, and T/2 for the y-axis mirror, which fixes the y-axis
+    crossing at T/4. The mirrored times are evaluated on q directly, so any
+    sample count works.
+    """
     s0 = orbit.initial_state()
     traj = flow(field, mu, s0.position, s0.velocity, orbit.period, cfg)
     s1 = traj.final_state()
+    ts, period = orbit.times, orbit.period
+    refls = sorted(orbit.symmetry, key=lambda r: r.value)
+    mirrored = [(_REVERSAL[r][1] * period - ts) % period for r in refls]
+    pos = traj.eval_many(np.concatenate([ts, *mirrored]))[:, :2].reshape(-1, len(ts), 2)
+    residuals = {}
+    for r, at_mirrored in zip(refls, pos[1:]):
+        signs = np.array(_REVERSAL[r][0])
+        residuals[r] = float(np.max(np.linalg.norm(pos[0] * signs - at_mirrored, axis=1)))
     return (
         float(np.linalg.norm(s1.position - s0.position)),
         float(np.linalg.norm(s1.velocity - s0.velocity)),
+        residuals,
     )
 
 
@@ -224,11 +249,12 @@ def _polyline(orbit_or_points) -> np.ndarray:
 
 
 _QUAD = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])  # cell offsets a segment may reach
-_BLOCK = np.array([[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])  # 3x3 block offsets
 
 
 class _SegmentGrid:
-    """Uniform grid of square cells indexing the segments starts[k] -> ends[k].
+    """The segments starts[k] -> ends[k] of a polyline, registered in the
+    square cells of a uniform grid, so that `is_simple_closed` tests only the
+    segment pairs that share a cell.
 
     The cell side h is the largest axis extent of any segment's bounding box,
     inflated by 1e-9 so that rounding cannot spread a segment over three cells:
@@ -244,38 +270,20 @@ class _SegmentGrid:
         extent = float(np.max(hi - lo))  # NaN or inf when any point is not finite
         if not math.isfinite(extent):
             raise ValueError("polyline points and segment extents must be finite")
-        self.h = extent * (1.0 + 1e-9) if extent > 0.0 else 1.0
-        self.origin = np.min(lo, axis=0)
-        self.n = len(starts)
-        c0 = self._cells(lo).astype(np.intp)
-        c1 = self._cells(hi).astype(np.intp)
-        # Query cells are clipped to [-2, top + 2]; their blocks reach one further.
-        self.top = int(np.max(c1))
-        self.width = self.top + 7
+        h = extent * (1.0 + 1e-9) if extent > 0.0 else 1.0
+        origin = np.min(lo, axis=0)
+        c0 = np.floor((lo - origin) / h).astype(np.intp)
+        c1 = np.floor((hi - origin) / h).astype(np.intp)
+        width = int(np.max(c1)) + 1
         cells = c0[:, None, :] + _QUAD
         keep = np.all(_QUAD <= (c1 - c0)[:, None, :], axis=2)
-        keys = self._key(cells[keep])
+        kept = cells[keep]
+        keys = kept[:, 0] * width + kept[:, 1]
         segs = np.nonzero(keep)[0]
         order = np.lexsort((segs, keys))  # by cell, then segment index
         self.keys = keys[order]
         self.segs = segs[order]
-
-    def _cells(self, points: np.ndarray) -> np.ndarray:
-        return np.floor((points - self.origin) / self.h)
-
-    def _key(self, cells: np.ndarray) -> np.ndarray:
-        return (cells[..., 0] + 3) * self.width + (cells[..., 1] + 3)
-
-    def near(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(point, segment) index pairs: each point with every segment registered
-        in the 3x3 block of cells around it. A point at least two cells outside
-        the grid gets none."""
-        cells = np.clip(self._cells(points), -2, self.top + 2).astype(np.intp)
-        keys = self._key(cells[:, None, :] + _BLOCK).ravel()
-        first = np.searchsorted(self.keys, keys, "left")
-        count = np.searchsorted(self.keys, keys, "right") - first
-        owner, pos = _ranges(first, count)
-        return owner // len(_BLOCK), self.segs[pos]
+        self.n = len(starts)
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Segment index pairs (i, j), i < j, that share a cell, each once, in
@@ -373,53 +381,6 @@ def winding_number(orbit_or_points, point=(0.0, 0.0)) -> int:
     return int(round(float(np.sum(d)) / (2.0 * math.pi)))
 
 
-def _segment_distance(q, starts, d, len2):
-    """Distance from q to the segments starts + [0, 1] * d, row by row (q may
-    be one point). Same float operations in the same order as a dense sweep
-    over all pairs, so minima over any candidate set agree bit for bit."""
-    wx = q[..., 0] - starts[:, 0]
-    wy = q[..., 1] - starts[:, 1]
-    t = np.clip((wx * d[:, 0] + wy * d[:, 1]) / len2, 0.0, 1.0)
-    dx = q[..., 0] - (starts[:, 0] + t * d[:, 0])
-    dy = q[..., 1] - (starts[:, 1] + t * d[:, 1])
-    return np.sqrt(dx * dx + dy * dy)
-
-
-def symmetry_residual(orbit: PeriodicOrbit, reflections=None) -> dict:
-    """Largest distance from any reflected sample to the orbit trace, per reflection.
-
-    `reflections` holds `Reflection` members or their names. Each reflected
-    sample is compared with the segments in its 3x3 block of `_SegmentGrid`
-    cells; every other segment is at least one cell side h away, so a block
-    minimum below h is the minimum over all segments. A sample without one is
-    compared with all segments.
-    """
-    refls = orbit.symmetry if reflections is None else reflections
-    pts = _polyline(orbit)
-    starts = pts
-    ends = np.roll(pts, -1, axis=0)
-    d = ends - starts
-    len2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
-    grid = _SegmentGrid(starts, ends)
-    # Rounding moves cell indices and distances by a few ulp of the coordinates.
-    limit = grid.h - 1e-9 * (grid.h + float(np.max(np.abs(pts))))
-
-    out = {}
-    for refl in sorted((Reflection(r) for r in refls), key=lambda r: r.value):
-        q = pts.copy()
-        if refl is Reflection.X_AXIS:
-            q[:, 1] = -q[:, 1]
-        else:
-            q[:, 0] = -q[:, 0]
-        k, seg = grid.near(q)
-        best = np.full(len(q), np.inf)
-        np.minimum.at(best, k, _segment_distance(q[k], starts[seg], d[seg], len2[seg]))
-        for p in np.flatnonzero(~(best < limit)):
-            best[p] = np.min(_segment_distance(q[p], starts, d, len2))
-        out[refl] = float(np.max(best))
-    return out
-
-
 @dataclass(frozen=True)
 class AxisCrossing:
     t: float
@@ -472,15 +433,15 @@ def validate_orbit(
 ) -> tuple[bool, dict]:
     """Full acceptance battery for a constructed orbit.
 
-    Closure by re-integration, simple-closedness, winding +-1 around the
-    origin, trace symmetry under the declared reflections, and exactly two
+    Closure and the time-reversal residual of each declared reflection, both
+    read off one re-integration of the period (`verify_closure`),
+    simple-closedness, winding +-1 around the origin, and exactly two
     transversal x-axis crossings (at +-x0 when both symmetries hold, at x0 and
     a negative abscissa otherwise).
     """
-    pos_res, vel_res = verify_closure(orbit, field, mu, cfg)
+    pos_res, vel_res, sym = verify_closure(orbit, field, mu, cfg)
     simple, xing_pt = is_simple_closed(orbit)
     wind = winding_number(orbit)
-    sym = symmetry_residual(orbit)
     crossings = axis_crossings(orbit, "x")
 
     x0 = float(orbit.initial_state().position[0])

@@ -134,6 +134,14 @@ class TestSolveCommand:
         cfg = write_config(tmp_path / "c.json", solve_tol=0.0)
         assert main(["solve", "--config", str(cfg), "--mu", "0.0"]) == 3
 
+    def test_overflowing_initial_step_norm_is_step_failure(self, tmp_path, capsys):
+        # At tolerances of 1e-300 the starting-step heuristic's scaled norms
+        # overflow; the step size comes out NaN and the solve ends as a
+        # StepFailure, not an OverflowError traceback.
+        cfg = write_config(tmp_path / "c.json", integrator={"rel_tol": 1e-300, "abs_tol": 1e-300})
+        assert main(["solve", "--config", str(cfg)]) == 5
+        assert "StepFailure: step size underflow" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_mu_rejected(self, config_path, capsys, value):
         assert main(["solve", "--config", str(config_path), f"--mu={value}"]) == 1

@@ -5,21 +5,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symorbit import (
+    ForceField,
     HypothesisViolation,
     IntegratorConfig,
     Mode,
     PointOnCurve,
+    PowerLawParams,
     Reflection,
     SectionSpec,
     ShootingProblem,
     axis_crossings,
+    axis_poly_perturbation,
+    circular_speed,
     crossing_time,
     extend_half,
     extend_quarter,
     flow,
     is_simple_closed,
     solve,
-    symmetry_residual,
     validate_orbit,
     verify_closure,
     winding_number,
@@ -67,7 +70,7 @@ class TestExtendQuarter:
         assert np.max(np.abs(radii - 1.0)) < 1e-9
         assert orb.symmetry == {Reflection.X_AXIS, Reflection.Y_AXIS}
         assert np.allclose(orb.states[0], orb.states[-1], atol=1e-12)
-        pos_res, vel_res = verify_closure(orb, kepler_field, 0.0)
+        pos_res, vel_res, _ = verify_closure(orb, kepler_field, 0.0)
         assert pos_res < 1e-9 and vel_res < 1e-9
 
     def test_branch_joints_are_c1(self, circle_quarter_segment):
@@ -86,12 +89,11 @@ class TestExtendQuarter:
             extend_quarter(traj.truncated(0.9 * math.pi / 2))
 
     def test_perturbed_solution_closes(self, solved_perturbed_orbit, kepler_radial_field):
-        pos_res, vel_res = verify_closure(
+        pos_res, vel_res, sym = verify_closure(
             solved_perturbed_orbit, kepler_radial_field, 0.05
         )
         assert pos_res < 1e-6
         assert vel_res < 1e-5
-        sym = symmetry_residual(solved_perturbed_orbit)
         assert all(v < 1e-8 for v in sym.values())
 
 
@@ -128,7 +130,7 @@ class TestExtendHalf:
             orb = extend_half(bad_segment)
         finally:
             orbit_mod._ENDPOINT_RTOL = old
-        pos_res, _ = verify_closure(orb, kepler_field, 0.0)
+        pos_res, _, _ = verify_closure(orb, kepler_field, 0.0)
         assert pos_res > 1e-3
 
 
@@ -200,7 +202,7 @@ class TestClosureScaling:
             )
             sol = solve(problem, 0.03)
             orb = extend_quarter(sol.segment, mu=0.03)
-            pos_res, _ = verify_closure(orb, kepler_radial_field, 0.03, cfg)
+            pos_res, _, _ = verify_closure(orb, kepler_radial_field, 0.03, cfg)
             residuals.append(pos_res)
         assert residuals[1] < residuals[0]
 
@@ -293,32 +295,69 @@ class TestWindingNumber:
 
 
 class TestSymmetryResidual:
-    def test_circle_under_both(self, circle_quarter_segment):
+    """The time-reversal residuals `verify_closure` reads off its re-integration."""
+
+    def test_circle_under_both(self, circle_quarter_segment, kepler_field):
         orb = extend_quarter(circle_quarter_segment)
-        res = symmetry_residual(
-            orb, {Reflection.X_AXIS, Reflection.Y_AXIS}
-        )
+        _, _, res = verify_closure(orb, kepler_field, 0.0)
+        assert set(res) == {Reflection.X_AXIS, Reflection.Y_AXIS}
         assert all(v < 1e-10 for v in res.values())
 
     def test_half_orbit_x_only(self, half_problem_a05):
         sol = solve(half_problem_a05, 0.03)
         orb = extend_half(sol.segment, mu=0.03)
-        res = symmetry_residual(orb)
+        _, _, res = verify_closure(orb, half_problem_a05.field, 0.03)
+        assert set(res) == {Reflection.X_AXIS}
         assert res[Reflection.X_AXIS] < 1e-7
 
     def test_asymmetric_trace_flagged(self, half_problem_a05):
-        # The x-only perturbed orbit is not symmetric about the y-axis.
+        # The x-only perturbed orbit is not symmetric about the y-axis. Declared
+        # anyway, that reflection's residual is far above tolerance, as is the
+        # distance of the mirrored trace from the trace.
         sol = solve(half_problem_a05, 0.03)
         orb = extend_half(sol.segment, mu=0.03)
-        res = symmetry_residual(orb, {Reflection.Y_AXIS})
+        orb.symmetry = frozenset({Reflection.X_AXIS, Reflection.Y_AXIS})
+        _, _, res = verify_closure(orb, half_problem_a05.field, 0.03)
+        assert res[Reflection.X_AXIS] < 1e-7
         assert res[Reflection.Y_AXIS] > 1e-3
+        assert all_pairs_symmetry_residual(orb.positions, [Reflection.Y_AXIS])[Reflection.Y_AXIS] > 1e-3
 
-    def test_reflection_names_accepted(self, solved_perturbed_orbit):
-        by_name = symmetry_residual(solved_perturbed_orbit, ["y_axis", "x_axis"])
-        by_member = symmetry_residual(
-            solved_perturbed_orbit, [Reflection.X_AXIS, Reflection.Y_AXIS]
-        )
-        assert by_name == by_member
+    def test_reflection_names_accepted(self, solved_perturbed_orbit, kepler_radial_field):
+        # validate_orbit reports verify_closure's residuals by reflection name.
+        _, _, res = verify_closure(solved_perturbed_orbit, kepler_radial_field, 0.05)
+        _, diag = validate_orbit(solved_perturbed_orbit, kepler_radial_field, 0.05)
+        assert diag["symmetry_residuals"] == {"x_axis": res[Reflection.X_AXIS], "y_axis": res[Reflection.Y_AXIS]}
+
+    def test_broken_y_mirror_flags_the_y_axis_only(self):
+        # A circle of the logarithmic field (alpha = 0), re-integrated with a
+        # tiny x^2 force, which keeps the x-axis mirror and breaks the y-axis
+        # one. The re-integration stays exactly reversible about the launch, so
+        # its x-axis residual measures only how far it is from closing after
+        # one period; the y-axis residual adds the broken mirror, about twice
+        # as much at this exponent.
+        base = PowerLawParams(1.0, 0.0)
+        v = circular_speed(base, 1.0)
+        period = 2 * math.pi / v
+        traj = flow(ForceField(base=base), 0.0, (1.0, 0.0), (0.0, v), period / 4 + 0.1)
+        orb = extend_quarter(traj.truncated(period / 4))
+        field = ForceField(base=base, perturbation=axis_poly_perturbation(cx=1.0, px=2, cy=0.0, py=3))
+        assert validate_orbit(orb, field, 0.0)[0]
+        ok, diag = validate_orbit(orb, field, 1.6e-8)
+        res = diag["symmetry_residuals"]
+        assert res["x_axis"] < 1e-7 < res["y_axis"]
+        assert diag["closure_position"] < 1e-7
+        assert not ok
+
+    def test_sample_count_not_divisible_by_four(self, solved_perturbed_orbit, kepler_radial_field):
+        # With 1021 samples no y-axis mirrored time T/2 - t_k is a sample time:
+        # the residual evaluates the re-integration there directly.
+        orb = extend_quarter(solved_perturbed_orbit.segment, mu=0.05, n_samples=1021)
+        mirrored = (0.5 * orb.period - orb.times) % orb.period
+        assert not np.any(np.isin(mirrored, orb.times))
+        ok, diag = validate_orbit(orb, kepler_radial_field, 0.05)
+        ok_1024, _ = validate_orbit(solved_perturbed_orbit, kepler_radial_field, 0.05)
+        assert all(v < 1e-7 for v in diag["symmetry_residuals"].values())
+        assert ok == ok_1024
 
 
 def all_pairs_is_simple_closed(points):
@@ -373,7 +412,7 @@ def all_pairs_is_simple_closed(points):
 
 
 def all_pairs_symmetry_residual(points, reflections):
-    """Reference: distance from every reflected sample to every segment."""
+    """Distance from every reflected sample to every segment of the trace."""
     pts = _polyline(points)
     starts = pts
     ends = np.roll(pts, -1, axis=0)
@@ -399,9 +438,8 @@ def all_pairs_symmetry_residual(points, reflections):
 
 
 def assert_matches_all_pairs(points):
-    """Both grid-pruned checks return exactly what the all-pairs references do."""
-    refls = [Reflection.X_AXIS, Reflection.Y_AXIS]
-    assert symmetry_residual(points, refls) == all_pairs_symmetry_residual(points, refls)
+    """The grid-pruned simplicity check returns exactly what the all-pairs
+    reference does."""
     simple, pt = is_simple_closed(points, min_points=3)
     ref_simple, ref_pt = all_pairs_is_simple_closed(points)
     assert simple == ref_simple
@@ -433,8 +471,6 @@ class TestGridPrunedChecksMatchAllPairs:
         "orbit_fixture", ["solved_perturbed_orbit", "half_orbit_a05", "half_orbit_a3"]
     )
     def test_acceptance_orbits(self, request, orbit_fixture):
-        # Both reflections: the y-axis one of a half orbit is ~1e-2 off the trace,
-        # so most of its samples fall back to the comparison with all segments.
         orb = request.getfixturevalue(orbit_fixture)
         assert assert_matches_all_pairs(orb.positions)
 
@@ -479,7 +515,7 @@ class TestGridPrunedChecksMatchAllPairs:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(256, 600), st.booleans())
-    @example(8, 256, False)  # a nearest segment lies in a neighbouring cell
+    @example(8, 256, False)
     def test_random_walks(self, seed, n, lattice):
         steps = np.random.default_rng(seed).normal(size=(n, 2))
         if lattice:
@@ -503,8 +539,6 @@ class TestGridPrunedChecksMatchAllPairs:
         pts[7, 1] = np.nan
         with pytest.raises(ValueError):
             is_simple_closed(pts)
-        with pytest.raises(ValueError):
-            symmetry_residual(pts, [Reflection.X_AXIS])
 
     @pytest.mark.parametrize("ratio", [0.5, 1.5])
     def test_segment_lengths_spanning_a_million(self, ratio):
@@ -667,6 +701,29 @@ class TestValidateOrbit:
         assert diag["simple_closed"]
         assert diag["crossings_ok"]
         assert solved_perturbed_orbit.diagnostics == diag
+
+    def test_one_reintegration_per_orbit(self, solved_perturbed_orbit, kepler_radial_field, monkeypatch):
+        import symorbit.orbit as orbit_mod
+
+        calls = []
+        monkeypatch.setattr(orbit_mod, "flow", lambda *a, **k: calls.append(a) or flow(*a, **k))
+        assert validate_orbit(solved_perturbed_orbit, kepler_radial_field, 0.05)[0]
+        assert len(calls) == 1
+
+    def test_asymmetric_reintegration_of_a_reflected_orbit_invalid(self, half_problem_a05):
+        # The half orbit solved at mu = 0 is built by reflection, so its samples
+        # are x-axis symmetric to round-off. Re-integrated with a y^2 force,
+        # which breaks the x-axis mirror, it still closes within tolerance,
+        # but the re-integration is not reversible about the launch.
+        orb = extend_half(solve(half_problem_a05, 0.0).segment)
+        field = ForceField(
+            base=PowerLawParams(1.0, 0.5),
+            perturbation=axis_poly_perturbation(cx=0.0, px=2, cy=1.0, py=2),
+        )
+        ok, diag = validate_orbit(orb, field, 1e-7)
+        assert diag["closure_position"] < 1e-6 and diag["closure_velocity"] < 1e-5
+        assert diag["symmetry_residuals"]["x_axis"] > 1e-7
+        assert not ok and not diag["valid"]
 
     def test_orbit_serialization(self, solved_perturbed_orbit):
         d = solved_perturbed_orbit.to_dict()
