@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -78,13 +79,30 @@ def circular_speed(params: PowerLawParams, p: float) -> float:
     return math.sqrt(p * u1)
 
 
-# Built-in perturbation families: kind -> {constant: default}.
-# PerturbationSpec.term dispatches on the kind.
+def _zero(x: float, y: float) -> tuple[float, float]:
+    return 0.0, 0.0
+
+
+def _radial_power(lam: float, beta: float, x: float, y: float) -> tuple[float, float]:
+    s = -lam / math.hypot(x, y) ** (beta + 2.0)
+    return s * x, s * y
+
+
+def _axis_poly(cx: float, px: int, cy: float, py: int, x: float, y: float) -> tuple[float, float]:
+    return cx * x**px, cy * y**py
+
+
+def _uniform(ux: float, uy: float, x: float, y: float) -> tuple[float, float]:
+    return ux, uy
+
+
+# Built-in perturbation families: kind -> ({constant: default}, term), a term
+# taking the constants in the defaults' order, then (x, y).
 _FAMILIES = {
-    "zero": {},
-    "radial_power": {"lam": 1.0, "beta": 3.0},
-    "axis_poly": {"cx": 0.0, "px": 3, "cy": 0.0, "py": 3},
-    "uniform": {"ux": 0.0, "uy": 0.0},
+    "zero": ({}, _zero),
+    "radial_power": ({"lam": 1.0, "beta": 3.0}, _radial_power),
+    "axis_poly": ({"cx": 0.0, "px": 3, "cy": 0.0, "py": 3}, _axis_poly),
+    "uniform": ({"ux": 0.0, "uy": 0.0}, _uniform),
 }
 
 
@@ -101,55 +119,34 @@ class PerturbationSpec:
     declared_symmetries is what the caller claims; check_symmetry verifies it
     numerically, so a wrong declaration is constructible on purpose.
 
-    params names family constants (defaults in _FAMILIES); it is copied at
-    construction and the constants are resolved from it once, so mutating
-    the caller's dict later changes nothing.
+    params maps family constants (defaults in _FAMILIES) to finite numbers; a
+    name the family lacks is a ValueError. term(x, y), the unscaled vector, is
+    the family's term with the constants of a copy of params bound once.
     """
 
     kind: str = "zero"
     params: dict = field(default_factory=dict)
     declared_symmetries: frozenset = frozenset()
-    _constants: tuple = field(init=False, repr=False, compare=False)
+    term: partial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _FAMILIES:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        syms = frozenset(
-            Reflection(s) if not isinstance(s, Reflection) else s
-            for s in self.declared_symmetries
-        )
-        object.__setattr__(self, "declared_symmetries", syms)
-        params = dict(self.params)
-        object.__setattr__(self, "params", params)
-        k = {**_FAMILIES[self.kind], **params}  # absent constants take the family defaults
+        object.__setattr__(self, "declared_symmetries", frozenset(map(Reflection, self.declared_symmetries)))
+        object.__setattr__(self, "params", dict(self.params))
+        defaults, term = _FAMILIES[self.kind]
+        for key, value in self.params.items():
+            if key not in defaults:
+                raise ValueError(f"{self.kind} has no constant {key!r}; its constants are {list(defaults)}")
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} constant {key!r} must be finite, got {value!r}")
+        k = {**defaults, **self.params}  # absent constants take the family defaults
         if self.kind == "axis_poly":
             for key in ("px", "py"):
-                if k[key] != int(k[key]) or k[key] < 0:
-                    raise ValueError(f"axis_poly exponent {key} must be a nonnegative integer")
-        if self.kind == "radial_power":
-            constants = (k["lam"], k["beta"] + 2.0)
-        elif self.kind == "axis_poly":
-            constants = (k["cx"], int(k["px"]), k["cy"], int(k["py"]))
-        elif self.kind == "uniform":
-            constants = (k["ux"], k["uy"])
-        else:
-            constants = ()
-        object.__setattr__(self, "_constants", constants)
-
-    def term(self, x: float, y: float) -> tuple[float, float]:
-        """Unscaled perturbation vector at (x, y); multiply by mu for the force."""
-        kind = self.kind
-        if kind == "zero":
-            return 0.0, 0.0
-        if kind == "radial_power":
-            lam, exponent = self._constants
-            s = -lam / math.hypot(x, y) ** exponent
-            return s * x, s * y
-        if kind == "axis_poly":
-            cx, px, cy, py = self._constants
-            return cx * x**px, cy * y**py
-        # uniform
-        return self._constants
+                if not (float(k[key]).is_integer() and k[key] >= 0):
+                    raise ValueError(f"axis_poly exponent {key} must be a nonnegative integer, got {k[key]!r}")
+                k[key] = int(k[key])
+        object.__setattr__(self, "term", partial(term, *k.values()))
 
 
 def radial_power_perturbation(lam: float = 1.0, beta: float = 3.0) -> PerturbationSpec:
@@ -236,6 +233,7 @@ def check_symmetry(
 
     Raises SymmetryViolation when a declared reflection fails beyond
     _SYMMETRY_TOL; built-in families with honest declarations sit at round-off.
+    A sample where the force overflows or divides by zero is left out.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -248,10 +246,12 @@ def check_symmetry(
     residuals = {}
     for refl in sorted(field_.symmetries, key=lambda s: s.value):
         worst = 0.0
-        for p in pts:
-            q = refl.apply(p)
-            f_q = np.array(field_.acceleration(q[0], q[1], mu))
-            f_p = np.array(field_.acceleration(p[0], p[1], mu))
+        for p in pts.tolist():
+            try:  # on floats, as the integrator evaluates the force
+                f_q = np.array(field_.acceleration(*refl.apply(p).tolist(), mu))
+                f_p = np.array(field_.acceleration(*p, mu))
+            except (ZeroDivisionError, OverflowError):
+                continue  # the force is undefined here; flow ends in StepFailure where it meets it
             worst = max(worst, float(np.linalg.norm(f_q - refl.apply(f_p))))
         residuals[refl] = worst
 

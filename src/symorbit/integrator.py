@@ -17,10 +17,12 @@ P and, from P's shape, the stage count and the interpolant's degree. The step
 loop runs on plain floats and calls no numpy, with the tableau products
 unrolled. A trial step evaluates the 12 stages and the error norm; only an
 accepted one goes on to the FSAL stage f(t + h, y_new) and the three extra
-stages of the dense output. A step's record is (t_left, h, y_left, stages):
-its start time and size, its start state as a 4-tuple and its 16 stages
-(velocity, force) as one flat tuple. A `Trajectory` is its step records plus
-its end node.
+stages of the dense output. No stage is guarded on its own: one rule, applied
+after stage 11 and to the dense stages, halves h for a raising force, a
+non-finite value or a stage within 1e-12 of the origin. A step's record is
+(t_left, h, y_left, stages): its start time and size, its start state as a
+4-tuple and its 16 stages (velocity, force) as one flat tuple. A `Trajectory`
+is its step records plus its end node.
 
 P is the interpolant in monomial form, y(t_left + theta h) = y_left +
 h K^T P [theta, ..., theta^7] (K the stage matrix), derived once in exact
@@ -620,287 +622,231 @@ def _dop853_step(accel, mu, h, state, force, rtol, atol):
     """One trial step of DOP853 on floats.
 
     state is (x, y, vx, vy) and force the acceleration there, the first stage
-    (FSAL). Returns None when a stage position is non-finite or within 1e-12
-    of the origin, a stage velocity is non-finite, or a stage force is
-    non-finite: the caller then halves h. Otherwise returns (error norm, new
-    state, stages). The error norm reads stages 0-11 only, so a rejected
-    trial, one whose norm is not <= 1 (NaN included), stops there with 11
-    force evaluations and returns (error norm, None, None). An accepted one
-    goes on to the FSAL stage f(t + h, new state) and the dense output's
-    three extra stages, under the same guards, and returns the 16 stage
-    derivatives (vx, vy, ax, ay) one after another in one flat tuple.
+    (FSAL). The trial makes one decision: it returns None, and the caller
+    halves h, when a force evaluation raises ZeroDivisionError or
+    OverflowError (as Python's float ** does), or when after stage 11 the
+    error norm or the new state is not finite or a stage position or the new
+    position lies within 1e-12 of the origin. A non-finite stage reaches the
+    norm through the stages after it, so no stage is checked on its own. A
+    trial whose finite norm is above 1 stops there with 11 force evaluations
+    and returns (error norm, None, None). An accepted one goes on to the FSAL
+    stage f(t + h, new state) and the dense output's three extra stages,
+    returns None if a force of those is not finite or one of them lies within
+    1e-12 of the origin, and otherwise (error norm, new state, stages): the 16
+    stage derivatives (vx, vy, ax, ay) one after another in one flat tuple.
     """
-    hypot, isfinite, inf = math.hypot, math.isfinite, math.inf
+    hypot, isfinite = math.hypot, math.isfinite
     x, y, u0, w0 = state
     gx0, gy0 = force
-    if not (isfinite(gx0) and isfinite(gy0)):
-        return None
-    # A NaN radius fails `1e-12 <= r < inf` as an infinite one does.
-    x1 = x + h * (_A1_0 * u0)
-    y1 = y + h * (_A1_0 * w0)
-    u1 = u0 + h * (_A1_0 * gx0)
-    w1 = w0 + h * (_A1_0 * gy0)
-    if not (1e-12 <= hypot(x1, y1) < inf and isfinite(u1) and isfinite(w1)):
-        return None
-    gx1, gy1 = accel(x1, y1, mu)
-    if not (isfinite(gx1) and isfinite(gy1)):
-        return None
-    x2 = x + h * (_A2_0 * u0 + _A2_1 * u1)
-    y2 = y + h * (_A2_0 * w0 + _A2_1 * w1)
-    u2 = u0 + h * (_A2_0 * gx0 + _A2_1 * gx1)
-    w2 = w0 + h * (_A2_0 * gy0 + _A2_1 * gy1)
-    if not (1e-12 <= hypot(x2, y2) < inf and isfinite(u2) and isfinite(w2)):
-        return None
-    gx2, gy2 = accel(x2, y2, mu)
-    if not (isfinite(gx2) and isfinite(gy2)):
-        return None
-    x3 = x + h * (_A3_0 * u0 + _A3_2 * u2)
-    y3 = y + h * (_A3_0 * w0 + _A3_2 * w2)
-    u3 = u0 + h * (_A3_0 * gx0 + _A3_2 * gx2)
-    w3 = w0 + h * (_A3_0 * gy0 + _A3_2 * gy2)
-    if not (1e-12 <= hypot(x3, y3) < inf and isfinite(u3) and isfinite(w3)):
-        return None
-    gx3, gy3 = accel(x3, y3, mu)
-    if not (isfinite(gx3) and isfinite(gy3)):
-        return None
-    x4 = x + h * (_A4_0 * u0 + _A4_2 * u2 + _A4_3 * u3)
-    y4 = y + h * (_A4_0 * w0 + _A4_2 * w2 + _A4_3 * w3)
-    u4 = u0 + h * (_A4_0 * gx0 + _A4_2 * gx2 + _A4_3 * gx3)
-    w4 = w0 + h * (_A4_0 * gy0 + _A4_2 * gy2 + _A4_3 * gy3)
-    if not (1e-12 <= hypot(x4, y4) < inf and isfinite(u4) and isfinite(w4)):
-        return None
-    gx4, gy4 = accel(x4, y4, mu)
-    if not (isfinite(gx4) and isfinite(gy4)):
-        return None
-    x5 = x + h * (_A5_0 * u0 + _A5_3 * u3 + _A5_4 * u4)
-    y5 = y + h * (_A5_0 * w0 + _A5_3 * w3 + _A5_4 * w4)
-    u5 = u0 + h * (_A5_0 * gx0 + _A5_3 * gx3 + _A5_4 * gx4)
-    w5 = w0 + h * (_A5_0 * gy0 + _A5_3 * gy3 + _A5_4 * gy4)
-    if not (1e-12 <= hypot(x5, y5) < inf and isfinite(u5) and isfinite(w5)):
-        return None
-    gx5, gy5 = accel(x5, y5, mu)
-    if not (isfinite(gx5) and isfinite(gy5)):
-        return None
-    x6 = x + h * (_A6_0 * u0 + _A6_3 * u3 + _A6_4 * u4 + _A6_5 * u5)
-    y6 = y + h * (_A6_0 * w0 + _A6_3 * w3 + _A6_4 * w4 + _A6_5 * w5)
-    u6 = u0 + h * (_A6_0 * gx0 + _A6_3 * gx3 + _A6_4 * gx4 + _A6_5 * gx5)
-    w6 = w0 + h * (_A6_0 * gy0 + _A6_3 * gy3 + _A6_4 * gy4 + _A6_5 * gy5)
-    if not (1e-12 <= hypot(x6, y6) < inf and isfinite(u6) and isfinite(w6)):
-        return None
-    gx6, gy6 = accel(x6, y6, mu)
-    if not (isfinite(gx6) and isfinite(gy6)):
-        return None
-    x7 = x + h * (_A7_0 * u0 + _A7_3 * u3 + _A7_4 * u4 + _A7_5 * u5 + _A7_6 * u6)
-    y7 = y + h * (_A7_0 * w0 + _A7_3 * w3 + _A7_4 * w4 + _A7_5 * w5 + _A7_6 * w6)
-    u7 = u0 + h * (_A7_0 * gx0 + _A7_3 * gx3 + _A7_4 * gx4 + _A7_5 * gx5 + _A7_6 * gx6)
-    w7 = w0 + h * (_A7_0 * gy0 + _A7_3 * gy3 + _A7_4 * gy4 + _A7_5 * gy5 + _A7_6 * gy6)
-    if not (1e-12 <= hypot(x7, y7) < inf and isfinite(u7) and isfinite(w7)):
-        return None
-    gx7, gy7 = accel(x7, y7, mu)
-    if not (isfinite(gx7) and isfinite(gy7)):
-        return None
-    x8 = x + h * (_A8_0 * u0 + _A8_3 * u3 + _A8_4 * u4 + _A8_5 * u5 + _A8_6 * u6 + _A8_7 * u7)
-    y8 = y + h * (_A8_0 * w0 + _A8_3 * w3 + _A8_4 * w4 + _A8_5 * w5 + _A8_6 * w6 + _A8_7 * w7)
-    u8 = u0 + h * (_A8_0 * gx0 + _A8_3 * gx3 + _A8_4 * gx4 + _A8_5 * gx5 + _A8_6 * gx6 + _A8_7 * gx7)
-    w8 = w0 + h * (_A8_0 * gy0 + _A8_3 * gy3 + _A8_4 * gy4 + _A8_5 * gy5 + _A8_6 * gy6 + _A8_7 * gy7)
-    if not (1e-12 <= hypot(x8, y8) < inf and isfinite(u8) and isfinite(w8)):
-        return None
-    gx8, gy8 = accel(x8, y8, mu)
-    if not (isfinite(gx8) and isfinite(gy8)):
-        return None
-    x9 = x + h * (_A9_0 * u0 + _A9_3 * u3 + _A9_4 * u4 + _A9_5 * u5 + _A9_6 * u6 + _A9_7 * u7 + _A9_8 * u8)
-    y9 = y + h * (_A9_0 * w0 + _A9_3 * w3 + _A9_4 * w4 + _A9_5 * w5 + _A9_6 * w6 + _A9_7 * w7 + _A9_8 * w8)
-    u9 = u0 + h * (_A9_0 * gx0 + _A9_3 * gx3 + _A9_4 * gx4 + _A9_5 * gx5 + _A9_6 * gx6 + _A9_7 * gx7 + _A9_8 * gx8)
-    w9 = w0 + h * (_A9_0 * gy0 + _A9_3 * gy3 + _A9_4 * gy4 + _A9_5 * gy5 + _A9_6 * gy6 + _A9_7 * gy7 + _A9_8 * gy8)
-    if not (1e-12 <= hypot(x9, y9) < inf and isfinite(u9) and isfinite(w9)):
-        return None
-    gx9, gy9 = accel(x9, y9, mu)
-    if not (isfinite(gx9) and isfinite(gy9)):
-        return None
-    x10 = x + h * (
-        _A10_0 * u0 + _A10_3 * u3 + _A10_4 * u4 + _A10_5 * u5 + _A10_6 * u6 + _A10_7 * u7 + _A10_8 * u8 + _A10_9 * u9
-    )
-    y10 = y + h * (
-        _A10_0 * w0 + _A10_3 * w3 + _A10_4 * w4 + _A10_5 * w5 + _A10_6 * w6 + _A10_7 * w7 + _A10_8 * w8 + _A10_9 * w9
-    )
-    u10 = u0 + h * (
-        _A10_0 * gx0 + _A10_3 * gx3 + _A10_4 * gx4 + _A10_5 * gx5 + _A10_6 * gx6 + _A10_7 * gx7 + _A10_8 * gx8
-        + _A10_9 * gx9
-    )
-    w10 = w0 + h * (
-        _A10_0 * gy0 + _A10_3 * gy3 + _A10_4 * gy4 + _A10_5 * gy5 + _A10_6 * gy6 + _A10_7 * gy7 + _A10_8 * gy8
-        + _A10_9 * gy9
-    )
-    if not (1e-12 <= hypot(x10, y10) < inf and isfinite(u10) and isfinite(w10)):
-        return None
-    gx10, gy10 = accel(x10, y10, mu)
-    if not (isfinite(gx10) and isfinite(gy10)):
-        return None
-    x11 = x + h * (
-        _A11_0 * u0 + _A11_3 * u3 + _A11_4 * u4 + _A11_5 * u5 + _A11_6 * u6 + _A11_7 * u7 + _A11_8 * u8 + _A11_9 * u9
-        + _A11_10 * u10
-    )
-    y11 = y + h * (
-        _A11_0 * w0 + _A11_3 * w3 + _A11_4 * w4 + _A11_5 * w5 + _A11_6 * w6 + _A11_7 * w7 + _A11_8 * w8 + _A11_9 * w9
-        + _A11_10 * w10
-    )
-    u11 = u0 + h * (
-        _A11_0 * gx0 + _A11_3 * gx3 + _A11_4 * gx4 + _A11_5 * gx5 + _A11_6 * gx6 + _A11_7 * gx7 + _A11_8 * gx8
-        + _A11_9 * gx9 + _A11_10 * gx10
-    )
-    w11 = w0 + h * (
-        _A11_0 * gy0 + _A11_3 * gy3 + _A11_4 * gy4 + _A11_5 * gy5 + _A11_6 * gy6 + _A11_7 * gy7 + _A11_8 * gy8
-        + _A11_9 * gy9 + _A11_10 * gy10
-    )
-    if not (1e-12 <= hypot(x11, y11) < inf and isfinite(u11) and isfinite(w11)):
-        return None
-    gx11, gy11 = accel(x11, y11, mu)
-    if not (isfinite(gx11) and isfinite(gy11)):
-        return None
-    # Eighth-order solution; stage 12 is its derivative.
-    xn = x + h * (
-        _A12_0 * u0 + _A12_5 * u5 + _A12_6 * u6 + _A12_7 * u7 + _A12_8 * u8 + _A12_9 * u9 + _A12_10 * u10
-        + _A12_11 * u11
-    )
-    yn = y + h * (
-        _A12_0 * w0 + _A12_5 * w5 + _A12_6 * w6 + _A12_7 * w7 + _A12_8 * w8 + _A12_9 * w9 + _A12_10 * w10
-        + _A12_11 * w11
-    )
-    u12 = u0 + h * (
-        _A12_0 * gx0 + _A12_5 * gx5 + _A12_6 * gx6 + _A12_7 * gx7 + _A12_8 * gx8 + _A12_9 * gx9 + _A12_10 * gx10
-        + _A12_11 * gx11
-    )
-    w12 = w0 + h * (
-        _A12_0 * gy0 + _A12_5 * gy5 + _A12_6 * gy6 + _A12_7 * gy7 + _A12_8 * gy8 + _A12_9 * gy9 + _A12_10 * gy10
-        + _A12_11 * gy11
-    )
-    if not (1e-12 <= hypot(xn, yn) < inf and isfinite(u12) and isfinite(w12)):
-        return None
+    try:
+        x1 = x + h * (_A1_0 * u0)
+        y1 = y + h * (_A1_0 * w0)
+        u1 = u0 + h * (_A1_0 * gx0)
+        w1 = w0 + h * (_A1_0 * gy0)
+        gx1, gy1 = accel(x1, y1, mu)
+        x2 = x + h * (_A2_0 * u0 + _A2_1 * u1)
+        y2 = y + h * (_A2_0 * w0 + _A2_1 * w1)
+        u2 = u0 + h * (_A2_0 * gx0 + _A2_1 * gx1)
+        w2 = w0 + h * (_A2_0 * gy0 + _A2_1 * gy1)
+        gx2, gy2 = accel(x2, y2, mu)
+        x3 = x + h * (_A3_0 * u0 + _A3_2 * u2)
+        y3 = y + h * (_A3_0 * w0 + _A3_2 * w2)
+        u3 = u0 + h * (_A3_0 * gx0 + _A3_2 * gx2)
+        w3 = w0 + h * (_A3_0 * gy0 + _A3_2 * gy2)
+        gx3, gy3 = accel(x3, y3, mu)
+        x4 = x + h * (_A4_0 * u0 + _A4_2 * u2 + _A4_3 * u3)
+        y4 = y + h * (_A4_0 * w0 + _A4_2 * w2 + _A4_3 * w3)
+        u4 = u0 + h * (_A4_0 * gx0 + _A4_2 * gx2 + _A4_3 * gx3)
+        w4 = w0 + h * (_A4_0 * gy0 + _A4_2 * gy2 + _A4_3 * gy3)
+        gx4, gy4 = accel(x4, y4, mu)
+        x5 = x + h * (_A5_0 * u0 + _A5_3 * u3 + _A5_4 * u4)
+        y5 = y + h * (_A5_0 * w0 + _A5_3 * w3 + _A5_4 * w4)
+        u5 = u0 + h * (_A5_0 * gx0 + _A5_3 * gx3 + _A5_4 * gx4)
+        w5 = w0 + h * (_A5_0 * gy0 + _A5_3 * gy3 + _A5_4 * gy4)
+        gx5, gy5 = accel(x5, y5, mu)
+        x6 = x + h * (_A6_0 * u0 + _A6_3 * u3 + _A6_4 * u4 + _A6_5 * u5)
+        y6 = y + h * (_A6_0 * w0 + _A6_3 * w3 + _A6_4 * w4 + _A6_5 * w5)
+        u6 = u0 + h * (_A6_0 * gx0 + _A6_3 * gx3 + _A6_4 * gx4 + _A6_5 * gx5)
+        w6 = w0 + h * (_A6_0 * gy0 + _A6_3 * gy3 + _A6_4 * gy4 + _A6_5 * gy5)
+        gx6, gy6 = accel(x6, y6, mu)
+        x7 = x + h * (_A7_0 * u0 + _A7_3 * u3 + _A7_4 * u4 + _A7_5 * u5 + _A7_6 * u6)
+        y7 = y + h * (_A7_0 * w0 + _A7_3 * w3 + _A7_4 * w4 + _A7_5 * w5 + _A7_6 * w6)
+        u7 = u0 + h * (_A7_0 * gx0 + _A7_3 * gx3 + _A7_4 * gx4 + _A7_5 * gx5 + _A7_6 * gx6)
+        w7 = w0 + h * (_A7_0 * gy0 + _A7_3 * gy3 + _A7_4 * gy4 + _A7_5 * gy5 + _A7_6 * gy6)
+        gx7, gy7 = accel(x7, y7, mu)
+        x8 = x + h * (_A8_0 * u0 + _A8_3 * u3 + _A8_4 * u4 + _A8_5 * u5 + _A8_6 * u6 + _A8_7 * u7)
+        y8 = y + h * (_A8_0 * w0 + _A8_3 * w3 + _A8_4 * w4 + _A8_5 * w5 + _A8_6 * w6 + _A8_7 * w7)
+        u8 = u0 + h * (_A8_0 * gx0 + _A8_3 * gx3 + _A8_4 * gx4 + _A8_5 * gx5 + _A8_6 * gx6 + _A8_7 * gx7)
+        w8 = w0 + h * (_A8_0 * gy0 + _A8_3 * gy3 + _A8_4 * gy4 + _A8_5 * gy5 + _A8_6 * gy6 + _A8_7 * gy7)
+        gx8, gy8 = accel(x8, y8, mu)
+        x9 = x + h * (_A9_0 * u0 + _A9_3 * u3 + _A9_4 * u4 + _A9_5 * u5 + _A9_6 * u6 + _A9_7 * u7 + _A9_8 * u8)
+        y9 = y + h * (_A9_0 * w0 + _A9_3 * w3 + _A9_4 * w4 + _A9_5 * w5 + _A9_6 * w6 + _A9_7 * w7 + _A9_8 * w8)
+        u9 = u0 + h * (_A9_0 * gx0 + _A9_3 * gx3 + _A9_4 * gx4 + _A9_5 * gx5 + _A9_6 * gx6 + _A9_7 * gx7 + _A9_8 * gx8)
+        w9 = w0 + h * (_A9_0 * gy0 + _A9_3 * gy3 + _A9_4 * gy4 + _A9_5 * gy5 + _A9_6 * gy6 + _A9_7 * gy7 + _A9_8 * gy8)
+        gx9, gy9 = accel(x9, y9, mu)
+        x10 = x + h * (
+            _A10_0 * u0 + _A10_3 * u3 + _A10_4 * u4 + _A10_5 * u5 + _A10_6 * u6 + _A10_7 * u7 + _A10_8 * u8 + _A10_9 * u9
+        )
+        y10 = y + h * (
+            _A10_0 * w0 + _A10_3 * w3 + _A10_4 * w4 + _A10_5 * w5 + _A10_6 * w6 + _A10_7 * w7 + _A10_8 * w8 + _A10_9 * w9
+        )
+        u10 = u0 + h * (
+            _A10_0 * gx0 + _A10_3 * gx3 + _A10_4 * gx4 + _A10_5 * gx5 + _A10_6 * gx6 + _A10_7 * gx7 + _A10_8 * gx8
+            + _A10_9 * gx9
+        )
+        w10 = w0 + h * (
+            _A10_0 * gy0 + _A10_3 * gy3 + _A10_4 * gy4 + _A10_5 * gy5 + _A10_6 * gy6 + _A10_7 * gy7 + _A10_8 * gy8
+            + _A10_9 * gy9
+        )
+        gx10, gy10 = accel(x10, y10, mu)
+        x11 = x + h * (
+            _A11_0 * u0 + _A11_3 * u3 + _A11_4 * u4 + _A11_5 * u5 + _A11_6 * u6 + _A11_7 * u7 + _A11_8 * u8 + _A11_9 * u9
+            + _A11_10 * u10
+        )
+        y11 = y + h * (
+            _A11_0 * w0 + _A11_3 * w3 + _A11_4 * w4 + _A11_5 * w5 + _A11_6 * w6 + _A11_7 * w7 + _A11_8 * w8 + _A11_9 * w9
+            + _A11_10 * w10
+        )
+        u11 = u0 + h * (
+            _A11_0 * gx0 + _A11_3 * gx3 + _A11_4 * gx4 + _A11_5 * gx5 + _A11_6 * gx6 + _A11_7 * gx7 + _A11_8 * gx8
+            + _A11_9 * gx9 + _A11_10 * gx10
+        )
+        w11 = w0 + h * (
+            _A11_0 * gy0 + _A11_3 * gy3 + _A11_4 * gy4 + _A11_5 * gy5 + _A11_6 * gy6 + _A11_7 * gy7 + _A11_8 * gy8
+            + _A11_9 * gy9 + _A11_10 * gy10
+        )
+        gx11, gy11 = accel(x11, y11, mu)
+        # Eighth-order solution; stage 12 is its derivative.
+        xn = x + h * (
+            _A12_0 * u0 + _A12_5 * u5 + _A12_6 * u6 + _A12_7 * u7 + _A12_8 * u8 + _A12_9 * u9 + _A12_10 * u10
+            + _A12_11 * u11
+        )
+        yn = y + h * (
+            _A12_0 * w0 + _A12_5 * w5 + _A12_6 * w6 + _A12_7 * w7 + _A12_8 * w8 + _A12_9 * w9 + _A12_10 * w10
+            + _A12_11 * w11
+        )
+        u12 = u0 + h * (
+            _A12_0 * gx0 + _A12_5 * gx5 + _A12_6 * gx6 + _A12_7 * gx7 + _A12_8 * gx8 + _A12_9 * gx9 + _A12_10 * gx10
+            + _A12_11 * gx11
+        )
+        w12 = w0 + h * (
+            _A12_0 * gy0 + _A12_5 * gy5 + _A12_6 * gy6 + _A12_7 * gy7 + _A12_8 * gy8 + _A12_9 * gy9 + _A12_10 * gy10
+            + _A12_11 * gy11
+        )
 
-    # Error norm of the 5th- and 3rd-order estimators, scaled per component.
-    sx = atol + rtol * max(abs(x), abs(xn))
-    sy = atol + rtol * max(abs(y), abs(yn))
-    su = atol + rtol * max(abs(u0), abs(u12))
-    sw = atol + rtol * max(abs(w0), abs(w12))
-    e5x = (
-        _E5_0 * u0 + _E5_5 * u5 + _E5_6 * u6 + _E5_7 * u7 + _E5_8 * u8 + _E5_9 * u9 + _E5_10 * u10 + _E5_11 * u11
-    ) / sx
-    e5y = (
-        _E5_0 * w0 + _E5_5 * w5 + _E5_6 * w6 + _E5_7 * w7 + _E5_8 * w8 + _E5_9 * w9 + _E5_10 * w10 + _E5_11 * w11
-    ) / sy
-    e5u = (
-        _E5_0 * gx0 + _E5_5 * gx5 + _E5_6 * gx6 + _E5_7 * gx7 + _E5_8 * gx8 + _E5_9 * gx9 + _E5_10 * gx10
-        + _E5_11 * gx11
-    ) / su
-    e5w = (
-        _E5_0 * gy0 + _E5_5 * gy5 + _E5_6 * gy6 + _E5_7 * gy7 + _E5_8 * gy8 + _E5_9 * gy9 + _E5_10 * gy10
-        + _E5_11 * gy11
-    ) / sw
-    e3x = (
-        _E3_0 * u0 + _E3_5 * u5 + _E3_6 * u6 + _E3_7 * u7 + _E3_8 * u8 + _E3_9 * u9 + _E3_10 * u10 + _E3_11 * u11
-    ) / sx
-    e3y = (
-        _E3_0 * w0 + _E3_5 * w5 + _E3_6 * w6 + _E3_7 * w7 + _E3_8 * w8 + _E3_9 * w9 + _E3_10 * w10 + _E3_11 * w11
-    ) / sy
-    e3u = (
-        _E3_0 * gx0 + _E3_5 * gx5 + _E3_6 * gx6 + _E3_7 * gx7 + _E3_8 * gx8 + _E3_9 * gx9 + _E3_10 * gx10
-        + _E3_11 * gx11
-    ) / su
-    e3w = (
-        _E3_0 * gy0 + _E3_5 * gy5 + _E3_6 * gy6 + _E3_7 * gy7 + _E3_8 * gy8 + _E3_9 * gy9 + _E3_10 * gy10
-        + _E3_11 * gy11
-    ) / sw
-    n5 = e5x * e5x + e5y * e5y + e5u * e5u + e5w * e5w
-    n3 = e3x * e3x + e3y * e3y + e3u * e3u + e3w * e3w
-    err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
-    if not err <= 1.0:  # NaN (both norms overflowed) is rejected too
-        return err, None, None
+        # Error norm of the 5th- and 3rd-order estimators, scaled per component.
+        sx = atol + rtol * max(abs(x), abs(xn))
+        sy = atol + rtol * max(abs(y), abs(yn))
+        su = atol + rtol * max(abs(u0), abs(u12))
+        sw = atol + rtol * max(abs(w0), abs(w12))
+        e5x = (
+            _E5_0 * u0 + _E5_5 * u5 + _E5_6 * u6 + _E5_7 * u7 + _E5_8 * u8 + _E5_9 * u9 + _E5_10 * u10 + _E5_11 * u11
+        ) / sx
+        e5y = (
+            _E5_0 * w0 + _E5_5 * w5 + _E5_6 * w6 + _E5_7 * w7 + _E5_8 * w8 + _E5_9 * w9 + _E5_10 * w10 + _E5_11 * w11
+        ) / sy
+        e5u = (
+            _E5_0 * gx0 + _E5_5 * gx5 + _E5_6 * gx6 + _E5_7 * gx7 + _E5_8 * gx8 + _E5_9 * gx9 + _E5_10 * gx10
+            + _E5_11 * gx11
+        ) / su
+        e5w = (
+            _E5_0 * gy0 + _E5_5 * gy5 + _E5_6 * gy6 + _E5_7 * gy7 + _E5_8 * gy8 + _E5_9 * gy9 + _E5_10 * gy10
+            + _E5_11 * gy11
+        ) / sw
+        e3x = (
+            _E3_0 * u0 + _E3_5 * u5 + _E3_6 * u6 + _E3_7 * u7 + _E3_8 * u8 + _E3_9 * u9 + _E3_10 * u10 + _E3_11 * u11
+        ) / sx
+        e3y = (
+            _E3_0 * w0 + _E3_5 * w5 + _E3_6 * w6 + _E3_7 * w7 + _E3_8 * w8 + _E3_9 * w9 + _E3_10 * w10 + _E3_11 * w11
+        ) / sy
+        e3u = (
+            _E3_0 * gx0 + _E3_5 * gx5 + _E3_6 * gx6 + _E3_7 * gx7 + _E3_8 * gx8 + _E3_9 * gx9 + _E3_10 * gx10
+            + _E3_11 * gx11
+        ) / su
+        e3w = (
+            _E3_0 * gy0 + _E3_5 * gy5 + _E3_6 * gy6 + _E3_7 * gy7 + _E3_8 * gy8 + _E3_9 * gy9 + _E3_10 * gy10
+            + _E3_11 * gy11
+        ) / sw
+        n5 = e5x * e5x + e5y * e5y + e5u * e5u + e5w * e5w
+        n3 = e3x * e3x + e3y * e3y + e3u * e3u + e3w * e3w
+        err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
+        r_min = min(
+            hypot(x1, y1), hypot(x2, y2), hypot(x3, y3), hypot(x4, y4), hypot(x5, y5), hypot(x6, y6),
+            hypot(x7, y7), hypot(x8, y8), hypot(x9, y9), hypot(x10, y10), hypot(x11, y11), hypot(xn, yn),
+        )  # fmt: skip
+        if not (isfinite(err + xn + yn + u12 + w12) and r_min >= 1e-12):  # a sum is finite only if every term is
+            return None
+        if err > 1.0:
+            return err, None, None
 
-    # Accepted: the FSAL stage and the dense output's three extra stages.
-    gx12, gy12 = accel(xn, yn, mu)
-    if not (isfinite(gx12) and isfinite(gy12)):
+        # Accepted: the FSAL stage and the dense output's three extra stages.
+        gx12, gy12 = accel(xn, yn, mu)
+        x13 = x + h * (
+            _A13_0 * u0 + _A13_6 * u6 + _A13_7 * u7 + _A13_8 * u8 + _A13_9 * u9 + _A13_10 * u10 + _A13_11 * u11
+            + _A13_12 * u12
+        )
+        y13 = y + h * (
+            _A13_0 * w0 + _A13_6 * w6 + _A13_7 * w7 + _A13_8 * w8 + _A13_9 * w9 + _A13_10 * w10 + _A13_11 * w11
+            + _A13_12 * w12
+        )
+        u13 = u0 + h * (
+            _A13_0 * gx0 + _A13_6 * gx6 + _A13_7 * gx7 + _A13_8 * gx8 + _A13_9 * gx9 + _A13_10 * gx10 + _A13_11 * gx11
+            + _A13_12 * gx12
+        )
+        w13 = w0 + h * (
+            _A13_0 * gy0 + _A13_6 * gy6 + _A13_7 * gy7 + _A13_8 * gy8 + _A13_9 * gy9 + _A13_10 * gy10 + _A13_11 * gy11
+            + _A13_12 * gy12
+        )
+        gx13, gy13 = accel(x13, y13, mu)
+        x14 = x + h * (
+            _A14_0 * u0 + _A14_5 * u5 + _A14_6 * u6 + _A14_7 * u7 + _A14_10 * u10 + _A14_11 * u11 + _A14_12 * u12
+            + _A14_13 * u13
+        )
+        y14 = y + h * (
+            _A14_0 * w0 + _A14_5 * w5 + _A14_6 * w6 + _A14_7 * w7 + _A14_10 * w10 + _A14_11 * w11 + _A14_12 * w12
+            + _A14_13 * w13
+        )
+        u14 = u0 + h * (
+            _A14_0 * gx0 + _A14_5 * gx5 + _A14_6 * gx6 + _A14_7 * gx7 + _A14_10 * gx10 + _A14_11 * gx11 + _A14_12 * gx12
+            + _A14_13 * gx13
+        )
+        w14 = w0 + h * (
+            _A14_0 * gy0 + _A14_5 * gy5 + _A14_6 * gy6 + _A14_7 * gy7 + _A14_10 * gy10 + _A14_11 * gy11 + _A14_12 * gy12
+            + _A14_13 * gy13
+        )
+        gx14, gy14 = accel(x14, y14, mu)
+        x15 = x + h * (
+            _A15_0 * u0 + _A15_5 * u5 + _A15_6 * u6 + _A15_7 * u7 + _A15_8 * u8 + _A15_12 * u12 + _A15_13 * u13
+            + _A15_14 * u14
+        )
+        y15 = y + h * (
+            _A15_0 * w0 + _A15_5 * w5 + _A15_6 * w6 + _A15_7 * w7 + _A15_8 * w8 + _A15_12 * w12 + _A15_13 * w13
+            + _A15_14 * w14
+        )
+        u15 = u0 + h * (
+            _A15_0 * gx0 + _A15_5 * gx5 + _A15_6 * gx6 + _A15_7 * gx7 + _A15_8 * gx8 + _A15_12 * gx12 + _A15_13 * gx13
+            + _A15_14 * gx14
+        )
+        w15 = w0 + h * (
+            _A15_0 * gy0 + _A15_5 * gy5 + _A15_6 * gy6 + _A15_7 * gy7 + _A15_8 * gy8 + _A15_12 * gy12 + _A15_13 * gy13
+            + _A15_14 * gy14
+        )
+        gx15, gy15 = accel(x15, y15, mu)
+    except (ZeroDivisionError, OverflowError):  # raised by float ** in the force
         return None
-    x13 = x + h * (
-        _A13_0 * u0 + _A13_6 * u6 + _A13_7 * u7 + _A13_8 * u8 + _A13_9 * u9 + _A13_10 * u10 + _A13_11 * u11
-        + _A13_12 * u12
-    )
-    y13 = y + h * (
-        _A13_0 * w0 + _A13_6 * w6 + _A13_7 * w7 + _A13_8 * w8 + _A13_9 * w9 + _A13_10 * w10 + _A13_11 * w11
-        + _A13_12 * w12
-    )
-    u13 = u0 + h * (
-        _A13_0 * gx0 + _A13_6 * gx6 + _A13_7 * gx7 + _A13_8 * gx8 + _A13_9 * gx9 + _A13_10 * gx10 + _A13_11 * gx11
-        + _A13_12 * gx12
-    )
-    w13 = w0 + h * (
-        _A13_0 * gy0 + _A13_6 * gy6 + _A13_7 * gy7 + _A13_8 * gy8 + _A13_9 * gy9 + _A13_10 * gy10 + _A13_11 * gy11
-        + _A13_12 * gy12
-    )
-    if not (1e-12 <= hypot(x13, y13) < inf and isfinite(u13) and isfinite(w13)):
-        return None
-    gx13, gy13 = accel(x13, y13, mu)
-    if not (isfinite(gx13) and isfinite(gy13)):
-        return None
-    x14 = x + h * (
-        _A14_0 * u0 + _A14_5 * u5 + _A14_6 * u6 + _A14_7 * u7 + _A14_10 * u10 + _A14_11 * u11 + _A14_12 * u12
-        + _A14_13 * u13
-    )
-    y14 = y + h * (
-        _A14_0 * w0 + _A14_5 * w5 + _A14_6 * w6 + _A14_7 * w7 + _A14_10 * w10 + _A14_11 * w11 + _A14_12 * w12
-        + _A14_13 * w13
-    )
-    u14 = u0 + h * (
-        _A14_0 * gx0 + _A14_5 * gx5 + _A14_6 * gx6 + _A14_7 * gx7 + _A14_10 * gx10 + _A14_11 * gx11 + _A14_12 * gx12
-        + _A14_13 * gx13
-    )
-    w14 = w0 + h * (
-        _A14_0 * gy0 + _A14_5 * gy5 + _A14_6 * gy6 + _A14_7 * gy7 + _A14_10 * gy10 + _A14_11 * gy11 + _A14_12 * gy12
-        + _A14_13 * gy13
-    )
-    if not (1e-12 <= hypot(x14, y14) < inf and isfinite(u14) and isfinite(w14)):
-        return None
-    gx14, gy14 = accel(x14, y14, mu)
-    if not (isfinite(gx14) and isfinite(gy14)):
-        return None
-    x15 = x + h * (
-        _A15_0 * u0 + _A15_5 * u5 + _A15_6 * u6 + _A15_7 * u7 + _A15_8 * u8 + _A15_12 * u12 + _A15_13 * u13
-        + _A15_14 * u14
-    )
-    y15 = y + h * (
-        _A15_0 * w0 + _A15_5 * w5 + _A15_6 * w6 + _A15_7 * w7 + _A15_8 * w8 + _A15_12 * w12 + _A15_13 * w13
-        + _A15_14 * w14
-    )
-    u15 = u0 + h * (
-        _A15_0 * gx0 + _A15_5 * gx5 + _A15_6 * gx6 + _A15_7 * gx7 + _A15_8 * gx8 + _A15_12 * gx12 + _A15_13 * gx13
-        + _A15_14 * gx14
-    )
-    w15 = w0 + h * (
-        _A15_0 * gy0 + _A15_5 * gy5 + _A15_6 * gy6 + _A15_7 * gy7 + _A15_8 * gy8 + _A15_12 * gy12 + _A15_13 * gy13
-        + _A15_14 * gy14
-    )
-    if not (1e-12 <= hypot(x15, y15) < inf and isfinite(u15) and isfinite(w15)):
-        return None
-    gx15, gy15 = accel(x15, y15, mu)
-    if not (isfinite(gx15) and isfinite(gy15)):
+    forces = gx12 + gy12 + gx13 + gy13 + gx14 + gy14 + gx15 + gy15  # finite only if every term is
+    if not (isfinite(forces) and min(hypot(x13, y13), hypot(x14, y14), hypot(x15, y15)) >= 1e-12):
         return None
 
     stages = (
-        u0, w0, gx0, gy0,
-        u1, w1, gx1, gy1,
-        u2, w2, gx2, gy2,
-        u3, w3, gx3, gy3,
-        u4, w4, gx4, gy4,
-        u5, w5, gx5, gy5,
-        u6, w6, gx6, gy6,
-        u7, w7, gx7, gy7,
-        u8, w8, gx8, gy8,
-        u9, w9, gx9, gy9,
-        u10, w10, gx10, gy10,
-        u11, w11, gx11, gy11,
-        u12, w12, gx12, gy12,
-        u13, w13, gx13, gy13,
-        u14, w14, gx14, gy14,
-        u15, w15, gx15, gy15,
+        u0, w0, gx0, gy0, u1, w1, gx1, gy1,
+        u2, w2, gx2, gy2, u3, w3, gx3, gy3,
+        u4, w4, gx4, gy4, u5, w5, gx5, gy5,
+        u6, w6, gx6, gy6, u7, w7, gx7, gy7,
+        u8, w8, gx8, gy8, u9, w9, gx9, gy9,
+        u10, w10, gx10, gy10, u11, w11, gx11, gy11,
+        u12, w12, gx12, gy12, u13, w13, gx13, gy13,
+        u14, w14, gx14, gy14, u15, w15, gx15, gy15,
     )  # fmt: skip
     return err, (xn, yn, u12, w12), stages
 
@@ -917,11 +863,16 @@ def flow(
     """Integrate r'' = g(r, mu) from (x, v) over [0, t_end].
 
     Raises DomainExit (with partial trajectory) when the orbit leaves the
-    annulus, StepFailure if the step size underflows. `stop(step, y_right)`,
-    when given, is called with the record (t_left, h, y_left, stages) and the
-    end state (four floats) of every accepted step that stays in the annulus;
-    the trajectory then ends after the first step for which it returns true.
-    The step sequence up to there is the one without `stop`.
+    annulus, and StepFailure when the step size underflows or when the force
+    at the launch or at the starting-step probe raises ZeroDivisionError or
+    OverflowError. A trial that `_dop853_step` rejects by its one rule halves
+    h; a finite error norm above 1 shrinks h by the controller.
+
+    `stop(step, y_right)`, when given, is called with the record (t_left, h,
+    y_left, stages) and the end state (four floats) of every accepted step
+    that stays in the annulus; the trajectory then ends after the first step
+    for which it returns true. The step sequence up to there is the one
+    without `stop`.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -937,11 +888,14 @@ def flow(
 
     state = (float(x[0]), float(x[1]), float(v[0]), float(v[1]))
     t = 0.0
-    force = accel(state[0], state[1], mu)
-    if cfg.first_step is not None:
-        h = min(cfg.first_step, max_step, t_end)
-    else:
-        h = _initial_step(accel, mu, state, (state[2], state[3], *force), t_end, rtol, atol, max_step)
+    try:
+        force = accel(state[0], state[1], mu)
+        if cfg.first_step is not None:
+            h = min(cfg.first_step, max_step, t_end)
+        else:
+            h = _initial_step(accel, mu, state, (state[2], state[3], *force), t_end, rtol, atol, max_step)
+    except (ZeroDivisionError, OverflowError) as exc:  # float ** in the force: no first stage to halve towards
+        raise StepFailure(f"force evaluation at the launch raised {type(exc).__name__}: {exc}") from exc
     min_step = 1e-14 * max(t_end, 1.0)
     g_left = state[0] * state[2] + state[1] * state[3]  # r dr/dt at the step's left node
 

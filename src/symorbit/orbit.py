@@ -438,6 +438,13 @@ def validate_orbit(
     simple-closedness, winding +-1 around the origin, and exactly two
     transversal x-axis crossings (at +-x0 when both symmetries hold, at x0 and
     a negative abscissa otherwise).
+
+    The x-axis time-reversal residual includes the position closure: its term
+    at t_k = T compares S_x q(T) with q(0), which S_x fixes (the launch lies on
+    the x-axis), so it is at least `closure_position`. Its bound _SYMMETRY_TOL
+    = 1e-7 therefore also bounds position closure, tighter than
+    _CLOSURE_POS_TOL = 1e-6; in a field symmetric about the x-axis it measures
+    non-closure only.
     """
     pos_res, vel_res, sym = verify_closure(orbit, field, mu, cfg)
     simple, xing_pt = is_simple_closed(orbit)

@@ -142,6 +142,29 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 5
         assert "StepFailure: step size underflow" in capsys.readouterr().err
 
+    def test_force_overflowing_at_launch_is_step_failure(self, tmp_path, capsys):
+        # 1.45**2000 overflows, and Python's float ** raises OverflowError:
+        # the launch force is undefined, which is a StepFailure, not a
+        # traceback. The symmetry check leaves out the samples where it is.
+        cfg = {
+            "field": {
+                "kappa": 1.0,
+                "alpha": 1.0,
+                "perturbation": {
+                    "kind": "axis_poly",
+                    "params": {"px": 2000, "cy": 0.1, "py": 3},
+                    "symmetries": ["x_axis", "y_axis"],
+                },
+            },
+            "radius": 1.45,
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(path)]) == 5
+        assert "StepFailure: force evaluation at the launch raised OverflowError" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(path)]) == 5
+        assert main(["verify", "--config", str(path)]) == 4
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_mu_rejected(self, config_path, capsys, value):
         assert main(["solve", "--config", str(config_path), f"--mu={value}"]) == 1

@@ -171,6 +171,28 @@ class TestPerturbationSpec:
         assert PerturbationSpec().term(1.0, 1.0) == (0.0, 0.0)
         assert PerturbationSpec(kind="uniform").term(1.0, 1.0) == (0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("axis_poly", {"px": math.inf}, "px"),
+            ("axis_poly", {"py": math.nan}, "py"),
+            ("axis_poly", {"px": 2.5}, "px"),
+            ("axis_poly", {"py": -1}, "py"),
+            ("axis_poly", {"cx": math.inf}, "cx"),
+            ("radial_power", {"bogus": 1.0}, "bogus"),
+            ("radial_power", {"lam": math.nan}, "lam"),
+            ("uniform", {"ux": -math.inf}, "ux"),
+            ("zero", {"lam": 1.0}, "lam"),
+        ],
+    )
+    def test_bad_constant_is_a_value_error_naming_the_key(self, kind, params, key):
+        with pytest.raises(ValueError, match=f"\\b{key}\\b"):
+            PerturbationSpec(kind=kind, params=params)
+
+    def test_integral_float_exponent_is_the_integer(self):
+        spec = PerturbationSpec(kind="axis_poly", params={"cx": 2.0, "px": 2.0, "cy": -1.0, "py": 3.0})
+        assert spec.term(1.5, -0.5) == axis_poly_perturbation(cx=2.0, px=2, cy=-1.0, py=3).term(1.5, -0.5)
+
     def test_pickle_round_trip(self, kepler_radial_field):
         import pickle
 

@@ -498,6 +498,18 @@ class _WalledField(ForceField):
         return super().acceleration(x, y, mu)
 
 
+@dataclass(frozen=True)
+class _RaisingWalledField(_WalledField):
+    """_WalledField whose force raises OverflowError beyond the wall, as
+    Python's float ** does where its result overflows."""
+
+    def acceleration(self, x, y, mu):
+        if math.hypot(x, y) > self.wall:
+            self.hits.append((x, y))
+            raise OverflowError("past the wall")
+        return ForceField.acceleration(self, x, y, mu)
+
+
 def _assert_dense_agreement(traj, ref, t_end):
     assert traj.n_steps == ref.n_steps
     for t in np.linspace(0.0, t_end, 500):
@@ -552,6 +564,35 @@ class TestFloatStepLoopMatchesReference:
         traj = flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
         assert walled.hits
         _assert_dense_agreement(traj, ref, 2 * math.pi)
+
+    @pytest.mark.parametrize("first_step", [2.2, 4.0])
+    def test_raising_force_halves_as_a_nan_force(self, kepler_params, first_step):
+        # test_bad_stage_halving's trials, with a wall that raises instead of
+        # returning NaN: the trial is rejected by the same rule, so the step
+        # sequence is the same bit for bit.
+        wall, tol = {2.2: (1.01, 1e-12), 4.0: (2.4, 1e6)}[first_step]
+        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol, first_step=first_step, max_step=first_step)
+        nan_wall = flow(_WalledField(base=kepler_params, wall=wall), 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
+        raising = _RaisingWalledField(base=kepler_params, wall=wall)
+        traj = flow(raising, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
+        assert raising.hits
+        assert np.array_equal(traj.ts, nan_wall.ts)
+        assert np.array_equal(traj.ys, nan_wall.ys)
+
+    def test_stage_at_the_origin_halves(self, kepler_field):
+        # A radial plunge whose first trial puts stage 1 at 1.1e-16 from the
+        # origin, where the Kepler force is finite but 1e48: the trial is
+        # halved, as the reference's bad-stage rule does, and the plunge then
+        # leaves the annulus at its inner bound.
+        h = 1.0 / _A[1, 0]
+        cfg = IntegratorConfig(first_step=h, max_step=h)
+        with pytest.raises(DomainExit) as ref_err:
+            _reference_flow(kepler_field, 0.0, (1.0, 0.0), (-1.0, 0.0), 100.0, cfg)
+        with pytest.raises(DomainExit) as err:
+            flow(kepler_field, 0.0, (1.0, 0.0), (-1.0, 0.0), 100.0, cfg)
+        ref, got = ref_err.value.trajectory.ts, err.value.trajectory.ts
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) < 1e-6
 
 
 class TestTableau:
