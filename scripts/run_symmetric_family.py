@@ -18,8 +18,8 @@ from symorbit import (
     PowerLawParams,
     ShootingProblem,
     radial_power_perturbation,
-    serialize,
     sweep,
+    write_curves_csv,
 )
 
 
@@ -58,11 +58,7 @@ def main():
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        serialize.write_csv(
-            out / "family.csv",
-            ["mu", "sigma_star", "period", "closure_residual"],
-            [(e.mu, e.sigma_star, e.period, e.closure_residual) for e in curve.entries],
-        )
+        write_curves_csv(out / "family.csv", [curve])
         print(f"wrote {out / 'family.csv'}")
 
 

@@ -19,7 +19,6 @@ from symorbit import (
     ShootingProblem,
     axis_poly_perturbation,
     radial_power_perturbation,
-    serialize,
     zero_set_scan,
 )
 
@@ -66,15 +65,7 @@ def main():
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        rows = [
-            [serialize.fmt(float(s))] + [int(v) for v in scan.signs[i]]
-            for i, s in enumerate(sigmas)
-        ]
-        serialize.write_csv(
-            out / "zero_set.csv",
-            ["sigma"] + [serialize.fmt(float(m)) for m in mus],
-            rows,
-        )
+        scan.write_csv(out / "zero_set.csv")
         print(f"wrote {out / 'zero_set.csv'}")
 
 

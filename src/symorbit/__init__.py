@@ -12,7 +12,7 @@ from .analysis import (
     radial_accel_at_launch,
     radial_problem_from_launch,
 )
-from .continuation import ContinuationCurve, CurveEntry, ScanResult, sweep, zero_set_scan
+from .continuation import ContinuationCurve, CurveEntry, ScanResult, solve_orbit, sweep, write_curves_csv, zero_set_scan
 from .errors import (
     BoundaryCrossing,
     BoundaryHypothesisFailure,

@@ -81,21 +81,23 @@ def _circular_radius(params: PowerLawParams, K: float) -> float:
 def _turning_radius(params, K, g, inside, start, factor, rel_tol):
     """Root of g between `inside`, where g < 0, and the first radius of start,
     start * factor, start * factor^2, ... where g >= 0 (factor 0.5 searches
-    inwards, 2 outwards); that radius itself when g is exactly 0 there.
+    inwards, 2 outwards; NoBoundedMotion past [1e-300, 1e300]); that radius
+    itself when g is exactly 0 there.
 
     `_bisect` halves the bracket, deciding by the package's sign-change rule
     (`_crossed`), to a width of rel_tol times the radius: its upper end bounds
     the radius on a first pass, the lower end that pass leaves on a second. A
-    few Newton steps on g' = -K^2 / r^3 + U'(r) then push the root to full
-    double precision, which the endpoint-singular quadrature needs.
+    few Newton steps on g' = -K^2 / r^3 + U'(r), where it is representable,
+    then push the root to the full double precision the quadrature needs.
     """
     out = start
-    g_out = g(out)
-    while g_out < 0.0:
-        out *= factor
+    while True:
         if not 1e-300 <= out <= 1e300:
             raise NoBoundedMotion(f"no {'inner' if factor < 1.0 else 'outer'} turning radius found")
         g_out = g(out)
+        if g_out >= 0.0:
+            break
+        out *= factor
     if g_out == 0.0:
         return out
     a, b = (out, inside) if factor < 1.0 else (inside, out)
@@ -108,7 +110,10 @@ def _turning_radius(params, K, g, inside, start, factor, rel_tol):
     a, b = _bisect(pred, a, b, rel_tol * a)
     r = 0.5 * (a + b)
     for _ in range(3):
-        d = -K * K / r**3 + potential_derivatives(params, r)[0]
+        try:
+            d = -K * K / r**3 + potential_derivatives(params, r)[0]
+        except (ZeroDivisionError, OverflowError):  # g' not representable at r
+            break
         if d == 0.0:
             break
         step = g(r) / d
@@ -122,16 +127,22 @@ def _ueff_increment(params: PowerLawParams, K: float, a: float, r):
     """U_eff(a) - U_eff(r), evaluated without forming the near-equal potentials.
 
     Cancellation-free in (r - a), which keeps nearly-circular level sets at
-    full precision where the direct difference is pure round-off.
+    full precision where the direct difference is pure round-off; from ratios
+    far inside a, where r - a loses r's digits, or where a * a * r * r underflows.
     """
     dr = r - a
-    ell = np.log1p(dr / a)
+    den = a * a * r * r
+    if np.all(dr >= -0.5 * a) and np.all(den > 0.0):
+        ell = np.log1p(dr / a)
+        dk = 0.5 * K * K * dr * (r + a) / den
+    else:
+        ell = np.log(r / a)
+        dk = 0.5 * (K / a) * (K / r) * (dr / r) * ((r + a) / a)
     if params.alpha == 0.0:
         du = -params.kappa * ell
     else:
         gamma = params.kappa / params.alpha
         du = gamma * a**-params.alpha * np.expm1(-params.alpha * ell)
-    dk = 0.5 * K * K * dr * (r + a) / (a * a * r * r)
     return dk + du
 
 

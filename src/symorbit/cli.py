@@ -29,7 +29,7 @@ from .analysis import (
     radial_accel_finite_difference,
     radial_problem_from_launch,
 )
-from .continuation import sweep as run_sweep, zero_set_scan
+from .continuation import solve_orbit, sweep as run_sweep, write_curves_csv, zero_set_scan
 from .errors import (
     BoundaryHypothesisFailure,
     BracketFailure,
@@ -56,13 +56,12 @@ from .forcefield import (
     zero_perturbation,
 )
 from .integrator import IntegratorConfig, State, flow
-from .orbit import extend_half, extend_quarter, validate_orbit
 from .shooting import (
     Mode,
     ShootingProblem,
     crossing_time_deviation,
     sign_table,
-    solve as run_solve,
+    solve as run_solve,  # noqa: F401 -- unused here; perfbench's tracer patches and restores cli.run_solve
 )
 
 EXIT_OK = 0
@@ -141,7 +140,6 @@ _KEYS = (
     ("eta", 0.1, float, lambda v, c: 0 < v < 1, "a number in (0, 1)"),
     ("delta", 0.2, float, lambda v, c: c["eta"] < v < 1, "a number in (eta, 1)"),
     ("solve_tol", 1e-10, float, lambda v, c: v >= 0, "a non-negative number"),
-    ("t_bar", None, float, *_POSITIVE),
     ("integrator", {}, dict, None, "an object"),
     ("integrator.rel_tol", 1e-12, float, *_POSITIVE),
     ("integrator.abs_tol", 1e-12, float, *_POSITIVE),
@@ -241,7 +239,6 @@ class RunConfig:
     eta: float
     delta: float
     solve_tol: float
-    t_bar: float | None
     integrator: IntegratorConfig
     mu: float
     mu_grid: dict
@@ -290,7 +287,6 @@ class RunConfig:
                 mode=self.mode,
                 eta=self.eta,
                 delta=self.delta,
-                t_bar=self.t_bar,
                 integrator=self.integrator,
             )
         except ValueError as exc:
@@ -310,11 +306,7 @@ def cmd_solve(config: RunConfig, mu: float, out_dir, as_json: bool) -> int:
     check_symmetry(
         config.field, mu, sample_count=config.symmetry_samples, seed=config.seed
     )
-    problem = config.problem()
-    solution = run_solve(problem, mu, tol=config.solve_tol)
-    extend = extend_quarter if config.mode is Mode.QUARTER else extend_half
-    orbit = extend(solution.segment, mu=mu, n_samples=config.samples)
-    ok, diag = validate_orbit(orbit, config.field, mu, config.integrator)
+    solution, orbit, ok, _ = solve_orbit(config.problem(), mu, config.solve_tol, config.samples)
 
     payload = orbit.to_dict()
     payload["sigma_star"] = solution.sigma_star
@@ -360,22 +352,15 @@ def cmd_sweep(config: RunConfig, out_dir, as_json: bool) -> int:
         config.field, config.mu_grid["stop"], sample_count=config.symmetry_samples, seed=config.seed
     )
     problem = config.problem()
-    grids = _mu_grids(config)
-    curves = [run_sweep(problem, g, tol=config.solve_tol) for g in grids]
+    curves = [run_sweep(problem, g, tol=config.solve_tol, n_samples=config.samples) for g in _mu_grids(config)]
 
     sigmas = np.linspace(scan_cfg["sigma_min"], scan_cfg["sigma_max"], scan_cfg["sigma_count"])
     scan_mus = np.linspace(0.0, scan_cfg["mu_max"], scan_cfg["mu_count"])
     scan = zero_set_scan(problem, sigmas, scan_mus)
 
-    rows = []
-    for curve in curves:
-        for e in curve.entries:
-            rows.append((e.mu, e.sigma_star, e.period, e.closure_residual))
-    rows.sort(key=lambda r: r[0])
-
     directions = ["positive", "negative"]
     summary = {
-        "entries": len(rows),
+        "entries": sum(len(c.entries) for c in curves),
         "scan": {
             "row_complete": scan.row_complete,
             "components": scan.component_count(),
@@ -390,17 +375,8 @@ def cmd_sweep(config: RunConfig, out_dir, as_json: bool) -> int:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        serialize.write_csv(
-            out / "sweep.csv", ["mu", "sigma_star", "period", "closure_residual"], rows
-        )
-        scan_rows = [
-            [serialize.fmt(s)] + [int(v) for v in scan.signs[i]] for i, s in enumerate(sigmas)
-        ]
-        serialize.write_csv(
-            out / "zero_set.csv",
-            ["sigma"] + [serialize.fmt(m) for m in scan_mus],
-            scan_rows,
-        )
+        write_curves_csv(out / "sweep.csv", curves)
+        scan.write_csv(out / "zero_set.csv")
         serialize.dump(summary, out / "sweep_summary.json")
     _emit(summary, as_json)
 

@@ -3,10 +3,10 @@
 The sweep walks mu away from zero by predictor-corrector continuation
 (Allgower & Georg 1990, ch. 2): a polynomial through the last three solutions
 predicts sigma*(mu), and two miss probes near the prediction give the
-sign-change bracket that the regula falsi solve refines. Every assembled orbit
-is validated; the first failure truncates the curve and defines the empirical
-usable perturbation range. The scan evaluates miss-function signs on a
-(sigma, mu) grid: uniform opposite signs on the sigma boundaries plus a sign
+sign-change bracket that `solve_orbit`, the one path from a bracket to a
+validated orbit, solves; the first failure truncates the curve and defines the
+empirical usable perturbation range. The scan evaluates miss-function signs on
+a (sigma, mu) grid: uniform opposite signs on the sigma boundaries plus a sign
 change inside every mu row is the checkable footprint of a connected zero set
 crossing the whole mu range.
 """
@@ -17,9 +17,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import serialize
 from .errors import BoundaryHypothesisFailure, BracketFailure, SolverError
 from .integrator import _crossed
-from .orbit import PeriodicOrbit, extend_half, extend_quarter, validate_orbit
+from .orbit import _DEFAULT_SAMPLES, extend_half, extend_quarter, validate_orbit
 from .shooting import Bracket, Mode, ShootingProblem, bracket, miss, solve
 
 
@@ -63,10 +64,17 @@ def _check_grid(problem: ShootingProblem, mu_grid) -> np.ndarray:
     return grid
 
 
-def _extend(problem: ShootingProblem, solution, mu: float) -> PeriodicOrbit:
-    if problem.mode is Mode.QUARTER:
-        return extend_quarter(solution.segment, mu=mu)
-    return extend_half(solution.segment, mu=mu)
+def solve_orbit(problem: ShootingProblem, mu: float, tol: float, n_samples: int, prebuilt: Bracket | None = None):
+    """(solution, orbit, ok, diagnostics): the solve at mu on `prebuilt` (else
+    the cold bracket around sigma = 1), closed by the mode's reflections into
+    an orbit of `n_samples` sample intervals and validated. The bracket is
+    dropped once solved, so a handed-over one does not live through validation."""
+    solution = solve(problem, mu, tol=tol, prebuilt=prebuilt)
+    del prebuilt
+    extend = extend_quarter if problem.mode is Mode.QUARTER else extend_half
+    orbit = extend(solution.segment, mu=mu, n_samples=n_samples)
+    ok, diag = validate_orbit(orbit, problem.field, mu, problem.integrator)
+    return solution, orbit, ok, diag
 
 
 def _predicted_bracket(problem: ShootingProblem, mu: float, history) -> Bracket | None:
@@ -109,8 +117,8 @@ def _predicted_bracket(problem: ShootingProblem, mu: float, history) -> Bracket 
     return Bracket(center, probe, m_center, m_probe)
 
 
-def _solve_and_validate(problem, mu, tol, history):
-    """One sweep cell: bracket, solve, extend, validate.
+def _solve_cell(problem: ShootingProblem, mu: float, tol: float, n_samples: int, history):
+    """One sweep cell: its bracket, then `solve_orbit` on it.
 
     The bracket is the predicted one, else the warm one (half-width eta/4
     around the previous sigma*), else the cold one around sigma = 1; the first
@@ -126,11 +134,9 @@ def _solve_and_validate(problem, mu, tol, history):
             br = None
     if br is None:
         br = bracket(problem, mu)
-    sol = solve(problem, mu, tol=tol, prebuilt=br)
     slope = (br.miss_hi.value - br.miss_lo.value) / (br.sigma_hi - br.sigma_lo)
-    del br  # its two trajectories need not stay alive through validation
-    orbit = _extend(problem, sol, mu)
-    ok, diag = validate_orbit(orbit, problem.field, mu, problem.integrator)
+    held, br = [br], None  # popped into the call: on CPython 3.11+ solve_orbit holds the only reference
+    sol, orbit, ok, diag = solve_orbit(problem, mu, tol, n_samples, prebuilt=held.pop())
     return sol.sigma_star, sol.v_mu, orbit.period, ok, diag, slope
 
 
@@ -138,12 +144,14 @@ def sweep(
     problem: ShootingProblem,
     mu_grid,
     tol: float = 1e-10,
+    n_samples: int = _DEFAULT_SAMPLES,
 ) -> ContinuationCurve:
     """Solve along a mu grid (starting at 0, one sign, monotone outward).
 
     Each cell's bracket comes from the predictor-corrector step on the cells
-    before it, falling back to the warm and then the cold bracket; the curve
-    truncates at the first solve or validation failure.
+    before it, falling back to the warm and then the cold bracket; orbits are
+    validated with `n_samples` samples, and the curve truncates at the first
+    solve or validation failure.
     """
     grid = _check_grid(problem, mu_grid)
     curve = ContinuationCurve()
@@ -152,7 +160,7 @@ def sweep(
     for mu in grid:
         mu = float(mu)
         try:
-            sigma_star, v_mu, period, ok, diag, slope = _solve_and_validate(problem, mu, tol, history)
+            sigma_star, v_mu, period, ok, diag, slope = _solve_cell(problem, mu, tol, n_samples, history)
         except SolverError as exc:
             curve.failure = {"mu": mu, "error": type(exc).__name__, "message": str(exc)}
             break
@@ -180,6 +188,13 @@ def sweep(
     return curve
 
 
+def write_curves_csv(path, curves) -> None:
+    """One `mu,sigma_star,period,closure_residual` row per entry, in a stable
+    sort on mu: a mu = 0 row shared by two curves appears once per curve."""
+    rows = [(e.mu, e.sigma_star, e.period, e.closure_residual) for curve in curves for e in curve.entries]
+    serialize.write_csv(path, ["mu", "sigma_star", "period", "closure_residual"], sorted(rows, key=lambda r: r[0]))
+
+
 @dataclass
 class ScanResult:
     sigmas: np.ndarray
@@ -191,6 +206,11 @@ class ScanResult:
 
     def component_count(self) -> int:
         return len(self.components)
+
+    def write_csv(self, path) -> None:
+        """The sign matrix, a row per sigma and a column per mu (header)."""
+        rows = [[serialize.fmt(s)] + [int(v) for v in row] for s, row in zip(self.sigmas, self.signs)]
+        serialize.write_csv(path, ["sigma"] + [serialize.fmt(m) for m in self.mus], rows)
 
 
 def zero_set_scan(

@@ -343,6 +343,7 @@ _E5_0, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11 = _nonzero(_E5)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_MAX_TRIALS = 100_000  # accepted or rejected steps per flow, Hairer's NMAX: <= ~280 MB of records
 
 
 @dataclass(frozen=True)
@@ -863,10 +864,11 @@ def flow(
     """Integrate r'' = g(r, mu) from (x, v) over [0, t_end].
 
     Raises DomainExit (with partial trajectory) when the orbit leaves the
-    annulus, and StepFailure when the step size underflows or when the force
-    at the launch or at the starting-step probe raises ZeroDivisionError or
-    OverflowError. A trial that `_dop853_step` rejects by its one rule halves
-    h; a finite error norm above 1 shrinks h by the controller.
+    annulus, and StepFailure after _MAX_TRIALS trials, when the step size
+    underflows, or when the force at the launch or at the starting-step probe
+    raises ZeroDivisionError or OverflowError. A trial that `_dop853_step`
+    rejects by its one rule halves h; a finite error norm above 1 shrinks h by
+    the controller.
 
     `stop(step, y_right)`, when given, is called with the record (t_left, h,
     y_left, stages) and the end state (four floats) of every accepted step
@@ -900,6 +902,7 @@ def flow(
     g_left = state[0] * state[2] + state[1] * state[3]  # r dr/dt at the step's left node
 
     dense = []
+    trials = 0
 
     while t < t_end:
         if t_end - t <= min_step:
@@ -907,6 +910,9 @@ def flow(
         h = min(h, max_step, t_end - t)
         if not h >= min_step:  # a NaN step (non-finite launch force) never shrinks below it
             raise StepFailure(f"step size underflow at t={t} (h={h})")
+        if trials == _MAX_TRIALS:
+            raise StepFailure(f"step budget _MAX_TRIALS = {_MAX_TRIALS} trials spent at t={t} of {t_end}")
+        trials += 1
 
         trial = _dop853_step(accel, mu, h, state, force, rtol, atol)
         if trial is None:

@@ -238,12 +238,12 @@ def crossing_time(
     x0,
     v,
     section: SectionSpec,
-    t_bar: float,
+    window: float,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> tuple[float, CrossingEvent, Trajectory]:
     """Crossing time t(v, mu) of the flow from (x0, v) with the section.
 
-    Integrates from 0 towards t_bar with the section scan as the flow's stop
+    Integrates from 0 towards `window` with the section scan as the flow's stop
     callback and returns (t*, event, trajectory); the trajectory ends with the
     step that holds t*. The result is the one the scan gives on the flow
     over the whole window, with the bisection tolerance taken from the
@@ -251,9 +251,9 @@ def crossing_time(
     first, the exit step is scanned up to the exit; DomainExit propagates
     only when no crossing happened before it.
     """
-    scan = _SectionScan(section, 0.0, t_bar, 1e-12 * max(t_bar, 1.0))
+    scan = _SectionScan(section, 0.0, window, 1e-12 * max(window, 1.0))
     try:
-        traj = flow(field, mu, x0, v, t_bar, cfg, stop=scan)
+        traj = flow(field, mu, x0, v, window, cfg, stop=scan)
     except DomainExit as exc:
         if exc.trajectory is None:
             raise
@@ -265,4 +265,4 @@ def crossing_time(
             raise
     if scan.event is not None:
         return scan.event.t_star, scan.event, traj
-    raise NoCrossing(f"no transversal crossing of {section.kind} in [0, {t_bar:.6g}]")
+    raise NoCrossing(f"no transversal crossing of {section.kind} in [0, {window:.6g}]")

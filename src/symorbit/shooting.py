@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import (
+    BoundaryCrossing,
     BracketFailure,
     DomainExit,
     NoCrossing,
@@ -44,7 +45,6 @@ class ShootingProblem:
     mode: Mode
     eta: float = 0.1  # launch-speed bracket half-width around sigma = 1
     delta: float = 0.2  # admissible speed band half-width; eta < delta
-    t_bar: float | None = None  # crossing window; None: 0.75 * circular period
     integrator: IntegratorConfig = dc_field(default_factory=IntegratorConfig)
 
     def __post_init__(self):
@@ -79,8 +79,6 @@ class ShootingProblem:
 
     @property
     def window(self) -> float:
-        if self.t_bar is not None:
-            return self.t_bar
         return 0.75 * (2.0 * math.pi / self.angular_speed)
 
     @property
@@ -146,8 +144,8 @@ def bracket(
 
     Tries half-width eta/2 first, then eta (the problem's). Failure at the
     full width is the operational definition of mu exceeding the usable
-    perturbation range, so every evaluation error is folded into
-    BracketFailure.
+    perturbation range, so every evaluation error but StepFailure (the
+    integrator's fault) moves on to the next width, the last one the `cause`.
     """
     widths = half_widths if half_widths is not None else (0.5 * problem.eta, problem.eta)
     last_cause = None
@@ -156,7 +154,7 @@ def bracket(
         try:
             m_lo = miss(problem, lo, mu)
             m_hi = miss(problem, hi, mu)
-        except (NoCrossing, TangentialCrossing, DomainExit, ValueError) as exc:
+        except (NoCrossing, TangentialCrossing, BoundaryCrossing, DomainExit, ValueError) as exc:
             last_cause = exc
             continue
         # An exact zero at either probe point (_crossed counts one at m_hi) is

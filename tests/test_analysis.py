@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,33 @@ class TestTurningRadii:
     def test_exact_zero_at_the_expanded_end_is_the_root(self, kepler_params):
         assert _turning_radius(kepler_params, 0.0, lambda r: r - 2.0, 1.0, 1.0, 2.0, 1e-12) == 2.0
         assert _turning_radius(kepler_params, 0.0, lambda r: 0.5 - r, 1.0, 1.0, 0.5, 1e-12) == 0.5
+
+
+class TestSlowLaunch:
+    """A launch slow enough that the inner turning radius nears the origin:
+    the level set is resolved or refused, never a crash or a warning."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-200, 1e-100, 1e-12])
+    def test_resolved_or_no_bounded_motion(self, alpha, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                problem = radial_problem_from_launch(PowerLawParams(1.0, alpha), 1.0, sigma)
+            except NoBoundedMotion:
+                assert sigma in (0.0, 1e-200) or (alpha, sigma) == (1.5, 1e-100)
+                return
+        assert 0.0 < problem.r_min <= 1.0 == problem.r_max
+
+    @pytest.mark.parametrize("sigma", [1e-100, 1e-12, 1e-4])
+    def test_kepler_inner_radius_is_the_conic_one(self, kepler_params, sigma):
+        # Pericenter of a launch from the apocenter R = 1: sigma^2 / (2 - sigma^2).
+        r_min = radial_problem_from_launch(kepler_params, 1.0, sigma).r_min
+        assert r_min == pytest.approx(sigma * sigma / (2.0 - sigma * sigma), rel=1e-12)
+
+    def test_radial_launch_has_no_inner_turning_radius(self, kepler_params):
+        with pytest.raises(NoBoundedMotion, match="no inner turning radius"):
+            radial_problem_from_launch(kepler_params, 1.0, 0.0)
 
 
 class TestApsides:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symorbit import NoCrossing, Reflection, cli, serialize
+from symorbit import NoCrossing, Reflection, cli, continuation, serialize
 from symorbit.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -189,6 +189,7 @@ class TestConfigKeys:
             "mu_grid.stpe",
             "scan.sigma_cnt",
             "field.perturbation.params.lamda",
+            "t_bar",
         ],
     )
     def test_unknown_key_rejected_by_path(self, tmp_path, capsys, path):
@@ -199,7 +200,7 @@ class TestConfigKeys:
     @pytest.mark.parametrize(
         "path, value",
         [
-            ("t_bar", "abc"),
+            ("samples", 255),
             ("samples", -5),
             ("symmetry_samples", 0),
             ("seed", 1.5),
@@ -309,7 +310,6 @@ class TestConfigKeys:
             eta=0.1,
             delta=0.2,
             solve_tol=1e-10,
-            t_bar=None,
             integrator={"rel_tol": 1e-12, "abs_tol": 1e-12, "max_step": None, "first_step": None},
             mu_grid={"stop": 0.01, "count": 3, "mirror": False},
             symmetry_samples=64,
@@ -369,6 +369,17 @@ class TestSweepCommand:
         assert len(lines) == 4  # mu grid 0, 0.005, 0.01
         mus = [float(l.split(",")[0]) for l in lines[1:]]
         assert mus == sorted(mus)
+
+    def test_orbits_validated_with_configured_samples(self, config_path, monkeypatch, capsys):
+        real_validate, counts = continuation.validate_orbit, []
+
+        def validate(orbit, *args):
+            counts.append(len(orbit.times) - 1)
+            return real_validate(orbit, *args)
+
+        monkeypatch.setattr(continuation, "validate_orbit", validate)
+        assert main(["sweep", "--config", str(config_path)]) == 0
+        assert counts == [512, 512, 512]  # "samples": 512, mu grid 0, 0.005, 0.01
 
     def test_mirrored_sweep(self, tmp_path, capsys):
         cfg = write_config(
@@ -452,6 +463,12 @@ class TestAnalyzeCommand:
         argv = ["analyze", "--config", str(config_path), "--sigma", "1.0", flag, "nan"]
         assert main(argv) == 1
         assert f"{flag} must be finite" in capsys.readouterr().err
+
+    def test_radial_launch_is_no_bounded_motion(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"field": {"kappa": 1.0, "alpha": 1.0}}))
+        assert main(["analyze", "--config", str(cfg), "--sigma", "0"]) == 5
+        assert "NoBoundedMotion" in capsys.readouterr().err
 
     def test_nonzero_mu_rejected(self, config_path):
         assert (

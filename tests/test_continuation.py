@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import sys
 import types
 
 import numpy as np
@@ -19,7 +21,10 @@ from symorbit import (
     radial_power_perturbation,
     shooting,
     solve,
+    solve_orbit,
     sweep,
+    validate_orbit,
+    write_curves_csv,
     zero_set_scan,
 )
 
@@ -101,12 +106,70 @@ class TestSweep:
         assert curve.failure == {"mu": 0.01, "error": "ValidationFailure", "diagnostics": {"valid": False, "forced": True}}
         assert curve.empirical_delta0 == 0.005
 
+    def test_every_orbit_validated_with_n_samples(self, quarter_problem_radial, monkeypatch):
+        real_validate, counts = continuation.validate_orbit, []
+
+        def validate(orbit, *args):
+            counts.append(len(orbit.times) - 1)
+            return real_validate(orbit, *args)
+
+        monkeypatch.setattr(continuation, "validate_orbit", validate)
+        curve = sweep(quarter_problem_radial, [0.0, 0.005, 0.01], n_samples=512)
+        assert curve.failure is None
+        assert counts == [512, 512, 512]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="older interpreters keep call arguments on the caller's stack")
+    def test_no_bracket_lives_through_validation(self, quarter_problem_radial, monkeypatch):
+        real_validate, alive = continuation.validate_orbit, []
+
+        def validate(*args):
+            alive.append(sum(isinstance(o, shooting.Bracket) for o in gc.get_objects()))
+            return real_validate(*args)
+
+        monkeypatch.setattr(continuation, "validate_orbit", validate)
+        assert sweep(quarter_problem_radial, [0.0, 0.005, 0.01, 0.015]).failure is None
+        assert alive == [0, 0, 0, 0]
+
     def test_half_mode_sweep(self, half_problem_a05):
         curve = sweep(half_problem_a05, np.arange(0.0, 0.0201, 0.005))
         assert curve.failure is None
         for e in curve.entries:
             assert e.diagnostics["valid"]
             assert abs(e.sigma_star - 1.0) < half_problem_a05.eta
+
+
+class TestSolveOrbit:
+    @pytest.mark.parametrize("mode", ["quarter", "half"])
+    def test_cold_solve_extend_validate(self, quarter_problem_radial, half_problem_a05, mode):
+        problem, extend = {
+            "quarter": (quarter_problem_radial, extend_quarter),
+            "half": (half_problem_a05, extend_half),
+        }[mode]
+        solution, orbit, ok, diag = solve_orbit(problem, 0.01, 1e-10, 512)
+        expected = solve(problem, 0.01, tol=1e-10)
+        assert solution.sigma_star == expected.sigma_star and solution.tau == expected.tau
+        reference = extend(expected.segment, mu=0.01, n_samples=512)
+        assert np.array_equal(orbit.times, reference.times)
+        assert np.array_equal(orbit.positions, reference.positions)
+        assert ok and diag == validate_orbit(reference, problem.field, 0.01, problem.integrator)[1]
+
+    def test_solves_on_the_given_bracket(self, quarter_problem_radial):
+        br = bracket(quarter_problem_radial, 0.01, center=1.0, half_widths=(0.02,))
+        solution, _, ok, _ = solve_orbit(quarter_problem_radial, 0.01, 1e-10, 256, prebuilt=br)
+        assert ok and br.sigma_lo < solution.sigma_star < br.sigma_hi
+        assert solution.sigma_star == solve(quarter_problem_radial, 0.01, tol=1e-10, prebuilt=br).sigma_star
+
+
+def test_curves_csv_sorts_on_mu_positive_curve_first(tmp_path):
+    def curve(mus):
+        entries = [continuation.CurveEntry(m, 1.0 + m, (0.0, 1.0), 6.0 + m, 1e-12, {}) for m in mus]
+        return continuation.ContinuationCurve(entries=entries)
+
+    write_curves_csv(tmp_path / "s.csv", [curve([0.0, 0.5]), curve([0.0, -0.5])])
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    assert lines[0] == "mu,sigma_star,period,closure_residual"
+    assert [l.split(",")[:2] for l in lines[1:]] == [["-0.5", "0.5"], ["0", "1"], ["0", "1"], ["0.5", "1.5"]]
+    assert lines[2] == lines[3] == "0,1,6,9.9999999999999998e-13"
 
 
 SOLVE_TOL = 1e-10

@@ -44,6 +44,15 @@ class TestFlow:
         radii = np.hypot(states[:, 0], states[:, 1])
         assert np.max(np.abs(radii - 1.0)) < 1e-8
 
+    def test_trial_budget_spent_is_step_failure(self, kepler_field, kepler_params, monkeypatch):
+        x, v = launch_state(1.1, kepler_params)
+        steps = flow(kepler_field, 0.0, x, v, 2 * math.pi).n_steps
+        monkeypatch.setattr(integrator, "_MAX_TRIALS", steps - 1)
+        with pytest.raises(StepFailure, match=f"_MAX_TRIALS = {steps - 1} trials"):
+            flow(kepler_field, 0.0, x, v, 2 * math.pi)
+        monkeypatch.setattr(integrator, "_MAX_TRIALS", 2 * steps)
+        assert flow(kepler_field, 0.0, x, v, 2 * math.pi).n_steps == steps
+
     def test_energy_drift_one_radial_period(self, kepler_field, kepler_params):
         # sigma = 1.1 ellipse over one full radial period
         cfg = IntegratorConfig()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symorbit import (
+    BoundaryCrossing,
     Bracket,
     BracketFailure,
     ForceField,
@@ -104,6 +105,23 @@ class TestBracket:
         br = bracket(quarter_problem, 0.0)
         assert (br.sigma_lo, br.sigma_hi) == (0.95, 1.05)
         assert (br.miss_lo.value, br.miss_hi.value) == (-1e-200, 1e-200)
+
+    @pytest.fixture()
+    def wide_kepler(self):
+        # The sigma = 0.5 probe crosses the y-axis at 0.25 R, the section's inner end.
+        field = ForceField(base=PowerLawParams(1.0, 1.0), annulus=(0.1, 5.0))
+        return ShootingProblem(field=field, radius=1.0, mode=Mode.QUARTER, eta=0.5, delta=0.9)
+
+    def test_boundary_crossing_moves_on_to_the_next_width(self, wide_kepler):
+        with pytest.raises(BoundaryCrossing):
+            miss(wide_kepler, 0.5, 0.0)
+        br = bracket(wide_kepler, 0.0, center=0.8, half_widths=(0.3, 0.25))
+        assert (br.sigma_lo, br.sigma_hi) == (0.55, 1.05)
+
+    def test_boundary_crossing_is_the_bracket_failure_cause(self, wide_kepler):
+        with pytest.raises(BracketFailure) as info:
+            bracket(wide_kepler, 0.0, center=0.75, half_widths=(0.2, 0.25))
+        assert isinstance(info.value.cause, BoundaryCrossing)
 
     def test_custom_center(self, quarter_problem_radial):
         root = perturbed_radial_sigma(0.1, 1.0, 3.0, 1.0, 1.0, 1.0)
