@@ -31,7 +31,7 @@ from .forcefield import (
     potential,
     potential_derivatives,
 )
-from .integrator import IntegratorConfig, State, Trajectory, _bisect, _crossed, _sign_changes, flow
+from .integrator import State, Trajectory, _bisect, _crossed, _sign_changes, flow
 
 _GAUSS_NODES = 128
 
@@ -151,10 +151,11 @@ def radial_problem_from_launch(
 ) -> RadialProblem:
     """Level set of a vertical launch from (radius, 0) at sigma times circular speed.
 
-    The launch point is itself a radial turning point (pericenter for sigma > 1,
-    apocenter for sigma < 1), so that radius is taken exactly and only the
-    opposite turning radius is solved for, via the increment form of the
-    effective potential.
+    The launch point is itself a radial turning point (pericenter for
+    |sigma| > 1, apocenter for |sigma| < 1), so that radius is taken exactly
+    and only the opposite turning radius is solved for, via the increment form
+    of the effective potential. A negative sigma launches retrograde: the
+    level set is the mirror image of |sigma|'s, with K of the launch's sign.
     """
     if params.alpha >= 2.0:
         raise NoBoundedMotion(
@@ -164,7 +165,8 @@ def radial_problem_from_launch(
     E = 0.5 * v * v + potential(params, radius)
     K = radius * v
     a = radius
-    if sigma == 1.0:
+    speed = abs(sigma)
+    if speed == 1.0:
         return RadialProblem(params=params, E=E, K=K, r_min=a, r_max=a)
     if params.alpha > 0.0 and E >= 0.0:
         raise NoBoundedMotion(f"E={E} >= 0 is unbounded for alpha={params.alpha}")
@@ -173,7 +175,7 @@ def radial_problem_from_launch(
         return -_ueff_increment(params, K, a, r)  # U_eff(r) - U_eff(a)
 
     r_c = _circular_radius(params, abs(K))
-    if sigma > 1.0:
+    if speed > 1.0:
         inside = max(r_c, a * (1.0 + 1e-12))
         other = _turning_radius(params, K, g, inside, max(2.0 * r_c, 2.0 * a), 2.0, 1e-12)
         return RadialProblem(params=params, E=E, K=K, r_min=a, r_max=other)
@@ -262,6 +264,6 @@ def radial_accel_finite_difference(params: PowerLawParams, a: float, epsilon: fl
     h = 1e-3
     field = ForceField(base=params, mu_range=1.0, annulus=(0.1 * a, 10.0 * a))
     v = (1.0 + epsilon) * circular_speed(params, a)
-    traj = flow(field, 0.0, (a, 0.0), (0.0, v), h, IntegratorConfig(max_step=h / 8.0))
+    traj = flow(field, 0.0, (a, 0.0), (0.0, v), h)
     y = traj._eval(h)
     return 2.0 * (math.hypot(y[0], y[1]) - a) / (h * h)

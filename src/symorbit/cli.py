@@ -143,8 +143,6 @@ _KEYS = (
     ("integrator", {}, dict, None, "an object"),
     ("integrator.rel_tol", 1e-12, float, *_POSITIVE),
     ("integrator.abs_tol", 1e-12, float, *_POSITIVE),
-    ("integrator.max_step", None, float, *_POSITIVE),
-    ("integrator.first_step", None, float, *_POSITIVE),
     ("mu", 0.0, float, lambda v, c: abs(v) < c["field.mu_range"], "a number in (-field.mu_range, field.mu_range)"),
     ("mu_grid", {}, dict, None, "an object"),
     # Default sweep range: 64 uniform points over [0, half the mu range].

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import serialize
-from .errors import BoundaryHypothesisFailure, BracketFailure, SolverError
+from .errors import BoundaryHypothesisFailure, SolverError
 from .integrator import _crossed
 from .orbit import _DEFAULT_SAMPLES, extend_half, extend_quarter, validate_orbit
 from .shooting import Bracket, Mode, ShootingProblem, bracket, miss, solve
@@ -67,10 +67,8 @@ def _check_grid(problem: ShootingProblem, mu_grid) -> np.ndarray:
 def solve_orbit(problem: ShootingProblem, mu: float, tol: float, n_samples: int, prebuilt: Bracket | None = None):
     """(solution, orbit, ok, diagnostics): the solve at mu on `prebuilt` (else
     the cold bracket around sigma = 1), closed by the mode's reflections into
-    an orbit of `n_samples` sample intervals and validated. The bracket is
-    dropped once solved, so a handed-over one does not live through validation."""
+    an orbit of `n_samples` sample intervals and validated."""
     solution = solve(problem, mu, tol=tol, prebuilt=prebuilt)
-    del prebuilt
     extend = extend_quarter if problem.mode is Mode.QUARTER else extend_half
     orbit = extend(solution.segment, mu=mu, n_samples=n_samples)
     ok, diag = validate_orbit(orbit, problem.field, mu, problem.integrator)
@@ -87,8 +85,8 @@ def _predicted_bracket(problem: ShootingProblem, mu: float, history) -> Bracket 
     ten times less, which keeps the corrector's bracket narrow. The corrector
     probes the miss there and once more 1.5 Newton steps further, so the second
     probe lands past the root. Both probes must stay inside the previous
-    sigma* +- eta/4, the window the warm bracket searches, so the prediction
-    never reaches a root the warm bracket could not.
+    sigma* +- eta/4, the predictor's trust region: a prediction that leaves it
+    is not probed, and the cell brackets cold.
     """
     nodes = history[-3:]
     center = 0.0
@@ -117,29 +115,6 @@ def _predicted_bracket(problem: ShootingProblem, mu: float, history) -> Bracket 
     return Bracket(center, probe, m_center, m_probe)
 
 
-def _solve_cell(problem: ShootingProblem, mu: float, tol: float, n_samples: int, history):
-    """One sweep cell: its bracket, then `solve_orbit` on it.
-
-    The bracket is the predicted one, else the warm one (half-width eta/4
-    around the previous sigma*), else the cold one around sigma = 1; the first
-    cell has no history and brackets cold. Returns (sigma*, v_mu, period, ok,
-    diagnostics, the miss secant slope across the bracket for the next cell's
-    corrector), no trajectory: the cell's segment and orbit die here.
-    """
-    br = _predicted_bracket(problem, mu, history) if history else None
-    if br is None and history:
-        try:
-            br = bracket(problem, mu, center=history[-1][1], half_widths=(0.25 * problem.eta,))
-        except BracketFailure:
-            br = None
-    if br is None:
-        br = bracket(problem, mu)
-    slope = (br.miss_hi.value - br.miss_lo.value) / (br.sigma_hi - br.sigma_lo)
-    held, br = [br], None  # popped into the call: on CPython 3.11+ solve_orbit holds the only reference
-    sol, orbit, ok, diag = solve_orbit(problem, mu, tol, n_samples, prebuilt=held.pop())
-    return sol.sigma_star, sol.v_mu, orbit.period, ok, diag, slope
-
-
 def sweep(
     problem: ShootingProblem,
     mu_grid,
@@ -149,9 +124,9 @@ def sweep(
     """Solve along a mu grid (starting at 0, one sign, monotone outward).
 
     Each cell's bracket comes from the predictor-corrector step on the cells
-    before it, falling back to the warm and then the cold bracket; orbits are
-    validated with `n_samples` samples, and the curve truncates at the first
-    solve or validation failure.
+    before it, else (and always in the first cell) from the cold bracket
+    around sigma = 1; orbits are validated with `n_samples` samples, and the
+    curve truncates at the first solve or validation failure.
     """
     grid = _check_grid(problem, mu_grid)
     curve = ContinuationCurve()
@@ -160,7 +135,10 @@ def sweep(
     for mu in grid:
         mu = float(mu)
         try:
-            sigma_star, v_mu, period, ok, diag, slope = _solve_cell(problem, mu, tol, n_samples, history)
+            br = _predicted_bracket(problem, mu, history) if history else None
+            if br is None:
+                br = bracket(problem, mu)
+            sol, orbit, ok, diag = solve_orbit(problem, mu, tol, n_samples, prebuilt=br)
         except SolverError as exc:
             curve.failure = {"mu": mu, "error": type(exc).__name__, "message": str(exc)}
             break
@@ -169,13 +147,15 @@ def sweep(
             break
         if history and history[-1][0] == mu:
             history.pop()  # a repeated grid value would make the interpolation singular
-        history.append((mu, sigma_star, slope))
+        # The miss secant across the bracket: the next cell's corrector slope.
+        slope = (br.miss_hi.value - br.miss_lo.value) / (br.sigma_hi - br.sigma_lo)
+        history.append((mu, sol.sigma_star, slope))
         curve.entries.append(
             CurveEntry(
                 mu=mu,
-                sigma_star=sigma_star,
-                v_mu=(float(v_mu[0]), float(v_mu[1])),
-                period=period,
+                sigma_star=sol.sigma_star,
+                v_mu=(float(sol.v_mu[0]), float(sol.v_mu[1])),
+                period=orbit.period,
                 closure_residual=diag["closure_position"],
                 diagnostics=diag,
             )

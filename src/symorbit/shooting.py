@@ -134,23 +134,17 @@ class Bracket:
     miss_hi: MissValue
 
 
-def bracket(
-    problem: ShootingProblem,
-    mu: float,
-    center: float = 1.0,
-    half_widths: tuple[float, ...] | None = None,
-) -> Bracket:
-    """Two launch multipliers around `center` with opposite miss signs.
+def bracket(problem: ShootingProblem, mu: float) -> Bracket:
+    """Two launch multipliers around sigma = 1 with opposite miss signs.
 
     Tries half-width eta/2 first, then eta (the problem's). Failure at the
     full width is the operational definition of mu exceeding the usable
     perturbation range, so every evaluation error but StepFailure (the
     integrator's fault) moves on to the next width, the last one the `cause`.
     """
-    widths = half_widths if half_widths is not None else (0.5 * problem.eta, problem.eta)
     last_cause = None
-    for w in widths:
-        lo, hi = center - w, center + w
+    for w in (0.5 * problem.eta, problem.eta):
+        lo, hi = 1.0 - w, 1.0 + w
         try:
             m_lo = miss(problem, lo, mu)
             m_hi = miss(problem, hi, mu)
@@ -164,17 +158,19 @@ def bracket(
         last_cause = None
     detail = f" (last evaluation error: {last_cause})" if last_cause else ""
     raise BracketFailure(
-        f"no miss sign change around sigma={center} within half-width {widths[-1]} "
+        f"no miss sign change around sigma=1.0 within half-width {problem.eta} "
         f"at mu={mu}{detail}",
         cause=last_cause,
     )
+
+
+_MAX_ITER = 200  # root-finding steps before NonConvergence
 
 
 def solve(
     problem: ShootingProblem,
     mu: float,
     tol: float = 1e-10,
-    max_iter: int = 200,
     prebuilt: Bracket | None = None,
 ) -> ShootingSolution:
     """Find an orthogonal crossing velocity by Illinois regula falsi.
@@ -200,7 +196,7 @@ def solve(
         kept = 0  # +1 / -1 while the lower / upper end stayed put
         width_ref, stalled = b - a, 0
         steps = 0
-        for steps in range(1, max_iter + 1):
+        for steps in range(1, _MAX_ITER + 1):
             x = (a * f_b - b * f_a) / (f_b - f_a)
             if stalled >= 3 or not a < x < b:
                 x = 0.5 * (a + b)

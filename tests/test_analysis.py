@@ -194,6 +194,24 @@ class TestSlowLaunch:
             radial_problem_from_launch(kepler_params, 1.0, 0.0)
 
 
+class TestRetrogradeLaunch:
+    """A launch at -sigma is the mirror image of one at sigma: the same level
+    set with K negated, the same apsidal angle and the same apsides."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("sigma", [0.95, 1.0, 1.05])
+    def test_mirror_of_the_prograde_launch(self, alpha, sigma):
+        params = PowerLawParams(1.0, alpha)
+        pro = radial_problem_from_launch(params, 1.0, sigma)
+        retro = radial_problem_from_launch(params, 1.0, -sigma)
+        assert (retro.E, retro.r_min, retro.r_max) == (pro.E, pro.r_min, pro.r_max)
+        assert retro.K == -pro.K
+        assert apsidal_angle(retro) == apsidal_angle(pro)
+        # analyze's circular flag and apsis count
+        assert (retro.r_max - retro.r_min < 1e-9) == (pro.r_max - pro.r_min < 1e-9) == (sigma == 1.0)
+        assert len(apsides(_analyze_launch(alpha, -sigma))) == len(apsides(_analyze_launch(alpha, sigma)))
+
+
 class TestApsides:
     def test_circle_is_empty(self, kepler_field):
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)

@@ -190,6 +190,8 @@ class TestConfigKeys:
             "scan.sigma_cnt",
             "field.perturbation.params.lamda",
             "t_bar",
+            "integrator.max_step",
+            "integrator.first_step",
         ],
     )
     def test_unknown_key_rejected_by_path(self, tmp_path, capsys, path):
@@ -204,8 +206,8 @@ class TestConfigKeys:
             ("samples", -5),
             ("symmetry_samples", 0),
             ("seed", 1.5),
-            ("integrator.max_step", "x"),
-            ("integrator.first_step", -1.0),
+            ("integrator.rel_tol", -1.0),
+            ("integrator.abs_tol", 0.0),
             ("radius", "abc"),
             ("eta", "0.1"),
             ("delta", True),
@@ -310,7 +312,7 @@ class TestConfigKeys:
             eta=0.1,
             delta=0.2,
             solve_tol=1e-10,
-            integrator={"rel_tol": 1e-12, "abs_tol": 1e-12, "max_step": None, "first_step": None},
+            integrator={"rel_tol": 1e-12, "abs_tol": 1e-12},
             mu_grid={"stop": 0.01, "count": 3, "mirror": False},
             symmetry_samples=64,
         )
@@ -451,6 +453,18 @@ class TestAnalyzeCommand:
         assert payload["circular"] is False
         kinds = [a["kind"] for a in payload["apsides"]]
         assert kinds[0] == "pericenter"
+
+    def test_retrograde_launch(self, config_path, capsys):
+        # The mirror image of the +1.05 launch: the same level set, K negated.
+        payloads = []
+        for sigma in ("1.05", "-1.05"):
+            assert main(["analyze", "--config", str(config_path), "--sigma", sigma, "--json"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        prograde, retrograde = payloads
+        assert retrograde["K"] == -prograde["K"]
+        assert retrograde["r_max"] == prograde["r_max"] == pytest.approx(1.2284122562674094, abs=1e-12)
+        assert retrograde["circular"] is False
+        assert [a["kind"] for a in retrograde["apsides"]] == ["pericenter", "apocenter"]
 
     def test_circular_flag(self, config_path, capsys):
         assert main(["analyze", "--config", str(config_path), "--sigma", "1.0", "--json"]) == 0

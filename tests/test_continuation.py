@@ -1,7 +1,5 @@
 import dataclasses
-import gc
 import math
-import sys
 import types
 
 import numpy as np
@@ -9,15 +7,18 @@ import pytest
 
 from symorbit import (
     BoundaryHypothesisFailure,
+    Bracket,
     BracketFailure,
     DomainExit,
     ForceField,
     Mode,
     ShootingProblem,
+    SolverError,
     bracket,
     continuation,
     extend_half,
     extend_quarter,
+    miss,
     radial_power_perturbation,
     shooting,
     solve,
@@ -118,18 +119,6 @@ class TestSweep:
         assert curve.failure is None
         assert counts == [512, 512, 512]
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="older interpreters keep call arguments on the caller's stack")
-    def test_no_bracket_lives_through_validation(self, quarter_problem_radial, monkeypatch):
-        real_validate, alive = continuation.validate_orbit, []
-
-        def validate(*args):
-            alive.append(sum(isinstance(o, shooting.Bracket) for o in gc.get_objects()))
-            return real_validate(*args)
-
-        monkeypatch.setattr(continuation, "validate_orbit", validate)
-        assert sweep(quarter_problem_radial, [0.0, 0.005, 0.01, 0.015]).failure is None
-        assert alive == [0, 0, 0, 0]
-
     def test_half_mode_sweep(self, half_problem_a05):
         curve = sweep(half_problem_a05, np.arange(0.0, 0.0201, 0.005))
         assert curve.failure is None
@@ -154,7 +143,8 @@ class TestSolveOrbit:
         assert ok and diag == validate_orbit(reference, problem.field, 0.01, problem.integrator)[1]
 
     def test_solves_on_the_given_bracket(self, quarter_problem_radial):
-        br = bracket(quarter_problem_radial, 0.01, center=1.0, half_widths=(0.02,))
+        lo, hi = 0.98, 1.02
+        br = Bracket(lo, hi, miss(quarter_problem_radial, lo, 0.01), miss(quarter_problem_radial, hi, 0.01))
         solution, _, ok, _ = solve_orbit(quarter_problem_radial, 0.01, 1e-10, 256, prebuilt=br)
         assert ok and br.sigma_lo < solution.sigma_star < br.sigma_hi
         assert solution.sigma_star == solve(quarter_problem_radial, 0.01, tol=1e-10, prebuilt=br).sigma_star
@@ -190,7 +180,7 @@ def family_grids(seed):
 
 
 def warm_bracket_sweep(problem, grid, tol=SOLVE_TOL):
-    """(sigma*, period) per mu from the sweep without a predictor: each bracket
+    """(sigma*, period) per mu from a sweep without a predictor: each bracket
     is tried at half-width eta/4 around the previous sigma*, then cold."""
     extend = extend_quarter if problem.mode is Mode.QUARTER else extend_half
     out, warm = [], None
@@ -198,10 +188,13 @@ def warm_bracket_sweep(problem, grid, tol=SOLVE_TOL):
         mu = float(mu)
         br = None
         if warm is not None:
+            lo, hi = warm - 0.25 * problem.eta, warm + 0.25 * problem.eta
             try:
-                br = bracket(problem, mu, center=warm, half_widths=(0.25 * problem.eta,))
-            except BracketFailure:
-                br = None
+                m_lo, m_hi = miss(problem, lo, mu), miss(problem, hi, mu)
+            except (SolverError, ValueError):
+                m_lo = m_hi = None
+            if m_lo is not None and (m_lo.value < 0.0) != (m_hi.value < 0.0):
+                br = Bracket(lo, hi, m_lo, m_hi)
         if br is None:
             br = bracket(problem, mu)
         sol = solve(problem, mu, tol=tol, prebuilt=br)
@@ -266,8 +259,9 @@ class TestPredictorCorrector:
         [(10.0, 9, 0.045), (20.0, 3, 0.015), (100.0, 1, 0.005)],
     )
     def test_stress_truncation_unchanged(self, kepler_params, lam, entries, failure_mu):
-        # The predictor only reaches inside the warm bracket's window, so the
-        # usable range ends where the warm-bracket sweep ended it.
+        # The predictor only reaches within eta/4 of the previous sigma*, and
+        # the cold bracket decides the rest: the usable range ends where the
+        # bracket around sigma = 1 loses the root.
         strong = ForceField(
             base=kepler_params, perturbation=radial_power_perturbation(lam=lam, beta=3.0)
         )
@@ -296,17 +290,16 @@ def keep_one_sign(real_miss):
 
 
 def record_brackets(monkeypatch):
-    """Patch the sweep's bracket to log ("warm" | "cold", mu, raised) per call."""
+    """Patch the sweep's cold bracket to log (mu, raised) per call."""
     calls, real_bracket = [], continuation.bracket
 
-    def logged(problem, mu, **kwargs):
-        kind = "warm" if "center" in kwargs else "cold"
+    def logged(problem, mu):
         try:
-            br = real_bracket(problem, mu, **kwargs)
+            br = real_bracket(problem, mu)
         except BracketFailure:
-            calls.append((kind, mu, True))
+            calls.append((mu, True))
             raise
-        calls.append((kind, mu, False))
+        calls.append((mu, False))
         return br
 
     monkeypatch.setattr(continuation, "bracket", logged)
@@ -315,34 +308,57 @@ def record_brackets(monkeypatch):
 
 class TestBracketFallbacks:
     @pytest.mark.parametrize("broken", [raise_domain_exit, keep_one_sign])
-    def test_predicted_falls_back_to_warm(self, quarter_problem_radial, monkeypatch, broken):
+    def test_predicted_falls_back_to_cold(self, quarter_problem_radial, monkeypatch, broken):
         # The predictor's probes are the only misses the sweep makes itself.
         monkeypatch.setattr(continuation, "miss", broken(shooting.miss))
         calls = record_brackets(monkeypatch)
         curve = sweep(quarter_problem_radial, [0.0, 0.005, 0.01])
-        assert calls == [("cold", 0.0, False), ("warm", 0.005, False), ("warm", 0.01, False)]
+        assert calls == [(0.0, False), (0.005, False), (0.01, False)]
         for e in curve.entries:
             assert e.sigma_star == pytest.approx(math.sqrt(1.0 + e.mu), abs=1e-9)
 
     @pytest.mark.parametrize("broken", [raise_domain_exit, keep_one_sign])
-    def test_warm_falls_back_to_cold(self, quarter_problem_radial, monkeypatch, broken):
-        # The warm bracket probes the sweep's first sigma* +- eta/4.
-        sigma0 = solve(quarter_problem_radial, 0.0).sigma_star
-        reach = 0.25 * quarter_problem_radial.eta
-        warm_probes = {sigma0 - reach, sigma0 + reach}
+    def test_cold_fallback_is_per_cell(self, quarter_problem_radial, monkeypatch, broken):
+        # Only the prediction at mu = 0.005 fails; the cell it brackets cold
+        # still feeds the predictor, which brackets the next cell.
         real_miss = shooting.miss
         broken_miss = broken(real_miss)
 
         def miss(problem, sigma, mu):
-            return (broken_miss if sigma in warm_probes else real_miss)(problem, sigma, mu)
+            return (broken_miss if mu == 0.005 else real_miss)(problem, sigma, mu)
 
-        monkeypatch.setattr(continuation, "miss", raise_domain_exit(real_miss))
-        monkeypatch.setattr(shooting, "miss", miss)
+        monkeypatch.setattr(continuation, "miss", miss)
         calls = record_brackets(monkeypatch)
-        curve = sweep(quarter_problem_radial, [0.0, 0.005])
-        assert calls == [("cold", 0.0, False), ("warm", 0.005, True), ("cold", 0.005, False)]
+        curve = sweep(quarter_problem_radial, [0.0, 0.005, 0.01])
+        assert calls == [(0.0, False), (0.005, False)]
         assert curve.failure is None
-        assert curve.entries[1].sigma_star == pytest.approx(math.sqrt(1.005), abs=1e-9)
+        for e in curve.entries:
+            assert e.sigma_star == pytest.approx(math.sqrt(1.0 + e.mu), abs=1e-9)
+
+    def test_failing_cell_makes_four_misses(self, kepler_params, monkeypatch):
+        # sigma*(mu) = sqrt(1 + 100 mu) leaves the eta band at mu = 0.005: one
+        # predictor probe, then the cold bracket's probes fail at both widths.
+        strong = ForceField(base=kepler_params, perturbation=radial_power_perturbation(lam=100.0, beta=3.0))
+        problem = ShootingProblem(field=strong, radius=1.0, mode=Mode.QUARTER)
+        mus, real_miss = [], shooting.miss
+
+        def counted(problem, sigma, mu):
+            mus.append(mu)
+            return real_miss(problem, sigma, mu)
+
+        # The predictor's misses, and the cold bracket's and solve's.
+        monkeypatch.setattr(continuation, "miss", counted)
+        monkeypatch.setattr(shooting, "miss", counted)
+        curve = sweep(problem, [0.0, 0.005, 0.01])
+        assert [e.mu for e in curve.entries] == [0.0]
+        assert curve.failure.keys() == {"mu", "error", "message"}
+        assert (curve.failure["mu"], curve.failure["error"]) == (0.005, "BracketFailure")
+        assert curve.failure["message"].startswith(
+            "no miss sign change around sigma=1.0 within half-width 0.1 at mu=0.005 "
+            "(last evaluation error: orbit left annulus [0.5, 2.0]"
+        )
+        assert mus.count(0.005) == 4
+        assert 0.01 not in mus
 
     def test_tiny_same_sign_probes_make_no_predicted_bracket(self, quarter_problem, monkeypatch):
         # Their product underflows to zero; the sign rule sees no change.

@@ -106,27 +106,33 @@ class TestBracket:
         assert (br.sigma_lo, br.sigma_hi) == (0.95, 1.05)
         assert (br.miss_lo.value, br.miss_hi.value) == (-1e-200, 1e-200)
 
-    @pytest.fixture()
-    def wide_kepler(self):
-        # The sigma = 0.5 probe crosses the y-axis at 0.25 R, the section's inner end.
-        field = ForceField(base=PowerLawParams(1.0, 1.0), annulus=(0.1, 5.0))
-        return ShootingProblem(field=field, radius=1.0, mode=Mode.QUARTER, eta=0.5, delta=0.9)
+    def test_boundary_crossing_moves_on_to_the_next_width(self, quarter_problem, monkeypatch):
+        # The probes at half-width eta/2 cross the section at its end; those at eta bracket.
+        real_miss, half = shooting.miss, 0.5 * quarter_problem.eta
 
-    def test_boundary_crossing_moves_on_to_the_next_width(self, wide_kepler):
-        with pytest.raises(BoundaryCrossing):
-            miss(wide_kepler, 0.5, 0.0)
-        br = bracket(wide_kepler, 0.0, center=0.8, half_widths=(0.3, 0.25))
-        assert (br.sigma_lo, br.sigma_hi) == (0.55, 1.05)
+        def miss(problem, sigma, mu):
+            if sigma in (1.0 - half, 1.0 + half):
+                raise BoundaryCrossing("forced")
+            return real_miss(problem, sigma, mu)
 
-    def test_boundary_crossing_is_the_bracket_failure_cause(self, wide_kepler):
+        monkeypatch.setattr(shooting, "miss", miss)
+        br = bracket(quarter_problem, 0.0)
+        assert (br.sigma_lo, br.sigma_hi) == (1.0 - quarter_problem.eta, 1.0 + quarter_problem.eta)
+
+    def test_boundary_crossing_is_the_bracket_failure_cause(self, quarter_problem, monkeypatch):
+        # No sign change at half-width eta/2, a boundary crossing at eta: the
+        # last width's evaluation error is the cause.
+        carrier = shooting.miss(quarter_problem, 1.0, 0.0)
+
+        def miss(problem, sigma, mu):
+            if sigma == 1.0 - problem.eta:
+                raise BoundaryCrossing("forced")
+            return MissValue(sigma, 1.0, carrier.crossing, carrier.trajectory)
+
+        monkeypatch.setattr(shooting, "miss", miss)
         with pytest.raises(BracketFailure) as info:
-            bracket(wide_kepler, 0.0, center=0.75, half_widths=(0.2, 0.25))
+            bracket(quarter_problem, 0.0)
         assert isinstance(info.value.cause, BoundaryCrossing)
-
-    def test_custom_center(self, quarter_problem_radial):
-        root = perturbed_radial_sigma(0.1, 1.0, 3.0, 1.0, 1.0, 1.0)
-        br = bracket(quarter_problem_radial, 0.1, center=root, half_widths=(0.01,))
-        assert br.sigma_lo < root < br.sigma_hi
 
 
 def bisection_sigma(problem, mu, tol=1e-10, max_iter=200):
@@ -210,17 +216,18 @@ class TestSolve:
             sol = solve(quarter_problem_radial, mu)
             assert abs(sol.sigma_star - 1.0) < quarter_problem_radial.eta
 
-    def test_nonconvergence_on_iteration_cap(self, quarter_problem):
-        with pytest.raises(NonConvergence):
-            solve(quarter_problem, 0.0, tol=0.0, max_iter=5)
+    def test_nonconvergence_on_iteration_cap(self, quarter_problem, monkeypatch):
+        monkeypatch.setattr(shooting, "_MAX_ITER", 5)
+        with pytest.raises(NonConvergence, match="after 5 root-finding steps"):
+            solve(quarter_problem, 0.0, tol=0.0)
 
     def test_nonconvergence_reports_steps_taken(self, quarter_problem, miss_sigmas):
         # tol = 0 is never met; the bracket collapses below 1e-15 long before
         # the iteration cap, and the message counts the steps actually taken.
         with pytest.raises(NonConvergence) as info:
-            solve(quarter_problem, 0.0, tol=0.0, max_iter=200)
+            solve(quarter_problem, 0.0, tol=0.0)
         steps = len(miss_sigmas) - 2  # minus the two bracket probes
-        assert steps < 200
+        assert steps < shooting._MAX_ITER
         assert f"after {steps} root-finding steps" in str(info.value)
 
     def test_bisection_keeps_bracket_signs(self, quarter_problem_radial):
