@@ -18,6 +18,7 @@ sampled that holds no apsis.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -211,6 +212,22 @@ def apsides(traj: Trajectory) -> list[ApsisEvent]:
     return events
 
 
+@functools.cache
+def _gauss_rule():
+    """Weights and (sin, cos) of the nodes of the _GAUSS_NODES-point
+    Gauss-Legendre rule mapped to theta in (0, pi/2), read-only.
+
+    Built on the first call and kept for the process: `leggauss` is an
+    eigenvalue problem that costs more than the quadrature itself.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    theta = 0.25 * math.pi * (nodes + 1.0)
+    rule = (0.25 * math.pi * weights, np.sin(theta), np.cos(theta))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def apsidal_angle(problem: RadialProblem) -> float:
     """Polar-angle advance between consecutive turning radii.
 
@@ -224,10 +241,7 @@ def apsidal_angle(problem: RadialProblem) -> float:
     if span < 1e-9:
         return apsidal_limit(params, 0.5 * (r_min + r_max))
 
-    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-    theta = 0.25 * math.pi * (nodes + 1.0)
-    w = 0.25 * math.pi * weights
-    s, c = np.sin(theta), np.cos(theta)
+    w, s, c = _gauss_rule()
     dr = span * s * s  # r - r_min, never formed by subtraction
     r = r_min + dr
     # E - U_eff(r) = U_eff(r_min) - U_eff(r) since r_min is a root; the

@@ -389,10 +389,9 @@ def cmd_analyze(config: RunConfig, sigma: float, mu: float, as_json: bool) -> in
     problem = radial_problem_from_launch(params, config.radius, sigma)
     circular = problem.r_max - problem.r_min < 1e-9
     phi = apsidal_angle(problem)
-    try:
-        phi_limit = apsidal_limit(params, config.radius)
-    except DegenerateLimit:
-        phi_limit = None
+    # 3U' + rU'' = (2 - alpha) kappa r^-(alpha + 1) is positive: the level set
+    # above has already refused every alpha >= 2 as NoBoundedMotion.
+    phi_limit = apsidal_limit(params, config.radius)
 
     apsis_list = []
     if not circular:

@@ -2,9 +2,11 @@
 
 Everything here comes from textbook two-body geometry (vis-viva, conic
 apsides) or direct algebra on the force law; nothing imports the solver's
-numerical paths.
+numerical paths. The serialization references are the straightforward
+algorithms that `symorbit.serialize` must reproduce byte for byte.
 """
 
+import json
 import math
 
 
@@ -48,3 +50,37 @@ def perturbed_radial_sigma(mu: float, lam: float, beta: float, kappa: float, alp
 def apsidal_limit_power_law(alpha: float) -> float:
     """Near-circular apsidal angle pi / sqrt(2 - alpha), valid for alpha < 2."""
     return math.pi / math.sqrt(2.0 - alpha)
+
+
+_MARK = "@~f17~@"  # sentinel stripped after encoding; never appears in payload strings
+
+
+def _tag(obj):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {obj} not serializable")
+        return _MARK + format(obj, ".17g") + _MARK
+    if isinstance(obj, dict):
+        return {k: _tag(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_tag(v) for v in obj]
+    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
+        return _tag(obj.item())  # numpy scalars
+    return obj
+
+
+def json_dumps_17g(obj) -> str:
+    """json.dumps(indent=2, sort_keys=True) with every float at 17 significant
+    digits: each float is tagged as a marked string, encoded, and unmarked."""
+    text = json.dumps(_tag(obj), indent=2, sort_keys=True)
+    return text.replace('"' + _MARK, "").replace(_MARK + '"', "")
+
+
+def csv_text_17g(header, rows) -> str:
+    """The CSV text of header and rows, one cell at a time: floats at 17
+    significant digits, anything else as str."""
+    lines = [",".join(header)]
+    lines += [",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

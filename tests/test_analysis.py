@@ -24,7 +24,8 @@ from symorbit import (
     radial_accel_at_launch,
     radial_problem_from_launch,
 )
-from symorbit.analysis import _circular_radius, _turning_radius, radial_accel_finite_difference
+from symorbit import analysis
+from symorbit.analysis import _circular_radius, _turning_radius, _ueff_increment, radial_accel_finite_difference
 from symorbit.integrator import _bisect
 
 from oracles import apsidal_limit_power_law, kepler_apsis_radii, kepler_period, semi_major_axis
@@ -326,6 +327,44 @@ class TestApsidesMatchSampledSearch:
         inside = [e for e in events if e.t != 0.0]
         assert len(inside) >= 1 and len(built) == len(inside)
         assert traj._stacked is None
+
+
+def apsidal_angle_rebuilding_the_rule(problem):
+    """apsidal_angle as it reads with the Gauss-Legendre rule built in the call."""
+    nodes, weights = np.polynomial.legendre.leggauss(128)
+    theta = 0.25 * math.pi * (nodes + 1.0)
+    w = 0.25 * math.pi * weights
+    s, c = np.sin(theta), np.cos(theta)
+    K, span = abs(problem.K), problem.r_max - problem.r_min
+    r = problem.r_min + span * s * s
+    f2 = np.maximum(2.0 * _ueff_increment(problem.params, K, problem.r_min, r), 1e-300)
+    integrand = (K / (r * r)) * (2.0 * span * s * c) / np.sqrt(f2)
+    return float(np.sum(w * integrand))
+
+
+class TestGaussRule:
+    def test_built_once_and_bit_identical(self, monkeypatch):
+        problems = [
+            radial_problem_from_launch(PowerLawParams(1.0, 0.5), 1.0, 0.9),
+            radial_problem_from_launch(PowerLawParams(1.3, 1.5), 1.2, 1.07),
+        ]
+        want = [apsidal_angle_rebuilding_the_rule(p) for p in problems]
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        analysis._gauss_rule.cache_clear()
+        assert [apsidal_angle(p) for p in problems] == want
+        assert calls == [128]
+
+    def test_rule_is_read_only(self):
+        for a in analysis._gauss_rule():
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestApsidalAngle:

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symorbit import NoCrossing, Reflection, cli, continuation, serialize
 from symorbit.cli import main
+
+from oracles import csv_text_17g, json_dumps_17g
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -69,6 +72,28 @@ def config_path(tmp_path):
     return write_config(tmp_path / "config.json")
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e17])
+LEAVES = (
+    FINITE
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.builds(np.float64, FINITE)
+    | st.builds(np.int64, st.integers(-(2**63), 2**63 - 1))
+    | st.builds(np.bool_, st.booleans())
+    | st.lists(FINITE, min_size=1, max_size=6)  # a sample row
+    | st.lists(FINITE, min_size=1, max_size=6).map(tuple)
+)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=40,
+)
+
+
 class TestSerialize:
     def test_seventeen_digits_round_trip(self):
         payload = {"a": 1.0 / 3.0, "b": [1.5, 2], "c": {"d": math.pi}}
@@ -83,12 +108,48 @@ class TestSerialize:
             serialize.dumps({"x": float("inf")})
 
     def test_numpy_scalars(self):
-        import numpy as np
-
         text = serialize.dumps({"v": np.float64(0.1), "n": np.int64(3)})
         parsed = json.loads(text)
         assert parsed["v"] == 0.1
         assert parsed["n"] == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=PAYLOADS)
+    def test_dumps_matches_the_tagged_json_encoding(self, payload):
+        assert serialize.dumps(payload) == json_dumps_17g(payload)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["float_row", "mixed_list"])
+    def test_non_finite_rejected_in_any_list(self, bad, where):
+        items = [1.0, bad, 2.0] if where == "float_row" else [1.0, "x", bad]
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.dumps({"samples": [items]})
+
+    def test_non_str_keys_as_json_writes_them(self):
+        payload = {"a": {1: 0.5, 2: [1.0]}, "b": {1.5: None}, "c": {True: 1.0}, "d": {None: "x"}}
+        assert serialize.dumps(payload) == json_dumps_17g(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(), max_size=6), max_size=8))
+    def test_csv_float_rows_match_the_per_cell_writer(self, rows, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        serialize.write_csv(path, ["a", "b"], rows)
+        assert path.read_text(encoding="utf-8") == csv_text_17g(["a", "b"], rows)
+
+    def test_csv_mixed_rows_match_the_per_cell_writer(self, tmp_path):
+        # The zero_set.csv shape (a formatted sigma, then int signs), next to
+        # float rows holding every cell kind the template must leave alone.
+        rows = [
+            [serialize.fmt(0.95), 1, -1, 0],
+            [1.0, 2, 3.5],
+            [True, 0.1, None],
+            [np.float64(0.1), 10**20, -0.0],
+            [5e-324, 1e16, 1e17, -math.inf, math.nan],
+            (0.1, 0.2),
+            [],
+        ]
+        serialize.write_csv(tmp_path / "mixed.csv", ["sigma", "0", "0.005", "0.01"], rows)
+        assert (tmp_path / "mixed.csv").read_text(encoding="utf-8") == csv_text_17g(["sigma", "0", "0.005", "0.01"], rows)
 
 
 class TestSolveCommand:
@@ -106,6 +167,13 @@ class TestSolveCommand:
         csv_lines = (out / "orbit.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "t,x,y,vx,vy"
         assert len(csv_lines) == 514
+
+    def test_half_mode_is_labelled_x_axis(self, tmp_path, capsys):
+        cfg = write_steep_half_config(tmp_path / "a3.json", 0)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["symmetry"] == "x_axis"
+        assert json.loads((out / "orbit.json").read_text())["symmetry"] == "x_axis"
 
     def test_bracket_failure_exit_code(self, config_path, capsys):
         code = main(["solve", "--config", str(config_path), "--mu", "0.45", "--json"])
@@ -483,6 +551,15 @@ class TestAnalyzeCommand:
         cfg.write_text(json.dumps({"field": {"kappa": 1.0, "alpha": 1.0}}))
         assert main(["analyze", "--config", str(cfg), "--sigma", "0"]) == 5
         assert "NoBoundedMotion" in capsys.readouterr().err
+
+    def test_launch_past_escape_speed_is_no_bounded_motion(self, tmp_path, capsys):
+        # At alpha = 1.99 the escape speed is sqrt(2 / alpha) = 1.0025 circular
+        # speeds, so sigma = 1.01 has E > 0 although alpha < 2.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"field": {"kappa": 1.0, "alpha": 1.99}}))
+        assert main(["analyze", "--config", str(cfg), "--sigma", "1.01"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("NoBoundedMotion") and "E=" in err
 
     def test_nonzero_mu_rejected(self, config_path):
         assert (
