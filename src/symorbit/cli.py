@@ -53,6 +53,7 @@ from .forcefield import (
     Reflection,
     check_symmetry,
     circular_speed,
+    potential_derivatives,
     zero_perturbation,
 )
 from .integrator import IntegratorConfig, State, flow
@@ -114,6 +115,18 @@ def _at_least(n: int):
     return lambda v, c: v >= n, f"an integer >= {n}"
 
 
+def _launchable(r: float, c: dict) -> bool:
+    """r lies in the annulus, and U'(r) and U''(r) of the configured power law
+    are finite nonzero floats."""
+    if not c["field.annulus"][0] <= r <= c["field.annulus"][1]:
+        return False
+    try:
+        u1, u2 = potential_derivatives(PowerLawParams(c["field.kappa"], c["field.alpha"]), r)
+    except (OverflowError, ZeroDivisionError):
+        return False
+    return all(math.isfinite(u) and u != 0.0 for u in (u1, u2))
+
+
 # Every key a configuration is read for, in reading order: (dotted path,
 # default or _REQUIRED, JSON type, check over the value and the values read
 # before it by path, the requirement an error names). A float is a finite JSON
@@ -134,9 +147,10 @@ _KEYS = (
     ("field.perturbation.symmetries", [], list, lambda v, c: all(s in [r.value for r in Reflection] for s in v),
      "a list of 'x_axis' and 'y_axis'"),
     ("mode", "quarter", str, lambda v, c: v in [m.value for m in Mode], "'quarter' or 'half'"),
-    # The launch point (radius, 0) must lie in the annulus, as ForceField.contains tests it.
-    ("radius", 1.0, float, lambda v, c: c["field.annulus"][0] <= v <= c["field.annulus"][1],
-     "a number in field.annulus [r_in, r_out]"),
+    # The launch point (radius, 0) must lie in the annulus, as ForceField.contains
+    # tests it, where the launch's circular speed and apsidal limit are representable.
+    ("radius", 1.0, float, _launchable,
+     "a number in field.annulus [r_in, r_out] where U' and U'' are finite and nonzero"),
     ("eta", 0.1, float, lambda v, c: 0 < v < 1, "a number in (0, 1)"),
     ("delta", 0.2, float, lambda v, c: c["eta"] < v < 1, "a number in (eta, 1)"),
     ("solve_tol", 1e-10, float, lambda v, c: v >= 0, "a non-negative number"),
@@ -523,8 +537,9 @@ def cmd_verify(config: RunConfig, as_json: bool) -> int:
     for name, fn in _VERIFY_CHECKS:
         try:
             passed, detail = fn(config)
-        except SolverError as exc:
-            # An erroring check fails on its own; the rest still run.
+        except (SolverError, OverflowError, ZeroDivisionError) as exc:
+            # An erroring check fails on its own, also where a probe's force is
+            # not representable at the configured radius; the rest still run.
             passed, detail = False, {"error": type(exc).__name__, "message": str(exc)}
         results.append({"name": name, "passed": bool(passed), "detail": detail})
     all_ok = all(r["passed"] for r in results)

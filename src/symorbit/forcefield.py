@@ -92,17 +92,12 @@ def _axis_poly(cx: float, px: int, cy: float, py: int, x: float, y: float) -> tu
     return cx * x**px, cy * y**py
 
 
-def _uniform(ux: float, uy: float, x: float, y: float) -> tuple[float, float]:
-    return ux, uy
-
-
 # Built-in perturbation families: kind -> ({constant: default}, term), a term
 # taking the constants in the defaults' order, then (x, y).
 _FAMILIES = {
     "zero": ({}, _zero),
     "radial_power": ({"lam": 1.0, "beta": 3.0}, _radial_power),
     "axis_poly": ({"cx": 0.0, "px": 3, "cy": 0.0, "py": 3}, _axis_poly),
-    "uniform": ({"ux": 0.0, "uy": 0.0}, _uniform),
 }
 
 
@@ -114,7 +109,6 @@ class PerturbationSpec:
       zero          no perturbation
       radial_power  -lam * r / |r|^(beta+2)       (central, both symmetries)
       axis_poly     (cx * x**px, cy * y**py)      (parities set the symmetries)
-      uniform       constant vector (ux, uy)      (test family)
 
     declared_symmetries is what the caller claims; check_symmetry verifies it
     numerically, so a wrong declaration is constructible on purpose.

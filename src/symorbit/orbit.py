@@ -14,11 +14,12 @@ re-integration of the period from the orbit start gives closure (the state
 after one period against the start) and symmetry (for each declared
 reflection, the time-reversal residual of the re-integrated positions at the
 sample times); simplicity is checked by orientation and on-segment tests on
-the segment pairs that share a cell of a uniform grid, which returns exactly
-what an all-pairs sweep returns; origin enclosure by winding number; and the
-two-point x-axis crossing property by the integrator's sign-change rule
-(`_sign_changes`) over the samples, a crossing between samples refined by the
-package's one bisection loop (`integrator._bisect`) on the orbit interpolant.
+the segment pairs whose bounding boxes overlap, found by one sort on their
+x-extents, which returns exactly what an all-pairs sweep returns; origin
+enclosure by winding number; and the two-point x-axis crossing property by the
+integrator's sign-change rule (`_sign_changes`) over the samples, a crossing
+between samples refined by the package's one bisection loop
+(`integrator._bisect`) on the orbit interpolant.
 """
 
 from __future__ import annotations
@@ -248,59 +249,39 @@ def _polyline(orbit_or_points) -> np.ndarray:
     return pts
 
 
-_QUAD = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])  # cell offsets a segment may reach
-
-
-class _SegmentGrid:
-    """The segments starts[k] -> ends[k] of a polyline, registered in the
-    square cells of a uniform grid, so that `is_simple_closed` tests only the
-    segment pairs that share a cell.
-
-    The cell side h is the largest axis extent of any segment's bounding box,
-    inflated by 1e-9 so that rounding cannot spread a segment over three cells:
-    each segment is registered in the 1x1 to 2x2 cells its bounding box
-    touches, and two segments whose bounding boxes overlap share a cell
-    (`floor` is monotone). A closed polyline of n segments spans at most n*h
-    per axis, which bounds the cell indices by n.
-    """
-
-    def __init__(self, starts: np.ndarray, ends: np.ndarray):
-        lo = np.minimum(starts, ends)
-        hi = np.maximum(starts, ends)
-        extent = float(np.max(hi - lo))  # NaN or inf when any point is not finite
-        if not math.isfinite(extent):
-            raise ValueError("polyline points and segment extents must be finite")
-        h = extent * (1.0 + 1e-9) if extent > 0.0 else 1.0
-        origin = np.min(lo, axis=0)
-        c0 = np.floor((lo - origin) / h).astype(np.intp)
-        c1 = np.floor((hi - origin) / h).astype(np.intp)
-        width = int(np.max(c1)) + 1
-        cells = c0[:, None, :] + _QUAD
-        keep = np.all(_QUAD <= (c1 - c0)[:, None, :], axis=2)
-        kept = cells[keep]
-        keys = kept[:, 0] * width + kept[:, 1]
-        segs = np.nonzero(keep)[0]
-        order = np.lexsort((segs, keys))  # by cell, then segment index
-        self.keys = keys[order]
-        self.segs = segs[order]
-        self.n = len(starts)
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Segment index pairs (i, j), i < j, that share a cell, each once, in
-        lexicographic order."""
-        at = np.arange(len(self.keys))
-        cell_end = np.searchsorted(self.keys, self.keys, "right")
-        owner, partner = _ranges(at + 1, cell_end - at - 1)
-        code = np.unique(self.segs[owner] * self.n + self.segs[partner])
-        return code // self.n, code % self.n
-
-
 def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenation over k of the positions first[k] .. first[k] + count[k] - 1,
     each with its owner k."""
     owner = np.repeat(np.arange(len(count)), count)
     shift = np.repeat(np.cumsum(count) - count - first, count)
     return owner, np.arange(len(owner)) - shift
+
+
+def _overlapping_pairs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, in lexicographic order, of the segments
+    starts[k] -> ends[k] whose closed bounding boxes overlap.
+
+    Sort and sweep on the x-extents (Shamos and Hoey, FOCS 1976; Cohen et al.,
+    I-COLLIDE, 1995): in order of left x, the segments whose boxes overlap
+    segment k in x and come after it are those whose left x is at most k's
+    right x, one `searchsorted` each; of those pairs, the ones whose y-extents
+    overlap too are kept. The cost is O(n log n) plus the number of pairs that
+    overlap in x, so segments that all span one x range make it quadratic.
+    """
+    lo = np.minimum(starts, ends)
+    hi = np.maximum(starts, ends)
+    if not math.isfinite(float(np.max(hi - lo))):  # NaN or inf when any point is not finite
+        raise ValueError("polyline points and segment extents must be finite")
+    n = len(starts)
+    order = np.argsort(lo[:, 0])
+    at = np.arange(n)
+    stop = np.searchsorted(lo[order, 0], hi[order, 0], "right")
+    first, later = _ranges(at + 1, stop - at - 1)
+    a, b = order[first], order[later]
+    keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+    a, b = a[keep], b[keep]
+    code = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    return code // n, code % n
 
 
 def is_simple_closed(orbit_or_points, min_points: int = 256):
@@ -315,8 +296,8 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
     point on the other segment's line) they meet only if an end point of one
     lies on the other (the on-segment test of Cormen et al., Introduction to
     Algorithms, 33.1); the meeting point reported is that end point. Meeting
-    segments have overlapping bounding boxes, so only segments that share a
-    cell of a `_SegmentGrid` are tested.
+    segments have overlapping closed bounding boxes, so only the pairs that
+    `_overlapping_pairs` returns are tested.
     """
     pts = _polyline(orbit_or_points)
     if len(pts) < min_points:
@@ -329,7 +310,7 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
     n = len(pts)
     nxt = np.roll(pts, -1, axis=0)
     d = nxt - pts  # segment direction vectors
-    i, j = _SegmentGrid(pts, nxt).pairs()
+    i, j = _overlapping_pairs(pts, nxt)
     keep = (j >= i + 2) & ((i > 0) | (j < n - 1))  # not adjacent, not the wrap pair (0, n-1)
     i, j = i[keep], j[keep]
 

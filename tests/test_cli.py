@@ -324,6 +324,29 @@ class TestConfigKeys:
         assert "configuration error: configuration key 'radius' must be a number in field.annulus" in err
 
     @pytest.mark.parametrize(
+        "kappa, alpha, annulus, radius",
+        [(1.0, 1.5, [0.5, 1e250], 1e130), (1.0, 1.5, [1e-250, 2.0], 1e-200), (1e-100, 0.0, [0.5, 1e200], 1e150)],
+        ids=["overflow", "underflow", "vanishing"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["solve"], ["verify"], ["analyze", "--sigma", "1.05"]], ids=lambda c: c[0]
+    )
+    def test_radius_where_the_force_is_not_representable_refused(
+        self, tmp_path, capsys, command, kappa, alpha, annulus, radius
+    ):
+        # Each radius lies in its annulus. At alpha = 1.5, U''(r) = -2.5 /
+        # r**3.5: the power overflows at r = 1e130 (OverflowError) and
+        # underflows to 0 at r = 1e-200 (ZeroDivisionError). At alpha = 0,
+        # U''(r) = -kappa / r**2 underflows to -0.0 at kappa = 1e-100, r = 1e150.
+        cfg = tmp_path / "c.json"
+        field = {"kappa": kappa, "alpha": alpha, "annulus": annulus}
+        cfg.write_text(json.dumps({"field": field, "radius": radius, "mode": "half"}))
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: configuration key 'radius' must be" in err
+        assert "where U' and U'' are finite and nonzero" in err
+
+    @pytest.mark.parametrize(
         "key, value, requirement",
         [("field.alpha", 0.5, "alpha == 1"), ("field.perturbation.symmetries", ["x_axis"], "both reflection symmetries")],
     )
@@ -487,11 +510,15 @@ class TestSweepCommand:
         assert started == []
 
     def test_broken_symmetry_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch):
-        # A uniform force declared symmetric about both axes, as `solve` refuses it.
+        # A constant force declared symmetric about both axes, as `solve` refuses it.
         started = []
         monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: started.append("sweep"))
         monkeypatch.setattr(cli, "zero_set_scan", lambda *a, **k: started.append("scan"))
-        pert = {"kind": "uniform", "params": {"ux": 0.0, "uy": 0.1}, "symmetries": ["x_axis", "y_axis"]}
+        pert = {
+            "kind": "axis_poly",
+            "params": {"cx": 0.0, "px": 0, "cy": 0.1, "py": 0},
+            "symmetries": ["x_axis", "y_axis"],
+        }
         field = {"kappa": 1.0, "alpha": 1.0, "perturbation": pert, "mu_range": 0.5, "annulus": [0.5, 2.0]}
         cfg = write_config(tmp_path / "c.json", field=field)
         assert main(["solve", "--config", str(cfg)]) == 4
@@ -611,8 +638,8 @@ class TestVerifyCommand:
                 "kappa": 1.0,
                 "alpha": 1.0,
                 "perturbation": {
-                    "kind": "uniform",
-                    "params": {"ux": 0.0, "uy": 0.1},
+                    "kind": "axis_poly",
+                    "params": {"cx": 0.0, "px": 0, "cy": 0.1, "py": 0},
                     "symmetries": ["x_axis", "y_axis"],
                 },
                 "mu_range": 0.5,
@@ -624,6 +651,21 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         failing = [c["name"] for c in payload["checks"] if not c["passed"]]
         assert "symmetry" in failing
+
+    def test_probe_overflow_fails_its_check(self, tmp_path, capsys):
+        # radius 1e100 is a valid launch at alpha = 0.5 (U'' = -1.5e-250), but
+        # the radial-acceleration probe at alpha = 2 overflows r**4: that check
+        # fails with the error named, and the other checks still run.
+        cfg = tmp_path / "c.json"
+        field = {"kappa": 1.0, "alpha": 0.5, "annulus": [0.5, 1e250]}
+        cfg.write_text(json.dumps({"field": field, "radius": 1e100, "mode": "half"}))
+        assert main(["verify", "--config", str(cfg), "--json"]) == 4
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert len(checks) == 5 and checks["symmetry"]["passed"]
+        assert checks["radial_accel_identity"]["detail"]["error"] == "OverflowError"
+        assert main(["solve", "--config", str(cfg)]) == 5
+        assert main(["analyze", "--config", str(cfg), "--sigma", "1.05"]) == 5
+        assert "NoBoundedMotion" in capsys.readouterr().err
 
     def test_plain_output_lines(self, config_path, capsys):
         assert main(["verify", "--config", str(config_path)]) == 0

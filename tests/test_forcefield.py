@@ -151,7 +151,7 @@ class TestPerturbationSpec:
         [
             ("radial_power", {"lam": 0.5, "beta": 2.0}),
             ("axis_poly", {"cx": 1.0, "px": 2, "cy": -0.5, "py": 3}),
-            ("uniform", {"ux": 0.25, "uy": -0.1}),
+            ("axis_poly", {"cx": 0.25, "px": 0, "cy": -0.1, "py": 0}),
         ],
     )
     def test_later_mutation_of_params_changes_nothing(self, kind, params):
@@ -169,7 +169,8 @@ class TestPerturbationSpec:
         poly = axis_poly_perturbation(cx=2.0, px=2, cy=-1.0, py=3)
         assert poly.term(1.5, -0.5) == pytest.approx((2.0 * 1.5**2, 0.125))
         assert PerturbationSpec().term(1.0, 1.0) == (0.0, 0.0)
-        assert PerturbationSpec(kind="uniform").term(1.0, 1.0) == (0.0, 0.0)
+        constant = axis_poly_perturbation(cx=0.25, px=0, cy=-0.1, py=0)
+        assert constant.term(0.0, -3.0) == constant.term(1.5, 2.0) == (0.25, -0.1)
 
     @pytest.mark.parametrize(
         "kind, params, key",
@@ -181,7 +182,7 @@ class TestPerturbationSpec:
             ("axis_poly", {"cx": math.inf}, "cx"),
             ("radial_power", {"bogus": 1.0}, "bogus"),
             ("radial_power", {"lam": math.nan}, "lam"),
-            ("uniform", {"ux": -math.inf}, "ux"),
+            ("axis_poly", {"cy": -math.inf, "px": 0, "py": 0}, "cy"),
             ("zero", {"lam": 1.0}, "lam"),
         ],
     )
@@ -212,10 +213,10 @@ class TestSymmetry:
         assert all(v <= 1e-14 for v in residuals.values())
 
     def test_broken_declaration_raises(self):
-        # Constant vertical push breaks the x-axis reflection; residual is
-        # twice the component, here 2 * mu * 0.1 with mu = 1.
+        # Constant vertical push (zero exponents) breaks the x-axis
+        # reflection; residual is twice the component, here 2 * mu * 0.1 with mu = 1.
         broken = PerturbationSpec(
-            kind="uniform", params={"ux": 0.0, "uy": 0.1}, declared_symmetries={"x_axis"}
+            kind="axis_poly", params={"cx": 0.0, "px": 0, "cy": 0.1, "py": 0}, declared_symmetries={"x_axis"}
         )
         f = ForceField(base=PowerLawParams(1.0, 1.0), perturbation=broken, mu_range=2.0)
         with pytest.raises(SymmetryViolation) as err:

@@ -27,7 +27,7 @@ from symorbit import (
     verify_closure,
     winding_number,
 )
-from symorbit.orbit import _polyline
+from symorbit.orbit import _overlapping_pairs, _polyline
 
 from oracles import kepler_period, semi_major_axis
 
@@ -438,8 +438,9 @@ def all_pairs_symmetry_residual(points, reflections):
 
 
 def assert_matches_all_pairs(points):
-    """The grid-pruned simplicity check returns exactly what the all-pairs
-    reference does."""
+    """The simplicity check, which tests only the segment pairs with
+    overlapping bounding boxes, returns exactly what the all-pairs reference
+    does."""
     simple, pt = is_simple_closed(points, min_points=3)
     ref_simple, ref_pt = all_pairs_is_simple_closed(points)
     assert simple == ref_simple
@@ -550,6 +551,47 @@ class TestGridPrunedChecksMatchAllPairs:
         lengths = np.hypot(*np.diff(pts, axis=0).T)
         assert lengths.max() / lengths.min() > 1e6
         assert assert_matches_all_pairs(pts) == (ratio < 1)
+
+
+def all_pairs_overlapping_boxes(starts, ends):
+    """Reference: every pair (i, j), i < j, whose closed bounding boxes overlap."""
+    lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
+    n = len(starts)
+    return [
+        (i, j) for i in range(n) for j in range(i + 1, n) if np.all(lo[i] <= hi[j]) and np.all(lo[j] <= hi[i])
+    ]
+
+
+def assert_pairs_match_all_pairs(points):
+    nxt = np.roll(points, -1, axis=0)
+    i, j = _overlapping_pairs(points, nxt)
+    assert list(zip(i.tolist(), j.tolist())) == all_pairs_overlapping_boxes(points, nxt)
+    return i, j
+
+
+class TestOverlappingPairs:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.sampled_from(["normal", "lattice", "repeated"]))
+    @example(0, 1, "normal")
+    def test_equal_to_all_pairs(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 2))
+        if kind == "lattice":
+            # Half-unit points: shared coordinates, boxes that touch at an
+            # edge or a corner, repeated points and zero-length segments.
+            pts = np.round(2.0 * pts) / 2.0
+        elif kind == "repeated":
+            pts = np.repeat(pts, rng.integers(1, 4, n), axis=0)
+        assert_pairs_match_all_pairs(pts)
+
+    def test_one_segment_spanning_the_x_range(self):
+        # Segment 0 runs along y = 0 over all of x in [0, 10]; the zig-zag back
+        # overlaps it in x everywhere and in y only where it reaches y = 0.
+        ys = [1.0, -1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 1.0, -1.0, 1.0]
+        pts = np.array([(0.0, 0.0), (10.0, 0.0), *zip(np.arange(9.0, -1.0, -1.0), ys)])
+        i, j = assert_pairs_match_all_pairs(pts)
+        assert j[i == 0].tolist() == [1, 2, 3, 5, 6, 9, 10, 11]
+        assert not assert_matches_all_pairs(pts)
 
 
 class TestAxisCrossings:
