@@ -151,7 +151,7 @@ class TestPerturbationSpec:
         [
             ("radial_power", {"lam": 0.5, "beta": 2.0}),
             ("axis_poly", {"cx": 1.0, "px": 2, "cy": -0.5, "py": 3}),
-            ("axis_poly", {"cx": 0.25, "px": 0, "cy": -0.1, "py": 0}),
+            pytest.param("axis_poly", {"cx": 0.25, "px": 0, "cy": -0.1, "py": 0}, id="uniform-params2"),
         ],
     )
     def test_later_mutation_of_params_changes_nothing(self, kind, params):
@@ -182,7 +182,7 @@ class TestPerturbationSpec:
             ("axis_poly", {"cx": math.inf}, "cx"),
             ("radial_power", {"bogus": 1.0}, "bogus"),
             ("radial_power", {"lam": math.nan}, "lam"),
-            ("axis_poly", {"cy": -math.inf, "px": 0, "py": 0}, "cy"),
+            pytest.param("axis_poly", {"cy": -math.inf, "px": 0, "py": 0}, "cy", id="uniform-params7-cy"),
             ("zero", {"lam": 1.0}, "lam"),
         ],
     )
