@@ -84,3 +84,41 @@ def csv_text_17g(header, rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def half_mode_orbit_scipy(kappa, alpha, cx, px, cy, py, mu, eta, radius=1.0):
+    """(sigma*, period) of the half-mode orbit of the axis_poly family, by scipy.
+
+    The right-hand side is written out here from kappa, alpha and the axis_poly
+    constants: a = -kappa r / |r|^(alpha+2) + mu (cx x^px, cy y^py). scipy's
+    DOP853 (rtol = atol = 1e-13) runs from the vertical launch at (radius, 0)
+    with sigma times the circular speed to a terminal event on y = 0 crossed
+    downwards; brentq finds the sigma in [1 - eta, 1 + eta] where the
+    horizontal velocity there vanishes. The x-axis reflection closes the orbit,
+    so the period is twice the crossing time. Needs scipy.
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    v0 = math.sqrt(kappa * radius**-alpha)
+    window = 2.0 * (2.0 * math.pi * radius / v0)
+
+    def rhs(t, s):
+        x, y, vx, vy = s
+        f = -kappa / math.hypot(x, y) ** (alpha + 2.0)
+        return [vx, vy, f * x + mu * cx * x**px, f * y + mu * cy * y**py]
+
+    def down_crossing(t, s):
+        return s[1]
+
+    down_crossing.terminal = True
+    down_crossing.direction = -1
+
+    def crossing(sigma):
+        sol = solve_ivp(rhs, (0.0, window), [radius, 0.0, 0.0, sigma * v0], method="DOP853",
+                        rtol=1e-13, atol=1e-13, events=down_crossing)
+        (t_star,), (state,) = sol.t_events[0], sol.y_events[0]
+        return t_star, state[2]
+
+    sigma_star = brentq(lambda s: crossing(s)[1], 1.0 - eta, 1.0 + eta, xtol=1e-15, rtol=1e-15)
+    return sigma_star, 2.0 * crossing(sigma_star)[0]

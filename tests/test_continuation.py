@@ -29,7 +29,7 @@ from symorbit import (
     zero_set_scan,
 )
 
-from oracles import perturbed_radial_sigma
+from oracles import half_mode_orbit_scipy, perturbed_radial_sigma
 
 
 class TestSweep:
@@ -148,6 +148,25 @@ class TestSolveOrbit:
         solution, _, ok, _ = solve_orbit(quarter_problem_radial, 0.01, 1e-10, 256, prebuilt=br)
         assert ok and br.sigma_lo < solution.sigma_star < br.sigma_hi
         assert solution.sigma_star == solve(quarter_problem_radial, 0.01, tol=1e-10, prebuilt=br).sigma_star
+
+    @pytest.mark.parametrize(
+        "problem_fixture, alpha, mu",
+        [("half_problem_a05", 0.5, 0.02), ("half_problem_a05", 0.5, 0.04), ("half_problem_a3", 3.0, 0.005)],
+    )
+    def test_half_mode_sigma_star_and_period_match_scipy(self, request, problem_fixture, alpha, mu):
+        # An oracle independent of the package's integrator, event location,
+        # root-finder and force evaluation (its right-hand side is written out
+        # from kappa, alpha and the axis_poly constants of the fixtures).
+        # Measured agreement: |d sigma*| 1.5e-13 - 3.4e-12, |d T| 1.0e-11 -
+        # 3.4e-11; the bounds leave a margin of about 30.
+        pytest.importorskip("scipy.integrate")
+        pytest.importorskip("scipy.optimize")
+        problem = request.getfixturevalue(problem_fixture)
+        sigma_ref, period_ref = half_mode_orbit_scipy(1.0, alpha, 1.0, 2, 1.0, 3, mu, problem.eta)
+        solution, orbit, ok, _ = solve_orbit(problem, mu, 1e-10, 256)
+        assert ok
+        assert abs(solution.sigma_star - sigma_ref) < 1e-10
+        assert abs(orbit.period - period_ref) < 1e-9
 
 
 def test_curves_csv_sorts_on_mu_positive_curve_first(tmp_path):
