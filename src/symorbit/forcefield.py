@@ -4,14 +4,19 @@ The unperturbed field is the attractive power law a(r) = -kappa * r / |r|^(alpha
 A perturbation family, scaled by the parameter mu, is added on top; each family
 declares which axis reflections it commutes with, and the declaration can be
 checked numerically against samples.
+
+Each family's force, base and perturbation together, is written once: in the
+builder of its `_FAMILIES` row, which binds -kappa, alpha + 2 and the family
+constants into one closure (x, y, mu) -> (ax, ay). A `ForceField` builds its
+closure once, at construction, and `ForceField.acceleration` is the one entry
+point to it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -79,21 +84,44 @@ def circular_speed(params: PowerLawParams, p: float) -> float:
     return math.sqrt(p * u1)
 
 
-def _zero(x: float, y: float) -> tuple[float, float]:
-    return 0.0, 0.0
+# Builders: each takes -kappa, alpha + 2.0 and the family constants and returns
+# the field's force (x, y, mu) -> (ax, ay), one hypot per call.
 
 
-def _radial_power(lam: float, beta: float, x: float, y: float) -> tuple[float, float]:
-    s = -lam / math.hypot(x, y) ** (beta + 2.0)
-    return s * x, s * y
+def _zero(neg_kappa, a2):
+    hypot = math.hypot
+
+    def accel(x: float, y: float, mu: float) -> tuple[float, float]:
+        s = neg_kappa / hypot(x, y) ** a2
+        return s * x + mu * 0.0, s * y + mu * 0.0
+
+    return accel
 
 
-def _axis_poly(cx: float, px: int, cy: float, py: int, x: float, y: float) -> tuple[float, float]:
-    return cx * x**px, cy * y**py
+def _radial_power(neg_kappa, a2, lam, beta):
+    hypot, neg_lam, b2 = math.hypot, -lam, beta + 2.0
+
+    def accel(x: float, y: float, mu: float) -> tuple[float, float]:
+        r = hypot(x, y)
+        s = neg_kappa / r**a2
+        q = neg_lam / r**b2
+        return s * x + mu * (q * x), s * y + mu * (q * y)
+
+    return accel
 
 
-# Built-in perturbation families: kind -> ({constant: default}, term), a term
-# taking the constants in the defaults' order, then (x, y).
+def _axis_poly(neg_kappa, a2, cx, px, cy, py):
+    hypot = math.hypot
+
+    def accel(x: float, y: float, mu: float) -> tuple[float, float]:
+        s = neg_kappa / hypot(x, y) ** a2
+        return s * x + mu * (cx * x**px), s * y + mu * (cy * y**py)
+
+    return accel
+
+
+# Built-in perturbation families: kind -> ({constant: default}, builder), a
+# builder taking the constants in the defaults' order after -kappa and alpha + 2.
 _FAMILIES = {
     "zero": ({}, _zero),
     "radial_power": ({"lam": 1.0, "beta": 3.0}, _radial_power),
@@ -114,21 +142,21 @@ class PerturbationSpec:
     numerically, so a wrong declaration is constructible on purpose.
 
     params maps family constants (defaults in _FAMILIES) to finite numbers; a
-    name the family lacks is a ValueError. term(x, y), the unscaled vector, is
-    the family's term with the constants of a copy of params bound once.
+    name the family lacks is a ValueError. _constants holds them, taken from a
+    copy of params once, in the defaults' order, with the defaults filled in.
     """
 
     kind: str = "zero"
     params: dict = field(default_factory=dict)
     declared_symmetries: frozenset = frozenset()
-    term: partial = field(init=False, repr=False, compare=False)
+    _constants: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _FAMILIES:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         object.__setattr__(self, "declared_symmetries", frozenset(map(Reflection, self.declared_symmetries)))
         object.__setattr__(self, "params", dict(self.params))
-        defaults, term = _FAMILIES[self.kind]
+        defaults, _ = _FAMILIES[self.kind]
         for key, value in self.params.items():
             if key not in defaults:
                 raise ValueError(f"{self.kind} has no constant {key!r}; its constants are {list(defaults)}")
@@ -140,7 +168,7 @@ class PerturbationSpec:
                 if not (float(k[key]).is_integer() and k[key] >= 0):
                     raise ValueError(f"axis_poly exponent {key} must be a nonnegative integer, got {k[key]!r}")
                 k[key] = int(k[key])
-        object.__setattr__(self, "term", partial(term, *k.values()))
+        object.__setattr__(self, "_constants", tuple(k.values()))
 
 
 def radial_power_perturbation(lam: float = 1.0, beta: float = 3.0) -> PerturbationSpec:
@@ -182,13 +210,15 @@ class ForceField:
     """Power-law base plus mu-scaled perturbation, valid on an annulus.
 
     The annulus must exclude the origin and mu_range is the half-width a of
-    the symmetric parameter interval (-a, a).
+    the symmetric parameter interval (-a, a). The force closure of the
+    perturbation's family is built once, here, with this field's constants.
     """
 
     base: PowerLawParams
     perturbation: PerturbationSpec = field(default_factory=zero_perturbation)
     mu_range: float = 0.5
     annulus: tuple[float, float] = (0.5, 2.0)
+    _kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r_in, r_out = self.annulus
@@ -196,6 +226,13 @@ class ForceField:
             raise ValueError(f"annulus must satisfy 0 < r_in < r_out, got {self.annulus}")
         if not self.mu_range > 0:
             raise ValueError("mu_range half-width must be positive")
+        _, build = _FAMILIES[self.perturbation.kind]
+        kernel = build(-self.base.kappa, self.base.alpha + 2.0, *self.perturbation._constants)
+        object.__setattr__(self, "_kernel", kernel)
+
+    def __reduce__(self):
+        # pickle cannot store the closure; the constructor builds it again.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     @property
     def symmetries(self) -> frozenset:
@@ -206,11 +243,10 @@ class ForceField:
         return self.annulus[0] <= r <= self.annulus[1]
 
     def acceleration(self, x: float, y: float, mu: float) -> tuple[float, float]:
-        """Raw force evaluation, no annulus check (used by integrator stages)."""
-        r = math.hypot(x, y)
-        s = -self.base.kappa / r ** (self.base.alpha + 2.0)
-        px, py = self.perturbation.term(x, y)
-        return s * x + mu * px, s * y + mu * py
+        """The force at (x, y) and mu, without an annulus check: the field's one
+        closure, built at construction. Every force evaluation of the package,
+        each integrator stage included, comes through here."""
+        return self._kernel(x, y, mu)
 
 
 # Largest residual a declared reflection may leave.

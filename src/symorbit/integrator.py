@@ -461,11 +461,32 @@ def _q_matrix(stages) -> np.ndarray:
 
 
 def _horner(c, th: float) -> float:
-    """c[0] + c[1] th + ... + c[-1] th^(len(c) - 1) by Horner's rule."""
+    """c[0] + c[1] th + ... + c[-1] th^(len(c) - 1) by Horner's rule.
+
+    The full-degree polynomial of a step, of _DEGREE + 1 coefficients, is
+    evaluated unrolled; shorter ones, such as the derivatives the section scan
+    builds, by the loop. Both take the same operations in the same order.
+    """
+    if len(c) == 8:  # _DEGREE + 1
+        c0, c1, c2, c3, c4, c5, c6, c7 = c
+        return c0 + th * (c1 + th * (c2 + th * (c3 + th * (c4 + th * (c5 + th * (c6 + th * c7))))))
     acc = c[-1]
     for ck in reversed(c[:-1]):
         acc = ck + th * acc
     return acc
+
+
+def _coefficient_bound(c) -> float:
+    """|c[1]| + ... + |c[-1]|, summed left to right (builtin sum() rounds
+    otherwise from Python 3.12 on); unrolled, like `_horner`, at full degree.
+    No root on [0, 1] when |c[0]| exceeds it."""
+    if len(c) == 8:  # _DEGREE + 1
+        _, c1, c2, c3, c4, c5, c6, c7 = c
+        return abs(c1) + abs(c2) + abs(c3) + abs(c4) + abs(c5) + abs(c6) + abs(c7)
+    bound = 0.0
+    for ck in c[1:]:
+        bound += abs(ck)
+    return bound
 
 
 def _dense_at(y_left, h: float, rows, theta: float) -> list:

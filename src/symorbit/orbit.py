@@ -243,8 +243,9 @@ def _polyline(orbit_or_points) -> np.ndarray:
         pts = orbit_or_points.positions
     else:
         pts = np.asarray(orbit_or_points, dtype=float)
-    # Drop a duplicated closing point; segments wrap around implicitly.
-    if np.allclose(pts[0], pts[-1], atol=1e-9 * max(1.0, np.max(np.abs(pts)))):
+    # Drop a duplicated closing point, one within 1e-9 of the first at unit
+    # scale; segments wrap around implicitly.
+    if np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-9 * max(1.0, np.max(np.abs(pts)))):
         pts = pts[:-1]
     return pts
 

@@ -24,6 +24,13 @@ so this module knows neither the stages nor the degree. The scanner:
   window, then classifies it; only then is the step's state at the crossing
   built.
 
+A `SectionSpec` computes its frame once, on floats: its length and unit
+tangent (ux, uy), the unit normal being (-uy, ux). The scanner reads the
+normal coordinate, and at a crossing the tangent coordinate and the normal
+and tangent speeds (`tangent_coord`, `speeds`), from those floats. On the
+package's axis-aligned sections one of the two products in each is a signed
+zero, so they equal the numpy dot products of the same vectors bit for bit.
+
 `crossing_time` hands the scanner to `flow` as the stop callback, so each
 integration ends at the step that holds the first crossing (terminal event
 location) instead of running to the end of its window.
@@ -32,14 +39,12 @@ location) instead of running to the end of its window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from .errors import BoundaryCrossing, DomainExit, NoCrossing, TangentialCrossing
 from .forcefield import ForceField
 from .integrator import IntegratorConfig, State, Trajectory, flow
-from .integrator import _bisect, _crossed, _horner, _normal_coefficients, _sign_changes, _step_eval
+from .integrator import _bisect, _coefficient_bound, _crossed, _horner, _normal_coefficients, _sign_changes, _step_eval
 
 # Section segments span [0.25 R, 4 R] along their axis so every desk-scale
 # crossing is comfortably interior and interiority stays checkable.
@@ -52,34 +57,35 @@ class SectionSpec:
     """Closed segment from `start` to `end` with a transversality floor.
 
     A crossing within 1e-6 segment lengths of an endpoint counts as a
-    boundary crossing.
+    boundary crossing. `length` and `unit`, the unit tangent (ux, uy), are
+    computed once from the ends, as floats; the unit normal is (-uy, ux).
     """
 
     start: tuple[float, float]
     end: tuple[float, float]
     transversality_floor: float = 1e-6
     kind: str = "segment"
+    length: float = field(init=False, repr=False, compare=False)
+    unit: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.length <= 0:
+        dx, dy = self.end[0] - self.start[0], self.end[1] - self.start[1]
+        length = math.hypot(dx, dy)
+        if length <= 0:
             raise ValueError("section segment must have positive length")
-
-    @property
-    def length(self) -> float:
-        return math.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1])
-
-    @property
-    def tangent(self) -> np.ndarray:
-        d = np.array([self.end[0] - self.start[0], self.end[1] - self.start[1]])
-        return d / self.length
-
-    @property
-    def normal(self) -> np.ndarray:
-        u = self.tangent
-        return np.array([-u[1], u[0]])
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "unit", (float(dx / length), float(dy / length)))
 
     def tangent_coord(self, p) -> float:
-        return float(self.tangent @ (np.asarray(p) - np.asarray(self.start)))
+        ux, uy = self.unit
+        return float(ux * (p[0] - self.start[0]) + uy * (p[1] - self.start[1]))
+
+    def speeds(self, vx: float, vy: float) -> tuple[float, float]:
+        """(normal, tangent) components of the velocity (vx, vy); each sum
+        starts from +0.0, as numpy's dot product starts, so an exact zero has
+        its sign."""
+        ux, uy = self.unit
+        return 0.0 + -uy * vx + ux * vy, 0.0 + ux * vx + uy * vy
 
     @classmethod
     def positive_y_axis(cls, radius: float, transversality_floor: float = 1e-6):
@@ -120,7 +126,8 @@ class _SectionScan:
 
     def __init__(self, section: SectionSpec, t_lo: float, t_hi: float, time_tol: float):
         self.section = section
-        (self._n0, self._n1), (self._s0, self._s1) = section.normal.tolist(), section.start
+        ux, uy = section.unit
+        (self._n0, self._n1), (self._s0, self._s1) = (-uy, ux), section.start
         self._bt = 1e-6 * section.length
         self.t_lo, self.t_hi, self.time_tol = t_lo, t_hi, time_tol
         self._g = None  # normal coordinate at the left end of the next step
@@ -151,10 +158,7 @@ class _SectionScan:
             g_b = n0 * (y_right[0] - s0) + n1 * (y_right[1] - s1)
         self._g = g_b
 
-        bound = 0.0  # summed left to right: builtin sum() rounds otherwise from Python 3.12 on
-        for cj in c[1:]:
-            bound += abs(cj)
-        if g_a * g_b > 0.0 and abs(c0) > bound:
+        if g_a * g_b > 0.0 and abs(c0) > _coefficient_bound(c):
             # No root of g on [0, 1]; the end-sign test keeps a node value
             # that rounding put on the other side.
             return last
@@ -176,18 +180,19 @@ class _SectionScan:
         left, width = step[0], step[1]
         a, b = _bisect(lambda m: _crossed(ga, _horner(coeffs, (m - left) / width)), a, b, self.time_tol)
         t_star = 0.5 * (a + b)
-        section, bt = self.section, self._bt
+        section, bt, length = self.section, self._bt, self.section.length
         y = _step_eval(step, t_star)
-        tau = section.tangent_coord(y[:2])
-        if -bt < tau < bt or section.length - bt < tau < section.length + bt:
+        px, py, vx, vy = y.tolist()
+        tau = section.tangent_coord((px, py))
+        if -bt < tau < bt or length - bt < tau < length + bt:
             raise BoundaryCrossing(
                 f"crossing at t={t_star:.6g} within {bt:g} of a segment endpoint",
                 t_star=t_star,
                 point=y[:2],
             )
-        if not 0.0 <= tau <= section.length:
+        if not 0.0 <= tau <= length:
             return None
-        n_speed = float(section.normal @ y[2:])
+        n_speed, tangent_speed = section.speeds(vx, vy)
         if abs(n_speed) < section.transversality_floor:
             raise TangentialCrossing(
                 f"normal speed {n_speed:.3g} below floor "
@@ -199,7 +204,7 @@ class _SectionScan:
             t_star=t_star,
             state=State(t=t_star, position=y[:2], velocity=y[2:]),
             normal_speed=n_speed,
-            tangent_speed=float(section.tangent @ y[2:]),
+            tangent_speed=tangent_speed,
         )
 
 
@@ -220,10 +225,7 @@ def _roots(c, lo: float, hi: float) -> list:
     one root. It is bisected to adjacent floats, and the later one, the first
     point found past the sign change, is returned.
     """
-    bound = 0.0
-    for cj in c[1:]:
-        bound += abs(cj)
-    if abs(c[0]) > bound:
+    if abs(c[0]) > _coefficient_bound(c):
         return []
     cuts = [lo, *(_roots(_derivative(c), lo, hi) if len(c) > 2 else ()), hi]
     return [

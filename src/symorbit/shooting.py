@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,11 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class ShootingProblem:
-    """Field, launch circle radius, and solve geometry for one shooting setup."""
+    """Field, launch circle radius, and solve geometry for one shooting setup.
+
+    The circular speed, the integration window and the section are computed
+    once per problem, on first use, not once per miss.
+    """
 
     field: ForceField
     radius: float
@@ -69,7 +74,7 @@ class ShootingProblem:
     def launch_point(self) -> np.ndarray:
         return np.array([self.radius, 0.0])
 
-    @property
+    @cached_property
     def circular_velocity(self) -> float:
         return circular_speed(self.field.base, self.radius)
 
@@ -77,11 +82,11 @@ class ShootingProblem:
     def angular_speed(self) -> float:
         return self.circular_velocity / self.radius
 
-    @property
+    @cached_property
     def window(self) -> float:
         return 0.75 * (2.0 * math.pi / self.angular_speed)
 
-    @property
+    @cached_property
     def section(self) -> SectionSpec:
         floor = 1e-6 * self.circular_velocity
         if self.mode is Mode.QUARTER:

@@ -3,11 +3,17 @@
 Everything here comes from textbook two-body geometry (vis-viva, conic
 apsides) or direct algebra on the force law; nothing imports the solver's
 numerical paths. The serialization references are the straightforward
-algorithms that `symorbit.serialize` must reproduce byte for byte.
+algorithms that `symorbit.serialize` must reproduce byte for byte, and the
+hot-path references below are the earlier, plainer forms of the force, the
+interpolant's Horner rule and the section frame, which the rewritten ones must
+equal bit for bit.
 """
 
 import json
 import math
+from functools import partial
+
+import numpy as np
 
 
 def semi_major_axis(r0: float, speed: float, kappa: float) -> float:
@@ -122,3 +128,53 @@ def half_mode_orbit_scipy(kappa, alpha, cx, px, cy, py, mu, eta, radius=1.0):
 
     sigma_star = brentq(lambda s: crossing(s)[1], 1.0 - eta, 1.0 + eta, xtol=1e-15, rtol=1e-15)
     return sigma_star, 2.0 * crossing(sigma_star)[0]
+
+
+def _zero_term(x, y):
+    return 0.0, 0.0
+
+
+def _radial_power_term(lam, beta, x, y):
+    s = -lam / math.hypot(x, y) ** (beta + 2.0)
+    return s * x, s * y
+
+
+def _axis_poly_term(cx, px, cy, py, x, y):
+    return cx * x**px, cy * y**py
+
+
+_TERMS = {"zero": _zero_term, "radial_power": _radial_power_term, "axis_poly": _axis_poly_term}
+
+
+def acceleration_by_term(kappa, alpha, kind, constants, x, y, mu):
+    """The force as the base power law plus mu times the family's unscaled
+    term, bound with its constants by functools.partial: the evaluation order
+    of the package before each field had one fused closure."""
+    term = partial(_TERMS[kind], *constants)
+    r = math.hypot(x, y)
+    s = -kappa / r ** (alpha + 2.0)
+    px, py = term(x, y)
+    return s * x + mu * px, s * y + mu * py
+
+
+def same_float(a, b):
+    """a and b are the same float: equal with the same sign, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def horner_loop(c, th):
+    """c[0] + c[1] th + ... by Horner's rule, as one loop over the coefficients."""
+    acc = c[-1]
+    for ck in reversed(c[:-1]):
+        acc = ck + th * acc
+    return acc
+
+
+def section_frame_numpy(start, end):
+    """(length, unit tangent, unit normal) of a segment, the vectors as numpy
+    arrays built from the ends on every use."""
+    length = math.hypot(end[0] - start[0], end[1] - start[1])
+    tangent = np.array([end[0] - start[0], end[1] - start[1]]) / length
+    return length, tangent, np.array([-tangent[1], tangent[0]])

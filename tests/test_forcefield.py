@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,9 +20,15 @@ from symorbit import (
     radial_power_perturbation,
 )
 
+from oracles import acceleration_by_term, same_float
+
 
 def force(field, p, mu):
     return np.array(field.acceleration(float(p[0]), float(p[1]), mu))
+
+
+def perturbed(spec, kappa=1.0, alpha=1.0):
+    return ForceField(base=PowerLawParams(kappa, alpha), perturbation=spec)
 
 
 class TestEvalForce:
@@ -156,21 +164,27 @@ class TestPerturbationSpec:
     )
     def test_later_mutation_of_params_changes_nothing(self, kind, params):
         spec = PerturbationSpec(kind=kind, params=params)
-        before = spec.term(1.1, -0.7)
+        before = perturbed(spec).acceleration(1.1, -0.7, 0.3)
         for key in list(params):
             params[key] = 7
-        assert spec.term(1.1, -0.7) == before
+        assert perturbed(spec).acceleration(1.1, -0.7, 0.3) == before
         assert spec.params != params
 
     def test_term_values(self):
+        # The mu-scaled part of the force: its value at mu = 1 less its value at 0.
+        def term(spec, x, y):
+            field = perturbed(spec)
+            return tuple(np.subtract(field.acceleration(x, y, 1.0), field.acceleration(x, y, 0.0)))
+
         radial = radial_power_perturbation(lam=0.5, beta=2.0)
         r = math.hypot(1.1, -0.7)
-        assert radial.term(1.1, -0.7) == pytest.approx((-0.5 * 1.1 / r**4, 0.5 * 0.7 / r**4))
+        assert term(radial, 1.1, -0.7) == pytest.approx((-0.5 * 1.1 / r**4, 0.5 * 0.7 / r**4))
         poly = axis_poly_perturbation(cx=2.0, px=2, cy=-1.0, py=3)
-        assert poly.term(1.5, -0.5) == pytest.approx((2.0 * 1.5**2, 0.125))
-        assert PerturbationSpec().term(1.0, 1.0) == (0.0, 0.0)
+        assert term(poly, 1.5, -0.5) == pytest.approx((2.0 * 1.5**2, 0.125))
+        assert term(PerturbationSpec(), 1.0, 1.0) == (0.0, 0.0)
         constant = axis_poly_perturbation(cx=0.25, px=0, cy=-0.1, py=0)
-        assert constant.term(0.0, -3.0) == constant.term(1.5, 2.0) == (0.25, -0.1)
+        assert term(constant, 0.0, -3.0) == pytest.approx((0.25, -0.1))
+        assert term(constant, 1.5, 2.0) == pytest.approx((0.25, -0.1))
 
     @pytest.mark.parametrize(
         "kind, params, key",
@@ -192,7 +206,8 @@ class TestPerturbationSpec:
 
     def test_integral_float_exponent_is_the_integer(self):
         spec = PerturbationSpec(kind="axis_poly", params={"cx": 2.0, "px": 2.0, "cy": -1.0, "py": 3.0})
-        assert spec.term(1.5, -0.5) == axis_poly_perturbation(cx=2.0, px=2, cy=-1.0, py=3).term(1.5, -0.5)
+        integral = axis_poly_perturbation(cx=2.0, px=2, cy=-1.0, py=3)
+        assert perturbed(spec).acceleration(1.5, -0.5, 0.3) == perturbed(integral).acceleration(1.5, -0.5, 0.3)
 
     def test_pickle_round_trip(self, kepler_radial_field):
         import pickle
@@ -200,6 +215,66 @@ class TestPerturbationSpec:
         copy = pickle.loads(pickle.dumps(kepler_radial_field))
         assert copy == kepler_radial_field
         assert copy.acceleration(1.2, 0.4, 0.1) == kepler_radial_field.acceleration(1.2, 0.4, 0.1)
+
+
+def _outcome(accel, x, y, mu):
+    """The force's two components, or the type of the error it raised."""
+    try:
+        return accel(x, y, mu)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0), st.floats(-1e-150, 1e-150))
+_MU = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+_FAMILY = st.one_of(
+    st.tuples(st.just("zero"), st.just(())),
+    st.tuples(st.just("radial_power"), st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 4.0))),
+    st.tuples(
+        st.just("axis_poly"),
+        st.tuples(st.floats(-2.0, 2.0), st.integers(0, 5), st.floats(-2.0, 2.0), st.integers(0, 5)),
+    ),
+)
+_NAMES = {"zero": (), "radial_power": ("lam", "beta"), "axis_poly": ("cx", "px", "cy", "py")}
+
+
+class TestFieldKernel:
+    """Each field's one closure against the force as it was evaluated before:
+    the base power law plus mu times a partial over the family's term."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(0.1, 10.0), st.floats(0.0, 4.0), _FAMILY, _COORD, _COORD, _MU)
+    def test_equals_the_term_formula_bit_for_bit(self, kappa, alpha, family, x, y, mu):
+        kind, constants = family
+        spec = PerturbationSpec(kind=kind, params=dict(zip(_NAMES[kind], constants)))
+        field = ForceField(base=PowerLawParams(kappa, alpha), perturbation=spec)
+        got = _outcome(field.acceleration, x, y, mu)
+        ref = _outcome(lambda *p: acceleration_by_term(kappa, alpha, kind, constants, *p), x, y, mu)
+        if isinstance(ref, type):
+            assert got is ref
+        else:
+            assert all(same_float(a, b) for a, b in zip(got, ref)), (got, ref)
+
+    def test_inside_and_outside_the_annulus_on_the_axes(self, half_field_a05):
+        # Signed zeros of x, y and mu, at radii 0.3 (inside r_in) to 3 (past r_out).
+        kappa, alpha = half_field_a05.base.kappa, half_field_a05.base.alpha
+        for r in (0.3, 1.0, 3.0):
+            for x, y in ((r, 0.0), (r, -0.0), (-r, 0.0), (0.0, r), (-0.0, -r)):
+                for mu in (0.0, -0.0, -0.02, 0.04):
+                    got = half_field_a05.acceleration(x, y, mu)
+                    ref = acceleration_by_term(kappa, alpha, "axis_poly", (1.0, 2, 1.0, 3), x, y, mu)
+                    assert all(same_float(a, b) for a, b in zip(got, ref)), (x, y, mu)
+
+    def test_pickle_and_replace_give_a_working_kernel(self, kepler_radial_field):
+        other = axis_poly_perturbation(cx=1.0, px=2, cy=1.0, py=3)
+        replaced = dataclasses.replace(kepler_radial_field, perturbation=other)
+        expected = acceleration_by_term(1.0, 1.0, "axis_poly", (1.0, 2, 1.0, 3), 1.2, 0.4, 0.1)
+        assert replaced.acceleration(1.2, 0.4, 0.1) == expected
+        assert pickle.loads(pickle.dumps(replaced)).acceleration(1.2, 0.4, 0.1) == expected
+        rebased = dataclasses.replace(replaced, base=PowerLawParams(2.0, 0.5))
+        assert rebased.acceleration(1.2, 0.4, 0.1) == acceleration_by_term(
+            2.0, 0.5, "axis_poly", (1.0, 2, 1.0, 3), 1.2, 0.4, 0.1
+        )
 
 
 class TestSymmetry:

@@ -24,12 +24,25 @@ from symorbit import (
     crossing_time,
     energy,
     flow,
+    zero_set_scan,
 )
 from symorbit import integrator, section, serialize
-from symorbit.integrator import _A, _B, _D, _E3, _E5, _P, Trajectory, _bisect, _horner, _sign_changes
+from symorbit.integrator import (
+    _A,
+    _B,
+    _D,
+    _E3,
+    _E5,
+    _P,
+    Trajectory,
+    _bisect,
+    _coefficient_bound,
+    _horner,
+    _sign_changes,
+)
 from symorbit.section import _roots
 
-from oracles import kepler_period, semi_major_axis
+from oracles import horner_loop, kepler_period, same_float, semi_major_axis
 
 
 def launch_state(sigma, params, radius=1.0):
@@ -845,3 +858,85 @@ class TestPolynomialSignChanges:
         # is a change.
         c = _poly([0.5, 0.5, 0.25], 1.0)
         assert self._check(c, 0.0, 1.0) == pytest.approx([0.25], abs=1e-12)
+
+
+class TestUnrolledPolynomial:
+    """`_horner` and `_coefficient_bound`, unrolled at the interpolant's full
+    degree, against the loops they unroll, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=8),
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 2.0)),
+    )
+    def test_horner_equals_the_loop(self, c, th):
+        ref = horner_loop(c, th)
+        assert same_float(_horner(c, th), ref)
+        assert same_float(_horner(tuple(c), th), ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=8))
+    def test_coefficient_bound_equals_the_loop(self, c):
+        ref = 0.0
+        for ck in c[1:]:
+            ref += abs(ck)
+        assert same_float(_coefficient_bound(c), ref)
+
+    def test_full_degree_is_the_interpolant_degree(self):
+        assert _P.shape[1] + 1 == 8
+
+
+class TestForceEvaluationCount:
+    """Every force evaluation goes through the class attribute
+    ForceField.acceleration, where a patched counter sees it (as the
+    benchmark's tracer counts). A flow without halved trials makes 2 (the
+    launch force and the starting-step probe) + 15 per accepted trial + 11 per
+    trial the controller rejects."""
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        evals, trials = [0], []
+        accelerate, step = ForceField.acceleration, integrator._dop853_step
+
+        def counted(field, x, y, mu):
+            evals[0] += 1
+            return accelerate(field, x, y, mu)
+
+        def recorded(*args):
+            trials.append(step(*args))
+            return trials[-1]
+
+        monkeypatch.setattr(ForceField, "acceleration", counted)
+        monkeypatch.setattr(integrator, "_dop853_step", recorded)
+        return evals, trials
+
+    @staticmethod
+    def _split(trials):
+        assert None not in trials  # no halved trial
+        accepted = sum(t[1] is not None for t in trials)
+        return accepted, len(trials) - accepted
+
+    @pytest.mark.parametrize(
+        "field_fixture, mu, v",
+        [("kepler_field", 0.0, 1.05), ("kepler_radial_field", 0.07, 1.1), ("half_field_a3", 0.005, 0.98)],
+    )
+    def test_one_flow(self, request, counters, field_fixture, mu, v):
+        evals, trials = counters
+        field = request.getfixturevalue(field_fixture)
+        try:
+            flow(field, mu, (1.0, 0.0), (0.0, v), 7.0)
+        except DomainExit:
+            pass
+        accepted, rejected = self._split(trials)
+        assert accepted > 0
+        assert evals[0] == 2 + 15 * accepted + 11 * rejected
+
+    def test_sign_scan_grid(self, counters, quarter_problem_radial):
+        # The benchmark's seed-0 miss-sign grid: 861 flows, each stopped at its
+        # crossing, and the evaluation count its traced run pins.
+        evals, trials = counters
+        scan = zero_set_scan(quarter_problem_radial, np.linspace(0.9, 1.1, 41), np.linspace(0.0, 0.05, 21))
+        assert np.all(scan.signs != 0)
+        accepted, rejected = self._split(trials)
+        assert (accepted, rejected) == (11424, 511)
+        assert evals[0] == 861 * 2 + 15 * accepted + 11 * rejected == 178703

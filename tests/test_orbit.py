@@ -264,6 +264,23 @@ class TestSimpleClosed:
             is_simple_closed(loop_points(64))
 
 
+class TestPolyline:
+    @staticmethod
+    def _circle(n=300):
+        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        return np.column_stack([np.cos(th), np.sin(th)])
+
+    def test_exact_duplicate_closing_point_dropped(self):
+        pts = self._circle()
+        assert len(_polyline(np.vstack([pts, pts[:1]]))) == 300
+
+    def test_real_closing_point_kept(self):
+        # 5e-6 is 5,000 times the 1e-9 (at unit scale) that counts as a duplicate.
+        pts = self._circle()
+        last = pts[:1] + np.array([[5e-6, 0.0]])
+        assert len(_polyline(np.vstack([pts, last]))) == 301
+
+
 class TestWindingNumber:
     def test_circle_about_origin(self):
         assert winding_number(loop_points()) == 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symorbit import (
     BoundaryCrossing,
@@ -19,6 +20,8 @@ from symorbit import (
 )
 from symorbit.integrator import _P, _normal_coefficients
 from symorbit.section import _SectionScan
+
+from oracles import same_float, section_frame_numpy
 
 
 def first_transversal_crossing(traj, section, window=None):
@@ -183,9 +186,10 @@ def _reference_crossing_time(traj, section, window=None, subsamples=4):
     t_hi = min(t_hi, traj.t_end)
     bt = 1e-6 * section.length
     time_tol = 1e-12 * max(t_hi, 1.0)
+    _, _, normal = section_frame_numpy(section.start, section.end)
 
     def g(t):
-        return float(section.normal @ (traj._eval(t)[:2] - np.asarray(section.start)))
+        return float(normal @ (traj._eval(t)[:2] - np.asarray(section.start)))
 
     grid = [t_lo]
     for t_left, h, _, _ in traj._dense:
@@ -216,7 +220,7 @@ def _reference_crossing_time(traj, section, window=None, subsamples=4):
             if -bt < tau < bt or section.length - bt < tau < section.length + bt:
                 raise BoundaryCrossing("boundary", t_star=t_star, point=y[:2])
             if 0.0 <= tau <= section.length:
-                n_speed = float(section.normal @ y[2:])
+                n_speed = float(normal @ y[2:])
                 if abs(n_speed) < section.transversality_floor:
                     raise TangentialCrossing("tangential", t_star=t_star, normal_speed=n_speed)
                 return t_star
@@ -422,3 +426,50 @@ class TestTerminalEvent:
             for m in np.linspace(0.0, 0.05, 21)
         )
         assert steps <= 19_460
+
+
+# The package's sections: the two shooting sections and the sign_table probe's.
+_AXIS_SECTIONS = {
+    "positive_y_axis": SectionSpec.positive_y_axis(1.0, 1e-6),
+    "negative_x_axis": SectionSpec.negative_x_axis(1.3, 1e-6),
+    "sign_table": SectionSpec(start=(-8.0, 0.0), end=(-0.1, 0.0), transversality_floor=1e-6, kind="negative_x_axis"),
+}
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+
+
+class TestFloatFrame:
+    """The frame a SectionSpec computes once on floats, and the scan's float
+    products, against the numpy vectors and dot products they replace: bit
+    for bit, signs of zeros included, on the package's axis-aligned sections."""
+
+    @pytest.mark.parametrize("name", sorted(_AXIS_SECTIONS))
+    def test_frame_equals_the_numpy_vectors(self, name):
+        section = _AXIS_SECTIONS[name]
+        length, tangent, normal = section_frame_numpy(section.start, section.end)
+        scan = _SectionScan(section, 0.0, 1.0, 1e-12)
+        assert section.length == length
+        for got, ref in ((section.unit, tangent), ((scan._n0, scan._n1), normal)):
+            assert all(same_float(a, b) for a, b in zip(got, ref.tolist()))
+
+    @pytest.mark.parametrize("name", sorted(_AXIS_SECTIONS))
+    @settings(max_examples=100, deadline=None)
+    @given(_SIGNED, _SIGNED, _SIGNED, _SIGNED)
+    def test_crossing_quantities_equal_the_numpy_products(self, name, x, y, vx, vy):
+        section = _AXIS_SECTIONS[name]
+        _, tangent, normal = section_frame_numpy(section.start, section.end)
+        p, v = np.array([x, y]), np.array([vx, vy])
+        assert same_float(section.tangent_coord((x, y)), float(tangent @ (p - np.asarray(section.start))))
+        n_speed, t_speed = section.speeds(vx, vy)
+        assert same_float(n_speed, float(normal @ v))
+        assert same_float(t_speed, float(tangent @ v))
+
+    @pytest.mark.parametrize(
+        "problem_fixture, sigma, mu",
+        [("quarter_problem_radial", 1.02, 0.05), ("half_problem_a05", 0.97, 0.02), ("half_problem_a3", 1.0, 0.005)],
+    )
+    def test_event_speeds_equal_the_numpy_products(self, request, problem_fixture, sigma, mu):
+        p = request.getfixturevalue(problem_fixture)
+        _, event, _ = crossing_time(p.field, mu, p.launch_point, p.launch_velocity(sigma), p.section, p.window)
+        _, tangent, normal = section_frame_numpy(p.section.start, p.section.end)
+        assert same_float(event.normal_speed, float(normal @ event.state.velocity))
+        assert same_float(event.tangent_speed, float(tangent @ event.state.velocity))

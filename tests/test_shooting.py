@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from symorbit import (
     PowerLawParams,
     ShootingProblem,
     bracket,
+    circular_speed,
     crossing_time_deviation,
     miss,
     sign_table,
@@ -43,6 +45,21 @@ class TestProblemValidation:
             ShootingProblem(
                 field=kepler_field, radius=1.0, mode=Mode.QUARTER, eta=0.3, delta=0.2
             )
+
+
+class TestProblemGeometry:
+    def test_computed_once_per_problem(self, half_problem_a05):
+        p = dataclasses.replace(half_problem_a05)
+        assert p.section is p.section
+        assert p.window == 0.75 * 2.0 * math.pi / circular_speed(p.field.base, 1.0)
+
+    def test_a_replaced_problem_gets_its_own(self, half_problem_a05):
+        p = dataclasses.replace(half_problem_a05)
+        section, v0 = p.section, p.circular_velocity
+        moved = dataclasses.replace(p, radius=1.5)
+        assert moved.circular_velocity == circular_speed(p.field.base, 1.5) != v0
+        assert moved.section.start == (-6.0, 0.0) and moved.section != section
+        assert moved.section.transversality_floor == 1e-6 * moved.circular_velocity
 
 
 class TestMissSigns:
