@@ -85,7 +85,11 @@ def circular_speed(params: PowerLawParams, p: float) -> float:
 
 
 # Builders: each takes -kappa, alpha + 2.0 and the family constants and returns
-# the field's force (x, y, mu) -> (ax, ay), one hypot per call.
+# the field's force (x, y, mu) -> (ax, ay), one hypot per call. The base law is
+# written in each builder, not shared through a base closure that calls a term
+# closure: that call and its tuple cost 90-155 ns of a 600-850 ns evaluation,
+# about 3% of a miss (Python 3.11, 2 vCPUs). tests/test_forcefield.py checks
+# every builder against one base-plus-term formula bit for bit.
 
 
 def _zero(neg_kappa, a2):

@@ -478,11 +478,7 @@ def _horner(c, th: float) -> float:
 
 def _coefficient_bound(c) -> float:
     """|c[1]| + ... + |c[-1]|, summed left to right (builtin sum() rounds
-    otherwise from Python 3.12 on); unrolled, like `_horner`, at full degree.
-    No root on [0, 1] when |c[0]| exceeds it."""
-    if len(c) == 8:  # _DEGREE + 1
-        _, c1, c2, c3, c4, c5, c6, c7 = c
-        return abs(c1) + abs(c2) + abs(c3) + abs(c4) + abs(c5) + abs(c6) + abs(c7)
+    otherwise from Python 3.12 on). No root on [0, 1] when |c[0]| exceeds it."""
     bound = 0.0
     for ck in c[1:]:
         bound += abs(ck)

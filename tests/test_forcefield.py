@@ -171,20 +171,24 @@ class TestPerturbationSpec:
         assert spec.params != params
 
     def test_term_values(self):
-        # The mu-scaled part of the force: its value at mu = 1 less its value at 0.
-        def term(spec, x, y):
-            field = perturbed(spec)
-            return tuple(np.subtract(field.acceleration(x, y, 1.0), field.acceleration(x, y, 0.0)))
+        # The mu-scaled part of the force, through the field: at mu = 1 the
+        # force is the unperturbed one (mu = 0) plus the term, exactly, since
+        # s*x + 0.0 + t rounds as s*x + t.
+        def unperturbed_plus(x, y, term):
+            z = perturbed(PerturbationSpec()).acceleration(x, y, 0.0)
+            return z[0] + term[0], z[1] + term[1]
 
         radial = radial_power_perturbation(lam=0.5, beta=2.0)
         r = math.hypot(1.1, -0.7)
-        assert term(radial, 1.1, -0.7) == pytest.approx((-0.5 * 1.1 / r**4, 0.5 * 0.7 / r**4))
+        assert perturbed(radial).acceleration(1.1, -0.7, 1.0) == pytest.approx(
+            unperturbed_plus(1.1, -0.7, (-0.5 * 1.1 / r**4, 0.5 * 0.7 / r**4))
+        )
         poly = axis_poly_perturbation(cx=2.0, px=2, cy=-1.0, py=3)
-        assert term(poly, 1.5, -0.5) == pytest.approx((2.0 * 1.5**2, 0.125))
-        assert term(PerturbationSpec(), 1.0, 1.0) == (0.0, 0.0)
+        assert perturbed(poly).acceleration(1.5, -0.5, 1.0) == unperturbed_plus(1.5, -0.5, (2.0 * 1.5**2, 0.125))
+        assert perturbed(PerturbationSpec()).acceleration(1.0, 1.0, 1.0) == unperturbed_plus(1.0, 1.0, (0.0, 0.0))
         constant = axis_poly_perturbation(cx=0.25, px=0, cy=-0.1, py=0)
-        assert term(constant, 0.0, -3.0) == pytest.approx((0.25, -0.1))
-        assert term(constant, 1.5, 2.0) == pytest.approx((0.25, -0.1))
+        for x, y in ((0.0, -3.0), (1.5, 2.0)):  # the same push everywhere, bit for bit
+            assert perturbed(constant).acceleration(x, y, 1.0) == unperturbed_plus(x, y, (0.25, -0.1))
 
     @pytest.mark.parametrize(
         "kind, params, key",

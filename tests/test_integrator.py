@@ -36,7 +36,6 @@ from symorbit.integrator import (
     _P,
     Trajectory,
     _bisect,
-    _coefficient_bound,
     _horner,
     _sign_changes,
 )
@@ -861,8 +860,8 @@ class TestPolynomialSignChanges:
 
 
 class TestUnrolledPolynomial:
-    """`_horner` and `_coefficient_bound`, unrolled at the interpolant's full
-    degree, against the loops they unroll, bit for bit."""
+    """`_horner`, unrolled at the interpolant's full degree, against the loop
+    it unrolls, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -873,14 +872,6 @@ class TestUnrolledPolynomial:
         ref = horner_loop(c, th)
         assert same_float(_horner(c, th), ref)
         assert same_float(_horner(tuple(c), th), ref)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=8))
-    def test_coefficient_bound_equals_the_loop(self, c):
-        ref = 0.0
-        for ck in c[1:]:
-            ref += abs(ck)
-        assert same_float(_coefficient_bound(c), ref)
 
     def test_full_degree_is_the_interpolant_degree(self):
         assert _P.shape[1] + 1 == 8
