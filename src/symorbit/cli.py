@@ -396,9 +396,7 @@ def cmd_sweep(config: RunConfig, out_dir, as_json: bool) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def cmd_analyze(config: RunConfig, sigma: float, mu: float, as_json: bool) -> int:
-    if mu != 0.0:
-        raise ValueError("analyze covers the unperturbed central problem; mu must be 0")
+def cmd_analyze(config: RunConfig, sigma: float, as_json: bool) -> int:
     params = config.field.base
     problem = radial_problem_from_launch(params, config.radius, sigma)
     circular = problem.r_max - problem.r_min < 1e-9
@@ -581,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="central-force diagnostics of a launch")
     common(p_analyze)
     p_analyze.add_argument("--sigma", type=float, required=True)
-    p_analyze.add_argument("--mu", type=float, default=0.0)
 
     p_verify = sub.add_parser("verify", help="run the named property-check battery")
     common(p_verify)
@@ -615,7 +612,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(config, args.out, args.json)
         if args.command == "analyze":
-            return cmd_analyze(config, args.sigma, args.mu, args.json)
+            return cmd_analyze(config, args.sigma, args.json)
         return cmd_verify(config, args.json)
     except SolverError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")

@@ -146,12 +146,15 @@ class PerturbationSpec:
     numerically, so a wrong declaration is constructible on purpose.
 
     params maps family constants (defaults in _FAMILIES) to finite numbers; a
-    name the family lacks is a ValueError. _constants holds them, taken from a
-    copy of params once, in the defaults' order, with the defaults filled in.
+    name the family lacks is a ValueError, and a constant whose default is an
+    integer is an exponent, which must be a nonnegative integer. _constants
+    holds them, taken from a copy of params once, in the defaults' order, with
+    the defaults filled in. params, a dict, is left out of the hash, so a spec
+    hashes by its kind and symmetries and still compares by its params.
     """
 
     kind: str = "zero"
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict, hash=False)
     declared_symmetries: frozenset = frozenset()
     _constants: tuple = field(init=False, repr=False, compare=False)
 
@@ -167,10 +170,10 @@ class PerturbationSpec:
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} constant {key!r} must be finite, got {value!r}")
         k = {**defaults, **self.params}  # absent constants take the family defaults
-        if self.kind == "axis_poly":
-            for key in ("px", "py"):
+        for key, default in defaults.items():
+            if isinstance(default, int):  # an exponent
                 if not (float(k[key]).is_integer() and k[key] >= 0):
-                    raise ValueError(f"axis_poly exponent {key} must be a nonnegative integer, got {k[key]!r}")
+                    raise ValueError(f"{self.kind} exponent {key} must be a nonnegative integer, got {k[key]!r}")
                 k[key] = int(k[key])
         object.__setattr__(self, "_constants", tuple(k.values()))
 

@@ -5,12 +5,12 @@ The integrator propagates the eighth-order solution of Dormand and Prince's
 third-order estimators, and keeps with every accepted step what its
 seventh-order interpolant is built from, so downstream event detection can
 refine crossing times without re-integrating (Hairer, Norsett & Wanner,
-Solving ODEs I, II.5 and II.6). The step size is not capped unless the
-configuration asks for it. Leaving the validity annulus terminates the flow
-with a DomainExit carrying the refined exit time and state. An optional stop
-callback sees each accepted step's record and end state after the annulus
-check and ends the flow after the first step for which it returns true:
-terminal event location (II.6). It changes no step before that one.
+Solving ODEs I, II.5 and II.6). The first step comes from Hairer's starting
+heuristic and no step is capped. Leaving the validity annulus terminates the
+flow with a DomainExit carrying the refined exit time and state. An optional
+stop callback sees each accepted step's record and end state after the
+annulus check and ends the flow after the first step for which it returns
+true: terminal event location (II.6). It changes no step before that one.
 
 Only this module knows the tableau, the step record, the dense-output matrix
 P and, from P's shape, the stage count and the interpolant's degree. The step
@@ -348,18 +348,14 @@ _MAX_TRIALS = 100_000  # accepted or rejected steps per flow, Hairer's NMAX: <= 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """`flow`'s error tolerances; the step sizes are the controller's alone."""
+
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    max_step: float | None = None  # None: no cap
-    first_step: float | None = None  # None: automatic selection
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError("max_step must be positive")
-        if self.first_step is not None and self.first_step <= 0:
-            raise ValueError("first_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -549,13 +545,17 @@ def _normal_coefficients(step, n0: float, n1: float) -> tuple:
 
 
 def _rms(values, scale) -> float:
+    """RMS of values / scale, summed left to right as `_coefficient_bound` sums."""
+    total = 0.0
     try:
-        return math.sqrt(sum((c / s) ** 2 for c, s in zip(values, scale)) / len(values))
+        for c, s in zip(values, scale):
+            total += (c / s) ** 2
     except OverflowError:  # float ** raises where x * x would round to inf
         return math.inf
+    return math.sqrt(total / len(values))
 
 
-def _initial_step(accel, mu, y0, f0, t_end, rtol, atol, max_step):
+def _initial_step(accel, mu, y0, f0, t_end, rtol, atol):
     # Hairer-style starting-step heuristic; y0 and f0 are 4-tuples of floats.
     scale = [atol + rtol * abs(c) for c in y0]
     d0 = _rms(y0, scale)
@@ -568,7 +568,7 @@ def _initial_step(accel, mu, y0, f0, t_end, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.125  # 1 / (error order 7 + 1)
-    return min(100 * h0, h1, max_step, t_end)
+    return min(100 * h0, h1, t_end)
 
 
 def _bisect(pred, a: float, b: float, tol: float = 0.0) -> tuple[float, float]:
@@ -880,12 +880,14 @@ def flow(
 ) -> Trajectory:
     """Integrate r'' = g(r, mu) from (x, v) over [0, t_end].
 
-    Raises DomainExit (with partial trajectory) when the orbit leaves the
-    annulus, and StepFailure after _MAX_TRIALS trials, when the step size
-    underflows, or when the force at the launch or at the starting-step probe
-    raises ZeroDivisionError or OverflowError. A trial that `_dop853_step`
-    rejects by its one rule halves h; a finite error norm above 1 shrinks h by
-    the controller.
+    The first step is `_initial_step`'s estimate and every later one the
+    controller's, capped by nothing but the span's end. Raises DomainExit
+    (with partial trajectory) when the orbit leaves the annulus, and
+    StepFailure after _MAX_TRIALS trials, when the step size underflows, or
+    when the force at the launch or at the starting-step probe raises
+    ZeroDivisionError or OverflowError. A trial that `_dop853_step` rejects by
+    its one rule halves h; a finite error norm above 1 shrinks h by the
+    controller.
 
     `stop(step, y_right)`, when given, is called with the record (t_left, h,
     y_left, stages) and the end state (four floats) of every accepted step
@@ -902,17 +904,13 @@ def flow(
 
     r_in, r_out = field.annulus
     accel = field.acceleration
-    max_step = cfg.max_step if cfg.max_step is not None else math.inf
     rtol, atol = cfg.rel_tol, cfg.abs_tol
 
     state = (float(x[0]), float(x[1]), float(v[0]), float(v[1]))
     t = 0.0
     try:
         force = accel(state[0], state[1], mu)
-        if cfg.first_step is not None:
-            h = min(cfg.first_step, max_step, t_end)
-        else:
-            h = _initial_step(accel, mu, state, (state[2], state[3], *force), t_end, rtol, atol, max_step)
+        h = _initial_step(accel, mu, state, (state[2], state[3], *force), t_end, rtol, atol)
     except (ZeroDivisionError, OverflowError) as exc:  # float ** in the force: no first stage to halve towards
         raise StepFailure(f"force evaluation at the launch raised {type(exc).__name__}: {exc}") from exc
     min_step = 1e-14 * max(t_end, 1.0)
@@ -924,7 +922,7 @@ def flow(
     while t < t_end:
         if t_end - t <= min_step:
             break  # remainder below time resolution: the span is covered
-        h = min(h, max_step, t_end - t)
+        h = min(h, t_end - t)
         if not h >= min_step:  # a NaN step (non-finite launch force) never shrinks below it
             raise StepFailure(f"step size underflow at t={t} (h={h})")
         if trials == _MAX_TRIALS:

@@ -20,9 +20,9 @@ so this module knows neither the stages nor the degree. The scanner:
   the same coefficient bound, cuts at the roots of the derivative's own
   derivative, recursively down to degree 1, and bisects each monotone piece;
 - refines each candidate on the same polynomial by the package's one
-  bisection primitive (`integrator._bisect`) down to a fixed fraction of the
-  window, then classifies it; only then is the step's state at the crossing
-  built.
+  bisection primitive (`integrator._bisect`) down to 1e-12 max(t_hi, 1) for
+  the window [0, t_hi], then classifies it; only then is the step's state at
+  the crossing built.
 
 A `SectionSpec` computes its frame once, on floats: its length and unit
 tangent (ux, uy), the unit normal being (-uy, ux). The scanner reads the
@@ -115,39 +115,36 @@ class CrossingEvent:
 
 
 class _SectionScan:
-    """Search of the window [t_lo, t_hi] for the first transversal crossing, one step at a time.
+    """Search of the window [0, t_hi] for the first transversal crossing, one step at a time.
 
-    Called with the record (t_left, h, y_left, stages) of consecutive steps,
-    the first one holding t_lo, and each step's end state (x, y, vx, vy),
-    which a step reaching t_hi does not need; returns True once the window is
+    Called with the record (t_left, h, y_left, stages) of consecutive steps
+    from the launch at t = 0, and each step's end state (x, y, vx, vy), which
+    a step reaching t_hi does not need; returns True once the window is
     covered or a crossing found, which is then in `event`. Raises
     BoundaryCrossing or TangentialCrossing when the first crossing is one.
+    Crossing times are bisected to 1e-12 max(t_hi, 1), taken from the t_hi
+    given here: lowering `t_hi` later shortens the window, not the tolerance.
     """
 
-    def __init__(self, section: SectionSpec, t_lo: float, t_hi: float, time_tol: float):
+    def __init__(self, section: SectionSpec, t_hi: float):
         self.section = section
         ux, uy = section.unit
         (self._n0, self._n1), (self._s0, self._s1) = (-uy, ux), section.start
         self._bt = 1e-6 * section.length
-        self.t_lo, self.t_hi, self.time_tol = t_lo, t_hi, time_tol
+        self.t_hi, self.time_tol = t_hi, 1e-12 * max(t_hi, 1.0)
         self._g = None  # normal coordinate at the left end of the next step
         self.event: CrossingEvent | None = None
 
     def __call__(self, step, y_right) -> bool:
         t_left, h, y_left, _ = step
         n0, n1, s0, s1 = self._n0, self._n1, self._s0, self._s1
-        t_lo, t_hi = self.t_lo, self.t_hi
+        t_hi = self.t_hi
 
-        # g(theta) = c0 + c1 theta + ... on this step; after the first step,
-        # c0 is the previous step's right-node value.
-        first = self._g is None
-        c0 = n0 * (y_left[0] - s0) + n1 * (y_left[1] - s1) if first else self._g
+        # g(theta) = c0 + c1 theta + ... on this step; c0 is the previous
+        # step's right-node value, or the launch's on the first step.
+        c0 = n0 * (y_left[0] - s0) + n1 * (y_left[1] - s1) if self._g is None else self._g
         c = (c0, *_normal_coefficients(step, n0, n1))
 
-        if first:
-            t_a, g_a = t_lo, _horner(c, (t_lo - t_left) / h)
-        else:
-            t_a, g_a = t_left, c0
         t_b = t_left + h
         last = not t_b < t_hi
         if last:
@@ -158,15 +155,15 @@ class _SectionScan:
             g_b = n0 * (y_right[0] - s0) + n1 * (y_right[1] - s1)
         self._g = g_b
 
-        if g_a * g_b > 0.0 and abs(c0) > _coefficient_bound(c):
+        if c0 * g_b > 0.0 and abs(c0) > _coefficient_bound(c):
             # No root of g on [0, 1]; the end-sign test keeps a node value
             # that rounding put on the other side.
             return last
 
         # g is monotone between its extrema (the roots of g'), so every
         # crossing is a sign change over the window ends and the extrema.
-        extrema = _roots(_derivative(c), (t_a - t_left) / h, (t_b - t_left) / h)
-        points = [(t_a, g_a), *((t_left + th * h, _horner(c, th)) for th in extrema), (t_b, g_b)]
+        extrema = _roots(_derivative(c), 0.0, (t_b - t_left) / h)
+        points = [(t_left, c0), *((t_left + th * h, _horner(c, th)) for th in extrema), (t_b, g_b)]
         for a, b, ga in _sign_changes(points):
             event = self._refine(step, c, a, b, ga)
             if event is not None:
@@ -245,15 +242,15 @@ def crossing_time(
 ) -> tuple[float, CrossingEvent, Trajectory]:
     """Crossing time t(v, mu) of the flow from (x0, v) with the section.
 
-    Integrates from 0 towards `window` with the section scan as the flow's stop
-    callback and returns (t*, event, trajectory); the trajectory ends with the
-    step that holds t*. The result is the one the scan gives on the flow
-    over the whole window, with the bisection tolerance taken from the
-    window's nominal end. If the orbit leaves the annulus
-    first, the exit step is scanned up to the exit; DomainExit propagates
-    only when no crossing happened before it.
+    Integrates from 0 towards `window` with the section scan of [0, window]
+    as the flow's stop callback and returns (t*, event, trajectory); the
+    trajectory ends with the step that holds t*. The result is the one the
+    scan gives on the flow over the whole window. If the orbit leaves the
+    annulus first, the exit step is scanned up to the exit, with the
+    bisection tolerance still taken from the window's nominal end;
+    DomainExit propagates only when no crossing happened before it.
     """
-    scan = _SectionScan(section, 0.0, window, 1e-12 * max(window, 1.0))
+    scan = _SectionScan(section, window)
     try:
         traj = flow(field, mu, x0, v, window, cfg, stop=scan)
     except DomainExit as exc:

@@ -567,7 +567,7 @@ class TestAnalyzeCommand:
         assert payload["circular"] is True
         assert payload["Phi"] == payload["Phi_limit"]
 
-    @pytest.mark.parametrize("flag", ["--mu", "--sigma"])
+    @pytest.mark.parametrize("flag", ["--sigma"])
     def test_non_finite_flag_rejected(self, config_path, capsys, flag):
         argv = ["analyze", "--config", str(config_path), "--sigma", "1.0", flag, "nan"]
         assert main(argv) == 1
@@ -592,6 +592,12 @@ class TestAnalyzeCommand:
         assert (
             main(["analyze", "--config", str(config_path), "--sigma", "1.0", "--mu", "0.1"]) == 1
         )
+
+    def test_mu_is_no_analyze_flag(self, config_path, capsys):
+        # analyze covers the unperturbed problem only, so even --mu 0 is a
+        # usage error.
+        assert main(["analyze", "--config", str(config_path), "--sigma", "1.0", "--mu", "0"]) == 1
+        assert "unrecognized arguments: --mu 0" in capsys.readouterr().err
 
 
 def write_steep_half_config(path, seed):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -8,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from symorbit import (
     ForceField,
+    Mode,
     PerturbationSpec,
     PowerLawParams,
     Reflection,
+    ShootingProblem,
     SymmetryViolation,
     axis_poly_perturbation,
     check_symmetry,
@@ -219,6 +222,27 @@ class TestPerturbationSpec:
         copy = pickle.loads(pickle.dumps(kepler_radial_field))
         assert copy == kepler_radial_field
         assert copy.acceleration(1.2, 0.4, 0.1) == kepler_radial_field.acceleration(1.2, 0.4, 0.1)
+
+    def test_hash_agrees_with_equality(self):
+        # Fields built apart with equal params hash equal, so a field serves
+        # as a dict key and a cache argument; fields whose params differ
+        # still compare unequal.
+        a = perturbed(radial_power_perturbation(lam=0.5, beta=2.0))
+        b = perturbed(PerturbationSpec("radial_power", {"lam": 0.5, "beta": 2}, frozenset(Reflection)))
+        c = perturbed(radial_power_perturbation(lam=0.25, beta=2.0))
+        assert a == b and hash(a) == hash(b)
+        assert a != c and a.perturbation != c.perturbation
+        assert {a: "a", c: "c"}[b] == "a"
+        calls = []
+
+        @functools.cache
+        def force_at(field):
+            calls.append(field)
+            return field.acceleration(1.2, 0.4, 0.1)
+
+        assert force_at(a) == force_at(b) != force_at(c)
+        assert calls == [a, c]
+        assert hash(ShootingProblem(a, 1.0, Mode.QUARTER)) == hash(ShootingProblem(b, 1.0, Mode.QUARTER))
 
 
 def _outcome(accel, x, y, mu):

@@ -24,30 +24,22 @@ from symorbit.section import _SectionScan
 from oracles import same_float, section_frame_numpy
 
 
-def first_transversal_crossing(traj, section, window=None):
-    """Smallest t in the window where a finished trajectory crosses the segment.
+def first_transversal_crossing(traj, section):
+    """Smallest t in [0, t_end] where a finished trajectory crosses the segment.
 
     The full-window reference for crossing_time: the section scan run over
-    every step of the trajectory from the one holding the window start.
-    Sign changes of the normal coordinate whose refined point misses the
-    segment are skipped (the trajectory crossed the supporting line, not the
-    section); a hit within 1e-6 segment lengths of an endpoint raises
-    BoundaryCrossing and a transverse speed below the floor raises
-    TangentialCrossing.
+    every step of the trajectory. Sign changes of the normal coordinate whose
+    refined point misses the segment are skipped (the trajectory crossed the
+    supporting line, not the section); a hit within 1e-6 segment lengths of
+    an endpoint raises BoundaryCrossing and a transverse speed below the
+    floor raises TangentialCrossing.
     """
-    t_lo, t_hi = (0.0, traj.t_end) if window is None else window
-    t_hi = min(t_hi, traj.t_end)
-    if t_hi <= t_lo:
-        raise NoCrossing(f"empty window [{t_lo}, {t_hi}]")
-    scan = _SectionScan(section, t_lo, t_hi, 1e-12 * max(t_hi, 1.0))
-    dense = traj._dense
-    # The step that Trajectory._eval picks for t_lo: a node belongs to the later step.
-    first = min(max(int(np.searchsorted(traj.ts, t_lo, side="right")) - 1, 0), len(dense) - 1)
-    for i in range(first, len(dense)):
-        if scan(dense[i], traj.ys[i + 1].tolist()):
+    scan = _SectionScan(section, traj.t_end)
+    for i, step in enumerate(traj._dense):
+        if scan(step, traj.ys[i + 1].tolist()):
             break
     if scan.event is None:
-        raise NoCrossing(f"no transversal crossing of {section.kind} in [{t_lo:.6g}, {t_hi:.6g}]")
+        raise NoCrossing(f"no transversal crossing of {section.kind} in [0, {traj.t_end:.6g}]")
     return scan.event
 
 
@@ -86,14 +78,15 @@ class TestQuarterCircleCrossing:
 
     def test_single_crossing_in_window(self, kepler_field, y_section):
         # After the first hit there is no further crossing of the closed
-        # segment inside the window (the second y-axis passage is at y < 0).
+        # segment inside the window (the second y-axis passage is at y < 0):
+        # the flow restarted just past the hit crosses none before t_bar.
         t_bar = 0.75 * 2 * math.pi
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.05), t_bar)
         event = first_transversal_crossing(traj, y_section)
+        s = traj.interpolate(event.t_star + 1e-6)
+        rest = flow(kepler_field, 0.0, s.position, s.velocity, t_bar - s.t)
         with pytest.raises(NoCrossing):
-            first_transversal_crossing(
-                traj, y_section, window=(event.t_star + 1e-6, t_bar)
-            )
+            first_transversal_crossing(rest, y_section)
 
 
 class TestCrossingErrors:
@@ -118,12 +111,6 @@ class TestCrossingErrors:
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2.0)
         with pytest.raises(TangentialCrossing):
             first_transversal_crossing(traj, section)
-
-    def test_empty_window(self, kepler_field):
-        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2.0)
-        section = SectionSpec.positive_y_axis(1.0)
-        with pytest.raises(NoCrossing):
-            first_transversal_crossing(traj, section, window=(1.9, 1.9))
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):
@@ -180,10 +167,9 @@ class TestCrossingContinuity:
 # Reference: the crossing scan on a grid of step nodes and interior points,
 # evaluating the normal coordinate through Trajectory._eval. A grid value of
 # exactly zero ends a sign change; extrema between grid points are not searched.
-def _reference_crossing_time(traj, section, window=None, subsamples=4):
+def _reference_crossing_time(traj, section, subsamples=4):
     """t* of the first transversal crossing; raises like first_transversal_crossing."""
-    t_lo, t_hi = (0.0, traj.t_end) if window is None else window
-    t_hi = min(t_hi, traj.t_end)
+    t_hi = traj.t_end
     bt = 1e-6 * section.length
     time_tol = 1e-12 * max(t_hi, 1.0)
     _, _, normal = section_frame_numpy(section.start, section.end)
@@ -191,13 +177,11 @@ def _reference_crossing_time(traj, section, window=None, subsamples=4):
     def g(t):
         return float(normal @ (traj._eval(t)[:2] - np.asarray(section.start)))
 
-    grid = [t_lo]
+    grid = [0.0]
     for t_left, h, _, _ in traj._dense:
-        if t_left + h <= t_lo or t_left >= t_hi:
-            continue
         for k in range(1, subsamples + 1):
             t = t_left + h * k / subsamples
-            if t_lo < t < t_hi:
+            if t < t_hi:
                 grid.append(t)
     grid.append(t_hi)
     grid = sorted(set(grid))
@@ -237,13 +221,12 @@ def _outcome(scan, *args, **kwargs):
     return None, getattr(result, "t_star", result)
 
 
-def _assert_same_outcome(traj, section, window=None):
-    got = _outcome(first_transversal_crossing, traj, section, window=window)
-    ref = _outcome(_reference_crossing_time, traj, section, window=window)
+def _assert_same_outcome(traj, section):
+    got = _outcome(first_transversal_crossing, traj, section)
+    ref = _outcome(_reference_crossing_time, traj, section)
     assert got[0] is ref[0]
     if ref[1] is not None:
-        t_hi = traj.t_end if window is None else min(window[1], traj.t_end)
-        assert abs(got[1] - ref[1]) <= 10 * 1e-12 * max(t_hi, 1.0)
+        assert abs(got[1] - ref[1]) <= 10 * 1e-12 * max(traj.t_end, 1.0)
     return got
 
 
@@ -260,9 +243,6 @@ class TestQuarticScanMatchesReference:
         traj = flow(half_field_a05, 0.03, (1.0, 0.0), (0.0, sigma), 6.0)
         kind, _ = _assert_same_outcome(traj, section)
         assert kind is None
-        # A window that starts mid-step and ends before the crossing.
-        kind, _ = _assert_same_outcome(traj, section, window=(0.3, 2.0))
-        assert kind is NoCrossing
 
     def test_line_crossed_outside_segment_first(self, kepler_field, y_section):
         # Clockwise circle: x = 0 is first crossed at (0, -1), below the
@@ -331,7 +311,7 @@ class TestCloseCrossingsInOneStep:
         # entries reach ~500, and its columns cancel heavily.
         terms = np.abs(vx) @ np.abs(_P)
         assert np.all(np.abs(np.array(_normal_coefficients(step, -1.0, 0.0)) - g[1:]) <= 1e-15 * terms)
-        scan = _SectionScan(SectionSpec.positive_y_axis(1.0), 0.0, 1.0, 1e-12)
+        scan = _SectionScan(SectionSpec.positive_y_axis(1.0), 1.0)
         assert scan(step, None)
         assert scan.event.t_star == pytest.approx(0.05, abs=1e-11)
 
@@ -446,7 +426,7 @@ class TestFloatFrame:
     def test_frame_equals_the_numpy_vectors(self, name):
         section = _AXIS_SECTIONS[name]
         length, tangent, normal = section_frame_numpy(section.start, section.end)
-        scan = _SectionScan(section, 0.0, 1.0, 1e-12)
+        scan = _SectionScan(section, 1.0)
         assert section.length == length
         for got, ref in ((section.unit, tangent), ((scan._n0, scan._n1), normal)):
             assert all(same_float(a, b) for a, b in zip(got, ref.tolist()))
