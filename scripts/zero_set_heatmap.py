@@ -4,7 +4,12 @@
 The band of sign changes is the numerical footprint of the solution set: one
 root curve crossing every mu row between the uniformly signed boundaries.
 
-Usage: python scripts/zero_set_heatmap.py [--alpha F] [--out DIR]
+The default sigma band is half the problem's eta wide on each side of 1, the
+half-width `shooting.bracket` tries first; a wider band can run past the
+launch speeds at which a steep force's miss is defined (alpha = 3 leaves the
+annulus at sigma = 0.96).
+
+Usage: python scripts/zero_set_heatmap.py [--alpha F] [--sigma-width W] [--out DIR]
 """
 
 import argparse
@@ -41,7 +46,7 @@ def build_problem(alpha: float) -> ShootingProblem:
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--alpha", type=float, default=1.0)
-    parser.add_argument("--sigma-width", type=float, default=0.1)
+    parser.add_argument("--sigma-width", type=float, default=None, help="default: half the problem's eta")
     parser.add_argument("--mu-max", type=float, default=0.02)
     parser.add_argument("--rows", type=int, default=25)
     parser.add_argument("--cols", type=int, default=13)
@@ -49,7 +54,8 @@ def main():
     args = parser.parse_args()
 
     problem = build_problem(args.alpha)
-    sigmas = np.linspace(1.0 - args.sigma_width, 1.0 + args.sigma_width, args.rows)
+    width = 0.5 * problem.eta if args.sigma_width is None else args.sigma_width
+    sigmas = np.linspace(1.0 - width, 1.0 + width, args.rows)
     mus = np.linspace(0.0, args.mu_max, args.cols)
     scan = zero_set_scan(problem, sigmas, mus)
 

@@ -42,7 +42,7 @@ from .forcefield import (
     radial_power_perturbation,
     zero_perturbation,
 )
-from .integrator import IntegratorConfig, State, Trajectory, flow
+from .integrator import State, Trajectory, flow
 from .orbit import (
     AxisCrossing,
     PeriodicOrbit,

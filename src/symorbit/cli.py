@@ -56,7 +56,7 @@ from .forcefield import (
     potential_derivatives,
     zero_perturbation,
 )
-from .integrator import IntegratorConfig, State, flow
+from .integrator import State, flow
 from .shooting import (
     Mode,
     ShootingProblem,
@@ -154,9 +154,6 @@ _KEYS = (
     ("eta", 0.1, float, lambda v, c: 0 < v < 1, "a number in (0, 1)"),
     ("delta", 0.2, float, lambda v, c: c["eta"] < v < 1, "a number in (eta, 1)"),
     ("solve_tol", 1e-10, float, lambda v, c: v >= 0, "a non-negative number"),
-    ("integrator", {}, dict, None, "an object"),
-    ("integrator.rel_tol", 1e-12, float, *_POSITIVE),
-    ("integrator.abs_tol", 1e-12, float, *_POSITIVE),
     ("mu", 0.0, float, lambda v, c: abs(v) < c["field.mu_range"], "a number in (-field.mu_range, field.mu_range)"),
     ("mu_grid", {}, dict, None, "an object"),
     # Default sweep range: 64 uniform points over [0, half the mu range].
@@ -251,7 +248,6 @@ class RunConfig:
     eta: float
     delta: float
     solve_tol: float
-    integrator: IntegratorConfig
     mu: float
     mu_grid: dict
     scan: dict
@@ -276,7 +272,6 @@ class RunConfig:
         attrs.update(
             field=field,
             mode=Mode(v["mode"]),
-            integrator=IntegratorConfig(**_section(v, "integrator")),
             mu_grid=_section(v, "mu_grid"),
             scan=_section(v, "scan"),
         )
@@ -299,7 +294,6 @@ class RunConfig:
                 mode=self.mode,
                 eta=self.eta,
                 delta=self.delta,
-                integrator=self.integrator,
             )
         except ValueError as exc:
             raise ValueError(f"configuration key 'mode' does not fit the field: {exc}") from None
@@ -414,7 +408,6 @@ def cmd_analyze(config: RunConfig, sigma: float, as_json: bool) -> int:
             (config.radius, 0.0),
             (0.0, sigma * circular_speed(params, config.radius)),
             2.0 * math.pi / w,
-            config.integrator,
         )
         apsis_list = [
             {"kind": ev.kind.value, "t": ev.t, "r": ev.r} for ev in apsides(traj)
@@ -503,7 +496,6 @@ def _check_conservation(config: RunConfig):
             (config.radius, 0.0),
             (0.0, sigma * v0),
             2.0 * math.pi / w,
-            config.integrator,
         )
     except DomainExit as exc:
         traj = exc.trajectory

@@ -71,7 +71,7 @@ def solve_orbit(problem: ShootingProblem, mu: float, tol: float, n_samples: int,
     solution = solve(problem, mu, tol=tol, prebuilt=prebuilt)
     extend = extend_quarter if problem.mode is Mode.QUARTER else extend_half
     orbit = extend(solution.segment, mu=mu, n_samples=n_samples)
-    ok, diag = validate_orbit(orbit, problem.field, mu, problem.integrator)
+    ok, diag = validate_orbit(orbit, problem.field, mu)
     return solution, orbit, ok, diag
 
 

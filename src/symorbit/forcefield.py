@@ -47,10 +47,11 @@ class PowerLawParams:
     alpha: float
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        # Written so that NaN fails each check.
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be a finite positive number, got {self.kappa}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be a finite nonnegative number, got {self.alpha}")
 
 
 def potential(params: PowerLawParams, r: float) -> float:

@@ -5,9 +5,11 @@ The integrator propagates the eighth-order solution of Dormand and Prince's
 third-order estimators, and keeps with every accepted step what its
 seventh-order interpolant is built from, so downstream event detection can
 refine crossing times without re-integrating (Hairer, Norsett & Wanner,
-Solving ODEs I, II.5 and II.6). The first step comes from Hairer's starting
-heuristic and no step is capped. Leaving the validity annulus terminates the
-flow with a DomainExit carrying the refined exit time and state. An optional
+Solving ODEs I, II.5 and II.6). The error tolerances are fixed, relative and
+absolute both 1e-12 (`_RTOL`, `_ATOL`); the first step comes from Hairer's
+starting heuristic and no step is capped. Leaving the validity annulus
+terminates the flow with a DomainExit carrying the refined exit time and
+state. An optional
 stop callback sees each accepted step's record and end state after the
 annulus check and ends the flow after the first step for which it returns
 true: terminal event location (II.6). It changes no step before that one.
@@ -344,18 +346,9 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _MAX_TRIALS = 100_000  # accepted or rejected steps per flow, Hairer's NMAX: <= ~280 MB of records
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """`flow`'s error tolerances; the step sizes are the controller's alone."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+# flow's relative and absolute error tolerances, read at each call; the
+# acceptance bounds of the package were calibrated at these values.
+_RTOL = _ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -875,10 +868,10 @@ def flow(
     x,
     v,
     t_end: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
     stop=None,
 ) -> Trajectory:
-    """Integrate r'' = g(r, mu) from (x, v) over [0, t_end].
+    """Integrate r'' = g(r, mu) from (x, v) over [0, t_end] at the module's
+    tolerances `_RTOL` and `_ATOL`.
 
     The first step is `_initial_step`'s estimate and every later one the
     controller's, capped by nothing but the span's end. Raises DomainExit
@@ -904,7 +897,7 @@ def flow(
 
     r_in, r_out = field.annulus
     accel = field.acceleration
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    rtol, atol = _RTOL, _ATOL
 
     state = (float(x[0]), float(x[1]), float(v[0]), float(v[1]))
     t = 0.0

@@ -32,7 +32,7 @@ import numpy as np
 from . import serialize
 from .errors import HypothesisViolation, PointOnCurve
 from .forcefield import ForceField, Reflection
-from .integrator import IntegratorConfig, State, Trajectory, _bisect, _crossed, _sign_changes, flow
+from .integrator import State, Trajectory, _bisect, _crossed, _sign_changes, flow
 
 _ENDPOINT_RTOL = 1e-8  # on-axis / orthogonality tolerance relative to segment scale
 _DEFAULT_SAMPLES = 1024
@@ -204,11 +204,10 @@ def verify_closure(
     orbit: PeriodicOrbit,
     field: ForceField,
     mu: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
 ) -> tuple[float, float, dict]:
-    """Re-integrate one full period from the orbit start, independently of the
-    reflection construction, and read closure and symmetry off that one
-    trajectory q.
+    """Re-integrate one full period from the orbit start, at the integrator's
+    fixed tolerances and independently of the reflection construction, and
+    read closure and symmetry off that one trajectory q.
 
     Returns the position and velocity mismatches between q(0) and q(T), and
     per declared reflection S the time-reversal residual max_k |S q(t_k) -
@@ -221,7 +220,7 @@ def verify_closure(
     sample count works.
     """
     s0 = orbit.initial_state()
-    traj = flow(field, mu, s0.position, s0.velocity, orbit.period, cfg)
+    traj = flow(field, mu, s0.position, s0.velocity, orbit.period)
     s1 = traj.final_state()
     ts, period = orbit.times, orbit.period
     refls = sorted(orbit.symmetry, key=lambda r: r.value)
@@ -411,12 +410,12 @@ def validate_orbit(
     orbit: PeriodicOrbit,
     field: ForceField,
     mu: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
 ) -> tuple[bool, dict]:
     """Full acceptance battery for a constructed orbit.
 
     Closure and the time-reversal residual of each declared reflection, both
-    read off one re-integration of the period (`verify_closure`),
+    read off one re-integration of the period (`verify_closure`; the bounds
+    below hold at the integrator's fixed 1e-12 tolerances),
     simple-closedness, winding +-1 around the origin, and exactly two
     transversal x-axis crossings (at +-x0 when both symmetries hold, at x0 and
     a negative abscissa otherwise).
@@ -428,7 +427,7 @@ def validate_orbit(
     _CLOSURE_POS_TOL = 1e-6; in a field symmetric about the x-axis it measures
     non-closure only.
     """
-    pos_res, vel_res, sym = verify_closure(orbit, field, mu, cfg)
+    pos_res, vel_res, sym = verify_closure(orbit, field, mu)
     simple, xing_pt = is_simple_closed(orbit)
     wind = winding_number(orbit)
     crossings = axis_crossings(orbit, "x")

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 from .errors import BoundaryCrossing, DomainExit, NoCrossing, TangentialCrossing
 from .forcefield import ForceField
-from .integrator import IntegratorConfig, State, Trajectory, flow
+from .integrator import State, Trajectory, flow
 from .integrator import _bisect, _coefficient_bound, _crossed, _horner, _normal_coefficients, _sign_changes, _step_eval
 
 # Section segments span [0.25 R, 4 R] along their axis so every desk-scale
@@ -69,10 +69,14 @@ class SectionSpec:
     unit: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.start, *self.end))):
+            raise ValueError(f"section ends must be finite, got {self.start} and {self.end}")
+        if not 0 <= self.transversality_floor < math.inf:
+            raise ValueError(f"transversality floor must be a finite number >= 0, got {self.transversality_floor}")
         dx, dy = self.end[0] - self.start[0], self.end[1] - self.start[1]
         length = math.hypot(dx, dy)
-        if length <= 0:
-            raise ValueError("section segment must have positive length")
+        if not 0 < length < math.inf:
+            raise ValueError(f"section segment must have a finite positive length, got {length}")
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "unit", (float(dx / length), float(dy / length)))
 
@@ -238,21 +242,21 @@ def crossing_time(
     v,
     section: SectionSpec,
     window: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
 ) -> tuple[float, CrossingEvent, Trajectory]:
     """Crossing time t(v, mu) of the flow from (x0, v) with the section.
 
-    Integrates from 0 towards `window` with the section scan of [0, window]
-    as the flow's stop callback and returns (t*, event, trajectory); the
-    trajectory ends with the step that holds t*. The result is the one the
-    scan gives on the flow over the whole window. If the orbit leaves the
+    Integrates from 0 towards `window`, at the integrator's fixed tolerances,
+    with the section scan of [0, window] as the flow's stop callback and
+    returns (t*, event, trajectory); the trajectory ends with the step that
+    holds t*. The result is the one the scan gives on the flow over the whole
+    window. If the orbit leaves the
     annulus first, the exit step is scanned up to the exit, with the
     bisection tolerance still taken from the window's nominal end;
     DomainExit propagates only when no crossing happened before it.
     """
     scan = _SectionScan(section, window)
     try:
-        traj = flow(field, mu, x0, v, window, cfg, stop=scan)
+        traj = flow(field, mu, x0, v, window, stop=scan)
     except DomainExit as exc:
         if exc.trajectory is None:
             raise

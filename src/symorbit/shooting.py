@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     TangentialCrossing,
 )
 from .forcefield import ForceField, PowerLawParams, Reflection, circular_speed
-from .integrator import IntegratorConfig, Trajectory, _crossed
+from .integrator import Trajectory, _crossed
 from .section import CrossingEvent, SectionSpec, crossing_time
 
 
@@ -50,11 +50,10 @@ class ShootingProblem:
     mode: Mode
     eta: float = 0.1  # launch-speed bracket half-width around sigma = 1
     delta: float = 0.2  # admissible speed band half-width; eta < delta
-    integrator: IntegratorConfig = dc_field(default_factory=IntegratorConfig)
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("launch radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"launch radius must be a finite positive number, got {self.radius}")
         if not 0 < self.eta < self.delta < 1:
             raise ValueError("need 0 < eta < delta < 1")
         alpha = self.field.base.alpha
@@ -126,7 +125,6 @@ def miss(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
         problem.launch_velocity(sigma),
         problem.section,
         problem.window,
-        problem.integrator,
     )
     return MissValue(sigma=sigma, value=event.tangent_speed, crossing=event, trajectory=traj)
 
@@ -190,8 +188,11 @@ def solve(
     the third (two steps on one side, then the halved-miss step across).
 
     Returns the launch velocity, the crossing time tau, and the generating
-    trajectory segment over [0, tau].
+    trajectory segment over [0, tau]. `tol` must be a finite number >= 0; at
+    0 no miss meets it, and the solve ends in NonConvergence.
     """
+    if not 0 <= tol < math.inf:  # NaN and inf would pass every |miss| test below
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     br = prebuilt if prebuilt is not None else bracket(problem, mu)
     a, b = br.sigma_lo, br.sigma_hi
     f_a, f_b = br.miss_lo.value, br.miss_hi.value

@@ -1,5 +1,6 @@
 import pytest
 
+from symorbit import integrator
 from symorbit import (
     ForceField,
     Mode,
@@ -8,6 +9,18 @@ from symorbit import (
     axis_poly_perturbation,
     radial_power_perturbation,
 )
+
+
+@pytest.fixture
+def set_tolerance(monkeypatch):
+    """Sets flow's relative and absolute error tolerances, both to one value,
+    for the rest of the test."""
+
+    def set_(tol):
+        monkeypatch.setattr(integrator, "_RTOL", tol)
+        monkeypatch.setattr(integrator, "_ATOL", tol)
+
+    return set_
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symorbit import NoCrossing, Reflection, cli, continuation, serialize
+from symorbit import NoCrossing, Reflection, cli, continuation, errors, serialize
 from symorbit.cli import main
 
 from oracles import csv_text_17g, json_dumps_17g
@@ -54,7 +54,6 @@ def write_config_with(path, key_path, value):
     """The test configuration with the dotted key path set to value, or
     removed when value is MISSING."""
     cfg = json.loads(write_config(path).read_text())
-    cfg.setdefault("integrator", {})
     *parents, key = key_path.split(".")
     section = cfg
     for part in parents:
@@ -152,6 +151,19 @@ class TestSerialize:
         assert (tmp_path / "mixed.csv").read_text(encoding="utf-8") == csv_text_17g(["sigma", "0", "0.005", "0.01"], rows)
 
 
+def _readme_exit_codes() -> dict:
+    """{error class name: exit code}, read off the README's exit-code paragraph."""
+    text = re.search(r"Exit codes: (.*?)\n\n", README.read_text(), re.S).group(1)
+    parts = re.split(r"`(\d)`", text)
+    return {name: int(code) for code, body in zip(parts[1::2], parts[2::2]) for name in re.findall(r"`([A-Z]\w+)`", body)}
+
+
+@pytest.mark.parametrize("error", errors.SolverError.__subclasses__(), ids=lambda e: e.__name__)
+def test_every_solver_error_has_its_documented_exit_code(error):
+    # PointOnCurve reaches 4 only through exit_code_for's fallback.
+    assert cli.exit_code_for(error("x")) == _readme_exit_codes()[error.__name__]
+
+
 class TestSolveCommand:
     def test_solve_writes_outputs(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -202,11 +214,12 @@ class TestSolveCommand:
         cfg = write_config(tmp_path / "c.json", solve_tol=0.0)
         assert main(["solve", "--config", str(cfg), "--mu", "0.0"]) == 3
 
-    def test_overflowing_initial_step_norm_is_step_failure(self, tmp_path, capsys):
+    def test_overflowing_initial_step_norm_is_step_failure(self, tmp_path, capsys, set_tolerance):
         # At tolerances of 1e-300 the starting-step heuristic's scaled norms
         # overflow; the step size comes out NaN and the solve ends as a
-        # StepFailure, not an OverflowError traceback.
-        cfg = write_config(tmp_path / "c.json", integrator={"rel_tol": 1e-300, "abs_tol": 1e-300})
+        # StepFailure with its exit code, not an OverflowError traceback.
+        set_tolerance(1e-300)
+        cfg = write_config(tmp_path / "c.json")
         assert main(["solve", "--config", str(cfg)]) == 5
         assert "StepFailure: step size underflow" in capsys.readouterr().err
 
@@ -253,13 +266,11 @@ class TestConfigKeys:
             "solve_tolerance",
             "field.radius_scale",
             "field.perturbation.kinds",
-            "integrator.rtol",
+            "integrator",
             "mu_grid.stpe",
             "scan.sigma_cnt",
             "field.perturbation.params.lamda",
             "t_bar",
-            "integrator.max_step",
-            "integrator.first_step",
         ],
     )
     def test_unknown_key_rejected_by_path(self, tmp_path, capsys, path):
@@ -274,15 +285,15 @@ class TestConfigKeys:
             ("samples", -5),
             ("symmetry_samples", 0),
             ("seed", 1.5),
-            ("integrator.rel_tol", -1.0),
-            ("integrator.abs_tol", 0.0),
+            ("field.alpha", float("nan")),
+            ("field.kappa", float("inf")),
             ("radius", "abc"),
             ("eta", "0.1"),
             ("delta", True),
             ("solve_tol", "1e-10"),
             ("mu", "0.05"),
-            ("integrator.rel_tol", "x"),
-            ("integrator.abs_tol", float("nan")),
+            ("radius", float("nan")),
+            ("field.annulus", [0.5, float("inf")]),
             ("mu_grid.stop", 0.5),
             ("mu_grid.stop", 0.0),
             ("mu_grid.step", 0.0),
@@ -403,7 +414,6 @@ class TestConfigKeys:
             eta=0.1,
             delta=0.2,
             solve_tol=1e-10,
-            integrator={"rel_tol": 1e-12, "abs_tol": 1e-12},
             mu_grid={"stop": 0.01, "count": 3, "mirror": False},
             symmetry_samples=64,
         )

@@ -93,13 +93,19 @@ class TestSweep:
         for e in curve.entries:
             assert e.sigma_star == pytest.approx(math.sqrt(1.0 + e.mu), abs=1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_raises(self, quarter_problem_radial, tol):
+        # A bad setting is the caller's error, not a failure of the orbit at mu = 0.
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            sweep(quarter_problem_radial, [0.0, 0.005], tol=tol)
+
     def test_failed_validation_truncates(self, quarter_problem_radial, monkeypatch):
         real_validate = continuation.validate_orbit
 
-        def validate(orbit, field, mu, cfg):
+        def validate(orbit, field, mu):
             if mu >= 0.01:
                 return False, {"valid": False, "forced": True}
-            return real_validate(orbit, field, mu, cfg)
+            return real_validate(orbit, field, mu)
 
         monkeypatch.setattr(continuation, "validate_orbit", validate)
         curve = sweep(quarter_problem_radial, [0.0, 0.005, 0.01, 0.015])
@@ -140,7 +146,7 @@ class TestSolveOrbit:
         reference = extend(expected.segment, mu=0.01, n_samples=512)
         assert np.array_equal(orbit.times, reference.times)
         assert np.array_equal(orbit.positions, reference.positions)
-        assert ok and diag == validate_orbit(reference, problem.field, 0.01, problem.integrator)[1]
+        assert ok and diag == validate_orbit(reference, problem.field, 0.01)[1]
 
     def test_solves_on_the_given_bracket(self, quarter_problem_radial):
         lo, hi = 0.98, 1.02

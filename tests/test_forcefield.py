@@ -145,6 +145,12 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             PowerLawParams(kappa=1.0, alpha=-0.5)
 
+    @pytest.mark.parametrize("kappa, alpha", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_rejected(self, kappa, alpha):
+        # 1.0 ** nan == 1.0: a NaN exponent would not show in the circular speed at r = 1.
+        with pytest.raises(ValueError, match="must be a finite"):
+            PowerLawParams(kappa, alpha)
+
     def test_annulus_excludes_origin(self):
         with pytest.raises(ValueError):
             ForceField(base=PowerLawParams(1.0, 1.0), annulus=(0.0, 2.0))

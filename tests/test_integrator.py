@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings, strategies as st
 from symorbit import (
     DomainExit,
     ForceField,
-    IntegratorConfig,
     PowerLawParams,
     SectionSpec,
     State,
@@ -67,37 +66,35 @@ class TestFlow:
 
     def test_energy_drift_one_radial_period(self, kepler_field, kepler_params):
         # sigma = 1.1 ellipse over one full radial period
-        cfg = IntegratorConfig()
         x, v = launch_state(1.1, kepler_params)
         period = kepler_period(semi_major_axis(1.0, 1.1, 1.0), 1.0)
-        traj = flow(kepler_field, 0.0, x, v, period, cfg)
+        traj = flow(kepler_field, 0.0, x, v, period)
         h = [
             energy(kepler_params, traj.interpolate(t))
             for t in np.linspace(0, period, 400)
         ]
         drift = np.max(np.abs(np.array(h) - h[0])) / abs(h[0])
         assert drift < 1e-9
-        # The propagated (node) solution meets the tighter 10*rel_tol bound;
+        # The propagated (node) solution meets the tighter 10 * _RTOL bound;
         # dense samples add the interpolant's error on top.
         h_nodes = [
             energy(kepler_params, State(t=t, position=y[:2], velocity=y[2:]))
             for t, y in zip(traj.ts, traj.ys)
         ]
         node_drift = np.max(np.abs(np.array(h_nodes) - h_nodes[0])) / abs(h_nodes[0])
-        assert node_drift < 10 * cfg.rel_tol
+        assert node_drift < 10 * integrator._RTOL
 
     def test_angular_momentum_drift(self, kepler_radial_field, kepler_params):
         # Central perturbation: K stays conserved for mu != 0 as well.
-        cfg = IntegratorConfig()
         x, v = launch_state(1.05, kepler_params)
         for mu in (0.0, 0.1):
-            traj = flow(kepler_radial_field, mu, x, v, 2 * math.pi, cfg)
+            traj = flow(kepler_radial_field, mu, x, v, 2 * math.pi)
             ks = [
                 angular_momentum(traj.interpolate(t))
                 for t in np.linspace(0, 2 * math.pi, 200)
             ]
             drift = np.max(np.abs(np.array(ks) - ks[0])) / abs(ks[0])
-            assert drift < 10 * cfg.rel_tol
+            assert drift < 10 * integrator._RTOL
 
     def test_escape_raises_domain_exit(self, kepler_field):
         # Speed 2 exceeds escape speed sqrt(2); the orbit must hit the outer radius.
@@ -145,7 +142,7 @@ class TestFlow:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "StepFailure"
 
-    def test_convergence_order(self, kepler_field, kepler_params, monkeypatch):
+    def test_convergence_order(self, kepler_field, kepler_params, monkeypatch, set_tolerance):
         # Fixed-step mode (huge tolerances, the first step pinned and never
         # grown): the closure error of a known ellipse over one period must
         # scale with the method order, 8. Steps of period/32 to period/128
@@ -154,11 +151,11 @@ class TestFlow:
         period = kepler_period(semi_major_axis(1.0, 1.1, 1.0), 1.0)
         errors = []
         steps = [period / 32, period / 64, period / 128]
-        cfg = IntegratorConfig(rel_tol=1e6, abs_tol=1e6)
+        set_tolerance(1e6)
         monkeypatch.setattr(integrator, "_MAX_FACTOR", 1.0)
         for h in steps:
             monkeypatch.setattr(integrator, "_initial_step", lambda *args, h=h: h)
-            traj = flow(kepler_field, 0.0, x, v, period, cfg)
+            traj = flow(kepler_field, 0.0, x, v, period)
             errors.append(np.linalg.norm(traj.final_state().position - x))
         slopes = [
             math.log2(e0 / e1) for e0, e1 in zip(errors[:-1], errors[1:])
@@ -166,24 +163,24 @@ class TestFlow:
         mean_slope = sum(slopes) / len(slopes)
         assert 7.0 < mean_slope < 8.5
 
-    def test_overflowing_error_norm_is_rejected(self, kepler_field, monkeypatch):
+    def test_overflowing_error_norm_is_rejected(self, kepler_field, monkeypatch, set_tolerance):
         # At tolerances of 1e-300 both error estimators' squared norms
         # overflow, and the norm |h| n5 / sqrt((n5 + 0.01 n3) 4) is NaN. A NaN
         # norm must reject the step: every trial fails until the step size
         # underflows, where a test `err > 1` would accept them all. The first
         # step is pinned, as the starting estimate is not finite there.
-        cfg = IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300)
+        set_tolerance(1e-300)
         monkeypatch.setattr(integrator, "_initial_step", lambda *args: 0.1)
         with pytest.raises(StepFailure, match="step size underflow"):
-            flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 1.0, cfg)
+            flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 1.0)
 
-    def test_tolerance_halving_shrinks_closure(self, kepler_field, kepler_params):
+    def test_tolerance_halving_shrinks_closure(self, kepler_field, kepler_params, set_tolerance):
         x, v = launch_state(1.1, kepler_params)
         period = kepler_period(semi_major_axis(1.0, 1.1, 1.0), 1.0)
         errs = []
         for tol in (1e-8, 1e-10, 1e-12):
-            cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol)
-            traj = flow(kepler_field, 0.0, x, v, period, cfg)
+            set_tolerance(tol)
+            traj = flow(kepler_field, 0.0, x, v, period)
             errs.append(np.linalg.norm(traj.final_state().position - x))
         assert errs[0] > errs[1] > errs[2]
 
@@ -432,7 +429,7 @@ def _bad(y):
     return not np.all(np.isfinite(y)) or math.hypot(y[0], y[1]) < 1e-12
 
 
-def _reference_flow(field, mu, x, v, t_end, cfg=IntegratorConfig(), first_step=None):
+def _reference_flow(field, mu, x, v, t_end, rtol=integrator._RTOL, atol=integrator._ATOL, first_step=None):
     """(trajectory, number of bad-stage halvings); raises DomainExit like flow().
 
     first_step, when given, replaces the starting estimate, as the tests that
@@ -457,7 +454,6 @@ def _reference_flow(field, mu, x, v, t_end, cfg=IntegratorConfig(), first_step=N
                 return False
         return True
 
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
     y = np.concatenate([x, v])
     t = 0.0
     f_first = rhs(y)
@@ -576,7 +572,7 @@ class TestFloatStepLoopMatchesReference:
         _assert_dense_agreement(got.trajectory, ref.trajectory, ref.t_exit)
 
     @pytest.mark.parametrize("first_step", [2.2, 4.0])
-    def test_bad_stage_halving(self, kepler_params, first_step, monkeypatch):
+    def test_bad_stage_halving(self, kepler_params, first_step, monkeypatch, set_tolerance):
         # Oversized first steps on the unit circle throw trial stages past a
         # NaN wall that the orbit itself never reaches. With 2.2, stage 11
         # lands at r = 1.013, past a wall at 1.01. With 4.0 and tolerances so
@@ -584,27 +580,27 @@ class TestFloatStepLoopMatchesReference:
         # lands past a wall at 2.4 (at r = 2.58; stage 11 reaches 2.36), so
         # the step is halved after its error norm passed.
         wall, tol = {2.2: (1.01, 1e-12), 4.0: (2.4, 1e6)}[first_step]
-        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol)
+        set_tolerance(tol)
         monkeypatch.setattr(integrator, "_initial_step", lambda *args: first_step)
         walled = _WalledField(base=kepler_params, wall=wall)
-        ref, halvings = _reference_flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg, first_step)
+        ref, halvings = _reference_flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, tol, tol, first_step)
         assert halvings > 0
         walled.hits.clear()
-        traj = flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
+        traj = flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)
         assert walled.hits
         _assert_dense_agreement(traj, ref, 2 * math.pi)
 
     @pytest.mark.parametrize("first_step", [2.2, 4.0])
-    def test_raising_force_halves_as_a_nan_force(self, kepler_params, first_step, monkeypatch):
+    def test_raising_force_halves_as_a_nan_force(self, kepler_params, first_step, monkeypatch, set_tolerance):
         # test_bad_stage_halving's trials, with a wall that raises instead of
         # returning NaN: the trial is rejected by the same rule, so the step
         # sequence is the same bit for bit.
         wall, tol = {2.2: (1.01, 1e-12), 4.0: (2.4, 1e6)}[first_step]
-        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol)
+        set_tolerance(tol)
         monkeypatch.setattr(integrator, "_initial_step", lambda *args: first_step)
-        nan_wall = flow(_WalledField(base=kepler_params, wall=wall), 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
+        nan_wall = flow(_WalledField(base=kepler_params, wall=wall), 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)
         raising = _RaisingWalledField(base=kepler_params, wall=wall)
-        traj = flow(raising, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, cfg)
+        traj = flow(raising, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)
         assert raising.hits
         assert np.array_equal(traj.ts, nan_wall.ts)
         assert np.array_equal(traj.ys, nan_wall.ys)

@@ -7,13 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from symorbit import (
     ForceField,
     HypothesisViolation,
-    IntegratorConfig,
-    Mode,
     PointOnCurve,
     PowerLawParams,
     Reflection,
     SectionSpec,
-    ShootingProblem,
     axis_crossings,
     axis_poly_perturbation,
     circular_speed,
@@ -190,19 +187,13 @@ class TestReflectionTable:
 
 
 class TestClosureScaling:
-    def test_residual_shrinks_with_tolerance(self, quarter_problem_radial, kepler_radial_field):
+    def test_residual_shrinks_with_tolerance(self, quarter_problem_radial, kepler_radial_field, set_tolerance):
         residuals = []
         for tol in (1e-8, 1e-12):
-            cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol)
-            problem = ShootingProblem(
-                field=kepler_radial_field,
-                radius=1.0,
-                mode=Mode.QUARTER,
-                integrator=cfg,
-            )
-            sol = solve(problem, 0.03)
+            set_tolerance(tol)
+            sol = solve(quarter_problem_radial, 0.03)
             orb = extend_quarter(sol.segment, mu=0.03)
-            pos_res, _, _ = verify_closure(orb, kepler_radial_field, 0.03, cfg)
+            pos_res, _, _ = verify_closure(orb, kepler_radial_field, 0.03)
             residuals.append(pos_res)
         assert residuals[1] < residuals[0]
 
@@ -215,6 +206,14 @@ class TestSimpleClosed:
     def test_solved_orbit(self, solved_perturbed_orbit):
         simple, _ = is_simple_closed(solved_perturbed_orbit)
         assert simple
+
+    def test_closing_point_repeated_after_the_collapse(self):
+        # The unit square closed twice at (0, 0): one copy goes as the
+        # polyline's closing point, the other after the repeats collapse; kept,
+        # it would make a zero-length wrap segment and the first and fourth
+        # sides would meet at (0, 0).
+        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (0.0, 0.0)]
+        assert is_simple_closed(square, min_points=4) == (True, None)
 
     def test_inner_loop_detected(self):
         # Limacon with an inner loop: r = 1 + 1.5 cos(theta).

@@ -8,7 +8,6 @@ from symorbit import (
     BoundaryCrossing,
     DomainExit,
     ForceField,
-    IntegratorConfig,
     NoCrossing,
     PowerLawParams,
     SectionSpec,
@@ -115,6 +114,29 @@ class TestCrossingErrors:
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):
             SectionSpec(start=(1.0, 1.0), end=(1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "start, end, floor",
+        [
+            ((0.0, 0.25), (0.0, math.nan), 1e-6),
+            ((0.0, -math.inf), (0.0, 4.0), 1e-6),
+            ((0.0, 0.25), (0.0, 4.0), math.nan),
+            ((0.0, 0.25), (0.0, 4.0), math.inf),
+            ((0.0, 0.25), (0.0, 4.0), -1.0),
+        ],
+    )
+    def test_non_finite_end_or_bad_floor_rejected(self, start, end, floor):
+        # A NaN end would end every scan in NoCrossing, and a NaN floor would
+        # accept the crossing that test_tangential_crossing_flagged_by_floor refuses.
+        with pytest.raises(ValueError, match="must be finite|must be a finite number >= 0"):
+            SectionSpec(start=start, end=end, transversality_floor=floor)
+
+    def test_launch_outside_annulus_reraised(self, kepler_field):
+        # The flow refuses the launch before its first step, so the DomainExit
+        # carries no trajectory to scan, and crossing_time passes it on.
+        with pytest.raises(DomainExit) as err:
+            crossing_time(kepler_field, 0.0, (3.0, 0.0), (0.0, 1.0), SectionSpec.positive_y_axis(1.0), 2.0)
+        assert err.value.t_exit == 0.0 and err.value.trajectory is None
 
 
 class TestGeneralSegment:
@@ -268,10 +290,10 @@ class TestQuarticScanMatchesReference:
 
 
 class TestDoubleCrossingInOneStep:
-    # At rel_tol = 1e-6 the unit circle takes steps long enough to cross the
-    # chord y = 1 - 1e-5 (at x = +-0.0045) twice between two grid points, so
-    # the normal coordinate shows no sign change on the grid.
-    CFG = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6)
+    # At tolerances of 1e-6 the unit circle takes steps long enough to cross
+    # the chord y = 1 - 1e-5 (at x = +-0.0045) twice between two grid points,
+    # so the normal coordinate shows no sign change on the grid.
+    TOL = 1e-6
     CHORD = SectionSpec(start=(-0.5, 1.0 - 1e-5), end=(0.5, 1.0 - 1e-5))
 
     def _check(self, event):
@@ -280,17 +302,17 @@ class TestDoubleCrossingInOneStep:
         assert 0.0 < x < 0.01  # the first of the two crossings, moving left
         assert event.normal_speed > 0.0 and event.tangent_speed < 0.0
 
-    def test_grid_alone_misses_it(self, kepler_field):
-        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, self.CFG)
+    def test_grid_alone_misses_it(self, kepler_field, set_tolerance):
+        set_tolerance(self.TOL)
+        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)
         with pytest.raises(NoCrossing):
             _reference_crossing_time(traj, self.CHORD)
 
-    def test_found_through_the_quartic_extremum(self, kepler_field):
-        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, self.CFG)
+    def test_found_through_the_quartic_extremum(self, kepler_field, set_tolerance):
+        set_tolerance(self.TOL)
+        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)
         self._check(first_transversal_crossing(traj, self.CHORD))
-        _, event, _ = crossing_time(
-            kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), self.CHORD, 2 * math.pi, self.CFG
-        )
+        _, event, _ = crossing_time(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), self.CHORD, 2 * math.pi)
         self._check(event)
 
 
@@ -335,9 +357,9 @@ class TestTerminalEvent:
     def test_acceptance_problems(self, request, problem_fixture, sigma, mu):
         p = request.getfixturevalue(problem_fixture)
         x0, v = p.launch_point, p.launch_velocity(sigma)
-        t_star, event, traj = crossing_time(p.field, mu, x0, v, p.section, p.window, p.integrator)
+        t_star, event, traj = crossing_time(p.field, mu, x0, v, p.section, p.window)
         t_stop = p.window
-        full = flow(p.field, mu, x0, v, t_stop, p.integrator)
+        full = flow(p.field, mu, x0, v, t_stop)
         assert _events_equal(event, first_transversal_crossing(full, p.section))
         assert t_star == event.t_star
         # The stopped flow is a prefix of the full one ending with the crossing step.
@@ -365,11 +387,11 @@ class TestTerminalEvent:
         x0, v = p.launch_point, p.launch_velocity(sigma)
         t_stop = p.window
         with pytest.raises(DomainExit) as err:
-            flow(p.field, mu, x0, v, t_stop, p.integrator)
+            flow(p.field, mu, x0, v, t_stop)
         partial = err.value.trajectory
         ref = first_transversal_crossing(partial, p.section)
         assert ref.t_star < partial.t_end
-        t_star, event, traj = crossing_time(p.field, mu, x0, v, p.section, p.window, p.integrator)
+        t_star, event, traj = crossing_time(p.field, mu, x0, v, p.section, p.window)
         assert traj.t_end < partial.t_end
         # The bisection tolerance now comes from the window end, not the exit
         # time, so t* may move within that tolerance.

@@ -40,6 +40,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ShootingProblem(field=f, radius=1.0, mode=Mode.QUARTER)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, kepler_field, radius):
+        # Refused here, not left to end each miss in a DomainExit at the launch.
+        with pytest.raises(ValueError, match="launch radius must be a finite positive number"):
+            ShootingProblem(field=kepler_field, radius=radius, mode=Mode.QUARTER)
+
     def test_eta_below_delta(self, kepler_field):
         with pytest.raises(ValueError):
             ShootingProblem(
@@ -232,6 +238,13 @@ class TestSolve:
         for mu in (0.0, 0.04, 0.08):
             sol = solve(quarter_problem_radial, mu)
             assert abs(sol.sigma_star - 1.0) < quarter_problem_radial.eta
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_refused(self, quarter_problem_radial, tol):
+        # Every |miss| >= tol test is false for both, so the bracket edge
+        # sigma = 1.05 would come back as sigma* (the root is sqrt(1.01)).
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            solve(quarter_problem_radial, 0.01, tol=tol)
 
     def test_nonconvergence_on_iteration_cap(self, quarter_problem, monkeypatch):
         monkeypatch.setattr(shooting, "_MAX_ITER", 5)
