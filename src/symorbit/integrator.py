@@ -17,7 +17,9 @@ true: terminal event location (II.6). It changes no step before that one.
 Only this module knows the tableau, the step record, the dense-output matrix
 P and, from P's shape, the stage count and the interpolant's degree. The step
 loop runs on plain floats and calls no numpy, with the tableau products
-unrolled. A trial step evaluates the 12 stages and the error norm; only an
+unrolled. Neither it nor `_normal_coefficients` is written by hand: both are
+generated from `_A`, `_E3`, `_E5` and `_P` at import, and `_SOURCE` holds the
+text. A trial step evaluates the 12 stages and the error norm; only an
 accepted one goes on to the FSAL stage f(t + h, y_new) and the three extra
 stages of the dense output. No stage is guarded on its own: one rule, applied
 after stage 11 and to the dense stages, halves h for a raising force, a
@@ -54,6 +56,7 @@ even when both nodes are inside.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -302,46 +305,6 @@ _P = _monomial_dense_output(_B, _D)
 _STAGES, _DEGREE = _P.shape
 
 
-def _nonzero(row) -> tuple:
-    return tuple(float(a) for a in row if a != 0.0)
-
-
-# Float copies of the tableau's nonzero entries for the scalar step loop,
-# named by row and column; _A12_j are the weights B.
-(_A1_0,) = _nonzero(_A[1])
-_A2_0, _A2_1 = _nonzero(_A[2])
-_A3_0, _A3_2 = _nonzero(_A[3])
-_A4_0, _A4_2, _A4_3 = _nonzero(_A[4])
-_A5_0, _A5_3, _A5_4 = _nonzero(_A[5])
-_A6_0, _A6_3, _A6_4, _A6_5 = _nonzero(_A[6])
-_A7_0, _A7_3, _A7_4, _A7_5, _A7_6 = _nonzero(_A[7])
-_A8_0, _A8_3, _A8_4, _A8_5, _A8_6, _A8_7 = _nonzero(_A[8])
-_A9_0, _A9_3, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = _nonzero(_A[9])
-_A10_0, _A10_3, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = _nonzero(_A[10])
-_A11_0, _A11_3, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = _nonzero(_A[11])
-_A12_0, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = _nonzero(_A[12])
-_A13_0, _A13_6, _A13_7, _A13_8, _A13_9, _A13_10, _A13_11, _A13_12 = _nonzero(_A[13])
-_A14_0, _A14_5, _A14_6, _A14_7, _A14_10, _A14_11, _A14_12, _A14_13 = _nonzero(_A[14])
-_A15_0, _A15_5, _A15_6, _A15_7, _A15_8, _A15_12, _A15_13, _A15_14 = _nonzero(_A[15])
-_E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11 = _nonzero(_E3)
-_E5_0, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11 = _nonzero(_E5)
-# Float copies of P's nonzero rows (stages 0 and 5-15) for
-# `_normal_coefficients`, named by stage and power of theta.
-(
-    (_P0_1, _P0_2, _P0_3, _P0_4, _P0_5, _P0_6, _P0_7),
-    (_P5_1, _P5_2, _P5_3, _P5_4, _P5_5, _P5_6, _P5_7),
-    (_P6_1, _P6_2, _P6_3, _P6_4, _P6_5, _P6_6, _P6_7),
-    (_P7_1, _P7_2, _P7_3, _P7_4, _P7_5, _P7_6, _P7_7),
-    (_P8_1, _P8_2, _P8_3, _P8_4, _P8_5, _P8_6, _P8_7),
-    (_P9_1, _P9_2, _P9_3, _P9_4, _P9_5, _P9_6, _P9_7),
-    (_P10_1, _P10_2, _P10_3, _P10_4, _P10_5, _P10_6, _P10_7),
-    (_P11_1, _P11_2, _P11_3, _P11_4, _P11_5, _P11_6, _P11_7),
-    (_P12_1, _P12_2, _P12_3, _P12_4, _P12_5, _P12_6, _P12_7),
-    (_P13_1, _P13_2, _P13_3, _P13_4, _P13_5, _P13_6, _P13_7),
-    (_P14_1, _P14_2, _P14_3, _P14_4, _P14_5, _P14_6, _P14_7),
-    (_P15_1, _P15_2, _P15_3, _P15_4, _P15_5, _P15_6, _P15_7),
-) = (tuple(_P[s].tolist()) for s in (0, *range(5, 16)))
-
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -488,55 +451,6 @@ def _step_eval(step, t: float) -> np.ndarray:
     return np.array(_dense_at(y_left, h, _q_matrix(stages).tolist(), (t - t_left) / h))
 
 
-def _normal_coefficients(step, n0: float, n1: float) -> tuple:
-    """c1, ..., cD of g(theta) = n0 x + n1 y = g(0) + c1 theta + ... + cD
-    theta^D on one step: h times the stage velocities projected on (n0, n1)
-    dotted with the columns of P, on floats."""
-    _, h, _, k = step
-    p0 = n0 * k[0] + n1 * k[1]
-    p5 = n0 * k[20] + n1 * k[21]
-    p6 = n0 * k[24] + n1 * k[25]
-    p7 = n0 * k[28] + n1 * k[29]
-    p8 = n0 * k[32] + n1 * k[33]
-    p9 = n0 * k[36] + n1 * k[37]
-    p10 = n0 * k[40] + n1 * k[41]
-    p11 = n0 * k[44] + n1 * k[45]
-    p12 = n0 * k[48] + n1 * k[49]
-    p13 = n0 * k[52] + n1 * k[53]
-    p14 = n0 * k[56] + n1 * k[57]
-    p15 = n0 * k[60] + n1 * k[61]
-    return (
-        h * (
-            p0 * _P0_1 + p5 * _P5_1 + p6 * _P6_1 + p7 * _P7_1 + p8 * _P8_1 + p9 * _P9_1 + p10 * _P10_1 + p11 * _P11_1
-            + p12 * _P12_1 + p13 * _P13_1 + p14 * _P14_1 + p15 * _P15_1
-        ),
-        h * (
-            p0 * _P0_2 + p5 * _P5_2 + p6 * _P6_2 + p7 * _P7_2 + p8 * _P8_2 + p9 * _P9_2 + p10 * _P10_2 + p11 * _P11_2
-            + p12 * _P12_2 + p13 * _P13_2 + p14 * _P14_2 + p15 * _P15_2
-        ),
-        h * (
-            p0 * _P0_3 + p5 * _P5_3 + p6 * _P6_3 + p7 * _P7_3 + p8 * _P8_3 + p9 * _P9_3 + p10 * _P10_3 + p11 * _P11_3
-            + p12 * _P12_3 + p13 * _P13_3 + p14 * _P14_3 + p15 * _P15_3
-        ),
-        h * (
-            p0 * _P0_4 + p5 * _P5_4 + p6 * _P6_4 + p7 * _P7_4 + p8 * _P8_4 + p9 * _P9_4 + p10 * _P10_4 + p11 * _P11_4
-            + p12 * _P12_4 + p13 * _P13_4 + p14 * _P14_4 + p15 * _P15_4
-        ),
-        h * (
-            p0 * _P0_5 + p5 * _P5_5 + p6 * _P6_5 + p7 * _P7_5 + p8 * _P8_5 + p9 * _P9_5 + p10 * _P10_5 + p11 * _P11_5
-            + p12 * _P12_5 + p13 * _P13_5 + p14 * _P14_5 + p15 * _P15_5
-        ),
-        h * (
-            p0 * _P0_6 + p5 * _P5_6 + p6 * _P6_6 + p7 * _P7_6 + p8 * _P8_6 + p9 * _P9_6 + p10 * _P10_6 + p11 * _P11_6
-            + p12 * _P12_6 + p13 * _P13_6 + p14 * _P14_6 + p15 * _P15_6
-        ),
-        h * (
-            p0 * _P0_7 + p5 * _P5_7 + p6 * _P6_7 + p7 * _P7_7 + p8 * _P8_7 + p9 * _P9_7 + p10 * _P10_7 + p11 * _P11_7
-            + p12 * _P12_7 + p13 * _P13_7 + p14 * _P14_7 + p15 * _P15_7
-        ),
-    )
-
-
 def _rms(values, scale) -> float:
     """RMS of values / scale, summed left to right as `_coefficient_bound` sums."""
     total = 0.0
@@ -629,7 +543,41 @@ def _turning_exit(step, g_left, r_right, g_right, r_in, r_out):
     return (t, s) if _outside(s, r_in, r_out) else None
 
 
-def _dop853_step(accel, mu, h, state, force, rtol, atol):
+def _kernel_source() -> str:
+    """Source of `_dop853_step` and `_normal_coefficients`, written from `_A`,
+    `_E3`, `_E5` and `_P`. Each tableau product is unrolled on floats as
+    `a * u`, the coefficient a literal, summed left to right over the nonzero
+    columns of its row; each normal coefficient sums `p_s * P[s, j]` over the
+    stages s of P's nonzero rows, zero entries included."""
+
+    def dot(row, prefix: str) -> str:
+        # repr of a Python float: a numpy scalar's reads np.float64(...) under numpy 2
+        return " + ".join(f"{float(a)!r} * {prefix}{j}" for j, a in enumerate(row) if a != 0.0)
+
+    def stage(i: int) -> list:
+        # Stage i's state from the stages before it and, but for stage 12
+        # (the FSAL stage, evaluated only for an accepted step), its force.
+        x, y = ("xn", "yn") if i == 12 else (f"x{i}", f"y{i}")
+        row = _A[i]
+        lines = [f"{x} = x + h * ({dot(row, 'u')})", f"{y} = y + h * ({dot(row, 'w')})"]
+        lines += [f"u{i} = u0 + h * ({dot(row, 'gx')})", f"w{i} = w0 + h * ({dot(row, 'gy')})"]
+        return lines if i == 12 else lines + [f"gx{i}, gy{i} = accel({x}, {y}, mu)"]
+
+    indent = "\n        "
+    trial, solution, dense = (
+        indent.join(line for i in r for line in stage(i)) for r in (range(1, 12), [12], range(13, 16))
+    )
+    errors = indent.join(
+        f"e{k}{c} = ({dot(e, p)}) / s{c}" for k, e in ((5, _E5), (3, _E3)) for c, p in zip("xyuw", ("u", "w", "gx", "gy"))
+    )
+    hypots = ", ".join([f"hypot(x{i}, y{i})" for i in range(1, 12)] + ["hypot(xn, yn)"])
+    stages = ", ".join(f"u{s}, w{s}, gx{s}, gy{s}" for s in range(_STAGES))
+    rows = [s for s in range(_STAGES) if _P[s].any()]
+    projections = "\n    ".join(f"p{s} = n0 * k[{4 * s}] + n1 * k[{4 * s + 1}]" for s in rows)
+    coefficients = "".join(
+        indent + "h * (" + " + ".join(f"p{s} * {float(_P[s, j])!r}" for s in rows) + ")," for j in range(_DEGREE)
+    )
+    return f'''def _dop853_step(accel, mu, h, state, force, rtol, atol):
     """One trial step of DOP853 on floats.
 
     state is (x, y, vx, vy) and force the acceleration there, the first stage
@@ -650,141 +598,20 @@ def _dop853_step(accel, mu, h, state, force, rtol, atol):
     x, y, u0, w0 = state
     gx0, gy0 = force
     try:
-        x1 = x + h * (_A1_0 * u0)
-        y1 = y + h * (_A1_0 * w0)
-        u1 = u0 + h * (_A1_0 * gx0)
-        w1 = w0 + h * (_A1_0 * gy0)
-        gx1, gy1 = accel(x1, y1, mu)
-        x2 = x + h * (_A2_0 * u0 + _A2_1 * u1)
-        y2 = y + h * (_A2_0 * w0 + _A2_1 * w1)
-        u2 = u0 + h * (_A2_0 * gx0 + _A2_1 * gx1)
-        w2 = w0 + h * (_A2_0 * gy0 + _A2_1 * gy1)
-        gx2, gy2 = accel(x2, y2, mu)
-        x3 = x + h * (_A3_0 * u0 + _A3_2 * u2)
-        y3 = y + h * (_A3_0 * w0 + _A3_2 * w2)
-        u3 = u0 + h * (_A3_0 * gx0 + _A3_2 * gx2)
-        w3 = w0 + h * (_A3_0 * gy0 + _A3_2 * gy2)
-        gx3, gy3 = accel(x3, y3, mu)
-        x4 = x + h * (_A4_0 * u0 + _A4_2 * u2 + _A4_3 * u3)
-        y4 = y + h * (_A4_0 * w0 + _A4_2 * w2 + _A4_3 * w3)
-        u4 = u0 + h * (_A4_0 * gx0 + _A4_2 * gx2 + _A4_3 * gx3)
-        w4 = w0 + h * (_A4_0 * gy0 + _A4_2 * gy2 + _A4_3 * gy3)
-        gx4, gy4 = accel(x4, y4, mu)
-        x5 = x + h * (_A5_0 * u0 + _A5_3 * u3 + _A5_4 * u4)
-        y5 = y + h * (_A5_0 * w0 + _A5_3 * w3 + _A5_4 * w4)
-        u5 = u0 + h * (_A5_0 * gx0 + _A5_3 * gx3 + _A5_4 * gx4)
-        w5 = w0 + h * (_A5_0 * gy0 + _A5_3 * gy3 + _A5_4 * gy4)
-        gx5, gy5 = accel(x5, y5, mu)
-        x6 = x + h * (_A6_0 * u0 + _A6_3 * u3 + _A6_4 * u4 + _A6_5 * u5)
-        y6 = y + h * (_A6_0 * w0 + _A6_3 * w3 + _A6_4 * w4 + _A6_5 * w5)
-        u6 = u0 + h * (_A6_0 * gx0 + _A6_3 * gx3 + _A6_4 * gx4 + _A6_5 * gx5)
-        w6 = w0 + h * (_A6_0 * gy0 + _A6_3 * gy3 + _A6_4 * gy4 + _A6_5 * gy5)
-        gx6, gy6 = accel(x6, y6, mu)
-        x7 = x + h * (_A7_0 * u0 + _A7_3 * u3 + _A7_4 * u4 + _A7_5 * u5 + _A7_6 * u6)
-        y7 = y + h * (_A7_0 * w0 + _A7_3 * w3 + _A7_4 * w4 + _A7_5 * w5 + _A7_6 * w6)
-        u7 = u0 + h * (_A7_0 * gx0 + _A7_3 * gx3 + _A7_4 * gx4 + _A7_5 * gx5 + _A7_6 * gx6)
-        w7 = w0 + h * (_A7_0 * gy0 + _A7_3 * gy3 + _A7_4 * gy4 + _A7_5 * gy5 + _A7_6 * gy6)
-        gx7, gy7 = accel(x7, y7, mu)
-        x8 = x + h * (_A8_0 * u0 + _A8_3 * u3 + _A8_4 * u4 + _A8_5 * u5 + _A8_6 * u6 + _A8_7 * u7)
-        y8 = y + h * (_A8_0 * w0 + _A8_3 * w3 + _A8_4 * w4 + _A8_5 * w5 + _A8_6 * w6 + _A8_7 * w7)
-        u8 = u0 + h * (_A8_0 * gx0 + _A8_3 * gx3 + _A8_4 * gx4 + _A8_5 * gx5 + _A8_6 * gx6 + _A8_7 * gx7)
-        w8 = w0 + h * (_A8_0 * gy0 + _A8_3 * gy3 + _A8_4 * gy4 + _A8_5 * gy5 + _A8_6 * gy6 + _A8_7 * gy7)
-        gx8, gy8 = accel(x8, y8, mu)
-        x9 = x + h * (_A9_0 * u0 + _A9_3 * u3 + _A9_4 * u4 + _A9_5 * u5 + _A9_6 * u6 + _A9_7 * u7 + _A9_8 * u8)
-        y9 = y + h * (_A9_0 * w0 + _A9_3 * w3 + _A9_4 * w4 + _A9_5 * w5 + _A9_6 * w6 + _A9_7 * w7 + _A9_8 * w8)
-        u9 = u0 + h * (_A9_0 * gx0 + _A9_3 * gx3 + _A9_4 * gx4 + _A9_5 * gx5 + _A9_6 * gx6 + _A9_7 * gx7 + _A9_8 * gx8)
-        w9 = w0 + h * (_A9_0 * gy0 + _A9_3 * gy3 + _A9_4 * gy4 + _A9_5 * gy5 + _A9_6 * gy6 + _A9_7 * gy7 + _A9_8 * gy8)
-        gx9, gy9 = accel(x9, y9, mu)
-        x10 = x + h * (
-            _A10_0 * u0 + _A10_3 * u3 + _A10_4 * u4 + _A10_5 * u5 + _A10_6 * u6 + _A10_7 * u7 + _A10_8 * u8 + _A10_9 * u9
-        )
-        y10 = y + h * (
-            _A10_0 * w0 + _A10_3 * w3 + _A10_4 * w4 + _A10_5 * w5 + _A10_6 * w6 + _A10_7 * w7 + _A10_8 * w8 + _A10_9 * w9
-        )
-        u10 = u0 + h * (
-            _A10_0 * gx0 + _A10_3 * gx3 + _A10_4 * gx4 + _A10_5 * gx5 + _A10_6 * gx6 + _A10_7 * gx7 + _A10_8 * gx8
-            + _A10_9 * gx9
-        )
-        w10 = w0 + h * (
-            _A10_0 * gy0 + _A10_3 * gy3 + _A10_4 * gy4 + _A10_5 * gy5 + _A10_6 * gy6 + _A10_7 * gy7 + _A10_8 * gy8
-            + _A10_9 * gy9
-        )
-        gx10, gy10 = accel(x10, y10, mu)
-        x11 = x + h * (
-            _A11_0 * u0 + _A11_3 * u3 + _A11_4 * u4 + _A11_5 * u5 + _A11_6 * u6 + _A11_7 * u7 + _A11_8 * u8 + _A11_9 * u9
-            + _A11_10 * u10
-        )
-        y11 = y + h * (
-            _A11_0 * w0 + _A11_3 * w3 + _A11_4 * w4 + _A11_5 * w5 + _A11_6 * w6 + _A11_7 * w7 + _A11_8 * w8 + _A11_9 * w9
-            + _A11_10 * w10
-        )
-        u11 = u0 + h * (
-            _A11_0 * gx0 + _A11_3 * gx3 + _A11_4 * gx4 + _A11_5 * gx5 + _A11_6 * gx6 + _A11_7 * gx7 + _A11_8 * gx8
-            + _A11_9 * gx9 + _A11_10 * gx10
-        )
-        w11 = w0 + h * (
-            _A11_0 * gy0 + _A11_3 * gy3 + _A11_4 * gy4 + _A11_5 * gy5 + _A11_6 * gy6 + _A11_7 * gy7 + _A11_8 * gy8
-            + _A11_9 * gy9 + _A11_10 * gy10
-        )
-        gx11, gy11 = accel(x11, y11, mu)
+        {trial}
         # Eighth-order solution; stage 12 is its derivative.
-        xn = x + h * (
-            _A12_0 * u0 + _A12_5 * u5 + _A12_6 * u6 + _A12_7 * u7 + _A12_8 * u8 + _A12_9 * u9 + _A12_10 * u10
-            + _A12_11 * u11
-        )
-        yn = y + h * (
-            _A12_0 * w0 + _A12_5 * w5 + _A12_6 * w6 + _A12_7 * w7 + _A12_8 * w8 + _A12_9 * w9 + _A12_10 * w10
-            + _A12_11 * w11
-        )
-        u12 = u0 + h * (
-            _A12_0 * gx0 + _A12_5 * gx5 + _A12_6 * gx6 + _A12_7 * gx7 + _A12_8 * gx8 + _A12_9 * gx9 + _A12_10 * gx10
-            + _A12_11 * gx11
-        )
-        w12 = w0 + h * (
-            _A12_0 * gy0 + _A12_5 * gy5 + _A12_6 * gy6 + _A12_7 * gy7 + _A12_8 * gy8 + _A12_9 * gy9 + _A12_10 * gy10
-            + _A12_11 * gy11
-        )
+        {solution}
 
         # Error norm of the 5th- and 3rd-order estimators, scaled per component.
         sx = atol + rtol * max(abs(x), abs(xn))
         sy = atol + rtol * max(abs(y), abs(yn))
         su = atol + rtol * max(abs(u0), abs(u12))
         sw = atol + rtol * max(abs(w0), abs(w12))
-        e5x = (
-            _E5_0 * u0 + _E5_5 * u5 + _E5_6 * u6 + _E5_7 * u7 + _E5_8 * u8 + _E5_9 * u9 + _E5_10 * u10 + _E5_11 * u11
-        ) / sx
-        e5y = (
-            _E5_0 * w0 + _E5_5 * w5 + _E5_6 * w6 + _E5_7 * w7 + _E5_8 * w8 + _E5_9 * w9 + _E5_10 * w10 + _E5_11 * w11
-        ) / sy
-        e5u = (
-            _E5_0 * gx0 + _E5_5 * gx5 + _E5_6 * gx6 + _E5_7 * gx7 + _E5_8 * gx8 + _E5_9 * gx9 + _E5_10 * gx10
-            + _E5_11 * gx11
-        ) / su
-        e5w = (
-            _E5_0 * gy0 + _E5_5 * gy5 + _E5_6 * gy6 + _E5_7 * gy7 + _E5_8 * gy8 + _E5_9 * gy9 + _E5_10 * gy10
-            + _E5_11 * gy11
-        ) / sw
-        e3x = (
-            _E3_0 * u0 + _E3_5 * u5 + _E3_6 * u6 + _E3_7 * u7 + _E3_8 * u8 + _E3_9 * u9 + _E3_10 * u10 + _E3_11 * u11
-        ) / sx
-        e3y = (
-            _E3_0 * w0 + _E3_5 * w5 + _E3_6 * w6 + _E3_7 * w7 + _E3_8 * w8 + _E3_9 * w9 + _E3_10 * w10 + _E3_11 * w11
-        ) / sy
-        e3u = (
-            _E3_0 * gx0 + _E3_5 * gx5 + _E3_6 * gx6 + _E3_7 * gx7 + _E3_8 * gx8 + _E3_9 * gx9 + _E3_10 * gx10
-            + _E3_11 * gx11
-        ) / su
-        e3w = (
-            _E3_0 * gy0 + _E3_5 * gy5 + _E3_6 * gy6 + _E3_7 * gy7 + _E3_8 * gy8 + _E3_9 * gy9 + _E3_10 * gy10
-            + _E3_11 * gy11
-        ) / sw
+        {errors}
         n5 = e5x * e5x + e5y * e5y + e5u * e5u + e5w * e5w
         n3 = e3x * e3x + e3y * e3y + e3u * e3u + e3w * e3w
         err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
-        r_min = min(
-            hypot(x1, y1), hypot(x2, y2), hypot(x3, y3), hypot(x4, y4), hypot(x5, y5), hypot(x6, y6),
-            hypot(x7, y7), hypot(x8, y8), hypot(x9, y9), hypot(x10, y10), hypot(x11, y11), hypot(xn, yn),
-        )  # fmt: skip
+        r_min = min({hypots})
         if not (isfinite(err + xn + yn + u12 + w12) and r_min >= 1e-12):  # a sum is finite only if every term is
             return None
         if err > 1.0:
@@ -792,74 +619,35 @@ def _dop853_step(accel, mu, h, state, force, rtol, atol):
 
         # Accepted: the FSAL stage and the dense output's three extra stages.
         gx12, gy12 = accel(xn, yn, mu)
-        x13 = x + h * (
-            _A13_0 * u0 + _A13_6 * u6 + _A13_7 * u7 + _A13_8 * u8 + _A13_9 * u9 + _A13_10 * u10 + _A13_11 * u11
-            + _A13_12 * u12
-        )
-        y13 = y + h * (
-            _A13_0 * w0 + _A13_6 * w6 + _A13_7 * w7 + _A13_8 * w8 + _A13_9 * w9 + _A13_10 * w10 + _A13_11 * w11
-            + _A13_12 * w12
-        )
-        u13 = u0 + h * (
-            _A13_0 * gx0 + _A13_6 * gx6 + _A13_7 * gx7 + _A13_8 * gx8 + _A13_9 * gx9 + _A13_10 * gx10 + _A13_11 * gx11
-            + _A13_12 * gx12
-        )
-        w13 = w0 + h * (
-            _A13_0 * gy0 + _A13_6 * gy6 + _A13_7 * gy7 + _A13_8 * gy8 + _A13_9 * gy9 + _A13_10 * gy10 + _A13_11 * gy11
-            + _A13_12 * gy12
-        )
-        gx13, gy13 = accel(x13, y13, mu)
-        x14 = x + h * (
-            _A14_0 * u0 + _A14_5 * u5 + _A14_6 * u6 + _A14_7 * u7 + _A14_10 * u10 + _A14_11 * u11 + _A14_12 * u12
-            + _A14_13 * u13
-        )
-        y14 = y + h * (
-            _A14_0 * w0 + _A14_5 * w5 + _A14_6 * w6 + _A14_7 * w7 + _A14_10 * w10 + _A14_11 * w11 + _A14_12 * w12
-            + _A14_13 * w13
-        )
-        u14 = u0 + h * (
-            _A14_0 * gx0 + _A14_5 * gx5 + _A14_6 * gx6 + _A14_7 * gx7 + _A14_10 * gx10 + _A14_11 * gx11 + _A14_12 * gx12
-            + _A14_13 * gx13
-        )
-        w14 = w0 + h * (
-            _A14_0 * gy0 + _A14_5 * gy5 + _A14_6 * gy6 + _A14_7 * gy7 + _A14_10 * gy10 + _A14_11 * gy11 + _A14_12 * gy12
-            + _A14_13 * gy13
-        )
-        gx14, gy14 = accel(x14, y14, mu)
-        x15 = x + h * (
-            _A15_0 * u0 + _A15_5 * u5 + _A15_6 * u6 + _A15_7 * u7 + _A15_8 * u8 + _A15_12 * u12 + _A15_13 * u13
-            + _A15_14 * u14
-        )
-        y15 = y + h * (
-            _A15_0 * w0 + _A15_5 * w5 + _A15_6 * w6 + _A15_7 * w7 + _A15_8 * w8 + _A15_12 * w12 + _A15_13 * w13
-            + _A15_14 * w14
-        )
-        u15 = u0 + h * (
-            _A15_0 * gx0 + _A15_5 * gx5 + _A15_6 * gx6 + _A15_7 * gx7 + _A15_8 * gx8 + _A15_12 * gx12 + _A15_13 * gx13
-            + _A15_14 * gx14
-        )
-        w15 = w0 + h * (
-            _A15_0 * gy0 + _A15_5 * gy5 + _A15_6 * gy6 + _A15_7 * gy7 + _A15_8 * gy8 + _A15_12 * gy12 + _A15_13 * gy13
-            + _A15_14 * gy14
-        )
-        gx15, gy15 = accel(x15, y15, mu)
+        {dense}
     except (ZeroDivisionError, OverflowError):  # raised by float ** in the force
         return None
     forces = gx12 + gy12 + gx13 + gy13 + gx14 + gy14 + gx15 + gy15  # finite only if every term is
     if not (isfinite(forces) and min(hypot(x13, y13), hypot(x14, y14), hypot(x15, y15)) >= 1e-12):
         return None
+    return err, (xn, yn, u12, w12), ({stages})
 
-    stages = (
-        u0, w0, gx0, gy0, u1, w1, gx1, gy1,
-        u2, w2, gx2, gy2, u3, w3, gx3, gy3,
-        u4, w4, gx4, gy4, u5, w5, gx5, gy5,
-        u6, w6, gx6, gy6, u7, w7, gx7, gy7,
-        u8, w8, gx8, gy8, u9, w9, gx9, gy9,
-        u10, w10, gx10, gy10, u11, w11, gx11, gy11,
-        u12, w12, gx12, gy12, u13, w13, gx13, gy13,
-        u14, w14, gx14, gy14, u15, w15, gx15, gy15,
-    )  # fmt: skip
-    return err, (xn, yn, u12, w12), stages
+
+def _normal_coefficients(step, n0, n1):
+    """c1, ..., cD of g(theta) = n0 x + n1 y = g(0) + c1 theta + ... + cD
+    theta^D on one step: h times the stage velocities projected on (n0, n1)
+    dotted with the columns of P, on floats."""
+    _, h, _, k = step
+    {projections}
+    return ({coefficients}
+    )
+'''
+
+
+# The kernels are compiled once, at import. Their text stays in `_SOURCE` and
+# in linecache (mtime None: `linecache.checkcache` keeps it), so tracebacks
+# and profiles show the generated lines.
+_SOURCE = _kernel_source()
+_SOURCE_FILE = "<symorbit.integrator: DOP853 kernels generated from the tableau>"
+linecache.cache[_SOURCE_FILE] = (len(_SOURCE), None, _SOURCE.splitlines(True), _SOURCE_FILE)
+_kernels = {"math": math, "__name__": __name__}
+exec(compile(_SOURCE, _SOURCE_FILE, "exec"), _kernels)
+_dop853_step, _normal_coefficients = _kernels["_dop853_step"], _kernels["_normal_coefficients"]
 
 
 def flow(
@@ -888,8 +676,8 @@ def flow(
     for which it returns true. The step sequence up to there is the one
     without `stop`.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:  # false for NaN too
+        raise ValueError(f"t_end must be a finite number > 0, got {t_end}")
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if not field.contains(x[0], x[1]):

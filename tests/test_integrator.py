@@ -1,7 +1,10 @@
+import ast
+import linecache
 import math
 import os
 import subprocess
 import sys
+import traceback
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from fractions import Fraction
@@ -63,6 +66,12 @@ class TestFlow:
             flow(kepler_field, 0.0, x, v, 2 * math.pi)
         monkeypatch.setattr(integrator, "_MAX_TRIALS", 2 * steps)
         assert flow(kepler_field, 0.0, x, v, 2 * math.pi).n_steps == steps
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.0])
+    def test_span_end_must_be_finite_and_positive(self, kepler_field, t_end):
+        # NaN and inf used to pass `t_end <= 0` and return an empty trajectory.
+        with pytest.raises(ValueError, match=f"t_end must be a finite number > 0, got {t_end}"):
+            flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), t_end)
 
     def test_energy_drift_one_radial_period(self, kepler_field, kepler_params):
         # sigma = 1.1 ellipse over one full radial period
@@ -668,6 +677,71 @@ class TestTableau:
                 got = y_left + h * (k.T @ _P) @ powers
                 terms = h * (np.abs(k.T) @ np.abs(_P)) @ powers
                 assert np.all(np.abs(got - _hairer_dense(y_left, h, k, theta)) <= 1e-14 * (terms + 1.0))
+
+
+    def test_generated_kernels_state_each_entry_once(self):
+        # The products of `_SOURCE` read back as (coefficient, stage variable)
+        # in source order: each nonzero entry of A's rows 1-15, E5 and E3 once
+        # per state component, and every column of P's nonzero rows once per
+        # power of theta, each literal reading back as its table entry.
+        source = integrator._SOURCE
+        assert "np." not in source
+        tree = ast.parse(source)
+        assigned = {
+            target.id: node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+
+        def products(expr, literal_first=True):
+            found = []
+            for node in ast.walk(expr):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                    literal, name = (node.left, node.right) if literal_first else (node.right, node.left)
+                    if isinstance(name, ast.Name) and isinstance(literal, (ast.Constant, ast.UnaryOp)):
+                        text = ast.get_source_segment(source, literal)
+                        found.append((node.lineno, node.col_offset, float(text), name.id))
+            return [(value, name) for _, _, value, name in sorted(found)]
+
+        def entries(row, prefix):
+            return [(float(a), f"{prefix}{j}") for j, a in enumerate(row.tolist()) if a != 0.0]
+
+        components = ("u", "w", "gx", "gy")
+        for i in range(1, 16):
+            targets = ("xn", "yn") if i == 12 else (f"x{i}", f"y{i}")
+            for target, prefix in zip((*targets, f"u{i}", f"w{i}"), components):
+                assert products(assigned[target]) == entries(_A[i], prefix), target
+        for k, e in ((5, _E5), (3, _E3)):
+            for c, prefix in zip("xyuw", components):
+                assert products(assigned[f"e{k}{c}"]) == entries(e, prefix), f"e{k}{c}"
+
+        (normal,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_normal_coefficients"]
+        (returned,) = [node.value for node in ast.walk(normal) if isinstance(node, ast.Return)]
+        rows = [s for s in range(16) if _P[s].any()]
+        assert rows == [0, *range(5, 16)]
+        assert len(returned.elts) == _P.shape[1]
+        for j, coefficient in enumerate(returned.elts):
+            assert products(coefficient, literal_first=False) == [(_P[s, j], f"p{s}") for s in rows], j
+
+    def test_generated_lines_show_in_tracebacks(self):
+        # A force raising in stage 3: after linecache.checkcache(), the step's
+        # frame shows that stage's line of `_SOURCE`.
+        calls = []
+
+        def accel(x, y, mu):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("stage 3")
+            return -x, -y
+
+        with pytest.raises(RuntimeError, match="stage 3") as info:
+            integrator._dop853_step(accel, 0.0, 0.1, (1.0, 0.0, 0.0, 1.0), (-1.0, 0.0), 1e-12, 1e-12)
+        linecache.checkcache()
+        frame = traceback.extract_tb(info.value.__traceback__)[-2]
+        assert (frame.filename, frame.name) == (integrator._SOURCE_FILE, "_dop853_step")
+        assert frame.line == "gx3, gy3 = accel(x3, y3, mu)"
 
 
 class TestRecordsBuiltWhenSampled:
