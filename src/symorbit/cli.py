@@ -225,7 +225,7 @@ def _read(raw) -> dict:
             value = default(values) if callable(default) else default
         values[path] = value = _checked(f"configuration key {path!r}", value, row, values)
         if path == _PARAMS:
-            defaults, _ = _FAMILIES[values["field.perturbation.kind"]]
+            defaults = _FAMILIES[values["field.perturbation.kind"]].defaults
             _check_keys(value, path, defaults)
             for name, constant in value.items():
                 row = _EXPONENT if isinstance(defaults[name], int) else _CONSTANT

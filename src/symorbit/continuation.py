@@ -52,6 +52,8 @@ class ContinuationCurve:
 
 def _check_grid(problem: ShootingProblem, mu_grid) -> np.ndarray:
     grid = np.asarray(mu_grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"mu grid holds a non-finite value: {grid[~np.isfinite(grid)].tolist()}")
     if grid.size == 0 or grid[0] != 0.0:
         raise ValueError("mu grid must start at 0")
     if np.any(np.diff(np.abs(grid)) < 0):
@@ -181,7 +183,7 @@ class ScanResult:
     mus: np.ndarray
     signs: np.ndarray  # (n_sigma, n_mu) in {-1, 0, +1}; 0 marks a failed evaluation
     change_cells: list  # (i, j): sign change between sigma_i and sigma_{i+1} at mu_j
-    components: list  # connected components of change cells (8-neighborhood)
+    components: list  # bands: change cells grouped by the two sign regions they separate (`_bands`)
     row_complete: bool  # every mu column contains at least one sign change
 
     def component_count(self) -> int:
@@ -191,6 +193,45 @@ class ScanResult:
         """The sign matrix, a row per sigma and a column per mu (header)."""
         rows = [[serialize.fmt(s)] + [int(v) for v in row] for s, row in zip(self.sigmas, self.signs)]
         serialize.write_csv(path, ["sigma"] + [serialize.fmt(m) for m in self.mus], rows)
+
+
+def _bands(signs: np.ndarray) -> tuple[list, list]:
+    """(change cells, bands) of a sign matrix (n_sigma, n_mu).
+
+    A change cell (i, j) marks a sign change between sigma_i and sigma_i+1 in
+    mu column j, both signs nonzero. A band is the set of change cells that
+    separate the same two connected regions of one sign each (4-neighbourhood,
+    failed cells belonging to none): one zero curve is one band however many
+    rows it climbs between two mu columns, and two curves are two bands,
+    parallel ones a row apart too, while the region between them stays
+    connected.
+    """
+    n, m = signs.shape
+    grid = signs.tolist()
+    region = [[-1] * m for _ in range(n)]
+    count = 0
+    for i0 in range(n):
+        for j0 in range(m):
+            if grid[i0][j0] == 0 or region[i0][j0] >= 0:
+                continue
+            region[i0][j0], stack = count, [(i0, j0)]
+            while stack:
+                i, j = stack.pop()
+                for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                    if 0 <= a < n and 0 <= b < m and region[a][b] < 0 and grid[a][b] == grid[i][j]:
+                        region[a][b] = count
+                        stack.append((a, b))
+            count += 1
+    change_cells = [
+        (i, j)
+        for j in range(m)
+        for i in range(n - 1)
+        if grid[i][j] != 0 and grid[i + 1][j] != 0 and grid[i][j] != grid[i + 1][j]
+    ]
+    bands = {}
+    for i, j in change_cells:
+        bands.setdefault(frozenset((region[i][j], region[i + 1][j])), []).append((i, j))
+    return change_cells, [sorted(cells) for cells in bands.values()]
 
 
 def zero_set_scan(
@@ -231,35 +272,8 @@ def zero_set_scan(
             f"equal signs ({lo[0]:+d}) on both sigma boundaries: no bracketing"
         )
 
-    change_cells = [
-        (i, j)
-        for j in range(mus.size)
-        for i in range(sigmas.size - 1)
-        if signs[i, j] != 0 and signs[i + 1, j] != 0 and signs[i, j] != signs[i + 1, j]
-    ]
+    change_cells, components = _bands(signs)
     row_complete = all(any(c[1] == j for c in change_cells) for j in range(mus.size))
-
-    # 8-neighborhood: a zero set drifting with mu crosses cell corners, which
-    # 4-connectivity would report as spurious band breaks.
-    cell_set = set(change_cells)
-    components, seen = [], set()
-    for cell in change_cells:
-        if cell in seen:
-            continue
-        comp, stack = set(), [cell]
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            comp.add(c)
-            i, j = c
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    nb = (i + di, j + dj)
-                    if nb != c and nb in cell_set and nb not in seen:
-                        stack.append(nb)
-        components.append(sorted(comp))
 
     return ScanResult(
         sigmas=sigmas,

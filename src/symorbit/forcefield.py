@@ -5,18 +5,26 @@ A perturbation family, scaled by the parameter mu, is added on top; each family
 declares which axis reflections it commutes with, and the declaration can be
 checked numerically against samples.
 
-Each family's force, base and perturbation together, is written once: in the
-builder of its `_FAMILIES` row, which binds -kappa, alpha + 2 and the family
-constants into one closure (x, y, mu) -> (ax, ay). A `ForceField` builds its
-closure once, at construction, and `ForceField.acceleration` is the one entry
-point to it.
+Each family's force, base and perturbation together, is written once, as
+source text in its `_FAMILIES` row. From it `_binder` compiles, once per
+family, the builder that binds -kappa, alpha + 2 and the family's derived
+constants into one closure (x, y, mu) -> (ax, ay); a `ForceField` builds its
+closure once, at construction, and `ForceField.acceleration` calls it. The
+integrator writes the same text inline into every stage of the family's
+DOP853 step, so the integration steps evaluate the force without a call;
+everything else (the launch force, the starting-step probe, `check_symmetry`,
+`analysis`) goes through `acceleration`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import linecache
 import math
+import re
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,53 +93,80 @@ def circular_speed(params: PowerLawParams, p: float) -> float:
     return math.sqrt(p * u1)
 
 
-# Builders: each takes -kappa, alpha + 2.0 and the family constants and returns
-# the field's force (x, y, mu) -> (ax, ay), one hypot per call. The base law is
-# written in each builder, not shared through a base closure that calls a term
-# closure: that call and its tuple cost 90-155 ns of a 600-850 ns evaluation,
-# about 3% of a miss (Python 3.11, 2 vCPUs). tests/test_forcefield.py checks
-# every builder against one base-plus-term formula bit for bit.
+class _Family(NamedTuple):
+    """A built-in perturbation family: its constants with their defaults, the
+    constants its force reads, each an expression in the family's, and its
+    force, statements assigning ax and ay after the base law."""
+
+    defaults: dict
+    constants: dict
+    force: tuple
 
 
-def _zero(neg_kappa, a2):
-    hypot = math.hypot
-
-    def accel(x: float, y: float, mu: float) -> tuple[float, float]:
-        s = neg_kappa / hypot(x, y) ** a2
-        return s * x + mu * 0.0, s * y + mu * 0.0
-
-    return accel
-
-
-def _radial_power(neg_kappa, a2, lam, beta):
-    hypot, neg_lam, b2 = math.hypot, -lam, beta + 2.0
-
-    def accel(x: float, y: float, mu: float) -> tuple[float, float]:
-        r = hypot(x, y)
-        s = neg_kappa / r**a2
-        q = neg_lam / r**b2
-        return s * x + mu * (q * x), s * y + mu * (q * y)
-
-    return accel
-
-
-def _axis_poly(neg_kappa, a2, cx, px, cy, py):
-    hypot = math.hypot
-
-    def accel(x: float, y: float, mu: float) -> tuple[float, float]:
-        s = neg_kappa / hypot(x, y) ** a2
-        return s * x + mu * (cx * x**px), s * y + mu * (cy * y**py)
-
-    return accel
-
-
-# Built-in perturbation families: kind -> ({constant: default}, builder), a
-# builder taking the constants in the defaults' order after -kappa and alpha + 2.
+# A force is text over x, y, r = hypot(x, y), mu and the derived constants
+# (`_derived`), after the base law `_BASE_FORCE`. The step kernels run it in
+# their own scope, so a temporary it assigns (s, q) must not be a name of the
+# kernel's (h, mu, x1, u1, gx1, sx, err, ...).
+_BASE_CONSTANTS = {"neg_kappa": "-kappa", "a2": "alpha + 2.0"}
+_BASE_FORCE = "s = neg_kappa / r ** a2"
 _FAMILIES = {
-    "zero": ({}, _zero),
-    "radial_power": ({"lam": 1.0, "beta": 3.0}, _radial_power),
-    "axis_poly": ({"cx": 0.0, "px": 3, "cy": 0.0, "py": 3}, _axis_poly),
+    "zero": _Family({}, {}, ("ax = s * x + mu * 0.0", "ay = s * y + mu * 0.0")),
+    "radial_power": _Family(
+        {"lam": 1.0, "beta": 3.0},
+        {"neg_lam": "-lam", "b2": "beta + 2.0"},
+        ("q = neg_lam / r ** b2", "ax = s * x + mu * (q * x)", "ay = s * y + mu * (q * y)"),
+    ),
+    "axis_poly": _Family(
+        {"cx": 0.0, "px": 3, "cy": 0.0, "py": 3},
+        {"cx": "cx", "px": "px", "cy": "cy", "py": "py"},
+        ("ax = s * x + mu * (cx * x**px)", "ay = s * y + mu * (cy * y**py)"),
+    ),
 }
+
+
+def _derived(kind: str) -> dict:
+    """The constants the force of `kind` reads, in `ForceField._force_constants`
+    order, each an expression in kappa, alpha and the family's constants."""
+    return {**_BASE_CONSTANTS, **_FAMILIES[kind].constants}
+
+
+def _force_lines(kind: str, x="x", y="y", r="r", ax="ax", ay="ay") -> list:
+    """The statements of the force of `kind`, base law first, with the names
+    x, y, r, ax and ay replaced by the given ones; r must hold hypot(x, y)."""
+    names = {"x": x, "y": y, "r": r, "ax": ax, "ay": ay}
+    lines = (_BASE_FORCE, *_FAMILIES[kind].force)
+    return [re.sub(r"\b(?:x|y|r|ax|ay)\b", lambda m: names[m[0]], line) for line in lines]
+
+
+def _generated(source: str, filename: str) -> dict:
+    """The namespace of generated source, executed once. Its text goes into
+    linecache (mtime None: `linecache.checkcache` keeps it), so tracebacks and
+    profiles show the generated lines."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"math": math, "__name__": __name__}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+@functools.cache
+def _binder(kind: str):
+    """bind(kappa, alpha, *family constants) -> (derived constants, force
+    closure (x, y, mu) -> (ax, ay)) for the family `kind`, compiled once per
+    process on first use."""
+    body = "\n        ".join(["r = hypot(x, y)", *_force_lines(kind)])
+    derived = _derived(kind)
+    source = f'''def bind({", ".join(["kappa", "alpha", *_FAMILIES[kind].defaults])}):
+    constants = ({", ".join(derived.values())},)
+    {", ".join(derived)}, = constants
+    hypot = math.hypot
+
+    def accel(x, y, mu):
+        {body}
+        return ax, ay
+
+    return constants, accel
+'''
+    return _generated(source, f"<symorbit.forcefield: the {kind} force>")["bind"]
 
 
 @dataclass(frozen=True)
@@ -164,7 +199,7 @@ class PerturbationSpec:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         object.__setattr__(self, "declared_symmetries", frozenset(map(Reflection, self.declared_symmetries)))
         object.__setattr__(self, "params", dict(self.params))
-        defaults, _ = _FAMILIES[self.kind]
+        defaults = _FAMILIES[self.kind].defaults
         for key, value in self.params.items():
             if key not in defaults:
                 raise ValueError(f"{self.kind} has no constant {key!r}; its constants are {list(defaults)}")
@@ -219,13 +254,16 @@ class ForceField:
 
     The annulus must exclude the origin and mu_range is the half-width a of
     the symmetric parameter interval (-a, a). The force closure of the
-    perturbation's family is built once, here, with this field's constants.
+    perturbation's family is built once, here, with this field's derived
+    constants (-kappa, alpha + 2 and the family's), which `_force_constants`
+    keeps for the family's step kernel.
     """
 
     base: PowerLawParams
     perturbation: PerturbationSpec = field(default_factory=zero_perturbation)
     mu_range: float = 0.5
     annulus: tuple[float, float] = (0.5, 2.0)
+    _force_constants: tuple = field(init=False, repr=False, compare=False)
     _kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -234,8 +272,9 @@ class ForceField:
             raise ValueError(f"annulus must satisfy 0 < r_in < r_out, got {self.annulus}")
         if not self.mu_range > 0:
             raise ValueError("mu_range half-width must be positive")
-        _, build = _FAMILIES[self.perturbation.kind]
-        kernel = build(-self.base.kappa, self.base.alpha + 2.0, *self.perturbation._constants)
+        bind = _binder(self.perturbation.kind)
+        constants, kernel = bind(self.base.kappa, self.base.alpha, *self.perturbation._constants)
+        object.__setattr__(self, "_force_constants", constants)
         object.__setattr__(self, "_kernel", kernel)
 
     def __reduce__(self):
@@ -252,8 +291,9 @@ class ForceField:
 
     def acceleration(self, x: float, y: float, mu: float) -> tuple[float, float]:
         """The force at (x, y) and mu, without an annulus check: the field's one
-        closure, built at construction. Every force evaluation of the package,
-        each integrator stage included, comes through here."""
+        closure, built at construction. The integrator's step kernels evaluate
+        the same force text inline, bit for bit alike, and do not call this;
+        every other force evaluation of the package does."""
         return self._kernel(x, y, mu)
 
 

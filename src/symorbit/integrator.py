@@ -17,9 +17,14 @@ true: terminal event location (II.6). It changes no step before that one.
 Only this module knows the tableau, the step record, the dense-output matrix
 P and, from P's shape, the stage count and the interpolant's degree. The step
 loop runs on plain floats and calls no numpy, with the tableau products
-unrolled. Neither it nor `_normal_coefficients` is written by hand: both are
-generated from `_A`, `_E3`, `_E5` and `_P` at import, and `_SOURCE` holds the
-text. A trial step evaluates the 12 stages and the error norm; only an
+unrolled. Neither the step nor `_normal_coefficients` is written by hand.
+There is one step kernel per force family, generated from `_A`, `_E3`, `_E5`
+and the family's force text (`forcefield._FAMILIES`) and compiled on first
+use (`_step_source`, `_step_kernel`): each stage's force is written out
+inline, on the stage radius that the origin guard reads too, so a step makes
+no force call. `_normal_coefficients` is generated from `_P` at import. The
+generated text is in linecache, so tracebacks and profiles show its lines.
+A trial step evaluates the 12 stages and the error norm; only an
 accepted one goes on to the FSAL stage f(t + h, y_new) and the three extra
 stages of the dense output. No stage is guarded on its own: one rule, applied
 after stage 11 and to the dense stages, halves h for a raising force, a
@@ -56,7 +61,7 @@ even when both nodes are inside.
 
 from __future__ import annotations
 
-import linecache
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainExit, StepFailure
-from .forcefield import ForceField
+from .forcefield import ForceField, _derived, _force_lines, _generated
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.5 and II.6):
 # twelve stages for the eighth-order solution, whose derivative is stage 12
@@ -543,64 +548,74 @@ def _turning_exit(step, g_left, r_right, g_right, r_in, r_out):
     return (t, s) if _outside(s, r_in, r_out) else None
 
 
-def _kernel_source() -> str:
-    """Source of `_dop853_step` and `_normal_coefficients`, written from `_A`,
-    `_E3`, `_E5` and `_P`. Each tableau product is unrolled on floats as
-    `a * u`, the coefficient a literal, summed left to right over the nonzero
-    columns of its row; each normal coefficient sums `p_s * P[s, j]` over the
-    stages s of P's nonzero rows, zero entries included."""
+def _dot(row, prefix: str) -> str:
+    """The tableau row's product with the stage variables `prefix`0, 1, ...:
+    `a * u` over its nonzero columns, left to right, the coefficient a literal."""
+    # Python floats: repr of a numpy scalar reads np.float64(...) under numpy 2
+    return " + ".join(f"{a!r} * {prefix}{j}" for j, a in enumerate(row.tolist()) if a != 0.0)
 
-    def dot(row, prefix: str) -> str:
-        # repr of a Python float: a numpy scalar's reads np.float64(...) under numpy 2
-        return " + ".join(f"{float(a)!r} * {prefix}{j}" for j, a in enumerate(row) if a != 0.0)
+
+def _step_source(kind: str) -> str:
+    """Source of the DOP853 step of the force family `kind`, written from `_A`,
+    `_E3`, `_E5` and the family's force text (`forcefield._force_lines`). Each
+    tableau product is unrolled on floats by `_dot`; each stage i's position
+    is followed by its radius r{i} = hypot(x{i}, y{i}) and the family's force
+    written out on it, which no call separates from the step. Stage 12's
+    position is the solution (xn, yn), its radius rn."""
+
+    def position(i: int) -> tuple:
+        return ("xn", "yn", "rn") if i == 12 else (f"x{i}", f"y{i}", f"r{i}")
 
     def stage(i: int) -> list:
-        # Stage i's state from the stages before it and, but for stage 12
-        # (the FSAL stage, evaluated only for an accepted step), its force.
-        x, y = ("xn", "yn") if i == 12 else (f"x{i}", f"y{i}")
+        # Stage i's state from the stages before it and its position's radius.
+        x, y, r = position(i)
         row = _A[i]
-        lines = [f"{x} = x + h * ({dot(row, 'u')})", f"{y} = y + h * ({dot(row, 'w')})"]
-        lines += [f"u{i} = u0 + h * ({dot(row, 'gx')})", f"w{i} = w0 + h * ({dot(row, 'gy')})"]
-        return lines if i == 12 else lines + [f"gx{i}, gy{i} = accel({x}, {y}, mu)"]
+        return [
+            f"{x} = x + h * ({_dot(row, 'u')})",
+            f"{y} = y + h * ({_dot(row, 'w')})",
+            f"u{i} = u0 + h * ({_dot(row, 'gx')})",
+            f"w{i} = w0 + h * ({_dot(row, 'gy')})",
+            f"{r} = hypot({x}, {y})",
+        ]
+
+    def force(i: int) -> list:
+        return _force_lines(kind, *position(i), f"gx{i}", f"gy{i}")
 
     indent = "\n        "
-    trial, solution, dense = (
-        indent.join(line for i in r for line in stage(i)) for r in (range(1, 12), [12], range(13, 16))
+    trial, dense = (
+        indent.join(line for i in r for line in stage(i) + force(i)) for r in (range(1, 12), range(13, 16))
     )
     errors = indent.join(
-        f"e{k}{c} = ({dot(e, p)}) / s{c}" for k, e in ((5, _E5), (3, _E3)) for c, p in zip("xyuw", ("u", "w", "gx", "gy"))
+        f"e{k}{c} = ({_dot(e, p)}) / s{c}" for k, e in ((5, _E5), (3, _E3)) for c, p in zip("xyuw", ("u", "w", "gx", "gy"))
     )
-    hypots = ", ".join([f"hypot(x{i}, y{i})" for i in range(1, 12)] + ["hypot(xn, yn)"])
+    radii = ", ".join([f"r{i}" for i in range(1, 12)] + ["rn"])
     stages = ", ".join(f"u{s}, w{s}, gx{s}, gy{s}" for s in range(_STAGES))
-    rows = [s for s in range(_STAGES) if _P[s].any()]
-    projections = "\n    ".join(f"p{s} = n0 * k[{4 * s}] + n1 * k[{4 * s + 1}]" for s in rows)
-    coefficients = "".join(
-        indent + "h * (" + " + ".join(f"p{s} * {float(_P[s, j])!r}" for s in rows) + ")," for j in range(_DEGREE)
-    )
-    return f'''def _dop853_step(accel, mu, h, state, force, rtol, atol):
-    """One trial step of DOP853 on floats.
+    return f'''def _dop853_step_{kind}(constants, mu, h, state, force, rtol, atol):
+    """One trial step of DOP853 on floats, with the {kind} force.
 
-    state is (x, y, vx, vy) and force the acceleration there, the first stage
-    (FSAL). The trial makes one decision: it returns None, and the caller
-    halves h, when a force evaluation raises ZeroDivisionError or
-    OverflowError (as Python's float ** does), or when after stage 11 the
-    error norm or the new state is not finite or a stage position or the new
-    position lies within 1e-12 of the origin. A non-finite stage reaches the
-    norm through the stages after it, so no stage is checked on its own. A
-    trial whose finite norm is above 1 stops there with 11 force evaluations
-    and returns (error norm, None, None). An accepted one goes on to the FSAL
-    stage f(t + h, new state) and the dense output's three extra stages,
-    returns None if a force of those is not finite or one of them lies within
-    1e-12 of the origin, and otherwise (error norm, new state, stages): the 16
-    stage derivatives (vx, vy, ax, ay) one after another in one flat tuple.
+    constants are the field's derived force constants, state is (x, y, vx,
+    vy) and force the acceleration there, the first stage (FSAL). The trial
+    makes one decision: it returns None, and the caller halves h, when a
+    force evaluation raises ZeroDivisionError or OverflowError (as Python's
+    float ** does), or when after stage 11 the error norm or the new state is
+    not finite or a stage position or the new position lies within 1e-12 of
+    the origin. A non-finite stage reaches the norm through the stages after
+    it, so no stage is checked on its own. A trial whose finite norm is above
+    1 stops there with 11 force evaluations and returns (error norm, None,
+    None). An accepted one goes on to the FSAL stage f(t + h, new state) and
+    the dense output's three extra stages, returns None if a force of those is
+    not finite or one of them lies within 1e-12 of the origin, and otherwise
+    (error norm, new state, stages): the 16 stage derivatives (vx, vy, ax, ay)
+    one after another in one flat tuple.
     """
     hypot, isfinite = math.hypot, math.isfinite
+    {", ".join(_derived(kind))}, = constants
     x, y, u0, w0 = state
     gx0, gy0 = force
     try:
         {trial}
         # Eighth-order solution; stage 12 is its derivative.
-        {solution}
+        {indent.join(stage(12))}
 
         # Error norm of the 5th- and 3rd-order estimators, scaled per component.
         sx = atol + rtol * max(abs(x), abs(xn))
@@ -611,24 +626,34 @@ def _kernel_source() -> str:
         n5 = e5x * e5x + e5y * e5y + e5u * e5u + e5w * e5w
         n3 = e3x * e3x + e3y * e3y + e3u * e3u + e3w * e3w
         err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
-        r_min = min({hypots})
+        r_min = min({radii})
         if not (isfinite(err + xn + yn + u12 + w12) and r_min >= 1e-12):  # a sum is finite only if every term is
             return None
         if err > 1.0:
             return err, None, None
 
         # Accepted: the FSAL stage and the dense output's three extra stages.
-        gx12, gy12 = accel(xn, yn, mu)
+        {indent.join(force(12))}
         {dense}
     except (ZeroDivisionError, OverflowError):  # raised by float ** in the force
         return None
     forces = gx12 + gy12 + gx13 + gy13 + gx14 + gy14 + gx15 + gy15  # finite only if every term is
-    if not (isfinite(forces) and min(hypot(x13, y13), hypot(x14, y14), hypot(x15, y15)) >= 1e-12):
+    if not (isfinite(forces) and min(r13, r14, r15) >= 1e-12):
         return None
     return err, (xn, yn, u12, w12), ({stages})
+'''
 
 
-def _normal_coefficients(step, n0, n1):
+def _normal_source() -> str:
+    """Source of `_normal_coefficients`, written from `_P`: each coefficient
+    sums `p_s * P[s, j]` over the stages s of P's nonzero rows, zero entries
+    included."""
+    rows = [s for s in range(_STAGES) if _P[s].any()]
+    projections = "\n    ".join(f"p{s} = n0 * k[{4 * s}] + n1 * k[{4 * s + 1}]" for s in rows)
+    coefficients = "".join(
+        "\n        h * (" + " + ".join(f"p{s} * {float(_P[s, j])!r}" for s in rows) + ")," for j in range(_DEGREE)
+    )
+    return f'''def _normal_coefficients(step, n0, n1):
     """c1, ..., cD of g(theta) = n0 x + n1 y = g(0) + c1 theta + ... + cD
     theta^D on one step: h times the stage velocities projected on (n0, n1)
     dotted with the columns of P, on floats."""
@@ -639,15 +664,18 @@ def _normal_coefficients(step, n0, n1):
 '''
 
 
-# The kernels are compiled once, at import. Their text stays in `_SOURCE` and
-# in linecache (mtime None: `linecache.checkcache` keeps it), so tracebacks
-# and profiles show the generated lines.
-_SOURCE = _kernel_source()
-_SOURCE_FILE = "<symorbit.integrator: DOP853 kernels generated from the tableau>"
-linecache.cache[_SOURCE_FILE] = (len(_SOURCE), None, _SOURCE.splitlines(True), _SOURCE_FILE)
-_kernels = {"math": math, "__name__": __name__}
-exec(compile(_SOURCE, _SOURCE_FILE, "exec"), _kernels)
-_dop853_step, _normal_coefficients = _kernels["_dop853_step"], _kernels["_normal_coefficients"]
+_normal_coefficients = _generated(_normal_source(), "<symorbit.integrator: section-normal coefficients from P>")[
+    "_normal_coefficients"
+]
+
+
+@functools.cache
+def _step_kernel(kind: str):
+    """The DOP853 step of the force family `kind` (`_step_source`), compiled
+    once per process on first use: a process that integrates one family pays
+    for one compilation."""
+    filename = f"<symorbit.integrator: DOP853 step with the {kind} force>"
+    return _generated(_step_source(kind), filename)[f"_dop853_step_{kind}"]
 
 
 def flow(
@@ -666,8 +694,9 @@ def flow(
     (with partial trajectory) when the orbit leaves the annulus, and
     StepFailure after _MAX_TRIALS trials, when the step size underflows, or
     when the force at the launch or at the starting-step probe raises
-    ZeroDivisionError or OverflowError. A trial that `_dop853_step` rejects by
-    its one rule halves h; a finite error norm above 1 shrinks h by the
+    ZeroDivisionError or OverflowError. Each trial is one call of the step
+    kernel of the field's force family (`_step_kernel`); a trial it rejects by
+    its one rule halves h, and a finite error norm above 1 shrinks h by the
     controller.
 
     `stop(step, y_right)`, when given, is called with the record (t_left, h,
@@ -685,6 +714,7 @@ def flow(
 
     r_in, r_out = field.annulus
     accel = field.acceleration
+    step_kernel, constants = _step_kernel(field.perturbation.kind), field._force_constants
     rtol, atol = _RTOL, _ATOL
 
     state = (float(x[0]), float(x[1]), float(v[0]), float(v[1]))
@@ -710,7 +740,7 @@ def flow(
             raise StepFailure(f"step budget _MAX_TRIALS = {_MAX_TRIALS} trials spent at t={t} of {t_end}")
         trials += 1
 
-        trial = _dop853_step(accel, mu, h, state, force, rtol, atol)
+        trial = step_kernel(constants, mu, h, state, force, rtol, atol)
         if trial is None:
             h *= 0.5
             continue

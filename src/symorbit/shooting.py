@@ -114,8 +114,17 @@ class ShootingSolution:
     crossing: CrossingEvent
 
 
+def _check_mu(problem: ShootingProblem, mu: float) -> None:
+    """ValueError naming mu unless it lies in the field's open range (-a, a)."""
+    a = problem.field.mu_range
+    if not -a < mu < a:  # false for NaN too
+        raise ValueError(f"mu={mu} outside the field's open mu range (-{a}, {a})")
+
+
 def miss(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
-    """Miss value for launch speed multiplier sigma at parameter mu."""
+    """Miss value for launch speed multiplier sigma at parameter mu, which must
+    lie in the field's open mu range."""
+    _check_mu(problem, mu)
     if not (1.0 - problem.delta) < sigma < (1.0 + problem.delta):
         raise ValueError(f"sigma={sigma} outside (1-delta, 1+delta)")
     t_star, event, traj = crossing_time(
@@ -144,7 +153,10 @@ def bracket(problem: ShootingProblem, mu: float) -> Bracket:
     full width is the operational definition of mu exceeding the usable
     perturbation range, so every evaluation error but StepFailure (the
     integrator's fault) moves on to the next width, the last one the `cause`.
+    A mu outside the field's mu range is no such failure: its ValueError
+    passes through.
     """
+    _check_mu(problem, mu)
     last_cause = None
     for w in (0.5 * problem.eta, problem.eta):
         lo, hi = 1.0 - w, 1.0 + w

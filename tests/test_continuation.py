@@ -87,6 +87,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(quarter_problem_radial, [0.0, -0.5])  # mu_range is the open (-0.5, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_value_is_named(self, quarter_problem_radial, bad):
+        # NaN used to be reported as a grid that changes sign.
+        with pytest.raises(ValueError, match=rf"mu grid holds a non-finite value: \[{bad}\]"):
+            sweep(quarter_problem_radial, [0.0, bad])
+
     def test_repeated_grid_value(self, quarter_problem_radial):
         curve = sweep(quarter_problem_radial, [0.0, 0.005, 0.005, 0.01])
         assert curve.failure is None
@@ -431,6 +437,60 @@ class TestZeroSetScan:
     def test_rejects_trivial_grids(self, quarter_problem_radial):
         with pytest.raises(ValueError):
             zero_set_scan(quarter_problem_radial, [1.0], [0.0])
+
+    @pytest.mark.parametrize("mu", [0.6, math.nan])
+    def test_mu_outside_the_field_range_is_named(self, quarter_problem_radial, mu):
+        # Raised by the first miss at mu, where it used to be a failed cell
+        # and then a BoundaryHypothesisFailure.
+        with pytest.raises(ValueError, match=rf"mu={mu} outside the field's open mu range \(-0.5, 0.5\)"):
+            zero_set_scan(quarter_problem_radial, np.linspace(0.9, 1.1, 5), [0.0, mu, 5.0])
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_benchmark_grid_is_one_band(self, quarter_problem_radial, seed):
+        # The 41 x 21 sign-scan grid at seed 0 and shifted by a sub-cell
+        # offset as at seed 3: one zero curve, one band.
+        sigmas, mus = np.linspace(0.9, 1.1, 41), np.linspace(0.0, 0.05, 21)
+        if seed:
+            rng = np.random.default_rng(seed)
+            sigmas = sigmas + float(rng.uniform(0.0, 1.0)) * (sigmas[1] - sigmas[0])
+            mus = mus + float(rng.uniform(0.0, 1.0)) * (mus[1] - mus[0])
+        scan = zero_set_scan(quarter_problem_radial, sigmas, mus)
+        assert scan.row_complete and scan.component_count() == 1
+
+
+def _curve_signs(rows: int, curves) -> np.ndarray:
+    """Signs alternating from -1 across each curve, a curve being its row per
+    mu column: the sign flips between that row and the one above."""
+    signs = -np.ones((rows, len(curves[0])), dtype=int)
+    for curve in curves:
+        for j, i in enumerate(curve):
+            signs[i + 1 :, j] *= -1
+    return signs
+
+
+class TestBands:
+    def test_curve_climbing_two_rows_per_column_is_one_band(self):
+        # 8-neighbourhood components of the change cells split this in five.
+        change_cells, bands = continuation._bands(_curve_signs(12, [[0, 2, 4, 6, 8]]))
+        assert change_cells == [(0, 0), (2, 1), (4, 2), (6, 3), (8, 4)]
+        assert bands == [change_cells]
+
+    def test_two_curves_are_two_bands(self):
+        _, bands = continuation._bands(_curve_signs(12, [[1, 2, 3, 4], [6, 6, 7, 9]]))
+        assert bands == [[(1, 0), (2, 1), (3, 2), (4, 3)], [(6, 0), (6, 1), (7, 2), (9, 3)]]
+
+    def test_parallel_curves_a_row_apart_are_two_bands(self):
+        # 8-neighbourhood components of the change cells join these in one.
+        _, bands = continuation._bands(_curve_signs(8, [[2, 2, 2, 2], [3, 3, 3, 3]]))
+        assert bands == [[(2, 0), (2, 1), (2, 2), (2, 3)], [(3, 0), (3, 1), (3, 2), (3, 3)]]
+
+    def test_steep_curve_through_the_scan(self, quarter_problem_radial, monkeypatch):
+        # sigma*(mu) = 1 + 10 mu climbs 2 rows of 0.01 per mu column of 0.002.
+        miss, _ = stub_miss(value=lambda sigma, mu: sigma - (1.0 + 10.0 * mu))
+        monkeypatch.setattr(continuation, "miss", miss)
+        scan = zero_set_scan(quarter_problem_radial, np.linspace(0.955, 1.105, 16), np.linspace(0.0, 0.01, 6))
+        assert scan.row_complete and scan.component_count() == 1
+        assert [i for i, _ in scan.change_cells] == [4, 6, 8, 10, 12, 14]
 
 
 SCAN_SIGMAS = np.linspace(0.91, 1.11, 5)  # no sigma on sqrt(1 + mu)

@@ -5,8 +5,6 @@ import os
 import subprocess
 import sys
 import traceback
-from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from symorbit import (
     DomainExit,
     ForceField,
+    PerturbationSpec,
     PowerLawParams,
     SectionSpec,
     State,
@@ -28,7 +27,7 @@ from symorbit import (
     flow,
     zero_set_scan,
 )
-from symorbit import integrator, section, serialize
+from symorbit import forcefield, integrator, section, serialize
 from symorbit.integrator import (
     _A,
     _B,
@@ -517,30 +516,44 @@ def _reference_flow(field, mu, x, v, t_end, rtol=integrator._RTOL, atol=integrat
     return Trajectory(dense, t, y), halvings
 
 
-@dataclass(frozen=True)
-class _WalledField(ForceField):
-    """Kepler field whose force is NaN beyond radius `wall`; counts the hits."""
-
-    wall: float = 1.5
-    hits: list = dataclass_field(default_factory=list, compare=False)
-
-    def acceleration(self, x, y, mu):
-        if math.hypot(x, y) > self.wall:
-            self.hits.append((x, y))
-            return math.nan, math.nan
-        return super().acceleration(x, y, mu)
+# Test-only force families: the Kepler force inside radius `wall` and, past
+# it, NaN or a float ** that overflows (r > 1 raised to 1e6). Registered in
+# `forcefield._FAMILIES` for one test, so both `ForceField.acceleration` and
+# the family's step kernel evaluate the wall.
+_WALLS = {
+    "nan_wall": "math.nan",
+    "overflow_wall": "r ** 1e6",
+}
 
 
-@dataclass(frozen=True)
-class _RaisingWalledField(_WalledField):
-    """_WalledField whose force raises OverflowError beyond the wall, as
-    Python's float ** does where its result overflows."""
+@pytest.fixture
+def walled_field(monkeypatch, kepler_params):
+    def build(kind, wall):
+        past = _WALLS[kind]
+        force = tuple(f"a{c} = s * {c} + mu * 0.0 if r <= wall else {past}" for c in "xy")
+        monkeypatch.setitem(forcefield._FAMILIES, kind, forcefield._Family({"wall": 1.5}, {"wall": "wall"}, force))
+        return ForceField(base=kepler_params, perturbation=PerturbationSpec(kind, {"wall": wall}))
 
-    def acceleration(self, x, y, mu):
-        if math.hypot(x, y) > self.wall:
-            self.hits.append((x, y))
-            raise OverflowError("past the wall")
-        return ForceField.acceleration(self, x, y, mu)
+    return build
+
+
+@pytest.fixture
+def trials(monkeypatch):
+    """The result of every trial step flow takes, recorded by wrapping the
+    step kernel that flow fetches for its field's family."""
+    results, step_kernel = [], integrator._step_kernel
+
+    def recorded_kernel(kind):
+        step = step_kernel(kind)
+
+        def recorded(*args):
+            results.append(step(*args))
+            return results[-1]
+
+        return recorded
+
+    monkeypatch.setattr(integrator, "_step_kernel", recorded_kernel)
+    return results
 
 
 def _assert_dense_agreement(traj, ref, t_end):
@@ -581,7 +594,7 @@ class TestFloatStepLoopMatchesReference:
         _assert_dense_agreement(got.trajectory, ref.trajectory, ref.t_exit)
 
     @pytest.mark.parametrize("first_step", [2.2, 4.0])
-    def test_bad_stage_halving(self, kepler_params, first_step, monkeypatch, set_tolerance):
+    def test_bad_stage_halving(self, walled_field, trials, first_step, monkeypatch, set_tolerance):
         # Oversized first steps on the unit circle throw trial stages past a
         # NaN wall that the orbit itself never reaches. With 2.2, stage 11
         # lands at r = 1.013, past a wall at 1.01. With 4.0 and tolerances so
@@ -591,26 +604,25 @@ class TestFloatStepLoopMatchesReference:
         wall, tol = {2.2: (1.01, 1e-12), 4.0: (2.4, 1e6)}[first_step]
         set_tolerance(tol)
         monkeypatch.setattr(integrator, "_initial_step", lambda *args: first_step)
-        walled = _WalledField(base=kepler_params, wall=wall)
+        walled = walled_field("nan_wall", wall)
         ref, halvings = _reference_flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi, tol, tol, first_step)
         assert halvings > 0
-        walled.hits.clear()
         traj = flow(walled, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)
-        assert walled.hits
+        assert None in trials  # a trial the wall halved
         _assert_dense_agreement(traj, ref, 2 * math.pi)
 
     @pytest.mark.parametrize("first_step", [2.2, 4.0])
-    def test_raising_force_halves_as_a_nan_force(self, kepler_params, first_step, monkeypatch, set_tolerance):
+    def test_raising_force_halves_as_a_nan_force(self, walled_field, trials, first_step, monkeypatch, set_tolerance):
         # test_bad_stage_halving's trials, with a wall that raises instead of
         # returning NaN: the trial is rejected by the same rule, so the step
         # sequence is the same bit for bit.
         wall, tol = {2.2: (1.01, 1e-12), 4.0: (2.4, 1e6)}[first_step]
         set_tolerance(tol)
         monkeypatch.setattr(integrator, "_initial_step", lambda *args: first_step)
-        nan_wall = flow(_WalledField(base=kepler_params, wall=wall), 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)
-        raising = _RaisingWalledField(base=kepler_params, wall=wall)
-        traj = flow(raising, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)
-        assert raising.hits
+        nan_wall = flow(walled_field("nan_wall", wall), 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)
+        trials.clear()
+        traj = flow(walled_field("overflow_wall", wall), 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)
+        assert None in trials  # a trial the wall halved
         assert np.array_equal(traj.ts, nan_wall.ts)
         assert np.array_equal(traj.ys, nan_wall.ys)
 
@@ -628,6 +640,18 @@ class TestFloatStepLoopMatchesReference:
         ref, got = ref_err.value.trajectory.ts, err.value.trajectory.ts
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) < 1e-6
+
+
+def _products(expr, text, literal_first=True):
+    """The (literal, name) products in expr, in source order, each literal
+    read back from its text."""
+    found = []
+    for node in ast.walk(expr):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            literal, name = (node.left, node.right) if literal_first else (node.right, node.left)
+            if isinstance(name, ast.Name) and isinstance(literal, (ast.Constant, ast.UnaryOp)):
+                found.append((node.lineno, node.col_offset, float(ast.get_source_segment(text, literal)), name.id))
+    return [(value, name) for _, _, value, name in sorted(found)]
 
 
 class TestTableau:
@@ -680,11 +704,30 @@ class TestTableau:
 
 
     def test_generated_kernels_state_each_entry_once(self):
-        # The products of `_SOURCE` read back as (coefficient, stage variable)
-        # in source order: each nonzero entry of A's rows 1-15, E5 and E3 once
-        # per state component, and every column of P's nonzero rows once per
-        # power of theta, each literal reading back as its table entry.
-        source = integrator._SOURCE
+        # The products of each family's step source read back as
+        # (coefficient, stage variable) in source order: each nonzero entry
+        # of A's rows 1-15, E5 and E3 once per state component. Each stage's
+        # force is the family's force text written out once on that stage's
+        # position and radius, 11 stages before the `err > 1.0` return and 4
+        # after it, and the step calls nothing but builtins and math. The
+        # section-normal coefficients take every column of P's nonzero rows
+        # once per power of theta, each literal reading back as its table
+        # entry.
+        assert not hasattr(integrator, "_dop853_step")
+        for kind in forcefield._FAMILIES:
+            self._check_step_source(kind)
+        normal_source = integrator._normal_source()
+        (normal,) = ast.parse(normal_source).body
+        (returned,) = [node.value for node in ast.walk(normal) if isinstance(node, ast.Return)]
+        rows = [s for s in range(16) if _P[s].any()]
+        assert rows == [0, *range(5, 16)]
+        assert len(returned.elts) == _P.shape[1]
+        for j, coefficient in enumerate(returned.elts):
+            assert _products(coefficient, normal_source, literal_first=False) == [(_P[s, j], f"p{s}") for s in rows], j
+
+    @staticmethod
+    def _check_step_source(kind):
+        source = integrator._step_source(kind)
         assert "np." not in source
         tree = ast.parse(source)
         assigned = {
@@ -695,16 +738,6 @@ class TestTableau:
             if isinstance(target, ast.Name)
         }
 
-        def products(expr, literal_first=True):
-            found = []
-            for node in ast.walk(expr):
-                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-                    literal, name = (node.left, node.right) if literal_first else (node.right, node.left)
-                    if isinstance(name, ast.Name) and isinstance(literal, (ast.Constant, ast.UnaryOp)):
-                        text = ast.get_source_segment(source, literal)
-                        found.append((node.lineno, node.col_offset, float(text), name.id))
-            return [(value, name) for _, _, value, name in sorted(found)]
-
         def entries(row, prefix):
             return [(float(a), f"{prefix}{j}") for j, a in enumerate(row.tolist()) if a != 0.0]
 
@@ -712,36 +745,96 @@ class TestTableau:
         for i in range(1, 16):
             targets = ("xn", "yn") if i == 12 else (f"x{i}", f"y{i}")
             for target, prefix in zip((*targets, f"u{i}", f"w{i}"), components):
-                assert products(assigned[target]) == entries(_A[i], prefix), target
+                assert _products(assigned[target], source) == entries(_A[i], prefix), (kind, target)
         for k, e in ((5, _E5), (3, _E3)):
             for c, prefix in zip("xyuw", components):
-                assert products(assigned[f"e{k}{c}"]) == entries(e, prefix), f"e{k}{c}"
+                assert _products(assigned[f"e{k}{c}"], source) == entries(e, prefix), (kind, f"e{k}{c}")
 
-        (normal,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_normal_coefficients"]
-        (returned,) = [node.value for node in ast.walk(normal) if isinstance(node, ast.Return)]
-        rows = [s for s in range(16) if _P[s].any()]
-        assert rows == [0, *range(5, 16)]
-        assert len(returned.elts) == _P.shape[1]
-        for j, coefficient in enumerate(returned.elts):
-            assert products(coefficient, literal_first=False) == [(_P[s, j], f"p{s}") for s in rows], j
+        lines = [line.strip() for line in source.splitlines()]
+        split = lines.index("if err > 1.0:")
+        for i in range(1, 16):
+            x, y, r = ("xn", "yn", "rn") if i == 12 else (f"x{i}", f"y{i}", f"r{i}")
+            assert lines.count(f"{r} = hypot({x}, {y})") == 1
+            force = forcefield._force_lines(kind, x, y, r, f"gx{i}", f"gy{i}")
+            at = [n for n in range(len(lines)) if lines[n : n + len(force)] == force]
+            assert len(at) == 1 and (at[0] < split) == (i < 12), (kind, i)
+            assert sum(line.startswith(f"gx{i} = ") for line in lines) == 1  # no other force for stage i
+        # The origin guard reads the stage radii the forces were evaluated on.
+        assert f"r_min = min({', '.join(f'r{i}' for i in range(1, 12))}, rn)" in lines
+        assert "if not (isfinite(forces) and min(r13, r14, r15) >= 1e-12):" in lines
+        called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert called == {"hypot", "isfinite", "abs", "max", "min", "math.sqrt"}
 
-    def test_generated_lines_show_in_tracebacks(self):
-        # A force raising in stage 3: after linecache.checkcache(), the step's
-        # frame shows that stage's line of `_SOURCE`.
-        calls = []
+    def test_generated_lines_show_in_tracebacks(self, kepler_radial_field):
+        # A mu whose products raise at the x component of stage 3, of the
+        # FSAL stage 12 or of the dense stage 13 (two products per stage):
+        # after linecache.checkcache(), the step's frame shows that stage's
+        # force line of the generated source.
+        step, constants = integrator._step_kernel("radial_power"), kepler_radial_field._force_constants
+        for stage in (3, 12, 13):
 
-        def accel(x, y, mu):
-            calls.append(None)
-            if len(calls) == 3:
-                raise RuntimeError("stage 3")
-            return -x, -y
+            class RaisingMu:
+                calls = 0
 
-        with pytest.raises(RuntimeError, match="stage 3") as info:
-            integrator._dop853_step(accel, 0.0, 0.1, (1.0, 0.0, 0.0, 1.0), (-1.0, 0.0), 1e-12, 1e-12)
-        linecache.checkcache()
-        frame = traceback.extract_tb(info.value.__traceback__)[-2]
-        assert (frame.filename, frame.name) == (integrator._SOURCE_FILE, "_dop853_step")
-        assert frame.line == "gx3, gy3 = accel(x3, y3, mu)"
+                def __mul__(self, other):
+                    self.calls += 1
+                    if self.calls == 2 * (stage - 1) + 1:
+                        raise RuntimeError(f"stage {stage}")
+                    return 0.0 * other
+
+            with pytest.raises(RuntimeError, match=f"stage {stage}") as info:
+                step(constants, RaisingMu(), 0.1, (1.0, 0.0, 0.0, 1.0), (-1.0, 0.0), 1e-6, 1e-6)
+            linecache.checkcache()
+            frame = traceback.extract_tb(info.value.__traceback__)[-2]
+            assert (frame.filename, frame.name) == (step.__code__.co_filename, "_dop853_step_radial_power")
+            x, y, r = ("xn", "yn", "rn") if stage == 12 else (f"x{stage}", f"y{stage}", f"r{stage}")
+            assert frame.line == forcefield._force_lines("radial_power", x, y, r, f"gx{stage}", f"gy{stage}")[-2]
+            assert frame.line == f"gx{stage} = s * {x} + mu * (q * {x})"
+
+
+class TestStepKernelForce:
+    """Each family's step kernel evaluates at every stage the force that
+    `ForceField.acceleration` gives at that stage's position, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(forcefield._FAMILIES)),
+        st.floats(0.5, 2.0),
+        st.floats(0.0, 4.0),
+        st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 4.0), st.floats(-2.0, 2.0), st.integers(0, 5)),
+        st.floats(0.0, 2 * math.pi),
+        st.floats(0.6, 1.8),
+        st.floats(-1.5, 1.5),
+        st.floats(-1.5, 1.5),
+        st.floats(1e-3, 0.3),
+        st.floats(-0.5, 0.5),
+    )
+    def test_stage_forces_equal_acceleration(self, kind, kappa, alpha, draws, angle, radius, vx, vy, h, mu):
+        lam, beta, c, p = draws
+        params = {
+            "zero": {},
+            "radial_power": {"lam": lam, "beta": beta},
+            "axis_poly": {"cx": c, "px": p, "cy": lam, "py": 3},
+        }
+        field = ForceField(base=PowerLawParams(kappa, alpha), perturbation=PerturbationSpec(kind, params[kind]))
+        x, y = radius * math.cos(angle), radius * math.sin(angle)
+        step = integrator._step_kernel(kind)
+        trial = step(field._force_constants, mu, h, (x, y, vx, vy), field.acceleration(x, y, mu), 1.0, 1.0)
+        assume(trial is not None and trial[1] is not None)
+        stages = trial[2]
+        u, w = stages[0::4], stages[1::4]
+        for i in range(1, 16):
+            # The stage position in the kernel's order: x + h * (a u_j + ...),
+            # summed left to right over the row's nonzero columns.
+            terms = [(a, j) for j, a in enumerate(_A[i].tolist()) if a != 0.0]
+            sx, sy = terms[0][0] * u[terms[0][1]], terms[0][0] * w[terms[0][1]]
+            for a, j in terms[1:]:
+                sx, sy = sx + a * u[j], sy + a * w[j]
+            xi, yi = x + h * sx, y + h * sy
+            if i == 12:
+                assert (xi, yi) == trial[1][:2]
+            gx, gy = field.acceleration(xi, yi, mu)
+            assert same_float(stages[4 * i + 2], gx) and same_float(stages[4 * i + 3], gy), i
 
 
 class TestRecordsBuiltWhenSampled:
@@ -963,28 +1056,24 @@ def test_starting_step_norm_sums_left_to_right():
 
 
 class TestForceEvaluationCount:
-    """Every force evaluation goes through the class attribute
-    ForceField.acceleration, where a patched counter sees it (as the
-    benchmark's tracer counts). A flow without halved trials makes 2 (the
-    launch force and the starting-step probe) + 15 per accepted trial + 11 per
-    trial the controller rejects."""
+    """A flow evaluates the force twice through ForceField.acceleration, where
+    a patched counter sees it (as the benchmark's tracer counts): the launch
+    force and the starting-step probe. Every other evaluation is written out
+    in its family's step kernel, 15 per accepted trial and 11 per trial the
+    controller rejects, counted from the trials of the wrapped kernel. A flow
+    without halved trials makes 2 + 15 per accepted trial + 11 per rejected
+    one."""
 
     @pytest.fixture
-    def counters(self, monkeypatch):
-        evals, trials = [0], []
-        accelerate, step = ForceField.acceleration, integrator._dop853_step
+    def counters(self, monkeypatch, trials):
+        calls, accelerate = [0], ForceField.acceleration
 
         def counted(field, x, y, mu):
-            evals[0] += 1
+            calls[0] += 1
             return accelerate(field, x, y, mu)
 
-        def recorded(*args):
-            trials.append(step(*args))
-            return trials[-1]
-
         monkeypatch.setattr(ForceField, "acceleration", counted)
-        monkeypatch.setattr(integrator, "_dop853_step", recorded)
-        return evals, trials
+        return calls, trials
 
     @staticmethod
     def _split(trials):
@@ -997,22 +1086,33 @@ class TestForceEvaluationCount:
         [("kepler_field", 0.0, 1.05), ("kepler_radial_field", 0.07, 1.1), ("half_field_a3", 0.005, 0.98)],
     )
     def test_one_flow(self, request, counters, field_fixture, mu, v):
-        evals, trials = counters
+        # Every force evaluation, inline or not, multiplies by mu twice: a mu
+        # that counts its products counts the evaluations.
+        products = [0]
+
+        class CountingMu(float):
+            def __mul__(self, other):
+                products[0] += 1
+                return float.__mul__(self, other)
+
+        calls, trials = counters
         field = request.getfixturevalue(field_fixture)
         try:
-            flow(field, mu, (1.0, 0.0), (0.0, v), 7.0)
+            flow(field, CountingMu(mu), (1.0, 0.0), (0.0, v), 7.0)
         except DomainExit:
             pass
         accepted, rejected = self._split(trials)
-        assert accepted > 0
-        assert evals[0] == 2 + 15 * accepted + 11 * rejected
+        assert accepted > 0 and calls[0] == 2
+        assert products[0] == 2 * (2 + 15 * accepted + 11 * rejected)
 
     def test_sign_scan_grid(self, counters, quarter_problem_radial):
         # The benchmark's seed-0 miss-sign grid: 861 flows, each stopped at its
-        # crossing, and the evaluation count its traced run pins.
-        evals, trials = counters
+        # crossing, and the evaluation count of its traced run before the
+        # stages were written into the step kernel.
+        calls, trials = counters
         scan = zero_set_scan(quarter_problem_radial, np.linspace(0.9, 1.1, 41), np.linspace(0.0, 0.05, 21))
         assert np.all(scan.signs != 0)
         accepted, rejected = self._split(trials)
         assert (accepted, rejected) == (11424, 511)
-        assert evals[0] == 861 * 2 + 15 * accepted + 11 * rejected == 178703
+        assert calls[0] == 861 * 2
+        assert calls[0] + 15 * accepted + 11 * rejected == 178703

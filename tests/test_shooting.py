@@ -101,6 +101,13 @@ class TestMissSigns:
         with pytest.raises(ValueError):
             miss(quarter_problem, 1.5, 0.0)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, 0.5, -0.5, 0.6])
+    def test_mu_outside_the_field_range_is_named(self, quarter_problem, mu):
+        # mu_range 0.5: the open interval (-0.5, 0.5). A NaN used to end in a
+        # step-size underflow and 0.6 in a miss value.
+        with pytest.raises(ValueError, match=rf"mu={mu} outside the field's open mu range \(-0.5, 0.5\)"):
+            miss(quarter_problem, 1.0, mu)
+
 
 class TestBracket:
     def test_kepler_default(self, quarter_problem):
@@ -197,6 +204,17 @@ def miss_sigmas(monkeypatch):
 
 
 class TestSolve:
+    @pytest.mark.parametrize("mu", [math.nan, 0.6])
+    def test_mu_outside_the_field_range_is_named(self, quarter_problem, mu):
+        # bracket lets the ValueError through: it is no BracketFailure.
+        with pytest.raises(ValueError, match=rf"mu={mu} outside the field's open mu range"):
+            solve(quarter_problem, mu)
+        with pytest.raises(ValueError, match=rf"mu={mu} outside the field's open mu range"):
+            bracket(quarter_problem, mu)
+        br = bracket(quarter_problem, 0.0)
+        with pytest.raises(ValueError, match=rf"mu={mu} outside the field's open mu range"):
+            solve(quarter_problem, mu, prebuilt=br)
+
     def test_kepler_circular_root(self, quarter_problem):
         sol = solve(quarter_problem, 0.0, tol=1e-10)
         assert abs(sol.sigma_star - 1.0) < 1e-9
