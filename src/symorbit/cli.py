@@ -11,6 +11,7 @@ line usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -548,7 +549,10 @@ def cmd_verify(config: RunConfig, as_json: bool) -> int:
     return EXIT_VALIDATION
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use; parsing
+    leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="symorbit",
         description="Symmetric periodic orbits of perturbed power-law fields by shooting.",
@@ -579,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed help (code 0) or a usage error (code 2, which
         # here would read as a bracketing failure).

@@ -9,10 +9,13 @@ Solving ODEs I, II.5 and II.6). The error tolerances are fixed, relative and
 absolute both 1e-12 (`_RTOL`, `_ATOL`); the first step comes from Hairer's
 starting heuristic and no step is capped. Leaving the validity annulus
 terminates the flow with a DomainExit carrying the refined exit time and
-state. An optional
-stop callback sees each accepted step's record and end state after the
-annulus check and ends the flow after the first step for which it returns
-true: terminal event location (II.6). It changes no step before that one.
+state. An optional stop callback sees each accepted step's record and end
+state after the annulus check and ends the flow after the first step for which
+it returns true: terminal event location (II.6). It changes no step before
+that one, so the trajectory it ends keeps the step controller's state there
+(`_Resume`), and a later flow from the same start, in the same field at the
+same mu, continues it past its end (`flow`'s prefix) instead of repeating its
+steps.
 
 Only this module knows the tableau, the step record, the dense-output matrix
 P and, from P's shape, the stage count and the interpolant's degree. The step
@@ -63,8 +66,10 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -326,6 +331,27 @@ class State:
     velocity: np.ndarray
 
 
+class _Resume(NamedTuple):
+    """The step controller of a flow that its stop callback ended, at the
+    flow's last node: what the loop of `flow` would carry into its next trial.
+
+    field and mu are the flow's; t, state, force and g are the last node's
+    time, state, force (the FSAL stage) and r dr/dt; h is the next trial's
+    step, the controller's update of the last accepted one; trials counts the
+    trials taken; h_first is the first trial's step, `_initial_step`'s.
+    """
+
+    field: ForceField
+    mu: float
+    t: float
+    state: tuple
+    force: tuple
+    g: float
+    h: float
+    trials: int
+    h_first: float
+
+
 class Trajectory:
     """Dense numerical solution on [0, t_end].
 
@@ -335,12 +361,17 @@ class Trajectory:
     other time, t_end included, is read from its step's interpolant (at t_end
     the last step's at theta 1, which may differ from the end node `ys[-1]`
     in the last bits), continuous across the whole span.
+
+    A trajectory that a stop callback ended, with no trial shortened to meet
+    the flow's t_end, keeps the flow's controller state (`_Resume`), so that
+    `flow` can continue it as a prefix.
     """
 
-    def __init__(self, steps: list, t_end: float, y_end):
+    def __init__(self, steps: list, t_end: float, y_end, resume: _Resume | None = None):
         self._dense = steps
         self.t_end = float(t_end)
         self._y_end = y_end
+        self._resume = resume
         self._stacked = None  # t_left, h, y_left and Q of every step as arrays, built by _arrays
 
     @cached_property
@@ -399,10 +430,13 @@ class Trajectory:
         return self.interpolate(self.t_end)
 
     def truncated(self, t_cut: float) -> "Trajectory":
-        """Restriction to [0, t_cut]; keeps the step that straddles t_cut."""
+        """Restriction to [0, t_cut]; keeps the step that straddles t_cut, and
+        the controller state only when it keeps every step."""
         if not 0.0 < t_cut <= self.t_end + 1e-15:
             raise ValueError(f"t_cut={t_cut} outside span (0, {self.t_end}]")
-        return Trajectory([d for d in self._dense if d[0] < t_cut], t_cut, self._eval(t_cut))
+        steps = [d for d in self._dense if d[0] < t_cut]
+        resume = self._resume if len(steps) == len(self._dense) else None
+        return Trajectory(steps, t_cut, self._eval(t_cut), resume)
 
 
 def _q_matrices(stage_rows) -> np.ndarray:
@@ -467,8 +501,9 @@ def _rms(values, scale) -> float:
     return math.sqrt(total / len(values))
 
 
-def _initial_step(accel, mu, y0, f0, t_end, rtol, atol):
+def _initial_step(accel, mu, y0, f0, rtol, atol):
     # Hairer-style starting-step heuristic; y0 and f0 are 4-tuples of floats.
+    # The span's end caps the result in flow's loop, as it caps every trial.
     scale = [atol + rtol * abs(c) for c in y0]
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
@@ -480,7 +515,7 @@ def _initial_step(accel, mu, y0, f0, t_end, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.125  # 1 / (error order 7 + 1)
-    return min(100 * h0, h1, t_end)
+    return min(100 * h0, h1)
 
 
 def _bisect(pred, a: float, b: float, tol: float = 0.0) -> tuple[float, float]:
@@ -678,6 +713,32 @@ def _step_kernel(kind: str):
     return _generated(_step_source(kind), filename)[f"_dop853_step_{kind}"]
 
 
+def _continuable(prefix, field, mu, state, t_end, min_step) -> _Resume | None:
+    """`prefix`'s controller state when the flow of `field` at mu from `state`
+    over [0, t_end] repeats the prefix's trials exactly, else None.
+
+    That is when the prefix kept its state (`Trajectory._resume`) and ran with
+    the same field object, the same mu and the same start state, bit for bit;
+    when t_end caps none of its trials; and when none of its steps is below
+    the new min_step. The trials at a node shrink until one is accepted: the
+    first is `_initial_step`'s h_first at t = 0 and at most `_MAX_FACTOR`
+    times the step before at any later node, so none reaches past t_end when
+    max(h_first, _MAX_FACTOR max h) <= t_end - t for the prefix's last node
+    t. The accepted one, the step, is the smallest, so no trial is below a
+    min_step that no step is below.
+    """
+    resume = None if prefix is None else prefix._resume
+    if resume is None or resume.field is not field:
+        return None
+    # Bits, not values: -0.0 is not 0.0, and a NaN is itself.
+    if struct.pack("<5d", resume.mu, *prefix._dense[0][2]) != struct.pack("<5d", mu, *state):
+        return None
+    hs = [step[1] for step in prefix._dense]
+    if not (max(resume.h_first, _MAX_FACTOR * max(hs)) <= t_end - resume.t and min(hs) >= min_step):
+        return None
+    return resume
+
+
 def flow(
     field: ForceField,
     mu: float,
@@ -685,6 +746,7 @@ def flow(
     v,
     t_end: float,
     stop=None,
+    prefix: Trajectory | None = None,
 ) -> Trajectory:
     """Integrate r'' = g(r, mu) from (x, v) over [0, t_end] at the module's
     tolerances `_RTOL` and `_ATOL`.
@@ -703,10 +765,22 @@ def flow(
     y_left, stages) and the end state (four floats) of every accepted step
     that stays in the annulus; the trajectory then ends after the first step
     for which it returns true. The step sequence up to there is the one
-    without `stop`.
+    without `stop`. Unless a trial was shortened to meet t_end, the returned
+    trajectory keeps the controller state there.
+
+    `prefix`, a trajectory that a stop callback ended, is continued instead
+    of integrated again when the flow from (x, v) would repeat its steps
+    (`_continuable`: the same field object, mu and start state, bit for bit,
+    and a t_end that caps none of its trials): the loop starts at the
+    prefix's last node with its controller state and its step records. The
+    result is the flow without `prefix`, bit for bit, as it is when the
+    prefix does not qualify and the flow starts at the launch. `stop` and
+    `prefix` are not taken together.
     """
     if not 0.0 < t_end < math.inf:  # false for NaN too
         raise ValueError(f"t_end must be a finite number > 0, got {t_end}")
+    if stop is not None and prefix is not None:
+        raise ValueError("flow takes a stop callback or a prefix, not both")
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if not field.contains(x[0], x[1]):
@@ -716,24 +790,31 @@ def flow(
     accel = field.acceleration
     step_kernel, constants = _step_kernel(field.perturbation.kind), field._force_constants
     rtol, atol = _RTOL, _ATOL
+    min_step = 1e-14 * max(t_end, 1.0)
 
     state = (float(x[0]), float(x[1]), float(v[0]), float(v[1]))
-    t = 0.0
-    try:
-        force = accel(state[0], state[1], mu)
-        h = _initial_step(accel, mu, state, (state[2], state[3], *force), t_end, rtol, atol)
-    except (ZeroDivisionError, OverflowError) as exc:  # float ** in the force: no first stage to halve towards
-        raise StepFailure(f"force evaluation at the launch raised {type(exc).__name__}: {exc}") from exc
-    min_step = 1e-14 * max(t_end, 1.0)
-    g_left = state[0] * state[2] + state[1] * state[3]  # r dr/dt at the step's left node
-
-    dense = []
-    trials = 0
+    resume = _continuable(prefix, field, mu, state, t_end, min_step)
+    if resume is None:
+        t = 0.0
+        try:
+            force = accel(state[0], state[1], mu)
+            h = _initial_step(accel, mu, state, (state[2], state[3], *force), rtol, atol)
+        except (ZeroDivisionError, OverflowError) as exc:  # float ** in the force: no first stage to halve towards
+            raise StepFailure(f"force evaluation at the launch raised {type(exc).__name__}: {exc}") from exc
+        g_left = state[0] * state[2] + state[1] * state[3]  # r dr/dt at the step's left node
+        dense = []
+        trials = 0
+        h_first = h
+    else:
+        _, _, t, state, force, g_left, h, trials, h_first = resume
+        dense = list(prefix._dense)
+    capped = False  # a trial was shortened to meet t_end
 
     while t < t_end:
         if t_end - t <= min_step:
             break  # remainder below time resolution: the span is covered
-        h = min(h, t_end - t)
+        if h > t_end - t:  # min(h, t_end - t), recording the cap
+            h, capped = t_end - t, True
         if not h >= min_step:  # a NaN step (non-finite launch force) never shrinks below it
             raise StepFailure(f"step size underflow at t={t} (h={h})")
         if trials == _MAX_TRIALS:
@@ -769,12 +850,13 @@ def flow(
                 state=State(t=t_exit, position=y_exit[:2], velocity=y_exit[2:]),
                 trajectory=Trajectory(dense, t_exit, y_exit),
             )
-        if stop is not None and stop(step, state_new):
-            return Trajectory(dense, t_next, state_new)
 
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(1.0, _SAFETY * err**-0.125))
         h *= factor
-        t, state, force, g_left = t_next, state_new, stages[50:52], g  # stage 12's force (FSAL)
+        force = stages[50:52]  # stage 12's force (FSAL)
+        if stop is not None and stop(step, state_new):
+            kept = None if capped else _Resume(field, mu, t_next, state_new, force, g, h, trials, h_first)
+            return Trajectory(dense, t_next, state_new, kept)
+        t, state, g_left = t_next, state_new, g
 
     return Trajectory(dense, t, state)
-

@@ -164,7 +164,7 @@ def _extend(segment: Trajectory, extension: _Extension, mu: float, n_samples: in
     v_scale = max(np.max(np.abs(ends[:, 2:])), 1e-30)
     scale = (r_scale, r_scale, v_scale, v_scale)
     bad = {
-        name: ends[end][i]
+        name: float(ends[end][i])  # plain floats: numpy 2 would print np.float64(...)
         for name, end, i in extension.vanishing
         if abs(ends[end][i]) > _ENDPOINT_RTOL * scale[i]
     }
@@ -209,6 +209,12 @@ def verify_closure(
     fixed tolerances and independently of the reflection construction, and
     read closure and symmetry off that one trajectory q.
 
+    q is the flow over the whole period from the orbit's own start. Its steps
+    before tau are the solve's, bit for bit, so `flow` continues the orbit's
+    segment past tau (`prefix`) instead of computing them again; a segment it
+    cannot continue (another field or mu, a start that differs in a bit, a
+    truncation that dropped a step) is integrated from the start.
+
     Returns the position and velocity mismatches between q(0) and q(T), and
     per declared reflection S the time-reversal residual max_k |S q(t_k) -
     q(c - t_k)| over the orbit's sample times t_k, on positions, with the
@@ -220,7 +226,7 @@ def verify_closure(
     sample count works.
     """
     s0 = orbit.initial_state()
-    traj = flow(field, mu, s0.position, s0.velocity, orbit.period)
+    traj = flow(field, mu, s0.position, s0.velocity, orbit.period, prefix=orbit.segment)
     s1 = traj.final_state()
     ts, period = orbit.times, orbit.period
     refls = sorted(orbit.symmetry, key=lambda r: r.value)
@@ -391,10 +397,16 @@ def axis_crossings(orbit: PeriodicOrbit, axis: str = "x") -> list[AxisCrossing]:
     # the period, so the launch point is reached at the end of the last interval.
     times, n = orbit.times, len(orbit.times) - 1
     vals = orbit.states[:-1, ci]
-    vals = np.where(np.abs(vals) < z_tol, 0.0, vals).tolist()
+    vals = np.where(np.abs(vals) < z_tol, 0.0, vals)
+    vals = np.append(vals, vals[0])
+    # A pair of samples of one strict sign holds no sign change; the rule
+    # decides every other pair, NaN pairs included.
+    one_sign = ((vals[:-1] > 0.0) & (vals[1:] > 0.0)) | ((vals[:-1] < 0.0) & (vals[1:] < 0.0))
+    pairs, vals = np.flatnonzero(~one_sign).tolist(), vals.tolist()
+    changes = [c for k in pairs for c in _sign_changes([(k, vals[k]), (k + 1, vals[k + 1])])]
     crossings = []
-    for k, j, fa in _sign_changes(list(enumerate(vals + vals[:1]))):
-        if vals[j % n] == 0.0:
+    for k, j, fa in changes:
+        if vals[j] == 0.0:
             t, y = float(times[j % n]), orbit.states[j % n]
         else:
             a, b = _bisect(lambda m: _crossed(fa, orbit._eval([m])[0, ci]), float(times[k]), float(times[j]))

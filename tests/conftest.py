@@ -23,6 +23,25 @@ def set_tolerance(monkeypatch):
     return set_
 
 
+@pytest.fixture
+def trials(monkeypatch):
+    """The result of every trial step flow takes, recorded by wrapping the
+    step kernel that flow fetches for its field's family."""
+    results, step_kernel = [], integrator._step_kernel
+
+    def recorded_kernel(kind):
+        step = step_kernel(kind)
+
+        def recorded(*args):
+            results.append(step(*args))
+            return results[-1]
+
+        return recorded
+
+    monkeypatch.setattr(integrator, "_step_kernel", recorded_kernel)
+    return results
+
+
 @pytest.fixture(scope="session")
 def kepler_params():
     return PowerLawParams(kappa=1.0, alpha=1.0)

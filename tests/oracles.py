@@ -164,6 +164,14 @@ def same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+def trajectory_bits(traj) -> bytes:
+    """The bits of every step record (t_left, h, y_left, stages) of a
+    trajectory and of its end node: equal only for the same floats, signed
+    zeros and NaNs included."""
+    rows = [np.array([t, h, *y, *k]) for t, h, y, k in traj._dense]
+    return b"".join(row.tobytes() for row in rows) + np.array([traj.t_end, *traj._y_end]).tobytes()
+
+
 def horner_loop(c, th):
     """c[0] + c[1] th + ... by Horner's rule, as one loop over the coefficients."""
     acc = c[-1]

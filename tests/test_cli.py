@@ -736,3 +736,31 @@ class TestUsage:
     def test_help_exits_ok(self, capsys):
         assert main(["solve", "--help"]) == 0
         assert "usage:" in capsys.readouterr().out
+
+    def test_repeated_calls_print_what_a_new_parser_prints(self, config_path, capsys, monkeypatch):
+        # main builds its parser once per process: help, usage errors and exit
+        # codes read the same on every call, and as they do from a parser
+        # built for the call.
+        argvs = [
+            ["--help"],
+            ["solve", "--help"],
+            [],
+            ["solve"],
+            ["bogus"],
+            ["analyze", "--config", str(config_path)],
+            ["solve", "--config", str(config_path), "--mu", "-inf"],
+            ["verify", "--config", str(config_path), "--sigma", "1.0"],
+        ]
+
+        def run_all():
+            out = []
+            for argv in argvs:
+                code = main(argv)
+                out.append((code, *capsys.readouterr()))
+            return out
+
+        first = run_all()
+        assert run_all() == first
+        monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)  # a new parser per call
+        assert run_all() == first
+        assert [code for code, _, _ in first] == [0, 0, 1, 1, 1, 1, 1, 1]

@@ -42,7 +42,7 @@ from symorbit.integrator import (
 )
 from symorbit.section import _roots
 
-from oracles import horner_loop, kepler_period, same_float, semi_major_axis
+from oracles import horner_loop, kepler_period, same_float, semi_major_axis, trajectory_bits
 
 
 def launch_state(sigma, params, radius=1.0):
@@ -537,25 +537,6 @@ def walled_field(monkeypatch, kepler_params):
     return build
 
 
-@pytest.fixture
-def trials(monkeypatch):
-    """The result of every trial step flow takes, recorded by wrapping the
-    step kernel that flow fetches for its field's family."""
-    results, step_kernel = [], integrator._step_kernel
-
-    def recorded_kernel(kind):
-        step = step_kernel(kind)
-
-        def recorded(*args):
-            results.append(step(*args))
-            return results[-1]
-
-        return recorded
-
-    monkeypatch.setattr(integrator, "_step_kernel", recorded_kernel)
-    return results
-
-
 def _assert_dense_agreement(traj, ref, t_end):
     assert traj.n_steps == ref.n_steps
     for t in np.linspace(0.0, t_end, 500):
@@ -901,6 +882,140 @@ class TestStopCallback:
         assert all(a is b for a, b in zip(offered, dense))
 
 
+def _stopped_after(field, mu, x, v, t_end, k):
+    """The flow stopped by its callback after its k-th step."""
+    seen = []
+    return flow(field, mu, x, v, t_end, stop=lambda step, y: seen.append(step) or len(seen) == k)
+
+
+def _outcome(fn):
+    """The bits of the trajectory fn returns, or the type and text of what it raises."""
+    try:
+        return trajectory_bits(fn())
+    except (DomainExit, StepFailure) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestPrefix:
+    """A flow that its stop callback ended keeps its controller state, and
+    flow continues it as a prefix when the flow from the same start would
+    repeat its steps; otherwise it integrates from the launch. Either way the
+    result is the flow without the prefix, bit for bit."""
+
+    MU, T_END = 0.1, 2 * math.pi
+
+    @pytest.fixture
+    def launches(self, monkeypatch):
+        """The number of flows that evaluated the launch force."""
+        calls, accelerate = [], ForceField.acceleration
+
+        def counted(field, x, y, mu):
+            calls.append((x, y))
+            return accelerate(field, x, y, mu)
+
+        monkeypatch.setattr(ForceField, "acceleration", counted)
+        return lambda: len(calls) // 2  # the launch force and the starting-step probe
+
+    @pytest.fixture
+    def launch(self, kepler_params):
+        return launch_state(1.05, kepler_params)
+
+    @pytest.fixture
+    def prefix(self, kepler_radial_field, launch):
+        """The flow from `launch` stopped after its 20th step."""
+        return _stopped_after(kepler_radial_field, self.MU, *launch, 10, 20)
+
+    # After 1 step the controller grows h (the starting step is small); after
+    # 20 it keeps h.
+    @pytest.mark.parametrize("k", [1, 20])
+    def test_continues_a_stopped_flow(self, kepler_radial_field, launch, launches, trials, k):
+        fresh = flow(kepler_radial_field, self.MU, *launch, self.T_END)
+        fresh_trials = len(trials)
+        prefix = _stopped_after(kepler_radial_field, self.MU, *launch, 10, k)
+        assert prefix._resume is not None and prefix._resume.trials == len(trials) - fresh_trials
+        assert (prefix._resume.h > prefix._dense[-1][1]) == (k == 1)
+        del trials[:]
+        traj = flow(kepler_radial_field, self.MU, *launch, self.T_END, prefix=prefix)
+        assert trajectory_bits(traj) == trajectory_bits(fresh)
+        # Only the steps after the prefix were computed, and no launch force.
+        assert len(trials) == fresh_trials - prefix._resume.trials
+        assert sum(t is not None and t[1] is not None for t in trials) == fresh.n_steps - k
+        assert launches() == 2
+        assert all(a is b for a, b in zip(traj._dense, prefix._dense))
+
+    def test_trial_budget_counts_the_prefix_trials(self, kepler_radial_field, launch, prefix, monkeypatch):
+        monkeypatch.setattr(integrator, "_MAX_TRIALS", prefix._resume.trials + 5)
+        got = _outcome(lambda: flow(kepler_radial_field, self.MU, *launch, self.T_END, prefix=prefix))
+        assert got[0] == "StepFailure" and "_MAX_TRIALS" in got[1]
+        assert got == _outcome(lambda: flow(kepler_radial_field, self.MU, *launch, self.T_END))
+
+    def test_truncation_keeping_every_step_keeps_the_state(self, kepler_radial_field, launch, prefix):
+        segment = prefix.truncated(0.5 * (prefix._dense[-1][0] + prefix.t_end))
+        assert segment._resume is prefix._resume
+        traj = flow(kepler_radial_field, self.MU, *launch, self.T_END, prefix=segment)
+        assert trajectory_bits(traj) == trajectory_bits(flow(kepler_radial_field, self.MU, *launch, self.T_END))
+        assert traj._dense[19] is prefix._dense[19]
+
+    @pytest.mark.parametrize("case", ["another field", "another mu", "a -0.0 start"])
+    def test_another_flow_starts_at_the_launch(self, kepler_radial_field, launch, prefix, launches, case):
+        assert prefix._resume is not None
+        field, mu, (x, v) = kepler_radial_field, self.MU, launch
+        if case == "another field":
+            field = ForceField(base=field.base, perturbation=field.perturbation)
+            assert field == kepler_radial_field and field is not kepler_radial_field
+        elif case == "another mu":
+            mu = math.nextafter(mu, 1.0)
+        else:
+            x, v = (x[0], -0.0), (-0.0, v[1])
+        before = launches()
+        traj = flow(field, mu, x, v, self.T_END, prefix=prefix)
+        assert launches() == before + 1
+        assert trajectory_bits(traj) == trajectory_bits(flow(field, mu, x, v, self.T_END))
+        assert traj._dense[0] is not prefix._dense[0]
+
+    def _stateless(self, kind, field, launch, prefix):
+        """A trajectory that keeps no controller state, of each kind."""
+        if kind == "capped first step":
+            # The span's end shortens _initial_step's estimate.
+            return flow(field, self.MU, *launch, 1e-4, stop=lambda step, y: True)
+        if kind == "capped last step":
+            return flow(field, self.MU, *launch, 1.0, stop=lambda step, y: step[0] + step[1] >= 1.0)
+        if kind == "truncation dropping the last step":
+            return prefix.truncated(prefix._dense[-1][0])
+        return flow(field, self.MU, *launch, 3.0)  # without stop
+
+    @pytest.mark.parametrize(
+        "kind", ["capped first step", "capped last step", "truncation dropping the last step", "flow without stop"]
+    )
+    def test_prefix_without_state_starts_at_the_launch(self, kepler_radial_field, launch, prefix, launches, kind):
+        prefix = self._stateless(kind, kepler_radial_field, launch, prefix)
+        assert prefix._resume is None and prefix.n_steps > 0
+        before = launches()
+        traj = flow(kepler_radial_field, self.MU, *launch, self.T_END, prefix=prefix)
+        assert launches() == before + 1
+        assert trajectory_bits(traj) == trajectory_bits(flow(kepler_radial_field, self.MU, *launch, self.T_END))
+
+    @pytest.mark.parametrize("where", ["before the prefix's end", "within a trial's reach", "steps below min_step"])
+    def test_span_the_prefix_does_not_fit_starts_at_the_launch(self, kepler_radial_field, launch, prefix, launches, where):
+        t_end = {
+            "before the prefix's end": 0.5 * prefix.t_end,
+            # The prefix's trials may have reached past t_end, which the
+            # fresh flow would have capped.
+            "within a trial's reach": prefix.t_end + 0.5 * prefix._dense[-1][1],
+            # min_step = 1e-14 t_end = 1 exceeds every step: the fresh flow
+            # underflows at t = 0, a continued one would at the prefix's end.
+            "steps below min_step": 1e14,
+        }[where]
+        before = launches()
+        got = _outcome(lambda: flow(kepler_radial_field, self.MU, *launch, t_end, prefix=prefix))
+        assert launches() == before + 1
+        assert got == _outcome(lambda: flow(kepler_radial_field, self.MU, *launch, t_end))
+
+    def test_stop_and_prefix_are_not_taken_together(self, kepler_radial_field, launch, prefix):
+        with pytest.raises(ValueError, match="not both"):
+            flow(kepler_radial_field, self.MU, *launch, self.T_END, stop=lambda step, y: False, prefix=prefix)
+
+
 class TestBisect:
     def test_stops_at_the_tolerance(self):
         a, b = _bisect(lambda m: m >= 0.3, 0.0, 1.0, 1e-3)
@@ -1056,7 +1171,8 @@ def test_starting_step_norm_sums_left_to_right():
 
 
 class TestForceEvaluationCount:
-    """A flow evaluates the force twice through ForceField.acceleration, where
+    """A flow from its launch evaluates the force twice through
+    ForceField.acceleration (a flow that continues a prefix, none), where
     a patched counter sees it (as the benchmark's tracer counts): the launch
     force and the starting-step probe. Every other evaluation is written out
     in its family's step kernel, 15 per accepted trial and 11 per trial the

@@ -1,16 +1,19 @@
+import ast
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from symorbit import (
+    DomainExit,
     ForceField,
     HypothesisViolation,
     PointOnCurve,
     PowerLawParams,
     Reflection,
     SectionSpec,
+    SolverError,
     axis_crossings,
     axis_poly_perturbation,
     circular_speed,
@@ -19,14 +22,17 @@ from symorbit import (
     extend_quarter,
     flow,
     is_simple_closed,
+    miss,
     solve,
     validate_orbit,
     verify_closure,
     winding_number,
 )
-from symorbit.orbit import _overlapping_pairs, _polyline
+from symorbit import orbit as orbit_mod
+from symorbit.integrator import _sign_changes
+from symorbit.orbit import _HALF, _QUARTER, PeriodicOrbit, _overlapping_pairs, _polyline
 
-from oracles import kepler_period, semi_major_axis
+from oracles import kepler_period, semi_major_axis, trajectory_bits
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +88,14 @@ class TestExtendQuarter:
     def test_hypothesis_violation_on_non_orthogonal_end(self, kepler_field):
         # Cutting the quarter arc early leaves a slanted end velocity.
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2.0)
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation) as err:
             extend_quarter(traj.truncated(0.9 * math.pi / 2))
+        # The message prints plain floats under numpy 1 and 2, no np.float64(...).
+        message = str(err.value)
+        assert "np." not in message
+        bad = ast.literal_eval(message[message.index("{") : message.index("}") + 1])
+        assert set(bad) == {"x(tau)", "vy(tau)"} and all(type(v) is float for v in bad.values())
+        assert bad["x(tau)"] == pytest.approx(math.cos(0.45 * math.pi), abs=1e-9)
 
     def test_perturbed_solution_closes(self, solved_perturbed_orbit, kepler_radial_field):
         pos_res, vel_res, sym = verify_closure(
@@ -748,6 +760,142 @@ class TestAxisCrossingsMatchClusterWalk:
             got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(orb, axis)]
             assert got == cluster_walk_axis_crossings(orb, axis)
             assert len(got) == 2
+
+
+def axis_crossings_over_every_pair(orbit, axis):
+    """axis_crossings' sign rule run over every pair of consecutive samples,
+    without the mask that passes over pairs of one strict sign."""
+    from symorbit.integrator import _bisect, _crossed
+
+    ci = 1 if axis == "x" else 0
+    vi = ci + 2
+    z_tol = 1e-9 * float(np.max(np.abs(orbit.positions)))
+    floor = 1e-6 * float(np.max(np.abs(orbit.velocities)))
+    times, n = orbit.times, len(orbit.times) - 1
+    vals = orbit.states[:-1, ci]
+    vals = np.where(np.abs(vals) < z_tol, 0.0, vals).tolist()
+    found = []
+    for k, j, fa in _sign_changes(list(enumerate(vals + vals[:1]))):
+        if vals[j % n] == 0.0:
+            t, y = float(times[j % n]), orbit.states[j % n]
+        else:
+            a, b = _bisect(lambda m: _crossed(fa, orbit._eval([m])[0, ci]), float(times[k]), float(times[j]))
+            t = 0.5 * (a + b)
+            y = orbit._eval([t])[0]
+        if abs(y[vi]) >= floor:
+            found.append((t, *y[:2].tolist(), float(y[vi])))
+    return sorted(found)
+
+
+class _SampledCurve:
+    """An orbit stand-in: states at given times, read between them on the
+    chord, so that any sample values, exact zeros included, can be given."""
+
+    def __init__(self, times, states):
+        self.times, self.states = np.asarray(times, dtype=float), np.asarray(states, dtype=float)
+        self.positions, self.velocities = self.states[:, :2], self.states[:, 2:]
+
+    def _eval(self, ts):
+        return np.column_stack([np.interp(ts, self.times, self.states[:, i]) for i in range(4)])
+
+
+class TestAxisCrossingsMask:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-2.0, -1.0, -1e-12, 0.0, 1e-12, 1.0, 2.0]), min_size=2, max_size=40),
+        st.sampled_from(["x", "y"]),
+    )
+    def test_equals_the_rule_over_every_pair(self, values, axis):
+        # Values of one sign in runs, exact zeros and values inside the zero
+        # band; the other coordinate and both speeds are 1.
+        ci = 1 if axis == "x" else 0
+        states = np.ones((len(values) + 1, 4))
+        states[:-1, ci] = values
+        states[-1, ci] = values[0]
+        curve = _SampledCurve(np.arange(len(values) + 1.0), states)
+        got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(curve, axis)]
+        assert got == axis_crossings_over_every_pair(curve, axis)
+
+
+class TestContinuedClosure:
+    """verify_closure continues the solve's segment past tau (`flow`'s
+    prefix) and gives what the flow from the orbit's start over the whole
+    period gives, bit for bit."""
+
+    FAMILIES = {
+        # problem fixture, extension, largest mu of the family's sweep
+        "quarter": ("quarter_problem_radial", _QUARTER, 0.1),
+        "half_a05": ("half_problem_a05", _HALF, 0.04),
+        "half_a3": ("half_problem_a3", _HALF, 0.01),
+    }
+
+    @staticmethod
+    def _closure(orbit, field, mu, keep_prefix):
+        """verify_closure's result or DomainExit, and the bits and the first
+        step record of its flow, with or without the segment as prefix."""
+        flows = []
+
+        def recorded(*args, prefix=None):
+            try:
+                flows.append(flow(*args, prefix=prefix if keep_prefix else None))
+            except DomainExit as exc:
+                flows.append(exc.trajectory)
+                raise
+            return flows[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbit_mod, "flow", recorded)
+            try:
+                result = repr(verify_closure(orbit, field, mu))
+            except DomainExit as exc:
+                result = repr(exc), exc.t_exit
+        return result, trajectory_bits(flows[0]), flows[0]._dense[0]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=12, deadline=None)
+    @given(sigma=st.floats(-1.0, 1.0), mu=st.floats(0.0, 1.0))
+    def test_equals_the_flow_from_the_start(
+        self, family, sigma, mu, quarter_problem_radial, half_problem_a05, half_problem_a3
+    ):
+        fixture, extension, mu_max = self.FAMILIES[family]
+        problem = {
+            "quarter_problem_radial": quarter_problem_radial,
+            "half_problem_a05": half_problem_a05,
+            "half_problem_a3": half_problem_a3,
+        }[fixture]
+        sigma, mu = 1.0 + sigma * problem.eta, mu * mu_max
+        try:
+            m = miss(problem, sigma, mu)
+        except SolverError:  # no segment: at sigma = 1, alpha = 3's unstable circle leaves the annulus
+            assume(False)
+        segment = m.trajectory.truncated(m.crossing.t_star)
+        # Any segment, closed or not: the orbit is built without the end check.
+        orbit = PeriodicOrbit(segment, extension, mu, 64)
+        *continued, first = self._closure(orbit, problem.field, mu, keep_prefix=True)
+        *fresh, _ = self._closure(orbit, problem.field, mu, keep_prefix=False)
+        assert continued == fresh
+        # The segment is continued unless the miss's window end shortened its
+        # last step, which the closure flow over the period would not.
+        assert (first is segment._dense[0]) == (segment._resume is not None)
+        assert segment._resume is not None or m.trajectory.t_end == problem.window
+
+    def test_only_the_steps_after_the_segment_are_computed(self, quarter_problem_radial, trials):
+        sol = solve(quarter_problem_radial, 0.05)
+        orbit = extend_quarter(sol.segment, mu=0.05)
+        segment, field = sol.segment, quarter_problem_radial.field
+        s0 = orbit.initial_state()
+        del trials[:]
+        fresh = flow(field, 0.05, s0.position, s0.velocity, orbit.period)
+        fresh_trials = len(trials)
+        del trials[:]
+        with pytest.MonkeyPatch.context() as mp:
+            closures = []
+            mp.setattr(orbit_mod, "flow", lambda *a, **k: closures.append(flow(*a, **k)) or closures[-1])
+            verify_closure(orbit, field, 0.05)
+        assert trajectory_bits(closures[0]) == trajectory_bits(fresh)
+        assert len(trials) == fresh_trials - segment._resume.trials
+        assert sum(t is not None and t[1] is not None for t in trials) == fresh.n_steps - segment.n_steps
+        assert segment.n_steps > 0.2 * fresh.n_steps  # a quarter of the period is the solve's
 
 
 class TestValidateOrbit:
