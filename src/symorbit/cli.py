@@ -321,7 +321,6 @@ def cmd_solve(config: RunConfig, mu: float, out_dir, as_json: bool) -> int:
     payload["miss_residual"] = solution.miss_residual
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         serialize.dump(payload, out / "orbit.json")
         orbit.write_csv(out / "orbit.csv")
     summary = {k: v for k, v in payload.items() if k != "samples"}
@@ -381,7 +380,6 @@ def cmd_sweep(config: RunConfig, out_dir, as_json: bool) -> int:
 
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_curves_csv(out / "sweep.csv", curves)
         scan.write_csv(out / "zero_set.csv")
         serialize.dump(summary, out / "sweep_summary.json")
@@ -597,6 +595,12 @@ def main(argv=None) -> int:
         config = RunConfig.load(args.config)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
+        return EXIT_CONFIG
+    try:  # before any work: a path that cannot be a directory is refused at once
+        if getattr(args, "out", None) is not None:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        sys.stderr.write(f"configuration error: --out {args.out!r} cannot be used as a directory: {exc}\n")
         return EXIT_CONFIG
 
     try:

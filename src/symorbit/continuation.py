@@ -71,7 +71,9 @@ def solve_orbit(problem: ShootingProblem, mu: float, tol: float, n_samples: int,
     the cold bracket around sigma = 1), closed by the mode's reflections into
     an orbit of `n_samples` sample intervals and validated."""
     solution = solve(problem, mu, tol=tol, prebuilt=prebuilt)
-    extend = extend_quarter if problem.mode is Mode.QUARTER else extend_half
+    # Built at each call from this module's names, so a wrapper bound to them
+    # later (perfbench's tracer) is the function called.
+    extend = {Mode.HALF: extend_half, Mode.QUARTER: extend_quarter}[problem.mode]
     orbit = extend(solution.segment, mu=mu, n_samples=n_samples)
     ok, diag = validate_orbit(orbit, problem.field, mu)
     return solution, orbit, ok, diag

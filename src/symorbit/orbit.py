@@ -3,11 +3,13 @@
 A half segment (x-axis to x-axis, both ends orthogonal) extends to a period-2tau
 orbit by reflecting across the x-axis with time reversal. A quarter segment
 (x-axis to y-axis, orthogonal at both ends) extends to a period-4tau orbit using
-both axis reflections. One table describes both: per mode, the branches of a
-period, each a segment time map a*tau + c*s and a state sign vector, and the
-end conditions under which the branches join. An orbit evaluates any batch of
-times with one `Trajectory.eval_many` call on the mapped times, multiplied by
-the gathered sign vectors.
+both axis reflections. The mode table `shooting._MODES` names, per mode, the
+reflections each branch of a period applies and the end conditions under which
+the branches join. Each reflection reverses time, so a branch's segment time
+map a*tau + c*s and its state sign vector follow from its reflections
+(`_branch`). An orbit evaluates any batch of times with one
+`Trajectory.eval_many` call on the mapped times, multiplied by the gathered
+sign vectors.
 
 The assembled orbit is checked independently of that construction. One
 re-integration of the period from the orbit start gives closure (the state
@@ -33,6 +35,7 @@ from . import serialize
 from .errors import HypothesisViolation, PointOnCurve
 from .forcefield import ForceField, Reflection
 from .integrator import State, Trajectory, _bisect, _crossed, _sign_changes, flow
+from .shooting import _MODES, Mode
 
 _ENDPOINT_RTOL = 1e-8  # on-axis / orthogonality tolerance relative to segment scale
 _DEFAULT_SAMPLES = 1024
@@ -41,51 +44,23 @@ _DEFAULT_SAMPLES = 1024
 _CLOSURE_POS_TOL, _CLOSURE_VEL_TOL, _SYMMETRY_TOL, _CROSSING_TOL = 1e-6, 1e-5, 1e-7, 1e-6
 
 
-@dataclass(frozen=True)
-class _Extension:
-    """How one solved segment closes into a periodic orbit.
-
-    Branch k of `branches` is (a, c, signs): on s in [k tau, (k+1) tau] of the
-    period the orbit is the segment at time a*tau + c*s, its state (x, y, vx,
-    vy) multiplied by `signs`. The branches join continuously when every
-    `vanishing` entry (name, end, component) holds: that state component is 0
-    at the segment start (end 0) or end (end 1).
-    """
-
-    label: str
-    branches: tuple
-    vanishing: tuple
-    symmetry: frozenset
+# Per reflection S, c / T, where S q(t) = q(c - t) on an orbit q of period T
+# that S reverses.
+_REVERSAL = {Reflection.X_AXIS: 0.0, Reflection.Y_AXIS: 0.5}
 
 
-_SAME = (1.0, 1.0, 1.0, 1.0)
-_X_MIRROR = (1.0, -1.0, -1.0, 1.0)  # (x, y) -> (x, -y) traversed backwards
-_Y_MIRROR = (-1.0, 1.0, 1.0, -1.0)  # (x, y) -> (-x, y) traversed backwards
-_BOTH_MIRRORS = (-1.0, -1.0, -1.0, -1.0)  # (x, y) -> (-x, -y) traversed forwards
-# Per reflection S: its position signs and c / T, where S q(t) = q(c - t) on
-# an orbit q of period T that S reverses.
-_REVERSAL = {Reflection.X_AXIS: (_X_MIRROR[:2], 0.0), Reflection.Y_AXIS: (_Y_MIRROR[:2], 0.5)}
-
-# The second half of a half orbit is the x-axis mirror image traversed
-# backwards. A quarter orbit continues with the y-axis mirror (the unique C1
-# continuation at tau), then both mirrors, then the x-axis mirror.
-_HALF = _Extension(
-    label="half",
-    branches=((0.0, 1.0, _SAME), (2.0, -1.0, _X_MIRROR)),
-    vanishing=(("y(0)", 0, 1), ("y(tau)", 1, 1), ("vx(0)", 0, 2), ("vx(tau)", 1, 2)),
-    symmetry=frozenset({Reflection.X_AXIS}),
-)
-_QUARTER = _Extension(
-    label="quarter",
-    branches=(
-        (0.0, 1.0, _SAME),
-        (2.0, -1.0, _Y_MIRROR),
-        (-2.0, 1.0, _BOTH_MIRRORS),
-        (4.0, -1.0, _X_MIRROR),
-    ),
-    vanishing=(("y(0)", 0, 1), ("vx(0)", 0, 2), ("x(tau)", 1, 0), ("vy(tau)", 1, 3)),
-    symmetry=frozenset({Reflection.X_AXIS, Reflection.Y_AXIS}),
-)
+def _branch(k: int, reflections) -> tuple:
+    """(a, c, signs) of branch k: on s in [k tau, (k+1) tau] the orbit is the
+    segment at time a*tau + c*s with `reflections` applied, its state (x, y,
+    vx, vy) times `signs`. Each reflection reverses time, mapping a state by
+    its position signs (sx, sy) and velocity signs (-sx, -sy) (Devaney, Trans.
+    AMS 218, 1976); a branch composes them, and starts where the previous one
+    ended: at the segment's start (a = -k) forwards, its end (a = k + 1)
+    backwards."""
+    sx = sy = c = 1.0
+    for r in reflections:
+        sx, sy, c = sx * r.signs[0], sy * r.signs[1], -c
+    return (float(-k) if c > 0 else float(k + 1)), c, (sx, sy, c * sx, c * sy)
 
 
 class PeriodicOrbit:
@@ -96,17 +71,15 @@ class PeriodicOrbit:
     piecewise-reflected interpolant at any time.
     """
 
-    def __init__(self, segment: Trajectory, extension: _Extension, mu, n_samples):
+    def __init__(self, segment: Trajectory, mode: Mode, mu, n_samples):
         tau = segment.t_end
-        branches = extension.branches
-        self.period = float(len(branches) * tau)
+        a, c, signs = zip(*(_branch(k, reflections) for k, reflections in enumerate(_MODES[mode].branches)))
+        self.period = float(len(a) * tau)
         self.segment = segment
         # Branch k covers s in (k tau, (k+1) tau]; branch 0 also takes s = 0.
-        self._edges = np.array([k * tau for k in range(1, len(branches))])
-        self._offsets = np.array([a * tau for a, _, _ in branches])
-        self._slopes = np.array([c for _, c, _ in branches])
-        self._signs = np.array([signs for _, _, signs in branches])
-        self.symmetry = extension.symmetry
+        self._edges = np.array([k * tau for k in range(1, len(a))])
+        self._offsets, self._slopes, self._signs = np.array(a) * tau, np.array(c), np.array(signs)
+        self.symmetry = _MODES[mode].reflections
         self.mu = float(mu)
         self.v_mu = segment.interpolate(0.0).velocity
         self.times = np.linspace(0.0, self.period, n_samples + 1)
@@ -118,12 +91,6 @@ class PeriodicOrbit:
         s = np.asarray(ts, dtype=float) % self.period
         k = np.searchsorted(self._edges, s)
         return self.segment.eval_many(self._offsets[k] + self._slopes[k] * s) * self._signs[k]
-
-    @property
-    def symmetry_label(self) -> str:
-        if Reflection.Y_AXIS in self.symmetry:
-            return "x_and_y_axes"
-        return "x_axis"
 
     def at(self, t: float) -> State:
         y = self._eval([float(t)])[0]
@@ -146,9 +113,9 @@ class PeriodicOrbit:
     def to_dict(self) -> dict:
         return {
             "mu": self.mu,
-            "v_mu": list(self.v_mu),
+            "v_mu": self.v_mu.tolist(),
             "period": self.period,
-            "symmetry": self.symmetry_label,
+            "symmetry": "x_and_y_axes" if Reflection.Y_AXIS in self.symmetry else "x_axis",
             "diagnostics": self.diagnostics,
             "samples": self._rows(),
         }
@@ -157,23 +124,23 @@ class PeriodicOrbit:
         serialize.write_csv(path, ["t", "x", "y", "vx", "vy"], self._rows())
 
 
-def _extend(segment: Trajectory, extension: _Extension, mu: float, n_samples: int) -> PeriodicOrbit:
-    """Check the segment's end conditions for `extension`, then build the orbit."""
+def _extend(segment: Trajectory, mode: Mode, mu: float, n_samples: int) -> PeriodicOrbit:
+    """Check the segment's end conditions for `mode`, then build the orbit."""
     ends = np.array([segment._eval(0.0), segment._eval(segment.t_end)])
     r_scale = max(np.max(np.abs(ends[:, :2])), 1e-30)
     v_scale = max(np.max(np.abs(ends[:, 2:])), 1e-30)
     scale = (r_scale, r_scale, v_scale, v_scale)
     bad = {
         name: float(ends[end][i])  # plain floats: numpy 2 would print np.float64(...)
-        for name, end, i in extension.vanishing
+        for name, end, i in _MODES[mode].vanishing
         if abs(ends[end][i]) > _ENDPOINT_RTOL * scale[i]
     }
     if bad:
         raise HypothesisViolation(
-            f"{extension.label}-extension endpoint conditions violated: {bad} "
+            f"{mode.value}-extension endpoint conditions violated: {bad} "
             f"(tolerance {_ENDPOINT_RTOL:g} of scale)"
         )
-    return PeriodicOrbit(segment, extension, mu, n_samples)
+    return PeriodicOrbit(segment, mode, mu, n_samples)
 
 
 def extend_half(
@@ -186,7 +153,7 @@ def extend_half(
     The second half is the x-axis mirror image traversed backwards; the result
     has period 2*tau and an x-axis-symmetric trace.
     """
-    return _extend(segment, _HALF, mu, n_samples)
+    return _extend(segment, Mode.HALF, mu, n_samples)
 
 
 def extend_quarter(
@@ -197,7 +164,7 @@ def extend_quarter(
     """Close a segment running from the x-axis (vertical velocity) to the
     y-axis (horizontal velocity) using both axis reflections; period 4*tau.
     """
-    return _extend(segment, _QUARTER, mu, n_samples)
+    return _extend(segment, Mode.QUARTER, mu, n_samples)
 
 
 def verify_closure(
@@ -230,12 +197,11 @@ def verify_closure(
     s1 = traj.final_state()
     ts, period = orbit.times, orbit.period
     refls = sorted(orbit.symmetry, key=lambda r: r.value)
-    mirrored = [(_REVERSAL[r][1] * period - ts) % period for r in refls]
+    mirrored = [(_REVERSAL[r] * period - ts) % period for r in refls]
     pos = traj.eval_many(np.concatenate([ts, *mirrored]))[:, :2].reshape(-1, len(ts), 2)
     residuals = {}
     for r, at_mirrored in zip(refls, pos[1:]):
-        signs = np.array(_REVERSAL[r][0])
-        residuals[r] = float(np.max(np.linalg.norm(pos[0] * signs - at_mirrored, axis=1)))
+        residuals[r] = float(np.max(np.linalg.norm(pos[0] * np.array(r.signs) - at_mirrored, axis=1)))
     return (
         float(np.linalg.norm(s1.position - s0.position)),
         float(np.linalg.norm(s1.velocity - s0.velocity)),

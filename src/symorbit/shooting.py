@@ -8,6 +8,9 @@ mode. Its zero is an orthogonal crossing, found by sign bracketing around
 sigma = 1 and safeguarded Illinois regula falsi on the bracket; the bracket
 orientation flips with the force exponent in half mode, matching the four-cell
 sign pattern reproduced by sign_table.
+
+Each mode is one row of `_MODES`: its section, and the reflections that close
+its segment into a periodic orbit (`orbit`), which the field must have.
 """
 
 from __future__ import annotations
@@ -38,6 +41,41 @@ class Mode(enum.Enum):
 
 
 @dataclass(frozen=True)
+class _ModeSpec:
+    """A mode's section (a SectionSpec builder), the reflections that branch
+    k of the period, [k tau, (k+1) tau], applies to the segment
+    (`orbit._branch`), and the `vanishing` end conditions (name, end,
+    component) under which the branches join: that state component is 0 at
+    the segment start (end 0) or end (end 1). A field must have every
+    reflection that the branches apply."""
+
+    section: object
+    branches: tuple
+    vanishing: tuple
+
+    @property
+    def reflections(self) -> frozenset:
+        return frozenset(r for branch in self.branches for r in branch)
+
+
+# The second half of a half orbit is the x-axis mirror image of the segment. A
+# quarter orbit continues with the y-axis mirror (the unique C1 continuation
+# at tau), then both mirrors, then the x-axis mirror.
+_MODES = {
+    Mode.HALF: _ModeSpec(
+        section=SectionSpec.negative_x_axis,
+        branches=((), (Reflection.X_AXIS,)),
+        vanishing=(("y(0)", 0, 1), ("y(tau)", 1, 1), ("vx(0)", 0, 2), ("vx(tau)", 1, 2)),
+    ),
+    Mode.QUARTER: _ModeSpec(
+        section=SectionSpec.positive_y_axis,
+        branches=((), (Reflection.Y_AXIS,), (Reflection.X_AXIS, Reflection.Y_AXIS), (Reflection.X_AXIS,)),
+        vanishing=(("y(0)", 0, 1), ("vx(0)", 0, 2), ("x(tau)", 1, 0), ("vy(tau)", 1, 3)),
+    ),
+}
+
+
+@dataclass(frozen=True)
 class ShootingProblem:
     """Field, launch circle radius, and solve geometry for one shooting setup.
 
@@ -57,17 +95,15 @@ class ShootingProblem:
         if not 0 < self.eta < self.delta < 1:
             raise ValueError("need 0 < eta < delta < 1")
         alpha = self.field.base.alpha
-        syms = self.field.symmetries
-        if self.mode is Mode.QUARTER:
-            if alpha != 1.0:
-                raise ValueError("quarter mode requires alpha == 1")
-            if not {Reflection.X_AXIS, Reflection.Y_AXIS} <= syms:
-                raise ValueError("quarter mode requires both reflection symmetries")
-        else:
-            if alpha == 1.0:
-                raise ValueError("half mode requires alpha != 1")
-            if Reflection.X_AXIS not in syms:
-                raise ValueError("half mode requires the x-axis reflection symmetry")
+        if self.mode is Mode.QUARTER and alpha != 1.0:
+            raise ValueError("quarter mode requires alpha == 1")
+        if self.mode is Mode.HALF and alpha == 1.0:
+            raise ValueError("half mode requires alpha != 1")
+        required = _MODES[self.mode].reflections
+        if not required <= self.field.symmetries:
+            (one, *more) = (r.value.replace("_", "-") for r in required)
+            what = "both reflection symmetries" if more else f"the {one} reflection symmetry"
+            raise ValueError(f"{self.mode.value} mode requires {what}")
 
     @property
     def launch_point(self) -> np.ndarray:
@@ -87,10 +123,7 @@ class ShootingProblem:
 
     @cached_property
     def section(self) -> SectionSpec:
-        floor = 1e-6 * self.circular_velocity
-        if self.mode is Mode.QUARTER:
-            return SectionSpec.positive_y_axis(self.radius, transversality_floor=floor)
-        return SectionSpec.negative_x_axis(self.radius, transversality_floor=floor)
+        return _MODES[self.mode].section(self.radius, transversality_floor=1e-6 * self.circular_velocity)
 
     def launch_velocity(self, sigma: float) -> np.ndarray:
         return np.array([0.0, sigma * self.circular_velocity])

@@ -186,3 +186,30 @@ def section_frame_numpy(start, end):
     length = math.hypot(end[0] - start[0], end[1] - start[1])
     tangent = np.array([end[0] - start[0], end[1] - start[1]]) / length
     return length, tangent, np.array([-tangent[1], tangent[0]])
+
+
+# The reflections as numpy maps of a point or a force, written out per name.
+_MIRRORS = {"x_axis": lambda p: np.array([p[0], -p[1]]), "y_axis": lambda p: np.array([-p[0], p[1]])}
+
+
+def symmetry_residuals_numpy(field, mu, sample_count, seed):
+    """check_symmetry's residuals, by name, computed on numpy arrays: per
+    declared reflection S, max over its samples of np.linalg.norm(f(S p) -
+    S f(p)), leaving out the samples where the force raises."""
+    rng = np.random.default_rng(seed)
+    r_in, r_out = field.annulus
+    radii = rng.uniform(r_in, r_out, sample_count)
+    angles = rng.uniform(0.0, 2.0 * math.pi, sample_count)
+    points = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    residuals = {}
+    for name in sorted(s.value for s in field.symmetries):
+        mirror, worst = _MIRRORS[name], 0.0
+        for p in points:
+            try:
+                f_q = np.array(field.acceleration(*mirror(p).tolist(), mu))
+                f_p = np.array(field.acceleration(*p.tolist(), mu))
+            except (ZeroDivisionError, OverflowError):
+                continue
+            worst = max(worst, float(np.linalg.norm(f_q - mirror(f_p))))
+        residuals[name] = worst
+    return residuals

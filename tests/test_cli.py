@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -187,6 +188,14 @@ class TestSolveCommand:
         assert json.loads(capsys.readouterr().out)["symmetry"] == "x_axis"
         assert json.loads((out / "orbit.json").read_text())["symmetry"] == "x_axis"
 
+    def test_plain_output_prints_plain_floats(self, config_path, capsys):
+        # No np.float64(...) under numpy 2: v_mu is printed as a list of floats.
+        assert main(["solve", "--config", str(config_path), "--mu", "0.02"]) == 0
+        out = capsys.readouterr().out
+        assert "np." not in out
+        v_mu = next(line for line in out.splitlines() if line.startswith("v_mu: "))
+        assert [type(v) for v in ast.literal_eval(v_mu[len("v_mu: "):])] == [float, float]
+
     def test_bracket_failure_exit_code(self, config_path, capsys):
         code = main(["solve", "--config", str(config_path), "--mu", "0.45", "--json"])
         assert code == 2
@@ -257,6 +266,23 @@ class TestSolveCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"field": {"kappa": -1, "alpha": 1}}')
         assert main(["solve", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_naming_a_file_refused_before_any_work(config_path, tmp_path, capsys, monkeypatch, command, below):
+    # An existing file, or a path under one, cannot be the output directory:
+    # exit 1 naming --out, before the solve or the sweep runs.
+    started = []
+    for name in ("solve_orbit", "run_sweep", "zero_set_scan"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: started.append(name))
+    target = tmp_path / "taken.txt"
+    target.write_text("kept")
+    out = target / "sub" if below else target
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --out ") and "Traceback" not in err
+    assert started == [] and target.read_text() == "kept"
 
 
 class TestConfigKeys:

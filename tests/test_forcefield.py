@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symorbit import (
     ForceField,
@@ -23,7 +23,7 @@ from symorbit import (
     radial_power_perturbation,
 )
 
-from oracles import acceleration_by_term, same_float
+from oracles import acceleration_by_term, same_float, symmetry_residuals_numpy
 
 
 def force(field, p, mu):
@@ -311,6 +311,28 @@ class TestFieldKernel:
         )
 
 
+def reflected(refl, p):
+    """p, a pair of floats, reflected by refl's signs."""
+    sx, sy = refl.signs
+    return np.array([sx * p[0], sy * p[1]])
+
+
+class TestReflection:
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+    @example(0.0, -0.0)
+    @example(-0.0, 0.0)
+    def test_signs_reflect_as_negating_one_coordinate(self, x, y):
+        # X_AXIS maps (x, y) to (x, -y), Y_AXIS to (-x, y): multiplying by the
+        # signs gives those floats, signed zeros and infinities included.
+        for refl, expected in ((Reflection.X_AXIS, (x, -y)), (Reflection.Y_AXIS, (-x, y))):
+            sx, sy = refl.signs
+            assert same_float(sx * x, expected[0]) and same_float(sy * y, expected[1])
+
+    def test_values_name_the_reflections(self):
+        assert [(r.value, r.signs) for r in Reflection] == [("x_axis", (1.0, -1.0)), ("y_axis", (-1.0, 1.0))]
+        assert Reflection("y_axis") is Reflection.Y_AXIS
+
+
 class TestSymmetry:
     def test_pure_kepler_both_reflections(self, kepler_field):
         residuals = check_symmetry(kepler_field, 0.0, sample_count=32)
@@ -332,6 +354,27 @@ class TestSymmetry:
             check_symmetry(f, 1.0, sample_count=16)
         assert err.value.residuals[Reflection.X_AXIS] == pytest.approx(0.2)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"cx": 1.0, "px": 2, "cy": 1.0, "py": 3},  # breaks the y-axis reflection
+            {"cx": 0.7, "px": 3, "cy": 1.3, "py": 2},  # breaks the x-axis reflection
+            {"cx": 1.0, "px": 2, "cy": 0.5, "py": 4},  # breaks both
+        ],
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(alpha=st.sampled_from([0.0, 0.5, 1.0, 3.0]), mu=st.floats(0.01, 1.5), seed=st.integers(0, 2**32 - 1))
+    def test_residuals_equal_the_numpy_norm(self, params, alpha, mu, seed):
+        # Declared symmetric about both axes, so the broken reflections leave
+        # nonzero residuals; check_symmetry, on floats, gives the same floats.
+        spec = PerturbationSpec(kind="axis_poly", params=params, declared_symmetries={"x_axis", "y_axis"})
+        f = ForceField(base=PowerLawParams(1.0, alpha), perturbation=spec, mu_range=2.0, annulus=(0.3, 2.5))
+        with pytest.raises(SymmetryViolation) as err:
+            check_symmetry(f, mu, sample_count=40, seed=seed)
+        got = {r.value: v for r, v in err.value.residuals.items()}
+        assert got == symmetry_residuals_numpy(f, mu, 40, seed)
+        assert max(got.values()) > 0.0
+
     def test_x_only_field(self, half_field_a05):
         residuals = check_symmetry(half_field_a05, 0.3, sample_count=32)
         assert set(residuals) == {Reflection.X_AXIS}
@@ -345,8 +388,8 @@ class TestSymmetry:
         )
         p = np.array([r * math.cos(angle), r * math.sin(angle)])
         for refl in (Reflection.X_AXIS, Reflection.Y_AXIS):
-            lhs = np.array(f.acceleration(*refl.apply(p), mu))
-            rhs = refl.apply(np.array(f.acceleration(p[0], p[1], mu)))
+            lhs = np.array(f.acceleration(*reflected(refl, p), mu))
+            rhs = reflected(refl, f.acceleration(p[0], p[1], mu))
             assert np.allclose(lhs, rhs, atol=1e-14)
 
     @settings(max_examples=50, deadline=None)
@@ -355,12 +398,12 @@ class TestSymmetry:
         pert = axis_poly_perturbation(cx=1.0, px=2, cy=1.0, py=3)
         f = ForceField(base=PowerLawParams(1.0, 0.5), perturbation=pert)
         p = np.array([r * math.cos(angle), r * math.sin(angle)])
-        lhs = np.array(f.acceleration(*Reflection.X_AXIS.apply(p), mu))
-        rhs = Reflection.X_AXIS.apply(np.array(f.acceleration(p[0], p[1], mu)))
+        lhs = np.array(f.acceleration(*reflected(Reflection.X_AXIS, p), mu))
+        rhs = reflected(Reflection.X_AXIS, f.acceleration(p[0], p[1], mu))
         assert np.allclose(lhs, rhs, atol=1e-14)
         # and the y-axis reflection genuinely fails off the axes when mu != 0
         if abs(mu) > 1e-3 and abs(p[0]) > 0.1:
-            lhs = np.array(f.acceleration(*Reflection.Y_AXIS.apply(p), mu))
-            rhs = Reflection.Y_AXIS.apply(np.array(f.acceleration(p[0], p[1], mu)))
+            lhs = np.array(f.acceleration(*reflected(Reflection.Y_AXIS, p), mu))
+            rhs = reflected(Reflection.Y_AXIS, f.acceleration(p[0], p[1], mu))
             assert not np.allclose(lhs, rhs, atol=1e-6)
 

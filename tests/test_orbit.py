@@ -28,9 +28,10 @@ from symorbit import (
     verify_closure,
     winding_number,
 )
-from symorbit import orbit as orbit_mod
+from symorbit import integrator, orbit as orbit_mod, section as section_mod
 from symorbit.integrator import _sign_changes
-from symorbit.orbit import _HALF, _QUARTER, PeriodicOrbit, _overlapping_pairs, _polyline
+from symorbit.orbit import PeriodicOrbit, _branch, _overlapping_pairs, _polyline
+from symorbit.shooting import _MODES, Mode
 
 from oracles import kepler_period, semi_major_axis, trajectory_bits
 
@@ -63,6 +64,21 @@ def loop_points(n=512, fn=None):
     if fn is None:
         return np.column_stack([np.cos(th), np.sin(th)])
     return fn(th)
+
+
+class TestBranches:
+    def test_derived_branches_are_the_written_ones(self):
+        # (a, c, state signs) of each branch as the table spelled them out
+        # before its branches named their reflections.
+        same, x_mirror = (1.0, 1.0, 1.0, 1.0), (1.0, -1.0, -1.0, 1.0)
+        y_mirror, both_mirrors = (-1.0, 1.0, 1.0, -1.0), (-1.0, -1.0, -1.0, -1.0)
+        written = {
+            Mode.HALF: [(0.0, 1.0, same), (2.0, -1.0, x_mirror)],
+            Mode.QUARTER: [(0.0, 1.0, same), (2.0, -1.0, y_mirror), (-2.0, 1.0, both_mirrors), (4.0, -1.0, x_mirror)],
+        }
+        for mode, branches in written.items():
+            derived = [_branch(k, reflections) for k, reflections in enumerate(_MODES[mode].branches)]
+            assert repr(derived) == repr(branches)  # signed zeros too
 
 
 class TestExtendQuarter:
@@ -823,11 +839,42 @@ class TestContinuedClosure:
     period gives, bit for bit."""
 
     FAMILIES = {
-        # problem fixture, extension, largest mu of the family's sweep
-        "quarter": ("quarter_problem_radial", _QUARTER, 0.1),
-        "half_a05": ("half_problem_a05", _HALF, 0.04),
-        "half_a3": ("half_problem_a3", _HALF, 0.01),
+        # problem fixture, largest mu of the family's sweep
+        "quarter": ("quarter_problem_radial", 0.1),
+        "half_a05": ("half_problem_a05", 0.04),
+        "half_a3": ("half_problem_a3", 0.01),
     }
+
+    @staticmethod
+    def _recorded_miss(problem, sigma, mu):
+        """The miss at sigma and mu, whether its flow left the annulus, and
+        whether it shortened a trial to meet the window's end: a trial whose
+        step is the window's end less the time of the node it starts from."""
+        trials, exits, step_kernel = [], [], integrator._step_kernel
+
+        def recording_kernel(kind):
+            step = step_kernel(kind)
+
+            def recorded(constants, mu, h, state, *rest):
+                trials.append((h, state))
+                return step(constants, mu, h, state, *rest)
+
+            return recorded
+
+        def recorded_flow(*args, **kwargs):
+            try:
+                return flow(*args, **kwargs)
+            except DomainExit:
+                exits.append(True)
+                raise
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "_step_kernel", recording_kernel)
+            mp.setattr(section_mod, "flow", recorded_flow)
+            m = miss(problem, sigma, mu)
+        t_left = {id(step[2]): step[0] for step in m.trajectory._dense}
+        capped = any(h == problem.window - t_left[id(state)] for h, state in trials)
+        return m, bool(exits), capped
 
     @staticmethod
     def _closure(orbit, field, mu, keep_prefix):
@@ -854,10 +901,15 @@ class TestContinuedClosure:
     @pytest.mark.parametrize("family", FAMILIES)
     @settings(max_examples=12, deadline=None)
     @given(sigma=st.floats(-1.0, 1.0), mu=st.floats(0.0, 1.0))
+    # On half_a3 the miss's flow leaves the annulus after its crossing, at
+    # sigma = 0.966 in a step the window did not shorten, at sigma = 1.02625
+    # in the step it did.
+    @example(sigma=-0.85, mu=0.0)
+    @example(sigma=0.65625, mu=1.0)
     def test_equals_the_flow_from_the_start(
         self, family, sigma, mu, quarter_problem_radial, half_problem_a05, half_problem_a3
     ):
-        fixture, extension, mu_max = self.FAMILIES[family]
+        fixture, mu_max = self.FAMILIES[family]
         problem = {
             "quarter_problem_radial": quarter_problem_radial,
             "half_problem_a05": half_problem_a05,
@@ -865,19 +917,22 @@ class TestContinuedClosure:
         }[fixture]
         sigma, mu = 1.0 + sigma * problem.eta, mu * mu_max
         try:
-            m = miss(problem, sigma, mu)
+            m, exited, capped = self._recorded_miss(problem, sigma, mu)
         except SolverError:  # no segment: at sigma = 1, alpha = 3's unstable circle leaves the annulus
             assume(False)
         segment = m.trajectory.truncated(m.crossing.t_star)
         # Any segment, closed or not: the orbit is built without the end check.
-        orbit = PeriodicOrbit(segment, extension, mu, 64)
+        orbit = PeriodicOrbit(segment, problem.mode, mu, 64)
         *continued, first = self._closure(orbit, problem.field, mu, keep_prefix=True)
         *fresh, _ = self._closure(orbit, problem.field, mu, keep_prefix=False)
         assert continued == fresh
-        # The segment is continued unless the miss's window end shortened its
-        # last step, which the closure flow over the period would not.
+        # The segment is continued exactly when it kept the flow's controller
+        # state. It keeps none when the miss's flow shortened a trial to meet
+        # the window's end, which the closure flow over the period would not,
+        # or left the annulus after its crossing: crossing_time then returns
+        # the DomainExit trajectory.
         assert (first is segment._dense[0]) == (segment._resume is not None)
-        assert segment._resume is not None or m.trajectory.t_end == problem.window
+        assert (segment._resume is None) == (exited or capped)
 
     def test_only_the_steps_after_the_segment_are_computed(self, quarter_problem_radial, trials):
         sol = solve(quarter_problem_radial, 0.05)

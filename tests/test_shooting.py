@@ -12,7 +12,9 @@ from symorbit import (
     Mode,
     NonConvergence,
     PowerLawParams,
+    Reflection,
     ShootingProblem,
+    axis_poly_perturbation,
     bracket,
     circular_speed,
     crossing_time_deviation,
@@ -21,7 +23,7 @@ from symorbit import (
     solve,
 )
 from symorbit import shooting
-from symorbit.shooting import MissValue
+from symorbit.shooting import _MODES, MissValue
 
 from oracles import perturbed_radial_sigma
 
@@ -37,8 +39,20 @@ class TestProblemValidation:
 
     def test_quarter_requires_both_symmetries(self, x_only_perturbation):
         f = ForceField(base=PowerLawParams(1.0, 1.0), perturbation=x_only_perturbation)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^quarter mode requires both reflection symmetries$"):
             ShootingProblem(field=f, radius=1.0, mode=Mode.QUARTER)
+
+    def test_half_requires_x_axis_symmetry(self):
+        # An even power of y breaks the x-axis reflection; the odd power of x
+        # keeps the y-axis one, which half mode does not use.
+        f = ForceField(base=PowerLawParams(1.0, 0.5), perturbation=axis_poly_perturbation(cx=1.0, px=3, cy=1.0, py=2))
+        assert f.symmetries == {Reflection.Y_AXIS}
+        with pytest.raises(ValueError, match="^half mode requires the x-axis reflection symmetry$"):
+            ShootingProblem(field=f, radius=1.0, mode=Mode.HALF)
+
+    def test_required_reflections_are_the_branches(self):
+        assert _MODES[Mode.HALF].reflections == {Reflection.X_AXIS}
+        assert _MODES[Mode.QUARTER].reflections == {Reflection.X_AXIS, Reflection.Y_AXIS}
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf])
     def test_non_finite_radius_rejected(self, kepler_field, radius):
