@@ -158,6 +158,10 @@ def radial_problem_from_launch(
     of the effective potential. A negative sigma launches retrograde: the
     level set is the mirror image of |sigma|'s, with K of the launch's sign.
     """
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be a finite positive number, got {radius}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be a finite number, got {sigma}")
     if params.alpha >= 2.0:
         raise NoBoundedMotion(
             f"alpha={params.alpha}: the effective potential has no interior minimum"
@@ -253,6 +257,8 @@ def apsidal_angle(problem: RadialProblem) -> float:
 
 def apsidal_limit(params: PowerLawParams, r0: float) -> float:
     """Closed-form limit of the apsidal angle as the orbit tends to circular."""
+    if not 0 < r0 < math.inf:
+        raise ValueError(f"r0 must be a finite positive number, got {r0}")
     u1, u2 = potential_derivatives(params, r0)
     denom = 3.0 * u1 + r0 * u2
     if denom <= 0.0:
@@ -275,6 +281,10 @@ def radial_accel_finite_difference(params: PowerLawParams, a: float, epsilon: fl
     The launch is a radial turning point and the radius is even in time there,
     so the one-sided difference is second-order accurate.
     """
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be a finite positive number, got {a}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be a finite number, got {epsilon}")
     h = 1e-3
     field = ForceField(base=params, mu_range=1.0, annulus=(0.1 * a, 10.0 * a))
     v = (1.0 + epsilon) * circular_speed(params, a)

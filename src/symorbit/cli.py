@@ -579,9 +579,33 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reads_as_finite_float(word: str) -> bool:
+    try:
+        return math.isfinite(float(word))
+    except ValueError:
+        return False
+
+
+def _negative_values_joined(argv: list) -> list:
+    """argv with each `--mu X` and `--sigma X` (or an abbreviation, `--sig X`,
+    which argparse takes too) whose X starts with "-" and reads as a finite
+    float written `--mu=X`. argparse takes a word that starts with "-" for an
+    option unless it reads like -5 or -.5, so `--mu -5e-3` would leave --mu
+    without its value; `--mu -inf` is left so, a usage error."""
+    joined = []
+    for word in argv:
+        flag = joined[-1] if joined else ""
+        value_flag = len(flag) > 2 and ("--mu".startswith(flag) or "--sigma".startswith(flag))
+        if value_flag and word.startswith("-") and _reads_as_finite_float(word):
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_negative_values_joined(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse has printed help (code 0) or a usage error (code 2, which
         # here would read as a bracketing failure).

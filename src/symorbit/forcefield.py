@@ -7,14 +7,15 @@ checked numerically against samples. Each `Reflection` carries its position
 signs, and every caller that reflects reads them.
 
 Each family's force, base and perturbation together, is written once, as
-source text in its `_FAMILIES` row. From it `_binder` compiles, once per
-family, the builder that binds -kappa, alpha + 2 and the family's derived
-constants into one closure (x, y, mu) -> (ax, ay); a `ForceField` builds its
-closure once, at construction, and `ForceField.acceleration` calls it. The
-integrator writes the same text inline into every stage of the family's
-DOP853 step, so the integration steps evaluate the force without a call;
-everything else (the launch force, the starting-step probe, `check_symmetry`,
-`analysis`) goes through `acceleration`.
+source text in its `_FAMILIES` row. From it `_family` compiles, once per
+family, two plain functions: `constants(kappa, alpha, *family constants)`, the
+tuple of -kappa, alpha + 2 and the family's derived constants, which a
+`ForceField` computes once and keeps, and `force(constants, x, y, mu) -> (ax,
+ay)`, which `ForceField.acceleration` calls. The integrator writes the same
+text inline into every stage of the family's DOP853 step, so the integration
+steps evaluate the force without a call; everything else (the launch force,
+the starting-step probe, `check_symmetry`, `analysis`) goes through
+`acceleration`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import functools
 import linecache
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,8 +63,8 @@ class PowerLawParams:
 
 def potential(params: PowerLawParams, r: float) -> float:
     """Radial potential of the power-law field; logarithmic when alpha == 0."""
-    if r <= 0:
-        raise ValueError("potential requires r > 0")
+    if not r > 0:  # false for NaN too
+        raise ValueError(f"potential requires r > 0, got {r}")
     if params.alpha == 0:
         return params.kappa * math.log(r)
     gamma = params.kappa / params.alpha
@@ -72,8 +73,8 @@ def potential(params: PowerLawParams, r: float) -> float:
 
 def potential_derivatives(params: PowerLawParams, r: float) -> tuple[float, float]:
     """(U'(r), U''(r)); U' > 0 everywhere for an attractive field."""
-    if r <= 0:
-        raise ValueError("potential_derivatives requires r > 0")
+    if not r > 0:
+        raise ValueError(f"potential_derivatives requires r > 0, got {r}")
     a = params.alpha
     u1 = params.kappa / r ** (a + 1.0)
     u2 = -params.kappa * (a + 1.0) / r ** (a + 2.0)
@@ -85,8 +86,8 @@ def circular_speed(params: PowerLawParams, p: float) -> float:
 
     Independent of p when alpha == 0.
     """
-    if p <= 0:
-        raise ValueError("circular_speed requires p > 0")
+    if not 0 < p < math.inf:
+        raise ValueError(f"circular_speed requires a finite p > 0, got {p}")
     u1, _ = potential_derivatives(params, p)
     return math.sqrt(p * u1)
 
@@ -147,24 +148,24 @@ def _generated(source: str, filename: str) -> dict:
 
 
 @functools.cache
-def _binder(kind: str):
-    """bind(kappa, alpha, *family constants) -> (derived constants, force
-    closure (x, y, mu) -> (ax, ay)) for the family `kind`, compiled once per
-    process on first use."""
-    body = "\n        ".join(["r = hypot(x, y)", *_force_lines(kind)])
+def _family(kind: str) -> dict:
+    """The namespace holding the two functions of the family `kind`, compiled
+    once per process on first use: `constants(kappa, alpha, *family
+    constants)`, the derived constants in `_derived` order, and
+    `force(constants, x, y, mu) -> (ax, ay)` on them."""
     derived = _derived(kind)
-    source = f'''def bind({", ".join(["kappa", "alpha", *_FAMILIES[kind].defaults])}):
-    constants = ({", ".join(derived.values())},)
+    body = "\n    ".join(_force_lines(kind))
+    source = f'''def constants({", ".join(["kappa", "alpha", *_FAMILIES[kind].defaults])}):
+    return ({", ".join(derived.values())},)
+
+
+def force(constants, x, y, mu):
     {", ".join(derived)}, = constants
-    hypot = math.hypot
-
-    def accel(x, y, mu):
-        {body}
-        return ax, ay
-
-    return constants, accel
+    r = math.hypot(x, y)
+    {body}
+    return ax, ay
 '''
-    return _generated(source, f"<symorbit.forcefield: the {kind} force>")["bind"]
+    return _generated(source, f"<symorbit.forcefield: the {kind} force>")
 
 
 @dataclass(frozen=True)
@@ -244,10 +245,10 @@ class ForceField:
     """Power-law base plus mu-scaled perturbation, valid on an annulus.
 
     The annulus must exclude the origin and mu_range is the half-width a of
-    the symmetric parameter interval (-a, a). The force closure of the
-    perturbation's family is built once, here, with this field's derived
-    constants (-kappa, alpha + 2 and the family's), which `_force_constants`
-    keeps for the family's step kernel.
+    the symmetric parameter interval (-a, a). `_force_constants` holds the
+    field's derived force constants (-kappa, alpha + 2 and the family's),
+    computed once, here, by the family's `constants`; the family's `force` and
+    its step kernel read them.
     """
 
     base: PowerLawParams
@@ -255,7 +256,6 @@ class ForceField:
     mu_range: float = 0.5
     annulus: tuple[float, float] = (0.5, 2.0)
     _force_constants: tuple = field(init=False, repr=False, compare=False)
-    _kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r_in, r_out = self.annulus
@@ -263,14 +263,10 @@ class ForceField:
             raise ValueError(f"annulus must satisfy 0 < r_in < r_out, got {self.annulus}")
         if not self.mu_range > 0:
             raise ValueError("mu_range half-width must be positive")
-        bind = _binder(self.perturbation.kind)
-        constants, kernel = bind(self.base.kappa, self.base.alpha, *self.perturbation._constants)
+        constants = _family(self.perturbation.kind)["constants"](
+            self.base.kappa, self.base.alpha, *self.perturbation._constants
+        )
         object.__setattr__(self, "_force_constants", constants)
-        object.__setattr__(self, "_kernel", kernel)
-
-    def __reduce__(self):
-        # pickle cannot store the closure; the constructor builds it again.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     @property
     def symmetries(self) -> frozenset:
@@ -281,11 +277,11 @@ class ForceField:
         return self.annulus[0] <= r <= self.annulus[1]
 
     def acceleration(self, x: float, y: float, mu: float) -> tuple[float, float]:
-        """The force at (x, y) and mu, without an annulus check: the field's one
-        closure, built at construction. The integrator's step kernels evaluate
-        the same force text inline, bit for bit alike, and do not call this;
-        every other force evaluation of the package does."""
-        return self._kernel(x, y, mu)
+        """The force at (x, y) and mu, without an annulus check: the family's
+        `force` on the field's constants. The integrator's step kernels
+        evaluate the same force text inline, bit for bit alike, and do not
+        call this; every other force evaluation of the package does."""
+        return _family(self.perturbation.kind)["force"](self._force_constants, x, y, mu)
 
 
 # Largest residual a declared reflection may leave.
@@ -304,6 +300,8 @@ def check_symmetry(
     _SYMMETRY_TOL; built-in families with honest declarations sit at round-off.
     A sample where the force overflows or divides by zero is left out.
     """
+    if not math.isfinite(mu):  # NaN would leave every residual out of max()
+        raise ValueError(f"mu must be a finite number, got {mu}")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)

@@ -3,13 +3,12 @@
 A half segment (x-axis to x-axis, both ends orthogonal) extends to a period-2tau
 orbit by reflecting across the x-axis with time reversal. A quarter segment
 (x-axis to y-axis, orthogonal at both ends) extends to a period-4tau orbit using
-both axis reflections. The mode table `shooting._MODES` names, per mode, the
-reflections each branch of a period applies and the end conditions under which
-the branches join. Each reflection reverses time, so a branch's segment time
-map a*tau + c*s and its state sign vector follow from its reflections
-(`_branch`). An orbit evaluates any batch of times with one
-`Trajectory.eval_many` call on the mapped times, multiplied by the gathered
-sign vectors.
+both axis reflections. Each `shooting.Mode` member names the reflections each
+branch of a period applies and the end conditions under which the branches
+join. Each reflection reverses time, so a branch's segment time map a*tau +
+c*s and its state sign vector follow from its reflections (`_branch`). An
+orbit evaluates any batch of times with one `Trajectory.eval_many` call on the
+mapped times, multiplied by the gathered sign vectors.
 
 The assembled orbit is checked independently of that construction. One
 re-integration of the period from the orbit start gives closure (the state
@@ -35,7 +34,7 @@ from . import serialize
 from .errors import HypothesisViolation, PointOnCurve
 from .forcefield import ForceField, Reflection
 from .integrator import State, Trajectory, _bisect, _crossed, _sign_changes, flow
-from .shooting import _MODES, Mode
+from .shooting import Mode
 
 _ENDPOINT_RTOL = 1e-8  # on-axis / orthogonality tolerance relative to segment scale
 _DEFAULT_SAMPLES = 1024
@@ -73,13 +72,13 @@ class PeriodicOrbit:
 
     def __init__(self, segment: Trajectory, mode: Mode, mu, n_samples):
         tau = segment.t_end
-        a, c, signs = zip(*(_branch(k, reflections) for k, reflections in enumerate(_MODES[mode].branches)))
+        a, c, signs = zip(*(_branch(k, reflections) for k, reflections in enumerate(mode.branches)))
         self.period = float(len(a) * tau)
         self.segment = segment
         # Branch k covers s in (k tau, (k+1) tau]; branch 0 also takes s = 0.
         self._edges = np.array([k * tau for k in range(1, len(a))])
         self._offsets, self._slopes, self._signs = np.array(a) * tau, np.array(c), np.array(signs)
-        self.symmetry = _MODES[mode].reflections
+        self.symmetry = mode.reflections
         self.mu = float(mu)
         self.v_mu = segment.interpolate(0.0).velocity
         self.times = np.linspace(0.0, self.period, n_samples + 1)
@@ -132,7 +131,7 @@ def _extend(segment: Trajectory, mode: Mode, mu: float, n_samples: int) -> Perio
     scale = (r_scale, r_scale, v_scale, v_scale)
     bad = {
         name: float(ends[end][i])  # plain floats: numpy 2 would print np.float64(...)
-        for name, end, i in _MODES[mode].vanishing
+        for name, end, i in mode.vanishing
         if abs(ends[end][i]) > _ENDPOINT_RTOL * scale[i]
     }
     if bad:
@@ -214,6 +213,8 @@ def _polyline(orbit_or_points) -> np.ndarray:
         pts = orbit_or_points.positions
     else:
         pts = np.asarray(orbit_or_points, dtype=float)
+    if not np.all(np.isfinite(pts)):  # before the closing-point test, whose atol they would make inf or NaN
+        raise ValueError("polyline points must be finite")
     # Drop a duplicated closing point, one within 1e-9 of the first at unit
     # scale; segments wrap around implicitly.
     if np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-9 * max(1.0, np.max(np.abs(pts)))):
@@ -324,6 +325,8 @@ def winding_number(orbit_or_points, point=(0.0, 0.0)) -> int:
     """Signed number of turns of the closed curve around `point`."""
     pts = _polyline(orbit_or_points)
     p = np.asarray(point, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"point must be finite, got {tuple(p)}")
     rel = pts - p
     dist = np.hypot(rel[:, 0], rel[:, 1])
     if np.min(dist) < 1e-9:

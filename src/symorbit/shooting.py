@@ -9,8 +9,9 @@ sigma = 1 and safeguarded Illinois regula falsi on the bracket; the bracket
 orientation flips with the force exponent in half mode, matching the four-cell
 sign pattern reproduced by sign_table.
 
-Each mode is one row of `_MODES`: its section, and the reflections that close
-its segment into a periodic orbit (`orbit`), which the field must have.
+Each `Mode` member carries its facts: its section, its alpha rule, and the
+reflections that close its segment into a periodic orbit (`orbit`), which the
+field must have.
 """
 
 from __future__ import annotations
@@ -36,43 +37,40 @@ from .section import CrossingEvent, SectionSpec, crossing_time
 
 
 class Mode(enum.Enum):
-    QUARTER = "quarter"  # orthogonal hit of the positive y-axis, needs both symmetries
-    HALF = "half"  # orthogonal hit of the negative x-axis, needs x-axis symmetry
-
-
-@dataclass(frozen=True)
-class _ModeSpec:
-    """A mode's section (a SectionSpec builder), the reflections that branch
-    k of the period, [k tau, (k+1) tau], applies to the segment
-    (`orbit._branch`), and the `vanishing` end conditions (name, end,
+    """A shooting mode, by name, with its facts: its `section` builder;
+    `unit_alpha`, whether it needs alpha == 1 or alpha != 1; the reflections
+    that branch k of the period, [k tau, (k+1) tau], applies to the segment
+    (`branches`, read by `orbit._branch`), and all of them (`reflections`),
+    which a field must have; the `vanishing` end conditions (name, end,
     component) under which the branches join: that state component is 0 at
-    the segment start (end 0) or end (end 1). A field must have every
-    reflection that the branches apply."""
+    the segment start (end 0) or end (end 1).
 
-    section: object
-    branches: tuple
-    vanishing: tuple
+    The second half of a half orbit is the x-axis mirror image of the segment.
+    A quarter orbit continues with the y-axis mirror (the unique C1
+    continuation at tau), then both mirrors, then the x-axis mirror.
+    """
 
-    @property
-    def reflections(self) -> frozenset:
-        return frozenset(r for branch in self.branches for r in branch)
+    QUARTER = (
+        "quarter",  # orthogonal hit of the positive y-axis
+        SectionSpec.positive_y_axis,
+        True,
+        ((), (Reflection.Y_AXIS,), (Reflection.X_AXIS, Reflection.Y_AXIS), (Reflection.X_AXIS,)),
+        (("y(0)", 0, 1), ("vx(0)", 0, 2), ("x(tau)", 1, 0), ("vy(tau)", 1, 3)),
+    )
+    HALF = (
+        "half",  # orthogonal hit of the negative x-axis
+        SectionSpec.negative_x_axis,
+        False,
+        ((), (Reflection.X_AXIS,)),
+        (("y(0)", 0, 1), ("y(tau)", 1, 1), ("vx(0)", 0, 2), ("vx(tau)", 1, 2)),
+    )
 
-
-# The second half of a half orbit is the x-axis mirror image of the segment. A
-# quarter orbit continues with the y-axis mirror (the unique C1 continuation
-# at tau), then both mirrors, then the x-axis mirror.
-_MODES = {
-    Mode.HALF: _ModeSpec(
-        section=SectionSpec.negative_x_axis,
-        branches=((), (Reflection.X_AXIS,)),
-        vanishing=(("y(0)", 0, 1), ("y(tau)", 1, 1), ("vx(0)", 0, 2), ("vx(tau)", 1, 2)),
-    ),
-    Mode.QUARTER: _ModeSpec(
-        section=SectionSpec.positive_y_axis,
-        branches=((), (Reflection.Y_AXIS,), (Reflection.X_AXIS, Reflection.Y_AXIS), (Reflection.X_AXIS,)),
-        vanishing=(("y(0)", 0, 1), ("vx(0)", 0, 2), ("x(tau)", 1, 0), ("vy(tau)", 1, 3)),
-    ),
-}
+    def __new__(cls, value, section, unit_alpha, branches, vanishing):
+        member = object.__new__(cls)
+        member._value_, member.section, member.unit_alpha = value, section, unit_alpha
+        member.branches, member.vanishing = branches, vanishing
+        member.reflections = frozenset(r for branch in branches for r in branch)
+        return member
 
 
 @dataclass(frozen=True)
@@ -94,12 +92,9 @@ class ShootingProblem:
             raise ValueError(f"launch radius must be a finite positive number, got {self.radius}")
         if not 0 < self.eta < self.delta < 1:
             raise ValueError("need 0 < eta < delta < 1")
-        alpha = self.field.base.alpha
-        if self.mode is Mode.QUARTER and alpha != 1.0:
-            raise ValueError("quarter mode requires alpha == 1")
-        if self.mode is Mode.HALF and alpha == 1.0:
-            raise ValueError("half mode requires alpha != 1")
-        required = _MODES[self.mode].reflections
+        if (self.field.base.alpha == 1.0) != self.mode.unit_alpha:
+            raise ValueError(f"{self.mode.value} mode requires alpha {'==' if self.mode.unit_alpha else '!='} 1")
+        required = self.mode.reflections
         if not required <= self.field.symmetries:
             (one, *more) = (r.value.replace("_", "-") for r in required)
             what = "both reflection symmetries" if more else f"the {one} reflection symmetry"
@@ -123,7 +118,7 @@ class ShootingProblem:
 
     @cached_property
     def section(self) -> SectionSpec:
-        return _MODES[self.mode].section(self.radius, transversality_floor=1e-6 * self.circular_velocity)
+        return self.mode.section(self.radius, transversality_floor=1e-6 * self.circular_velocity)
 
     def launch_velocity(self, sigma: float) -> np.ndarray:
         return np.array([0.0, sigma * self.circular_velocity])
@@ -309,8 +304,10 @@ def sign_table(
     """
     if params.alpha == 1.0:
         raise ValueError("sign pattern undefined at alpha == 1")
-    if epsilon == 0.0:
-        raise ValueError("epsilon must be nonzero")
+    if not (math.isfinite(epsilon) and epsilon != 0.0):
+        raise ValueError(f"epsilon must be a finite nonzero number, got {epsilon}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be a finite positive number, got {radius}")
     field = ForceField(
         base=params,
         mu_range=1.0,

@@ -461,6 +461,31 @@ class TestApsidalLimit:
         assert got == pytest.approx(apsidal_limit_power_law(alpha), rel=1e-12)
 
 
+class TestNonFiniteLaunch:
+    """Each entry point refuses a non-finite launch input with a ValueError
+    naming the argument, before any turning radius or step is sought."""
+
+    @pytest.mark.parametrize(
+        "radius, sigma, name",
+        [(1.0, math.nan, "sigma"), (1.0, math.inf, "sigma"), (math.nan, 1.05, "radius"), (math.inf, 1.05, "radius")],
+    )
+    def test_radial_problem_from_launch(self, radius, sigma, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+            radial_problem_from_launch(PowerLawParams(1.0, 0.5), radius, sigma)
+
+    @pytest.mark.parametrize(
+        "a, epsilon, name", [(1.0, math.nan, "epsilon"), (1.0, -math.inf, "epsilon"), (math.nan, 0.1, "a")]
+    )
+    def test_radial_accel_finite_difference(self, a, epsilon, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+            radial_accel_finite_difference(PowerLawParams(1.0, 0.5), a, epsilon)
+
+    @pytest.mark.parametrize("r0", [math.nan, math.inf, 0.0])
+    def test_apsidal_limit(self, r0):
+        with pytest.raises(ValueError, match="^r0 must be a finite positive number"):
+            apsidal_limit(PowerLawParams(1.0, 0.5), r0)
+
+
 class TestLaunchRadialAcceleration:
     def test_zero_at_circular(self, kepler_params):
         assert radial_accel_at_launch(kepler_params, 1.0, 0.0) == 0.0

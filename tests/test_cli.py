@@ -755,6 +755,33 @@ class TestUsage:
         assert main(["solve", "--config", str(config_path), "--mu", "-inf"]) == 1
         assert "expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-5e-3", "-1e-2", "-5E-3", "-0.5e-2"])
+    def test_negative_mu_in_exponent_form(self, config_path, capsys, value):
+        # argparse alone reads -5e-3 as an option and leaves --mu without a value.
+        assert main(["solve", "--config", str(config_path), "--mu", value, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["mu"] == float(value)
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--sig"])
+    def test_negative_sigma_in_exponent_form(self, config_path, capsys, flag):
+        assert main(["analyze", "--config", str(config_path), flag, "-1.05e0", "--json"]) == 0
+        by_word = json.loads(capsys.readouterr().out)
+        assert main(["analyze", "--config", str(config_path), "--sigma=-1.05", "--json"]) == 0
+        assert by_word == json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv", [["--mu"], ["--mu", "--json"], ["--mu", "-x1e-3"]], ids=str)
+    def test_missing_value_stays_a_usage_error(self, config_path, capsys, argv):
+        assert main(["solve", "--config", str(config_path), *argv]) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [(["--mu", "-nan"], "expected one argument"), (["--mu=-inf"], "--mu must be finite"), (["--mu", "nan"], "--mu must be finite")],
+        ids=str,
+    )
+    def test_non_finite_values_stay_refused(self, config_path, capsys, argv, error):
+        assert main(["solve", "--config", str(config_path), *argv]) == 1
+        assert error in capsys.readouterr().err
+
     def test_missing_required_flag(self, capsys):
         assert main(["solve"]) == 1
         assert "--config" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import linecache
 import math
 import pickle
+import traceback
 
 import numpy as np
 import pytest
@@ -132,6 +134,21 @@ class TestCircularSpeed:
     def test_alpha0_independent_of_radius(self, kappa, p1, p2):
         params = PowerLawParams(kappa, 0.0)
         assert circular_speed(params, p1) == pytest.approx(circular_speed(params, p2))
+
+
+class TestNonFiniteRadius:
+    @pytest.mark.parametrize("r", [math.nan, -1.0, 0.0])
+    def test_potential_and_derivatives_refuse(self, r):
+        params = PowerLawParams(1.0, 0.5)
+        with pytest.raises(ValueError, match="^potential requires r > 0"):
+            potential(params, r)
+        with pytest.raises(ValueError, match="^potential_derivatives requires r > 0"):
+            potential_derivatives(params, r)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 0.0])
+    def test_circular_speed_refuses(self, p):
+        with pytest.raises(ValueError, match="^circular_speed requires a finite p > 0"):
+            circular_speed(PowerLawParams(1.0, 0.5), p)
 
 
 class TestParamsValidation:
@@ -310,6 +327,22 @@ class TestFieldKernel:
             2.0, 0.5, "axis_poly", (1.0, 2, 1.0, 3), 1.2, 0.4, 0.1
         )
 
+    def test_generated_force_line_shows_in_tracebacks(self, kepler_radial_field):
+        # r ** a2 overflows at r = 1e200 (a2 = 3): after linecache.checkcache()
+        # the traceback shows the base law's line of the family's `force`.
+        with pytest.raises(OverflowError) as info:
+            kepler_radial_field.acceleration(1e200, 0.0, 0.1)
+        linecache.checkcache()
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert (frame.filename, frame.name) == ("<symorbit.forcefield: the radial_power force>", "force")
+        assert frame.line == "s = neg_kappa / r ** a2"
+
+    def test_a_field_keeps_only_its_constants(self, kepler_radial_field):
+        # -kappa, alpha + 2, -lam, beta + 2: the tuple the step kernel reads.
+        assert kepler_radial_field._force_constants == (-1.0, 3.0, -1.0, 5.0)
+        assert [f.name for f in dataclasses.fields(ForceField) if not f.init] == ["_force_constants"]
+        assert "__reduce__" not in vars(ForceField)
+
 
 def reflected(refl, p):
     """p, a pair of floats, reflected by refl's signs."""
@@ -342,6 +375,12 @@ class TestSymmetry:
     def test_radial_perturbation_equivariant(self, kepler_radial_field):
         residuals = check_symmetry(kepler_radial_field, 0.5, sample_count=32)
         assert all(v <= 1e-14 for v in residuals.values())
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        # A NaN force difference would drop out of max() and pass silently.
+        with pytest.raises(ValueError, match="^mu must be a finite number"):
+            check_symmetry(ForceField(PowerLawParams(1.0, 1.0)), mu)
 
     def test_broken_declaration_raises(self):
         # Constant vertical push (zero exponents) breaks the x-axis

@@ -31,7 +31,7 @@ from symorbit import (
 from symorbit import integrator, orbit as orbit_mod, section as section_mod
 from symorbit.integrator import _sign_changes
 from symorbit.orbit import PeriodicOrbit, _branch, _overlapping_pairs, _polyline
-from symorbit.shooting import _MODES, Mode
+from symorbit.shooting import Mode
 
 from oracles import kepler_period, semi_major_axis, trajectory_bits
 
@@ -77,7 +77,7 @@ class TestBranches:
             Mode.QUARTER: [(0.0, 1.0, same), (2.0, -1.0, y_mirror), (-2.0, 1.0, both_mirrors), (4.0, -1.0, x_mirror)],
         }
         for mode, branches in written.items():
-            derived = [_branch(k, reflections) for k, reflections in enumerate(_MODES[mode].branches)]
+            derived = [_branch(k, reflections) for k, reflections in enumerate(mode.branches)]
             assert repr(derived) == repr(branches)  # signed zeros too
 
 
@@ -317,6 +317,21 @@ class TestWindingNumber:
 
     def test_point_outside(self):
         assert winding_number(loop_points(), (5.0, 0.0)) == 0
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_non_finite_point_rejected(self, point):
+        with pytest.raises(ValueError, match="must be finite"):
+            winding_number(loop_points(), point)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sample_rejected(self, value):
+        # Refused before the closing-point test, whose tolerance an infinite
+        # sample makes infinite (a RuntimeWarning from numpy, an error here).
+        pts = loop_points()
+        pts[7, 1] = value
+        for check in (winding_number, is_simple_closed):
+            with pytest.raises(ValueError, match="^polyline points must be finite$"):
+                check(pts)
 
     def test_point_on_curve_rejected(self):
         with pytest.raises(PointOnCurve):

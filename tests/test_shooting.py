@@ -23,7 +23,8 @@ from symorbit import (
     solve,
 )
 from symorbit import shooting
-from symorbit.shooting import _MODES, MissValue
+from symorbit.section import SectionSpec
+from symorbit.shooting import MissValue
 
 from oracles import perturbed_radial_sigma
 
@@ -50,9 +51,18 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="^half mode requires the x-axis reflection symmetry$"):
             ShootingProblem(field=f, radius=1.0, mode=Mode.HALF)
 
+    @pytest.mark.parametrize(
+        "mode, alpha, message",
+        [(Mode.QUARTER, 0.5, "quarter mode requires alpha == 1"), (Mode.HALF, 1.0, "half mode requires alpha != 1")],
+    )
+    def test_alpha_rule_messages(self, mode, alpha, message):
+        f = ForceField(base=PowerLawParams(1.0, alpha))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ShootingProblem(field=f, radius=1.0, mode=mode)
+
     def test_required_reflections_are_the_branches(self):
-        assert _MODES[Mode.HALF].reflections == {Reflection.X_AXIS}
-        assert _MODES[Mode.QUARTER].reflections == {Reflection.X_AXIS, Reflection.Y_AXIS}
+        assert Mode.HALF.reflections == {Reflection.X_AXIS}
+        assert Mode.QUARTER.reflections == {Reflection.X_AXIS, Reflection.Y_AXIS}
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf])
     def test_non_finite_radius_rejected(self, kepler_field, radius):
@@ -65,6 +75,37 @@ class TestProblemValidation:
             ShootingProblem(
                 field=kepler_field, radius=1.0, mode=Mode.QUARTER, eta=0.3, delta=0.2
             )
+
+
+class TestModeMembers:
+    """Each `Mode` member carries its section builder, its alpha rule, its
+    branches and its end conditions."""
+
+    def test_values_and_order(self):
+        assert list(Mode) == [Mode.QUARTER, Mode.HALF]
+        assert Mode("quarter") is Mode.QUARTER and Mode("half") is Mode.HALF
+
+    def test_sections(self):
+        assert Mode.QUARTER.section == SectionSpec.positive_y_axis
+        assert Mode.HALF.section == SectionSpec.negative_x_axis
+        assert Mode.HALF.section(1.5).kind == "negative_x_axis"
+
+    def test_alpha_rules(self):
+        assert Mode.QUARTER.unit_alpha is True and Mode.HALF.unit_alpha is False
+
+    def test_branches_and_end_conditions(self):
+        x, y = Reflection.X_AXIS, Reflection.Y_AXIS
+        assert Mode.HALF.branches == ((), (x,))
+        assert Mode.QUARTER.branches == ((), (y,), (x, y), (x,))
+        assert Mode.HALF.vanishing == (("y(0)", 0, 1), ("y(tau)", 1, 1), ("vx(0)", 0, 2), ("vx(tau)", 1, 2))
+        assert Mode.QUARTER.vanishing == (("y(0)", 0, 1), ("vx(0)", 0, 2), ("x(tau)", 1, 0), ("vy(tau)", 1, 3))
+
+    def test_problem_section_is_the_members(self, half_problem_a05, quarter_problem):
+        for p in (half_problem_a05, quarter_problem):
+            assert p.section == p.mode.section(p.radius, transversality_floor=1e-6 * p.circular_velocity)
+
+    def test_no_side_table(self):
+        assert not hasattr(shooting, "_MODES") and not hasattr(shooting, "_ModeSpec")
 
 
 class TestProblemGeometry:
@@ -399,6 +440,16 @@ class TestSignTable:
     def test_alpha_one_rejected(self):
         with pytest.raises(ValueError):
             sign_table(PowerLawParams(1.0, 1.0), 0.05)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="^epsilon must be a finite nonzero number"):
+            sign_table(PowerLawParams(1.0, 0.5), epsilon)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="^radius must be a finite positive number"):
+            sign_table(PowerLawParams(1.0, 0.5), 0.05, radius)
 
     def test_scales_with_kappa_and_radius(self):
         assert sign_table(PowerLawParams(3.0, 0.5), 0.05, radius=1.7) == +1
