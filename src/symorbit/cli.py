@@ -2,10 +2,10 @@
 
 All commands read one JSON configuration file, take a few numeric overrides on
 the command line, and emit deterministic machine-readable output (JSON and
-CSV, floats at 17 significant digits). Exit codes classify failures: 2 for
-bracketing, 3 for root-finding convergence, 4 for validation, 5 for leaving
-the problem's domain of validity, 1 for configuration problems and command
-line usage errors.
+CSV, floats at 17 significant digits). A solver error exits with its class's
+`exit_code` (2 bracketing, 3 root-finding convergence, 4 validation, 5 leaving
+the problem's domain of validity); an orbit or check that fails validation
+exits 4 too, and configuration problems and command line usage errors exit 1.
 """
 
 from __future__ import annotations
@@ -31,21 +31,7 @@ from .analysis import (
     radial_problem_from_launch,
 )
 from .continuation import solve_orbit, sweep as run_sweep, write_curves_csv, zero_set_scan
-from .errors import (
-    BoundaryHypothesisFailure,
-    BracketFailure,
-    DegenerateLimit,
-    DomainExit,
-    HypothesisViolation,
-    NoBoundedMotion,
-    NoCrossing,
-    NonConvergence,
-    SolverError,
-    StepFailure,
-    SymmetryViolation,
-    TangentialCrossing,
-    BoundaryCrossing,
-)
+from .errors import DomainExit, SolverError, SymmetryViolation
 from .forcefield import (
     _FAMILIES,
     ForceField,
@@ -68,36 +54,7 @@ from .shooting import (
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_BRACKET = 2
-EXIT_CONVERGENCE = 3
-EXIT_VALIDATION = 4
-EXIT_DOMAIN = 5
-
-_EXIT_BY_ERROR = (
-    (BracketFailure, EXIT_BRACKET),
-    (NonConvergence, EXIT_CONVERGENCE),
-    ((SymmetryViolation, HypothesisViolation), EXIT_VALIDATION),
-    (
-        (
-            DomainExit,
-            StepFailure,
-            NoCrossing,
-            TangentialCrossing,
-            BoundaryCrossing,
-            NoBoundedMotion,
-            DegenerateLimit,
-            BoundaryHypothesisFailure,
-        ),
-        EXIT_DOMAIN,
-    ),
-)
-
-
-def exit_code_for(exc: SolverError) -> int:
-    for types_, code in _EXIT_BY_ERROR:
-        if isinstance(exc, types_):
-            return code
-    return EXIT_VALIDATION
+EXIT_VALIDATION = SolverError.exit_code  # an orbit or check that fails validation
 
 
 _REQUIRED = object()  # the default of a key that must be given
@@ -157,11 +114,12 @@ _KEYS = (
     ("solve_tol", 1e-10, float, lambda v, c: v >= 0, "a non-negative number"),
     ("mu", 0.0, float, lambda v, c: abs(v) < c["field.mu_range"], "a number in (-field.mu_range, field.mu_range)"),
     ("mu_grid", {}, dict, None, "an object"),
-    # Default sweep range: 64 uniform points over [0, half the mu range].
+    # Default sweep range: 64 uniform points over [0, half the mu range]
+    # (_mu_grids); a grid takes step or count, not both (RunConfig.from_dict).
     ("mu_grid.stop", lambda c: 0.5 * c["field.mu_range"], float, lambda v, c: 0 < v < c["field.mu_range"],
      "a number in (0, field.mu_range)"),
     ("mu_grid.step", None, float, *_POSITIVE),
-    ("mu_grid.count", 64, int, *_at_least(1)),
+    ("mu_grid.count", None, int, *_at_least(1)),
     ("mu_grid.mirror", False, bool, None, "true or false"),
     # sweep checks the sigmas against the speed band (1 - delta, 1 + delta):
     # the defaults lie outside a narrow band that a solve-only configuration
@@ -259,6 +217,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         v = _read(raw)
+        if v["mu_grid.step"] is not None and v["mu_grid.count"] is not None:
+            raise ValueError("configuration keys 'mu_grid.step' and 'mu_grid.count' are both given: step or count, not both")
         if v["field.perturbation"] is None:
             pert = zero_perturbation()
         else:
@@ -336,7 +296,7 @@ def _mu_grids(config: RunConfig):
         n = math.floor(stop / step * (1.0 + 1e-12))
         forward = np.minimum(np.linspace(0.0, n * step, n + 1), stop)
     else:
-        forward = np.linspace(0.0, stop, config.mu_grid["count"])
+        forward = np.linspace(0.0, stop, config.mu_grid["count"] or 64)
     grids = [forward]
     if config.mu_grid["mirror"]:
         grids.append(-forward)
@@ -426,7 +386,7 @@ def cmd_analyze(config: RunConfig, sigma: float, as_json: bool) -> int:
     return EXIT_OK
 
 
-def _check_declared_symmetries(config: RunConfig):
+def _check_declared_symmetries(config: RunConfig, problem: ShootingProblem):
     try:
         residuals = check_symmetry(
             config.field,
@@ -439,7 +399,7 @@ def _check_declared_symmetries(config: RunConfig):
         return False, {r.value: v for r, v in exc.residuals.items()}
 
 
-def _check_sign_table(config: RunConfig):
+def _check_sign_table(config: RunConfig, problem: ShootingProblem):
     expected = {(0.0, 1): 1, (0.0, -1): -1, (0.5, 1): 1, (0.5, -1): -1,
                 (2.0, 1): -1, (2.0, -1): 1, (3.0, 1): -1, (3.0, -1): 1}
     got = {}
@@ -450,7 +410,7 @@ def _check_sign_table(config: RunConfig):
     return got == expected, detail
 
 
-def _check_radial_accel_identity(config: RunConfig):
+def _check_radial_accel_identity(config: RunConfig, problem: ShootingProblem):
     worst = 0.0
     for alpha in (0.0, 0.5, 1.0, 2.0):
         pa = PowerLawParams(config.field.base.kappa, alpha)
@@ -463,13 +423,12 @@ def _check_radial_accel_identity(config: RunConfig):
     return worst < 1e-5, {"worst_abs_error": worst}
 
 
-def _check_crossing_continuity(config: RunConfig):
+def _check_crossing_continuity(config: RunConfig, problem: ShootingProblem):
     # Probes stay inside the configured bracket band so steep-force setups
     # are not pushed out of range. A narrow band marks a steep force whose
     # usable mu range is narrow too (alpha = 3 with eta = 0.04 has no crossing
     # near sigma = 1.02 beyond mu ~ 0.024), so mu is capped at eta / 2 as well.
     rng = np.random.default_rng(config.seed)
-    problem = config.problem()
     mu_cap = min(0.05, 0.5 * config.field.mu_range, 0.5 * problem.eta)
     ok, probes = True, []
     for _ in range(3):
@@ -481,7 +440,7 @@ def _check_crossing_continuity(config: RunConfig):
     return ok, probes
 
 
-def _check_conservation(config: RunConfig):
+def _check_conservation(config: RunConfig, problem: ShootingProblem):
     # Energy and angular momentum at mu = 0 over one period, or over whatever
     # span of it stays inside the annulus.
     params = config.field.base
@@ -522,10 +481,11 @@ _VERIFY_CHECKS = (
 
 
 def cmd_verify(config: RunConfig, as_json: bool) -> int:
+    problem = config.problem()  # a mode that does not fit the field is refused before any check runs
     results = []
     for name, fn in _VERIFY_CHECKS:
         try:
-            passed, detail = fn(config)
+            passed, detail = fn(config, problem)
         except (SolverError, OverflowError, ZeroDivisionError) as exc:
             # An erroring check fails on its own, also where a probe's force is
             # not representable at the configured radius; the rest still run.
@@ -640,7 +600,7 @@ def main(argv=None) -> int:
         return cmd_verify(config, args.json)
     except SolverError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return exit_code_for(exc)
+        return exc.exit_code
     except ValueError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

@@ -21,7 +21,7 @@ from . import serialize
 from .errors import BoundaryHypothesisFailure, SolverError
 from .integrator import _crossed
 from .orbit import _DEFAULT_SAMPLES, extend_half, extend_quarter, validate_orbit
-from .shooting import Bracket, Mode, ShootingProblem, bracket, miss, solve
+from .shooting import Bracket, Mode, ShootingProblem, _check_mu, _check_sigma, bracket, miss, solve
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ def solve_orbit(problem: ShootingProblem, mu: float, tol: float, n_samples: int,
     the cold bracket around sigma = 1), closed by the mode's reflections into
     an orbit of `n_samples` sample intervals and validated."""
     solution = solve(problem, mu, tol=tol, prebuilt=prebuilt)
-    # Built at each call from this module's names, so a wrapper bound to them
+    # Read from this module's names at each call, so a wrapper bound to them
     # later (perfbench's tracer) is the function called.
-    extend = {Mode.HALF: extend_half, Mode.QUARTER: extend_quarter}[problem.mode]
+    extend = extend_quarter if problem.mode is Mode.QUARTER else extend_half
     orbit = extend(solution.segment, mu=mu, n_samples=n_samples)
     ok, diag = validate_orbit(orbit, problem.field, mu)
     return solution, orbit, ok, diag
@@ -243,7 +243,9 @@ def zero_set_scan(
 ) -> ScanResult:
     """Sign matrix of the miss function over a (sigma, mu) grid.
 
-    The sigma boundary rows must carry uniform opposite signs (the bracketing
+    Every mu must lie in the field's open mu range and every sigma in the
+    speed band, checked before the first miss (miss's ValueError). The sigma
+    boundary rows must carry uniform opposite signs (the bracketing
     hypothesis across the whole mu range); BoundaryHypothesisFailure otherwise.
     Sign-change cells between adjacent sigma values trace the zero set.
     """
@@ -251,6 +253,10 @@ def zero_set_scan(
     mus = np.asarray(mu_grid, dtype=float)
     if sigmas.size < 2 or mus.size < 1:
         raise ValueError("need at least 2 sigma values and 1 mu value")
+    for m in mus:
+        _check_mu(problem, float(m))
+    for s in sigmas:
+        _check_sigma(problem, float(s))
 
     signs = np.zeros((sigmas.size, mus.size), dtype=int)
     for i, s in enumerate(sigmas):

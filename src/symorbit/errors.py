@@ -1,8 +1,16 @@
-"""Exception hierarchy shared by all solver modules."""
+"""Exception hierarchy shared by all solver modules.
+
+Each class states the command-line exit code of its failure class as
+`exit_code`: 2 bracketing, 3 root-finding convergence, 4 validation (the
+default), 5 leaving the problem's domain of validity.
+"""
 
 
 class SolverError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; a subclass that is
+    not a validation failure overrides `exit_code`."""
+
+    exit_code = 4
 
 
 class DomainExit(SolverError):
@@ -11,6 +19,8 @@ class DomainExit(SolverError):
     Carries the exit time, the state at exit, and the partial trajectory
     accumulated up to that point (may be None for point evaluations).
     """
+
+    exit_code = 5
 
     def __init__(self, message, t_exit=None, state=None, trajectory=None):
         super().__init__(message)
@@ -21,6 +31,8 @@ class DomainExit(SolverError):
 
 class StepFailure(SolverError):
     """Adaptive step size underflowed; the problem is unresolvable at this tolerance."""
+
+    exit_code = 5
 
 
 class SymmetryViolation(SolverError):
@@ -34,9 +46,13 @@ class SymmetryViolation(SolverError):
 class NoCrossing(SolverError):
     """No transversal section crossing found inside the time window."""
 
+    exit_code = 5
+
 
 class TangentialCrossing(SolverError):
     """Crossing found, but the transverse velocity component is below the floor."""
+
+    exit_code = 5
 
     def __init__(self, message, t_star=None, normal_speed=None):
         super().__init__(message)
@@ -47,6 +63,8 @@ class TangentialCrossing(SolverError):
 class BoundaryCrossing(SolverError):
     """Crossing landed within tolerance of a section segment endpoint."""
 
+    exit_code = 5
+
     def __init__(self, message, t_star=None, point=None):
         super().__init__(message)
         self.t_star = t_star
@@ -56,6 +74,8 @@ class BoundaryCrossing(SolverError):
 class BracketFailure(SolverError):
     """No sign change of the miss function within the allowed launch-speed band."""
 
+    exit_code = 2
+
     def __init__(self, message, cause=None):
         super().__init__(message)
         self.cause = cause
@@ -63,6 +83,8 @@ class BracketFailure(SolverError):
 
 class NonConvergence(SolverError):
     """The launch-speed root-finder stopped without meeting the miss tolerance."""
+
+    exit_code = 3
 
 
 class HypothesisViolation(SolverError):
@@ -76,10 +98,16 @@ class PointOnCurve(SolverError):
 class NoBoundedMotion(SolverError):
     """The (E, K) level set admits no bounded radial oscillation."""
 
+    exit_code = 5
+
 
 class DegenerateLimit(SolverError):
     """Closed-form apsidal-angle limit undefined (denominator not positive)."""
 
+    exit_code = 5
+
 
 class BoundaryHypothesisFailure(SolverError):
     """A boundary column of the miss-sign scan does not carry a uniform sign."""
+
+    exit_code = 5

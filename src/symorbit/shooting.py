@@ -149,12 +149,17 @@ def _check_mu(problem: ShootingProblem, mu: float) -> None:
         raise ValueError(f"mu={mu} outside the field's open mu range (-{a}, {a})")
 
 
+def _check_sigma(problem: ShootingProblem, sigma: float) -> None:
+    """ValueError naming sigma unless it lies in the speed band (1 - delta, 1 + delta)."""
+    if not (1.0 - problem.delta) < sigma < (1.0 + problem.delta):  # false for NaN too
+        raise ValueError(f"sigma={sigma} outside (1-delta, 1+delta)")
+
+
 def miss(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
     """Miss value for launch speed multiplier sigma at parameter mu, which must
     lie in the field's open mu range."""
     _check_mu(problem, mu)
-    if not (1.0 - problem.delta) < sigma < (1.0 + problem.delta):
-        raise ValueError(f"sigma={sigma} outside (1-delta, 1+delta)")
+    _check_sigma(problem, sigma)
     t_star, event, traj = crossing_time(
         problem.field,
         mu,

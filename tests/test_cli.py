@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symorbit import NoCrossing, Reflection, cli, continuation, errors, serialize
+from symorbit import NoCrossing, Reflection, analysis, cli, continuation, errors, integrator, orbit, section, serialize
 from symorbit.cli import main
 
 from oracles import csv_text_17g, json_dumps_17g
@@ -159,10 +159,14 @@ def _readme_exit_codes() -> dict:
     return {name: int(code) for code, body in zip(parts[1::2], parts[2::2]) for name in re.findall(r"`([A-Z]\w+)`", body)}
 
 
-@pytest.mark.parametrize("error", errors.SolverError.__subclasses__(), ids=lambda e: e.__name__)
+def _subclasses(cls) -> list:
+    """Every subclass of cls, at any depth."""
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+@pytest.mark.parametrize("error", _subclasses(errors.SolverError), ids=lambda e: e.__name__)
 def test_every_solver_error_has_its_documented_exit_code(error):
-    # PointOnCurve reaches 4 only through exit_code_for's fallback.
-    assert cli.exit_code_for(error("x")) == _readme_exit_codes()[error.__name__]
+    assert error("x").exit_code == _readme_exit_codes()[error.__name__]
 
 
 class TestSolveCommand:
@@ -397,6 +401,17 @@ class TestConfigKeys:
         assert "configuration error: configuration key 'mode'" in err
         assert f"quarter mode requires {requirement}" in err
 
+    def test_verify_refuses_a_mode_that_does_not_fit_before_any_flow(self, tmp_path, capsys, monkeypatch):
+        flows = []
+        for module in (analysis, cli, orbit, section):
+            monkeypatch.setattr(module, "flow", lambda *a, **k: flows.append(a) or integrator.flow(*a, **k))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"field": {"kappa": 1, "alpha": 0.5}}))
+        assert main(["verify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: configuration key 'mode' does not fit the field: ")
+        assert captured.out == "" and flows == []
+
     @pytest.mark.parametrize("radius", [0.5, 2.0])
     def test_radius_on_the_annulus_accepted(self, tmp_path, radius):
         assert cli.RunConfig.load(write_config(tmp_path / "c.json", radius=radius)).radius == radius
@@ -428,6 +443,24 @@ class TestConfigKeys:
         assert len(forward) == points
         assert forward[-1] <= stop
         assert forward[-1] == pytest.approx((points - 1) * step, abs=1e-15)
+
+    def test_count_grid_and_default_grid(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", mu_grid={"stop": 0.01, "count": 7})
+        (forward,) = cli._mu_grids(cli.RunConfig.load(cfg))
+        assert forward.tolist() == np.linspace(0.0, 0.01, 7).tolist()
+        cfg = write_config(tmp_path / "c.json", mu_grid={})
+        (forward,) = cli._mu_grids(cli.RunConfig.load(cfg))
+        assert forward.tolist() == np.linspace(0.0, 0.25, 64).tolist()
+
+    def test_step_with_count_refused(self, tmp_path, capsys, monkeypatch):
+        # A grid takes step or count, not both: count is not dropped silently.
+        started = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: started.append(a))
+        cfg = write_config(tmp_path / "c.json", mu_grid={"stop": 0.01, "step": 0.005, "count": 7})
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "'mu_grid.step'" in err and "'mu_grid.count'" in err
+        assert started == []
 
     def test_section_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", scan=[0.9, 1.1])

@@ -440,8 +440,8 @@ class TestZeroSetScan:
 
     @pytest.mark.parametrize("mu", [0.6, math.nan])
     def test_mu_outside_the_field_range_is_named(self, quarter_problem_radial, mu):
-        # Raised by the first miss at mu, where it used to be a failed cell
-        # and then a BoundaryHypothesisFailure.
+        # Raised with miss's message before the first miss, where it used to
+        # be a failed cell and then a BoundaryHypothesisFailure.
         with pytest.raises(ValueError, match=rf"mu={mu} outside the field's open mu range \(-0.5, 0.5\)"):
             zero_set_scan(quarter_problem_radial, np.linspace(0.9, 1.1, 5), [0.0, mu, 5.0])
 
@@ -512,6 +512,25 @@ def stub_miss(failing=(), value=lambda sigma, mu: sigma - math.sqrt(1.0 + mu)):
 
 
 class TestZeroSetScanFailures:
+    @pytest.mark.parametrize(
+        "sigma, mu, message",
+        [
+            (1.3, 0.0, r"sigma=1.3 outside \(1-delta, 1\+delta\)"),
+            (math.nan, 0.0, r"sigma=nan outside \(1-delta, 1\+delta\)"),
+            (1.0, 0.6, r"mu=0.6 outside the field's open mu range \(-0.5, 0.5\)"),
+            (1.0, math.nan, r"mu=nan outside the field's open mu range \(-0.5, 0.5\)"),
+        ],
+    )
+    def test_grids_checked_before_the_first_miss(self, quarter_problem_radial, monkeypatch, sigma, mu, message):
+        # The bad value is the last sigma, or the last mu, of a 41 x 21 grid.
+        calls = []
+        monkeypatch.setattr(continuation, "miss", lambda *a: calls.append(a) or miss(*a))
+        sigmas = np.append(np.linspace(0.9, 1.1, 40), sigma)
+        mus = np.append(np.linspace(0.0, 0.05, 20), mu)
+        with pytest.raises(ValueError, match=message):
+            zero_set_scan(quarter_problem_radial, sigmas, mus)
+        assert calls == []
+
     def test_failed_cell_is_zero_and_the_scan_continues(self, quarter_problem_radial, monkeypatch):
         miss, calls = stub_miss(failing={(SCAN_SIGMAS[2], SCAN_MUS[1])})
         monkeypatch.setattr(continuation, "miss", miss)
