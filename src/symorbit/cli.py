@@ -24,8 +24,6 @@ from .analysis import (
     apsidal_angle,
     apsidal_limit,
     apsides,
-    energy,
-    angular_momentum,
     radial_accel_at_launch,
     radial_accel_finite_difference,
     radial_problem_from_launch,
@@ -40,10 +38,11 @@ from .forcefield import (
     Reflection,
     check_symmetry,
     circular_speed,
+    potential,
     potential_derivatives,
     zero_perturbation,
 )
-from .integrator import State, flow
+from .integrator import flow
 from .shooting import (
     Mode,
     ShootingProblem,
@@ -71,6 +70,27 @@ _POSITIVE = (lambda v, c: v > 0, "a positive number")
 
 def _at_least(n: int):
     return lambda v, c: v >= n, f"an integer >= {n}"
+
+
+def _between(lo: int, hi: int):
+    return lambda v, c: lo <= v <= hi, f"an integer in [{lo}, {hi}]"
+
+
+# Upper bounds of the count keys, each set by the memory of the largest
+# array the count sizes (the reasons are at their rows in _KEYS): a larger
+# count is refused at load, before any work, not left to numpy's allocation.
+_MAX_SAMPLES = 100_000
+_MAX_SYMMETRY_SAMPLES = 100_000
+_MAX_GRID = 10_000
+_MAX_CELLS = 1_000_000
+
+
+def _step_span(stop: float, step: float) -> float:
+    """stop / step, widened so that a stop within rounding of a multiple of
+    step (0.1 with step 0.005) still ends the grid at stop: its floor is the
+    step grid's interval count (_mu_grids). Infinite for a step that is tiny
+    against stop."""
+    return stop / step * (1.0 + 1e-12)
 
 
 def _launchable(r: float, c: dict) -> bool:
@@ -116,24 +136,37 @@ _KEYS = (
     ("mu_grid", {}, dict, None, "an object"),
     # Default sweep range: 64 uniform points over [0, half the mu range]
     # (_mu_grids); a grid takes step or count, not both (RunConfig.from_dict).
+    # At most _MAX_GRID points either way: each point is a solved, validated
+    # orbit whose curve entry (about 2 kB with its diagnostics) the sweep
+    # keeps, so 20 MB and a run of about a minute.
     ("mu_grid.stop", lambda c: 0.5 * c["field.mu_range"], float, lambda v, c: 0 < v < c["field.mu_range"],
      "a number in (0, field.mu_range)"),
-    ("mu_grid.step", None, float, *_POSITIVE),
-    ("mu_grid.count", None, int, *_at_least(1)),
+    ("mu_grid.step", None, float, lambda v, c: v > 0 and _step_span(c["mu_grid.stop"], v) < _MAX_GRID,
+     f"a positive number that gives at most {_MAX_GRID} points up to mu_grid.stop"),
+    ("mu_grid.count", None, int, *_between(1, _MAX_GRID)),
     ("mu_grid.mirror", False, bool, None, "true or false"),
     # sweep checks the sigmas against the speed band (1 - delta, 1 + delta):
     # the defaults lie outside a narrow band that a solve-only configuration
-    # may declare.
+    # may declare. At most _MAX_CELLS cells: the int sign matrix and the
+    # per-cell lists of continuation._bands hold about 8 MB each, after one
+    # miss per cell (about 0.3 ms each).
     ("scan", {}, dict, None, "an object"),
     ("scan.sigma_min", 0.9, float, *_POSITIVE),
     ("scan.sigma_max", 1.1, float, lambda v, c: v > c["scan.sigma_min"], "a number above scan.sigma_min"),
-    ("scan.sigma_count", 41, int, *_at_least(2)),
+    ("scan.sigma_count", 41, int, *_between(2, _MAX_CELLS)),
     ("scan.mu_max", 0.05, float, None, "a finite number"),
-    ("scan.mu_count", 21, int, *_at_least(1)),
-    # validate_orbit's simplicity check needs 256 samples per period.
-    ("samples", 1024, int, *_at_least(256)),
+    ("scan.mu_count", 21, int, lambda v, c: v >= 1 and v * c["scan.sigma_count"] <= _MAX_CELLS,
+     f"an integer >= 1 with scan.sigma_count * scan.mu_count <= {_MAX_CELLS}"),
+    # validate_orbit's simplicity check needs 256 samples per period. At most
+    # _MAX_SAMPLES: verify_closure's one eval_many gathers 28 floats for each
+    # of up to 3 (samples + 1) times, 67 MB, and a solve's peak grows by
+    # about 1.3 kB per sample.
+    ("samples", 1024, int, *_between(256, _MAX_SAMPLES)),
     ("seed", 0, int, *_at_least(0)),
-    ("symmetry_samples", 64, int, *_at_least(1)),
+    # At most _MAX_SYMMETRY_SAMPLES: check_symmetry keeps its sample points
+    # as Python float pairs, about 110 B each (11 MB), and evaluates the
+    # force twice per point and declared reflection.
+    ("symmetry_samples", 64, int, *_between(1, _MAX_SYMMETRY_SAMPLES)),
 )  # fmt: skip
 _ROW = {row[0]: row for row in _KEYS}
 # The keys of the rows directly below each path; "" is the whole configuration.
@@ -291,9 +324,8 @@ def cmd_solve(config: RunConfig, mu: float, out_dir, as_json: bool) -> int:
 def _mu_grids(config: RunConfig):
     stop, step = config.mu_grid["stop"], config.mu_grid["step"]
     if step is not None:
-        # The last multiple of step not past stop; a stop within rounding of a
-        # multiple (0.1 with step 0.005) still ends the grid at stop.
-        n = math.floor(stop / step * (1.0 + 1e-12))
+        # The last multiple of step not past stop.
+        n = math.floor(_step_span(stop, step))
         forward = np.minimum(np.linspace(0.0, n * step, n + 1), stop)
     else:
         forward = np.linspace(0.0, stop, config.mu_grid["count"] or 64)
@@ -440,6 +472,24 @@ def _check_crossing_continuity(config: RunConfig, problem: ShootingProblem):
     return ok, probes
 
 
+def _conservation_drifts(params: PowerLawParams, traj, v0: float) -> tuple[float, float]:
+    """Largest changes of energy and angular momentum from their launch values
+    over 256 times across traj, relative to max(|H|, v0^2 / 2) and |K|.
+
+    The states are read as one (256, 4) array. Each one's energy 0.5 |v|^2 +
+    U(r) and angular momentum x vy - y vx are `analysis.energy` and
+    `angular_momentum` of its `State` bit for bit: the radius by `np.hypot`
+    and v . v by `@`, as those compute them, and the potential on each float
+    radius (numpy's vectorised power and log need not round as libm does)."""
+    ys = traj.eval_many(np.linspace(0.0, traj.t_end, 256))
+    x, y, vx, vy = ys.T
+    energies = [0.5 * float(v @ v) + potential(params, r) for v, r in zip(ys[:, 2:], np.hypot(x, y).tolist())]
+    momenta = (x * vy - y * vx).tolist()
+    h0, k0 = energies[0], momenta[0]
+    scale_h = max(abs(h0), 0.5 * v0 * v0)  # |H| may vanish at alpha = 2
+    return max(abs(h - h0) for h in energies) / scale_h, max(abs(k - k0) for k in momenta) / abs(k0)
+
+
 def _check_conservation(config: RunConfig, problem: ShootingProblem):
     # Energy and angular momentum at mu = 0 over one period, or over whatever
     # span of it stays inside the annulus.
@@ -457,13 +507,7 @@ def _check_conservation(config: RunConfig, problem: ShootingProblem):
         )
     except DomainExit as exc:
         traj = exc.trajectory
-    ts = np.linspace(0.0, traj.t_end, 256)
-    states = [State(t=t, position=y[:2], velocity=y[2:]) for t, y in zip(ts, traj.eval_many(ts))]
-    h0 = energy(params, states[0])
-    k0 = angular_momentum(states[0])
-    scale_h = max(abs(h0), 0.5 * v0 * v0)  # |H| may vanish at alpha = 2
-    drift_h = max(abs(energy(params, s) - h0) for s in states) / scale_h
-    drift_k = max(abs(angular_momentum(s) - k0) for s in states) / abs(k0)
+    drift_h, drift_k = _conservation_drifts(params, traj, v0)
     return drift_h < 1e-9 and drift_k < 1e-9, {
         "energy_drift": drift_h,
         "momentum_drift": drift_k,

@@ -25,6 +25,7 @@ between samples refined by the package's one bisection loop
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,7 +68,9 @@ class PeriodicOrbit:
 
     `states` holds n+1 uniformly spaced states over one period, first and last
     coinciding up to construction round-off; `at(t)` evaluates the underlying
-    piecewise-reflected interpolant at any time.
+    piecewise-reflected interpolant at any time. The sample rows (t, x, y, vx,
+    vy) and their 17-digit text are built once, when `to_dict` or `write_csv`
+    first needs them, so orbit.json and orbit.csv carry the same text per value.
     """
 
     def __init__(self, segment: Trajectory, mode: Mode, mu, n_samples):
@@ -106,8 +109,11 @@ class PeriodicOrbit:
     def velocities(self) -> np.ndarray:
         return self.states[:, 2:]
 
-    def _rows(self) -> list:
-        return np.column_stack([self.times, self.states]).tolist()
+    @functools.cached_property
+    def _samples(self) -> serialize.FloatRows:
+        """(t, x, y, vx, vy) per sample time with their CSV lines, built on
+        first use and shared by `to_dict` and `write_csv`."""
+        return serialize.FloatRows(np.column_stack([self.times, self.states]))
 
     def to_dict(self) -> dict:
         return {
@@ -116,11 +122,11 @@ class PeriodicOrbit:
             "period": self.period,
             "symmetry": "x_and_y_axes" if Reflection.Y_AXIS in self.symmetry else "x_axis",
             "diagnostics": self.diagnostics,
-            "samples": self._rows(),
+            "samples": self._samples,
         }
 
     def write_csv(self, path):
-        serialize.write_csv(path, ["t", "x", "y", "vx", "vy"], self._rows())
+        serialize.write_csv(path, ["t", "x", "y", "vx", "vy"], self._samples)
 
 
 def _extend(segment: Trajectory, mode: Mode, mu: float, n_samples: int) -> PeriodicOrbit:

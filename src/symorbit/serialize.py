@@ -2,9 +2,13 @@
 
 `dumps` writes the layout of `json.dumps(obj, indent=2, sort_keys=True)` in one
 recursive pass, with floats at 17 significant digits and `json.dumps` for keys,
-strings, ints, bools and None. A list of floats (a sample row) and a CSV row of
-floats are each rendered by one cached `%`-template per row length, since
-`'%.17g' % x` is `format(x, '.17g')` for every float.
+strings, ints, bools and None. A row of floats is rendered once, by one cached
+`%`-template per row length, as its CSV line, since `'%.17g' % x` is
+`format(x, '.17g')` for every float; its JSON array is that line with each
+comma widened to a comma, a newline and the indent, since no rendering holds a
+comma. `FloatRows` keeps the lines of a table of float rows, so that its JSON
+and its CSV (an orbit's samples in orbit.json and orbit.csv) format each float
+once.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+
+import numpy as np
 
 _DIGITS = ".17g"
 
@@ -27,12 +33,39 @@ def _block(brackets: str, items: list[str], depth: int) -> str:
 
 
 @functools.cache
-def _float_row(n: int, depth: int | None) -> str:
-    """%-template for n floats: a CSV line (depth None), else a JSON array at
-    the given nesting depth."""
-    if depth is None:
-        return ",".join(["%" + _DIGITS] * n) + "\n"
-    return _block("[]", ["%" + _DIGITS] * n, depth)
+def _float_row(n: int) -> str:
+    """%-template of the CSV line of n floats, without the newline."""
+    return ",".join(["%" + _DIGITS] * n)
+
+
+def _refuse(x: float):
+    raise ValueError(f"non-finite value {x} not serializable")
+
+
+def _float_array(row, line: str, depth: int) -> str:
+    """The JSON array at `depth` of a nonempty row of floats, from its CSV line."""
+    if "n" in line:  # 'inf' and 'nan' are the only renderings with an n
+        _refuse(next(v for v in row if not math.isfinite(v)))
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + line.replace(",", "," + inner) + "\n" + "  " * depth + "]"
+
+
+class FloatRows(list):
+    """The rows of a 2-D float array as lists of floats, whose CSV lines are
+    rendered once, on first use, for both `dumps` and `write_csv`. It compares
+    equal to the list of rows and passes `json.dumps`; change no row after
+    `lines` is read."""
+
+    def __init__(self, array):
+        array = np.asarray(array, dtype=float)
+        if array.ndim != 2:
+            raise ValueError(f"FloatRows needs a 2-D array, got {array.ndim}-D")
+        super().__init__(array.tolist())
+
+    @functools.cached_property
+    def lines(self) -> list[str]:
+        """Each row's CSV line, without the newline."""
+        return [_float_row(len(row)) % tuple(row) for row in self]
 
 
 def _key(k) -> str:
@@ -48,7 +81,7 @@ def _key(k) -> str:
 def _encode(obj, depth: int) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
-            raise ValueError(f"non-finite value {obj} not serializable")
+            _refuse(obj)
         return format(obj, _DIGITS)
     if isinstance(obj, dict):
         if not obj:
@@ -57,10 +90,11 @@ def _encode(obj, depth: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if isinstance(obj, FloatRows):
+            items = [_float_array(row, line, depth + 1) if row else "[]" for row, line in zip(obj, obj.lines)]
+            return _block("[]", items, depth)
         if all(type(v) is float for v in obj):
-            text = _float_row(len(obj), depth) % tuple(obj)
-            if "n" not in text:  # 'inf' and 'nan' are the only renderings with an n
-                return text
+            return _float_array(obj, _float_row(len(obj)) % tuple(obj), depth)
         return _block("[]", [_encode(v, depth + 1) for v in obj], depth)
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         return _encode(obj.item(), depth)  # numpy scalars
@@ -73,16 +107,23 @@ def dumps(obj) -> str:
 
 
 def dump(obj, path):
+    """Write `dumps(obj)` and a newline to path; a payload that `dumps` refuses
+    leaves no file."""
+    text = dumps(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj) + "\n")
+        fh.write(text)
+
+
+def _csv_line(row) -> str:
+    if all(type(v) is float for v in row):
+        return _float_row(len(row)) % tuple(row)
+    return ",".join(format(v, _DIGITS) if isinstance(v, float) else str(v) for v in row)
 
 
 def write_csv(path, header: list[str], rows):
-    """The one CSV writer: floats at 17 significant digits, anything else as str."""
+    """The one CSV writer: floats at 17 significant digits, anything else as
+    str; the lines of `FloatRows` as they were rendered."""
+    lines = rows.lines if isinstance(rows, FloatRows) else [_csv_line(row) for row in rows]
+    text = "\n".join([",".join(header), *lines]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            if all(type(v) is float for v in row):
-                fh.write(_float_row(len(row), None) % tuple(row))
-            else:
-                fh.write(",".join(format(v, _DIGITS) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.write(text)

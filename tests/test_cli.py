@@ -8,7 +8,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symorbit import NoCrossing, Reflection, analysis, cli, continuation, errors, integrator, orbit, section, serialize
+from symorbit import (
+    DomainExit,
+    ForceField,
+    NoCrossing,
+    PowerLawParams,
+    Reflection,
+    State,
+    analysis,
+    circular_speed,
+    cli,
+    continuation,
+    errors,
+    flow,
+    integrator,
+    orbit,
+    section,
+    serialize,
+    zero_perturbation,
+)
 from symorbit.cli import main
 
 from oracles import csv_text_17g, json_dumps_17g
@@ -94,6 +112,12 @@ PAYLOADS = st.recursive(
 )
 
 
+# A table of float rows of one length 0 to 6: (length, rows).
+TABLES = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.lists(FINITE, min_size=n, max_size=n), max_size=6))
+)
+
+
 class TestSerialize:
     def test_seventeen_digits_round_trip(self):
         payload = {"a": 1.0 / 3.0, "b": [1.5, 2], "c": {"d": math.pi}}
@@ -151,6 +175,57 @@ class TestSerialize:
         serialize.write_csv(tmp_path / "mixed.csv", ["sigma", "0", "0.005", "0.01"], rows)
         assert (tmp_path / "mixed.csv").read_text(encoding="utf-8") == csv_text_17g(["sigma", "0", "0.005", "0.01"], rows)
 
+    @settings(max_examples=150, deadline=None)
+    @given(table=TABLES)
+    def test_float_tables_match_the_oracles_with_and_without_shared_lines(self, table, tmp_path_factory):
+        n, rows = table
+        shared = serialize.FloatRows(np.array(rows, dtype=float).reshape(len(rows), n))
+        assert shared == rows
+        header = [f"c{k}" for k in range(n)]
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        for table_rows in (rows, shared):
+            for payload in ({"samples": table_rows}, {"a": [{"samples": table_rows}], "b": 1.0}):
+                assert serialize.dumps(payload) == json_dumps_17g(payload)
+            serialize.write_csv(path, header, table_rows)
+            assert path.read_text(encoding="utf-8") == csv_text_17g(header, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=TABLES, bad=st.sampled_from([math.inf, -math.inf, math.nan]), data=st.data())
+    def test_non_finite_in_a_float_table_refused_by_json_and_written_by_csv(self, table, bad, data, tmp_path_factory):
+        n, rows = table
+        if not rows or n == 0:
+            rows, n = [[1.0]], 1
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, n - 1))
+        rows = [list(r) for r in rows]
+        rows[i][j] = bad
+        shared = serialize.FloatRows(np.array(rows, dtype=float))
+        with pytest.raises(ValueError) as oracle:
+            json_dumps_17g({"samples": rows})
+        for table_rows in (rows, shared):
+            with pytest.raises(ValueError) as refused:
+                serialize.dumps({"samples": table_rows})
+            assert str(refused.value) == str(oracle.value)
+            path = tmp_path_factory.mktemp("csv") / "rows.csv"
+            serialize.write_csv(path, ["c"] * n, table_rows)
+            assert path.read_text(encoding="utf-8") == csv_text_17g(["c"] * n, rows)
+
+    def test_float_rows_pass_json_dumps_and_render_once(self):
+        shared = serialize.FloatRows([[0.1, -0.0], [5e-324, 1e17]])
+        assert json.loads(json.dumps({"s": shared})) == {"s": [[0.1, -0.0], [5e-324, 1e17]]}
+        assert shared.lines == ["0.10000000000000001,-0", "4.9406564584124654e-324,1e+17"]
+        assert shared.lines is shared.lines
+        with pytest.raises(ValueError, match="2-D"):
+            serialize.FloatRows([1.0, 2.0])
+
+    def test_refused_payload_leaves_no_file(self, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError, match="non-finite value inf not serializable"):
+            serialize.dump({"x": float("inf")}, path)
+        assert not path.exists()
+        serialize.dump({"x": 0.5}, path)
+        assert path.read_text(encoding="utf-8") == '{\n  "x": 0.5\n}\n'
+
 
 def _readme_exit_codes() -> dict:
     """{error class name: exit code}, read off the README's exit-code paragraph."""
@@ -184,6 +259,14 @@ class TestSolveCommand:
         csv_lines = (out / "orbit.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "t,x,y,vx,vy"
         assert len(csv_lines) == 514
+
+    def test_orbit_json_and_csv_carry_the_same_text_per_value(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(config_path), "--out", str(out)]) == 0
+        text = (out / "orbit.json").read_text(encoding="utf-8")
+        tokens = json.loads(text, parse_float=str, parse_int=str)["samples"]  # each number as written
+        csv_lines = (out / "orbit.csv").read_text(encoding="utf-8").splitlines()
+        assert len(tokens) == 513 and tokens == [line.split(",") for line in csv_lines[1:]]
 
     def test_half_mode_is_labelled_x_axis(self, tmp_path, capsys):
         cfg = write_steep_half_config(tmp_path / "a3.json", 0)
@@ -461,6 +544,45 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "'mu_grid.step'" in err and "'mu_grid.count'" in err
         assert started == []
+
+    @pytest.mark.parametrize(
+        "command, path, value",
+        [
+            ("solve", "samples", 10**12),
+            ("solve", "samples", 100_001),
+            ("solve", "symmetry_samples", 10**12),
+            ("solve", "symmetry_samples", 100_001),
+            ("sweep", "mu_grid.count", 10**12),
+            ("sweep", "mu_grid.count", 10_001),
+            ("sweep", "mu_grid.step", 5e-324),  # stop / step is inf
+            ("sweep", "mu_grid.step", 0.01 / 10_000),  # 10,001 points up to stop 0.01
+            ("sweep", "scan.sigma_count", 10**12),
+            ("sweep", "scan.mu_count", 10**12),
+            ("sweep", "scan.mu_count", 1_000_000 // 7 + 1),  # sigma_count 7
+        ],
+    )
+    def test_count_above_its_bound_refused_at_load(self, tmp_path, capsys, monkeypatch, command, path, value):
+        # Only the refusal runs here: a count that loads may allocate what it sizes.
+        started = []
+        for name in ("check_symmetry", "solve_orbit", "run_sweep", "zero_set_scan"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: started.append(a))
+        cfg = write_config_with(tmp_path / "c.json", path, value)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: configuration key '{path}' must be ")
+        assert "Traceback" not in err and started == []
+
+    def test_counts_at_their_bounds_load(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", samples=100_000, symmetry_samples=100_000, mu_grid={"count": 10_000})
+        config = cli.RunConfig.load(cfg)
+        assert (config.samples, config.symmetry_samples, config.mu_grid["count"]) == (100_000, 100_000, 10_000)
+        cfg = write_config(tmp_path / "c.json", scan={"sigma_count": 1_000_000, "mu_count": 1})
+        assert cli.RunConfig.load(cfg).scan["sigma_count"] == 1_000_000
+        cfg = write_config(tmp_path / "c.json", scan={"sigma_count": 7, "mu_count": 1_000_000 // 7})
+        assert cli.RunConfig.load(cfg).scan["mu_count"] == 142_857
+        cfg = write_config(tmp_path / "c.json", mu_grid={"stop": 0.01, "step": 0.01 / 9_999})
+        (forward,) = cli._mu_grids(cli.RunConfig.load(cfg))
+        assert len(forward) == 10_000 and forward[-1] <= 0.01
 
     def test_section_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", scan=[0.9, 1.1])
@@ -780,6 +902,53 @@ class TestVerifyCommand:
         check = {c["name"]: c for c in payload["checks"]}["crossing_continuity"]
         assert check["passed"] is False
         assert check["detail"]["error"] == "NoCrossing"
+
+
+def _per_state_drifts(params, traj, v0):
+    """The conservation drifts from one `State` per sample time, through
+    analysis.energy and angular_momentum."""
+    ts = np.linspace(0.0, traj.t_end, 256)
+    states = [State(t=t, position=y[:2], velocity=y[2:]) for t, y in zip(ts, traj.eval_many(ts))]
+    h0, k0 = analysis.energy(params, states[0]), analysis.angular_momentum(states[0])
+    scale_h = max(abs(h0), 0.5 * v0 * v0)
+    drift_h = max(abs(analysis.energy(params, s) - h0) for s in states) / scale_h
+    drift_k = max(abs(analysis.angular_momentum(s) - k0) for s in states) / abs(k0)
+    return drift_h, drift_k
+
+
+def _launch_flow(params, sigma):
+    """The conservation check's flow from (1, 0): one period of the circular
+    orbit at sigma times its speed, cut where it leaves the annulus."""
+    field = ForceField(base=params, perturbation=zero_perturbation())
+    v0 = circular_speed(params, 1.0)
+    try:
+        return flow(field, 0.0, (1.0, 0.0), (0.0, sigma * v0), 2.0 * math.pi / v0), v0, False
+    except DomainExit as exc:
+        return exc.trajectory, v0, True
+
+
+class TestConservation:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_array_drifts_equal_the_per_state_ones_bit_for_bit(self, alpha):
+        params = PowerLawParams(1.0, alpha)
+        exits = []
+        for sigma in [*np.linspace(0.9, 1.1, 15).tolist(), 1.01]:
+            traj, v0, exited = _launch_flow(params, sigma)
+            exits.append(exited)
+            assert cli._conservation_drifts(params, traj, v0) == _per_state_drifts(params, traj, v0), sigma
+        if alpha == 3.0:
+            assert exits[-1]  # sigma = 1.01 leaves the annulus: a span that DomainExit cut short
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_check_reports_the_per_state_drifts(self, tmp_path, alpha):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"field": {"kappa": 1.0, "alpha": alpha}, "mode": "quarter" if alpha == 1.0 else "half"}))
+        config = cli.RunConfig.load(cfg)
+        _, detail = cli._check_conservation(config, config.problem())
+        traj, v0, exited = _launch_flow(config.field.base, 1.05 if alpha < 2.0 else 1.01)
+        assert (detail["energy_drift"], detail["momentum_drift"]) == _per_state_drifts(config.field.base, traj, v0)
+        assert detail["span"] == traj.t_end
+        assert exited == (alpha == 3.0)
 
 
 class TestUsage:

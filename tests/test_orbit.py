@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 
 import numpy as np
@@ -1013,3 +1014,13 @@ class TestValidateOrbit:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x,y,vx,vy"
         assert len(lines) == len(solved_perturbed_orbit.times) + 1
+
+    def test_samples_built_once_for_json_and_csv(self, solved_perturbed_orbit, tmp_path):
+        orb = solved_perturbed_orbit
+        samples = orb.to_dict()["samples"]
+        assert samples == np.column_stack([orb.times, orb.states]).tolist()
+        assert samples is orb.to_dict()["samples"]
+        assert json.loads(json.dumps(samples)) == samples
+        orb.write_csv(tmp_path / "orbit.csv")
+        lines = (tmp_path / "orbit.csv").read_text().splitlines()
+        assert lines[1:] == samples.lines
