@@ -42,7 +42,7 @@ from .forcefield import (
     potential_derivatives,
     zero_perturbation,
 )
-from .integrator import flow
+from .integrator import _RESOLUTION, flow
 from .shooting import (
     Mode,
     ShootingProblem,
@@ -94,15 +94,19 @@ def _step_span(stop: float, step: float) -> float:
 
 
 def _launchable(r: float, c: dict) -> bool:
-    """r lies in the annulus, and U'(r) and U''(r) of the configured power law
-    are finite nonzero floats."""
+    """r lies in the annulus, U'(r) and U''(r) of the configured power law
+    are finite nonzero floats, and the solve window, 0.75 of the circular
+    period 2 pi r / v0 (`ShootingProblem.window`), is longer than the
+    integrator's time resolution: a flow that short takes no step."""
     if not c["field.annulus"][0] <= r <= c["field.annulus"][1]:
         return False
     try:
         u1, u2 = potential_derivatives(PowerLawParams(c["field.kappa"], c["field.alpha"]), r)
     except (OverflowError, ZeroDivisionError):
         return False
-    return all(math.isfinite(u) and u != 0.0 for u in (u1, u2))
+    if not all(math.isfinite(u) and u != 0.0 for u in (u1, u2)):
+        return False
+    return 0.75 * (2.0 * math.pi / (math.sqrt(r * u1) / r)) > _RESOLUTION  # v0 = sqrt(r U'(r)), circular_speed's
 
 
 # Every key a configuration is read for, in reading order: (dotted path,
@@ -126,9 +130,11 @@ _KEYS = (
      "a list of 'x_axis' and 'y_axis'"),
     ("mode", "quarter", str, lambda v, c: v in [m.value for m in Mode], "'quarter' or 'half'"),
     # The launch point (radius, 0) must lie in the annulus, as ForceField.contains
-    # tests it, where the launch's circular speed and apsidal limit are representable.
+    # tests it, where the launch's circular speed and apsidal limit are
+    # representable and the solve window is one that flow can step through.
     ("radius", 1.0, float, _launchable,
-     "a number in field.annulus [r_in, r_out] where U' and U'' are finite and nonzero"),
+     "a number in field.annulus [r_in, r_out] where U' and U'' are finite and nonzero "
+     f"and the solve window 0.75 * 2 pi radius / v0 exceeds {_RESOLUTION:g}"),
     ("eta", 0.1, float, lambda v, c: 0 < v < 1, "a number in (0, 1)"),
     ("delta", 0.2, float, lambda v, c: c["eta"] < v < 1, "a number in (eta, 1)"),
     ("solve_tol", 1e-10, float, lambda v, c: v >= 0, "a non-negative number"),
@@ -158,9 +164,9 @@ _KEYS = (
     ("scan.mu_count", 21, int, lambda v, c: v >= 1 and v * c["scan.sigma_count"] <= _MAX_CELLS,
      f"an integer >= 1 with scan.sigma_count * scan.mu_count <= {_MAX_CELLS}"),
     # validate_orbit's simplicity check needs 256 samples per period. At most
-    # _MAX_SAMPLES: verify_closure's one eval_many gathers 28 floats for each
-    # of up to 3 (samples + 1) times, 67 MB, and a solve's peak grows by
-    # about 1.3 kB per sample.
+    # _MAX_SAMPLES: verify_closure's one eval_many gathers 14 floats (the
+    # position rows) for each of up to 3 (samples + 1) times, 34 MB, and a
+    # solve's peak grows by at most about 1.3 kB per sample.
     ("samples", 1024, int, *_between(256, _MAX_SAMPLES)),
     ("seed", 0, int, *_at_least(0)),
     # At most _MAX_SYMMETRY_SAMPLES: check_symmetry keeps its sample points

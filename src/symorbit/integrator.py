@@ -15,17 +15,18 @@ it returns true: terminal event location (II.6). It changes no step before
 that one, so the trajectory it ends keeps the step controller's state there
 (`_Resume`), and a later flow from the same start, in the same field at the
 same mu, continues it past its end (`flow`'s prefix) instead of repeating its
-steps.
+steps. A span at or below the time resolution (`_RESOLUTION`) holds no step
+and is refused.
 
 Only this module knows the tableau, the step record, the dense-output matrix
 P and, from P's shape, the stage count and the interpolant's degree. The step
 loop runs on plain floats and calls no numpy, with the tableau products
-unrolled. Neither the step nor `_normal_coefficients` is written by hand.
+unrolled. Neither the step nor `_normal_terms` is written by hand.
 There is one step kernel per force family, generated from `_A`, `_E3`, `_E5`
 and the family's force text (`forcefield._FAMILIES`) and compiled on first
 use (`_step_source`, `_step_kernel`): each stage's force is written out
 inline, on the stage radius that the origin guard reads too, so a step makes
-no force call. `_normal_coefficients` is generated from `_P` at import. The
+no force call. `_normal_terms` is generated from `_P` at import. The
 generated text is in linecache, so tracebacks and profiles show its lines.
 A trial step evaluates the 12 stages and the error norm; only an
 accepted one goes on to the FSAL stage f(t + h, y_new) and the three extra
@@ -43,9 +44,15 @@ coefficients Q = K^T P are built only where something samples the step
 (`_q_matrix`) and evaluated by one Horner rule: on floats for one step
 (`_step_eval`, `_refine_in_step`) and on arrays for many times at once
 (`eval_many`, over all steps' Q stacked in one batched product), bit for bit
-alike. The section scan takes the coefficients of a step's position
-projected on its normal from `_normal_coefficients`, formed from the stages
-without building Q.
+alike. Q is formed once per step: `_step_eval` returns a step's left node as
+it is, with no Q, and a trajectory that continues a prefix takes the prefix's
+stacked Q and forms only its new steps'. `eval_many` runs Horner's rule in
+place on the gathered coefficients, and on the position rows only when asked
+for positions (width 2). The section scan takes the coefficients of a step's
+position projected on its normal, and the sum of their moduli, from one call
+of `_normal_terms`, formed from the stages without building Q; it refines a
+crossing by bisecting with `_crossing_test`, one closure of the unrolled
+Horner rule and `_crossed`'s sign test.
 
 Every event search of the package is built from three primitives here:
 `_bisect`, the one interval-halving loop; `_crossed` and `_sign_changes`, the
@@ -319,6 +326,10 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _MAX_TRIALS = 100_000  # accepted or rejected steps per flow, Hairer's NMAX: <= ~280 MB of records
+# flow's time resolution relative to max(t_end, 1): its smallest step, and
+# the remainder of the span it leaves uncovered. A span at or below it
+# holds no step.
+_RESOLUTION = 1e-14
 # flow's relative and absolute error tolerances, read at each call; the
 # acceptance bounds of the package were calibrated at these values.
 _RTOL = _ATOL = 1e-12
@@ -367,12 +378,13 @@ class Trajectory:
     `flow` can continue it as a prefix.
     """
 
-    def __init__(self, steps: list, t_end: float, y_end, resume: _Resume | None = None):
+    def __init__(self, steps: list, t_end: float, y_end, resume: _Resume | None = None, head=None):
         self._dense = steps
         self.t_end = float(t_end)
         self._y_end = y_end
         self._resume = resume
         self._stacked = None  # t_left, h, y_left and Q of every step as arrays, built by _arrays
+        self._head = head  # _arrays of a trajectory whose steps begin these ones, or None
 
     @cached_property
     def ts(self) -> np.ndarray:
@@ -387,10 +399,17 @@ class Trajectory:
         return len(self._dense)
 
     def _arrays(self):
-        """t_left, h, y_left and Q of every step as arrays, built on first use."""
+        """t_left, h, y_left and Q of every step as arrays, built on first use.
+
+        The steps that `_head`, a continued prefix's arrays, already holds are
+        taken from it, so Q is formed once per step: a step's Q does not
+        depend on the other steps of its batched product.
+        """
         if self._stacked is None:
-            t_left, h, y_left, stages = zip(*self._dense)
-            self._stacked = np.array(t_left), np.array(h), np.array(y_left), _q_matrices(stages)
+            head, self._head = self._head, None
+            t_left, h, y_left, stages = zip(*self._dense[0 if head is None else len(head[0]) :])
+            new = np.array(t_left), np.array(h), np.array(y_left), _q_matrices(stages)
+            self._stacked = new if head is None else tuple(map(np.concatenate, zip(head, new)))
         return self._stacked
 
     def refine_in_step(self, i: int, pred):
@@ -403,24 +422,30 @@ class Trajectory:
         i = min(max(i, 0), len(self._dense) - 1)
         return _step_eval(self._dense[i], t)
 
-    def eval_many(self, ts) -> np.ndarray:
-        """States at every time of ts, shape (len(ts), 4).
+    def eval_many(self, ts, width: int = 4) -> np.ndarray:
+        """States at every time of ts, shape (len(ts), width): the first
+        `width` components (x, y, vx, vy), so width 2 gives positions only.
 
         Each time goes to the step `_eval` picks (a node belongs to the later
         step) and is evaluated by `_step_eval`'s rule, with the same float
         operations on arrays, so each row equals `_eval` bit for bit; a step's
         left node time gives that node state exactly, and t_end the last
-        step's interpolant at theta 1, not the end node.
+        step's interpolant at theta 1, not the end node. Horner's rule runs in
+        place on the gathered coefficients: (acc + q_k) theta is theta (q_k +
+        theta acc') rounded alike, since float + and * commute.
         """
         t_left, h, y_left, q = self._arrays()
         ts = np.asarray(ts, dtype=float)
         i = np.clip(np.searchsorted(self.ts, ts, side="right") - 1, 0, len(h) - 1)
-        h, y_left, q = h[i, None], y_left[i], q[i]
+        h, y_left, q = h[i, None], y_left[i, :width], q[i, :width]
         theta = (ts - t_left[i])[:, None] / h
-        acc = q[:, :, -1]
+        acc = q[:, :, -1] * theta
         for k in range(_DEGREE - 2, -1, -1):
-            acc = q[:, :, k] + theta * acc
-        return np.where(theta == 0.0, y_left, y_left + h * (theta * acc))
+            acc += q[:, :, k]
+            acc *= theta
+        acc *= h
+        acc += y_left
+        return np.where(theta == 0.0, y_left, acc)
 
     def interpolate(self, t: float) -> State:
         y = self._eval(float(t))
@@ -467,6 +492,21 @@ def _horner(c, th: float) -> float:
     return acc
 
 
+def _crossing_test(c, ga: float, t_left: float, h: float):
+    """The bisection predicate m -> _crossed(ga, _horner(c, (m - t_left) / h))
+    on a step's full-degree polynomial c, as one closure: Horner's rule
+    unrolled as `_horner` unrolls it, then `_crossed`'s sign test."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c  # _DEGREE + 1
+    above = ga > 0.0
+
+    def crossed(m: float) -> bool:
+        th = (m - t_left) / h
+        g = c0 + th * (c1 + th * (c2 + th * (c3 + th * (c4 + th * (c5 + th * (c6 + th * c7))))))
+        return g <= 0.0 if above else g >= 0.0
+
+    return crossed
+
+
 def _coefficient_bound(c) -> float:
     """|c[1]| + ... + |c[-1]|, summed left to right (builtin sum() rounds
     otherwise from Python 3.12 on). No root on [0, 1] when |c[0]| exceeds it."""
@@ -485,9 +525,13 @@ def _dense_at(y_left, h: float, rows, theta: float) -> list:
 
 
 def _step_eval(step, t: float) -> np.ndarray:
-    """State at time t on the interpolant of one step record."""
+    """State at time t on the interpolant of one step record; at the left
+    node (theta 0) that node's state, without forming Q."""
     t_left, h, y_left, stages = step
-    return np.array(_dense_at(y_left, h, _q_matrix(stages).tolist(), (t - t_left) / h))
+    theta = (t - t_left) / h
+    if theta == 0.0:
+        return np.array(y_left)
+    return np.array(_dense_at(y_left, h, _q_matrix(stages).tolist(), theta))
 
 
 def _rms(values, scale) -> float:
@@ -680,28 +724,29 @@ def _step_source(kind: str) -> str:
 
 
 def _normal_source() -> str:
-    """Source of `_normal_coefficients`, written from `_P`: each coefficient
-    sums `p_s * P[s, j]` over the stages s of P's nonzero rows, zero entries
-    included."""
+    """Source of `_normal_terms`, written from `_P`: each coefficient sums
+    `p_s * P[s, j]` over the stages s of P's nonzero rows, zero entries
+    included, and the bound sums the coefficients' moduli left to right, as
+    `_coefficient_bound` sums them."""
     rows = [s for s in range(_STAGES) if _P[s].any()]
     projections = "\n    ".join(f"p{s} = n0 * k[{4 * s}] + n1 * k[{4 * s + 1}]" for s in rows)
-    coefficients = "".join(
-        "\n        h * (" + " + ".join(f"p{s} * {float(_P[s, j])!r}" for s in rows) + ")," for j in range(_DEGREE)
+    coefficients = "\n    ".join(
+        f"c{j + 1} = h * (" + " + ".join(f"p{s} * {float(_P[s, j])!r}" for s in rows) + ")" for j in range(_DEGREE)
     )
-    return f'''def _normal_coefficients(step, n0, n1):
-    """c1, ..., cD of g(theta) = n0 x + n1 y = g(0) + c1 theta + ... + cD
-    theta^D on one step: h times the stage velocities projected on (n0, n1)
-    dotted with the columns of P, on floats."""
+    names = [f"c{j + 1}" for j in range(_DEGREE)]
+    return f'''def _normal_terms(step, n0, n1):
+    """((c1, ..., cD), |c1| + ... + |cD|) of g(theta) = n0 x + n1 y = g(0) +
+    c1 theta + ... + cD theta^D on one step: h times the stage velocities
+    projected on (n0, n1) dotted with the columns of P, on floats, and the
+    coefficient bound of `_coefficient_bound` (its 0.0 + |c1| is |c1|)."""
     _, h, _, k = step
     {projections}
-    return ({coefficients}
-    )
+    {coefficients}
+    return ({", ".join(names)}), {" + ".join(f"abs({c})" for c in names)}
 '''
 
 
-_normal_coefficients = _generated(_normal_source(), "<symorbit.integrator: section-normal coefficients from P>")[
-    "_normal_coefficients"
-]
+_normal_terms = _generated(_normal_source(), "<symorbit.integrator: section-normal coefficients from P>")["_normal_terms"]
 
 
 @functools.cache
@@ -749,7 +794,8 @@ def flow(
     prefix: Trajectory | None = None,
 ) -> Trajectory:
     """Integrate r'' = g(r, mu) from (x, v) over [0, t_end] at the module's
-    tolerances `_RTOL` and `_ATOL`.
+    tolerances `_RTOL` and `_ATOL`. A t_end at or below the time resolution
+    `_RESOLUTION` max(t_end, 1), where no step fits, is a ValueError.
 
     The first step is `_initial_step`'s estimate and every later one the
     controller's, capped by nothing but the span's end. Raises DomainExit
@@ -779,6 +825,9 @@ def flow(
     """
     if not 0.0 < t_end < math.inf:  # false for NaN too
         raise ValueError(f"t_end must be a finite number > 0, got {t_end}")
+    min_step = _RESOLUTION * max(t_end, 1.0)
+    if t_end <= min_step:
+        raise ValueError(f"t_end={t_end:g} is at or below the integrator's time resolution {_RESOLUTION:g}")
     if stop is not None and prefix is not None:
         raise ValueError("flow takes a stop callback or a prefix, not both")
     x = np.asarray(x, dtype=float)
@@ -789,8 +838,7 @@ def flow(
     r_in, r_out = field.annulus
     accel = field.acceleration
     step_kernel, constants = _step_kernel(field.perturbation.kind), field._force_constants
-    rtol, atol = _RTOL, _ATOL
-    min_step = 1e-14 * max(t_end, 1.0)
+    rtol, atol, max_trials, hypot = _RTOL, _ATOL, _MAX_TRIALS, math.hypot
 
     state = (float(x[0]), float(x[1]), float(v[0]), float(v[1]))
     resume = _continuable(prefix, field, mu, state, t_end, min_step)
@@ -805,9 +853,12 @@ def flow(
         dense = []
         trials = 0
         h_first = h
+        head = None
     else:
         _, _, t, state, force, g_left, h, trials, h_first = resume
         dense = list(prefix._dense)
+        head = prefix._stacked  # the prefix's Q, when it was formed
+    append = dense.append
     capped = False  # a trial was shortened to meet t_end
 
     while t < t_end:
@@ -817,8 +868,8 @@ def flow(
             h, capped = t_end - t, True
         if not h >= min_step:  # a NaN step (non-finite launch force) never shrinks below it
             raise StepFailure(f"step size underflow at t={t} (h={h})")
-        if trials == _MAX_TRIALS:
-            raise StepFailure(f"step budget _MAX_TRIALS = {_MAX_TRIALS} trials spent at t={t} of {t_end}")
+        if trials == max_trials:
+            raise StepFailure(f"step budget _MAX_TRIALS = {max_trials} trials spent at t={t} of {t_end}")
         trials += 1
 
         trial = step_kernel(constants, mu, h, state, force, rtol, atol)
@@ -831,11 +882,12 @@ def flow(
             continue
 
         step = (t, h, state, stages)
-        dense.append(step)
+        append(step)
         t_next = t + h
 
-        rr = math.hypot(state_new[0], state_new[1])
-        g = state_new[0] * state_new[2] + state_new[1] * state_new[3]  # r dr/dt
+        xn, yn, un, wn = state_new
+        rr = hypot(xn, yn)
+        g = xn * un + yn * wn  # r dr/dt
         if rr < r_in or rr > r_out:
             exit_ = _refine_in_step(step, lambda s: _outside(s, r_in, r_out))
         elif g_left != 0.0 and _crossed(g_left, g):
@@ -848,7 +900,7 @@ def flow(
                 f"orbit left annulus [{r_in}, {r_out}] at t={t_exit:.6g}",
                 t_exit=t_exit,
                 state=State(t=t_exit, position=y_exit[:2], velocity=y_exit[2:]),
-                trajectory=Trajectory(dense, t_exit, y_exit),
+                trajectory=Trajectory(dense, t_exit, y_exit, head=head),
             )
 
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(1.0, _SAFETY * err**-0.125))
@@ -859,4 +911,4 @@ def flow(
             return Trajectory(dense, t_next, state_new, kept)
         t, state, g_left = t_next, state_new, g
 
-    return Trajectory(dense, t, state)
+    return Trajectory(dense, t, state, head=head)

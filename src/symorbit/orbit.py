@@ -8,13 +8,17 @@ branch of a period applies and the end conditions under which the branches
 join. Each reflection reverses time, so a branch's segment time map a*tau +
 c*s and its state sign vector follow from its reflections (`_branch`). An
 orbit evaluates any batch of times with one `Trajectory.eval_many` call on the
-mapped times, multiplied by the gathered sign vectors.
+mapped times, multiplied by the gathered sign vectors. Each per-orbit
+quantity is computed once: the segment's two ends by one `eval_many` call,
+the start state as the first sample (`initial_state`), and the polyline that
+the simplicity and winding checks read, on first use.
 
 The assembled orbit is checked independently of that construction. One
 re-integration of the period from the orbit start gives closure (the state
 after one period against the start) and symmetry (for each declared
 reflection, the time-reversal residual of the re-integrated positions at the
-sample times); simplicity is checked by orientation and on-segment tests on
+sample times, which evaluates positions only); simplicity is checked by
+orientation tests, and on-segment tests where both orientations vanish, on
 the segment pairs whose bounding boxes overlap, found by one sort on their
 x-extents, which returns exactly what an all-pairs sweep returns; origin
 enclosure by winding number; and the two-point x-axis crossing property by the
@@ -99,7 +103,9 @@ class PeriodicOrbit:
         return State(t=float(t), position=y[:2], velocity=y[2:])
 
     def initial_state(self) -> State:
-        return self.at(0.0)
+        """The state at time 0: the first sample, which is `at(0.0)` bit for bit."""
+        y = self.states[0]
+        return State(t=0.0, position=y[:2].copy(), velocity=y[2:].copy())
 
     @property
     def positions(self) -> np.ndarray:
@@ -108,6 +114,12 @@ class PeriodicOrbit:
     @property
     def velocities(self) -> np.ndarray:
         return self.states[:, 2:]
+
+    @functools.cached_property
+    def _polyline(self) -> np.ndarray:
+        """The sample positions as a closed polyline (`_polyline`), formed once
+        for the simplicity and winding checks."""
+        return _closed_polyline(self.positions)
 
     @functools.cached_property
     def _samples(self) -> serialize.FloatRows:
@@ -131,7 +143,7 @@ class PeriodicOrbit:
 
 def _extend(segment: Trajectory, mode: Mode, mu: float, n_samples: int) -> PeriodicOrbit:
     """Check the segment's end conditions for `mode`, then build the orbit."""
-    ends = np.array([segment._eval(0.0), segment._eval(segment.t_end)])
+    ends = segment.eval_many([0.0, segment.t_end])
     r_scale = max(np.max(np.abs(ends[:, :2])), 1e-30)
     v_scale = max(np.max(np.abs(ends[:, 2:])), 1e-30)
     scale = (r_scale, r_scale, v_scale, v_scale)
@@ -203,7 +215,7 @@ def verify_closure(
     ts, period = orbit.times, orbit.period
     refls = sorted(orbit.symmetry, key=lambda r: r.value)
     mirrored = [(_REVERSAL[r] * period - ts) % period for r in refls]
-    pos = traj.eval_many(np.concatenate([ts, *mirrored]))[:, :2].reshape(-1, len(ts), 2)
+    pos = traj.eval_many(np.concatenate([ts, *mirrored]), width=2).reshape(-1, len(ts), 2)
     residuals = {}
     for r, at_mirrored in zip(refls, pos[1:]):
         residuals[r] = float(np.max(np.linalg.norm(pos[0] * np.array(r.signs) - at_mirrored, axis=1)))
@@ -216,14 +228,17 @@ def verify_closure(
 
 def _polyline(orbit_or_points) -> np.ndarray:
     if isinstance(orbit_or_points, PeriodicOrbit):
-        pts = orbit_or_points.positions
-    else:
-        pts = np.asarray(orbit_or_points, dtype=float)
+        return orbit_or_points._polyline
+    return _closed_polyline(np.asarray(orbit_or_points, dtype=float))
+
+
+def _closed_polyline(pts: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(pts)):  # before the closing-point test, whose atol they would make inf or NaN
         raise ValueError("polyline points must be finite")
     # Drop a duplicated closing point, one within 1e-9 of the first at unit
-    # scale; segments wrap around implicitly.
-    if np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-9 * max(1.0, np.max(np.abs(pts)))):
+    # scale; segments wrap around implicitly. On finite points this is
+    # np.allclose with rtol 0.
+    if np.max(np.abs(pts[0] - pts[-1])) <= 1e-9 * max(1.0, np.max(np.abs(pts))):
         pts = pts[:-1]
     return pts
 
@@ -252,12 +267,13 @@ def _overlapping_pairs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray
     if not math.isfinite(float(np.max(hi - lo))):  # NaN or inf when any point is not finite
         raise ValueError("polyline points and segment extents must be finite")
     n = len(starts)
-    order = np.argsort(lo[:, 0])
+    (lo_x, lo_y), (hi_x, hi_y) = lo.T, hi.T  # 1-D columns: indexed by one array each
+    order = np.argsort(lo_x)
     at = np.arange(n)
-    stop = np.searchsorted(lo[order, 0], hi[order, 0], "right")
+    stop = np.searchsorted(lo_x[order], hi_x[order], "right")
     first, later = _ranges(at + 1, stop - at - 1)
     a, b = order[first], order[later]
-    keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+    keep = (lo_y[a] <= hi_y[b]) & (lo_y[b] <= hi_y[a])
     a, b = a[keep], b[keep]
     code = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
     return code // n, code % n
@@ -281,9 +297,11 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
     pts = _polyline(orbit_or_points)
     if len(pts) < min_points:
         raise ValueError(f"need at least {min_points} sample points, got {len(pts)}")
+    x, y = pts.T
     keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-    pts = pts[keep]
+    keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    if not keep.all():
+        pts = pts[keep]
     if len(pts) > 1 and np.array_equal(pts[-1], pts[0]):
         pts = pts[:-1]
     n = len(pts)
@@ -306,14 +324,16 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
     hit = ((p12 < 0) & (p34 <= 0)) | ((p12 <= 0) & (p34 < 0))
     # Both products 0: an end point q lies on the line of the other segment
     # (s0, s1) and meets it when it lies in that segment's bounding box too.
+    # Most orbits have no such pair, and then nothing is tested.
     both = np.flatnonzero((p12 == 0) & (p34 == 0))
     ends = ((d1, c, e, a), (d2, c, e, b), (d3, a, b, c), (d4, a, b, e))
-    on = np.zeros((4, len(both)), dtype=bool)
-    for m, (o, s0, s1, q) in enumerate(ends):
-        s0, s1, q = s0[both], s1[both], q[both]
-        in_box = np.all((np.minimum(s0, s1) <= q) & (q <= np.maximum(s0, s1)), axis=1)
-        on[m] = (o[both] == 0) & in_box
-    hit[both] = np.any(on, axis=0)
+    if len(both):
+        on = np.zeros((4, len(both)), dtype=bool)
+        for m, (o, s0, s1, q) in enumerate(ends):
+            s0, s1, q = s0[both], s1[both], q[both]
+            in_box = np.all((np.minimum(s0, s1) <= q) & (q <= np.maximum(s0, s1)), axis=1)
+            on[m] = (o[both] == 0) & in_box
+        hit[both] = np.any(on, axis=0)
     hits = np.flatnonzero(hit)
     if len(hits) == 0:
         return True, None

@@ -5,12 +5,13 @@ point is strictly interior to the segment and the transverse velocity
 component clears a floor. On each step of the dense output the
 segment-normal coordinate is a polynomial in the step fraction, of the
 interpolant's degree, and one per-step scanner (`_SectionScan`) searches it.
-The polynomial belongs to the integrator: its coefficients come from
-`integrator._normal_coefficients` and its values from `integrator._horner`,
-so this module knows neither the stages nor the degree. The scanner:
+The polynomial belongs to the integrator: its coefficients and the sum of
+their moduli come from one call of `integrator._normal_terms` per step and its
+values from `integrator._horner`, so this module knows neither the stages nor
+the degree. The scanner:
 
-- passes over a step whose constant coefficient outweighs the sum of the
-  others' moduli, which has no root;
+- passes over a step whose constant coefficient outweighs that sum, which
+  has no root;
 - otherwise takes as candidates the sign changes, by the integrator's rule
   (`integrator._sign_changes`: a value of exactly zero counts as the end of
   a sign change), over the window's ends on the step and the polynomial's
@@ -21,8 +22,9 @@ so this module knows neither the stages nor the degree. The scanner:
   derivative, recursively down to degree 1, and bisects each monotone piece;
 - refines each candidate on the same polynomial by the package's one
   bisection primitive (`integrator._bisect`) down to 1e-12 max(t_hi, 1) for
-  the window [0, t_hi], then classifies it; only then is the step's state at
-  the crossing built.
+  the window [0, t_hi], its predicate one closure
+  (`integrator._crossing_test`), then classifies it; only then is the step's
+  state at the crossing built.
 
 A `SectionSpec` computes its frame once, on floats: its length and unit
 tangent (ux, uy), the unit normal being (-uy, ux). The scanner reads the
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 from .errors import BoundaryCrossing, DomainExit, NoCrossing, TangentialCrossing
 from .forcefield import ForceField
 from .integrator import State, Trajectory, flow
-from .integrator import _bisect, _coefficient_bound, _crossed, _horner, _normal_coefficients, _sign_changes, _step_eval
+from .integrator import _bisect, _coefficient_bound, _crossed, _crossing_test, _horner, _normal_terms, _sign_changes, _step_eval
 
 # Section segments span [0.25 R, 4 R] along their axis so every desk-scale
 # crossing is comfortably interior and interiority stays checkable.
@@ -147,7 +149,8 @@ class _SectionScan:
         # g(theta) = c0 + c1 theta + ... on this step; c0 is the previous
         # step's right-node value, or the launch's on the first step.
         c0 = n0 * (y_left[0] - s0) + n1 * (y_left[1] - s1) if self._g is None else self._g
-        c = (c0, *_normal_coefficients(step, n0, n1))
+        coefficients, bound = _normal_terms(step, n0, n1)
+        c = (c0, *coefficients)
 
         t_b = t_left + h
         last = not t_b < t_hi
@@ -159,7 +162,7 @@ class _SectionScan:
             g_b = n0 * (y_right[0] - s0) + n1 * (y_right[1] - s1)
         self._g = g_b
 
-        if c0 * g_b > 0.0 and abs(c0) > _coefficient_bound(c):
+        if c0 * g_b > 0.0 and abs(c0) > bound:
             # No root of g on [0, 1]; the end-sign test keeps a node value
             # that rounding put on the other side.
             return last
@@ -179,7 +182,7 @@ class _SectionScan:
         """Bisect the sign change on [a, b] and classify the crossing; None
         when it misses the segment (the supporting line was crossed)."""
         left, width = step[0], step[1]
-        a, b = _bisect(lambda m: _crossed(ga, _horner(coeffs, (m - left) / width)), a, b, self.time_tol)
+        a, b = _bisect(_crossing_test(coeffs, ga, left, width), a, b, self.time_tol)
         t_star = 0.5 * (a + b)
         section, bt, length = self.section, self._bt, self.section.length
         y = _step_eval(step, t_star)

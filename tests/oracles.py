@@ -5,8 +5,9 @@ apsides) or direct algebra on the force law; nothing imports the solver's
 numerical paths. The serialization references are the straightforward
 algorithms that `symorbit.serialize` must reproduce byte for byte, and the
 hot-path references below are the earlier, plainer forms of the force, the
-interpolant's Horner rule and the section frame, which the rewritten ones must
-equal bit for bit.
+interpolant's Horner rule, its batched evaluation, the section-normal
+coefficients and the section frame, which the rewritten ones must equal bit
+for bit. The scipy orbits are the solver's independent twins.
 """
 
 import json
@@ -130,6 +131,44 @@ def half_mode_orbit_scipy(kappa, alpha, cx, px, cy, py, mu, eta, radius=1.0):
     return sigma_star, 2.0 * crossing(sigma_star)[0]
 
 
+def quarter_mode_orbit_scipy(kappa, alpha, cx, px, cy, py, mu, eta, radius=1.0):
+    """(sigma*, period) of the quarter-mode orbit of the axis_poly family, by scipy.
+
+    The twin of `half_mode_orbit_scipy`, with the same right-hand side: scipy's
+    DOP853 (rtol = atol = 1e-13) runs from the vertical launch at (radius, 0)
+    with sigma times the circular speed to a terminal event on x = 0 crossed
+    downwards (the first arrival on the positive y-axis); brentq finds the
+    sigma in [1 - eta, 1 + eta] where the vertical velocity there vanishes.
+    Both axis reflections close the orbit, so the period is four times the
+    crossing time. Needs scipy.
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    v0 = math.sqrt(kappa * radius**-alpha)
+    window = 2.0 * math.pi * radius / v0
+
+    def rhs(t, s):
+        x, y, vx, vy = s
+        f = -kappa / math.hypot(x, y) ** (alpha + 2.0)
+        return [vx, vy, f * x + mu * cx * x**px, f * y + mu * cy * y**py]
+
+    def down_crossing(t, s):
+        return s[0]
+
+    down_crossing.terminal = True
+    down_crossing.direction = -1
+
+    def crossing(sigma):
+        sol = solve_ivp(rhs, (0.0, window), [radius, 0.0, 0.0, sigma * v0], method="DOP853",
+                        rtol=1e-13, atol=1e-13, events=down_crossing)
+        (t_star,), (state,) = sol.t_events[0], sol.y_events[0]
+        return t_star, state[3]
+
+    sigma_star = brentq(lambda s: crossing(s)[1], 1.0 - eta, 1.0 + eta, xtol=1e-15, rtol=1e-15)
+    return sigma_star, 4.0 * crossing(sigma_star)[0]
+
+
 def _zero_term(x, y):
     return 0.0, 0.0
 
@@ -178,6 +217,45 @@ def horner_loop(c, th):
     for ck in reversed(c[:-1]):
         acc = ck + th * acc
     return acc
+
+
+def eval_many_loop(steps, t_end, p, ts):
+    """States at the times ts on the dense output of the step records
+    `steps` (t_left, h, y_left, stages) of a span ending at t_end, as
+    `Trajectory.eval_many` evaluated them with Horner's rule as a loop that
+    builds a new array per coefficient: Q = K^T p of every step by one
+    batched product, each time on the step of the last node at or before it
+    (the first step before the span, the last at and past its end), and a
+    step's left node state itself at theta 0."""
+    t_left = np.array([step[0] for step in steps])
+    h = np.array([step[1] for step in steps])
+    y_left = np.array([step[2] for step in steps])
+    q = np.array([step[3] for step in steps]).reshape(len(steps), p.shape[0], 4).transpose(0, 2, 1) @ p
+    ts = np.asarray(ts, dtype=float)
+    i = np.clip(np.searchsorted(np.append(t_left, t_end), ts, side="right") - 1, 0, len(steps) - 1)
+    h, y_left, q = h[i, None], y_left[i], q[i]
+    theta = (ts - t_left[i])[:, None] / h
+    acc = q[:, :, -1]
+    for k in range(q.shape[2] - 2, -1, -1):
+        acc = q[:, :, k] + theta * acc
+    return np.where(theta == 0.0, y_left, y_left + h * (theta * acc))
+
+
+def normal_coefficients_loop(step, n0, n1, p):
+    """c1, ..., cD of the step's position projected on (n0, n1), on floats:
+    h times the sum, left to right over the stages s of p's nonzero rows, of
+    (n0 vx_s + n1 vy_s) p[s, j], as the section scan formed them before the
+    coefficients and their bound came from one generated function."""
+    _, h, _, k = step
+    rows = [s for s in range(p.shape[0]) if p[s].any()]
+    projected = {s: n0 * k[4 * s] + n1 * k[4 * s + 1] for s in rows}
+    out = []
+    for j in range(p.shape[1]):
+        acc = projected[rows[0]] * float(p[rows[0], j])
+        for s in rows[1:]:
+            acc = acc + projected[s] * float(p[s, j])
+        out.append(h * acc)
+    return out
 
 
 def section_frame_numpy(start, end):

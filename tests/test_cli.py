@@ -471,6 +471,38 @@ class TestConfigKeys:
         assert "where U' and U'' are finite and nonzero" in err
 
     @pytest.mark.parametrize(
+        "command", [["solve"], ["verify"], ["analyze", "--sigma", "1.05", "--json"], ["sweep"]], ids=lambda c: c[0]
+    )
+    def test_radius_whose_solve_window_is_below_the_time_resolution_refused(self, tmp_path, capsys, command):
+        # At kappa = 1e31 the circular speed at radius 1 is 3.2e15 and the
+        # solve window 0.75 * 2 pi / 3.2e15 = 1.5e-15, under flow's time
+        # resolution 1e-14: a flow that short takes no step. analyze used to
+        # exit 0 with no apsides, and solve 2 with a BracketFailure.
+        cfg = tmp_path / "c.json"
+        field = {
+            "kappa": 1e31,
+            "alpha": 0.5,
+            "perturbation": {"kind": "axis_poly", "params": {"cx": 1.0, "px": 2, "cy": 1.0, "py": 3}, "symmetries": ["x_axis"]},
+        }
+        cfg.write_text(json.dumps({"field": field, "mode": "half", "radius": 1.0, "mu": 0.01}))
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "configuration error: configuration key 'radius' must be" in err
+        assert "the solve window 0.75 * 2 pi radius / v0 exceeds 1e-14" in err
+
+    @pytest.mark.parametrize("kappa, loads", [(2e29, True), (3e29, False)])
+    def test_solve_window_bound(self, tmp_path, kappa, loads):
+        # At radius 1 the window 0.75 * 2 pi / sqrt(kappa) passes 1e-14 at
+        # kappa = 2.22e29.
+        cfg = write_config_with(tmp_path / "c.json", "field.kappa", kappa)
+        if loads:
+            assert cli.RunConfig.load(cfg).problem().window > 1e-14
+        else:
+            with pytest.raises(ValueError, match="configuration key 'radius' must be"):
+                cli.RunConfig.load(cfg)
+
+    @pytest.mark.parametrize(
         "key, value, requirement",
         [("field.alpha", 0.5, "alpha == 1"), ("field.perturbation.symmetries", ["x_axis"], "both reflection symmetries")],
     )

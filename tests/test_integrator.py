@@ -21,6 +21,7 @@ from symorbit import (
     State,
     StepFailure,
     angular_momentum,
+    axis_poly_perturbation,
     circular_speed,
     crossing_time,
     energy,
@@ -42,7 +43,7 @@ from symorbit.integrator import (
 )
 from symorbit.section import _roots
 
-from oracles import horner_loop, kepler_period, same_float, semi_major_axis, trajectory_bits
+from oracles import eval_many_loop, horner_loop, kepler_period, same_float, semi_major_axis, trajectory_bits
 
 
 def launch_state(sigma, params, radius=1.0):
@@ -71,6 +72,19 @@ class TestFlow:
         # NaN and inf used to pass `t_end <= 0` and return an empty trajectory.
         with pytest.raises(ValueError, match=f"t_end must be a finite number > 0, got {t_end}"):
             flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), t_end)
+
+    @pytest.mark.parametrize("t_end", [1e-20, 5e-324, 1e-14])
+    def test_span_at_or_below_the_time_resolution_refused(self, kepler_field, t_end):
+        # A span of at most 1e-14 max(t_end, 1) holds no step: flow used to
+        # return a trajectory with no steps and t_end 0.0, whose final_state,
+        # interpolate and eval_many raised IndexError or ValueError.
+        with pytest.raises(ValueError, match=r"t_end=.* is at or below the integrator's time resolution 1e-14"):
+            flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), t_end)
+
+    def test_span_just_above_the_time_resolution_takes_a_step(self, kepler_field):
+        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2e-14)
+        assert traj.n_steps == 1 and traj.t_end == 2e-14
+        assert np.array_equal(traj.final_state().position, traj.eval_many([2e-14])[0, :2])
 
     def test_energy_drift_one_radial_period(self, kepler_field, kepler_params):
         # sigma = 1.1 ellipse over one full radial period
@@ -369,7 +383,7 @@ def test_normal_coefficients_are_the_projected_interpolant(kepler_radial_field):
     for t_left, h, y_left, stages in traj._dense:
         velocities = np.array(stages).reshape(len(_P), 4)[:, :2]
         for n in [(0.0, 1.0), (-1.0, 0.0), (0.6, -0.8)]:
-            got = np.array(integrator._normal_coefficients((t_left, h, y_left, stages), *n))
+            got = np.array(integrator._normal_terms((t_left, h, y_left, stages), *n)[0])
             want = h * (np.array(n) @ integrator._q_matrix(stages)[:2])
             terms = h * (np.abs(velocities @ np.array(n)) @ np.abs(_P))
             assert got.shape == want.shape
@@ -693,18 +707,28 @@ class TestTableau:
         # after it, and the step calls nothing but builtins and math. The
         # section-normal coefficients take every column of P's nonzero rows
         # once per power of theta, each literal reading back as its table
-        # entry.
+        # entry, and are returned with their moduli summed left to right.
         assert not hasattr(integrator, "_dop853_step")
         for kind in forcefield._FAMILIES:
             self._check_step_source(kind)
         normal_source = integrator._normal_source()
         (normal,) = ast.parse(normal_source).body
         (returned,) = [node.value for node in ast.walk(normal) if isinstance(node, ast.Return)]
+        assigned = {
+            target.id: node.value
+            for node in ast.walk(normal)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
         rows = [s for s in range(16) if _P[s].any()]
         assert rows == [0, *range(5, 16)]
-        assert len(returned.elts) == _P.shape[1]
-        for j, coefficient in enumerate(returned.elts):
-            assert _products(coefficient, normal_source, literal_first=False) == [(_P[s, j], f"p{s}") for s in rows], j
+        names = [f"c{j + 1}" for j in range(_P.shape[1])]
+        coefficients, bound = returned.elts
+        assert [name.id for name in coefficients.elts] == names
+        assert ast.unparse(bound) == " + ".join(f"abs({name})" for name in names)
+        for j, name in enumerate(names):
+            assert _products(assigned[name], normal_source, literal_first=False) == [(_P[s, j], f"p{s}") for s in rows], j
 
     @staticmethod
     def _check_step_source(kind):
@@ -843,6 +867,99 @@ class TestRecordsBuiltWhenSampled:
         assert len(built) == 1 and built[0] is traj._dense[-1][3]
         traj.eval_many([0.5, 1.5])  # one batched product, no per-step build
         assert len(built) == 1 and traj._stacked is not None
+
+
+def _launches(fields):
+    """(field, mu, x, v, t_end) of a flow over up to two circular periods
+    from a vertical launch at radius 1, in one of `fields`."""
+    return st.tuples(
+        st.sampled_from(fields), st.floats(0.0, 0.05), st.floats(0.9, 1.1), st.floats(0.05, 2.0)
+    ).map(lambda a: (a[0], a[1], (1.0, 0.0), (0.0, a[2] * circular_speed(a[0].base, 1.0)), a[3] * 2 * math.pi))
+
+
+def _flow_or_exit(*args, **kwargs):
+    try:
+        return flow(*args, **kwargs)
+    except DomainExit as exc:
+        return exc.trajectory
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestEachQuantityFormedOnce:
+    """eval_many runs Horner's rule in place and a continued trajectory forms
+    Q only for its new steps; both give the bits of the plainer forms."""
+
+    FIELDS = [
+        ForceField(base=PowerLawParams(1.0, 1.0)),
+        ForceField(base=PowerLawParams(1.0, 0.5), perturbation=axis_poly_perturbation(1.0, 2, 1.0, 3)),
+        ForceField(base=PowerLawParams(1.0, 3.0), perturbation=axis_poly_perturbation(1.0, 2, 1.0, 3)),
+    ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        launch=_launches(FIELDS),
+        fractions=st.lists(st.floats(-0.1, 1.1), max_size=30),
+        nodes=st.lists(st.integers(0, 10**6), max_size=10),
+    )
+    def test_eval_many_equals_the_horner_loop(self, launch, fractions, nodes):
+        traj = _flow_or_exit(*launch)
+        ts = [0.0, traj.t_end, *(f * traj.t_end for f in fractions)]
+        ts += [float(traj.ts[k % len(traj.ts)]) for k in nodes]
+        want = eval_many_loop(traj._dense, traj.t_end, _P, ts)
+        got = traj.eval_many(ts)
+        assert got.shape == (len(ts), 4) and _bits(got) == _bits(want)
+        assert _bits(traj.eval_many(ts, width=2)) == _bits(want[:, :2])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        launch=_launches(FIELDS),
+        cut=st.floats(0.05, 0.5),
+        evaluated=st.booleans(),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    def test_continued_trajectory_forms_q_for_its_new_steps_only(self, launch, cut, evaluated, fractions):
+        field, mu, x, v, t_end = launch
+        # A stop callback ends the prefix at the first node past cut t_end;
+        # the prefix's Q is formed first when `evaluated`.
+        prefix = _flow_or_exit(field, mu, x, v, t_end, stop=lambda step, y: step[0] + step[1] >= cut * t_end)
+        assume(prefix._resume is not None)
+        if evaluated:
+            prefix.eval_many([0.0])
+        formed = []
+        q_matrices = integrator._q_matrices
+        traj = _flow_or_exit(field, mu, x, v, t_end, prefix=prefix)
+        assume(traj._dense[0] is prefix._dense[0])  # continued, not integrated again
+        ts = [f * traj.t_end for f in fractions]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "_q_matrices", lambda rows: formed.append(len(rows)) or q_matrices(rows))
+            got = traj.eval_many(ts)
+        assert formed == [traj.n_steps - prefix.n_steps if evaluated else traj.n_steps]
+        t_left, h, y_left, q = traj._arrays()
+        assert _bits(q) == _bits(q_matrices([step[3] for step in traj._dense]))
+        assert _bits(t_left) == _bits([step[0] for step in traj._dense])
+        assert _bits(h) == _bits([step[1] for step in traj._dense])
+        assert _bits(y_left) == _bits([step[2] for step in traj._dense])
+        fresh = _flow_or_exit(field, mu, x, v, t_end)
+        assert trajectory_bits(fresh) == trajectory_bits(traj)
+        assert _bits(fresh.eval_many(ts)) == _bits(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]), min_size=4, max_size=4),
+        st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]), min_size=64, max_size=64),
+        st.floats(1e-6, 10.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_step_eval_at_a_node_is_the_node(self, y_left, stages, h, theta):
+        step = (0.5, h, tuple(y_left), tuple(stages))
+        node = integrator._step_eval(step, 0.5)
+        assert _bits(node) == _bits(y_left)
+        # Elsewhere the one-step rule, which eval_many's rows equal.
+        t = 0.5 + theta * h
+        assert _bits(integrator._step_eval(step, t)) == _bits(eval_many_loop([step], 0.5 + h, _P, [t])[0])
 
 
 class TestStopCallback:

@@ -214,6 +214,18 @@ class TestReflectionTable:
         assert np.array_equal(np.r_[s0.position, s0.velocity], start)
         assert np.array_equal(solved_perturbed_orbit.states[0], start)
 
+    @pytest.mark.parametrize("orbit_fixture", ["solved_perturbed_orbit", "half_orbit_a05", "half_orbit_a3"])
+    def test_initial_state_is_the_orbit_at_zero(self, request, orbit_fixture):
+        # The first sample, read without evaluating the interpolant again, in
+        # both modes; a copy, so the orbit's samples stay as they are.
+        orb = request.getfixturevalue(orbit_fixture)
+        s0, at0 = orb.initial_state(), orb.at(0.0)
+        assert s0.t == at0.t == 0.0
+        assert s0.position.tobytes() == at0.position.tobytes()
+        assert s0.velocity.tobytes() == at0.velocity.tobytes()
+        s0.position[0] = math.nan
+        assert orb.states[0, 0] == at0.position[0]
+
 
 class TestClosureScaling:
     def test_residual_shrinks_with_tolerance(self, quarter_problem_radial, kepler_radial_field, set_tolerance):
@@ -307,6 +319,28 @@ class TestPolyline:
         pts = self._circle()
         last = pts[:1] + np.array([[5e-6, 0.0]])
         assert len(_polyline(np.vstack([pts, last]))) == 301
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=5),
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+    )
+    @example([(0.0, 0.0)], (1.0, 0.0), 1e-9)  # |p0 - p_last| equals the atol
+    def test_closing_point_decision_is_allclose(self, points, offset, scale):
+        # The duplicate test max |p0 - p_last| <= atol decides as
+        # np.allclose(p0, p_last, rtol=0, atol) on finite points.
+        pts = np.array(points)
+        last = pts[0] + scale * np.array(offset) * max(1.0, float(np.max(np.abs(pts))))
+        pts = np.vstack([pts, last])
+        atol = 1e-9 * max(1.0, np.max(np.abs(pts)))
+        dropped = np.allclose(pts[0], pts[-1], rtol=0.0, atol=atol)
+        assert len(_polyline(pts)) == len(pts) - dropped
+
+    def test_orbit_polyline_formed_once(self, solved_perturbed_orbit):
+        pts = _polyline(solved_perturbed_orbit)
+        assert _polyline(solved_perturbed_orbit) is pts
+        assert np.array_equal(pts, _polyline(solved_perturbed_orbit.positions))
 
 
 class TestWindingNumber:
@@ -573,6 +607,32 @@ class TestGridPrunedChecksMatchAllPairs:
         assert not assert_matches_all_pairs(square)
         gaps = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 0], [3, 0], [3, -1], [0, -1]], float)
         assert assert_matches_all_pairs(gaps)
+
+    @pytest.mark.parametrize(
+        "points, collinear, simple",
+        [
+            (loop_points(300, limacon(0.5)), False, True),
+            (np.array([[0, 0], [2, 0], [2, 2], [0, 2], [0, 0], [1, 0], [3, 0], [3, -1]], float), True, False),
+            # Only sides 0 and 4 overlap on one line; the other meetings are strict.
+            (np.array([[0, 0], [2, 0], [2, 1], [3, 1], [3, 0], [1, 0], [1, -1], [0, -1]], float), True, False),
+        ],
+        ids=["none", "a side traced twice", "one collinear pair"],
+    )
+    def test_with_and_without_collinear_pairs(self, points, collinear, simple):
+        # The end-point pass runs only over the pairs with both orientation
+        # products zero; a smooth loop has none.
+        pts = np.array(points)
+        nxt = np.roll(pts, -1, axis=0)
+        i, j = _overlapping_pairs(pts, nxt)
+
+        def cross(u, v):
+            return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+        a, b, c, e = pts[i], nxt[i], pts[j], nxt[j]
+        both = (cross(e - c, a - c) * cross(e - c, b - c) == 0) & (cross(b - a, c - a) * cross(b - a, e - a) == 0)
+        both &= (j >= i + 2) & ((i > 0) | (j < len(pts) - 1))
+        assert bool(np.any(both)) is collinear
+        assert assert_matches_all_pairs(pts) is simple
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(256, 600), st.booleans())

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symorbit import (
     BoundaryCrossing,
@@ -17,10 +17,10 @@ from symorbit import (
     flow,
     miss,
 )
-from symorbit.integrator import _P, _normal_coefficients
+from symorbit.integrator import _P, _coefficient_bound, _crossed, _crossing_test, _horner, _normal_terms
 from symorbit.section import _SectionScan
 
-from oracles import same_float, section_frame_numpy
+from oracles import normal_coefficients_loop, same_float, section_frame_numpy
 
 
 def first_transversal_crossing(traj, section):
@@ -332,7 +332,7 @@ class TestCloseCrossingsInOneStep:
         # To round-off, relative to the moduli of the terms summed: P's
         # entries reach ~500, and its columns cancel heavily.
         terms = np.abs(vx) @ np.abs(_P)
-        assert np.all(np.abs(np.array(_normal_coefficients(step, -1.0, 0.0)) - g[1:]) <= 1e-15 * terms)
+        assert np.all(np.abs(np.array(_normal_terms(step, -1.0, 0.0)[0]) - g[1:]) <= 1e-15 * terms)
         scan = _SectionScan(SectionSpec.positive_y_axis(1.0), 1.0)
         assert scan(step, None)
         assert scan.event.t_star == pytest.approx(0.05, abs=1e-11)
@@ -475,3 +475,42 @@ class TestFloatFrame:
         _, tangent, normal = section_frame_numpy(p.section.start, p.section.end)
         assert same_float(event.normal_speed, float(normal @ event.state.velocity))
         assert same_float(event.tangent_speed, float(tangent @ event.state.velocity))
+
+
+FLOAT_OR_ZERO = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+
+
+class TestFusedScanTests:
+    """The scan's per-step terms and its bisection predicate, each one call,
+    equal the separate functions they replace bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(FLOAT_OR_ZERO, min_size=64, max_size=64),
+        st.floats(1e-6, 10.0),
+        st.tuples(FLOAT_OR_ZERO, FLOAT_OR_ZERO) | st.sampled_from([(-1.0, 0.0), (-0.0, 1.0), (0.0, -1.0), (0.6, -0.8)]),
+        FLOAT_OR_ZERO,
+    )
+    def test_terms_equal_the_coefficients_and_their_bound(self, stages, h, n, c0):
+        step = (0.0, h, (1.0, 0.0, 0.0, 1.0), tuple(stages))
+        coefficients, bound = _normal_terms(step, *n)
+        want = normal_coefficients_loop(step, *n, _P)
+        assert len(coefficients) == len(want) == _P.shape[1]
+        assert all(same_float(a, b) for a, b in zip(coefficients, want))
+        assert same_float(bound, _coefficient_bound((c0, *want)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats() | st.sampled_from([0.0, -0.0]), min_size=8, max_size=8),
+        st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+        st.floats(-10.0, 10.0),
+        st.floats(1e-3, 10.0),
+        st.floats(-20.0, 20.0) | st.floats(),
+    )
+    @example([-0.0] * 8, 1.0, 0.0, 1.0, 0.5)  # g = -0.0
+    @example([-0.0] * 8, -1.0, 0.0, 1.0, 0.5)
+    @example([0.0] * 8, -0.0, 0.0, 1.0, 0.5)  # ga = -0.0, g = 0.0
+    @example([-0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0.0, 0.0, 1.0, 0.0)
+    def test_crossing_predicate_is_crossed_of_horner(self, c, ga, t_left, h, m):
+        want = _crossed(ga, _horner(c, (m - t_left) / h))
+        assert _crossing_test(c, ga, t_left, h)(m) is want
