@@ -46,6 +46,7 @@ from .integrator import _RESOLUTION, flow
 from .shooting import (
     Mode,
     ShootingProblem,
+    _window,
     crossing_time_deviation,
     sign_table,
     solve as run_solve,  # noqa: F401 -- unused here; perfbench's tracer patches and restores cli.run_solve
@@ -95,9 +96,9 @@ def _step_span(stop: float, step: float) -> float:
 
 def _launchable(r: float, c: dict) -> bool:
     """r lies in the annulus, U'(r) and U''(r) of the configured power law
-    are finite nonzero floats, and the solve window, 0.75 of the circular
-    period 2 pi r / v0 (`ShootingProblem.window`), is longer than the
-    integrator's time resolution: a flow that short takes no step."""
+    are finite nonzero floats, and the solve window (`shooting._window`) is
+    longer than the integrator's time resolution: a flow that short takes no
+    step."""
     if not c["field.annulus"][0] <= r <= c["field.annulus"][1]:
         return False
     try:
@@ -106,7 +107,7 @@ def _launchable(r: float, c: dict) -> bool:
         return False
     if not all(math.isfinite(u) and u != 0.0 for u in (u1, u2)):
         return False
-    return 0.75 * (2.0 * math.pi / (math.sqrt(r * u1) / r)) > _RESOLUTION  # v0 = sqrt(r U'(r)), circular_speed's
+    return _window(r, math.sqrt(r * u1)) > _RESOLUTION  # v0 = sqrt(r U'(r)), circular_speed's
 
 
 # Every key a configuration is read for, in reading order: (dotted path,
@@ -443,7 +444,13 @@ def _check_sign_table(config: RunConfig, problem: ShootingProblem):
     got = {}
     for alpha, eps_sign in expected:
         pa = PowerLawParams(config.field.base.kappa, alpha)
-        got[(alpha, eps_sign)] = sign_table(pa, eps_sign * 0.05, radius=config.radius)
+        try:
+            got[(alpha, eps_sign)] = sign_table(pa, eps_sign * 0.05, radius=config.radius)
+        except ValueError as exc:
+            # The radius check bounds the solve window at the configured alpha
+            # only; a probe's window, 3 circular periods at its own alpha, can
+            # still be at or below flow's time resolution, which it refuses.
+            return False, {"error": "ValueError", "message": f"alpha={alpha}: {exc}"}
     detail = {f"alpha={a},eps={e:+d}": f"{got[(a, e)]:+d}" for (a, e) in sorted(got)}
     return got == expected, detail
 

@@ -50,9 +50,7 @@ stacked Q and forms only its new steps'. `eval_many` runs Horner's rule in
 place on the gathered coefficients, and on the position rows only when asked
 for positions (width 2). The section scan takes the coefficients of a step's
 position projected on its normal, and the sum of their moduli, from one call
-of `_normal_terms`, formed from the stages without building Q; it refines a
-crossing by bisecting with `_crossing_test`, one closure of the unrolled
-Horner rule and `_crossed`'s sign test.
+of `_normal_terms`, formed from the stages without building Q.
 
 Every event search of the package is built from three primitives here:
 `_bisect`, the one interval-halving loop; `_crossed` and `_sign_changes`, the
@@ -492,21 +490,6 @@ def _horner(c, th: float) -> float:
     return acc
 
 
-def _crossing_test(c, ga: float, t_left: float, h: float):
-    """The bisection predicate m -> _crossed(ga, _horner(c, (m - t_left) / h))
-    on a step's full-degree polynomial c, as one closure: Horner's rule
-    unrolled as `_horner` unrolls it, then `_crossed`'s sign test."""
-    c0, c1, c2, c3, c4, c5, c6, c7 = c  # _DEGREE + 1
-    above = ga > 0.0
-
-    def crossed(m: float) -> bool:
-        th = (m - t_left) / h
-        g = c0 + th * (c1 + th * (c2 + th * (c3 + th * (c4 + th * (c5 + th * (c6 + th * c7))))))
-        return g <= 0.0 if above else g >= 0.0
-
-    return crossed
-
-
 def _coefficient_bound(c) -> float:
     """|c[1]| + ... + |c[-1]|, summed left to right (builtin sum() rounds
     otherwise from Python 3.12 on). No root on [0, 1] when |c[0]| exceeds it."""
@@ -838,7 +821,7 @@ def flow(
     r_in, r_out = field.annulus
     accel = field.acceleration
     step_kernel, constants = _step_kernel(field.perturbation.kind), field._force_constants
-    rtol, atol, max_trials, hypot = _RTOL, _ATOL, _MAX_TRIALS, math.hypot
+    rtol, atol = _RTOL, _ATOL
 
     state = (float(x[0]), float(x[1]), float(v[0]), float(v[1]))
     resume = _continuable(prefix, field, mu, state, t_end, min_step)
@@ -858,7 +841,6 @@ def flow(
         _, _, t, state, force, g_left, h, trials, h_first = resume
         dense = list(prefix._dense)
         head = prefix._stacked  # the prefix's Q, when it was formed
-    append = dense.append
     capped = False  # a trial was shortened to meet t_end
 
     while t < t_end:
@@ -868,8 +850,8 @@ def flow(
             h, capped = t_end - t, True
         if not h >= min_step:  # a NaN step (non-finite launch force) never shrinks below it
             raise StepFailure(f"step size underflow at t={t} (h={h})")
-        if trials == max_trials:
-            raise StepFailure(f"step budget _MAX_TRIALS = {max_trials} trials spent at t={t} of {t_end}")
+        if trials == _MAX_TRIALS:
+            raise StepFailure(f"step budget _MAX_TRIALS = {_MAX_TRIALS} trials spent at t={t} of {t_end}")
         trials += 1
 
         trial = step_kernel(constants, mu, h, state, force, rtol, atol)
@@ -882,12 +864,11 @@ def flow(
             continue
 
         step = (t, h, state, stages)
-        append(step)
+        dense.append(step)
         t_next = t + h
 
-        xn, yn, un, wn = state_new
-        rr = hypot(xn, yn)
-        g = xn * un + yn * wn  # r dr/dt
+        rr = math.hypot(state_new[0], state_new[1])
+        g = state_new[0] * state_new[2] + state_new[1] * state_new[3]  # r dr/dt
         if rr < r_in or rr > r_out:
             exit_ = _refine_in_step(step, lambda s: _outside(s, r_in, r_out))
         elif g_left != 0.0 and _crossed(g_left, g):

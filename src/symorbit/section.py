@@ -22,9 +22,8 @@ the degree. The scanner:
   derivative, recursively down to degree 1, and bisects each monotone piece;
 - refines each candidate on the same polynomial by the package's one
   bisection primitive (`integrator._bisect`) down to 1e-12 max(t_hi, 1) for
-  the window [0, t_hi], its predicate one closure
-  (`integrator._crossing_test`), then classifies it; only then is the step's
-  state at the crossing built.
+  the window [0, t_hi], then classifies it; only then is the step's state at
+  the crossing built.
 
 A `SectionSpec` computes its frame once, on floats: its length and unit
 tangent (ux, uy), the unit normal being (-uy, ux). The scanner reads the
@@ -46,7 +45,7 @@ from dataclasses import dataclass, field
 from .errors import BoundaryCrossing, DomainExit, NoCrossing, TangentialCrossing
 from .forcefield import ForceField
 from .integrator import State, Trajectory, flow
-from .integrator import _bisect, _coefficient_bound, _crossed, _crossing_test, _horner, _normal_terms, _sign_changes, _step_eval
+from .integrator import _bisect, _coefficient_bound, _crossed, _horner, _normal_terms, _sign_changes, _step_eval
 
 # Section segments span [0.25 R, 4 R] along their axis so every desk-scale
 # crossing is comfortably interior and interiority stays checkable.
@@ -182,7 +181,7 @@ class _SectionScan:
         """Bisect the sign change on [a, b] and classify the crossing; None
         when it misses the segment (the supporting line was crossed)."""
         left, width = step[0], step[1]
-        a, b = _bisect(_crossing_test(coeffs, ga, left, width), a, b, self.time_tol)
+        a, b = _bisect(lambda m: _crossed(ga, _horner(coeffs, (m - left) / width)), a, b, self.time_tol)
         t_star = 0.5 * (a + b)
         section, bt, length = self.section, self._bt, self.section.length
         y = _step_eval(step, t_star)

@@ -73,6 +73,12 @@ class Mode(enum.Enum):
         return member
 
 
+def _window(radius: float, v0: float) -> float:
+    """The solve window: 0.75 of the circular period 2 pi radius / v0 at the
+    circular speed v0."""
+    return 0.75 * (2.0 * math.pi / (v0 / radius))
+
+
 @dataclass(frozen=True)
 class ShootingProblem:
     """Field, launch circle radius, and solve geometry for one shooting setup.
@@ -114,7 +120,7 @@ class ShootingProblem:
 
     @cached_property
     def window(self) -> float:
-        return 0.75 * (2.0 * math.pi / self.angular_speed)
+        return _window(self.radius, self.circular_velocity)
 
     @cached_property
     def section(self) -> SectionSpec:

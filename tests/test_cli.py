@@ -491,6 +491,30 @@ class TestConfigKeys:
         assert "configuration error: configuration key 'radius' must be" in err
         assert "the solve window 0.75 * 2 pi radius / v0 exceeds 1e-14" in err
 
+    def test_sign_table_probe_below_the_time_resolution_fails_its_check(self, tmp_path, capsys):
+        # The radius check bounds the solve window at the configured alpha 2:
+        # 0.75 * 2 pi * 100**2 / 1e18 = 4.7e-14 loads. verify's sign table
+        # probes alpha 0 at the same radius over 3 periods, 3 * 2 pi * 100 /
+        # 1e18 = 1.9e-15, which flow refuses: that is the check's failure,
+        # not a configuration error.
+        cfg = tmp_path / "c.json"
+        field = {
+            "kappa": 1e36,
+            "alpha": 2.0,
+            "annulus": [50.0, 200.0],
+            "perturbation": {"kind": "axis_poly", "params": {"cx": 1.0, "px": 2, "cy": 1.0, "py": 3}, "symmetries": ["x_axis"]},
+        }
+        cfg.write_text(json.dumps({"field": field, "mode": "half", "radius": 100.0, "mu": 0.01}))
+        assert main(["verify", "--config", str(cfg), "--json"]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert "configuration error" not in err and "Traceback" not in err
+        (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "sign_table"]
+        assert not check["passed"]
+        assert check["detail"] == {
+            "error": "ValueError",
+            "message": "alpha=0.0: t_end=1.88496e-15 is at or below the integrator's time resolution 1e-14",
+        }
+
     @pytest.mark.parametrize("kappa, loads", [(2e29, True), (3e29, False)])
     def test_solve_window_bound(self, tmp_path, kappa, loads):
         # At radius 1 the window 0.75 * 2 pi / sqrt(kappa) passes 1e-14 at

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symorbit import (
     BoundaryCrossing,
@@ -17,7 +17,7 @@ from symorbit import (
     flow,
     miss,
 )
-from symorbit.integrator import _P, _coefficient_bound, _crossed, _crossing_test, _horner, _normal_terms
+from symorbit.integrator import _P, _coefficient_bound, _normal_terms
 from symorbit.section import _SectionScan
 
 from oracles import normal_coefficients_loop, same_float, section_frame_numpy
@@ -481,8 +481,8 @@ FLOAT_OR_ZERO = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
 
 
 class TestFusedScanTests:
-    """The scan's per-step terms and its bisection predicate, each one call,
-    equal the separate functions they replace bit for bit."""
+    """The scan's per-step terms, one call, equal the separate functions they
+    replace bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -498,19 +498,3 @@ class TestFusedScanTests:
         assert len(coefficients) == len(want) == _P.shape[1]
         assert all(same_float(a, b) for a, b in zip(coefficients, want))
         assert same_float(bound, _coefficient_bound((c0, *want)))
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.floats() | st.sampled_from([0.0, -0.0]), min_size=8, max_size=8),
-        st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
-        st.floats(-10.0, 10.0),
-        st.floats(1e-3, 10.0),
-        st.floats(-20.0, 20.0) | st.floats(),
-    )
-    @example([-0.0] * 8, 1.0, 0.0, 1.0, 0.5)  # g = -0.0
-    @example([-0.0] * 8, -1.0, 0.0, 1.0, 0.5)
-    @example([0.0] * 8, -0.0, 0.0, 1.0, 0.5)  # ga = -0.0, g = 0.0
-    @example([-0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0.0, 0.0, 1.0, 0.0)
-    def test_crossing_predicate_is_crossed_of_horner(self, c, ga, t_left, h, m):
-        want = _crossed(ga, _horner(c, (m - t_left) / h))
-        assert _crossing_test(c, ga, t_left, h)(m) is want
