@@ -6,6 +6,9 @@ CSV, floats at 17 significant digits). A solver error exits with its class's
 `exit_code` (2 bracketing, 3 root-finding convergence, 4 validation, 5 leaving
 the problem's domain of validity); an orbit or check that fails validation
 exits 4 too, and configuration problems and command line usage errors exit 1.
+A configuration is refused at load or in `main` before a command's first force
+evaluation; a ValueError from the package's own work after that is a defect
+and surfaces with its traceback.
 """
 
 from __future__ import annotations
@@ -152,11 +155,12 @@ _KEYS = (
      f"a positive number that gives at most {_MAX_GRID} points up to mu_grid.stop"),
     ("mu_grid.count", None, int, *_between(1, _MAX_GRID)),
     ("mu_grid.mirror", False, bool, None, "true or false"),
-    # sweep checks the sigmas against the speed band (1 - delta, 1 + delta):
-    # the defaults lie outside a narrow band that a solve-only configuration
-    # may declare. At most _MAX_CELLS cells: the int sign matrix and the
-    # per-cell lists of continuation._bands hold about 8 MB each, after one
-    # miss per cell (about 0.3 ms each).
+    # main checks a sweep's sigmas against the speed band (1 - delta, 1 + delta)
+    # and its mu_max against the mu range, outside which miss refuses: the
+    # defaults lie outside a narrow band that a solve-only configuration may
+    # declare. At most _MAX_CELLS cells: the int sign matrix and the per-cell
+    # lists of continuation._bands hold about 8 MB each, after one miss per
+    # cell (about 0.3 ms each).
     ("scan", {}, dict, None, "an object"),
     ("scan.sigma_min", 0.9, float, *_POSITIVE),
     ("scan.sigma_max", 1.1, float, lambda v, c: v > c["scan.sigma_min"], "a number above scan.sigma_min"),
@@ -183,6 +187,8 @@ _BELOW = {path: [p.rpartition(".")[2] for p in _ROW if p.rpartition(".")[0] == p
 _CONSTANT = ("", 0.0, float, None, "a finite number")
 _EXPONENT = ("", 0, float, lambda v, c: v >= 0 and float(v).is_integer(), "a nonnegative integer")
 _PARAMS = "field.perturbation.params"
+# The row main checks a sweep's scan.sigma_min and scan.sigma_max by.
+_IN_SPEED_BAND = ("", 0.0, float, lambda v, c: 1 - c["delta"] < v < 1 + c["delta"], "a number in (1 - delta, 1 + delta)")
 
 
 def _checked(name: str, value, row, values: dict):
@@ -287,7 +293,8 @@ class RunConfig:
 
     def problem(self) -> ShootingProblem:
         """The shooting problem; ValueError naming the key 'mode' when the mode
-        does not fit the field (not checked at load: analyze never reads it)."""
+        does not fit the field (not checked at load: analyze never reads it;
+        main builds it before solve, sweep and verify do any work)."""
         try:
             return ShootingProblem(
                 field=self.field,
@@ -309,11 +316,11 @@ def _emit(payload: dict, as_json: bool, stream=None):
             stream.write(f"{key}: {value}\n")
 
 
-def cmd_solve(config: RunConfig, mu: float, out_dir, as_json: bool) -> int:
+def cmd_solve(config: RunConfig, problem: ShootingProblem, mu: float, out_dir, as_json: bool) -> int:
     check_symmetry(
         config.field, mu, sample_count=config.symmetry_samples, seed=config.seed
     )
-    solution, orbit, ok, _ = solve_orbit(config.problem(), mu, config.solve_tol, config.samples)
+    solution, orbit, ok, _ = solve_orbit(problem, mu, config.solve_tol, config.samples)
 
     payload = orbit.to_dict()
     payload["sigma_star"] = solution.sigma_star
@@ -342,21 +349,11 @@ def _mu_grids(config: RunConfig):
     return grids
 
 
-def cmd_sweep(config: RunConfig, out_dir, as_json: bool) -> int:
+def cmd_sweep(config: RunConfig, problem: ShootingProblem, out_dir, as_json: bool) -> int:
     scan_cfg = config.scan
-    # Before any sweep runs; miss refuses a sigma outside the speed band and a
-    # mu outside the field's mu range.
-    for key in ("sigma_min", "sigma_max"):
-        if not 1.0 - config.delta < scan_cfg[key] < 1.0 + config.delta:
-            raise ValueError(f"configuration key 'scan.{key}' must be a number in (1 - delta, 1 + delta), got {scan_cfg[key]!r}")
-    if not abs(scan_cfg["mu_max"]) < config.field.mu_range:
-        raise ValueError(
-            f"configuration key 'scan.mu_max' must be a number in (-field.mu_range, field.mu_range), got {scan_cfg['mu_max']!r}"
-        )
     check_symmetry(
         config.field, config.mu_grid["stop"], sample_count=config.symmetry_samples, seed=config.seed
     )
-    problem = config.problem()
     curves = [run_sweep(problem, g, tol=config.solve_tol, n_samples=config.samples) for g in _mu_grids(config)]
 
     sigmas = np.linspace(scan_cfg["sigma_min"], scan_cfg["sigma_max"], scan_cfg["sigma_count"])
@@ -537,8 +534,7 @@ _VERIFY_CHECKS = (
 )
 
 
-def cmd_verify(config: RunConfig, as_json: bool) -> int:
-    problem = config.problem()  # a mode that does not fit the field is refused before any check runs
+def cmd_verify(config: RunConfig, problem: ShootingProblem, as_json: bool) -> int:
     results = []
     for name, fn in _VERIFY_CHECKS:
         try:
@@ -627,40 +623,40 @@ def main(argv=None) -> int:
         # argparse has printed help (code 0) or a usage error (code 2, which
         # here would read as a bracketing failure).
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    for flag in ("mu", "sigma"):
-        value = getattr(args, flag, None)
-        if value is not None and not math.isfinite(value):
-            sys.stderr.write(f"configuration error: --{flag} must be finite, got {value}\n")
-            return EXIT_CONFIG
+    # The one refusal point, before any force evaluation: a ValueError a
+    # command raises later is a defect, and surfaces with its traceback.
     try:
+        for flag in ("mu", "sigma"):
+            value = getattr(args, flag, None)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"--{flag} must be finite, got {value}")
         config = RunConfig.load(args.config)
+        try:  # a path that cannot be a directory is refused at once
+            if getattr(args, "out", None) is not None:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--out {args.out!r} cannot be used as a directory: {exc}") from None
+        limits = {"delta": config.delta, "field.mu_range": config.field.mu_range}
+        mu = config.mu if getattr(args, "mu", None) is None else _checked("--mu", args.mu, _ROW["mu"], limits)
+        if args.command == "sweep":
+            for key, row in (("sigma_min", _IN_SPEED_BAND), ("sigma_max", _IN_SPEED_BAND), ("mu_max", _ROW["mu"])):
+                _checked(f"configuration key 'scan.{key}'", config.scan[key], row, limits)
+        problem = None if args.command == "analyze" else config.problem()  # analyze never reads the mode
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
-        return EXIT_CONFIG
-    try:  # before any work: a path that cannot be a directory is refused at once
-        if getattr(args, "out", None) is not None:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        sys.stderr.write(f"configuration error: --out {args.out!r} cannot be used as a directory: {exc}\n")
         return EXIT_CONFIG
 
     try:
         if args.command == "solve":
-            if args.mu is None:
-                return cmd_solve(config, config.mu, args.out, args.json)
-            _checked("--mu", args.mu, _ROW["mu"], {"field.mu_range": config.field.mu_range})
-            return cmd_solve(config, args.mu, args.out, args.json)
+            return cmd_solve(config, problem, mu, args.out, args.json)
         if args.command == "sweep":
-            return cmd_sweep(config, args.out, args.json)
+            return cmd_sweep(config, problem, args.out, args.json)
         if args.command == "analyze":
             return cmd_analyze(config, args.sigma, args.json)
-        return cmd_verify(config, args.json)
+        return cmd_verify(config, problem, args.json)
     except SolverError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return exc.exit_code
-    except ValueError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

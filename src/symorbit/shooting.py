@@ -114,10 +114,6 @@ class ShootingProblem:
     def circular_velocity(self) -> float:
         return circular_speed(self.field.base, self.radius)
 
-    @property
-    def angular_speed(self) -> float:
-        return self.circular_velocity / self.radius
-
     @cached_property
     def window(self) -> float:
         return _window(self.radius, self.circular_velocity)

@@ -372,6 +372,31 @@ def test_out_naming_a_file_refused_before_any_work(config_path, tmp_path, capsys
     assert started == [] and target.read_text() == "kept"
 
 
+def _defect(*args, **kwargs):
+    raise ValueError("a defect in the package's own work")
+
+
+@pytest.mark.parametrize(
+    "command, extra, name",
+    [
+        ("solve", [], "solve_orbit"),
+        ("sweep", [], "run_sweep"),
+        ("verify", [], "sign_table"),  # one _VERIFY_CHECKS entry
+        ("analyze", ["--sigma", "1.05"], "apsides"),
+    ],
+)
+def test_a_value_error_from_a_commands_own_work_propagates(config_path, capsys, monkeypatch, command, extra, name):
+    # Only main's refusal point, before any work, maps a ValueError to a
+    # configuration error; one raised later is a defect, with its traceback.
+    if name == "sign_table":
+        monkeypatch.setattr(cli, "_VERIFY_CHECKS", tuple((n, _defect if n == name else f) for n, f in cli._VERIFY_CHECKS))
+    else:
+        monkeypatch.setattr(cli, name, _defect)
+    with pytest.raises(ValueError, match="a defect in the package's own work"):
+        main([command, "--config", str(config_path), *extra])
+    assert "configuration error" not in capsys.readouterr().err
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize(
         "path",
@@ -550,6 +575,24 @@ class TestConfigKeys:
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error: configuration key 'mode' does not fit the field: ")
         assert captured.out == "" and flows == []
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_mode_that_does_not_fit_refused_before_the_symmetry_check(self, tmp_path, capsys, monkeypatch, command):
+        # alpha 0.5 does not fit the default quarter mode, and the constant
+        # force breaks both declared reflections: the mode is refused first,
+        # before check_symmetry or any flow runs.
+        started = []
+        check = cli.check_symmetry
+        monkeypatch.setattr(cli, "check_symmetry", lambda *a, **k: started.append("check_symmetry") or check(*a, **k))
+        for module in (analysis, cli, orbit, section):
+            monkeypatch.setattr(module, "flow", lambda *a, **k: started.append("flow") or integrator.flow(*a, **k))
+        pert = {"kind": "axis_poly", "params": {"cx": 0.0, "px": 0, "cy": 0.1, "py": 0}, "symmetries": ["x_axis", "y_axis"]}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"field": {"kappa": 1.0, "alpha": 0.5, "perturbation": pert}, "mu": 0.02}))
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: configuration key 'mode' does not fit the field: ")
+        assert captured.out == "" and started == []
 
     @pytest.mark.parametrize("radius", [0.5, 2.0])
     def test_radius_on_the_annulus_accepted(self, tmp_path, radius):
