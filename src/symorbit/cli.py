@@ -385,6 +385,13 @@ def cmd_sweep(config: RunConfig, problem: ShootingProblem, out_dir, as_json: boo
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+def _one_period(config: RunConfig, sigma: float, v0: float):
+    """The flow at mu = 0 of the vertical launch from (radius, 0) at speed
+    sigma v0, over 2 pi radius / v0: one period of the circular orbit at
+    speed v0, the launch's circular speed."""
+    return flow(config.field, 0.0, (config.radius, 0.0), (0.0, sigma * v0), 2.0 * math.pi / (v0 / config.radius))
+
+
 def cmd_analyze(config: RunConfig, sigma: float, as_json: bool) -> int:
     params = config.field.base
     problem = radial_problem_from_launch(params, config.radius, sigma)
@@ -396,14 +403,7 @@ def cmd_analyze(config: RunConfig, sigma: float, as_json: bool) -> int:
 
     apsis_list = []
     if not circular:
-        w = circular_speed(params, config.radius) / config.radius
-        traj = flow(
-            config.field,
-            0.0,
-            (config.radius, 0.0),
-            (0.0, sigma * circular_speed(params, config.radius)),
-            2.0 * math.pi / w,
-        )
+        traj = _one_period(config, sigma, circular_speed(params, config.radius))
         apsis_list = [
             {"kind": ev.kind.value, "t": ev.t, "r": ev.r} for ev in apsides(traj)
         ]
@@ -506,15 +506,8 @@ def _check_conservation(config: RunConfig, problem: ShootingProblem):
     params = config.field.base
     sigma = 1.05 if params.alpha < 2.0 else 1.01
     v0 = circular_speed(params, config.radius)
-    w = v0 / config.radius
     try:
-        traj = flow(
-            config.field,
-            0.0,
-            (config.radius, 0.0),
-            (0.0, sigma * v0),
-            2.0 * math.pi / w,
-        )
+        traj = _one_period(config, sigma, v0)
     except DomainExit as exc:
         traj = exc.trajectory
     drift_h, drift_k = _conservation_drifts(params, traj, v0)
@@ -631,17 +624,17 @@ def main(argv=None) -> int:
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"--{flag} must be finite, got {value}")
         config = RunConfig.load(args.config)
-        try:  # a path that cannot be a directory is refused at once
-            if getattr(args, "out", None) is not None:
-                Path(args.out).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(f"--out {args.out!r} cannot be used as a directory: {exc}") from None
         limits = {"delta": config.delta, "field.mu_range": config.field.mu_range}
         mu = config.mu if getattr(args, "mu", None) is None else _checked("--mu", args.mu, _ROW["mu"], limits)
         if args.command == "sweep":
             for key, row in (("sigma_min", _IN_SPEED_BAND), ("sigma_max", _IN_SPEED_BAND), ("mu_max", _ROW["mu"])):
                 _checked(f"configuration key 'scan.{key}'", config.scan[key], row, limits)
         problem = None if args.command == "analyze" else config.problem()  # analyze never reads the mode
+        try:  # last, so that a refused configuration leaves no directory behind
+            if getattr(args, "out", None) is not None:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--out {args.out!r} cannot be used as a directory: {exc}") from None
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

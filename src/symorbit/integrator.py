@@ -44,8 +44,9 @@ coefficients Q = K^T P are built only where something samples the step
 (`_q_matrix`) and evaluated by one Horner rule: on floats for one step
 (`_step_eval`, `_refine_in_step`) and on arrays for many times at once
 (`eval_many`, over all steps' Q stacked in one batched product), bit for bit
-alike. Q is formed once per step: `_step_eval` returns a step's left node as
-it is, with no Q, and a trajectory that continues a prefix takes the prefix's
+alike. At theta 0 `_step_eval` and `eval_many` give the left node as it is,
+`_step_eval` with no Q; `_refine_in_step` evaluates theta in (0, 1] only. Q is
+formed once per step: a trajectory that continues a prefix takes the prefix's
 stacked Q and forms only its new steps'. `eval_many` runs Horner's rule in
 place on the gathered coefficients, and on the position rows only when asked
 for positions (width 2). The section scan takes the coefficients of a step's
@@ -500,10 +501,9 @@ def _coefficient_bound(c) -> float:
 
 
 def _dense_at(y_left, h: float, rows, theta: float) -> list:
-    """The one dense-output rule: component i at theta is y_left[i] + h theta
-    (q1 + theta (q2 + ...)) over row i of Q, and y_left[i] itself at theta 0."""
-    if theta == 0.0:
-        return list(y_left)
+    """The one dense-output rule off the left node: component i at theta is
+    y_left[i] + h theta (q1 + theta (q2 + ...)) over row i of Q. At theta 0
+    `_step_eval` takes the node itself; `_refine_in_step` never reaches it."""
     return [y0 + h * (theta * _horner(row, theta)) for y0, row in zip(y_left, rows)]
 
 

@@ -125,8 +125,9 @@ class _SectionScan:
     Called with the record (t_left, h, y_left, stages) of consecutive steps
     from the launch at t = 0, and each step's end state (x, y, vx, vy), which
     a step reaching t_hi does not need; returns True once the window is
-    covered or a crossing found, which is then in `event`. Raises
-    BoundaryCrossing or TangentialCrossing when the first crossing is one.
+    covered or a crossing found, which is then in `event`. It keeps no value
+    between steps: `flow` passes a step's end state as the next one's y_left.
+    Raises BoundaryCrossing or TangentialCrossing when the first crossing is one.
     Crossing times are bisected to 1e-12 max(t_hi, 1), taken from the t_hi
     given here: lowering `t_hi` later shortens the window, not the tolerance.
     """
@@ -137,7 +138,6 @@ class _SectionScan:
         (self._n0, self._n1), (self._s0, self._s1) = (-uy, ux), section.start
         self._bt = 1e-6 * section.length
         self.t_hi, self.time_tol = t_hi, 1e-12 * max(t_hi, 1.0)
-        self._g = None  # normal coordinate at the left end of the next step
         self.event: CrossingEvent | None = None
 
     def __call__(self, step, y_right) -> bool:
@@ -145,9 +145,8 @@ class _SectionScan:
         n0, n1, s0, s1 = self._n0, self._n1, self._s0, self._s1
         t_hi = self.t_hi
 
-        # g(theta) = c0 + c1 theta + ... on this step; c0 is the previous
-        # step's right-node value, or the launch's on the first step.
-        c0 = n0 * (y_left[0] - s0) + n1 * (y_left[1] - s1) if self._g is None else self._g
+        # g(theta) = c0 + c1 theta + ... on this step.
+        c0 = n0 * (y_left[0] - s0) + n1 * (y_left[1] - s1)
         coefficients, bound = _normal_terms(step, n0, n1)
         c = (c0, *coefficients)
 
@@ -159,7 +158,6 @@ class _SectionScan:
             # Bit for bit the next step's c0, as Trajectory._eval takes a node
             # from the later step.
             g_b = n0 * (y_right[0] - s0) + n1 * (y_right[1] - s1)
-        self._g = g_b
 
         if c0 * g_b > 0.0 and abs(c0) > bound:
             # No root of g on [0, 1]; the end-sign test keeps a node value

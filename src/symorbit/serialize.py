@@ -2,13 +2,12 @@
 
 `dumps` writes the layout of `json.dumps(obj, indent=2, sort_keys=True)` in one
 recursive pass, with floats at 17 significant digits and `json.dumps` for keys,
-strings, ints, bools and None. A row of floats is rendered once, by one cached
-`%`-template per row length, as its CSV line, since `'%.17g' % x` is
-`format(x, '.17g')` for every float; its JSON array is that line with each
-comma widened to a comma, a newline and the indent, since no rendering holds a
-comma. `FloatRows` keeps the lines of a table of float rows, so that its JSON
-and its CSV (an orbit's samples in orbit.json and orbit.csv) format each float
-once.
+strings, ints, bools and None. `FloatRows` keeps the rows of a float table (an
+orbit's samples in orbit.json and orbit.csv) and renders each row once, by one
+cached `%`-template per row length, as its CSV line, since `'%.17g' % x` is
+`format(x, '.17g')` for every float; the row's JSON array is that line with
+each comma widened to a comma, a newline and the indent, since no rendering
+holds a comma. Every other float is formatted on its own.
 """
 
 from __future__ import annotations
@@ -93,8 +92,6 @@ def _encode(obj, depth: int) -> str:
         if isinstance(obj, FloatRows):
             items = [_float_array(row, line, depth + 1) if row else "[]" for row, line in zip(obj, obj.lines)]
             return _block("[]", items, depth)
-        if all(type(v) is float for v in obj):
-            return _float_array(obj, _float_row(len(obj)) % tuple(obj), depth)
         return _block("[]", [_encode(v, depth + 1) for v in obj], depth)
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         return _encode(obj.item(), depth)  # numpy scalars
@@ -115,8 +112,6 @@ def dump(obj, path):
 
 
 def _csv_line(row) -> str:
-    if all(type(v) is float for v in row):
-        return _float_row(len(row)) % tuple(row)
     return ",".join(format(v, _DIGITS) if isinstance(v, float) else str(v) for v in row)
 
 

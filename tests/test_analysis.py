@@ -47,6 +47,10 @@ class TestConservedQuantities:
         assert angular_momentum(st_dn) == -angular_momentum(st_up)
         assert energy(kepler_params, st_dn) == energy(kepler_params, st_up)
 
+    def test_energy_at_the_origin_refused(self, kepler_params):
+        with pytest.raises(ValueError, match="^energy requires a nonzero position$"):
+            energy(kepler_params, mkstate(0.0, 0.0, 1.0, 0.0))
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(0.3, 3.0),

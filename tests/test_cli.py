@@ -153,6 +153,13 @@ class TestSerialize:
         payload = {"a": {1: 0.5, 2: [1.0]}, "b": {1.5: None}, "c": {True: 1.0}, "d": {None: "x"}}
         assert serialize.dumps(payload) == json_dumps_17g(payload)
 
+    def test_key_json_cannot_write_refused_with_its_message(self):
+        with pytest.raises(TypeError) as expected:
+            json.dumps({(1, 2): 0.0})
+        with pytest.raises(TypeError) as got:
+            serialize.dumps({(1, 2): 0.0})
+        assert str(got.value) == str(expected.value)
+
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.lists(st.floats(), max_size=6), max_size=8))
     def test_csv_float_rows_match_the_per_cell_writer(self, rows, tmp_path_factory):
@@ -354,6 +361,12 @@ class TestSolveCommand:
         bad.write_text('{"field": {"kappa": -1, "alpha": 1}}')
         assert main(["solve", "--config", str(bad)]) == 1
 
+    def test_config_that_is_no_json_object_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "configuration error: configuration must be a JSON object\n"
+
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 @pytest.mark.parametrize("below", [False, True])
@@ -370,6 +383,28 @@ def test_out_naming_a_file_refused_before_any_work(config_path, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("configuration error: --out ") and "Traceback" not in err
     assert started == [] and target.read_text() == "kept"
+
+
+@pytest.mark.parametrize(
+    "command, config, extra, named",
+    [
+        ("solve", {"field": {"kappa": 1.0, "alpha": 0.5}}, [], "configuration key 'mode'"),
+        ("solve", {"field": {"kappa": 1.0, "alpha": 1.0}}, ["--mu", "0.7"], "--mu"),
+        # The default scan.sigma_min 0.9 lies outside the speed band (0.95, 1.05).
+        ("sweep", {"field": {"kappa": 1.0, "alpha": 1.0}, "eta": 0.04, "delta": 0.05}, [], "configuration key 'scan.sigma_min'"),
+    ],
+    ids=["mode", "mu", "scan"],
+)
+def test_refused_configuration_leaves_no_out_directory(tmp_path, capsys, command, config, extra, named):
+    # --out is created last of main's refusals, so a configuration refused
+    # for another fault leaves no directory behind.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {named}") and "Traceback" not in err
+    assert not out.exists()
 
 
 def _defect(*args, **kwargs):

@@ -174,6 +174,11 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             ForceField(base=PowerLawParams(1.0, 1.0), annulus=(2.0, 1.0))
 
+    @pytest.mark.parametrize("mu_range", [0.0, math.nan])
+    def test_mu_range_positive(self, mu_range):
+        with pytest.raises(ValueError, match="^mu_range half-width must be positive$"):
+            ForceField(base=PowerLawParams(1.0, 1.0), mu_range=mu_range)
+
     def test_unknown_perturbation_kind(self):
         with pytest.raises(ValueError):
             PerturbationSpec(kind="magnetic")
@@ -375,6 +380,10 @@ class TestSymmetry:
     def test_radial_perturbation_equivariant(self, kepler_radial_field):
         residuals = check_symmetry(kepler_radial_field, 0.5, sample_count=32)
         assert all(v <= 1e-14 for v in residuals.values())
+
+    def test_no_samples_refused(self, kepler_field):
+        with pytest.raises(ValueError, match="^sample_count must be >= 1$"):
+            check_symmetry(kepler_field, 0.0, sample_count=0)
 
     @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
     def test_non_finite_mu_rejected(self, mu):

@@ -251,6 +251,13 @@ class TestDenseOutput:
             right = traj._eval(np.nextafter(t_node, np.inf))
             assert np.allclose(left, right, atol=1e-11)
 
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_truncated_outside_the_span_refused(self, kepler_field, past_end):
+        traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 1.0)
+        t_cut = 1.5 if past_end else 0.0
+        with pytest.raises(ValueError, match=rf"^t_cut={t_cut} outside span \(0, "):
+            traj.truncated(t_cut)
+
     def test_truncated(self, kepler_field):
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 4.0)
         cut = traj.truncated(1.7)

@@ -736,6 +736,10 @@ class TestAxisCrossings:
         ys = sorted(c.point[1] for c in crossings)
         assert ys[0] == pytest.approx(-ys[1], abs=1e-6)
 
+    def test_unknown_axis_refused(self, circle_quarter_segment):
+        with pytest.raises(ValueError, match="^axis must be 'x' or 'y'$"):
+            axis_crossings(extend_quarter(circle_quarter_segment), "z")
+
     def test_half_orbit_positive_and_negative(self, half_problem_a05):
         sol = solve(half_problem_a05, 0.03)
         orb = extend_half(sol.segment, mu=0.03)
