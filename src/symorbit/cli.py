@@ -83,8 +83,6 @@ def _between(lo: int, hi: int):
 # Upper bounds of the count keys, each set by the memory of the largest
 # array the count sizes (the reasons are at their rows in _KEYS): a larger
 # count is refused at load, before any work, not left to numpy's allocation.
-_MAX_SAMPLES = 100_000
-_MAX_SYMMETRY_SAMPLES = 100_000
 _MAX_GRID = 10_000
 _MAX_CELLS = 1_000_000
 
@@ -168,16 +166,7 @@ _KEYS = (
     ("scan.mu_max", 0.05, float, None, "a finite number"),
     ("scan.mu_count", 21, int, lambda v, c: v >= 1 and v * c["scan.sigma_count"] <= _MAX_CELLS,
      f"an integer >= 1 with scan.sigma_count * scan.mu_count <= {_MAX_CELLS}"),
-    # validate_orbit's simplicity check needs 256 samples per period. At most
-    # _MAX_SAMPLES: verify_closure's one eval_many gathers 14 floats (the
-    # position rows) for each of up to 3 (samples + 1) times, 34 MB, and a
-    # solve's peak grows by at most about 1.3 kB per sample.
-    ("samples", 1024, int, *_between(256, _MAX_SAMPLES)),
     ("seed", 0, int, *_at_least(0)),
-    # At most _MAX_SYMMETRY_SAMPLES: check_symmetry keeps its sample points
-    # as Python float pairs, about 110 B each (11 MB), and evaluates the
-    # force twice per point and declared reflection.
-    ("symmetry_samples", 64, int, *_between(1, _MAX_SYMMETRY_SAMPLES)),
 )  # fmt: skip
 _ROW = {row[0]: row for row in _KEYS}
 # The keys of the rows directly below each path; "" is the whole configuration.
@@ -256,9 +245,7 @@ class RunConfig:
     mu: float
     mu_grid: dict
     scan: dict
-    samples: int
     seed: int
-    symmetry_samples: int
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -317,10 +304,8 @@ def _emit(payload: dict, as_json: bool, stream=None):
 
 
 def cmd_solve(config: RunConfig, problem: ShootingProblem, mu: float, out_dir, as_json: bool) -> int:
-    check_symmetry(
-        config.field, mu, sample_count=config.symmetry_samples, seed=config.seed
-    )
-    solution, orbit, ok, _ = solve_orbit(problem, mu, config.solve_tol, config.samples)
+    check_symmetry(config.field, mu, seed=config.seed)
+    solution, orbit, ok, _ = solve_orbit(problem, mu, config.solve_tol)
 
     payload = orbit.to_dict()
     payload["sigma_star"] = solution.sigma_star
@@ -351,10 +336,8 @@ def _mu_grids(config: RunConfig):
 
 def cmd_sweep(config: RunConfig, problem: ShootingProblem, out_dir, as_json: bool) -> int:
     scan_cfg = config.scan
-    check_symmetry(
-        config.field, config.mu_grid["stop"], sample_count=config.symmetry_samples, seed=config.seed
-    )
-    curves = [run_sweep(problem, g, tol=config.solve_tol, n_samples=config.samples) for g in _mu_grids(config)]
+    check_symmetry(config.field, config.mu_grid["stop"], seed=config.seed)
+    curves = [run_sweep(problem, g, tol=config.solve_tol) for g in _mu_grids(config)]
 
     sigmas = np.linspace(scan_cfg["sigma_min"], scan_cfg["sigma_max"], scan_cfg["sigma_count"])
     scan_mus = np.linspace(0.0, scan_cfg["mu_max"], scan_cfg["mu_count"])
@@ -424,12 +407,7 @@ def cmd_analyze(config: RunConfig, sigma: float, as_json: bool) -> int:
 
 def _check_declared_symmetries(config: RunConfig, problem: ShootingProblem):
     try:
-        residuals = check_symmetry(
-            config.field,
-            0.5 * config.field.mu_range,
-            sample_count=config.symmetry_samples,
-            seed=config.seed,
-        )
+        residuals = check_symmetry(config.field, 0.5 * config.field.mu_range, seed=config.seed)
         return True, {r.value: v for r, v in residuals.items()}
     except SymmetryViolation as exc:
         return False, {r.value: v for r, v in exc.residuals.items()}

@@ -41,14 +41,6 @@ class ContinuationCurve:
     connect_gap: float = 0.0  # max |sigma*(mu_{i+1}) - sigma*(mu_i)|
     failure: dict | None = None  # first failure, if the grid was truncated
 
-    @property
-    def mus(self) -> np.ndarray:
-        return np.array([e.mu for e in self.entries])
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([e.sigma_star for e in self.entries])
-
 
 def _check_grid(problem: ShootingProblem, mu_grid) -> np.ndarray:
     grid = np.asarray(mu_grid, dtype=float)
@@ -66,7 +58,9 @@ def _check_grid(problem: ShootingProblem, mu_grid) -> np.ndarray:
     return grid
 
 
-def solve_orbit(problem: ShootingProblem, mu: float, tol: float, n_samples: int, prebuilt: Bracket | None = None):
+def solve_orbit(
+    problem: ShootingProblem, mu: float, tol: float, n_samples: int = _DEFAULT_SAMPLES, prebuilt: Bracket | None = None
+):
     """(solution, orbit, ok, diagnostics): the solve at mu on `prebuilt` (else
     the cold bracket around sigma = 1), closed by the mode's reflections into
     an orbit of `n_samples` sample intervals and validated."""
@@ -165,10 +159,9 @@ def sweep(
             )
         )
 
-    if curve.entries:
-        curve.empirical_delta0 = float(np.max(np.abs(curve.mus)))
-    if len(curve.entries) > 1:
-        curve.connect_gap = float(np.max(np.abs(np.diff(curve.sigmas))))
+    entries = curve.entries
+    curve.empirical_delta0 = max((abs(e.mu) for e in entries), default=0.0)
+    curve.connect_gap = max((abs(b.sigma_star - a.sigma_star) for a, b in zip(entries, entries[1:])), default=0.0)
     return curve
 
 

@@ -237,8 +237,10 @@ def _closed_polyline(pts: np.ndarray) -> np.ndarray:
         raise ValueError("polyline points must be finite")
     # Drop a duplicated closing point, one within 1e-9 of the first at unit
     # scale; segments wrap around implicitly. On finite points this is
-    # np.allclose with rtol 0.
-    if np.max(np.abs(pts[0] - pts[-1])) <= 1e-9 * max(1.0, np.max(np.abs(pts))):
+    # np.allclose with rtol 0; a gap that overflows to inf is no duplicate.
+    with np.errstate(over="ignore"):
+        gap = np.max(np.abs(pts[0] - pts[-1]))
+    if gap <= 1e-9 * max(1.0, np.max(np.abs(pts))):
         pts = pts[:-1]
     return pts
 
@@ -264,8 +266,6 @@ def _overlapping_pairs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray
     """
     lo = np.minimum(starts, ends)
     hi = np.maximum(starts, ends)
-    if not math.isfinite(float(np.max(hi - lo))):  # NaN or inf when any point is not finite
-        raise ValueError("polyline points and segment extents must be finite")
     n = len(starts)
     (lo_x, lo_y), (hi_x, hi_y) = lo.T, hi.T  # 1-D columns: indexed by one array each
     order = np.argsort(lo_x)
@@ -292,7 +292,8 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
     lies on the other (the on-segment test of Cormen et al., Introduction to
     Algorithms, 33.1); the meeting point reported is that end point. Meeting
     segments have overlapping closed bounding boxes, so only the pairs that
-    `_overlapping_pairs` returns are tested.
+    `_overlapping_pairs` returns are tested. Finite points whose segment
+    extent overflows a float are refused with a ValueError.
     """
     pts = _polyline(orbit_or_points)
     if len(pts) < min_points:
@@ -306,7 +307,10 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
         pts = pts[:-1]
     n = len(pts)
     nxt = np.roll(pts, -1, axis=0)
-    d = nxt - pts  # segment direction vectors
+    with np.errstate(over="ignore"):
+        d = nxt - pts  # segment direction vectors
+    if not np.all(np.isfinite(d)):  # finite points whose difference overflows
+        raise ValueError("polyline points and segment extents must be finite")
     i, j = _overlapping_pairs(pts, nxt)
     keep = (j >= i + 2) & ((i > 0) | (j < n - 1))  # not adjacent, not the wrap pair (0, n-1)
     i, j = i[keep], j[keep]

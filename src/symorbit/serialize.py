@@ -2,7 +2,8 @@
 
 `dumps` writes the layout of `json.dumps(obj, indent=2, sort_keys=True)` in one
 recursive pass, with floats at 17 significant digits and `json.dumps` for keys,
-strings, ints, bools and None. `FloatRows` keeps the rows of a float table (an
+strings, ints, bools and None. Keys are str: any other key is a TypeError
+naming its type. `FloatRows` keeps the rows of a float table (an
 orbit's samples in orbit.json and orbit.csv) and renders each row once, by one
 cached `%`-template per row length, as its CSV line, since `'%.17g' % x` is
 `format(x, '.17g')` for every float; the row's JSON array is that line with
@@ -67,14 +68,12 @@ class FloatRows(list):
         return [_float_row(len(row)) % tuple(row) for row in self]
 
 
-def _key(k) -> str:
-    """A dict key as `json` writes it: str as is; float, int, bool and None by
-    their JSON text."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, (float, int)) or k is None:
-        return json.dumps(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+def _sorted_items(obj: dict) -> list:
+    """obj's items in key order; a key that is not a str is a TypeError."""
+    for k in obj:
+        if not isinstance(k, str):
+            raise TypeError(f"keys must be str, not {type(k).__name__}")
+    return sorted(obj.items())
 
 
 def _encode(obj, depth: int) -> str:
@@ -85,7 +84,7 @@ def _encode(obj, depth: int) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        return _block("{}", [json.dumps(_key(k)) + ": " + _encode(v, depth + 1) for k, v in sorted(obj.items())], depth)
+        return _block("{}", [json.dumps(k) + ": " + _encode(v, depth + 1) for k, v in _sorted_items(obj)], depth)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -93,8 +92,6 @@ def _encode(obj, depth: int) -> str:
             items = [_float_array(row, line, depth + 1) if row else "[]" for row, line in zip(obj, obj.lines)]
             return _block("[]", items, depth)
         return _block("[]", [_encode(v, depth + 1) for v in obj], depth)
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        return _encode(obj.item(), depth)  # numpy scalars
     return json.dumps(obj)
 
 

@@ -73,8 +73,6 @@ def _tag(obj):
         return {k: _tag(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_tag(v) for v in obj]
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        return _tag(obj.item())  # numpy scalars
     return obj
 
 

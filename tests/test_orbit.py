@@ -337,6 +337,18 @@ class TestPolyline:
         dropped = np.allclose(pts[0], pts[-1], rtol=0.0, atol=atol)
         assert len(_polyline(pts)) == len(pts) - dropped
 
+    def test_overflowing_extent_refused_without_a_warning(self):
+        # The closing segment of a semicircle of radius 1.5e308 spans 3e308,
+        # past the largest float; every warning is an error here. The closing
+        # gap counts as no duplicate, winding needs no extent, and the
+        # simplicity check refuses the points once.
+        th = np.linspace(0.0, np.pi, 300)
+        pts = 1.5e308 * np.column_stack([np.cos(th), np.sin(th)])
+        assert len(_polyline(pts)) == 300
+        assert winding_number(pts) == 0
+        with pytest.raises(ValueError, match="^polyline points and segment extents must be finite$"):
+            is_simple_closed(pts)
+
     def test_orbit_polyline_formed_once(self, solved_perturbed_orbit):
         pts = _polyline(solved_perturbed_orbit)
         assert _polyline(solved_perturbed_orbit) is pts

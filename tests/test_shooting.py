@@ -460,3 +460,16 @@ class TestContinuityProbe:
     def test_deviations_shrink(self, quarter_problem_radial):
         devs = crossing_time_deviation(quarter_problem_radial, 0.03, 1.01)
         assert devs[0] > devs[1] > devs[2] > 0
+
+    def test_each_deviation_probes_sigma_plus_h(self, quarter_problem_radial):
+        # The probe side is pinned: at this (sigma, mu) the crossing time
+        # bends, so the sigma - h probes give other deviations.
+        sigma, mu = 1.01, 0.03
+        t0 = miss(quarter_problem_radial, sigma, mu).crossing.t_star
+
+        def deviations(side):
+            return [abs(miss(quarter_problem_radial, sigma + side * h, mu).crossing.t_star - t0) for h in (1e-3, 1e-4, 1e-5)]
+
+        plus, minus = deviations(+1), deviations(-1)
+        assert crossing_time_deviation(quarter_problem_radial, mu, sigma) == plus
+        assert all(p != m for p, m in zip(plus, minus))
