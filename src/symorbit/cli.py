@@ -87,14 +87,6 @@ _MAX_GRID = 10_000
 _MAX_CELLS = 1_000_000
 
 
-def _step_span(stop: float, step: float) -> float:
-    """stop / step, widened so that a stop within rounding of a multiple of
-    step (0.1 with step 0.005) still ends the grid at stop: its floor is the
-    step grid's interval count (_mu_grids). Infinite for a step that is tiny
-    against stop."""
-    return stop / step * (1.0 + 1e-12)
-
-
 def _launchable(r: float, c: dict) -> bool:
     """r lies in the annulus, U'(r) and U''(r) of the configured power law
     are finite nonzero floats, and the solve window (`shooting._window`) is
@@ -143,15 +135,12 @@ _KEYS = (
     ("mu", 0.0, float, lambda v, c: abs(v) < c["field.mu_range"], "a number in (-field.mu_range, field.mu_range)"),
     ("mu_grid", {}, dict, None, "an object"),
     # Default sweep range: 64 uniform points over [0, half the mu range]
-    # (_mu_grids); a grid takes step or count, not both (RunConfig.from_dict).
-    # At most _MAX_GRID points either way: each point is a solved, validated
+    # (_mu_grids). At most _MAX_GRID points: each point is a solved, validated
     # orbit whose curve entry (about 2 kB with its diagnostics) the sweep
     # keeps, so 20 MB and a run of about a minute.
     ("mu_grid.stop", lambda c: 0.5 * c["field.mu_range"], float, lambda v, c: 0 < v < c["field.mu_range"],
      "a number in (0, field.mu_range)"),
-    ("mu_grid.step", None, float, lambda v, c: v > 0 and _step_span(c["mu_grid.stop"], v) < _MAX_GRID,
-     f"a positive number that gives at most {_MAX_GRID} points up to mu_grid.stop"),
-    ("mu_grid.count", None, int, *_between(1, _MAX_GRID)),
+    ("mu_grid.count", 64, int, *_between(1, _MAX_GRID)),
     ("mu_grid.mirror", False, bool, None, "true or false"),
     # main checks a sweep's sigmas against the speed band (1 - delta, 1 + delta)
     # and its mu_max against the mu range, outside which miss refuses: the
@@ -250,8 +239,6 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         v = _read(raw)
-        if v["mu_grid.step"] is not None and v["mu_grid.count"] is not None:
-            raise ValueError("configuration keys 'mu_grid.step' and 'mu_grid.count' are both given: step or count, not both")
         if v["field.perturbation"] is None:
             pert = zero_perturbation()
         else:
@@ -321,17 +308,8 @@ def cmd_solve(config: RunConfig, problem: ShootingProblem, mu: float, out_dir, a
 
 
 def _mu_grids(config: RunConfig):
-    stop, step = config.mu_grid["stop"], config.mu_grid["step"]
-    if step is not None:
-        # The last multiple of step not past stop.
-        n = math.floor(_step_span(stop, step))
-        forward = np.minimum(np.linspace(0.0, n * step, n + 1), stop)
-    else:
-        forward = np.linspace(0.0, stop, config.mu_grid["count"] or 64)
-    grids = [forward]
-    if config.mu_grid["mirror"]:
-        grids.append(-forward)
-    return grids
+    forward = np.linspace(0.0, config.mu_grid["stop"], config.mu_grid["count"])
+    return [forward, -forward] if config.mu_grid["mirror"] else [forward]
 
 
 def cmd_sweep(config: RunConfig, problem: ShootingProblem, out_dir, as_json: bool) -> int:

@@ -26,9 +26,9 @@ from .shooting import Bracket, Mode, ShootingProblem, _check_mu, _check_sigma, b
 
 @dataclass(frozen=True)
 class CurveEntry:
+    """A validated orbit of a sweep; its launch is at sigma_star times the circular speed."""
     mu: float
     sigma_star: float
-    v_mu: tuple[float, float]
     period: float
     closure_residual: float
     diagnostics: dict
@@ -152,7 +152,6 @@ def sweep(
             CurveEntry(
                 mu=mu,
                 sigma_star=sol.sigma_star,
-                v_mu=(float(sol.v_mu[0]), float(sol.v_mu[1])),
                 period=orbit.period,
                 closure_residual=diag["closure_position"],
                 diagnostics=diag,

@@ -71,8 +71,8 @@ class PeriodicOrbit:
     """Closed orbit assembled from a solved segment by a reflection table.
 
     `states` holds n+1 uniformly spaced states over one period, first and last
-    coinciding up to construction round-off; `at(t)` evaluates the underlying
-    piecewise-reflected interpolant at any time. The sample rows (t, x, y, vx,
+    coinciding up to construction round-off; `_eval` evaluates the underlying
+    piecewise-reflected interpolant at any times. The sample rows (t, x, y, vx,
     vy) and their 17-digit text are built once, when `to_dict` or `write_csv`
     first needs them, so orbit.json and orbit.csv carry the same text per value.
     """
@@ -98,12 +98,8 @@ class PeriodicOrbit:
         k = np.searchsorted(self._edges, s)
         return self.segment.eval_many(self._offsets[k] + self._slopes[k] * s) * self._signs[k]
 
-    def at(self, t: float) -> State:
-        y = self._eval([float(t)])[0]
-        return State(t=float(t), position=y[:2], velocity=y[2:])
-
     def initial_state(self) -> State:
-        """The state at time 0: the first sample, which is `at(0.0)` bit for bit."""
+        """The state at time 0: the first sample, which is `_eval([0.0])[0]` bit for bit."""
         y = self.states[0]
         return State(t=0.0, position=y[:2].copy(), velocity=y[2:].copy())
 
@@ -292,8 +288,10 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
     lies on the other (the on-segment test of Cormen et al., Introduction to
     Algorithms, 33.1); the meeting point reported is that end point. Meeting
     segments have overlapping closed bounding boxes, so only the pairs that
-    `_overlapping_pairs` returns are tested. Finite points whose segment
-    extent overflows a float are refused with a ValueError.
+    `_overlapping_pairs` returns are tested. The points are first scaled by
+    a power of two into [-1, 1]: that changes no orientation sign and, scaled
+    back, no meeting point, and no difference or product of the tests can
+    overflow.
     """
     pts = _polyline(orbit_or_points)
     if len(pts) < min_points:
@@ -306,11 +304,10 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
     if len(pts) > 1 and np.array_equal(pts[-1], pts[0]):
         pts = pts[:-1]
     n = len(pts)
+    _, scale = np.frexp(np.max(np.abs(pts)))  # 2**scale bounds every |coordinate|
+    pts = np.ldexp(pts, -scale)
     nxt = np.roll(pts, -1, axis=0)
-    with np.errstate(over="ignore"):
-        d = nxt - pts  # segment direction vectors
-    if not np.all(np.isfinite(d)):  # finite points whose difference overflows
-        raise ValueError("polyline points and segment extents must be finite")
+    d = nxt - pts  # segment direction vectors
     i, j = _overlapping_pairs(pts, nxt)
     keep = (j >= i + 2) & ((i > 0) | (j < n - 1))  # not adjacent, not the wrap pair (0, n-1)
     i, j = i[keep], j[keep]
@@ -346,22 +343,17 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
         # Line-line intersection point. d3 == d4 would need both of c, e on
         # the line of a, b, and then p12 == 0 too.
         t = d3[k] / (d3[k] - d4[k])
-        return False, c[k] + t * dc[k]
+        return False, np.ldexp(c[k] + t * dc[k], scale)
     first = int(np.argmax(on[:, np.searchsorted(both, k)]))
-    return False, ends[first][3][k].copy()
+    return False, np.ldexp(ends[first][3][k], scale)
 
 
-def winding_number(orbit_or_points, point=(0.0, 0.0)) -> int:
-    """Signed number of turns of the closed curve around `point`."""
+def winding_number(orbit_or_points) -> int:
+    """Signed number of turns of the closed curve around the origin."""
     pts = _polyline(orbit_or_points)
-    p = np.asarray(point, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"point must be finite, got {tuple(p)}")
-    rel = pts - p
-    dist = np.hypot(rel[:, 0], rel[:, 1])
-    if np.min(dist) < 1e-9:
-        raise PointOnCurve(f"a sample lies within 1e-9 of {tuple(p)}")
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
+    if np.min(np.hypot(pts[:, 0], pts[:, 1])) < 1e-9:
+        raise PointOnCurve("a sample lies within 1e-9 of (0.0, 0.0)")
+    ang = np.arctan2(pts[:, 1], pts[:, 0])
     d = np.diff(np.concatenate([ang, ang[:1]]))
     d -= 2.0 * math.pi * np.round(d / (2.0 * math.pi))
     return int(round(float(np.sum(d)) / (2.0 * math.pi)))
@@ -371,11 +363,11 @@ def winding_number(orbit_or_points, point=(0.0, 0.0)) -> int:
 class AxisCrossing:
     t: float
     point: np.ndarray
-    normal_speed: float  # velocity component transverse to the axis
+    normal_speed: float  # vy, the velocity component transverse to the x-axis
 
 
-def axis_crossings(orbit: PeriodicOrbit, axis: str = "x") -> list[AxisCrossing]:
-    """Transversal crossings of a coordinate axis over one period.
+def axis_crossings(orbit: PeriodicOrbit) -> list[AxisCrossing]:
+    """Transversal crossings of the x-axis over one period.
 
     Samples within a zero band of the axis are taken as on it, and the
     package's sign-change rule (`integrator._sign_changes`) runs over the
@@ -383,10 +375,6 @@ def axis_crossings(orbit: PeriodicOrbit, axis: str = "x") -> list[AxisCrossing]:
     (the launch point, for one), any other sign change is refined by
     `_bisect` on the orbit interpolant.
     """
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
-    ci = 1 if axis == "x" else 0  # coordinate that vanishes on the axis
-    vi = ci + 2
     r_scale = float(np.max(np.abs(orbit.positions)))
     v_scale = float(np.max(np.abs(orbit.velocities)))
     z_tol = 1e-9 * r_scale
@@ -395,7 +383,7 @@ def axis_crossings(orbit: PeriodicOrbit, axis: str = "x") -> list[AxisCrossing]:
     # Samples in the zero band are on the axis; the samples wrap once around
     # the period, so the launch point is reached at the end of the last interval.
     times, n = orbit.times, len(orbit.times) - 1
-    vals = orbit.states[:-1, ci]
+    vals = orbit.states[:-1, 1]
     vals = np.where(np.abs(vals) < z_tol, 0.0, vals)
     vals = np.append(vals, vals[0])
     # A pair of samples of one strict sign holds no sign change; the rule
@@ -408,11 +396,11 @@ def axis_crossings(orbit: PeriodicOrbit, axis: str = "x") -> list[AxisCrossing]:
         if vals[j] == 0.0:
             t, y = float(times[j % n]), orbit.states[j % n]
         else:
-            a, b = _bisect(lambda m: _crossed(fa, orbit._eval([m])[0, ci]), float(times[k]), float(times[j]))
+            a, b = _bisect(lambda m: _crossed(fa, orbit._eval([m])[0, 1]), float(times[k]), float(times[j]))
             t = 0.5 * (a + b)
             y = orbit._eval([t])[0]
-        if abs(y[vi]) >= floor:
-            crossings.append(AxisCrossing(t=t, point=y[:2].copy(), normal_speed=float(y[vi])))
+        if abs(y[3]) >= floor:
+            crossings.append(AxisCrossing(t=t, point=y[:2].copy(), normal_speed=float(y[3])))
     crossings.sort(key=lambda c: c.t)
     return crossings
 
@@ -441,7 +429,7 @@ def validate_orbit(
     pos_res, vel_res, sym = verify_closure(orbit, field, mu)
     simple, xing_pt = is_simple_closed(orbit)
     wind = winding_number(orbit)
-    crossings = axis_crossings(orbit, "x")
+    crossings = axis_crossings(orbit)
 
     x0 = float(orbit.initial_state().position[0])
     crossing_ok = len(crossings) == 2

@@ -136,8 +136,8 @@ class MissValue:
 
 @dataclass(frozen=True)
 class ShootingSolution:
+    """A solved launch, at sigma_star times the circular speed, and its segment."""
     sigma_star: float
-    v_mu: np.ndarray  # vertical launch velocity (0, sigma* v0)
     tau: float  # crossing time of the orthogonal hit
     segment: Trajectory  # trajectory restricted to [0, tau]
     miss_residual: float
@@ -283,7 +283,6 @@ def solve(
     tau = best.crossing.t_star
     return ShootingSolution(
         sigma_star=best.sigma,
-        v_mu=problem.launch_velocity(best.sigma),
         tau=tau,
         segment=best.trajectory.truncated(tau),
         miss_residual=best.value,

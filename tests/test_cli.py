@@ -50,7 +50,7 @@ def write_config(path, **overrides):
         "mode": "quarter",
         "radius": 1.0,
         "mu": 0.02,
-        "mu_grid": {"stop": 0.01, "step": 0.005, "mirror": False},
+        "mu_grid": {"stop": 0.01, "count": 3, "mirror": False},
         "scan": {
             "sigma_min": 0.95,
             "sigma_max": 1.05,
@@ -440,6 +440,7 @@ class TestConfigKeys:
             "scan.sigma_cnt",
             "field.perturbation.params.lamda",
             "t_bar",
+            "mu_grid.step",
         ],
     )
     def test_unknown_key_rejected_by_path(self, tmp_path, capsys, path):
@@ -479,7 +480,7 @@ class TestConfigKeys:
             ("field.annulus", [0.5, float("inf")]),
             ("mu_grid.stop", 0.5),
             ("mu_grid.stop", 0.0),
-            ("mu_grid.step", 0.0),
+            ("mu_grid.count", None),
             ("mu_grid.count", 0),
             ("mu_grid.mirror", "false"),
             ("scan.sigma_min", "0.95"),
@@ -660,17 +661,6 @@ class TestConfigKeys:
         cfg.write_text(json.dumps(raw))
         assert cli.RunConfig.load(cfg).field.perturbation.params == {"px": 2, "py": 3.0}
 
-    @pytest.mark.parametrize(
-        "stop, step, points",
-        [(0.026, 0.01, 3), (0.1, 0.005, 21), (0.3, 0.1, 4), (0.01, 0.005, 3)],
-    )
-    def test_step_grid_never_passes_stop(self, tmp_path, stop, step, points):
-        cfg = write_config(tmp_path / "c.json", mu_grid={"stop": stop, "step": step})
-        (forward,) = cli._mu_grids(cli.RunConfig.load(cfg))
-        assert len(forward) == points
-        assert forward[-1] <= stop
-        assert forward[-1] == pytest.approx((points - 1) * step, abs=1e-15)
-
     def test_count_grid_and_default_grid(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", mu_grid={"stop": 0.01, "count": 7})
         (forward,) = cli._mu_grids(cli.RunConfig.load(cfg))
@@ -680,13 +670,14 @@ class TestConfigKeys:
         assert forward.tolist() == np.linspace(0.0, 0.25, 64).tolist()
 
     def test_step_with_count_refused(self, tmp_path, capsys, monkeypatch):
-        # A grid takes step or count, not both: count is not dropped silently.
+        # A grid is spelled by its count only: step is no key, also beside
+        # count, and is refused before any work.
         started = []
-        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: started.append(a))
+        for name in ("check_symmetry", "run_sweep", "zero_set_scan"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: started.append(a))
         cfg = write_config(tmp_path / "c.json", mu_grid={"stop": 0.01, "step": 0.005, "count": 7})
         assert main(["sweep", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and "'mu_grid.step'" in err and "'mu_grid.count'" in err
+        assert capsys.readouterr().err == "configuration error: unknown configuration key 'mu_grid.step'\n"
         assert started == []
 
     @pytest.mark.parametrize(
@@ -694,8 +685,6 @@ class TestConfigKeys:
         [
             ("sweep", "mu_grid.count", 10**12),
             ("sweep", "mu_grid.count", 10_001),
-            ("sweep", "mu_grid.step", 5e-324),  # stop / step is inf
-            ("sweep", "mu_grid.step", 0.01 / 10_000),  # 10,001 points up to stop 0.01
             ("sweep", "scan.sigma_count", 10**12),
             ("sweep", "scan.mu_count", 10**12),
             ("sweep", "scan.mu_count", 1_000_000 // 7 + 1),  # sigma_count 7
@@ -719,9 +708,6 @@ class TestConfigKeys:
         assert cli.RunConfig.load(cfg).scan["sigma_count"] == 1_000_000
         cfg = write_config(tmp_path / "c.json", scan={"sigma_count": 7, "mu_count": 1_000_000 // 7})
         assert cli.RunConfig.load(cfg).scan["mu_count"] == 142_857
-        cfg = write_config(tmp_path / "c.json", mu_grid={"stop": 0.01, "step": 0.01 / 9_999})
-        (forward,) = cli._mu_grids(cli.RunConfig.load(cfg))
-        assert len(forward) == 10_000 and forward[-1] <= 0.01
 
     def test_section_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", scan=[0.9, 1.1])
@@ -742,7 +728,7 @@ class TestConfigKeys:
         schema = re.search(r"### Configuration schema\n\n```json\n(.*?)```", README.read_text(), re.S)
         (tmp_path / "readme.json").write_text(schema.group(1))
         config = cli.RunConfig.load(tmp_path / "readme.json")
-        assert config.mu == 0.05 and config.mu_grid["step"] == 0.005
+        assert config.mu == 0.05 and config.mu_grid["count"] == 21
 
 
 class TestConfigLoading:
@@ -805,7 +791,7 @@ class TestSweepCommand:
 
     def test_mirrored_sweep(self, tmp_path, capsys):
         cfg = write_config(
-            tmp_path / "c.json", mu_grid={"stop": 0.01, "step": 0.005, "mirror": True}
+            tmp_path / "c.json", mu_grid={"stop": 0.01, "count": 3, "mirror": True}
         )
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--json"]) == 0

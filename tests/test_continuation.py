@@ -222,7 +222,7 @@ class TestQuarterModeOffTheCircle:
 
 def test_curves_csv_sorts_on_mu_positive_curve_first(tmp_path):
     def curve(mus):
-        entries = [continuation.CurveEntry(m, 1.0 + m, (0.0, 1.0), 6.0 + m, 1e-12, {}) for m in mus]
+        entries = [continuation.CurveEntry(m, 1.0 + m, 6.0 + m, 1e-12, {}) for m in mus]
         return continuation.ContinuationCurve(entries=entries)
 
     write_curves_csv(tmp_path / "s.csv", [curve([0.0, 0.5]), curve([0.0, -0.5])])

@@ -97,10 +97,10 @@ class TestExtendQuarter:
         orb = extend_quarter(circle_quarter_segment)
         tau = orb.period / 4
         for joint in (tau, 2 * tau, 3 * tau):
-            left = orb.at(joint - 1e-9)
-            right = orb.at(joint + 1e-9)
-            assert np.allclose(left.position, right.position, atol=1e-7)
-            assert np.allclose(left.velocity, right.velocity, atol=1e-7)
+            left = orb._eval([joint - 1e-9])[0]
+            right = orb._eval([joint + 1e-9])[0]
+            assert np.allclose(left[:2], right[:2], atol=1e-7)
+            assert np.allclose(left[2:], right[2:], atol=1e-7)
 
     def test_hypothesis_violation_on_non_orthogonal_end(self, kepler_field):
         # Cutting the quarter arc early leaves a slanted end velocity.
@@ -206,7 +206,7 @@ class TestReflectionTable:
             np.arange(5) * orb.period / (4 if mode == "quarter" else 2),
         ])
         want = np.array([branch_eval(t) for t in ts])
-        assert_states_close(np.array([np.r_[orb.at(t).position, orb.at(t).velocity] for t in ts]), want)
+        assert_states_close(np.array([orb._eval([t])[0] for t in ts]), want)
 
     def test_start_is_the_segment_start(self, solved_perturbed_orbit):
         start = solved_perturbed_orbit.segment.ys[0]
@@ -219,12 +219,12 @@ class TestReflectionTable:
         # The first sample, read without evaluating the interpolant again, in
         # both modes; a copy, so the orbit's samples stay as they are.
         orb = request.getfixturevalue(orbit_fixture)
-        s0, at0 = orb.initial_state(), orb.at(0.0)
-        assert s0.t == at0.t == 0.0
-        assert s0.position.tobytes() == at0.position.tobytes()
-        assert s0.velocity.tobytes() == at0.velocity.tobytes()
+        s0, at0 = orb.initial_state(), orb._eval([0.0])[0]
+        assert s0.t == 0.0
+        assert s0.position.tobytes() == at0[:2].tobytes()
+        assert s0.velocity.tobytes() == at0[2:].tobytes()
         s0.position[0] = math.nan
-        assert orb.states[0, 0] == at0.position[0]
+        assert orb.states[0, 0] == at0[0]
 
 
 class TestClosureScaling:
@@ -337,17 +337,38 @@ class TestPolyline:
         dropped = np.allclose(pts[0], pts[-1], rtol=0.0, atol=atol)
         assert len(_polyline(pts)) == len(pts) - dropped
 
-    def test_overflowing_extent_refused_without_a_warning(self):
+    def test_overflowing_extent_answered_without_a_warning(self):
         # The closing segment of a semicircle of radius 1.5e308 spans 3e308,
         # past the largest float; every warning is an error here. The closing
         # gap counts as no duplicate, winding needs no extent, and the
-        # simplicity check refuses the points once.
+        # simplicity check tests the points scaled into [-1, 1].
         th = np.linspace(0.0, np.pi, 300)
         pts = 1.5e308 * np.column_stack([np.cos(th), np.sin(th)])
         assert len(_polyline(pts)) == 300
         assert winding_number(pts) == 0
-        with pytest.raises(ValueError, match="^polyline points and segment extents must be finite$"):
-            is_simple_closed(pts)
+        assert is_simple_closed(pts) == (True, None)
+
+    @staticmethod
+    def _limacon(n=400):
+        # r = 1 + 1.5 cos(theta) has an inner loop, so the curve is not simple.
+        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        r = 1.0 + 1.5 * np.cos(th)
+        return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+    @pytest.mark.parametrize("k", [-900, -500, 300, 1020])
+    def test_meeting_point_scales_by_a_power_of_two(self, k):
+        # The orientation tests are exact under scaling by 2**k, so the
+        # meeting point scales with the points bit for bit.
+        simple, point = is_simple_closed(self._limacon())
+        assert not simple
+        assert is_simple_closed(np.ldexp(self._limacon(), k))[1].tobytes() == np.ldexp(point, k).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e80, 1e155, 1e160])
+    def test_far_out_verdicts_without_a_warning(self, scale):
+        # Unscaled, the orientation products of these coordinates overflow;
+        # every warning is an error here.
+        assert not is_simple_closed(scale * self._limacon())[0]
+        assert is_simple_closed(scale * self._circle(400)) == (True, None)
 
     def test_orbit_polyline_formed_once(self, solved_perturbed_orbit):
         pts = _polyline(solved_perturbed_orbit)
@@ -363,12 +384,8 @@ class TestWindingNumber:
         assert winding_number(loop_points()[::-1]) == -1
 
     def test_point_outside(self):
-        assert winding_number(loop_points(), (5.0, 0.0)) == 0
-
-    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf)])
-    def test_non_finite_point_rejected(self, point):
-        with pytest.raises(ValueError, match="must be finite"):
-            winding_number(loop_points(), point)
+        # The origin lies outside the unit circle about (-5, 0).
+        assert winding_number(loop_points() - (5.0, 0.0)) == 0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_sample_rejected(self, value):
@@ -382,7 +399,7 @@ class TestWindingNumber:
 
     def test_point_on_curve_rejected(self):
         with pytest.raises(PointOnCurve):
-            winding_number(loop_points(), (1.0, 0.0))
+            winding_number(loop_points() - (1.0, 0.0))
 
     def test_solved_orbit_encloses_origin(self, solved_perturbed_orbit):
         assert abs(winding_number(solved_perturbed_orbit)) == 1
@@ -397,7 +414,7 @@ class TestWindingNumber:
             [x * math.cos(rot) - y * math.sin(rot), x * math.sin(rot) + y * math.cos(rot)]
         )
         assert winding_number(pts) == 1
-        assert winding_number(pts, (4 * a, 4 * b)) == 0
+        assert winding_number(pts - (4 * a, 4 * b)) == 0
 
 
 class TestSymmetryResidual:
@@ -729,64 +746,52 @@ class TestOverlappingPairs:
 class TestAxisCrossings:
     def test_circle(self, circle_quarter_segment):
         orb = extend_quarter(circle_quarter_segment)
-        crossings = axis_crossings(orb, "x")
+        crossings = axis_crossings(orb)
         assert len(crossings) == 2
         xs = sorted(c.point[0] for c in crossings)
         assert xs[0] == pytest.approx(-1.0, abs=1e-9)
         assert xs[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_quarter_orbit_two_symmetric_crossings(self, solved_perturbed_orbit):
-        crossings = axis_crossings(solved_perturbed_orbit, "x")
+        crossings = axis_crossings(solved_perturbed_orbit)
         assert len(crossings) == 2
         xs = sorted(c.point[0] for c in crossings)
         assert xs[0] == pytest.approx(-1.0, abs=1e-6)
         assert xs[1] == pytest.approx(1.0, abs=1e-6)
 
-    def test_y_axis_crossings(self, solved_perturbed_orbit):
-        crossings = axis_crossings(solved_perturbed_orbit, "y")
-        assert len(crossings) == 2
-        ys = sorted(c.point[1] for c in crossings)
-        assert ys[0] == pytest.approx(-ys[1], abs=1e-6)
-
-    def test_unknown_axis_refused(self, circle_quarter_segment):
-        with pytest.raises(ValueError, match="^axis must be 'x' or 'y'$"):
-            axis_crossings(extend_quarter(circle_quarter_segment), "z")
-
     def test_half_orbit_positive_and_negative(self, half_problem_a05):
         sol = solve(half_problem_a05, 0.03)
         orb = extend_half(sol.segment, mu=0.03)
-        crossings = axis_crossings(orb, "x")
+        crossings = axis_crossings(orb)
         assert len(crossings) == 2
         xs = sorted(c.point[0] for c in crossings)
         assert xs[0] < 0 < xs[1]
         assert xs[1] == pytest.approx(1.0, abs=1e-9)
 
 
-def batched_refined_crossings(orbit, axis):
-    """Reference for axis_crossings' refinement: (t, x, y, normal speed) of
-    each crossing between samples, all sign changes bisected together with
-    80 halvings, one batched orbit evaluation per halving."""
-    ci = 1 if axis == "x" else 0
-    vi = ci + 2
+def batched_refined_crossings(orbit):
+    """Reference for axis_crossings' refinement: (t, x, y, vy) of each
+    crossing between samples, all sign changes bisected together with 80
+    halvings, one batched orbit evaluation per halving."""
     z_tol = 1e-9 * float(np.max(np.abs(orbit.positions)))
     floor = 1e-6 * float(np.max(np.abs(orbit.velocities)))
     ts = orbit.times[:-1]
-    vals = orbit.states[:-1, ci]
+    vals = orbit.states[:-1, 1]
     is_zero = np.abs(vals) < z_tol
     k = np.flatnonzero(~is_zero & ~np.roll(is_zero, -1) & (vals * np.roll(vals, -1) < 0.0))
     a, b, fa = ts[k], orbit.times[k + 1], vals[k]
     for _ in range(80):
         m = 0.5 * (a + b)
-        fm = orbit._eval(m)[:, ci]
+        fm = orbit._eval(m)[:, 1]
         left = fa * fm <= 0.0
         b = np.where(left, m, b)
         a = np.where(left, a, m)
         fa = np.where(left, fa, fm)
     t_star = 0.5 * (a + b)
     return [
-        (t, *y[:2].tolist(), float(y[vi]))
+        (t, *y[:2].tolist(), float(y[3]))
         for t, y in zip(t_star.tolist(), orbit._eval(t_star))
-        if abs(y[vi]) >= floor
+        if abs(y[3]) >= floor
     ]
 
 
@@ -797,36 +802,27 @@ class TestAxisCrossingRefinement:
     @pytest.mark.parametrize("n_samples", [1023, 1000])
     def test_matches_batched_bisection(self, request, orbit_fixture, n_samples):
         # With 1023 samples no symmetry time of a period is a sample: of the
-        # two x-axis and two y-axis crossings only the launch point is one.
+        # two x-axis crossings only the launch point is one.
         base = request.getfixturevalue(orbit_fixture)
         extend = extend_quarter if Reflection.Y_AXIS in base.symmetry else extend_half
         orb = extend(base.segment, mu=base.mu, n_samples=n_samples)
         samples = set(orb.times.tolist())
-        refined = 0
-        for axis in ("x", "y"):
-            got = [
-                (c.t, *c.point.tolist(), c.normal_speed)
-                for c in axis_crossings(orb, axis)
-                if c.t not in samples
-            ]
-            assert got == batched_refined_crossings(orb, axis)
-            refined += len(got)
-        assert refined == 3 or n_samples == 1000
+        got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(orb) if c.t not in samples]
+        assert got == batched_refined_crossings(orb)
+        assert len(got) == 1 or n_samples == 1000
 
 
-def cluster_walk_axis_crossings(orbit, axis):
-    """Reference for axis_crossings' sign rule: (t, x, y, normal speed) of
-    each crossing, on-sample crossings found as runs of samples in the zero
+def cluster_walk_axis_crossings(orbit):
+    """Reference for axis_crossings' sign rule: (t, x, y, vy) of each
+    crossing, on-sample crossings found as runs of samples in the zero
     band (wrapping around the period, the middle sample of each run taken)
     and the sign changes between samples off the band found by products."""
     from symorbit.integrator import _bisect
 
-    ci = 1 if axis == "x" else 0
-    vi = ci + 2
     z_tol = 1e-9 * float(np.max(np.abs(orbit.positions)))
     floor = 1e-6 * float(np.max(np.abs(orbit.velocities)))
     ts = orbit.times[:-1]
-    vals = orbit.states[:-1, ci]
+    vals = orbit.states[:-1, 1]
     n = len(ts)
     is_zero = np.abs(vals) < z_tol
     found = []
@@ -849,10 +845,10 @@ def cluster_walk_axis_crossings(orbit, axis):
             found.append((float(ts[mid]), orbit.states[mid]))
     for k in np.flatnonzero(~is_zero & ~np.roll(is_zero, -1) & (vals * np.roll(vals, -1) < 0.0)):
         fa = float(vals[k])
-        a, b = _bisect(lambda m: fa * orbit._eval([m])[0, ci] <= 0.0, float(ts[k]), float(orbit.times[k + 1]))
+        a, b = _bisect(lambda m: fa * orbit._eval([m])[0, 1] <= 0.0, float(ts[k]), float(orbit.times[k + 1]))
         t = 0.5 * (a + b)
         found.append((t, orbit._eval([t])[0]))
-    return sorted((t, *y[:2].tolist(), float(y[vi])) for t, y in found if abs(y[vi]) >= floor)
+    return sorted((t, *y[:2].tolist(), float(y[3])) for t, y in found if abs(y[3]) >= floor)
 
 
 class TestAxisCrossingsMatchClusterWalk:
@@ -864,34 +860,31 @@ class TestAxisCrossingsMatchClusterWalk:
         base = request.getfixturevalue(orbit_fixture)
         extend = extend_quarter if Reflection.Y_AXIS in base.symmetry else extend_half
         orb = extend(base.segment, mu=base.mu, n_samples=n_samples)
-        for axis in ("x", "y"):
-            got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(orb, axis)]
-            assert got == cluster_walk_axis_crossings(orb, axis)
-            assert len(got) == 2
+        got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(orb)]
+        assert got == cluster_walk_axis_crossings(orb)
+        assert len(got) == 2
 
 
-def axis_crossings_over_every_pair(orbit, axis):
+def axis_crossings_over_every_pair(orbit):
     """axis_crossings' sign rule run over every pair of consecutive samples,
     without the mask that passes over pairs of one strict sign."""
     from symorbit.integrator import _bisect, _crossed
 
-    ci = 1 if axis == "x" else 0
-    vi = ci + 2
     z_tol = 1e-9 * float(np.max(np.abs(orbit.positions)))
     floor = 1e-6 * float(np.max(np.abs(orbit.velocities)))
     times, n = orbit.times, len(orbit.times) - 1
-    vals = orbit.states[:-1, ci]
+    vals = orbit.states[:-1, 1]
     vals = np.where(np.abs(vals) < z_tol, 0.0, vals).tolist()
     found = []
     for k, j, fa in _sign_changes(list(enumerate(vals + vals[:1]))):
         if vals[j % n] == 0.0:
             t, y = float(times[j % n]), orbit.states[j % n]
         else:
-            a, b = _bisect(lambda m: _crossed(fa, orbit._eval([m])[0, ci]), float(times[k]), float(times[j]))
+            a, b = _bisect(lambda m: _crossed(fa, orbit._eval([m])[0, 1]), float(times[k]), float(times[j]))
             t = 0.5 * (a + b)
             y = orbit._eval([t])[0]
-        if abs(y[vi]) >= floor:
-            found.append((t, *y[:2].tolist(), float(y[vi])))
+        if abs(y[3]) >= floor:
+            found.append((t, *y[:2].tolist(), float(y[3])))
     return sorted(found)
 
 
@@ -909,20 +902,16 @@ class _SampledCurve:
 
 class TestAxisCrossingsMask:
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.sampled_from([-2.0, -1.0, -1e-12, 0.0, 1e-12, 1.0, 2.0]), min_size=2, max_size=40),
-        st.sampled_from(["x", "y"]),
-    )
-    def test_equals_the_rule_over_every_pair(self, values, axis):
-        # Values of one sign in runs, exact zeros and values inside the zero
-        # band; the other coordinate and both speeds are 1.
-        ci = 1 if axis == "x" else 0
+    @given(st.lists(st.sampled_from([-2.0, -1.0, -1e-12, 0.0, 1e-12, 1.0, 2.0]), min_size=2, max_size=40))
+    def test_equals_the_rule_over_every_pair(self, values):
+        # Values of y of one sign in runs, exact zeros and values inside the
+        # zero band; x and both speeds are 1.
         states = np.ones((len(values) + 1, 4))
-        states[:-1, ci] = values
-        states[-1, ci] = values[0]
+        states[:-1, 1] = values
+        states[-1, 1] = values[0]
         curve = _SampledCurve(np.arange(len(values) + 1.0), states)
-        got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(curve, axis)]
-        assert got == axis_crossings_over_every_pair(curve, axis)
+        got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(curve)]
+        assert got == axis_crossings_over_every_pair(curve)
 
 
 class TestContinuedClosure:

@@ -275,7 +275,7 @@ class TestSolve:
         assert abs(sol.sigma_star - 1.0) < 1e-9
         assert sol.tau == pytest.approx(math.pi / 2, abs=1e-8)
         assert abs(sol.miss_residual) < 1e-10
-        assert sol.v_mu[0] == 0.0
+        assert sol.segment.ys[0][2] == 0.0  # a vertical launch
 
     def test_radial_perturbation_matches_central_orbit(self, quarter_problem_radial):
         # The perturbed field stays central, so the orthogonal-crossing speed
