@@ -48,7 +48,7 @@ def main():
         exact = math.sqrt(1.0 + lam * e.mu)
         print(
             f"{e.mu:8.3f} {e.sigma_star:12.9f} {exact:16.9f} "
-            f"{e.period:10.6f} {e.closure_residual:10.2e}"
+            f"{e.period:10.6f} {e.diagnostics['closure_position']:10.2e}"
         )
     print(f"empirical usable range: |mu| <= {curve.empirical_delta0}")
     print(f"largest sigma* jump between grid neighbors: {curve.connect_gap:.3e}")

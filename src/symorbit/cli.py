@@ -281,13 +281,12 @@ class RunConfig:
             raise ValueError(f"configuration key 'mode' does not fit the field: {exc}") from None
 
 
-def _emit(payload: dict, as_json: bool, stream=None):
-    stream = stream or sys.stdout
+def _emit(payload: dict, as_json: bool):
     if as_json:
-        stream.write(serialize.dumps(payload) + "\n")
+        sys.stdout.write(serialize.dumps(payload) + "\n")
     else:
         for key, value in payload.items():
-            stream.write(f"{key}: {value}\n")
+            sys.stdout.write(f"{key}: {value}\n")
 
 
 def cmd_solve(config: RunConfig, problem: ShootingProblem, mu: float, out_dir, as_json: bool) -> int:
@@ -426,11 +425,14 @@ def _check_crossing_continuity(config: RunConfig, problem: ShootingProblem):
     # are not pushed out of range. A narrow band marks a steep force whose
     # usable mu range is narrow too (alpha = 3 with eta = 0.04 has no crossing
     # near sigma = 1.02 beyond mu ~ 0.024), so mu is capped at eta / 2 as well.
+    half = min(0.5 * problem.eta, problem.delta - 1e-3 - 1e-15)  # every probe sigma + h, rounded, passes _check_sigma
+    if half < 0.0:
+        return False, {"message": f"speed band 1 +- delta={problem.delta} is narrower than the probe step 1e-3"}
     rng = np.random.default_rng(config.seed)
     mu_cap = min(0.05, 0.5 * config.field.mu_range, 0.5 * problem.eta)
     ok, probes = True, []
     for _ in range(3):
-        sigma = 1.0 + float(rng.uniform(-0.5 * problem.eta, 0.5 * problem.eta))
+        sigma = 1.0 + float(rng.uniform(-half, half))
         mu = float(rng.uniform(0.0, mu_cap))
         devs = crossing_time_deviation(problem, mu, sigma)
         probes.append({"sigma": sigma, "mu": mu, "deviations": devs})

@@ -30,8 +30,7 @@ class CurveEntry:
     mu: float
     sigma_star: float
     period: float
-    closure_residual: float
-    diagnostics: dict
+    diagnostics: dict  # validate_orbit's; its closure residual is "closure_position"
 
 
 @dataclass
@@ -148,15 +147,7 @@ def sweep(
         # The miss secant across the bracket: the next cell's corrector slope.
         slope = (br.miss_hi.value - br.miss_lo.value) / (br.sigma_hi - br.sigma_lo)
         history.append((mu, sol.sigma_star, slope))
-        curve.entries.append(
-            CurveEntry(
-                mu=mu,
-                sigma_star=sol.sigma_star,
-                period=orbit.period,
-                closure_residual=diag["closure_position"],
-                diagnostics=diag,
-            )
-        )
+        curve.entries.append(CurveEntry(mu=mu, sigma_star=sol.sigma_star, period=orbit.period, diagnostics=diag))
 
     entries = curve.entries
     curve.empirical_delta0 = max((abs(e.mu) for e in entries), default=0.0)
@@ -167,7 +158,7 @@ def sweep(
 def write_curves_csv(path, curves) -> None:
     """One `mu,sigma_star,period,closure_residual` row per entry, in a stable
     sort on mu: a mu = 0 row shared by two curves appears once per curve."""
-    rows = [(e.mu, e.sigma_star, e.period, e.closure_residual) for curve in curves for e in curve.entries]
+    rows = [(e.mu, e.sigma_star, e.period, e.diagnostics["closure_position"]) for c in curves for e in c.entries]
     serialize.write_csv(path, ["mu", "sigma_star", "period", "closure_residual"], sorted(rows, key=lambda r: r[0]))
 
 

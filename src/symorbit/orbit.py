@@ -231,12 +231,12 @@ def _polyline(orbit_or_points) -> np.ndarray:
 def _closed_polyline(pts: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(pts)):  # before the closing-point test, whose atol they would make inf or NaN
         raise ValueError("polyline points must be finite")
-    # Drop a duplicated closing point, one within 1e-9 of the first at unit
-    # scale; segments wrap around implicitly. On finite points this is
+    # Drop a closing point within 1e-9 of the largest |coordinate| of the
+    # first; segments wrap around implicitly. On finite points this is
     # np.allclose with rtol 0; a gap that overflows to inf is no duplicate.
     with np.errstate(over="ignore"):
         gap = np.max(np.abs(pts[0] - pts[-1]))
-    if gap <= 1e-9 * max(1.0, np.max(np.abs(pts))):
+    if gap <= 1e-9 * np.max(np.abs(pts)):
         pts = pts[:-1]
     return pts
 
@@ -349,10 +349,10 @@ def is_simple_closed(orbit_or_points, min_points: int = 256):
 
 
 def winding_number(orbit_or_points) -> int:
-    """Signed number of turns of the closed curve around the origin."""
+    """Signed number of turns around the origin; PointOnCurve within 1e-9 of the largest |coordinate|."""
     pts = _polyline(orbit_or_points)
-    if np.min(np.hypot(pts[:, 0], pts[:, 1])) < 1e-9:
-        raise PointOnCurve("a sample lies within 1e-9 of (0.0, 0.0)")
+    if np.min(np.hypot(pts[:, 0], pts[:, 1])) <= 1e-9 * np.max(np.abs(pts)):
+        raise PointOnCurve("a sample lies within 1e-9 of the largest |coordinate| of (0.0, 0.0)")
     ang = np.arctan2(pts[:, 1], pts[:, 0])
     d = np.diff(np.concatenate([ang, ang[:1]]))
     d -= 2.0 * math.pi * np.round(d / (2.0 * math.pi))

@@ -1,7 +1,10 @@
 import ast
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +404,40 @@ def test_refused_configuration_leaves_no_out_directory(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {named}") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, extra, code, first",
+    [
+        ({"field": {"kappa": 1.0, "alpha": 1.0}, "samples": 1024}, [], 1, "configuration error: "),
+        # sigma*(mu) = sqrt(1 + 100 mu) is far outside the bracket at mu = 0.49.
+        (
+            {
+                "field": {
+                    "kappa": 1.0,
+                    "alpha": 1.0,
+                    "perturbation": {"kind": "radial_power", "params": {"lam": 100.0}, "symmetries": ["x_axis", "y_axis"]},
+                }
+            },
+            ["--mu", "0.49"],
+            2,
+            "BracketFailure: ",
+        ),
+    ],
+    ids=["refusal", "bracket"],
+)
+def test_exit_code_is_the_process_exit_status(tmp_path, config, extra, code, first):
+    # main's return becomes the exit status of `python -m symorbit.cli`, and
+    # the error is one stderr line, with no traceback.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "symorbit.cli", "solve", "--config", str(cfg), *extra],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == code
+    assert run.stderr.startswith(first) and run.stderr.count("\n") == 1
 
 
 def _defect(*args, **kwargs):
@@ -1014,6 +1051,39 @@ class TestVerifyCommand:
             (0.9540973523936195, 0.0008263817764264548),
             (1.0313270239200272, 0.04563777886388609),
         ]
+
+    def test_continuity_probes_stay_in_a_narrow_speed_band(self, tmp_path, capsys):
+        # eta / 2 + 1e-3 exceeds delta: sigma is drawn from 1 +- (delta - 1e-3 -
+        # 1e-15), so every probe sigma + h lies in (1 - delta, 1 + delta).
+        cfg = tmp_path / "narrow.json"
+        cfg.write_text(json.dumps({"field": {"kappa": 1.0, "alpha": 1.0}, "eta": 0.001, "delta": 0.0011}))
+        assert main(["verify", "--config", str(cfg), "--json"]) == 0
+        check = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}["crossing_continuity"]
+        assert check["passed"] is True
+        assert all(abs(p["sigma"] - 1.0) <= 1e-4 for p in check["detail"])
+
+    def test_speed_band_narrower_than_the_probe_step_fails_the_check(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "narrower.json",
+            field={
+                "kappa": 1.0,
+                "alpha": 0.5,
+                "perturbation": {
+                    "kind": "axis_poly",
+                    "params": {"cx": 1.0, "px": 2, "cy": 1.0, "py": 3},
+                    "symmetries": ["x_axis"],
+                },
+            },
+            mode="half",
+            eta=1e-6,
+            delta=2e-6,
+        )
+        assert main(["verify", "--config", str(cfg), "--json"]) == 4
+        out, err = capsys.readouterr()
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert [name for name, c in checks.items() if not c["passed"]] == ["crossing_continuity"]
+        assert "narrower than the probe step 1e-3" in checks["crossing_continuity"]["detail"]["message"]
+        assert err == "failing checks: crossing_continuity\n"
 
     def test_continuity_probe_error_fails_the_check(self, config_path, capsys, monkeypatch):
         def no_crossing(*args, **kwargs):

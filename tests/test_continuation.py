@@ -52,7 +52,7 @@ class TestSweep:
             assert e.sigma_star == pytest.approx(
                 perturbed_radial_sigma(e.mu, 1.0, 3.0, 1.0, 1.0, 1.0), abs=1e-9
             )
-            assert e.closure_residual < 1e-6
+            assert e.diagnostics["closure_position"] < 1e-6
             assert e.diagnostics["valid"]
         assert curve.connect_gap < 0.02
         assert curve.empirical_delta0 == pytest.approx(0.03)
@@ -222,7 +222,7 @@ class TestQuarterModeOffTheCircle:
 
 def test_curves_csv_sorts_on_mu_positive_curve_first(tmp_path):
     def curve(mus):
-        entries = [continuation.CurveEntry(m, 1.0 + m, 6.0 + m, 1e-12, {}) for m in mus]
+        entries = [continuation.CurveEntry(m, 1.0 + m, 6.0 + m, {"closure_position": 1e-12}) for m in mus]
         return continuation.ContinuationCurve(entries=entries)
 
     write_curves_csv(tmp_path / "s.csv", [curve([0.0, 0.5]), curve([0.0, -0.5])])

@@ -326,14 +326,15 @@ class TestPolyline:
         st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
         st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
     )
-    @example([(0.0, 0.0)], (1.0, 0.0), 1e-9)  # |p0 - p_last| equals the atol
+    @example([(1.0, 0.0)], (0.0, 1.0), 1e-9)  # |p0 - p_last| equals the atol
     def test_closing_point_decision_is_allclose(self, points, offset, scale):
         # The duplicate test max |p0 - p_last| <= atol decides as
-        # np.allclose(p0, p_last, rtol=0, atol) on finite points.
+        # np.allclose(p0, p_last, rtol=0, atol) on finite points, with atol
+        # 1e-9 of the largest |coordinate|.
         pts = np.array(points)
-        last = pts[0] + scale * np.array(offset) * max(1.0, float(np.max(np.abs(pts))))
+        last = pts[0] + scale * np.array(offset) * float(np.max(np.abs(pts)))
         pts = np.vstack([pts, last])
-        atol = 1e-9 * max(1.0, np.max(np.abs(pts)))
+        atol = 1e-9 * np.max(np.abs(pts))
         dropped = np.allclose(pts[0], pts[-1], rtol=0.0, atol=atol)
         assert len(_polyline(pts)) == len(pts) - dropped
 
@@ -370,6 +371,14 @@ class TestPolyline:
         assert not is_simple_closed(scale * self._limacon())[0]
         assert is_simple_closed(scale * self._circle(400)) == (True, None)
 
+    def test_closing_point_decision_at_every_scale(self):
+        # The closing-point atol is relative to the largest |coordinate|: a
+        # gap of 5e-6 R is kept and an exact duplicate dropped at every R.
+        for k in range(-40, 41):
+            pts = 2.0**k * loop_points()
+            assert len(_polyline(np.vstack([pts, pts[:1]]))) == 512, k
+            assert len(_polyline(np.vstack([pts, pts[:1] + (5e-6 * 2.0**k, 0.0)]))) == 513, k
+
     def test_orbit_polyline_formed_once(self, solved_perturbed_orbit):
         pts = _polyline(solved_perturbed_orbit)
         assert _polyline(solved_perturbed_orbit) is pts
@@ -400,6 +409,14 @@ class TestWindingNumber:
     def test_point_on_curve_rejected(self):
         with pytest.raises(PointOnCurve):
             winding_number(loop_points() - (1.0, 0.0))
+
+    def test_circle_answered_alike_at_every_scale(self):
+        # The distance floor is relative to the largest |coordinate|, so a
+        # small circle about the origin is not taken for one through it.
+        for k in range(-40, 41):
+            pts = 2.0**k * loop_points()
+            assert winding_number(pts) == 1, k
+            assert is_simple_closed(pts) == (True, None), k
 
     def test_solved_orbit_encloses_origin(self, solved_perturbed_orbit):
         assert abs(winding_number(solved_perturbed_orbit)) == 1
