@@ -46,6 +46,7 @@ from .forcefield import (
     zero_perturbation,
 )
 from .integrator import _RESOLUTION, flow
+from .orbit import _failed_checks
 from .shooting import (
     Mode,
     ShootingProblem,
@@ -291,7 +292,7 @@ def _emit(payload: dict, as_json: bool):
 
 def cmd_solve(config: RunConfig, problem: ShootingProblem, mu: float, out_dir, as_json: bool) -> int:
     check_symmetry(config.field, mu, seed=config.seed)
-    solution, orbit, ok, _ = solve_orbit(problem, mu, config.solve_tol)
+    solution, orbit, ok, diag = solve_orbit(problem, mu, config.solve_tol)
 
     payload = orbit.to_dict()
     payload["sigma_star"] = solution.sigma_star
@@ -303,7 +304,17 @@ def cmd_solve(config: RunConfig, problem: ShootingProblem, mu: float, out_dir, a
         orbit.write_csv(out / "orbit.csv")
     summary = {k: v for k, v in payload.items() if k != "samples"}
     _emit(summary, as_json)
-    return EXIT_OK if ok else EXIT_VALIDATION
+    if ok:
+        return EXIT_OK
+    sys.stderr.write(f"solve failed: {_failure('ValidationFailure', mu, diag)}\n")
+    return EXIT_VALIDATION
+
+
+def _failure(error: str, mu: float, diag: dict | None = None) -> str:
+    """`error at mu=...`, followed by the failing checks of validation
+    diagnostics `diag`, if given."""
+    checks = "" if diag is None else f" ({', '.join(_failed_checks(diag))})"
+    return f"{error} at mu={mu}{checks}"
 
 
 def _mu_grids(config: RunConfig):
@@ -341,8 +352,17 @@ def cmd_sweep(config: RunConfig, problem: ShootingProblem, out_dir, as_json: boo
         serialize.dump(summary, out / "sweep_summary.json")
     _emit(summary, as_json)
 
-    ok = all(c.failure is None for c in curves) and scan.row_complete
-    return EXIT_OK if ok else EXIT_VALIDATION
+    failures = [
+        f"failure_{name} {_failure(c.failure['error'], c.failure['mu'], c.failure.get('diagnostics'))}"
+        for name, c in zip(directions, curves)
+        if c.failure is not None
+    ]
+    if not scan.row_complete:
+        failures.append("scan row_complete false")
+    if not failures:
+        return EXIT_OK
+    sys.stderr.write(f"sweep failed: {'; '.join(failures)}\n")
+    return EXIT_VALIDATION
 
 
 def _one_period(config: RunConfig, sigma: float, v0: float):

@@ -122,8 +122,10 @@ def sweep(
 
     Each cell's bracket comes from the predictor-corrector step on the cells
     before it, else (and always in the first cell) from the cold bracket
-    around sigma = 1; orbits are validated with `n_samples` samples, and the
-    curve truncates at the first solve or validation failure.
+    around sigma = 1; at mu = 0 the solve's first iterate is the circle,
+    which solves the cell with one miss after the two bracket probes. Orbits
+    are validated with `n_samples` samples, and the curve truncates at the
+    first solve or validation failure.
     """
     grid = _check_grid(problem, mu_grid)
     curve = ContinuationCurve()

@@ -405,6 +405,19 @@ def axis_crossings(orbit: PeriodicOrbit) -> list[AxisCrossing]:
     return crossings
 
 
+def _failed_checks(diag: dict) -> list[str]:
+    """The keys of validate_orbit's diagnostics `diag` whose check fails."""
+    passed = {
+        "closure_position": diag["closure_position"] < _CLOSURE_POS_TOL,
+        "closure_velocity": diag["closure_velocity"] < _CLOSURE_VEL_TOL,
+        "simple_closed": diag["simple_closed"],
+        "winding_number": abs(diag["winding_number"]) == 1,
+        "symmetry_residuals": all(v < _SYMMETRY_TOL for v in diag["symmetry_residuals"].values()),
+        "crossings_ok": diag["crossings_ok"],
+    }
+    return [name for name, ok in passed.items() if not ok]
+
+
 def validate_orbit(
     orbit: PeriodicOrbit,
     field: ForceField,
@@ -453,14 +466,7 @@ def validate_orbit(
         ],
         "crossings_ok": bool(crossing_ok),
     }
-    ok = (
-        pos_res < _CLOSURE_POS_TOL
-        and vel_res < _CLOSURE_VEL_TOL
-        and simple
-        and abs(wind) == 1
-        and all(v < _SYMMETRY_TOL for v in sym.values())
-        and crossing_ok
-    )
-    diag["valid"] = bool(ok)
+    ok = not _failed_checks(diag)
+    diag["valid"] = ok
     orbit.diagnostics.update(diag)
     return ok, diag

@@ -5,9 +5,11 @@ one-parameter family. The miss function is the velocity component along the
 section at the first transversal crossing: vertical component on the positive
 y-axis in quarter mode, horizontal component on the negative x-axis in half
 mode. Its zero is an orthogonal crossing, found by sign bracketing around
-sigma = 1 and safeguarded Illinois regula falsi on the bracket; the bracket
-orientation flips with the force exponent in half mode, matching the four-cell
-sign pattern reproduced by sign_table.
+sigma = 1 and a safeguarded solve on the bracket: the circle sigma = 1 first
+at mu = 0, then inverse quadratic interpolation (Brent 1973) where it stays
+inside the bracket, else Illinois regula falsi, with a midpoint fallback. The
+bracket orientation flips with the force exponent in half mode, matching the
+four-cell sign pattern reproduced by sign_table.
 
 Each `Mode` member carries its facts: its section, its alpha rule, and the
 reflections that close its segment into a periodic orbit (`orbit`), which the
@@ -217,26 +219,44 @@ def bracket(problem: ShootingProblem, mu: float) -> Bracket:
 _MAX_ITER = 200  # root-finding steps before NonConvergence
 
 
+def _inverse_quadratic(points) -> float:
+    """Where the quadratic in the miss through three (sigma, miss) points
+    puts the root (Brent 1973, ch. 4); NaN unless the misses are distinct."""
+    (x0, y0), (x1, y1), (x2, y2) = points
+    if y0 == y1 or y0 == y2 or y1 == y2:
+        return math.nan
+    return (
+        x0 * y1 * y2 / ((y0 - y1) * (y0 - y2))
+        + x1 * y0 * y2 / ((y1 - y0) * (y1 - y2))
+        + x2 * y0 * y1 / ((y2 - y0) * (y2 - y1))
+    )
+
+
 def solve(
     problem: ShootingProblem,
     mu: float,
     tol: float = 1e-10,
     prebuilt: Bracket | None = None,
 ) -> ShootingSolution:
-    """Find an orthogonal crossing velocity by Illinois regula falsi.
+    """Find an orthogonal crossing velocity on a sign-change bracket.
 
-    False-position steps on the sign-change bracket, with the stored miss of
-    an end kept twice in a row halved (Dowell & Jarratt 1971), converge
-    superlinearly on the smooth miss function. Every iterate lies strictly
-    inside the bracket. A step that would leave it, or any step once the
-    bracket has gone three iterations without halving, is replaced by the
-    midpoint, so the bracket halves at least every four iterations. Not
-    after two: on a smooth miss the step that moves the kept end is often
-    the third (two steps on one side, then the halved-miss step across).
+    At mu = 0 the field is the central power law, whose circle meets every
+    section orthogonally, so when the bracket holds sigma = 1 that is the
+    first iterate. Each later iterate is the inverse quadratic interpolation
+    through the last three true misses (Brent 1973, ch. 4) when it lies
+    strictly inside the bracket, else the Illinois false-position step: the
+    stored miss of an end kept twice in a row is halved (Dowell & Jarratt
+    1971). Every iterate lies strictly inside the bracket. One that would
+    leave it, or any iterate once the bracket has gone three iterations
+    without halving, is replaced by the midpoint, so the bracket halves at
+    least every four iterations. Not after two: on a smooth miss the step that
+    moves the kept end is often the third (two steps on one side, then the
+    halved-miss step across).
 
     Returns the launch velocity, the crossing time tau, and the generating
     trajectory segment over [0, tau]. `tol` must be a finite number >= 0; at
-    0 no miss meets it, and the solve ends in NonConvergence.
+    0 no miss meets it, and the solve ends in NonConvergence, which names the
+    best sigma, its |miss| and the final bracket.
     """
     if not 0 <= tol < math.inf:  # NaN and inf would pass every |miss| test below
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
@@ -248,12 +268,19 @@ def solve(
     if abs(best.value) >= tol:
         kept = 0  # +1 / -1 while the lower / upper end stayed put
         width_ref, stalled = b - a, 0
+        last = [(a, f_a), (b, f_b)]  # the latest true (sigma, miss) pairs, at most three
         steps = 0
         for steps in range(1, _MAX_ITER + 1):
-            x = (a * f_b - b * f_a) / (f_b - f_a)
+            if steps == 1 and mu == 0.0 and a < 1.0 < b:
+                x = 1.0
+            else:
+                x = _inverse_quadratic(last) if len(last) == 3 else math.nan
+                if not a < x < b:  # false for NaN too
+                    x = (a * f_b - b * f_a) / (f_b - f_a)
             if stalled >= 3 or not a < x < b:
                 x = 0.5 * (a + b)
             m = miss(problem, x, mu)
+            last = last[-2:] + [(x, m.value)]
             if abs(m.value) < abs(best.value):
                 best = m
             if abs(m.value) < tol:
@@ -276,8 +303,8 @@ def solve(
                 break
         if abs(best.value) >= tol:
             raise NonConvergence(
-                f"|miss|={abs(best.value):.3g} still above tol={tol} after "
-                f"{steps} root-finding steps at mu={mu}"
+                f"|miss|={abs(best.value):.3g} at sigma={best.sigma!r} still above tol={tol} after "
+                f"{steps} root-finding steps at mu={mu}; final bracket [{a!r}, {b!r}]"
             )
 
     tau = best.crossing.t_star

@@ -289,6 +289,13 @@ class TestSolveCommand:
         v_mu = next(line for line in out.splitlines() if line.startswith("v_mu: "))
         assert [type(v) for v in ast.literal_eval(v_mu[len("v_mu: "):])] == [float, float]
 
+    def test_failed_validation_names_the_failing_checks(self, config_path, capsys, monkeypatch):
+        monkeypatch.setattr(orbit, "_CLOSURE_POS_TOL", 0.0)
+        assert main(["solve", "--config", str(config_path), "--json"]) == 4
+        out, err = capsys.readouterr()
+        assert json.loads(out)["diagnostics"]["valid"] is False
+        assert err == "solve failed: ValidationFailure at mu=0.02 (closure_position)\n"
+
     def test_bracket_failure_exit_code(self, config_path, capsys):
         code = main(["solve", "--config", str(config_path), "--mu", "0.45", "--json"])
         assert code == 2
@@ -825,6 +832,26 @@ class TestSweepCommand:
         monkeypatch.setattr(continuation, "validate_orbit", validate)
         assert main(["sweep", "--config", str(config_path)]) == 0
         assert counts == [orbit._DEFAULT_SAMPLES] * 3  # mu grid 0, 0.005, 0.01
+
+    def test_truncated_sweep_names_the_failure(self, tmp_path, capsys):
+        # sigma*(mu) = sqrt(1 + 100 mu) leaves the bracket at mu = 0.005.
+        cfg = json.loads(write_config(tmp_path / "c.json").read_text())
+        cfg["field"]["perturbation"]["params"]["lam"] = 100.0
+        cfg["scan"] = {"sigma_count": 3, "mu_max": 0.0, "mu_count": 1}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(tmp_path / "c.json"), "--json"]) == 4
+        out, err = capsys.readouterr()
+        assert json.loads(out)["failure_positive"]["error"] == "BracketFailure"
+        assert err == "sweep failed: failure_positive BracketFailure at mu=0.005\n"
+
+    def test_failed_validation_names_the_failing_checks(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(orbit, "_SYMMETRY_TOL", 0.0)
+        cfg = write_config(tmp_path / "c.json", mu_grid={"stop": 0.01, "count": 3, "mirror": True})
+        assert main(["sweep", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "sweep failed: failure_positive ValidationFailure at mu=0.0 (symmetry_residuals); "
+            "failure_negative ValidationFailure at mu=-0.0 (symmetry_residuals)\n"
+        )
 
     def test_mirrored_sweep(self, tmp_path, capsys):
         cfg = write_config(

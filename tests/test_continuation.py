@@ -308,9 +308,19 @@ def family_sweeps(quarter_problem_radial, half_problem_a05, half_problem_a3):
 class TestPredictorCorrector:
     def test_miss_count_ceiling(self, family_sweeps):
         # 268 evaluations with the warm bracket alone (quarter 128, alpha 0.5
-        # 59, alpha 3 81); 146 with the predictor.
+        # 59, alpha 3 81); 146 with the predictor; 128 with the circle as the
+        # first iterate at mu = 0 and inverse-quadratic steps.
         sweeps = family_sweeps(0)
-        assert sum(calls for _, _, calls in sweeps.values()) <= 150
+        assert sum(calls for _, _, calls in sweeps.values()) <= 128
+
+    @pytest.mark.parametrize("problem_name", ["quarter_problem_radial", "half_problem_a05", "half_problem_a3"])
+    def test_mu_zero_cell_takes_three_misses(self, request, monkeypatch, problem_name):
+        # The two bracket probes, then the circle, which solves mu = 0.
+        calls, real_miss = [], shooting.miss
+        monkeypatch.setattr(shooting, "miss", lambda *args: calls.append(args) or real_miss(*args))
+        curve = sweep(request.getfixturevalue(problem_name), [0.0], tol=SOLVE_TOL)
+        assert len(calls) == 3
+        assert curve.entries[0].sigma_star == 1.0 and curve.entries[0].diagnostics["valid"]
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_matches_warm_bracket_sweep(self, family_sweeps, seed):

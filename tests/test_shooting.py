@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +334,20 @@ class TestSolve:
         assert steps < shooting._MAX_ITER
         assert f"after {steps} root-finding steps" in str(info.value)
 
+    def test_nonconvergence_names_the_best_sigma_and_the_bracket(self, quarter_problem_radial, miss_sigmas):
+        with pytest.raises(NonConvergence) as info:
+            solve(quarter_problem_radial, 0.01, tol=0.0)
+        found = re.fullmatch(
+            r"\|miss\|=(\S+) at sigma=(\S+) still above tol=0.0 after \d+ root-finding steps "
+            r"at mu=0.01; final bracket \[(\S+), (\S+)\]",
+            str(info.value),
+        )
+        sigma, lo, hi = map(float, found.groups()[1:])
+        iterates = miss_sigmas[2:]
+        assert sigma in iterates
+        assert f"{abs(shooting.miss(quarter_problem_radial, sigma, 0.01).value):.3g}" == found[1]
+        assert lo in iterates and hi in iterates and 0 < hi - lo < 1e-15  # the collapsed bracket
+
     def test_bisection_keeps_bracket_signs(self, quarter_problem_radial):
         # The returned root must sit inside the initial bracket.
         br = bracket(quarter_problem_radial, 0.05)
@@ -342,7 +357,10 @@ class TestSolve:
 
 class TestRootFinder:
     # The acceptance solves: bisection needed 31 / 27 / 32 misses, bracket
-    # probes included; Illinois regula falsi needs 7 / 7 / 9.
+    # probes included, and Illinois regula falsi 7 / 7 / 9; with
+    # inverse-quadratic steps 5 / 7 / 7.
+    MISSES = {"quarter_problem_radial": 5, "half_problem_a05": 7, "half_problem_a3": 7}
+
     @pytest.mark.parametrize(
         "problem_name,mu",
         [("quarter_problem_radial", 0.05), ("half_problem_a05", 0.02), ("half_problem_a3", 0.005)],
@@ -350,7 +368,17 @@ class TestRootFinder:
     def test_few_miss_evaluations(self, request, miss_sigmas, problem_name, mu):
         sol = solve(request.getfixturevalue(problem_name), mu, tol=1e-10)
         assert abs(sol.miss_residual) < 1e-10
-        assert len(miss_sigmas) <= 12
+        assert len(miss_sigmas) <= self.MISSES[problem_name]
+        assert 1.0 not in miss_sigmas  # the circle is an iterate at mu = 0 only
+
+    @pytest.mark.parametrize("problem_name", ["quarter_problem_radial", "half_problem_a05", "half_problem_a3"])
+    def test_circle_solves_mu_zero(self, request, miss_sigmas, problem_name):
+        # The two bracket probes, then the circle: an orthogonal crossing of
+        # the central power law in both modes.
+        problem = request.getfixturevalue(problem_name)
+        sol = solve(problem, 0.0, tol=1e-10)
+        assert sol.sigma_star == 1.0 and abs(sol.miss_residual) < 1e-10
+        assert miss_sigmas == [1.0 - 0.5 * problem.eta, 1.0 + 0.5 * problem.eta, 1.0]
 
     @pytest.mark.parametrize(
         "problem_name,mus",
@@ -381,10 +409,10 @@ class TestRootFinder:
         "kink": lambda d: d if d < 0.0 else 1e6 * d,
     }
 
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_safeguard_on_synthetic_miss(self, quarter_problem, monkeypatch, shape):
-        f = self.SHAPES[shape]
-        carrier = shooting.miss(quarter_problem, 1.0, 0.0)  # a real crossing to return
+    def synthetic_solve(self, problem, monkeypatch, f, mu, lo=0.95, hi=1.05):
+        """(solution, iterates) of the solve on the miss f(sigma - ROOT) and
+        the bracket [lo, hi], at mu."""
+        carrier = shooting.miss(problem, 1.0, 0.0)  # a real crossing to return
         sigmas = []
 
         def synthetic(problem, sigma, mu):
@@ -392,29 +420,70 @@ class TestRootFinder:
             return MissValue(sigma, f(sigma - self.ROOT), carrier.crossing, carrier.trajectory)
 
         monkeypatch.setattr(shooting, "miss", synthetic)
-        lo, hi = 0.95, 1.05
-        br = Bracket(lo, hi, synthetic(None, lo, 0.0), synthetic(None, hi, 0.0))
+        br = Bracket(lo, hi, synthetic(None, lo, mu), synthetic(None, hi, mu))
         sigmas.clear()
-        sol = solve(quarter_problem, 0.0, tol=1e-10, prebuilt=br)
+        return solve(problem, mu, tol=1e-10, prebuilt=br), sigmas
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_safeguard_on_synthetic_miss(self, quarter_problem, monkeypatch, shape):
+        f = self.SHAPES[shape]
+        lo, hi = 0.95, 1.05
+        sol, sigmas = self.synthetic_solve(quarter_problem, monkeypatch, f, 0.0, lo, hi)
         assert abs(sol.miss_residual) < 1e-10
         assert lo < sol.sigma_star < hi
 
         # Replay the iterates: each lies strictly inside the bracket spanned by
         # the latest iterates of each sign, and the bracket halves at least
-        # every four iterations.
-        a, f_a, b = lo, f(lo - self.ROOT), hi
+        # every four iterations. The first is the circle (mu = 0); each later
+        # one the inverse-quadratic point of the last three misses if that lies
+        # inside the bracket, else the Illinois false-position point, or else
+        # the midpoint.
+        a, f_a, b, f_b, kept = lo, f(lo - self.ROOT), hi, f(hi - self.ROOT), 0
+        last = [(a, f_a), (b, f_b)]
         midpoints = 0
         for k, x in enumerate(sigmas):
             assert b - a <= (hi - lo) * 0.5 ** (k // 4)
             assert a < x < b
-            midpoints += x == 0.5 * (a + b)
+            midpoint = 0.5 * (a + b)
+            midpoints += x == midpoint
+            if k == 0:
+                assert x == 1.0
+            else:
+                q = shooting._inverse_quadratic(last)
+                step = q if a < q < b else (a * f_b - b * f_a) / (f_b - f_a)
+                assert x in (step, midpoint)
             fx = f(x - self.ROOT)
+            last = last[-2:] + [(x, fx)]
             if (fx < 0.0) == (f_a < 0.0):
                 a, f_a = x, fx
+                f_b *= 0.5 if kept == -1 else 1.0
+                kept = -1
             else:
-                b = x
+                b, f_b = x, fx
+                f_a *= 0.5 if kept == 1 else 1.0
+                kept = 1
         assert midpoints >= 1
         assert len(sigmas) <= 120
+
+    @pytest.mark.parametrize("mu,lo,hi", [(0.01, 0.95, 1.05), (0.0, 0.95, 0.99)])
+    def test_circle_only_at_mu_zero_inside_the_bracket(self, quarter_problem, monkeypatch, mu, lo, hi):
+        f = self.SHAPES["kink"]
+        _, sigmas = self.synthetic_solve(quarter_problem, monkeypatch, f, mu, lo, hi)
+        f_lo, f_hi = f(lo - self.ROOT), f(hi - self.ROOT)
+        assert sigmas[0] == (lo * f_hi - hi * f_lo) / (f_hi - f_lo) != 1.0
+
+    def test_inverse_quadratic_outside_the_bracket_falls_back(self, quarter_problem, monkeypatch):
+        # On the exponential shape the parabola through the bracket ends and
+        # the first false-position point puts the root outside the bracket
+        # [sigma_1, 1.05], so the second iterate is false position again.
+        f = self.SHAPES["exponential"]
+        _, sigmas = self.synthetic_solve(quarter_problem, monkeypatch, f, 0.01)
+        x1, f_lo, f_hi = sigmas[0], f(0.95 - self.ROOT), f(1.05 - self.ROOT)
+        f1 = f(x1 - self.ROOT)
+        assert f1 < 0.0  # the lower end moved
+        q = shooting._inverse_quadratic([(0.95, f_lo), (1.05, f_hi), (x1, f1)])
+        assert not x1 < q < 1.05
+        assert sigmas[1] == (x1 * f_hi - 1.05 * f1) / (f_hi - f1)
 
 
 class TestSignTable:
