@@ -20,7 +20,7 @@ import numpy as np
 from . import serialize
 from .errors import BoundaryHypothesisFailure, SolverError
 from .integrator import _crossed
-from .orbit import _DEFAULT_SAMPLES, extend_half, extend_quarter, validate_orbit
+from .orbit import extend_half, extend_quarter, validate_orbit
 from .shooting import Bracket, Mode, ShootingProblem, _check_mu, _check_sigma, bracket, miss, solve
 
 
@@ -57,17 +57,15 @@ def _check_grid(problem: ShootingProblem, mu_grid) -> np.ndarray:
     return grid
 
 
-def solve_orbit(
-    problem: ShootingProblem, mu: float, tol: float, n_samples: int = _DEFAULT_SAMPLES, prebuilt: Bracket | None = None
-):
+def solve_orbit(problem: ShootingProblem, mu: float, tol: float, prebuilt: Bracket | None = None):
     """(solution, orbit, ok, diagnostics): the solve at mu on `prebuilt` (else
     the cold bracket around sigma = 1), closed by the mode's reflections into
-    an orbit of `n_samples` sample intervals and validated."""
+    an orbit and validated."""
     solution = solve(problem, mu, tol=tol, prebuilt=prebuilt)
     # Read from this module's names at each call, so a wrapper bound to them
     # later (perfbench's tracer) is the function called.
     extend = extend_quarter if problem.mode is Mode.QUARTER else extend_half
-    orbit = extend(solution.segment, mu=mu, n_samples=n_samples)
+    orbit = extend(solution.segment, mu=mu)
     ok, diag = validate_orbit(orbit, problem.field, mu)
     return solution, orbit, ok, diag
 
@@ -108,24 +106,18 @@ def _predicted_bracket(problem: ShootingProblem, mu: float, history) -> Bracket 
     if not _crossed(m_center.value, m_probe.value):  # m_center is nonzero: probe != center
         return None
     if probe < center:
-        return Bracket(probe, center, m_probe, m_center)
-    return Bracket(center, probe, m_center, m_probe)
+        return Bracket(m_probe, m_center)
+    return Bracket(m_center, m_probe)
 
 
-def sweep(
-    problem: ShootingProblem,
-    mu_grid,
-    tol: float = 1e-10,
-    n_samples: int = _DEFAULT_SAMPLES,
-) -> ContinuationCurve:
+def sweep(problem: ShootingProblem, mu_grid, tol: float = 1e-10) -> ContinuationCurve:
     """Solve along a mu grid (starting at 0, one sign, monotone outward).
 
     Each cell's bracket comes from the predictor-corrector step on the cells
     before it, else (and always in the first cell) from the cold bracket
     around sigma = 1; at mu = 0 the solve's first iterate is the circle,
-    which solves the cell with one miss after the two bracket probes. Orbits
-    are validated with `n_samples` samples, and the curve truncates at the
-    first solve or validation failure.
+    which solves the cell with one miss after the two bracket probes. The
+    curve truncates at the first solve or validation failure.
     """
     grid = _check_grid(problem, mu_grid)
     curve = ContinuationCurve()
@@ -137,7 +129,7 @@ def sweep(
             br = _predicted_bracket(problem, mu, history) if history else None
             if br is None:
                 br = bracket(problem, mu)
-            sol, orbit, ok, diag = solve_orbit(problem, mu, tol, n_samples, prebuilt=br)
+            sol, orbit, ok, diag = solve_orbit(problem, mu, tol, prebuilt=br)
         except SolverError as exc:
             curve.failure = {"mu": mu, "error": type(exc).__name__, "message": str(exc)}
             break
@@ -147,7 +139,7 @@ def sweep(
         if history and history[-1][0] == mu:
             history.pop()  # a repeated grid value would make the interpolation singular
         # The miss secant across the bracket: the next cell's corrector slope.
-        slope = (br.miss_hi.value - br.miss_lo.value) / (br.sigma_hi - br.sigma_lo)
+        slope = (br.miss_hi.value - br.miss_lo.value) / (br.miss_hi.sigma - br.miss_lo.sigma)
         history.append((mu, sol.sigma_star, slope))
         curve.entries.append(CurveEntry(mu=mu, sigma_star=sol.sigma_star, period=orbit.period, diagnostics=diag))
 

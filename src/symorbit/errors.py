@@ -2,7 +2,9 @@
 
 Each class states the command-line exit code of its failure class as
 `exit_code`: 2 bracketing, 3 root-finding convergence, 4 validation (the
-default), 5 leaving the problem's domain of validity.
+default), 5 leaving the problem's domain of validity. The message states the
+values a failure reports; the one payload is `DomainExit.trajectory`, and a
+BracketFailure chains the last evaluation error as its `__cause__`.
 """
 
 
@@ -16,16 +18,14 @@ class SolverError(Exception):
 class DomainExit(SolverError):
     """The integrated orbit left the annulus on which the field is defined.
 
-    Carries the exit time, the state at exit, and the partial trajectory
-    accumulated up to that point (may be None for point evaluations).
+    Carries the partial trajectory, which ends at the refined exit, or None
+    when the initial position already lies outside.
     """
 
     exit_code = 5
 
-    def __init__(self, message, t_exit=None, state=None, trajectory=None):
+    def __init__(self, message, trajectory=None):
         super().__init__(message)
-        self.t_exit = t_exit
-        self.state = state
         self.trajectory = trajectory
 
 
@@ -54,31 +54,17 @@ class TangentialCrossing(SolverError):
 
     exit_code = 5
 
-    def __init__(self, message, t_star=None, normal_speed=None):
-        super().__init__(message)
-        self.t_star = t_star
-        self.normal_speed = normal_speed
-
 
 class BoundaryCrossing(SolverError):
     """Crossing landed within tolerance of a section segment endpoint."""
 
     exit_code = 5
 
-    def __init__(self, message, t_star=None, point=None):
-        super().__init__(message)
-        self.t_star = t_star
-        self.point = point
-
 
 class BracketFailure(SolverError):
     """No sign change of the miss function within the allowed launch-speed band."""
 
     exit_code = 2
-
-    def __init__(self, message, cause=None):
-        super().__init__(message)
-        self.cause = cause
 
 
 class NonConvergence(SolverError):

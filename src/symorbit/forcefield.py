@@ -298,7 +298,8 @@ def check_symmetry(
 
     Raises SymmetryViolation when a declared reflection fails beyond
     _SYMMETRY_TOL; built-in families with honest declarations sit at round-off.
-    A sample where the force overflows or divides by zero is left out.
+    A sample where the force overflows or divides by zero is left out. f(p) is
+    evaluated once per sample, f(phi p) once per sample and reflection.
     """
     if not math.isfinite(mu):  # NaN would leave every residual out of max()
         raise ValueError(f"mu must be a finite number, got {mu}")
@@ -308,18 +309,23 @@ def check_symmetry(
     r_in, r_out = field_.annulus
     radii = rng.uniform(r_in, r_out, sample_count)
     angles = rng.uniform(0.0, 2.0 * math.pi, sample_count)
-    points = list(zip((radii * np.cos(angles)).tolist(), (radii * np.sin(angles)).tolist()))
+    undefined = (ZeroDivisionError, OverflowError)  # flow ends in StepFailure where it meets such a point
+    points = []  # (x, y, f(x, y)), f once per point, on floats as the integrator evaluates it
+    for x, y in zip((radii * np.cos(angles)).tolist(), (radii * np.sin(angles)).tolist()):
+        try:
+            points.append((x, y, field_.acceleration(x, y, mu)))
+        except undefined:
+            pass
 
     residuals = {}
     for refl in sorted(field_.symmetries, key=lambda s: s.value):
         sx, sy = refl.signs
         worst = 0.0
-        for x, y in points:
-            try:  # on floats, as the integrator evaluates the force
+        for x, y, (fx, fy) in points:
+            try:
                 gx, gy = field_.acceleration(sx * x, sy * y, mu)
-                fx, fy = field_.acceleration(x, y, mu)
-            except (ZeroDivisionError, OverflowError):
-                continue  # the force is undefined here; flow ends in StepFailure where it meets it
+            except undefined:
+                continue
             dx, dy = gx - sx * fx, gy - sy * fy
             worst = max(worst, math.sqrt(dx * dx + dy * dy))
         residuals[refl] = worst

@@ -8,14 +8,14 @@ refine crossing times without re-integrating (Hairer, Norsett & Wanner,
 Solving ODEs I, II.5 and II.6). The error tolerances are fixed, relative and
 absolute both 1e-12 (`_RTOL`, `_ATOL`); the first step comes from Hairer's
 starting heuristic and no step is capped. Leaving the validity annulus
-terminates the flow with a DomainExit carrying the refined exit time and
-state. An optional stop callback sees each accepted step's record and end
-state after the annulus check and ends the flow after the first step for which
-it returns true: terminal event location (II.6). It changes no step before
-that one, so the trajectory it ends keeps the step controller's state there
-(`_Resume`), and a later flow from the same start, in the same field at the
-same mu, continues it past its end (`flow`'s prefix) instead of repeating its
-steps. A span at or below the time resolution (`_RESOLUTION`) holds no step
+terminates the flow with a DomainExit carrying the trajectory up to the
+refined exit, whose message names the exit time. An optional stop callback
+sees each accepted step's record and end state after the annulus check and
+ends the flow after the first step for which it returns true: terminal event
+location (II.6). It changes no step before that one, so the trajectory it
+ends keeps the step controller's state there (`_Resume`), and a later flow
+from the same start, in the same field at the same mu, continues it past its
+end (`flow`'s prefix) instead of repeating its steps. A span at or below the time resolution (`_RESOLUTION`) holds no step
 and is refused.
 
 Only this module knows the tableau, the step record, the dense-output matrix
@@ -782,7 +782,8 @@ def flow(
 
     The first step is `_initial_step`'s estimate and every later one the
     controller's, capped by nothing but the span's end. Raises DomainExit
-    (with partial trajectory) when the orbit leaves the annulus, and
+    when the orbit leaves the annulus, its trajectory ending at the refined
+    exit, or when x lies outside it, with no trajectory; and
     StepFailure after _MAX_TRIALS trials, when the step size underflows, or
     when the force at the launch or at the starting-step probe raises
     ZeroDivisionError or OverflowError. Each trial is one call of the step
@@ -816,7 +817,7 @@ def flow(
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if not field.contains(x[0], x[1]):
-        raise DomainExit(f"initial position {tuple(x.tolist())} outside annulus", t_exit=0.0, state=State(0.0, x, v))
+        raise DomainExit(f"initial position {tuple(x.tolist())} outside annulus")
 
     r_in, r_out = field.annulus
     accel = field.acceleration
@@ -879,8 +880,6 @@ def flow(
             t_exit, y_exit = exit_
             raise DomainExit(
                 f"orbit left annulus [{r_in}, {r_out}] at t={t_exit:.6g}",
-                t_exit=t_exit,
-                state=State(t=t_exit, position=y_exit[:2], velocity=y_exit[2:]),
                 trajectory=Trajectory(dense, t_exit, y_exit, head=head),
             )
 

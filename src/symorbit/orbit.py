@@ -42,7 +42,7 @@ from .integrator import State, Trajectory, _bisect, _crossed, _sign_changes, flo
 from .shooting import Mode
 
 _ENDPOINT_RTOL = 1e-8  # on-axis / orthogonality tolerance relative to segment scale
-_DEFAULT_SAMPLES = 1024
+_SAMPLES = 1024  # sample intervals per period of every orbit
 # validate_orbit's acceptance tolerances: closure position and velocity
 # mismatch, symmetry residual, x-axis crossings' distance from +-x0.
 _CLOSURE_POS_TOL, _CLOSURE_VEL_TOL, _SYMMETRY_TOL, _CROSSING_TOL = 1e-6, 1e-5, 1e-7, 1e-6
@@ -70,14 +70,15 @@ def _branch(k: int, reflections) -> tuple:
 class PeriodicOrbit:
     """Closed orbit assembled from a solved segment by a reflection table.
 
-    `states` holds n+1 uniformly spaced states over one period, first and last
-    coinciding up to construction round-off; `_eval` evaluates the underlying
-    piecewise-reflected interpolant at any times. The sample rows (t, x, y, vx,
-    vy) and their 17-digit text are built once, when `to_dict` or `write_csv`
-    first needs them, so orbit.json and orbit.csv carry the same text per value.
+    `states` holds `_SAMPLES` + 1 uniformly spaced states over one period,
+    first and last coinciding up to construction round-off; `_eval` evaluates
+    the underlying piecewise-reflected interpolant at any times. The sample
+    rows (t, x, y, vx, vy) and their 17-digit text are built once, when
+    `to_dict` or `write_csv` first needs them, so orbit.json and orbit.csv
+    carry the same text per value.
     """
 
-    def __init__(self, segment: Trajectory, mode: Mode, mu, n_samples):
+    def __init__(self, segment: Trajectory, mode: Mode, mu):
         tau = segment.t_end
         a, c, signs = zip(*(_branch(k, reflections) for k, reflections in enumerate(mode.branches)))
         self.period = float(len(a) * tau)
@@ -87,8 +88,7 @@ class PeriodicOrbit:
         self._offsets, self._slopes, self._signs = np.array(a) * tau, np.array(c), np.array(signs)
         self.symmetry = mode.reflections
         self.mu = float(mu)
-        self.v_mu = segment.interpolate(0.0).velocity
-        self.times = np.linspace(0.0, self.period, n_samples + 1)
+        self.times = np.linspace(0.0, self.period, _SAMPLES + 1)
         self.states = self._eval(self.times)
         self.diagnostics: dict = {}
 
@@ -126,7 +126,7 @@ class PeriodicOrbit:
     def to_dict(self) -> dict:
         return {
             "mu": self.mu,
-            "v_mu": self.v_mu.tolist(),
+            "v_mu": self.states[0, 2:].tolist(),  # the launch velocity, as `initial_state` reads it
             "period": self.period,
             "symmetry": "x_and_y_axes" if Reflection.Y_AXIS in self.symmetry else "x_axis",
             "diagnostics": self.diagnostics,
@@ -137,7 +137,7 @@ class PeriodicOrbit:
         serialize.write_csv(path, ["t", "x", "y", "vx", "vy"], self._samples)
 
 
-def _extend(segment: Trajectory, mode: Mode, mu: float, n_samples: int) -> PeriodicOrbit:
+def _extend(segment: Trajectory, mode: Mode, mu: float) -> PeriodicOrbit:
     """Check the segment's end conditions for `mode`, then build the orbit."""
     ends = segment.eval_many([0.0, segment.t_end])
     r_scale = max(np.max(np.abs(ends[:, :2])), 1e-30)
@@ -153,31 +153,23 @@ def _extend(segment: Trajectory, mode: Mode, mu: float, n_samples: int) -> Perio
             f"{mode.value}-extension endpoint conditions violated: {bad} "
             f"(tolerance {_ENDPOINT_RTOL:g} of scale)"
         )
-    return PeriodicOrbit(segment, mode, mu, n_samples)
+    return PeriodicOrbit(segment, mode, mu)
 
 
-def extend_half(
-    segment: Trajectory,
-    mu: float = 0.0,
-    n_samples: int = _DEFAULT_SAMPLES,
-) -> PeriodicOrbit:
+def extend_half(segment: Trajectory, mu: float = 0.0) -> PeriodicOrbit:
     """Close a segment with both endpoints on the x-axis and vertical velocities.
 
     The second half is the x-axis mirror image traversed backwards; the result
     has period 2*tau and an x-axis-symmetric trace.
     """
-    return _extend(segment, Mode.HALF, mu, n_samples)
+    return _extend(segment, Mode.HALF, mu)
 
 
-def extend_quarter(
-    segment: Trajectory,
-    mu: float = 0.0,
-    n_samples: int = _DEFAULT_SAMPLES,
-) -> PeriodicOrbit:
+def extend_quarter(segment: Trajectory, mu: float = 0.0) -> PeriodicOrbit:
     """Close a segment running from the x-axis (vertical velocity) to the
     y-axis (horizontal velocity) using both axis reflections; period 4*tau.
     """
-    return _extend(segment, Mode.QUARTER, mu, n_samples)
+    return _extend(segment, Mode.QUARTER, mu)
 
 
 def verify_closure(

@@ -186,20 +186,14 @@ class _SectionScan:
         px, py, vx, vy = y.tolist()
         tau = section.tangent_coord((px, py))
         if -bt < tau < bt or length - bt < tau < length + bt:
-            raise BoundaryCrossing(
-                f"crossing at t={t_star:.6g} within {bt:g} of a segment endpoint",
-                t_star=t_star,
-                point=y[:2],
-            )
+            raise BoundaryCrossing(f"crossing at t={t_star:.6g} within {bt:g} of a segment endpoint")
         if not 0.0 <= tau <= length:
             return None
         n_speed, tangent_speed = section.speeds(vx, vy)
         if abs(n_speed) < section.transversality_floor:
             raise TangentialCrossing(
                 f"normal speed {n_speed:.3g} below floor "
-                f"{section.transversality_floor:g} at t={t_star:.6g}",
-                t_star=t_star,
-                normal_speed=n_speed,
+                f"{section.transversality_floor:g} at t={t_star:.6g}"
             )
         return CrossingEvent(
             t_star=t_star,
@@ -249,10 +243,10 @@ def crossing_time(
     with the section scan of [0, window] as the flow's stop callback and
     returns (t*, event, trajectory); the trajectory ends with the step that
     holds t*. The result is the one the scan gives on the flow over the whole
-    window. If the orbit leaves the
-    annulus first, the exit step is scanned up to the exit, with the
-    bisection tolerance still taken from the window's nominal end;
-    DomainExit propagates only when no crossing happened before it.
+    window. If the orbit leaves the annulus first, the last step of the
+    DomainExit's trajectory, which ends at the exit, is scanned up to the
+    exit, with the bisection tolerance still taken from the window's nominal
+    end; DomainExit propagates only when no crossing happened before it.
     """
     scan = _SectionScan(section, window)
     try:

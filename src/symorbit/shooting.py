@@ -143,7 +143,6 @@ class ShootingSolution:
     tau: float  # crossing time of the orthogonal hit
     segment: Trajectory  # trajectory restricted to [0, tau]
     miss_residual: float
-    crossing: CrossingEvent
 
 
 def _check_mu(problem: ShootingProblem, mu: float) -> None:
@@ -177,8 +176,7 @@ def miss(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
 
 @dataclass(frozen=True)
 class Bracket:
-    sigma_lo: float
-    sigma_hi: float
+    """The misses at the two ends of a sign-change bracket, lower sigma first."""
     miss_lo: MissValue
     miss_hi: MissValue
 
@@ -189,7 +187,8 @@ def bracket(problem: ShootingProblem, mu: float) -> Bracket:
     Tries half-width eta/2 first, then eta (the problem's). Failure at the
     full width is the operational definition of mu exceeding the usable
     perturbation range, so every evaluation error but StepFailure (the
-    integrator's fault) moves on to the next width, the last one the `cause`.
+    integrator's fault) moves on to the next width; the last such error is
+    the BracketFailure's `__cause__` and ends its message.
     A mu outside the field's mu range is no such failure: its ValueError
     passes through.
     """
@@ -206,14 +205,13 @@ def bracket(problem: ShootingProblem, mu: float) -> Bracket:
         # An exact zero at either probe point (_crossed counts one at m_hi) is
         # still a usable bracket edge.
         if m_lo.value == 0.0 or _crossed(m_lo.value, m_hi.value):
-            return Bracket(lo, hi, m_lo, m_hi)
+            return Bracket(m_lo, m_hi)
         last_cause = None
     detail = f" (last evaluation error: {last_cause})" if last_cause else ""
     raise BracketFailure(
         f"no miss sign change around sigma=1.0 within half-width {problem.eta} "
-        f"at mu={mu}{detail}",
-        cause=last_cause,
-    )
+        f"at mu={mu}{detail}"
+    ) from last_cause
 
 
 _MAX_ITER = 200  # root-finding steps before NonConvergence
@@ -261,7 +259,7 @@ def solve(
     if not 0 <= tol < math.inf:  # NaN and inf would pass every |miss| test below
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     br = prebuilt if prebuilt is not None else bracket(problem, mu)
-    a, b = br.sigma_lo, br.sigma_hi
+    a, b = br.miss_lo.sigma, br.miss_hi.sigma
     f_a, f_b = br.miss_lo.value, br.miss_hi.value
     best = br.miss_lo if abs(f_a) <= abs(f_b) else br.miss_hi
 
@@ -313,7 +311,6 @@ def solve(
         tau=tau,
         segment=best.trajectory.truncated(tau),
         miss_residual=best.value,
-        crossing=best.crossing,
     )
 
 

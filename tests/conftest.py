@@ -1,6 +1,6 @@
 import pytest
 
-from symorbit import integrator
+from symorbit import integrator, orbit
 from symorbit import (
     ForceField,
     Mode,
@@ -19,6 +19,17 @@ def set_tolerance(monkeypatch):
     def set_(tol):
         monkeypatch.setattr(integrator, "_RTOL", tol)
         monkeypatch.setattr(integrator, "_ATOL", tol)
+
+    return set_
+
+
+@pytest.fixture
+def set_samples(monkeypatch):
+    """Sets the sample intervals per period of every orbit built for the rest
+    of the test."""
+
+    def set_(n):
+        monkeypatch.setattr(orbit, "_SAMPLES", n)
 
     return set_
 

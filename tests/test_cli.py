@@ -831,7 +831,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(continuation, "validate_orbit", validate)
         assert main(["sweep", "--config", str(config_path)]) == 0
-        assert counts == [orbit._DEFAULT_SAMPLES] * 3  # mu grid 0, 0.005, 0.01
+        assert counts == [orbit._SAMPLES] * 3  # mu grid 0, 0.005, 0.01
 
     def test_truncated_sweep_names_the_failure(self, tmp_path, capsys):
         # sigma*(mu) = sqrt(1 + 100 mu) leaves the bracket at mu = 0.005.

@@ -121,7 +121,7 @@ class TestSweep:
         assert curve.failure == {"mu": 0.01, "error": "ValidationFailure", "diagnostics": {"valid": False, "forced": True}}
         assert curve.empirical_delta0 == 0.005
 
-    def test_every_orbit_validated_with_n_samples(self, quarter_problem_radial, monkeypatch):
+    def test_every_orbit_validated_with_n_samples(self, quarter_problem_radial, monkeypatch, set_samples):
         real_validate, counts = continuation.validate_orbit, []
 
         def validate(orbit, *args):
@@ -129,7 +129,8 @@ class TestSweep:
             return real_validate(orbit, *args)
 
         monkeypatch.setattr(continuation, "validate_orbit", validate)
-        curve = sweep(quarter_problem_radial, [0.0, 0.005, 0.01], n_samples=512)
+        set_samples(512)
+        curve = sweep(quarter_problem_radial, [0.0, 0.005, 0.01])
         assert curve.failure is None
         assert counts == [512, 512, 512]
 
@@ -143,31 +144,34 @@ class TestSweep:
 
 class TestSolveOrbit:
     @pytest.mark.parametrize("mode", ["quarter", "half"])
-    def test_cold_solve_extend_validate(self, quarter_problem_radial, half_problem_a05, mode):
+    def test_cold_solve_extend_validate(self, quarter_problem_radial, half_problem_a05, mode, set_samples):
         problem, extend = {
             "quarter": (quarter_problem_radial, extend_quarter),
             "half": (half_problem_a05, extend_half),
         }[mode]
-        solution, orbit, ok, diag = solve_orbit(problem, 0.01, 1e-10, 512)
+        set_samples(512)
+        solution, orbit, ok, diag = solve_orbit(problem, 0.01, 1e-10)
         expected = solve(problem, 0.01, tol=1e-10)
         assert solution.sigma_star == expected.sigma_star and solution.tau == expected.tau
-        reference = extend(expected.segment, mu=0.01, n_samples=512)
+        reference = extend(expected.segment, mu=0.01)
+        assert len(orbit.times) == 513
         assert np.array_equal(orbit.times, reference.times)
         assert np.array_equal(orbit.positions, reference.positions)
         assert ok and diag == validate_orbit(reference, problem.field, 0.01)[1]
 
-    def test_solves_on_the_given_bracket(self, quarter_problem_radial):
+    def test_solves_on_the_given_bracket(self, quarter_problem_radial, set_samples):
         lo, hi = 0.98, 1.02
-        br = Bracket(lo, hi, miss(quarter_problem_radial, lo, 0.01), miss(quarter_problem_radial, hi, 0.01))
-        solution, _, ok, _ = solve_orbit(quarter_problem_radial, 0.01, 1e-10, 256, prebuilt=br)
-        assert ok and br.sigma_lo < solution.sigma_star < br.sigma_hi
+        br = Bracket(miss(quarter_problem_radial, lo, 0.01), miss(quarter_problem_radial, hi, 0.01))
+        set_samples(256)
+        solution, _, ok, _ = solve_orbit(quarter_problem_radial, 0.01, 1e-10, prebuilt=br)
+        assert ok and lo < solution.sigma_star < hi
         assert solution.sigma_star == solve(quarter_problem_radial, 0.01, tol=1e-10, prebuilt=br).sigma_star
 
     @pytest.mark.parametrize(
         "problem_fixture, alpha, mu",
         [("half_problem_a05", 0.5, 0.02), ("half_problem_a05", 0.5, 0.04), ("half_problem_a3", 3.0, 0.005)],
     )
-    def test_half_mode_sigma_star_and_period_match_scipy(self, request, problem_fixture, alpha, mu):
+    def test_half_mode_sigma_star_and_period_match_scipy(self, request, problem_fixture, alpha, mu, set_samples):
         # An oracle independent of the package's integrator, event location,
         # root-finder and force evaluation (its right-hand side is written out
         # from kappa, alpha and the axis_poly constants of the fixtures).
@@ -177,7 +181,8 @@ class TestSolveOrbit:
         pytest.importorskip("scipy.optimize")
         problem = request.getfixturevalue(problem_fixture)
         sigma_ref, period_ref = half_mode_orbit_scipy(1.0, alpha, 1.0, 2, 1.0, 3, mu, problem.eta)
-        solution, orbit, ok, _ = solve_orbit(problem, mu, 1e-10, 256)
+        set_samples(256)
+        solution, orbit, ok, _ = solve_orbit(problem, mu, 1e-10)
         assert ok
         assert abs(solution.sigma_star - sigma_ref) < 1e-10
         assert abs(orbit.period - period_ref) < 1e-9
@@ -194,7 +199,7 @@ class TestQuarterModeOffTheCircle:
         return ShootingProblem(field=field, radius=1.0, mode=Mode.QUARTER)
 
     @pytest.mark.parametrize("constants, mu", [((1.0, 3, 1.0, 3), 0.04), ((1.0, 3, 1.0, 3), 0.1), ((2.0, 1, 1.0, 3), 0.07)])
-    def test_sigma_star_and_period_match_scipy(self, constants, mu):
+    def test_sigma_star_and_period_match_scipy(self, constants, mu, set_samples):
         # An oracle independent of the package's integrator, event location,
         # root-finder and force evaluation. Measured agreement: |d sigma*|
         # 4.7e-13 - 2.2e-11, |d T| 3.9e-12 - 6.9e-11; the radius varies by
@@ -203,7 +208,8 @@ class TestQuarterModeOffTheCircle:
         pytest.importorskip("scipy.optimize")
         problem = self.problem(*constants)
         sigma_ref, period_ref = quarter_mode_orbit_scipy(1.0, 1.0, *constants, mu, problem.eta)
-        solution, orbit, ok, diag = solve_orbit(problem, mu, 1e-10, 256)
+        set_samples(256)
+        solution, orbit, ok, diag = solve_orbit(problem, mu, 1e-10)
         assert ok, diag
         assert abs(solution.sigma_star - sigma_ref) < 1e-10
         assert abs(orbit.period - period_ref) < 1e-9
@@ -264,7 +270,7 @@ def warm_bracket_sweep(problem, grid, tol=SOLVE_TOL):
             except (SolverError, ValueError):
                 m_lo = m_hi = None
             if m_lo is not None and (m_lo.value < 0.0) != (m_hi.value < 0.0):
-                br = Bracket(lo, hi, m_lo, m_hi)
+                br = Bracket(m_lo, m_hi)
         if br is None:
             br = bracket(problem, mu)
         sol = solve(problem, mu, tol=tol, prebuilt=br)

@@ -423,6 +423,41 @@ class TestSymmetry:
         assert got == symmetry_residuals_numpy(f, mu, 40, seed)
         assert max(got.values()) > 0.0
 
+    def test_force_evaluated_once_per_point(self, kepler_radial_field, monkeypatch):
+        # f(p) once per point, f(S p) once per point and reflection: for 64
+        # points and two reflections, 64 + 2 * 64 calls at distinct points.
+        real, calls = ForceField.acceleration, []
+
+        def counted(field, x, y, mu):
+            calls.append((x, y))
+            return real(field, x, y, mu)
+
+        monkeypatch.setattr(ForceField, "acceleration", counted)
+        check_symmetry(kepler_radial_field, 0.5)
+        assert len(calls) == 192 and len(set(calls)) == 192
+
+    def test_point_whose_force_raises_is_left_out(self, kepler_radial_field, monkeypatch):
+        # The force raises at the first sample p and is wrong at its mirror
+        # images, so only leaving p out of both reflections keeps the
+        # residuals at round-off.
+        rng = np.random.default_rng(0)
+        radii = rng.uniform(*kepler_radial_field.annulus, 64)
+        angles = rng.uniform(0.0, 2.0 * math.pi, 64)
+        x0, y0 = (radii * np.cos(angles)).tolist()[0], (radii * np.sin(angles)).tolist()[0]
+        real = ForceField.acceleration
+
+        def broken(field, x, y, mu):
+            if (x, y) == (x0, y0):
+                raise ZeroDivisionError("forced")
+            if (abs(x), abs(y)) == (abs(x0), abs(y0)):
+                return 1.0, 1.0
+            return real(field, x, y, mu)
+
+        monkeypatch.setattr(ForceField, "acceleration", broken)
+        residuals = check_symmetry(kepler_radial_field, 0.5)
+        assert set(residuals) == {Reflection.X_AXIS, Reflection.Y_AXIS}
+        assert all(v <= 1e-14 for v in residuals.values())
+
     def test_x_only_field(self, half_field_a05):
         residuals = check_symmetry(half_field_a05, 0.3, sample_count=32)
         assert set(residuals) == {Reflection.X_AXIS}

@@ -122,25 +122,23 @@ class TestFlow:
         # Speed 2 exceeds escape speed sqrt(2); the orbit must hit the outer radius.
         with pytest.raises(DomainExit) as err:
             flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 2.0), 20.0)
-        exc = err.value
-        assert exc.t_exit is not None and 0 < exc.t_exit < 20.0
-        assert np.hypot(*exc.state.position) == pytest.approx(2.0, abs=1e-9)
-        assert exc.trajectory is not None
-        assert exc.trajectory.t_end == pytest.approx(exc.t_exit)
+        traj = err.value.trajectory
+        assert 0 < traj.t_end < 20.0
+        assert np.hypot(*traj.ys[-1, :2]) == pytest.approx(2.0, abs=1e-9)
+        assert str(err.value) == f"orbit left annulus [0.5, 2.0] at t={traj.t_end:.6g}"
 
     def test_inward_plunge_hits_guard(self, kepler_field):
         with pytest.raises(DomainExit) as err:
             flow(kepler_field, 0.0, (1.0, 0.0), (-0.8, 0.0), 10.0)
-        assert np.hypot(*err.value.state.position) == pytest.approx(0.5, abs=1e-9)
+        assert np.hypot(*err.value.trajectory.ys[-1, :2]) == pytest.approx(0.5, abs=1e-9)
 
     def test_initial_point_outside_annulus(self, kepler_field):
         with pytest.raises(DomainExit) as err:
             flow(kepler_field, 0.0, np.array([2.5, 0.0]), (0.0, 1.0), 1.0)
-        # The launch state, as every other DomainExit carries a State; plain floats in the message.
+        # No step was taken, so no trajectory; the message names the position in plain floats.
         exc = err.value
         assert str(exc) == "initial position (2.5, 0.0) outside annulus"
-        assert exc.t_exit == 0.0 and exc.trajectory is None and exc.state.t == 0.0
-        assert exc.state.position.tolist() == [2.5, 0.0] and exc.state.velocity.tolist() == [0.0, 1.0]
+        assert exc.trajectory is None
 
     def test_nan_launch_force_raises_step_failure(self):
         # A NaN force gives a NaN initial step; the loop once spun on it forever,
@@ -339,11 +337,11 @@ class TestExitInsideOneStep:
         # apsis half a period from the launch.
         r_nodes = np.hypot(traj.ys[:-1, 0], traj.ys[:-1, 1])
         assert np.all((0.5 <= r_nodes) & (r_nodes <= 2.0))
-        r_exit = math.hypot(*exc.state.position)
+        # The trajectory ends at the refined exit: its end node is the exit state.
+        r_exit = math.hypot(*traj.ys[-1, :2])
         assert not 0.5 <= r_exit <= 2.0 and r_exit == pytest.approx(2.0 if r_other > 1.0 else 0.5, abs=1e-12)
-        assert exc.t_exit < 0.5 * period and exc.t_exit == pytest.approx(0.5 * period, abs=1e-2)
-        assert traj.t_end == exc.t_exit
-        assert np.array_equal(traj.ys[-1], np.concatenate([exc.state.position, exc.state.velocity]))
+        assert traj.t_end < 0.5 * period and traj.t_end == pytest.approx(0.5 * period, abs=1e-2)
+        assert str(exc).endswith(f" at t={traj.t_end:.6g}")
         # The steps up to the exit are those of the same flow in a wider annulus.
         wide = flow(ForceField(base=kepler_params, annulus=(0.25, 4.0)), 0.0, (1.0, 0.0), (0.0, v), period)
         assert traj._dense == wide._dense[: traj.n_steps]
@@ -525,12 +523,7 @@ def _reference_flow(field, mu, x, v, t_end, rtol=integrator._RTOL, atol=integrat
         rr = math.hypot(y_new[0], y_new[1])
         if rr < r_in or rr > r_out:
             t_exit, y_exit = _reference_refine_domain_exit(dense[-1], r_in, r_out)
-            raise DomainExit(
-                "left annulus",
-                t_exit=t_exit,
-                state=State(t=t_exit, position=y_exit[:2], velocity=y_exit[2:]),
-                trajectory=Trajectory(dense, t_exit, y_exit),
-            )
+            raise DomainExit("left annulus", trajectory=Trajectory(dense, t_exit, y_exit))
         factor = 5.0 if err == 0.0 else min(5.0, max(1.0, 0.9 * err ** (-1 / 8)))
         h *= factor
         t, y, K[0] = t_next, y_new, K[12]
@@ -589,11 +582,10 @@ class TestFloatStepLoopMatchesReference:
             _reference_flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 2.0), 20.0)
         with pytest.raises(DomainExit) as err:
             flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 2.0), 20.0)
-        ref, got = ref_err.value, err.value
-        assert got.t_exit == pytest.approx(ref.t_exit, abs=1e-10)
-        assert np.allclose(got.state.position, ref.state.position, rtol=0, atol=1e-10)
-        assert np.allclose(got.state.velocity, ref.state.velocity, rtol=0, atol=1e-10)
-        _assert_dense_agreement(got.trajectory, ref.trajectory, ref.t_exit)
+        ref, got = ref_err.value.trajectory, err.value.trajectory
+        assert got.t_end == pytest.approx(ref.t_end, abs=1e-10)
+        assert np.allclose(got.ys[-1], ref.ys[-1], rtol=0, atol=1e-10)
+        _assert_dense_agreement(got, ref, ref.t_end)
 
     @pytest.mark.parametrize("first_step", [2.2, 4.0])
     def test_bad_stage_halving(self, walled_field, trials, first_step, monkeypatch, set_tolerance):

@@ -488,10 +488,11 @@ class TestSymmetryResidual:
         assert diag["closure_position"] < 1e-7
         assert not ok
 
-    def test_sample_count_not_divisible_by_four(self, solved_perturbed_orbit, kepler_radial_field):
+    def test_sample_count_not_divisible_by_four(self, solved_perturbed_orbit, kepler_radial_field, set_samples):
         # With 1021 samples no y-axis mirrored time T/2 - t_k is a sample time:
         # the residual evaluates the re-integration there directly.
-        orb = extend_quarter(solved_perturbed_orbit.segment, mu=0.05, n_samples=1021)
+        set_samples(1021)
+        orb = extend_quarter(solved_perturbed_orbit.segment, mu=0.05)
         mirrored = (0.5 * orb.period - orb.times) % orb.period
         assert not np.any(np.isin(mirrored, orb.times))
         ok, diag = validate_orbit(orb, kepler_radial_field, 0.05)
@@ -817,12 +818,13 @@ class TestAxisCrossingRefinement:
         "orbit_fixture", ["solved_perturbed_orbit", "half_orbit_a05", "half_orbit_a3"]
     )
     @pytest.mark.parametrize("n_samples", [1023, 1000])
-    def test_matches_batched_bisection(self, request, orbit_fixture, n_samples):
+    def test_matches_batched_bisection(self, request, orbit_fixture, n_samples, set_samples):
         # With 1023 samples no symmetry time of a period is a sample: of the
         # two x-axis crossings only the launch point is one.
         base = request.getfixturevalue(orbit_fixture)
         extend = extend_quarter if Reflection.Y_AXIS in base.symmetry else extend_half
-        orb = extend(base.segment, mu=base.mu, n_samples=n_samples)
+        set_samples(n_samples)
+        orb = extend(base.segment, mu=base.mu)
         samples = set(orb.times.tolist())
         got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(orb) if c.t not in samples]
         assert got == batched_refined_crossings(orb)
@@ -873,10 +875,11 @@ class TestAxisCrossingsMatchClusterWalk:
         "orbit_fixture", ["solved_perturbed_orbit", "half_orbit_a05", "half_orbit_a3"]
     )
     @pytest.mark.parametrize("n_samples", [1024, 1023, 1000])
-    def test_equal(self, request, orbit_fixture, n_samples):
+    def test_equal(self, request, orbit_fixture, n_samples, set_samples):
         base = request.getfixturevalue(orbit_fixture)
         extend = extend_quarter if Reflection.Y_AXIS in base.symmetry else extend_half
-        orb = extend(base.segment, mu=base.mu, n_samples=n_samples)
+        set_samples(n_samples)
+        orb = extend(base.segment, mu=base.mu)
         got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(orb)]
         assert got == cluster_walk_axis_crossings(orb)
         assert len(got) == 2
@@ -993,7 +996,7 @@ class TestContinuedClosure:
             try:
                 result = repr(verify_closure(orbit, field, mu))
             except DomainExit as exc:
-                result = repr(exc), exc.t_exit
+                result = repr(exc), exc.trajectory.t_end
         return result, trajectory_bits(flows[0]), flows[0]._dense[0]
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -1020,7 +1023,9 @@ class TestContinuedClosure:
             assume(False)
         segment = m.trajectory.truncated(m.crossing.t_star)
         # Any segment, closed or not: the orbit is built without the end check.
-        orbit = PeriodicOrbit(segment, problem.mode, mu, 64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbit_mod, "_SAMPLES", 64)
+            orbit = PeriodicOrbit(segment, problem.mode, mu)
         *continued, first = self._closure(orbit, problem.field, mu, keep_prefix=True)
         *fresh, _ = self._closure(orbit, problem.field, mu, keep_prefix=False)
         assert continued == fresh

@@ -168,7 +168,7 @@ class TestMissSigns:
 class TestBracket:
     def test_kepler_default(self, quarter_problem):
         br = bracket(quarter_problem, 0.0)
-        assert (br.sigma_lo, br.sigma_hi) == (0.95, 1.05)
+        assert (br.miss_lo.sigma, br.miss_hi.sigma) == (0.95, 1.05)
         assert br.miss_lo.value < 0 < br.miss_hi.value
 
     def test_high_alpha_orientation_flipped(self, half_problem_a3):
@@ -189,7 +189,7 @@ class TestBracket:
 
         monkeypatch.setattr(shooting, "miss", tiny)
         br = bracket(quarter_problem, 0.0)
-        assert (br.sigma_lo, br.sigma_hi) == (0.95, 1.05)
+        assert (br.miss_lo.sigma, br.miss_hi.sigma) == (0.95, 1.05)
         assert (br.miss_lo.value, br.miss_hi.value) == (-1e-200, 1e-200)
 
     def test_boundary_crossing_moves_on_to_the_next_width(self, quarter_problem, monkeypatch):
@@ -203,11 +203,12 @@ class TestBracket:
 
         monkeypatch.setattr(shooting, "miss", miss)
         br = bracket(quarter_problem, 0.0)
-        assert (br.sigma_lo, br.sigma_hi) == (1.0 - quarter_problem.eta, 1.0 + quarter_problem.eta)
+        assert (br.miss_lo.sigma, br.miss_hi.sigma) == (1.0 - quarter_problem.eta, 1.0 + quarter_problem.eta)
 
     def test_boundary_crossing_is_the_bracket_failure_cause(self, quarter_problem, monkeypatch):
         # No sign change at half-width eta/2, a boundary crossing at eta: the
-        # last width's evaluation error is the cause.
+        # last width's evaluation error is the chained cause, and the message
+        # names it.
         carrier = shooting.miss(quarter_problem, 1.0, 0.0)
 
         def miss(problem, sigma, mu):
@@ -218,13 +219,14 @@ class TestBracket:
         monkeypatch.setattr(shooting, "miss", miss)
         with pytest.raises(BracketFailure) as info:
             bracket(quarter_problem, 0.0)
-        assert isinstance(info.value.cause, BoundaryCrossing)
+        assert isinstance(info.value.__cause__, BoundaryCrossing)
+        assert str(info.value).endswith(" at mu=0.0 (last evaluation error: forced)")
 
 
 def bisection_sigma(problem, mu, tol=1e-10, max_iter=200):
     """sigma* of the bisection solve that Illinois regula falsi replaced."""
     br = bracket(problem, mu)
-    lo, hi = br.sigma_lo, br.sigma_hi
+    lo, hi = br.miss_lo.sigma, br.miss_hi.sigma
     f_lo = br.miss_lo.value
     best = br.miss_lo if abs(br.miss_lo.value) <= abs(br.miss_hi.value) else br.miss_hi
     if abs(best.value) >= tol:
@@ -303,7 +305,7 @@ class TestSolve:
         # Velocity perpendicular to the axis at the crossing is the same
         # statement as a vanishing radial speed there.
         sol = solve(quarter_problem_radial, 0.03, tol=1e-10)
-        s = sol.crossing.state
+        s = sol.segment.final_state()  # the state at the crossing
         r = float(np.hypot(*s.position))
         radial_speed = float(s.position @ s.velocity) / r
         assert abs(radial_speed) < 1e-9
@@ -352,7 +354,7 @@ class TestSolve:
         # The returned root must sit inside the initial bracket.
         br = bracket(quarter_problem_radial, 0.05)
         sol = solve(quarter_problem_radial, 0.05, prebuilt=br)
-        assert br.sigma_lo <= sol.sigma_star <= br.sigma_hi
+        assert br.miss_lo.sigma <= sol.sigma_star <= br.miss_hi.sigma
 
 
 class TestRootFinder:
@@ -395,7 +397,7 @@ class TestRootFinder:
         m_hi = shooting.miss(quarter_problem, 1.05, 0.0)
         zero = MissValue(0.95, 0.0, m_lo.crossing, m_lo.trajectory)
         miss_sigmas.clear()
-        sol = solve(quarter_problem, 0.0, prebuilt=Bracket(0.95, 1.05, zero, m_hi))
+        sol = solve(quarter_problem, 0.0, prebuilt=Bracket(zero, m_hi))
         assert sol.sigma_star == 0.95 and sol.miss_residual == 0.0
         assert miss_sigmas == []
 
@@ -420,7 +422,7 @@ class TestRootFinder:
             return MissValue(sigma, f(sigma - self.ROOT), carrier.crossing, carrier.trajectory)
 
         monkeypatch.setattr(shooting, "miss", synthetic)
-        br = Bracket(lo, hi, synthetic(None, lo, mu), synthetic(None, hi, mu))
+        br = Bracket(synthetic(None, lo, mu), synthetic(None, hi, mu))
         sigmas.clear()
         return solve(problem, mu, tol=1e-10, prebuilt=br), sigmas
 
