@@ -1,8 +1,6 @@
 """Symmetric periodic orbits of perturbed planar power-law problems by shooting."""
 
 from .analysis import (
-    ApsisEvent,
-    ApsisKind,
     RadialProblem,
     angular_momentum,
     apsidal_angle,
@@ -44,7 +42,6 @@ from .forcefield import (
 )
 from .integrator import State, Trajectory, flow
 from .orbit import (
-    AxisCrossing,
     PeriodicOrbit,
     axis_crossings,
     extend_half,
@@ -54,7 +51,7 @@ from .orbit import (
     verify_closure,
     winding_number,
 )
-from .section import CrossingEvent, SectionSpec, crossing_time
+from .section import SectionSpec, crossing_time
 from .shooting import (
     Bracket,
     MissValue,

@@ -17,7 +17,6 @@ sampled that holds no apsis.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -35,18 +34,6 @@ from .forcefield import (
 from .integrator import State, Trajectory, _bisect, _crossed, _sign_changes, flow
 
 _GAUSS_NODES = 128
-
-
-class ApsisKind(enum.Enum):
-    PERICENTER = "pericenter"
-    APOCENTER = "apocenter"
-
-
-@dataclass(frozen=True)
-class ApsisEvent:
-    kind: ApsisKind
-    t: float
-    r: float
 
 
 @dataclass(frozen=True)
@@ -189,8 +176,10 @@ def radial_problem_from_launch(
     return RadialProblem(params=params, E=E, K=K, r_min=other, r_max=a)
 
 
-def apsides(traj: Trajectory) -> list[ApsisEvent]:
-    """Radial turning points along a trajectory, alternating in kind.
+def apsides(traj: Trajectory) -> list[dict]:
+    """Radial turning points along a trajectory, alternating in kind, each as
+    the row {"kind", "t", "r"} that `analyze` prints, with kind "pericenter"
+    or "apocenter".
 
     The radial speed is read at the step nodes; each of its sign changes is
     refined on its step's interpolant. A launch point with vanishing radial
@@ -207,12 +196,11 @@ def apsides(traj: Trajectory) -> list[ApsisEvent]:
 
     events = []
     if abs(vals[0]) < 1e-9 * v_scale:
-        kind = ApsisKind.PERICENTER if radii[1] > radii[0] else ApsisKind.APOCENTER
-        events.append(ApsisEvent(kind=kind, t=0.0, r=math.hypot(ys[0, 0], ys[0, 1])))
+        kind = "pericenter" if radii[1] > radii[0] else "apocenter"
+        events.append({"kind": kind, "t": 0.0, "r": math.hypot(ys[0, 0], ys[0, 1])})
     for i, _, ga in _sign_changes(list(enumerate(vals.tolist()))):
         t, y = traj.refine_in_step(i, lambda s: _crossed(ga, s[0] * s[2] + s[1] * s[3]))
-        kind = ApsisKind.PERICENTER if ga < 0.0 else ApsisKind.APOCENTER
-        events.append(ApsisEvent(kind=kind, t=t, r=math.hypot(y[0], y[1])))
+        events.append({"kind": "pericenter" if ga < 0.0 else "apocenter", "t": t, "r": math.hypot(y[0], y[1])})
     return events
 
 

@@ -294,7 +294,7 @@ def cmd_solve(config: RunConfig, problem: ShootingProblem, mu: float, out_dir, a
     check_symmetry(config.field, mu, seed=config.seed)
     solution, orbit, ok, diag = solve_orbit(problem, mu, config.solve_tol)
 
-    payload = orbit.to_dict()
+    payload = orbit.to_dict(diag)
     payload["sigma_star"] = solution.sigma_star
     payload["tau"] = solution.tau
     payload["miss_residual"] = solution.miss_residual
@@ -319,7 +319,8 @@ def _failure(error: str, mu: float, diag: dict | None = None) -> str:
 
 def _mu_grids(config: RunConfig):
     forward = np.linspace(0.0, config.mu_grid["stop"], config.mu_grid["count"])
-    return [forward, -forward] if config.mu_grid["mirror"] else [forward]
+    # 0.0 - forward, not -forward: the negative direction starts at +0.0.
+    return [forward, 0.0 - forward] if config.mu_grid["mirror"] else [forward]
 
 
 def cmd_sweep(config: RunConfig, problem: ShootingProblem, out_dir, as_json: bool) -> int:
@@ -381,12 +382,7 @@ def cmd_analyze(config: RunConfig, sigma: float, as_json: bool) -> int:
     # above has already refused every alpha >= 2 as NoBoundedMotion.
     phi_limit = apsidal_limit(params, config.radius)
 
-    apsis_list = []
-    if not circular:
-        traj = _one_period(config, sigma, circular_speed(params, config.radius))
-        apsis_list = [
-            {"kind": ev.kind.value, "t": ev.t, "r": ev.r} for ev in apsides(traj)
-        ]
+    apsis_list = [] if circular else apsides(_one_period(config, sigma, circular_speed(params, config.radius)))
 
     payload = {
         "E": problem.E,

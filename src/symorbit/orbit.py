@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +74,8 @@ class PeriodicOrbit:
     the underlying piecewise-reflected interpolant at any times. The sample
     rows (t, x, y, vx, vy) and their 17-digit text are built once, when
     `to_dict` or `write_csv` first needs them, so orbit.json and orbit.csv
-    carry the same text per value.
+    carry the same text per value. The orbit holds no validation result:
+    `to_dict` is given `validate_orbit`'s diagnostics.
     """
 
     def __init__(self, segment: Trajectory, mode: Mode, mu):
@@ -90,7 +90,6 @@ class PeriodicOrbit:
         self.mu = float(mu)
         self.times = np.linspace(0.0, self.period, _SAMPLES + 1)
         self.states = self._eval(self.times)
-        self.diagnostics: dict = {}
 
     def _eval(self, ts) -> np.ndarray:
         """States at the times ts (any reals), shape (len(ts), 4)."""
@@ -123,13 +122,13 @@ class PeriodicOrbit:
         first use and shared by `to_dict` and `write_csv`."""
         return serialize.FloatRows(np.column_stack([self.times, self.states]))
 
-    def to_dict(self) -> dict:
+    def to_dict(self, diagnostics: dict) -> dict:
         return {
             "mu": self.mu,
             "v_mu": self.states[0, 2:].tolist(),  # the launch velocity, as `initial_state` reads it
             "period": self.period,
             "symmetry": "x_and_y_axes" if Reflection.Y_AXIS in self.symmetry else "x_axis",
-            "diagnostics": self.diagnostics,
+            "diagnostics": diagnostics,
             "samples": self._samples,
         }
 
@@ -351,15 +350,10 @@ def winding_number(orbit_or_points) -> int:
     return int(round(float(np.sum(d)) / (2.0 * math.pi)))
 
 
-@dataclass(frozen=True)
-class AxisCrossing:
-    t: float
-    point: np.ndarray
-    normal_speed: float  # vy, the velocity component transverse to the x-axis
-
-
-def axis_crossings(orbit: PeriodicOrbit) -> list[AxisCrossing]:
-    """Transversal crossings of the x-axis over one period.
+def axis_crossings(orbit: PeriodicOrbit) -> list[dict]:
+    """Transversal crossings of the x-axis over one period, in time order,
+    each as the row {"t", "x", "y", "normal_speed"} (normal speed: vy) that
+    `validate_orbit` reports.
 
     Samples within a zero band of the axis are taken as on it, and the
     package's sign-change rule (`integrator._sign_changes`) runs over the
@@ -386,14 +380,15 @@ def axis_crossings(orbit: PeriodicOrbit) -> list[AxisCrossing]:
     crossings = []
     for k, j, fa in changes:
         if vals[j] == 0.0:
-            t, y = float(times[j % n]), orbit.states[j % n]
+            t, state = float(times[j % n]), orbit.states[j % n]
         else:
             a, b = _bisect(lambda m: _crossed(fa, orbit._eval([m])[0, 1]), float(times[k]), float(times[j]))
             t = 0.5 * (a + b)
-            y = orbit._eval([t])[0]
-        if abs(y[3]) >= floor:
-            crossings.append(AxisCrossing(t=t, point=y[:2].copy(), normal_speed=float(y[3])))
-    crossings.sort(key=lambda c: c.t)
+            state = orbit._eval([t])[0]
+        x, y, _, vy = state.tolist()
+        if abs(vy) >= floor:
+            crossings.append({"t": t, "x": x, "y": y, "normal_speed": vy})
+    crossings.sort(key=lambda c: c["t"])
     return crossings
 
 
@@ -430,6 +425,8 @@ def validate_orbit(
     = 1e-7 therefore also bounds position closure, tighter than
     _CLOSURE_POS_TOL = 1e-6; in a field symmetric about the x-axis it measures
     non-closure only.
+
+    Returns (ok, diagnostics); the orbit is left as it was given.
     """
     pos_res, vel_res, sym = verify_closure(orbit, field, mu)
     simple, xing_pt = is_simple_closed(orbit)
@@ -439,7 +436,7 @@ def validate_orbit(
     x0 = float(orbit.initial_state().position[0])
     crossing_ok = len(crossings) == 2
     if crossing_ok:
-        xs = sorted(c.point[0] for c in crossings)
+        xs = sorted(c["x"] for c in crossings)
         if Reflection.Y_AXIS in orbit.symmetry:
             crossing_ok = abs(xs[0] + x0) < _CROSSING_TOL and abs(xs[1] - x0) < _CROSSING_TOL
         else:
@@ -452,13 +449,9 @@ def validate_orbit(
         "self_intersection": None if xing_pt is None else [float(xing_pt[0]), float(xing_pt[1])],
         "winding_number": wind,
         "symmetry_residuals": {r.value: v for r, v in sym.items()},
-        "x_axis_crossings": [
-            {"t": c.t, "x": float(c.point[0]), "y": float(c.point[1]), "normal_speed": c.normal_speed}
-            for c in crossings
-        ],
+        "x_axis_crossings": crossings,
         "crossings_ok": bool(crossing_ok),
     }
     ok = not _failed_checks(diag)
     diag["valid"] = ok
-    orbit.diagnostics.update(diag)
     return ok, diag

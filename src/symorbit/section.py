@@ -34,7 +34,9 @@ zero, so they equal the numpy dot products of the same vectors bit for bit.
 
 `crossing_time` hands the scanner to `flow` as the stop callback, so each
 integration ends at the step that holds the first crossing (terminal event
-location) instead of running to the end of its window.
+location) instead of running to the end of its window. A crossing is stated
+once, as its time t* and tangent speed; the state there is the trajectory's
+at t*, which evaluates the same step.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 
 from .errors import BoundaryCrossing, DomainExit, NoCrossing, TangentialCrossing
 from .forcefield import ForceField
-from .integrator import State, Trajectory, flow
+from .integrator import Trajectory, flow
 from .integrator import _bisect, _coefficient_bound, _crossed, _horner, _normal_terms, _sign_changes, _step_eval
 
 # Section segments span [0.25 R, 4 R] along their axis so every desk-scale
@@ -111,22 +113,15 @@ class SectionSpec:
         )
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
-    t_star: float
-    state: State
-    normal_speed: float  # signed velocity component transverse to the segment
-    tangent_speed: float  # signed velocity component along the segment
-
-
 class _SectionScan:
     """Search of the window [0, t_hi] for the first transversal crossing, one step at a time.
 
     Called with the record (t_left, h, y_left, stages) of consecutive steps
     from the launch at t = 0, and each step's end state (x, y, vx, vy), which
     a step reaching t_hi does not need; returns True once the window is
-    covered or a crossing found, which is then in `event`. It keeps no value
-    between steps: `flow` passes a step's end state as the next one's y_left.
+    covered or a crossing found, whose (t*, tangent speed) is then `event`.
+    It keeps no value between steps: `flow` passes a step's end state as the
+    next one's y_left.
     Raises BoundaryCrossing or TangentialCrossing when the first crossing is one.
     Crossing times are bisected to 1e-12 max(t_hi, 1), taken from the t_hi
     given here: lowering `t_hi` later shortens the window, not the tolerance.
@@ -138,7 +133,7 @@ class _SectionScan:
         (self._n0, self._n1), (self._s0, self._s1) = (-uy, ux), section.start
         self._bt = 1e-6 * section.length
         self.t_hi, self.time_tol = t_hi, 1e-12 * max(t_hi, 1.0)
-        self.event: CrossingEvent | None = None
+        self.event: tuple[float, float] | None = None
 
     def __call__(self, step, y_right) -> bool:
         t_left, h, y_left, _ = step
@@ -175,15 +170,15 @@ class _SectionScan:
                 return True
         return last
 
-    def _refine(self, step, coeffs, a, b, ga) -> CrossingEvent | None:
-        """Bisect the sign change on [a, b] and classify the crossing; None
-        when it misses the segment (the supporting line was crossed)."""
+    def _refine(self, step, coeffs, a, b, ga) -> tuple[float, float] | None:
+        """Bisect the sign change on [a, b] and classify the crossing: its
+        (t*, tangent speed), or None when it misses the segment (the
+        supporting line was crossed)."""
         left, width = step[0], step[1]
         a, b = _bisect(lambda m: _crossed(ga, _horner(coeffs, (m - left) / width)), a, b, self.time_tol)
         t_star = 0.5 * (a + b)
         section, bt, length = self.section, self._bt, self.section.length
-        y = _step_eval(step, t_star)
-        px, py, vx, vy = y.tolist()
+        px, py, vx, vy = _step_eval(step, t_star).tolist()
         tau = section.tangent_coord((px, py))
         if -bt < tau < bt or length - bt < tau < length + bt:
             raise BoundaryCrossing(f"crossing at t={t_star:.6g} within {bt:g} of a segment endpoint")
@@ -195,12 +190,7 @@ class _SectionScan:
                 f"normal speed {n_speed:.3g} below floor "
                 f"{section.transversality_floor:g} at t={t_star:.6g}"
             )
-        return CrossingEvent(
-            t_star=t_star,
-            state=State(t=t_star, position=y[:2], velocity=y[2:]),
-            normal_speed=n_speed,
-            tangent_speed=tangent_speed,
-        )
+        return t_star, tangent_speed
 
 
 def _derivative(c) -> list:
@@ -236,17 +226,18 @@ def crossing_time(
     v,
     section: SectionSpec,
     window: float,
-) -> tuple[float, CrossingEvent, Trajectory]:
+) -> tuple[float, float, Trajectory]:
     """Crossing time t(v, mu) of the flow from (x0, v) with the section.
 
     Integrates from 0 towards `window`, at the integrator's fixed tolerances,
     with the section scan of [0, window] as the flow's stop callback and
-    returns (t*, event, trajectory); the trajectory ends with the step that
-    holds t*. The result is the one the scan gives on the flow over the whole
-    window. If the orbit leaves the annulus first, the last step of the
-    DomainExit's trajectory, which ends at the exit, is scanned up to the
-    exit, with the bisection tolerance still taken from the window's nominal
-    end; DomainExit propagates only when no crossing happened before it.
+    returns (t*, tangent speed at t*, trajectory); the trajectory ends with
+    the step that holds t*. The result is the one the scan gives on the flow
+    over the whole window. If the orbit leaves the annulus first, the last
+    step of the DomainExit's trajectory, which ends at the exit, is scanned
+    up to the exit, with the bisection tolerance still taken from the
+    window's nominal end; DomainExit propagates only when no crossing
+    happened before it.
     """
     scan = _SectionScan(section, window)
     try:
@@ -261,5 +252,5 @@ def crossing_time(
         if scan.event is None:
             raise
     if scan.event is not None:
-        return scan.event.t_star, scan.event, traj
+        return (*scan.event, traj)
     raise NoCrossing(f"no transversal crossing of {section.kind} in [0, {window:.6g}]")

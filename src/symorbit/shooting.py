@@ -35,7 +35,7 @@ from .errors import (
 )
 from .forcefield import ForceField, PowerLawParams, Reflection, circular_speed
 from .integrator import Trajectory, _crossed
-from .section import CrossingEvent, SectionSpec, crossing_time
+from .section import SectionSpec, crossing_time
 
 
 class Mode(enum.Enum):
@@ -130,9 +130,12 @@ class ShootingProblem:
 
 @dataclass(frozen=True)
 class MissValue:
+    """The miss at launch multiplier `sigma`: the section-aligned velocity
+    component `value` at the crossing time `t_star`, and the trajectory that
+    ends with the crossing's step."""
     sigma: float
-    value: float  # section-aligned velocity component at the crossing
-    crossing: CrossingEvent
+    value: float
+    t_star: float
     trajectory: Trajectory
 
 
@@ -163,7 +166,7 @@ def miss(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
     lie in the field's open mu range."""
     _check_mu(problem, mu)
     _check_sigma(problem, sigma)
-    t_star, event, traj = crossing_time(
+    t_star, tangent_speed, traj = crossing_time(
         problem.field,
         mu,
         problem.launch_point,
@@ -171,7 +174,7 @@ def miss(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
         problem.section,
         problem.window,
     )
-    return MissValue(sigma=sigma, value=event.tangent_speed, crossing=event, trajectory=traj)
+    return MissValue(sigma=sigma, value=tangent_speed, t_star=t_star, trajectory=traj)
 
 
 @dataclass(frozen=True)
@@ -305,11 +308,10 @@ def solve(
                 f"{steps} root-finding steps at mu={mu}; final bracket [{a!r}, {b!r}]"
             )
 
-    tau = best.crossing.t_star
     return ShootingSolution(
         sigma_star=best.sigma,
-        tau=tau,
-        segment=best.trajectory.truncated(tau),
+        tau=best.t_star,
+        segment=best.trajectory.truncated(best.t_star),
         miss_residual=best.value,
     )
 
@@ -351,7 +353,7 @@ def sign_table(
         transversality_floor=1e-6 * v0,
         kind="negative_x_axis",
     )
-    _, event, _ = crossing_time(
+    _, tangent_speed, _ = crossing_time(
         field,
         0.0,
         np.array([radius, 0.0]),
@@ -359,7 +361,7 @@ def sign_table(
         section,
         3.0 * (2.0 * math.pi / w),
     )
-    return 1 if event.tangent_speed > 0 else -1
+    return 1 if tangent_speed > 0 else -1
 
 
 def crossing_time_deviation(
@@ -368,5 +370,5 @@ def crossing_time_deviation(
     sigma: float,
 ) -> list[float]:
     """|t(sigma + h, mu) - t(sigma, mu)| for h = 1e-3, 1e-4, 1e-5: a continuity probe."""
-    t0 = miss(problem, sigma, mu).crossing.t_star
-    return [abs(miss(problem, sigma + h, mu).crossing.t_star - t0) for h in (1e-3, 1e-4, 1e-5)]
+    t0 = miss(problem, sigma, mu).t_star
+    return [abs(miss(problem, sigma + h, mu).t_star - t0) for h in (1e-3, 1e-4, 1e-5)]

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symorbit import (
-    ApsisKind,
     DegenerateLimit,
     ForceField,
     NoBoundedMotion,
@@ -194,6 +193,24 @@ class TestSlowLaunch:
         r_min = radial_problem_from_launch(kepler_params, 1.0, sigma).r_min
         assert r_min == pytest.approx(sigma * sigma / (2.0 - sigma * sigma), rel=1e-12)
 
+    def test_newton_polish_stops_where_g_prime_is_unrepresentable(self, monkeypatch):
+        # At sigma = 1e-100 the pericenter is about 5e-201, where r**3
+        # underflows to 0 and -K^2 / r**3 raises ZeroDivisionError before
+        # U'(r) is read: the polish stops at once and the bisection's radius
+        # stands.
+        calls = []
+        derivatives = analysis.potential_derivatives
+        monkeypatch.setattr(analysis, "potential_derivatives", lambda *a: calls.append(a) or derivatives(*a))
+        sigma = 1e-100
+        r_min = radial_problem_from_launch(PowerLawParams(1.0, 1.0), 1.0, sigma).r_min
+        assert r_min == pytest.approx(sigma * sigma / (2.0 - sigma * sigma), rel=1e-12)
+        assert r_min**3 == 0.0 and calls == []
+        with pytest.raises(ZeroDivisionError):
+            -sigma * sigma / r_min**3
+        # At sigma = 1e-12 the same polish reads U'(r).
+        radial_problem_from_launch(PowerLawParams(1.0, 1.0), 1.0, 1e-12)
+        assert calls
+
     def test_radial_launch_has_no_inner_turning_radius(self, kepler_params):
         with pytest.raises(NoBoundedMotion, match="no inner turning radius"):
             radial_problem_from_launch(kepler_params, 1.0, 0.0)
@@ -227,18 +244,18 @@ class TestApsides:
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.1), 14.0)
         events = apsides(traj)
         assert len(events) >= 3
-        kinds = [e.kind for e in events]
-        assert kinds[0] == ApsisKind.PERICENTER  # fast launch starts at the low point
+        kinds = [e["kind"] for e in events]
+        assert kinds[0] == "pericenter"  # fast launch starts at the low point
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
         for e in events:
-            target = lo if e.kind is ApsisKind.PERICENTER else hi
-            assert e.r == pytest.approx(target, abs=1e-8)
+            target = lo if e["kind"] == "pericenter" else hi
+            assert e["r"] == pytest.approx(target, abs=1e-8)
 
     def test_slow_launch_starts_at_apocenter(self, kepler_field):
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 0.95), 10.0)
         events = apsides(traj)
-        assert events[0].kind == ApsisKind.APOCENTER
-        assert events[0].t == 0.0
+        assert events[0]["kind"] == "apocenter"
+        assert events[0]["t"] == 0.0
 
     @pytest.mark.parametrize("sigma", [0.8, 1.3, 1.38])
     def test_no_apsis_lost_to_long_steps(self, kepler_params, sigma):
@@ -249,13 +266,13 @@ class TestApsides:
         period = kepler_period(semi_major_axis(1.0, sigma, 1.0), 1.0)
         field_ = __import__("symorbit").ForceField(base=kepler_params, annulus=(0.05, 50.0))
         events = apsides(flow(field_, 0.0, (1.0, 0.0), (0.0, sigma), 1.9 * period))
-        first, second = (ApsisKind.PERICENTER, ApsisKind.APOCENTER)[:: 1 if sigma > 1.0 else -1]
-        assert [e.kind for e in events] == [first, second, first, second]
+        first, second = ("pericenter", "apocenter")[:: 1 if sigma > 1.0 else -1]
+        assert [e["kind"] for e in events] == [first, second, first, second]
         for k, e in enumerate(events):
-            assert abs(e.t - 0.5 * k * period) <= 1e-9 * period
+            assert abs(e["t"] - 0.5 * k * period) <= 1e-9 * period
         lo, hi = kepler_apsis_radii(1.0, sigma)
         for e in events:
-            assert e.r == pytest.approx(lo if e.kind is ApsisKind.PERICENTER else hi, rel=1e-9)
+            assert e["r"] == pytest.approx(lo if e["kind"] == "pericenter" else hi, rel=1e-9)
 
     def test_soft_force_launch_pericenter(self):
         # epsilon > 0 launch point is a radius minimum.
@@ -263,7 +280,7 @@ class TestApsides:
         field_ = __import__("symorbit").ForceField(base=params)
         traj = flow(field_, 0.0, (1.0, 0.0), (0.0, 1.05 * circular_speed(params, 1.0)), 8.0)
         events = apsides(traj)
-        assert events[0].kind == ApsisKind.PERICENTER
+        assert events[0]["kind"] == "pericenter"
 
 
 def sampled_apsides(traj):
@@ -289,13 +306,13 @@ def sampled_apsides(traj):
         return []
     events = []
     if abs(vals[0]) < 1e-9 * v_scale:
-        kind = ApsisKind.PERICENTER if radius(ts[1]) > radius(0.0) else ApsisKind.APOCENTER
+        kind = "pericenter" if radius(ts[1]) > radius(0.0) else "apocenter"
         events.append((kind, 0.0, radius(0.0)))
     for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
         fa = float(vals[i])
         lo, hi = _bisect(lambda m: fa * rdot(m) <= 0.0, float(ts[i]), float(ts[i + 1]))
         t = 0.5 * (lo + hi)
-        events.append((ApsisKind.PERICENTER if fa < 0.0 else ApsisKind.APOCENTER, t, radius(t)))
+        events.append(("pericenter" if fa < 0.0 else "apocenter", t, radius(t)))
     return events
 
 
@@ -311,7 +328,7 @@ class TestApsidesMatchSampledSearch:
     @pytest.mark.parametrize("sigma", [0.95, 1.05, 1.1])
     def test_analyze_launches(self, alpha, sigma):
         traj = _analyze_launch(alpha, sigma)
-        got = [(e.kind, e.t, e.r) for e in apsides(traj)]
+        got = [(e["kind"], e["t"], e["r"]) for e in apsides(traj)]
         want = sampled_apsides(traj)
         assert [e[0] for e in got] == [e[0] for e in want] and len(got) >= 2
         for (_, t, r), (_, t_ref, r_ref) in zip(got, want):
@@ -328,7 +345,7 @@ class TestApsidesMatchSampledSearch:
         monkeypatch.setattr(integrator, "_q_matrix", lambda stages: built.append(stages) or q_matrix(stages))
         traj = _analyze_launch(1.0, 1.1)
         events = apsides(traj)
-        inside = [e for e in events if e.t != 0.0]
+        inside = [e for e in events if e["t"] != 0.0]
         assert len(inside) >= 1 and len(built) == len(inside)
         assert traj._stacked is None
 
@@ -410,7 +427,7 @@ class TestApsidalAngle:
         phi = apsidal_angle(problem)
         angles = []
         for e in events:
-            s = traj.interpolate(e.t)
+            s = traj.interpolate(e["t"])
             angles.append(math.atan2(s.position[1], s.position[0]))
         unwrapped = np.unwrap(angles)
         advances = np.abs(np.diff(unwrapped))

@@ -713,6 +713,12 @@ class TestConfigKeys:
         (forward,) = cli._mu_grids(cli.RunConfig.load(cfg))
         assert forward.tolist() == np.linspace(0.0, 0.25, 64).tolist()
 
+    def test_mirrored_grid_starts_at_positive_zero(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", mu_grid={"stop": 0.01, "count": 7, "mirror": True})
+        forward, backward = cli._mu_grids(cli.RunConfig.load(cfg))
+        assert math.copysign(1.0, backward[0]) == 1.0 and backward[0] == 0.0
+        assert backward[1:].tolist() == (-forward[1:]).tolist()
+
     def test_step_with_count_refused(self, tmp_path, capsys, monkeypatch):
         # A grid is spelled by its count only: step is no key, also beside
         # count, and is refused before any work.
@@ -845,12 +851,13 @@ class TestSweepCommand:
         assert err == "sweep failed: failure_positive BracketFailure at mu=0.005\n"
 
     def test_failed_validation_names_the_failing_checks(self, tmp_path, capsys, monkeypatch):
+        # Both directions start at mu = +0.0.
         monkeypatch.setattr(orbit, "_SYMMETRY_TOL", 0.0)
         cfg = write_config(tmp_path / "c.json", mu_grid={"stop": 0.01, "count": 3, "mirror": True})
         assert main(["sweep", "--config", str(cfg)]) == 4
         assert capsys.readouterr().err == (
             "sweep failed: failure_positive ValidationFailure at mu=0.0 (symmetry_residuals); "
-            "failure_negative ValidationFailure at mu=-0.0 (symmetry_residuals)\n"
+            "failure_negative ValidationFailure at mu=0.0 (symmetry_residuals)\n"
         )
 
     def test_mirrored_sweep(self, tmp_path, capsys):
@@ -864,6 +871,8 @@ class TestSweepCommand:
         assert summary["empirical_delta0_negative"] == pytest.approx(0.01)
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 7  # -0.01..0.01 with 0 listed once per direction
+        fields = [f for line in lines[1:] for f in line.split(",")]
+        assert "-0" not in fields and "0" in fields and "-0.01" in fields
 
     @pytest.mark.parametrize("key, sigmas", [("sigma_min", (0.9, 1.04)), ("sigma_max", (0.96, 1.1))])
     def test_scan_outside_speed_band_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch, key, sigmas):
@@ -939,6 +948,15 @@ class TestAnalyzeCommand:
         assert retrograde["r_max"] == prograde["r_max"] == pytest.approx(1.2284122562674094, abs=1e-12)
         assert retrograde["circular"] is False
         assert [a["kind"] for a in retrograde["apsides"]] == ["pericenter", "apocenter"]
+
+    @pytest.mark.parametrize("sigma", [0.95, 1.1])
+    def test_prints_the_apsides_rows(self, config_path, capsys, sigma):
+        # The printed rows are apsides' own, read back to the same floats.
+        assert main(["analyze", "--config", str(config_path), "--sigma", str(sigma), "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)["apsides"]
+        config = cli.RunConfig.load(config_path)
+        traj = cli._one_period(config, sigma, circular_speed(config.field.base, config.radius))
+        assert printed == analysis.apsides(traj) and len(printed) >= 2
 
     def test_circular_flag(self, config_path, capsys):
         assert main(["analyze", "--config", str(config_path), "--sigma", "1.0", "--json"]) == 0

@@ -854,7 +854,7 @@ class TestRecordsBuiltWhenSampled:
 
     def test_crossing_time_builds_one_record(self, kepler_field, built):
         section = SectionSpec.positive_y_axis(1.0)
-        _, event, traj = crossing_time(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.05), section, 4.7)
+        _, _, traj = crossing_time(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.05), section, 4.7)
         assert traj.n_steps > 10
         assert len(built) == 1 and built[0] == traj._dense[-1][3]  # the crossing step's
         assert traj._stacked is None

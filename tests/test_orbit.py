@@ -766,14 +766,14 @@ class TestAxisCrossings:
         orb = extend_quarter(circle_quarter_segment)
         crossings = axis_crossings(orb)
         assert len(crossings) == 2
-        xs = sorted(c.point[0] for c in crossings)
+        xs = sorted(c["x"] for c in crossings)
         assert xs[0] == pytest.approx(-1.0, abs=1e-9)
         assert xs[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_quarter_orbit_two_symmetric_crossings(self, solved_perturbed_orbit):
         crossings = axis_crossings(solved_perturbed_orbit)
         assert len(crossings) == 2
-        xs = sorted(c.point[0] for c in crossings)
+        xs = sorted(c["x"] for c in crossings)
         assert xs[0] == pytest.approx(-1.0, abs=1e-6)
         assert xs[1] == pytest.approx(1.0, abs=1e-6)
 
@@ -782,7 +782,7 @@ class TestAxisCrossings:
         orb = extend_half(sol.segment, mu=0.03)
         crossings = axis_crossings(orb)
         assert len(crossings) == 2
-        xs = sorted(c.point[0] for c in crossings)
+        xs = sorted(c["x"] for c in crossings)
         assert xs[0] < 0 < xs[1]
         assert xs[1] == pytest.approx(1.0, abs=1e-9)
 
@@ -826,7 +826,7 @@ class TestAxisCrossingRefinement:
         set_samples(n_samples)
         orb = extend(base.segment, mu=base.mu)
         samples = set(orb.times.tolist())
-        got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(orb) if c.t not in samples]
+        got = [(c["t"], c["x"], c["y"], c["normal_speed"]) for c in axis_crossings(orb) if c["t"] not in samples]
         assert got == batched_refined_crossings(orb)
         assert len(got) == 1 or n_samples == 1000
 
@@ -880,7 +880,7 @@ class TestAxisCrossingsMatchClusterWalk:
         extend = extend_quarter if Reflection.Y_AXIS in base.symmetry else extend_half
         set_samples(n_samples)
         orb = extend(base.segment, mu=base.mu)
-        got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(orb)]
+        got = [(c["t"], c["x"], c["y"], c["normal_speed"]) for c in axis_crossings(orb)]
         assert got == cluster_walk_axis_crossings(orb)
         assert len(got) == 2
 
@@ -930,7 +930,7 @@ class TestAxisCrossingsMask:
         states[:-1, 1] = values
         states[-1, 1] = values[0]
         curve = _SampledCurve(np.arange(len(values) + 1.0), states)
-        got = [(c.t, *c.point.tolist(), c.normal_speed) for c in axis_crossings(curve)]
+        got = [(c["t"], c["x"], c["y"], c["normal_speed"]) for c in axis_crossings(curve)]
         assert got == axis_crossings_over_every_pair(curve)
 
 
@@ -1021,7 +1021,7 @@ class TestContinuedClosure:
             m, exited, capped = self._recorded_miss(problem, sigma, mu)
         except SolverError:  # no segment: at sigma = 1, alpha = 3's unstable circle leaves the annulus
             assume(False)
-        segment = m.trajectory.truncated(m.crossing.t_star)
+        segment = m.trajectory.truncated(m.t_star)
         # Any segment, closed or not: the orbit is built without the end check.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orbit_mod, "_SAMPLES", 64)
@@ -1064,7 +1064,16 @@ class TestValidateOrbit:
         assert diag["winding_number"] in (-1, 1)
         assert diag["simple_closed"]
         assert diag["crossings_ok"]
-        assert solved_perturbed_orbit.diagnostics == diag
+
+    @pytest.mark.parametrize(
+        "orbit_fixture, problem_fixture",
+        [("solved_perturbed_orbit", "quarter_problem_radial"), ("half_orbit_a3", "half_problem_a3")],
+    )
+    def test_reports_the_axis_crossings_rows(self, request, orbit_fixture, problem_fixture):
+        orb, problem = request.getfixturevalue(orbit_fixture), request.getfixturevalue(problem_fixture)
+        rows = validate_orbit(orb, problem.field, orb.mu)[1]["x_axis_crossings"]
+        assert rows == axis_crossings(orb) and len(rows) == 2
+        assert all(list(row) == ["t", "x", "y", "normal_speed"] for row in rows)
 
     def test_one_reintegration_per_orbit(self, solved_perturbed_orbit, kepler_radial_field, monkeypatch):
         import symorbit.orbit as orbit_mod
@@ -1089,8 +1098,11 @@ class TestValidateOrbit:
         assert diag["symmetry_residuals"]["x_axis"] > 1e-7
         assert not ok and not diag["valid"]
 
-    def test_orbit_serialization(self, solved_perturbed_orbit):
-        d = solved_perturbed_orbit.to_dict()
+    def test_orbit_serialization(self, solved_perturbed_orbit, kepler_radial_field):
+        _, diag = validate_orbit(solved_perturbed_orbit, kepler_radial_field, 0.05)
+        d = solved_perturbed_orbit.to_dict(diag)
+        assert list(d) == ["mu", "v_mu", "period", "symmetry", "diagnostics", "samples"]
+        assert d["diagnostics"] is diag
         assert d["symmetry"] == "x_and_y_axes"
         assert d["mu"] == 0.05
         assert len(d["samples"]) == len(solved_perturbed_orbit.times)
@@ -1104,9 +1116,9 @@ class TestValidateOrbit:
 
     def test_samples_built_once_for_json_and_csv(self, solved_perturbed_orbit, tmp_path):
         orb = solved_perturbed_orbit
-        samples = orb.to_dict()["samples"]
+        samples = orb.to_dict({})["samples"]
         assert samples == np.column_stack([orb.times, orb.states]).tolist()
-        assert samples is orb.to_dict()["samples"]
+        assert samples is orb.to_dict({})["samples"]
         assert json.loads(json.dumps(samples)) == samples
         orb.write_csv(tmp_path / "orbit.csv")
         lines = (tmp_path / "orbit.csv").read_text().splitlines()

@@ -31,7 +31,8 @@ def first_transversal_crossing(traj, section):
     refined point misses the segment are skipped (the trajectory crossed the
     supporting line, not the section); a hit within 1e-6 segment lengths of
     an endpoint raises BoundaryCrossing and a transverse speed below the
-    floor raises TangentialCrossing.
+    floor raises TangentialCrossing. Returns the crossing as crossing_time
+    states it: (t*, tangent speed).
     """
     scan = _SectionScan(section, traj.t_end)
     for i, step in enumerate(traj._dense):
@@ -40,6 +41,14 @@ def first_transversal_crossing(traj, section):
     if scan.event is None:
         raise NoCrossing(f"no transversal crossing of {section.kind} in [0, {traj.t_end:.6g}]")
     return scan.event
+
+
+def crossing_quantities(traj, section, crossing):
+    """(t*, normal speed, tangent speed) of a crossing (t*, tangent speed)
+    found on traj, the normal speed read off traj's state at t* through
+    SectionSpec.speeds."""
+    t_star, tangent_speed = crossing
+    return t_star, section.speeds(*traj.interpolate(t_star).velocity)[0], tangent_speed
 
 
 @pytest.fixture(scope="module")
@@ -51,28 +60,29 @@ class TestQuarterCircleCrossing:
     def test_crossing_at_quarter_period(self, kepler_field, y_section):
         # Unit circular orbit: angular speed 1, so the positive y-axis is hit
         # at t = pi/2 with state ((0,1), (-1,0)).
-        t_star, event, _ = crossing_time(
+        t_star, tangent_speed, traj = crossing_time(
             kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), y_section, 2.0
         )
         assert t_star == pytest.approx(math.pi / 2, abs=1e-9)
-        assert np.allclose(event.state.position, [0.0, 1.0], atol=1e-9)
-        assert np.allclose(event.state.velocity, [-1.0, 0.0], atol=1e-9)
-        assert event.normal_speed == pytest.approx(1.0, abs=1e-9)
-        assert event.tangent_speed == pytest.approx(0.0, abs=1e-9)
+        state = traj.interpolate(t_star)
+        assert np.allclose(state.position, [0.0, 1.0], atol=1e-9)
+        assert np.allclose(state.velocity, [-1.0, 0.0], atol=1e-9)
+        assert y_section.speeds(*state.velocity)[0] == pytest.approx(1.0, abs=1e-9)
+        assert tangent_speed == pytest.approx(0.0, abs=1e-9)
 
     def test_normal_coordinate_refined(self, kepler_field, y_section):
-        t_star, event, traj = crossing_time(
+        t_star, _, traj = crossing_time(
             kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), y_section, 2.0
         )
         # x-coordinate at the refined time is zero to well under segment scale
-        assert abs(event.state.position[0]) < 1e-10 * y_section.length
+        assert abs(traj.interpolate(t_star).position[0]) < 1e-10 * y_section.length
 
     def test_near_circular_crossing_interior(self, kepler_field, y_section):
-        t_star, event, _ = crossing_time(
+        t_star, _, traj = crossing_time(
             kepler_field, 0.0, (1.0, 0.0), (0.0, 1.05), y_section, 4.7
         )
         assert 0 < t_star < 4.7
-        tau = y_section.tangent_coord(event.state.position)
+        tau = y_section.tangent_coord(traj.interpolate(t_star).position)
         assert 0.01 < tau < y_section.length - 0.01
 
     def test_single_crossing_in_window(self, kepler_field, y_section):
@@ -81,8 +91,8 @@ class TestQuarterCircleCrossing:
         # the flow restarted just past the hit crosses none before t_bar.
         t_bar = 0.75 * 2 * math.pi
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.05), t_bar)
-        event = first_transversal_crossing(traj, y_section)
-        s = traj.interpolate(event.t_star + 1e-6)
+        t_star, _ = first_transversal_crossing(traj, y_section)
+        s = traj.interpolate(t_star + 1e-6)
         rest = flow(kepler_field, 0.0, s.position, s.velocity, t_bar - s.t)
         with pytest.raises(NoCrossing):
             first_transversal_crossing(rest, y_section)
@@ -144,14 +154,15 @@ class TestGeneralSegment:
     def test_diagonal_segment(self, kepler_field):
         # The unit circle meets the diagonal through (s, s) at s = sqrt(2)/2.
         section = SectionSpec(start=(0.25, 0.25), end=(1.5, 1.5))
-        t_star, event, _ = crossing_time(
+        t_star, _, traj = crossing_time(
             kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), section, 2.0
         )
         assert t_star == pytest.approx(math.pi / 4, abs=1e-9)
         s = math.sqrt(2) / 2
-        assert np.allclose(event.state.position, [s, s], atol=1e-9)
+        state = traj.interpolate(t_star)
+        assert np.allclose(state.position, [s, s], atol=1e-9)
         # Circular velocity at 45 degrees is (-s, s): purely transverse here.
-        assert abs(event.normal_speed) == pytest.approx(1.0, abs=1e-9)
+        assert abs(section.speeds(*state.velocity)[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_line_crossing_outside_segment_skipped(self, kepler_field):
         # Segment on the y-axis far above the orbit: the orbit crosses the
@@ -180,11 +191,11 @@ class TestCrossingContinuity:
     def test_partial_trajectory_scanned_after_domain_exit(self, kepler_field):
         # Escaping orbit still registers its y-axis crossing before exit.
         section = SectionSpec.positive_y_axis(1.0)
-        t_star, event, _ = crossing_time(
+        t_star, _, traj = crossing_time(
             kepler_field, 0.0, (1.0, 0.0), (0.0, 1.35), section, 20.0
         )
         assert 0 < t_star < 3.0
-        assert event.state.position[1] > 0
+        assert traj.interpolate(t_star).position[1] > 0
 
 
 # Reference: the crossing scan on a grid of step nodes and interior points,
@@ -238,14 +249,14 @@ def _reference_crossing_time(traj, section, subsamples=4):
 def _outcome(scan, *args, **kwargs):
     """(exception type or None, crossing time or None) of one scan."""
     try:
-        result = scan(*args, **kwargs)
+        t_star = scan(*args, **kwargs)
     except (BoundaryCrossing, TangentialCrossing, NoCrossing) as exc:
         return type(exc), None
-    return None, getattr(result, "t_star", result)
+    return None, t_star
 
 
 def _assert_same_outcome(traj, section):
-    got = _outcome(first_transversal_crossing, traj, section)
+    got = _outcome(lambda *args: first_transversal_crossing(*args)[0], traj, section)
     ref = _outcome(_reference_crossing_time, traj, section)
     assert got[0] is ref[0]
     if ref[1] is not None:
@@ -297,11 +308,12 @@ class TestDoubleCrossingInOneStep:
     TOL = 1e-6
     CHORD = SectionSpec(start=(-0.5, 1.0 - 1e-5), end=(0.5, 1.0 - 1e-5))
 
-    def _check(self, event):
-        x, y = event.state.position
+    def _check(self, traj, crossing):
+        t_star, normal_speed, tangent_speed = crossing_quantities(traj, self.CHORD, crossing)
+        x, y = traj.interpolate(t_star).position
         assert y == pytest.approx(1.0 - 1e-5, abs=1e-12)
         assert 0.0 < x < 0.01  # the first of the two crossings, moving left
-        assert event.normal_speed > 0.0 and event.tangent_speed < 0.0
+        assert normal_speed > 0.0 and tangent_speed < 0.0
 
     def test_grid_alone_misses_it(self, kepler_field, set_tolerance):
         set_tolerance(self.TOL)
@@ -312,9 +324,9 @@ class TestDoubleCrossingInOneStep:
     def test_found_through_the_quartic_extremum(self, kepler_field, set_tolerance):
         set_tolerance(self.TOL)
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), 2 * math.pi)
-        self._check(first_transversal_crossing(traj, self.CHORD))
-        _, event, _ = crossing_time(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), self.CHORD, 2 * math.pi)
-        self._check(event)
+        self._check(traj, first_transversal_crossing(traj, self.CHORD))
+        t_star, tangent_speed, stopped = crossing_time(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.0), self.CHORD, 2 * math.pi)
+        self._check(stopped, (t_star, tangent_speed))
 
 
 class TestCloseCrossingsInOneStep:
@@ -336,11 +348,7 @@ class TestCloseCrossingsInOneStep:
         assert np.all(np.abs(np.array(_normal_terms(step, -1.0, 0.0)[0]) - g[1:]) <= 1e-15 * terms)
         scan = _SectionScan(SectionSpec.positive_y_axis(1.0), 1.0)
         assert scan(step, None)
-        assert scan.event.t_star == pytest.approx(0.05, abs=1e-11)
-
-
-def _events_equal(a, b):
-    return (a.t_star, a.normal_speed, a.tangent_speed) == (b.t_star, b.normal_speed, b.tangent_speed)
+        assert scan.event[0] == pytest.approx(0.05, abs=1e-11)
 
 
 class TestTerminalEvent:
@@ -358,11 +366,12 @@ class TestTerminalEvent:
     def test_acceptance_problems(self, request, problem_fixture, sigma, mu):
         p = request.getfixturevalue(problem_fixture)
         x0, v = p.launch_point, p.launch_velocity(sigma)
-        t_star, event, traj = crossing_time(p.field, mu, x0, v, p.section, p.window)
+        t_star, tangent_speed, traj = crossing_time(p.field, mu, x0, v, p.section, p.window)
         t_stop = p.window
         full = flow(p.field, mu, x0, v, t_stop)
-        assert _events_equal(event, first_transversal_crossing(full, p.section))
-        assert t_star == event.t_star
+        assert crossing_quantities(traj, p.section, (t_star, tangent_speed)) == crossing_quantities(
+            full, p.section, first_transversal_crossing(full, p.section)
+        )
         # The stopped flow is a prefix of the full one ending with the crossing step.
         assert traj.ts[-2] <= t_star <= traj.t_end < t_stop
         assert np.array_equal(traj.ts, full.ts[: len(traj.ts)])
@@ -378,9 +387,11 @@ class TestTerminalEvent:
             start=(-8.0, 0.0), end=(-0.1, 0.0), transversality_floor=1e-6 * v0, kind="negative_x_axis"
         )
         t_bar = 3.0 * 2.0 * math.pi / v0
-        _, event, traj = crossing_time(field, 0.0, (1.0, 0.0), (0.0, 1.05 * v0), section, t_bar)
+        t_star, tangent_speed, traj = crossing_time(field, 0.0, (1.0, 0.0), (0.0, 1.05 * v0), section, t_bar)
         full = flow(field, 0.0, (1.0, 0.0), (0.0, 1.05 * v0), t_bar)
-        assert _events_equal(event, first_transversal_crossing(full, section))
+        assert crossing_quantities(traj, section, (t_star, tangent_speed)) == crossing_quantities(
+            full, section, first_transversal_crossing(full, section)
+        )
         assert traj.n_steps < full.n_steps
 
     def test_alpha_3_launch_leaving_the_annulus_after_crossing(self, half_problem_a3):
@@ -390,15 +401,15 @@ class TestTerminalEvent:
         with pytest.raises(DomainExit) as err:
             flow(p.field, mu, x0, v, t_stop)
         partial = err.value.trajectory
-        ref = first_transversal_crossing(partial, p.section)
-        assert ref.t_star < partial.t_end
-        t_star, event, traj = crossing_time(p.field, mu, x0, v, p.section, p.window)
+        ref = crossing_quantities(partial, p.section, first_transversal_crossing(partial, p.section))
+        assert ref[0] < partial.t_end
+        t_star, tangent_speed, traj = crossing_time(p.field, mu, x0, v, p.section, p.window)
+        got = crossing_quantities(traj, p.section, (t_star, tangent_speed))
         assert traj.t_end < partial.t_end
         # The bisection tolerance now comes from the window end, not the exit
         # time, so t* may move within that tolerance.
-        assert abs(t_star - ref.t_star) <= 2e-12 * t_stop
-        assert event.tangent_speed == pytest.approx(ref.tangent_speed, rel=1e-9)
-        assert event.normal_speed == pytest.approx(ref.normal_speed, rel=1e-9)
+        assert abs(t_star - ref[0]) <= 2e-12 * t_stop
+        assert got[1:] == pytest.approx(ref[1:], rel=1e-9)
 
     def test_crossing_inside_the_exit_step(self, kepler_field):
         # Escaping launch; the section is the segment across the path at a
@@ -413,11 +424,11 @@ class TestTerminalEvent:
         u = s.velocity / np.linalg.norm(s.velocity)  # the section's normal
         ends = [tuple(s.position + w * np.array([u[1], -u[0]])) for w in (-0.1, 0.1)]
         section = SectionSpec(start=ends[0], end=ends[1])
-        ref = first_transversal_crossing(partial, section)
-        assert ref.t_star == pytest.approx(t_cross, abs=1e-9)
-        t_star, event, _ = crossing_time(kepler_field, 0.0, x0, v, section, 20.0)
-        assert abs(t_star - ref.t_star) <= 2e-12 * 20.0
-        assert event.normal_speed == pytest.approx(ref.normal_speed, rel=1e-9)
+        ref = crossing_quantities(partial, section, first_transversal_crossing(partial, section))
+        assert ref[0] == pytest.approx(t_cross, abs=1e-9)
+        t_star, tangent_speed, traj = crossing_time(kepler_field, 0.0, x0, v, section, 20.0)
+        assert abs(t_star - ref[0]) <= 2e-12 * 20.0
+        assert crossing_quantities(traj, section, (t_star, tangent_speed))[1] == pytest.approx(ref[1], rel=1e-9)
 
     def test_scan_grid_step_budget(self, quarter_problem_radial):
         # The 41x21 (sigma, mu) miss-sign grid, each flow stopped at its
@@ -472,10 +483,15 @@ class TestFloatFrame:
     )
     def test_event_speeds_equal_the_numpy_products(self, request, problem_fixture, sigma, mu):
         p = request.getfixturevalue(problem_fixture)
-        _, event, _ = crossing_time(p.field, mu, p.launch_point, p.launch_velocity(sigma), p.section, p.window)
+        t_star, tangent_speed, traj = crossing_time(p.field, mu, p.launch_point, p.launch_velocity(sigma), p.section, p.window)
+        # The trajectory ends with the crossing's step, so its state at t* is
+        # the one the scan classified, bit for bit.
+        velocity = traj.interpolate(t_star).velocity
+        n_speed, t_speed = p.section.speeds(*velocity)
+        assert same_float(tangent_speed, t_speed)
         _, tangent, normal = section_frame_numpy(p.section.start, p.section.end)
-        assert same_float(event.normal_speed, float(normal @ event.state.velocity))
-        assert same_float(event.tangent_speed, float(tangent @ event.state.velocity))
+        assert same_float(n_speed, float(normal @ velocity))
+        assert same_float(t_speed, float(tangent @ velocity))
 
 
 FLOAT_OR_ZERO = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])

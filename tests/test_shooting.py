@@ -18,6 +18,7 @@ from symorbit import (
     axis_poly_perturbation,
     bracket,
     circular_speed,
+    crossing_time,
     crossing_time_deviation,
     miss,
     sign_table,
@@ -149,6 +150,17 @@ class TestMissSigns:
         assert miss(half_problem_a3, 1.02, 0.0).value < 0
         assert miss(half_problem_a3, 0.98, 0.0).value > 0
 
+    @pytest.mark.parametrize(
+        "problem_fixture, sigma, mu",
+        [("quarter_problem_radial", 1.02, 0.05), ("half_problem_a05", 0.97, 0.02), ("half_problem_a3", 0.98, 0.005)],
+    )
+    def test_states_the_crossing_of_crossing_time(self, request, problem_fixture, sigma, mu):
+        p = request.getfixturevalue(problem_fixture)
+        m = miss(p, sigma, mu)
+        t_star, tangent_speed, traj = crossing_time(p.field, mu, p.launch_point, p.launch_velocity(sigma), p.section, p.window)
+        assert (m.t_star, m.value) == (t_star, tangent_speed)
+        assert np.array_equal(m.trajectory.ts, traj.ts)
+
     def test_launch_is_vertical(self, quarter_problem):
         v = quarter_problem.launch_velocity(1.03)
         assert v[0] == 0.0 and v[1] == pytest.approx(1.03)
@@ -185,7 +197,7 @@ class TestBracket:
         carrier = shooting.miss(quarter_problem, 1.0, 0.0)
 
         def tiny(problem, sigma, mu):
-            return MissValue(sigma, math.copysign(1e-200, sigma - 1.0), carrier.crossing, carrier.trajectory)
+            return MissValue(sigma, math.copysign(1e-200, sigma - 1.0), carrier.t_star, carrier.trajectory)
 
         monkeypatch.setattr(shooting, "miss", tiny)
         br = bracket(quarter_problem, 0.0)
@@ -214,7 +226,7 @@ class TestBracket:
         def miss(problem, sigma, mu):
             if sigma == 1.0 - problem.eta:
                 raise BoundaryCrossing("forced")
-            return MissValue(sigma, 1.0, carrier.crossing, carrier.trajectory)
+            return MissValue(sigma, 1.0, carrier.t_star, carrier.trajectory)
 
         monkeypatch.setattr(shooting, "miss", miss)
         with pytest.raises(BracketFailure) as info:
@@ -395,7 +407,7 @@ class TestRootFinder:
     def test_exact_zero_at_bracket_end_accepted(self, quarter_problem, miss_sigmas):
         m_lo = shooting.miss(quarter_problem, 0.95, 0.0)
         m_hi = shooting.miss(quarter_problem, 1.05, 0.0)
-        zero = MissValue(0.95, 0.0, m_lo.crossing, m_lo.trajectory)
+        zero = MissValue(0.95, 0.0, m_lo.t_star, m_lo.trajectory)
         miss_sigmas.clear()
         sol = solve(quarter_problem, 0.0, prebuilt=Bracket(zero, m_hi))
         assert sol.sigma_star == 0.95 and sol.miss_residual == 0.0
@@ -419,7 +431,7 @@ class TestRootFinder:
 
         def synthetic(problem, sigma, mu):
             sigmas.append(sigma)
-            return MissValue(sigma, f(sigma - self.ROOT), carrier.crossing, carrier.trajectory)
+            return MissValue(sigma, f(sigma - self.ROOT), carrier.t_star, carrier.trajectory)
 
         monkeypatch.setattr(shooting, "miss", synthetic)
         br = Bracket(synthetic(None, lo, mu), synthetic(None, hi, mu))
@@ -536,10 +548,10 @@ class TestContinuityProbe:
         # The probe side is pinned: at this (sigma, mu) the crossing time
         # bends, so the sigma - h probes give other deviations.
         sigma, mu = 1.01, 0.03
-        t0 = miss(quarter_problem_radial, sigma, mu).crossing.t_star
+        t0 = miss(quarter_problem_radial, sigma, mu).t_star
 
         def deviations(side):
-            return [abs(miss(quarter_problem_radial, sigma + side * h, mu).crossing.t_star - t0) for h in (1e-3, 1e-4, 1e-5)]
+            return [abs(miss(quarter_problem_radial, sigma + side * h, mu).t_star - t0) for h in (1e-3, 1e-4, 1e-5)]
 
         plus, minus = deviations(+1), deviations(-1)
         assert crossing_time_deviation(quarter_problem_radial, mu, sigma) == plus
