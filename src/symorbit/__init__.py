@@ -15,7 +15,6 @@ from .errors import (
     BoundaryCrossing,
     BoundaryHypothesisFailure,
     BracketFailure,
-    DegenerateLimit,
     DomainExit,
     HypothesisViolation,
     NoBoundedMotion,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLimit, NoBoundedMotion
+from .errors import NoBoundedMotion
 from .forcefield import (
     ForceField,
     PowerLawParams,
@@ -244,13 +244,18 @@ def apsidal_angle(problem: RadialProblem) -> float:
 
 
 def apsidal_limit(params: PowerLawParams, r0: float) -> float:
-    """Closed-form limit of the apsidal angle as the orbit tends to circular."""
+    """Closed-form limit of the apsidal angle as the orbit tends to circular.
+
+    NoBoundedMotion where 3U' + rU'' <= 0, which leaves no near-circular
+    oscillation: for the power law, (2 - alpha) kappa r^-(alpha + 1) <= 0, the
+    alpha >= 2 that `radial_problem_from_launch` refuses too.
+    """
     if not 0 < r0 < math.inf:
         raise ValueError(f"r0 must be a finite positive number, got {r0}")
     u1, u2 = potential_derivatives(params, r0)
     denom = 3.0 * u1 + r0 * u2
     if denom <= 0.0:
-        raise DegenerateLimit(
+        raise NoBoundedMotion(
             f"3U' + rU'' = {denom} <= 0 at r={r0}: no near-circular oscillation"
         )
     return math.pi * math.sqrt(u1 / denom)

@@ -326,11 +326,12 @@ def _mu_grids(config: RunConfig):
 def cmd_sweep(config: RunConfig, problem: ShootingProblem, out_dir, as_json: bool) -> int:
     scan_cfg = config.scan
     check_symmetry(config.field, config.mu_grid["stop"], seed=config.seed)
-    curves = [run_sweep(problem, g, tol=config.solve_tol) for g in _mu_grids(config)]
-
+    # The scan first: its BoundaryHypothesisFailure refuses the command
+    # before the sweeps solve and validate any orbit.
     sigmas = np.linspace(scan_cfg["sigma_min"], scan_cfg["sigma_max"], scan_cfg["sigma_count"])
     scan_mus = np.linspace(0.0, scan_cfg["mu_max"], scan_cfg["mu_count"])
     scan = zero_set_scan(problem, sigmas, scan_mus)
+    curves = [run_sweep(problem, g, tol=config.solve_tol) for g in _mu_grids(config)]
 
     directions = ["positive", "negative"]
     summary = {

@@ -221,10 +221,13 @@ def zero_set_scan(
     """Sign matrix of the miss function over a (sigma, mu) grid.
 
     Every mu must lie in the field's open mu range and every sigma in the
-    speed band, checked before the first miss (miss's ValueError). The sigma
-    boundary rows must carry uniform opposite signs (the bracketing
-    hypothesis across the whole mu range); BoundaryHypothesisFailure otherwise.
-    Sign-change cells between adjacent sigma values trace the zero set.
+    speed band, checked before the first miss (miss's ValueError). A miss
+    that raises a SolverError leaves its cell at sign 0. The bracketing
+    hypothesis across the whole mu range: each sigma boundary row holds one
+    nonzero sign, and the two signs differ. Otherwise BoundaryHypothesisFailure
+    names both rows and, where a boundary cell failed, the first such cell
+    and its error, which it chains as `__cause__`. Sign-change cells between
+    adjacent sigma values trace the zero set.
     """
     sigmas = np.asarray(sigma_grid, dtype=float)
     mus = np.asarray(mu_grid, dtype=float)
@@ -236,26 +239,22 @@ def zero_set_scan(
         _check_sigma(problem, float(s))
 
     signs = np.zeros((sigmas.size, mus.size), dtype=int)
-    for i, s in enumerate(sigmas):
-        for j, m in enumerate(mus):
+    cause, where = None, ""  # the first failed boundary cell's error, and the cell
+    for i, s in enumerate(sigmas.tolist()):
+        for j, m in enumerate(mus.tolist()):
             try:
-                v = miss(problem, float(s), float(m)).value
+                v = miss(problem, s, m).value
                 signs[i, j] = 1 if v > 0 else (-1 if v < 0 else 0)
-            except SolverError:
-                signs[i, j] = 0
+            except SolverError as exc:
+                if cause is None and i in (0, sigmas.size - 1):
+                    cause, where = exc, f"; first failed cell sigma={s}, mu={m}: {type(exc).__name__}: {exc}"
 
-    lo, hi = signs[0, :], signs[-1, :]
-    if np.any(lo == 0) or np.any(hi == 0):
-        raise BoundaryHypothesisFailure("miss function undefined on a sigma boundary")
-    if len(set(lo.tolist())) != 1 or len(set(hi.tolist())) != 1:
+    lo, hi = signs[0].tolist(), signs[-1].tolist()
+    if not (len(set(lo)) == len(set(hi)) == 1 and lo[0] * hi[0] == -1):
         raise BoundaryHypothesisFailure(
-            f"non-uniform boundary signs: sigma={sigmas[0]} row {lo.tolist()}, "
-            f"sigma={sigmas[-1]} row {hi.tolist()}"
-        )
-    if lo[0] == hi[0]:
-        raise BoundaryHypothesisFailure(
-            f"equal signs ({lo[0]:+d}) on both sigma boundaries: no bracketing"
-        )
+            "sigma boundary rows need one nonzero sign each, the two opposite: "
+            f"sigma={sigmas[0]} row {lo}, sigma={sigmas[-1]} row {hi}{where}"
+        ) from cause
 
     change_cells, components = _bands(signs)
     row_complete = all(any(c[1] == j for c in change_cells) for j in range(mus.size))

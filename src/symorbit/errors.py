@@ -3,8 +3,10 @@
 Each class states the command-line exit code of its failure class as
 `exit_code`: 2 bracketing, 3 root-finding convergence, 4 validation (the
 default), 5 leaving the problem's domain of validity. The message states the
-values a failure reports; the one payload is `DomainExit.trajectory`, and a
-BracketFailure chains the last evaluation error as its `__cause__`.
+values a failure reports. Two classes carry a payload: `DomainExit.trajectory`
+and `SymmetryViolation.residuals`, which `verify` reports. A BracketFailure
+chains the last evaluation error as its `__cause__`, a
+BoundaryHypothesisFailure the error of its first failed boundary cell.
 """
 
 
@@ -82,18 +84,14 @@ class PointOnCurve(SolverError):
 
 
 class NoBoundedMotion(SolverError):
-    """The (E, K) level set admits no bounded radial oscillation."""
-
-    exit_code = 5
-
-
-class DegenerateLimit(SolverError):
-    """Closed-form apsidal-angle limit undefined (denominator not positive)."""
+    """No bounded radial oscillation: none on the (E, K) level set, or none
+    near the circular orbit, where 3U' + rU'' <= 0 (`apsidal_limit`)."""
 
     exit_code = 5
 
 
 class BoundaryHypothesisFailure(SolverError):
-    """A boundary column of the miss-sign scan does not carry a uniform sign."""
+    """A sigma boundary row of the miss-sign scan holds a 0 or two signs, or
+    both rows hold the same sign: the scan brackets no zero set."""
 
     exit_code = 5

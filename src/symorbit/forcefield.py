@@ -284,17 +284,14 @@ class ForceField:
         return _family(self.perturbation.kind)["force"](self._force_constants, x, y, mu)
 
 
-# Largest residual a declared reflection may leave.
+# Largest residual a declared reflection may leave, over how many random points.
 _SYMMETRY_TOL = 1e-10
+_SYMMETRY_SAMPLES = 64
 
 
-def check_symmetry(
-    field_: ForceField,
-    mu: float,
-    sample_count: int = 64,
-    seed: int = 0,
-) -> dict:
-    """Max residual |f(phi p) - phi f(p)| per declared reflection, over random samples.
+def check_symmetry(field_: ForceField, mu: float, seed: int = 0) -> dict:
+    """Max residual |f(phi p) - phi f(p)| per declared reflection, over
+    _SYMMETRY_SAMPLES points drawn uniformly in radius and angle from `seed`.
 
     Raises SymmetryViolation when a declared reflection fails beyond
     _SYMMETRY_TOL; built-in families with honest declarations sit at round-off.
@@ -303,12 +300,10 @@ def check_symmetry(
     """
     if not math.isfinite(mu):  # NaN would leave every residual out of max()
         raise ValueError(f"mu must be a finite number, got {mu}")
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
     r_in, r_out = field_.annulus
-    radii = rng.uniform(r_in, r_out, sample_count)
-    angles = rng.uniform(0.0, 2.0 * math.pi, sample_count)
+    radii = rng.uniform(r_in, r_out, _SYMMETRY_SAMPLES)
+    angles = rng.uniform(0.0, 2.0 * math.pi, _SYMMETRY_SAMPLES)
     undefined = (ZeroDivisionError, OverflowError)  # flow ends in StepFailure where it meets such a point
     points = []  # (x, y, f(x, y)), f once per point, on floats as the integrator evaluates it
     for x, y in zip((radii * np.cos(angles)).tolist(), (radii * np.sin(angles)).tolist()):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symorbit import (
-    DegenerateLimit,
     ForceField,
     NoBoundedMotion,
     PowerLawParams,
@@ -468,10 +467,13 @@ class TestApsidalLimit:
         )
 
     def test_degenerate_at_alpha_two(self):
-        with pytest.raises(DegenerateLimit):
-            apsidal_limit(PowerLawParams(1.0, 2.0), 1.0)
-        with pytest.raises(DegenerateLimit):
-            apsidal_limit(PowerLawParams(1.0, 2.7), 1.0)
+        # 3U' + rU'' = (2 - alpha) kappa r^-(alpha + 1) <= 0: no near-circular
+        # oscillation, refused by the class radial_problem_from_launch raises.
+        for alpha in (2.0, 2.7):
+            with pytest.raises(NoBoundedMotion, match=r"^3U' \+ rU'' = .* <= 0 at r=1.0: no near-circular oscillation$"):
+                apsidal_limit(PowerLawParams(1.0, alpha), 1.0)
+            with pytest.raises(NoBoundedMotion):
+                radial_problem_from_launch(PowerLawParams(1.0, alpha), 1.0, 1.05)
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(0.1, 10.0), st.floats(0.0, 1.99), st.floats(0.1, 10.0))

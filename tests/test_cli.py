@@ -874,6 +874,30 @@ class TestSweepCommand:
         fields = [f for line in lines[1:] for f in line.split(",")]
         assert "-0" not in fields and "0" in fields and "-0.01" in fields
 
+    def test_failing_scan_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        # On the alpha = 3 half family every launch at the scan's sigma
+        # boundaries leaves the annulus: both boundary rows are failed cells.
+        # The scan runs first, so the refusal costs no sweep, no validated
+        # orbit and no output file.
+        started = []
+        for module, name in ((cli, "run_sweep"), (continuation, "validate_orbit")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k: started.append(name) or real(*a, **k))
+        cfg = json.loads(write_steep_half_config(tmp_path / "c.json", seed=0).read_text())
+        cfg["mu_grid"] = {"stop": 0.005, "count": 3, "mirror": True}
+        cfg["scan"] = {"sigma_min": 0.964, "sigma_max": 1.036, "sigma_count": 5, "mu_max": 0.005, "mu_count": 3}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and started == [] and list(out.iterdir()) == []
+        assert re.fullmatch(
+            r"BoundaryHypothesisFailure: sigma boundary rows need one nonzero sign each, the two opposite: "
+            r"sigma=0.964 row \[0, 0, 0\], sigma=1.036 row \[0, 0, 0\]; first failed cell sigma=0.964, mu=0.0: "
+            r"DomainExit: orbit left annulus \[0.5, 2.0\] at t=[0-9.]+\n",
+            captured.err,
+        )
+
     @pytest.mark.parametrize("key, sigmas", [("sigma_min", (0.9, 1.04)), ("sigma_max", (0.96, 1.1))])
     def test_scan_outside_speed_band_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch, key, sigmas):
         started = []

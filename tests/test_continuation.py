@@ -599,13 +599,27 @@ class TestZeroSetScanFailures:
         assert not scan.row_complete
 
     def test_failed_cell_on_a_sigma_boundary(self, quarter_problem_radial, monkeypatch):
+        # One rule, one message: both rows, and the failed boundary cell with
+        # its error, chained as the cause.
         miss, _ = stub_miss(failing={(SCAN_SIGMAS[-1], SCAN_MUS[1])})
         monkeypatch.setattr(continuation, "miss", miss)
-        with pytest.raises(BoundaryHypothesisFailure, match="miss function undefined on a sigma boundary"):
+        with pytest.raises(BoundaryHypothesisFailure) as err:
             zero_set_scan(quarter_problem_radial, SCAN_SIGMAS, SCAN_MUS)
+        assert str(err.value) == (
+            "sigma boundary rows need one nonzero sign each, the two opposite: "
+            "sigma=0.91 row [-1, -1], sigma=1.11 row [1, 0]; "
+            "first failed cell sigma=1.11, mu=0.02: DomainExit: forced"
+        )
+        cause = err.value.__cause__
+        assert type(cause) is DomainExit and str(cause) == "forced"
 
     def test_equal_boundary_signs(self, quarter_problem_radial, monkeypatch):
         miss, _ = stub_miss(value=lambda sigma, mu: 1.0)
         monkeypatch.setattr(continuation, "miss", miss)
-        with pytest.raises(BoundaryHypothesisFailure, match=r"equal signs \(\+1\) on both sigma boundaries"):
+        with pytest.raises(BoundaryHypothesisFailure) as err:
             zero_set_scan(quarter_problem_radial, SCAN_SIGMAS, SCAN_MUS)
+        assert str(err.value) == (
+            "sigma boundary rows need one nonzero sign each, the two opposite: "
+            "sigma=0.91 row [1, 1], sigma=1.11 row [1, 1]"
+        )
+        assert err.value.__cause__ is None
