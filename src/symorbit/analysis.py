@@ -7,10 +7,10 @@ the polar-angle advance between consecutive apsides is a quadrature with
 inverse-square-root endpoint singularities removed by a sin^2 substitution.
 Near the circular solution the advance approaches a closed-form limit.
 
-A turning radius is bracketed by one expansion loop (`_turning_radius`),
-bisected by the package's one bisection loop (`integrator._bisect`) and
-Newton-polished. An apsis is a sign change of the radial speed at the step
-nodes, found by the integrator's sign-change rule (`_sign_changes`) and
+A turning radius is bracketed by one expansion loop (`_turning_radius`) and
+bisected to adjacent floats by the package's one bisection loop
+(`integrator._bisect`). An apsis is a sign change of the radial speed at the
+step nodes, found by the integrator's sign-change rule (`_sign_changes`) and
 refined on its step's interpolant (`Trajectory.refine_in_step`); no step is
 sampled that holds no apsis.
 """
@@ -66,17 +66,15 @@ def _circular_radius(params: PowerLawParams, K: float) -> float:
     return (K * K / params.kappa) ** (1.0 / (2.0 - params.alpha))
 
 
-def _turning_radius(params, K, g, inside, start, factor, rel_tol):
+def _turning_radius(g, inside, start, factor):
     """Root of g between `inside`, where g < 0, and the first radius of start,
     start * factor, start * factor^2, ... where g >= 0 (factor 0.5 searches
     inwards, 2 outwards; NoBoundedMotion past [1e-300, 1e300]); that radius
     itself when g is exactly 0 there.
 
-    `_bisect` halves the bracket, deciding by the package's sign-change rule
-    (`_crossed`), to a width of rel_tol times the radius: its upper end bounds
-    the radius on a first pass, the lower end that pass leaves on a second. A
-    few Newton steps on g' = -K^2 / r^3 + U'(r), where it is representable,
-    then push the root to the full double precision the quadrature needs.
+    `_bisect` halves the bracket to adjacent floats, deciding by the package's
+    sign-change rule (`_crossed`); the end past the sign change is the root,
+    as in `section._roots`.
     """
     out = start
     while True:
@@ -90,25 +88,7 @@ def _turning_radius(params, K, g, inside, start, factor, rel_tol):
         return out
     a, b = (out, inside) if factor < 1.0 else (inside, out)
     ga = g(a)
-
-    def pred(m):
-        return _crossed(ga, g(m))
-
-    a, b = _bisect(pred, a, b, rel_tol * b)
-    a, b = _bisect(pred, a, b, rel_tol * a)
-    r = 0.5 * (a + b)
-    for _ in range(3):
-        try:
-            d = -K * K / r**3 + potential_derivatives(params, r)[0]
-        except (ZeroDivisionError, OverflowError):  # g' not representable at r
-            break
-        if d == 0.0:
-            break
-        step = g(r) / d
-        if not math.isfinite(step) or abs(step) > 0.1 * r:
-            break
-        r -= step
-    return r
+    return _bisect(lambda m: _crossed(ga, g(m)), a, b)[1]
 
 
 def _ueff_increment(params: PowerLawParams, K: float, a: float, r):
@@ -169,10 +149,10 @@ def radial_problem_from_launch(
     r_c = _circular_radius(params, abs(K))
     if speed > 1.0:
         inside = max(r_c, a * (1.0 + 1e-12))
-        other = _turning_radius(params, K, g, inside, max(2.0 * r_c, 2.0 * a), 2.0, 1e-12)
+        other = _turning_radius(g, inside, max(2.0 * r_c, 2.0 * a), 2.0)
         return RadialProblem(params=params, E=E, K=K, r_min=a, r_max=other)
     inside = min(r_c, a * (1.0 - 1e-12))
-    other = _turning_radius(params, K, g, inside, min(0.5 * r_c, 0.5 * a), 0.5, 1e-12)
+    other = _turning_radius(g, inside, min(0.5 * r_c, 0.5 * a), 0.5)
     return RadialProblem(params=params, E=E, K=K, r_min=other, r_max=a)
 
 
@@ -282,5 +262,5 @@ def radial_accel_finite_difference(params: PowerLawParams, a: float, epsilon: fl
     field = ForceField(base=params, mu_range=1.0, annulus=(0.1 * a, 10.0 * a))
     v = (1.0 + epsilon) * circular_speed(params, a)
     traj = flow(field, 0.0, (a, 0.0), (0.0, v), h)
-    y = traj._eval(h)
+    y = traj.final_state().position
     return 2.0 * (math.hypot(y[0], y[1]) - a) / (h * h)

@@ -285,7 +285,7 @@ class ForceField:
 
 
 # Largest residual a declared reflection may leave, over how many random points.
-_SYMMETRY_TOL = 1e-10
+_FORCE_SYMMETRY_TOL = 1e-10
 _SYMMETRY_SAMPLES = 64
 
 
@@ -294,9 +294,10 @@ def check_symmetry(field_: ForceField, mu: float, seed: int = 0) -> dict:
     _SYMMETRY_SAMPLES points drawn uniformly in radius and angle from `seed`.
 
     Raises SymmetryViolation when a declared reflection fails beyond
-    _SYMMETRY_TOL; built-in families with honest declarations sit at round-off.
-    A sample where the force overflows or divides by zero is left out. f(p) is
-    evaluated once per sample, f(phi p) once per sample and reflection.
+    _FORCE_SYMMETRY_TOL; built-in families with honest declarations sit at
+    round-off. A sample where the force overflows or divides by zero is left
+    out. f(p) is evaluated once per sample, f(phi p) once per sample and
+    reflection.
     """
     if not math.isfinite(mu):  # NaN would leave every residual out of max()
         raise ValueError(f"mu must be a finite number, got {mu}")
@@ -325,10 +326,10 @@ def check_symmetry(field_: ForceField, mu: float, seed: int = 0) -> dict:
             worst = max(worst, math.sqrt(dx * dx + dy * dy))
         residuals[refl] = worst
 
-    bad = {k.value: v for k, v in residuals.items() if v > _SYMMETRY_TOL}
+    bad = {k.value: v for k, v in residuals.items() if v > _FORCE_SYMMETRY_TOL}
     if bad:
         raise SymmetryViolation(
-            f"declared symmetry violated beyond tol={_SYMMETRY_TOL}: {bad}", residuals=residuals
+            f"declared symmetry violated beyond tol={_FORCE_SYMMETRY_TOL}: {bad}", residuals=residuals
         )
     return residuals
 

@@ -41,15 +41,17 @@ P is the interpolant in monomial form, y(t_left + theta h) = y_left +
 h K^T P [theta, ..., theta^7] (K the stage matrix), derived once in exact
 rational arithmetic from the weights and the dense-output coefficients. The
 coefficients Q = K^T P are built only where something samples the step
-(`_q_matrix`) and evaluated by one Horner rule: on floats for one step
-(`_step_eval`, `_refine_in_step`) and on arrays for many times at once
+(`_q_matrix`) and evaluated by one Horner rule: on floats for one known
+step (`_step_eval`, `_refine_in_step`) and on arrays for many times at once
 (`eval_many`, over all steps' Q stacked in one batched product), bit for bit
-alike. At theta 0 `_step_eval` and `eval_many` give the left node as it is,
-`_step_eval` with no Q; `_refine_in_step` evaluates theta in (0, 1] only. Q is
-formed once per step: a trajectory that continues a prefix takes the prefix's
-stacked Q and forms only its new steps'. `eval_many` runs Horner's rule in
-place on the gathered coefficients, and on the position rows only when asked
-for positions (width 2). The section scan takes the coefficients of a step's
+alike. `eval_many` is the one lookup of the step that holds a time; a reader
+that knows its step (`final_state`, `truncated`, the section scan) calls
+`_step_eval` on it. At theta 0 `_step_eval` and `eval_many` give the left
+node as it is, `_step_eval` with no Q; `_refine_in_step` evaluates theta in
+(0, 1] only. Q is formed once per step: a trajectory that continues a prefix
+takes the prefix's stacked Q and forms only its new steps'. `eval_many` runs
+Horner's rule in place on the gathered coefficients, and on the position rows
+only when asked for positions (width 2). The section scan takes the coefficients of a step's
 position projected on its normal, and the sum of their moduli, from one call
 of `_normal_terms`, formed from the stages without building Q.
 
@@ -367,10 +369,12 @@ class Trajectory:
 
     Built from the records (t_left, h, y_left, stages) of its steps and its
     end node (t_end, y_end); the nodes `ts`, `ys` are the steps' left ends and
-    the end node. interpolate() reproduces each step's left node exactly; any
-    other time, t_end included, is read from its step's interpolant (at t_end
-    the last step's at theta 1, which may differ from the end node `ys[-1]`
-    in the last bits), continuous across the whole span.
+    the end node. interpolate() reads one time through `eval_many`: it
+    reproduces each step's left node exactly; any other time, t_end included,
+    is read from its step's interpolant (at t_end the last step's at theta 1,
+    which may differ from the end node `ys[-1]` in the last bits), continuous
+    across the whole span. final_state() reads that same value off the last
+    step without the lookup.
 
     A trajectory that a stop callback ended, with no trial shortened to meet
     the flow's t_end, keeps the flow's controller state (`_Resume`), so that
@@ -416,22 +420,18 @@ class Trajectory:
         step where pred(state), a predicate on (x, y, vx, vy), holds."""
         return _refine_in_step(self._dense[i], pred)
 
-    def _eval(self, t: float) -> np.ndarray:
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
-        i = min(max(i, 0), len(self._dense) - 1)
-        return _step_eval(self._dense[i], t)
-
     def eval_many(self, ts, width: int = 4) -> np.ndarray:
         """States at every time of ts, shape (len(ts), width): the first
         `width` components (x, y, vx, vy), so width 2 gives positions only.
 
-        Each time goes to the step `_eval` picks (a node belongs to the later
-        step) and is evaluated by `_step_eval`'s rule, with the same float
-        operations on arrays, so each row equals `_eval` bit for bit; a step's
-        left node time gives that node state exactly, and t_end the last
-        step's interpolant at theta 1, not the end node. Horner's rule runs in
-        place on the gathered coefficients: (acc + q_k) theta is theta (q_k +
-        theta acc') rounded alike, since float + and * commute.
+        Each time goes to the step that holds it (a node belongs to the later
+        step, and times outside the span to the nearest step) and is
+        evaluated by `_step_eval`'s rule, with the same float operations on
+        arrays, so each row equals `_step_eval` on that step bit for bit; a
+        step's left node time gives that node state exactly, and t_end the
+        last step's interpolant at theta 1, not the end node. Horner's rule
+        runs in place on the gathered coefficients: (acc + q_k) theta is
+        theta (q_k + theta acc') rounded alike, since float + and * commute.
         """
         t_left, h, y_left, q = self._arrays()
         ts = np.asarray(ts, dtype=float)
@@ -447,20 +447,28 @@ class Trajectory:
         return np.where(theta == 0.0, y_left, acc)
 
     def interpolate(self, t: float) -> State:
-        y = self._eval(float(t))
+        y = self.eval_many([t])[0]
         return State(t=float(t), position=y[:2], velocity=y[2:])
 
     def final_state(self) -> State:
-        return self.interpolate(self.t_end)
+        """The state at t_end, read from the last step at theta 1."""
+        y = _step_eval(self._dense[-1], self.t_end)
+        return State(t=self.t_end, position=y[:2], velocity=y[2:])
 
     def truncated(self, t_cut: float) -> "Trajectory":
         """Restriction to [0, t_cut]; keeps the step that straddles t_cut, and
-        the controller state only when it keeps every step."""
+        the controller state only when it keeps every step.
+
+        The end node is read from the last kept step, the one whose left node
+        is below t_cut. A t_cut exactly on a later step's left node therefore
+        reads the kept step at theta 1, the value the cut trajectory's own
+        `interpolate(t_cut)` returns, not that node's state.
+        """
         if not 0.0 < t_cut <= self.t_end + 1e-15:
             raise ValueError(f"t_cut={t_cut} outside span (0, {self.t_end}]")
         steps = [d for d in self._dense if d[0] < t_cut]
         resume = self._resume if len(steps) == len(self._dense) else None
-        return Trajectory(steps, t_cut, self._eval(t_cut), resume)
+        return Trajectory(steps, t_cut, _step_eval(steps[-1], t_cut), resume)
 
 
 def _q_matrices(stage_rows) -> np.ndarray:

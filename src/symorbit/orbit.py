@@ -10,7 +10,7 @@ c*s and its state sign vector follow from its reflections (`_branch`). An
 orbit evaluates any batch of times with one `Trajectory.eval_many` call on the
 mapped times, multiplied by the gathered sign vectors. Each per-orbit
 quantity is computed once: the segment's two ends by one `eval_many` call,
-the start state as the first sample (`initial_state`), and the polyline that
+the start state as the first sample (`states[0]`), and the polyline that
 the simplicity and winding checks read, on first use.
 
 The assembled orbit is checked independently of that construction. One
@@ -37,7 +37,7 @@ import numpy as np
 from . import serialize
 from .errors import HypothesisViolation, PointOnCurve
 from .forcefield import ForceField, Reflection
-from .integrator import State, Trajectory, _bisect, _crossed, _sign_changes, flow
+from .integrator import Trajectory, _bisect, _crossed, _sign_changes, flow
 from .shooting import Mode
 
 _ENDPOINT_RTOL = 1e-8  # on-axis / orthogonality tolerance relative to segment scale
@@ -97,11 +97,6 @@ class PeriodicOrbit:
         k = np.searchsorted(self._edges, s)
         return self.segment.eval_many(self._offsets[k] + self._slopes[k] * s) * self._signs[k]
 
-    def initial_state(self) -> State:
-        """The state at time 0: the first sample, which is `_eval([0.0])[0]` bit for bit."""
-        y = self.states[0]
-        return State(t=0.0, position=y[:2].copy(), velocity=y[2:].copy())
-
     @property
     def positions(self) -> np.ndarray:
         return self.states[:, :2]
@@ -125,7 +120,7 @@ class PeriodicOrbit:
     def to_dict(self, diagnostics: dict) -> dict:
         return {
             "mu": self.mu,
-            "v_mu": self.states[0, 2:].tolist(),  # the launch velocity, as `initial_state` reads it
+            "v_mu": self.states[0, 2:].tolist(),  # the launch velocity
             "period": self.period,
             "symmetry": "x_and_y_axes" if Reflection.Y_AXIS in self.symmetry else "x_axis",
             "diagnostics": diagnostics,
@@ -196,8 +191,8 @@ def verify_closure(
     crossing at T/4. The mirrored times are evaluated on q directly, so any
     sample count works.
     """
-    s0 = orbit.initial_state()
-    traj = flow(field, mu, s0.position, s0.velocity, orbit.period, prefix=orbit.segment)
+    s0 = orbit.states[0]
+    traj = flow(field, mu, s0[:2], s0[2:], orbit.period, prefix=orbit.segment)
     s1 = traj.final_state()
     ts, period = orbit.times, orbit.period
     refls = sorted(orbit.symmetry, key=lambda r: r.value)
@@ -207,8 +202,8 @@ def verify_closure(
     for r, at_mirrored in zip(refls, pos[1:]):
         residuals[r] = float(np.max(np.linalg.norm(pos[0] * np.array(r.signs) - at_mirrored, axis=1)))
     return (
-        float(np.linalg.norm(s1.position - s0.position)),
-        float(np.linalg.norm(s1.velocity - s0.velocity)),
+        float(np.linalg.norm(s1.position - s0[:2])),
+        float(np.linalg.norm(s1.velocity - s0[2:])),
         residuals,
     )
 
@@ -433,7 +428,7 @@ def validate_orbit(
     wind = winding_number(orbit)
     crossings = axis_crossings(orbit)
 
-    x0 = float(orbit.initial_state().position[0])
+    x0 = float(orbit.states[0, 0])
     crossing_ok = len(crossings) == 2
     if crossing_ok:
         xs = sorted(c["x"] for c in crossings)

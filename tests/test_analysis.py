@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ class TestEffectivePotential:
         assert vals[1] < vals[0] and vals[1] < vals[2]
 
 
-def turning_radii(params, E, K, rel_tol=1e-12):
+def turning_radii(params, E, K):
     """Roots of E = U_eff(r) bracketing the circular radius, for any (E, K):
     the generic counterpart of radial_problem_from_launch, which takes the
     launch radius as one root. Raises NoBoundedMotion without a bounded
@@ -107,8 +108,8 @@ def turning_radii(params, E, K, rel_tol=1e-12):
     def g(r):
         return effective_potential(params, K, r) - E
 
-    r_min = _turning_radius(params, K, g, r_c, r_c, 0.5, rel_tol)
-    r_max = _turning_radius(params, K, g, r_c, r_c, 2.0, rel_tol)
+    r_min = _turning_radius(g, r_c, r_c, 0.5)
+    r_max = _turning_radius(g, r_c, r_c, 2.0)
     return r_min, r_max
 
 
@@ -155,19 +156,53 @@ class TestTurningRadii:
             turning_radii(kepler_params, -0.5, 0.0)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-200])
-    def test_tiny_values_keep_their_sign(self, kepler_params, scale):
+    def test_tiny_values_keep_their_sign(self, scale):
         # At scale 1e-200 the product of two values of g underflows to 0,
         # which a product test reads as a sign change anywhere; the package's
-        # sign-change rule compares signs. With K = 0 the Newton polish uses
-        # g' = U'(r), which moves the root of these linear g only at round-off.
-        outward = _turning_radius(kepler_params, 0.0, lambda r: scale * (r - 1.3), 1.0, 1.0, 2.0, 1e-12)
-        inward = _turning_radius(kepler_params, 0.0, lambda r: scale * (0.7 - r), 1.0, 1.0, 0.5, 1e-12)
+        # sign-change rule compares signs.
+        outward = _turning_radius(lambda r: scale * (r - 1.3), 1.0, 1.0, 2.0)
+        inward = _turning_radius(lambda r: scale * (0.7 - r), 1.0, 1.0, 0.5)
         assert outward == pytest.approx(1.3, rel=1e-10)
         assert inward == pytest.approx(0.7, rel=1e-10)
 
-    def test_exact_zero_at_the_expanded_end_is_the_root(self, kepler_params):
-        assert _turning_radius(kepler_params, 0.0, lambda r: r - 2.0, 1.0, 1.0, 2.0, 1e-12) == 2.0
-        assert _turning_radius(kepler_params, 0.0, lambda r: 0.5 - r, 1.0, 1.0, 0.5, 1e-12) == 0.5
+    def test_exact_zero_at_the_expanded_end_is_the_root(self):
+        assert _turning_radius(lambda r: r - 2.0, 1.0, 1.0, 2.0) == 2.0
+        assert _turning_radius(lambda r: 0.5 - r, 1.0, 1.0, 0.5) == 0.5
+
+
+# The turning radius other than r = 1 of a launch from (1, 0) at sigma times
+# circular speed in the unit power law, U(r) = -1 / (alpha r^alpha) (log r at
+# alpha = 0): the root of K^2 / (2 r^2) + U(r) = K^2 / 2 + U(1), K = sigma,
+# for the float sigma. Bisected in 100-digit mpmath arithmetic, agreeing with
+# a 60-digit run to 50 digits, and written to 36.
+_LAUNCH_RADII = {
+    (0.0, 0.5): "0.310885223518496985035385755280299919",
+    (0.0, 0.9): "0.815619228903451841149774723615920994",
+    (0.0, 0.999): "0.998001665556225571240458160497212093",
+    (0.0, 1.001): "1.00200166777844828077334114932891011",
+    (0.0, 1.1): "1.21784852800671963268354994350643328",
+    (0.5, 0.5): "0.236232732069443536518794898889731366",
+    (0.5, 0.9): "0.766261527909235908437592959851744727",
+    (0.5, 0.999): "0.997337032433566386306850161505822238",
+    (0.5, 1.001): "1.00267037498501952302469346998076228",
+    (0.5, 1.1): "1.30894568947692748487378811536449730",
+    (1.5, 0.5): "0.0355421993288948354411458605813232226",
+    (1.5, 0.9): "0.495341627573402183110144814781048920",
+    (1.5, 0.999): "0.992046394525723145477618526061550754",
+    (1.5, 1.001): "1.00804694210136253317161434525931586",
+    (1.5, 1.1): "2.96975141477231826347597815358596763",
+}
+
+
+class TestTurningRadiiMatchHighPrecision:
+    @pytest.mark.parametrize("alpha, sigma", sorted(_LAUNCH_RADII))
+    def test_within_16_ulp(self, alpha, sigma):
+        problem = radial_problem_from_launch(PowerLawParams(1.0, alpha), 1.0, sigma)
+        assert type(problem.r_min) is float and type(problem.r_max) is float
+        solved, launch = (problem.r_max, problem.r_min) if sigma > 1.0 else (problem.r_min, problem.r_max)
+        assert launch == 1.0
+        want = Fraction(_LAUNCH_RADII[alpha, sigma])
+        assert abs(Fraction(solved) - want) <= 16 * Fraction(math.ulp(float(want)))
 
 
 class TestSlowLaunch:
@@ -191,24 +226,6 @@ class TestSlowLaunch:
         # Pericenter of a launch from the apocenter R = 1: sigma^2 / (2 - sigma^2).
         r_min = radial_problem_from_launch(kepler_params, 1.0, sigma).r_min
         assert r_min == pytest.approx(sigma * sigma / (2.0 - sigma * sigma), rel=1e-12)
-
-    def test_newton_polish_stops_where_g_prime_is_unrepresentable(self, monkeypatch):
-        # At sigma = 1e-100 the pericenter is about 5e-201, where r**3
-        # underflows to 0 and -K^2 / r**3 raises ZeroDivisionError before
-        # U'(r) is read: the polish stops at once and the bisection's radius
-        # stands.
-        calls = []
-        derivatives = analysis.potential_derivatives
-        monkeypatch.setattr(analysis, "potential_derivatives", lambda *a: calls.append(a) or derivatives(*a))
-        sigma = 1e-100
-        r_min = radial_problem_from_launch(PowerLawParams(1.0, 1.0), 1.0, sigma).r_min
-        assert r_min == pytest.approx(sigma * sigma / (2.0 - sigma * sigma), rel=1e-12)
-        assert r_min**3 == 0.0 and calls == []
-        with pytest.raises(ZeroDivisionError):
-            -sigma * sigma / r_min**3
-        # At sigma = 1e-12 the same polish reads U'(r).
-        radial_problem_from_launch(PowerLawParams(1.0, 1.0), 1.0, 1e-12)
-        assert calls
 
     def test_radial_launch_has_no_inner_turning_radius(self, kepler_params):
         with pytest.raises(NoBoundedMotion, match="no inner turning radius"):
@@ -285,8 +302,8 @@ class TestApsides:
 def sampled_apsides(traj):
     """Reference for apsides: (kind, t, r) from the radial speed sampled at
     four points per step, sign changes found by products and each bisected in
-    t through Trajectory._eval; an endpoint apsis is classified by the radius
-    at the first sample."""
+    t through Trajectory.eval_many; an endpoint apsis is classified by the
+    radius at the first sample."""
     t_left = np.array([step[0] for step in traj._dense])
     h = np.array([step[1] for step in traj._dense])
     ts = np.concatenate([[0.0], (t_left[:, None] + h[:, None] * np.arange(1, 5) / 4).ravel()])
@@ -294,11 +311,11 @@ def sampled_apsides(traj):
     vals = (ys[:, 0] * ys[:, 2] + ys[:, 1] * ys[:, 3]) / np.hypot(ys[:, 0], ys[:, 1])
 
     def rdot(t):
-        y = traj._eval(t)
+        y = traj.eval_many([t])[0]
         return (y[0] * y[2] + y[1] * y[3]) / math.hypot(y[0], y[1])
 
     def radius(t):
-        return math.hypot(*traj._eval(t)[:2])
+        return math.hypot(*traj.eval_many([t], width=2)[0])
 
     v_scale = float(np.max(np.linalg.norm(traj.ys[:, 2:], axis=1)))
     if float(np.max(np.abs(vals))) < 1e-9 * v_scale:

@@ -1,4 +1,5 @@
 import ast
+import bisect
 import linecache
 import math
 import os
@@ -245,8 +246,7 @@ class TestDenseOutput:
     def test_interpolation_continuity_across_steps(self, kepler_field):
         traj = flow(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.05), 3.0)
         for t_node in traj.ts[1:-1][::5]:
-            left = traj._eval(np.nextafter(t_node, -np.inf))
-            right = traj._eval(np.nextafter(t_node, np.inf))
+            left, right = traj.eval_many([np.nextafter(t_node, -np.inf), np.nextafter(t_node, np.inf)])
             assert np.allclose(left, right, atol=1e-11)
 
     @pytest.mark.parametrize("past_end", [False, True])
@@ -279,10 +279,19 @@ class TestDenseOutput:
         assert first == [0.0, 1.0, 0.0, 0.0, 1.0]
 
 
+def step_eval_at(traj, t):
+    """`_step_eval` on the step that holds t: the last whose left node is at
+    or before t, the first step before the span and the last at and past its
+    end."""
+    i = bisect.bisect_right([step[0] for step in traj._dense], t) - 1
+    return integrator._step_eval(traj._dense[max(i, 0)], t)
+
+
 def assert_eval_many_matches(traj, ts):
-    """eval_many rows agree with one _eval per time to 8 ulp of max(1, |y|)."""
+    """eval_many rows agree with one `_step_eval` per time, on the step that
+    holds it, to 8 ulp of max(1, |y|)."""
     got = traj.eval_many(ts)
-    want = np.array([traj._eval(t) for t in ts])
+    want = np.array([step_eval_at(traj, t) for t in ts])
     assert got.shape == (len(ts), 4)
     bound = 8 * np.finfo(float).eps * np.maximum(1.0, np.max(np.abs(want), axis=1))
     assert np.all(np.max(np.abs(got - want), axis=1) <= bound)
@@ -353,9 +362,10 @@ class TestExitInsideOneStep:
 
 
 class TestOneEvaluationRule:
-    """`_eval` (one step, on floats) and `eval_many` (every step, on arrays)
-    evaluate the interpolant by one rule: equal bit for bit at any time, node
-    times and their neighbours included."""
+    """`_step_eval` (one step, on floats) and `eval_many` (every step, on
+    arrays) evaluate the interpolant by one rule: equal bit for bit at any
+    time, on the step that holds it, node times and their neighbours
+    included."""
 
     @pytest.fixture(scope="class", params=["full", "truncated", "domain_exit"])
     def traj(self, request, kepler_field, kepler_radial_field):
@@ -377,7 +387,13 @@ class TestOneEvaluationRule:
             t = float(traj.ts[k % len(traj.ts)])
             ts.append(t if side == 0 else float(np.nextafter(t, side * np.inf)))
         for t, row in zip(ts, traj.eval_many(ts)):
-            assert np.array_equal(traj._eval(t), row), t
+            assert np.array_equal(step_eval_at(traj, t), row), t
+
+    def test_final_state_is_eval_many_at_t_end(self, traj):
+        # final_state reads the last step without a lookup: the same bits.
+        end = traj.final_state()
+        assert end.t == traj.t_end
+        assert np.array_equal(np.concatenate([end.position, end.velocity]), traj.eval_many([traj.t_end])[0])
 
 
 def test_normal_coefficients_are_the_projected_interpolant(kepler_radial_field):
@@ -553,8 +569,8 @@ def walled_field(monkeypatch, kepler_params):
 
 def _assert_dense_agreement(traj, ref, t_end):
     assert traj.n_steps == ref.n_steps
-    for t in np.linspace(0.0, t_end, 500):
-        assert np.max(np.abs(traj._eval(t) - ref._eval(t))) < 1e-10
+    ts = np.linspace(0.0, t_end, 500)
+    assert np.max(np.abs(traj.eval_many(ts) - ref.eval_many(ts))) < 1e-10
 
 
 class TestFloatStepLoopMatchesReference:

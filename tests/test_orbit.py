@@ -169,17 +169,17 @@ def branch_eval_reference(segment, mode):
     def branch_eval(t):
         s = t % period
         if s <= tau:
-            return segment._eval(s).copy()
+            return segment.eval_many([s])[0]
         if mode == "half":
-            y = segment._eval(period - s)
+            y = segment.eval_many([period - s])[0]
             return np.array([y[0], -y[1], -y[2], y[3]])
         if s <= 2.0 * tau:
-            y = segment._eval(2.0 * tau - s)
+            y = segment.eval_many([2.0 * tau - s])[0]
             return np.array([-y[0], y[1], y[2], -y[3]])
         if s <= 3.0 * tau:
-            y = segment._eval(s - 2.0 * tau)
+            y = segment.eval_many([s - 2.0 * tau])[0]
             return np.array([-y[0], -y[1], -y[2], -y[3]])
-        y = segment._eval(period - s)
+        y = segment.eval_many([period - s])[0]
         return np.array([y[0], -y[1], -y[2], y[3]])
 
     return branch_eval
@@ -210,21 +210,15 @@ class TestReflectionTable:
 
     def test_start_is_the_segment_start(self, solved_perturbed_orbit):
         start = solved_perturbed_orbit.segment.ys[0]
-        s0 = solved_perturbed_orbit.initial_state()
-        assert np.array_equal(np.r_[s0.position, s0.velocity], start)
         assert np.array_equal(solved_perturbed_orbit.states[0], start)
 
     @pytest.mark.parametrize("orbit_fixture", ["solved_perturbed_orbit", "half_orbit_a05", "half_orbit_a3"])
     def test_initial_state_is_the_orbit_at_zero(self, request, orbit_fixture):
-        # The first sample, read without evaluating the interpolant again, in
-        # both modes; a copy, so the orbit's samples stay as they are.
+        # The first sample, which verify_closure and validate_orbit read as
+        # the start state, is the orbit's interpolant at time 0 bit for bit,
+        # in both modes.
         orb = request.getfixturevalue(orbit_fixture)
-        s0, at0 = orb.initial_state(), orb._eval([0.0])[0]
-        assert s0.t == 0.0
-        assert s0.position.tobytes() == at0[:2].tobytes()
-        assert s0.velocity.tobytes() == at0[2:].tobytes()
-        s0.position[0] = math.nan
-        assert orb.states[0, 0] == at0[0]
+        assert orb.states[0].tobytes() == orb._eval([0.0])[0].tobytes()
 
 
 class TestClosureScaling:
@@ -1041,9 +1035,9 @@ class TestContinuedClosure:
         sol = solve(quarter_problem_radial, 0.05)
         orbit = extend_quarter(sol.segment, mu=0.05)
         segment, field = sol.segment, quarter_problem_radial.field
-        s0 = orbit.initial_state()
+        s0 = orbit.states[0]
         del trials[:]
-        fresh = flow(field, 0.05, s0.position, s0.velocity, orbit.period)
+        fresh = flow(field, 0.05, s0[:2], s0[2:], orbit.period)
         fresh_trials = len(trials)
         del trials[:]
         with pytest.MonkeyPatch.context() as mp:

@@ -199,7 +199,7 @@ class TestCrossingContinuity:
 
 
 # Reference: the crossing scan on a grid of step nodes and interior points,
-# evaluating the normal coordinate through Trajectory._eval. A grid value of
+# evaluating the normal coordinate through Trajectory.eval_many. A grid value of
 # exactly zero ends a sign change; extrema between grid points are not searched.
 def _reference_crossing_time(traj, section, subsamples=4):
     """t* of the first transversal crossing; raises like first_transversal_crossing."""
@@ -209,7 +209,7 @@ def _reference_crossing_time(traj, section, subsamples=4):
     _, _, normal = section_frame_numpy(section.start, section.end)
 
     def g(t):
-        return float(normal @ (traj._eval(t)[:2] - np.asarray(section.start)))
+        return float(normal @ (traj.eval_many([t], width=2)[0] - np.asarray(section.start)))
 
     grid = [0.0]
     for t_left, h, _, _ in traj._dense:
@@ -233,7 +233,7 @@ def _reference_crossing_time(traj, section, subsamples=4):
                 else:
                     a, ga = m, gm
             t_star = 0.5 * (a + b)
-            y = traj._eval(t_star)
+            y = traj.eval_many([t_star])[0]
             tau = section.tangent_coord(y[:2])
             if -bt < tau < bt or section.length - bt < tau < section.length + bt:
                 raise BoundaryCrossing("boundary")
