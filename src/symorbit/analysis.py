@@ -70,7 +70,9 @@ def _turning_radius(g, inside, start, factor):
     """Root of g between `inside`, where g < 0, and the first radius of start,
     start * factor, start * factor^2, ... where g >= 0 (factor 0.5 searches
     inwards, 2 outwards; NoBoundedMotion past [1e-300, 1e300]); that radius
-    itself when g is exactly 0 there.
+    itself when g is exactly 0 there. None when the bisection finds no sign
+    change because g(inside) >= 0: no end of the bracket is returned as a
+    root unless g crosses zero there.
 
     `_bisect` halves the bracket to adjacent floats, deciding by the package's
     sign-change rule (`_crossed`); the end past the sign change is the root,
@@ -86,9 +88,16 @@ def _turning_radius(g, inside, start, factor):
         out *= factor
     if g_out == 0.0:
         return out
-    a, b = (out, inside) if factor < 1.0 else (inside, out)
-    ga = g(a)
-    return _bisect(lambda m: _crossed(ga, g(m)), a, b)[1]
+    if factor < 1.0:
+        a, b, ga = out, inside, g_out
+    else:
+        a, b, ga = inside, out, g(inside)
+        if not ga < 0.0:
+            return None
+    root = _bisect(lambda m: _crossed(ga, g(m)), a, b)[1]
+    if root == inside and not g(inside) < 0.0:
+        return None  # inwards, the bisection met no g <= 0 short of inside
+    return root
 
 
 def _ueff_increment(params: PowerLawParams, K: float, a: float, r):
@@ -146,13 +155,26 @@ def radial_problem_from_launch(
     def g(r):
         return -_ueff_increment(params, K, a, r)  # U_eff(r) - U_eff(a)
 
+    # The search starts inside, at r_c or a nudge off a, whichever is further
+    # from a. Where the other turning radius lies nearer to a than that, g >= 0
+    # there and the nudge is halved until g < 0; a nudge that rounds to a
+    # leaves no radius between a and the other turning radius, and the level
+    # set is circular to working precision.
     r_c = _circular_radius(params, abs(K))
+    side = 1.0 if speed > 1.0 else -1.0
+    nudge = 1e-12
     if speed > 1.0:
-        inside = max(r_c, a * (1.0 + 1e-12))
-        other = _turning_radius(g, inside, max(2.0 * r_c, 2.0 * a), 2.0)
+        inside, start, factor = max(r_c, a * (1.0 + nudge)), max(2.0 * r_c, 2.0 * a), 2.0
+    else:
+        inside, start, factor = min(r_c, a * (1.0 - nudge)), min(0.5 * r_c, 0.5 * a), 0.5
+    while (other := _turning_radius(g, inside, start, factor)) is None:
+        nudge *= 0.5
+        inside = a * (1.0 + side * nudge)
+        if inside == a:
+            other = a
+            break
+    if speed > 1.0:
         return RadialProblem(params=params, E=E, K=K, r_min=a, r_max=other)
-    inside = min(r_c, a * (1.0 - 1e-12))
-    other = _turning_radius(g, inside, min(0.5 * r_c, 0.5 * a), 0.5)
     return RadialProblem(params=params, E=E, K=K, r_min=other, r_max=a)
 
 

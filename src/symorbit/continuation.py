@@ -8,12 +8,14 @@ validated orbit, solves; the first failure truncates the curve and defines the
 empirical usable perturbation range. The scan evaluates miss-function signs on
 a (sigma, mu) grid: uniform opposite signs on the sigma boundaries plus a sign
 change inside every mu row is the checkable footprint of a connected zero set
-crossing the whole mu range.
+crossing the whole mu range. Only a sign is needed there, so the scan
+evaluates each cell at a loose tolerance first and keeps that sign where it
+is certified (`zero_set_scan`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -21,7 +23,21 @@ from . import serialize
 from .errors import BoundaryHypothesisFailure, SolverError
 from .integrator import _crossed
 from .orbit import extend_half, extend_quarter, validate_orbit
-from .shooting import Bracket, Mode, ShootingProblem, _check_mu, _check_sigma, bracket, miss, solve
+from .section import _clears
+from .shooting import Bracket, MissValue, Mode, ShootingProblem, _check_mu, _check_sigma, bracket, miss, solve
+
+# The scan's loose sign evaluations run at _SCAN_TOL, and a loose sign is kept
+# when the loose miss clears every threshold by _CERTIFY * _SCAN_TOL, relative
+# (`_certified`). DOP853's global error is proportional to its tolerance
+# (Hairer, Norsett & Wanner, Solving ODEs I, II.4). Measured on the sign_scan
+# grids at seeds 0-9, 41 x 21 grids over sigma = 1 +- eta on the half alpha =
+# 0.5 and alpha = 3 families and zero_set_heatmap.py's grids at alpha = 1, 1.5
+# and 3, the loose result differs from the default by at most 12.6 _SCAN_TOL v0
+# in the miss, 7.6 in the normal speed, 2.3 _SCAN_TOL lengths in the crossing's
+# tangent coordinate and 2.5 _SCAN_TOL windows in t*: the margin leaves at
+# least 79x over each.
+_SCAN_TOL = 1e-8
+_CERTIFY = 1e3
 
 
 @dataclass(frozen=True)
@@ -213,6 +229,31 @@ def _bands(signs: np.ndarray) -> tuple[list, list]:
     return change_cells, [sorted(cells) for cells in bands.values()]
 
 
+def _loose_problem(problem: ShootingProblem) -> ShootingProblem | None:
+    """`problem` in an annulus narrowed by _CERTIFY * _SCAN_TOL, relative, at
+    both ends, for the scan's loose flows: the flow's own exit test, turning
+    points included, keeps them clear of the true annulus. None when the
+    annulus is too thin to narrow."""
+    rel = _CERTIFY * _SCAN_TOL
+    r_in, r_out = problem.field.annulus
+    annulus = (r_in * (1.0 + rel), r_out * (1.0 - rel))
+    if not annulus[0] < annulus[1]:
+        return None
+    return replace(problem, field=replace(problem.field, annulus=annulus))
+
+
+def _certified(problem: ShootingProblem, loose: MissValue) -> bool:
+    """Whether the loose miss's sign is certified, by the rule that
+    `zero_set_scan` states; `section._clears` checks the section's part."""
+    rel = _CERTIFY * _SCAN_TOL
+    v0 = problem.circular_velocity
+    return (
+        abs(loose.value) >= rel * v0
+        and loose.t_star <= (1.0 - rel) * problem.window
+        and _clears(problem.section, loose.trajectory, loose.t_star, rel, rel * v0)
+    )
+
+
 def zero_set_scan(
     problem: ShootingProblem,
     sigma_grid,
@@ -221,8 +262,17 @@ def zero_set_scan(
     """Sign matrix of the miss function over a (sigma, mu) grid.
 
     Every mu must lie in the field's open mu range and every sigma in the
-    speed band, checked before the first miss (miss's ValueError). A miss
-    that raises a SolverError leaves its cell at sign 0. The bracketing
+    speed band, checked before the first miss (miss's ValueError). Each cell
+    is first evaluated at the loose tolerance _SCAN_TOL, in the annulus
+    narrowed by _CERTIFY * _SCAN_TOL at both ends (`_loose_problem`), and
+    that sign is kept when it is certified (`_certified`): |miss| and the
+    crossing's normal speed over the transversality floor exceed that margin
+    times the circular speed, and the crossing clears the segment's endpoint
+    bands, the section line before it and the window's end by the margin
+    times the segment's length or the window. Every other cell, a loose
+    SolverError included, is recomputed by a miss at the default tolerance,
+    so the matrix is the one of that miss per cell, whose SolverError leaves
+    its cell at sign 0. Both go through this module's `miss`. The bracketing
     hypothesis across the whole mu range: each sigma boundary row holds one
     nonzero sign, and the two signs differ. Otherwise BoundaryHypothesisFailure
     names both rows and, where a boundary cell failed, the first such cell
@@ -238,12 +288,19 @@ def zero_set_scan(
     for s in sigmas:
         _check_sigma(problem, float(s))
 
+    loose = _loose_problem(problem)
     signs = np.zeros((sigmas.size, mus.size), dtype=int)
     cause, where = None, ""  # the first failed boundary cell's error, and the cell
     for i, s in enumerate(sigmas.tolist()):
         for j, m in enumerate(mus.tolist()):
             try:
-                v = miss(problem, s, m).value
+                try:
+                    value = None if loose is None else miss(loose, s, m, _SCAN_TOL)
+                except SolverError:
+                    value = None
+                if value is None or not _certified(problem, value):
+                    value = miss(problem, s, m)
+                v = value.value
                 signs[i, j] = 1 if v > 0 else (-1 if v < 0 else 0)
             except SolverError as exc:
                 if cause is None and i in (0, sigmas.size - 1):

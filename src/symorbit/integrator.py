@@ -5,18 +5,21 @@ The integrator propagates the eighth-order solution of Dormand and Prince's
 third-order estimators, and keeps with every accepted step what its
 seventh-order interpolant is built from, so downstream event detection can
 refine crossing times without re-integrating (Hairer, Norsett & Wanner,
-Solving ODEs I, II.5 and II.6). The error tolerances are fixed, relative and
-absolute both 1e-12 (`_RTOL`, `_ATOL`); the first step comes from Hairer's
-starting heuristic and no step is capped. Leaving the validity annulus
+Solving ODEs I, II.5 and II.6). The error tolerances, relative and absolute,
+are both 1e-12 (`_RTOL`, `_ATOL`), read at each call; `flow`'s `tol` sets
+both for one flow, which only the zero-set scan's loose, certified sign
+evaluations pass (`continuation.zero_set_scan`). The first step comes from
+Hairer's starting heuristic and no step is capped. Leaving the validity annulus
 terminates the flow with a DomainExit carrying the trajectory up to the
 refined exit, whose message names the exit time. An optional stop callback
 sees each accepted step's record and end state after the annulus check and
 ends the flow after the first step for which it returns true: terminal event
 location (II.6). It changes no step before that one, so the trajectory it
 ends keeps the step controller's state there (`_Resume`), and a later flow
-from the same start, in the same field at the same mu, continues it past its
-end (`flow`'s prefix) instead of repeating its steps. A span at or below the time resolution (`_RESOLUTION`) holds no step
-and is refused.
+from the same start, in the same field at the same mu and tolerances,
+continues it past its end (`flow`'s prefix) instead of repeating its steps. A
+span at or below the time resolution (`_RESOLUTION`) holds no step and is
+refused.
 
 Only this module knows the tableau, the step record, the dense-output matrix
 P and, from P's shape, the stage count and the interpolant's degree. The step
@@ -347,14 +350,17 @@ class _Resume(NamedTuple):
     """The step controller of a flow that its stop callback ended, at the
     flow's last node: what the loop of `flow` would carry into its next trial.
 
-    field and mu are the flow's; t, state, force and g are the last node's
-    time, state, force (the FSAL stage) and r dr/dt; h is the next trial's
-    step, the controller's update of the last accepted one; trials counts the
-    trials taken; h_first is the first trial's step, `_initial_step`'s.
+    field, mu, rtol and atol are the flow's; t, state, force and g are the
+    last node's time, state, force (the FSAL stage) and r dr/dt; h is the
+    next trial's step, the controller's update of the last accepted one;
+    trials counts the trials taken; h_first is the first trial's step,
+    `_initial_step`'s.
     """
 
     field: ForceField
     mu: float
+    rtol: float
+    atol: float
     t: float
     state: tuple
     force: tuple
@@ -749,12 +755,13 @@ def _step_kernel(kind: str):
     return _generated(_step_source(kind), filename)[f"_dop853_step_{kind}"]
 
 
-def _continuable(prefix, field, mu, state, t_end, min_step) -> _Resume | None:
-    """`prefix`'s controller state when the flow of `field` at mu from `state`
-    over [0, t_end] repeats the prefix's trials exactly, else None.
+def _continuable(prefix, field, mu, rtol, atol, state, t_end, min_step) -> _Resume | None:
+    """`prefix`'s controller state when the flow of `field` at mu, rtol and
+    atol from `state` over [0, t_end] repeats the prefix's trials exactly,
+    else None.
 
     That is when the prefix kept its state (`Trajectory._resume`) and ran with
-    the same field object, the same mu and the same start state, bit for bit;
+    the same field object, the same mu, tolerances and start state, bit for bit;
     when t_end caps none of its trials; and when none of its steps is below
     the new min_step. The trials at a node shrink until one is accepted: the
     first is `_initial_step`'s h_first at t = 0 and at most `_MAX_FACTOR`
@@ -767,7 +774,9 @@ def _continuable(prefix, field, mu, state, t_end, min_step) -> _Resume | None:
     if resume is None or resume.field is not field:
         return None
     # Bits, not values: -0.0 is not 0.0, and a NaN is itself.
-    if struct.pack("<5d", resume.mu, *prefix._dense[0][2]) != struct.pack("<5d", mu, *state):
+    if struct.pack("<7d", resume.mu, resume.rtol, resume.atol, *prefix._dense[0][2]) != struct.pack(
+        "<7d", mu, rtol, atol, *state
+    ):
         return None
     hs = [step[1] for step in prefix._dense]
     if not (max(resume.h_first, _MAX_FACTOR * max(hs)) <= t_end - resume.t and min(hs) >= min_step):
@@ -783,10 +792,13 @@ def flow(
     t_end: float,
     stop=None,
     prefix: Trajectory | None = None,
+    tol: float | None = None,
 ) -> Trajectory:
     """Integrate r'' = g(r, mu) from (x, v) over [0, t_end] at the module's
-    tolerances `_RTOL` and `_ATOL`. A t_end at or below the time resolution
-    `_RESOLUTION` max(t_end, 1), where no step fits, is a ValueError.
+    tolerances `_RTOL` and `_ATOL`, read at this call, or at relative and
+    absolute tolerance `tol` both when it is given. A t_end at or below the
+    time resolution `_RESOLUTION` max(t_end, 1), where no step fits, is a
+    ValueError.
 
     The first step is `_initial_step`'s estimate and every later one the
     controller's, capped by nothing but the span's end. Raises DomainExit
@@ -808,12 +820,12 @@ def flow(
 
     `prefix`, a trajectory that a stop callback ended, is continued instead
     of integrated again when the flow from (x, v) would repeat its steps
-    (`_continuable`: the same field object, mu and start state, bit for bit,
-    and a t_end that caps none of its trials): the loop starts at the
-    prefix's last node with its controller state and its step records. The
-    result is the flow without `prefix`, bit for bit, as it is when the
-    prefix does not qualify and the flow starts at the launch. `stop` and
-    `prefix` are not taken together.
+    (`_continuable`: the same field object, mu, tolerances and start state,
+    bit for bit, and a t_end that caps none of its trials): the loop starts
+    at the prefix's last node with its controller state and its step
+    records. The result is the flow without `prefix`, bit for bit, as it is
+    when the prefix does not qualify and the flow starts at the launch.
+    `stop` and `prefix` are not taken together.
     """
     if not 0.0 < t_end < math.inf:  # false for NaN too
         raise ValueError(f"t_end must be a finite number > 0, got {t_end}")
@@ -830,10 +842,10 @@ def flow(
     r_in, r_out = field.annulus
     accel = field.acceleration
     step_kernel, constants = _step_kernel(field.perturbation.kind), field._force_constants
-    rtol, atol = _RTOL, _ATOL
+    rtol, atol = (_RTOL, _ATOL) if tol is None else (tol, tol)
 
     state = (float(x[0]), float(x[1]), float(v[0]), float(v[1]))
-    resume = _continuable(prefix, field, mu, state, t_end, min_step)
+    resume = _continuable(prefix, field, mu, rtol, atol, state, t_end, min_step)
     if resume is None:
         t = 0.0
         try:
@@ -847,7 +859,7 @@ def flow(
         h_first = h
         head = None
     else:
-        _, _, t, state, force, g_left, h, trials, h_first = resume
+        t, state, force, g_left, h, trials, h_first = resume[4:]
         dense = list(prefix._dense)
         head = prefix._stacked  # the prefix's Q, when it was formed
     capped = False  # a trial was shortened to meet t_end
@@ -895,7 +907,7 @@ def flow(
         h *= factor
         force = stages[50:52]  # stage 12's force (FSAL)
         if stop is not None and stop(step, state_new):
-            kept = None if capped else _Resume(field, mu, t_next, state_new, force, g, h, trials, h_first)
+            kept = None if capped else _Resume(field, mu, rtol, atol, t_next, state_new, force, g, h, trials, h_first)
             return Trajectory(dense, t_next, state_new, kept)
         t, state, g_left = t_next, state_new, g
 

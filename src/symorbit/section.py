@@ -36,7 +36,9 @@ zero, so they equal the numpy dot products of the same vectors bit for bit.
 integration ends at the step that holds the first crossing (terminal event
 location) instead of running to the end of its window. A crossing is stated
 once, as its time t* and tangent speed; the state there is the trajectory's
-at t*, which evaluates the same step.
+at t*, which evaluates the same step. `_clears` tells whether a found
+crossing clears each of the scanner's thresholds by a margin, for the
+zero-set scan's certified loose signs.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from .integrator import _bisect, _coefficient_bound, _crossed, _horner, _normal_
 # crossing is comfortably interior and interiority stays checkable.
 _INNER_MARGIN = 0.25
 _OUTER_MARGIN = 4.0
+# A crossing within this many segment lengths of an endpoint is a boundary crossing.
+_END_BAND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ class _SectionScan:
         self.section = section
         ux, uy = section.unit
         (self._n0, self._n1), (self._s0, self._s1) = (-uy, ux), section.start
-        self._bt = 1e-6 * section.length
+        self._bt = _END_BAND * section.length
         self.t_hi, self.time_tol = t_hi, 1e-12 * max(t_hi, 1.0)
         self.event: tuple[float, float] | None = None
 
@@ -219,6 +223,44 @@ def _roots(c, lo: float, hi: float) -> list:
     ]
 
 
+def _clear_of_zero(c, margin: float) -> bool:
+    """Whether |p| > margin on [0, 1] for the polynomial p with coefficients
+    c (constant first): by the scanner's no-root bound, else at the ends and
+    the extrema (`_roots` of the derivative), between which p is monotone."""
+    if abs(c[0]) > _coefficient_bound(c) + margin:
+        return True
+    values = [_horner(c, th) for th in (0.0, *_roots(_derivative(c), 0.0, 1.0), 1.0)]
+    return min(values) > margin or max(values) < -margin
+
+
+def _clears(section: SectionSpec, traj: Trajectory, t_star: float, rel: float, speed: float) -> bool:
+    """Whether the crossing at t_star that `crossing_time` found on `traj`
+    clears each threshold of the scanner by a margin, rel times the
+    segment's length in position and `speed` in normal speed: its tangent
+    coordinate lies outside the endpoint bands, its normal speed above the
+    transversality floor, and before it the normal coordinate g stays off
+    the section line. That is, on each step before the crossing's |g| stays
+    above the margin (g / theta on a step that starts on the line, as a
+    launch on it does), and on the crossing's step |g'| does, so g is
+    monotone there and crosses the line once.
+    """
+    length, (ux, uy), (s0, s1) = section.length, section.unit, section.start
+    n0, n1, margin = -uy, ux, rel * length
+    band = _END_BAND * length + margin
+    *earlier, last = traj._dense
+    px, py, vx, vy = _step_eval(last, t_star).tolist()
+    if not band <= section.tangent_coord((px, py)) <= length - band:
+        return False
+    if not abs(section.speeds(vx, vy)[0]) >= section.transversality_floor + speed:
+        return False
+    for step in earlier:
+        y = step[2]
+        c = (n0 * (y[0] - s0) + n1 * (y[1] - s1), *_normal_terms(step, n0, n1)[0])
+        if not _clear_of_zero(c[1:] if c[0] == 0.0 else c, margin):
+            return False
+    return _clear_of_zero(_derivative((0.0, *_normal_terms(last, n0, n1)[0])), margin)
+
+
 def crossing_time(
     field: ForceField,
     mu: float,
@@ -226,10 +268,12 @@ def crossing_time(
     v,
     section: SectionSpec,
     window: float,
+    tol: float | None = None,
 ) -> tuple[float, float, Trajectory]:
     """Crossing time t(v, mu) of the flow from (x0, v) with the section.
 
-    Integrates from 0 towards `window`, at the integrator's fixed tolerances,
+    Integrates from 0 towards `window`, at the integrator's tolerances (`tol`
+    is `flow`'s: only the zero-set scan's loose evaluations pass it),
     with the section scan of [0, window] as the flow's stop callback and
     returns (t*, tangent speed at t*, trajectory); the trajectory ends with
     the step that holds t*. The result is the one the scan gives on the flow
@@ -241,7 +285,7 @@ def crossing_time(
     """
     scan = _SectionScan(section, window)
     try:
-        traj = flow(field, mu, x0, v, window, stop=scan)
+        traj = flow(field, mu, x0, v, window, stop=scan, tol=tol)
     except DomainExit as exc:
         if exc.trajectory is None:
             raise

@@ -161,9 +161,10 @@ def _check_sigma(problem: ShootingProblem, sigma: float) -> None:
         raise ValueError(f"sigma={sigma} outside (1-delta, 1+delta)")
 
 
-def miss(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
+def miss(problem: ShootingProblem, sigma: float, mu: float, tol: float | None = None) -> MissValue:
     """Miss value for launch speed multiplier sigma at parameter mu, which must
-    lie in the field's open mu range."""
+    lie in the field's open mu range; `tol` is `flow`'s, which only the
+    zero-set scan's loose evaluations pass."""
     _check_mu(problem, mu)
     _check_sigma(problem, sigma)
     t_star, tangent_speed, traj = crossing_time(
@@ -173,6 +174,7 @@ def miss(problem: ShootingProblem, sigma: float, mu: float) -> MissValue:
         problem.launch_velocity(sigma),
         problem.section,
         problem.window,
+        tol,
     )
     return MissValue(sigma=sigma, value=tangent_speed, t_star=t_star, trajectory=traj)
 

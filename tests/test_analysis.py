@@ -169,6 +169,31 @@ class TestTurningRadii:
         assert _turning_radius(lambda r: r - 2.0, 1.0, 1.0, 2.0) == 2.0
         assert _turning_radius(lambda r: 0.5 - r, 1.0, 1.0, 0.5) == 0.5
 
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_no_sign_change_is_no_root(self, factor):
+        # g never crosses: no end of the bracket is returned as a root. The
+        # first expanded radius already has g >= 0, and so has the inside one.
+        seen = []
+        assert _turning_radius(lambda r: seen.append(r) or 1.0, 1.0, factor, factor) is None
+        assert seen[0] == factor and 1.0 in seen
+
+
+class TestNearCircularLaunch:
+    """Within 1e-12 of circular the other turning radius lies nearer the
+    launch radius than the search's first inside point: the level set stays
+    within 1e-12 of the circle and Phi at its limit, never r_max = 2a."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("offset", [1e-13, 1e-14, 2.0**-52, -1e-13, -1e-14, -(2.0**-52)])
+    def test_turning_radii_and_phi(self, alpha, offset):
+        params = PowerLawParams(1.0, alpha)
+        problem = radial_problem_from_launch(params, 1.0, 1.0 + offset)
+        assert problem.r_min <= 1.0 <= problem.r_max
+        assert (problem.r_min if offset < 0.0 else problem.r_max) != 1.0
+        assert abs(problem.r_min - 1.0) <= 1e-12 and abs(problem.r_max - 1.0) <= 1e-12
+        phi = apsidal_angle(problem)
+        assert math.isfinite(phi) and abs(phi - apsidal_limit(params, 1.0)) <= 1e-9
+
 
 # The turning radius other than r = 1 of a launch from (1, 0) at sigma times
 # circular speed in the unit power law, U(r) = -1 / (alpha r^alpha) (log r at

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import types
 
@@ -14,6 +15,7 @@ from symorbit import (
     Mode,
     PowerLawParams,
     ShootingProblem,
+    SectionSpec,
     SolverError,
     axis_poly_perturbation,
     bracket,
@@ -30,6 +32,8 @@ from symorbit import (
     write_curves_csv,
     zero_set_scan,
 )
+
+from symorbit import section as section_module
 
 from oracles import half_mode_orbit_scipy, perturbed_radial_sigma, quarter_mode_orbit_scipy
 
@@ -452,7 +456,7 @@ class TestBracketFallbacks:
         monkeypatch.setattr(continuation, "miss", miss)
         # One node predicts sigma 1; the slope puts the second probe at 0.985.
         assert continuation._predicted_bracket(quarter_problem, 0.0, [(0.0, 1.0, 1e-198)]) is None
-        assert [sigma for sigma, _ in calls] == [1.0, pytest.approx(0.985)]
+        assert [sigma for sigma, _, _ in calls] == [1.0, pytest.approx(0.985)]
 
 
 class TestZeroSetScan:
@@ -542,7 +546,7 @@ class TestBands:
     def test_steep_curve_through_the_scan(self, quarter_problem_radial, monkeypatch):
         # sigma*(mu) = 1 + 10 mu climbs 2 rows of 0.01 per mu column of 0.002.
         miss, _ = stub_miss(value=lambda sigma, mu: sigma - (1.0 + 10.0 * mu))
-        monkeypatch.setattr(continuation, "miss", miss)
+        scan_with(monkeypatch, miss)
         scan = zero_set_scan(quarter_problem_radial, np.linspace(0.955, 1.105, 16), np.linspace(0.0, 0.01, 6))
         assert scan.row_complete and scan.component_count() == 1
         assert [i for i, _ in scan.change_cells] == [4, 6, 8, 10, 12, 14]
@@ -554,16 +558,220 @@ SCAN_MUS = np.array([0.0, 0.02])
 
 def stub_miss(failing=(), value=lambda sigma, mu: sigma - math.sqrt(1.0 + mu)):
     """A miss with the closed-form sign of the quarter radial family that
-    raises DomainExit at the (sigma, mu) cells in `failing`; logs each call."""
+    raises DomainExit at the (sigma, mu) cells in `failing`, at every
+    tolerance; logs each call as (sigma, mu, tol)."""
     calls = []
 
-    def miss(problem, sigma, mu):
-        calls.append((sigma, mu))
+    def miss(problem, sigma, mu, tol=None):
+        calls.append((sigma, mu, tol))
         if (sigma, mu) in failing:
             raise DomainExit("forced")
         return types.SimpleNamespace(value=value(sigma, mu))
 
     return miss, calls
+
+
+def scan_with(monkeypatch, miss):
+    """Make `miss` the scan's miss, each of its loose values certified: a cell
+    takes one loose call, and a second, tight one only when the loose raises."""
+    monkeypatch.setattr(continuation, "miss", miss)
+    monkeypatch.setattr(continuation, "_certified", lambda problem, loose: True)
+
+
+def tight_scan(problem, sigmas, mus):
+    """The sign matrix of one default-tolerance miss per cell, 0 where it
+    raises, and the first failed boundary cell's error."""
+    signs, first = np.zeros((len(sigmas), len(mus)), dtype=int), None
+    for i, sigma in enumerate(sigmas):
+        for j, mu in enumerate(mus):
+            try:
+                signs[i, j] = np.sign(miss(problem, float(sigma), float(mu)).value)
+            except SolverError as exc:
+                if first is None and i in (0, len(sigmas) - 1):
+                    first = exc
+    return signs, first
+
+
+def log_misses(monkeypatch):
+    """The scan's misses from here on, as (sigma, mu, tol, the error's type
+    name or None)."""
+    calls = []
+
+    def logged(problem, sigma, mu, tol=None):
+        try:
+            value = miss(problem, sigma, mu, tol)
+        except SolverError as exc:
+            calls.append((sigma, mu, tol, type(exc).__name__))
+            raise
+        calls.append((sigma, mu, tol, None))
+        return value
+
+    monkeypatch.setattr(continuation, "miss", logged)
+    return calls
+
+
+LOOSE = continuation._SCAN_TOL
+REL = continuation._CERTIFY * continuation._SCAN_TOL  # the certification margin, relative
+
+
+def kepler_quarter(annulus=(0.5, 2.0), delta=0.2) -> ShootingProblem:
+    field = ForceField(base=PowerLawParams(1.0, 1.0), annulus=annulus)
+    return ShootingProblem(field=field, radius=1.0, mode=Mode.QUARTER, delta=delta)
+
+
+def loose_crossing(problem, sigma, mu):
+    """The loose miss at (sigma, mu) and the state at its crossing."""
+    value = miss(continuation._loose_problem(problem), sigma, mu, LOOSE)
+    return value, value.trajectory.interpolate(value.t_star)
+
+
+def _circle_cell(request, monkeypatch):
+    # |miss| = 6.6e-14 at sigma = 1, mu = 0.
+    problem = request.getfixturevalue("quarter_problem_radial")
+    value, _ = loose_crossing(problem, 1.0, 0.0)
+    assert abs(value.value) < REL * problem.circular_velocity
+    return problem, [0.9, 1.0, 1.1], None, None
+
+
+def _narrowed_annulus(request, monkeypatch):
+    # At sigma = 1.05 the Kepler orbit crosses the y-axis at radius
+    # sigma^2, its largest so far, 5e-6 inside r_out: inside the annulus,
+    # outside the narrowed one.
+    problem = kepler_quarter(annulus=(0.5, 1.05**2 * (1.0 + 0.5 * REL)))
+    with pytest.raises(DomainExit):
+        loose_crossing(problem, 1.05, 0.0)
+    return problem, [0.95, 1.05, 1.02], "DomainExit", None
+
+
+def _endpoint_band(request, monkeypatch):
+    # The Kepler orbit at sigma crosses the y-axis at y = sigma^2, here 2e-5
+    # above the segment's start 0.25: past the endpoint band 1e-6 * 3.75,
+    # not past it by the margin.
+    problem = kepler_quarter(annulus=(0.1, 2.0), delta=0.6)
+    sigma = math.sqrt(0.25 + 2e-5)
+    _, state = loose_crossing(problem, sigma, 0.0)
+    section = problem.section
+    band = section_module._END_BAND * section.length
+    assert band < section.tangent_coord(state.position) < band + REL * section.length
+    return problem, [0.9, sigma, 1.1], None, None
+
+
+def _transversality_floor(request, monkeypatch):
+    # A floor 5e-6 v0 below the normal speed 1 / sigma at the Kepler orbit's
+    # crossing at sigma = 1.1, which the launches at 0.95 and 1.05 clear by more.
+    floor = 1.0 / 1.1 - 0.5 * REL
+    section = functools.partial(SectionSpec.positive_y_axis, transversality_floor=floor)
+    monkeypatch.setattr(Mode.QUARTER, "section", lambda radius, transversality_floor: section(radius))
+    problem = kepler_quarter()
+    _, state = loose_crossing(problem, 1.1, 0.0)
+    assert floor < abs(state.velocity[0]) < floor + REL * problem.circular_velocity
+    return problem, [0.95, 1.1, 1.05], None, None
+
+
+def _window_end(request, monkeypatch):
+    # A window that ends 5e-6 of itself after the crossing at sigma = 1.1,
+    # the latest of the three.
+    t_star = miss(kepler_quarter(), 1.1, 0.0).t_star
+    monkeypatch.setattr(shooting, "_window", lambda radius, v0: t_star / (1.0 - 0.5 * REL))
+    problem = kepler_quarter()
+    value, _ = loose_crossing(problem, 1.1, 0.0)
+    assert (1.0 - REL) * problem.window < value.t_star < problem.window
+    return problem, [0.95, 1.1, 1.05], None, None
+
+
+def _grazing_step(request, monkeypatch):
+    # At sigma = 0.9019 the loose flow's last node before its crossing step
+    # lies 1.7e-5 off the y-axis, within the margin 3.75e-5.
+    problem = request.getfixturevalue("quarter_problem_radial")
+    value, _ = loose_crossing(problem, 0.9019, 0.0)
+    x_left = value.trajectory._dense[-1][2][0]
+    assert 0.0 < x_left < REL * problem.section.length
+    return problem, [0.9, 0.9019, 1.1], None, None
+
+
+def _loose_error(request, monkeypatch):
+    # At alpha = 3 the launch at sigma = 0.964 leaves the annulus, loose and
+    # tight: the cell is 0.
+    return request.getfixturevalue("half_problem_a3"), [0.98, 0.964, 1.02], "DomainExit", "DomainExit"
+
+
+class TestCertifiedScan:
+    """The scan keeps a loose sign only when it is certified, and recomputes
+    every other cell at the default tolerance: its sign matrix is the one of a
+    default-tolerance miss per cell."""
+
+    @pytest.mark.parametrize(
+        "alpha, sigmas, mus, zeros",
+        [
+            # perfbench's seed-0 sign_scan grid
+            (1.0, np.linspace(0.9, 1.1, 41), np.linspace(0.0, 0.05, 21), 0),
+            # zero_set_heatmap.py's grids at alpha = 1.5 and 3
+            (1.5, np.linspace(0.98, 1.02, 25), np.linspace(0.0, 0.02, 13), 0),
+            (3.0, np.linspace(0.98, 1.02, 25), np.linspace(0.0, 0.02, 13), 0),
+            # failed cells inside: the launch at sigma = 0.964 leaves the annulus at alpha = 3
+            (3.0, [0.98, 0.964, 1.0, 1.02], [0.0, 0.002], 2),
+        ],
+    )
+    def test_signs_equal_the_default_tolerance_loop(
+        self, quarter_problem_radial, x_only_perturbation, alpha, sigmas, mus, zeros
+    ):
+        problem = quarter_problem_radial
+        if alpha != 1.0:
+            field = ForceField(base=PowerLawParams(1.0, alpha), perturbation=x_only_perturbation)
+            problem = ShootingProblem(field=field, radius=1.0, mode=Mode.HALF, eta=0.04)
+        scan = zero_set_scan(problem, sigmas, mus)
+        signs, _ = tight_scan(problem, sigmas, mus)
+        assert np.array_equal(scan.signs, signs)
+        assert np.count_nonzero(signs == 0) == zeros
+
+    def test_refusal_names_the_default_tolerance_error(self, half_problem_a3):
+        # Every launch at sigma = 0.964 and 1.036 leaves the annulus: the
+        # failed cell's message names the annulus itself, not the loose
+        # flow's narrowed one.
+        sigmas, mus = np.linspace(0.964, 1.036, 5), np.linspace(0.0, 0.005, 3)
+        with pytest.raises(BoundaryHypothesisFailure) as err:
+            zero_set_scan(half_problem_a3, sigmas, mus)
+        _, first = tight_scan(half_problem_a3, sigmas, mus)
+        assert str(err.value.__cause__) == str(first)
+        assert str(err.value).endswith(f"first failed cell sigma=0.964, mu=0.0: DomainExit: {first}")
+        assert "[0.5, 2.0]" in str(first)
+
+    def test_annulus_too_thin_to_narrow(self, monkeypatch):
+        # Narrowed by REL at both ends, an annulus 1 + REL wide is empty: the
+        # scan evaluates every cell at the default tolerance only.
+        calls = log_misses(monkeypatch)
+        with pytest.raises(BoundaryHypothesisFailure):
+            zero_set_scan(kepler_quarter(annulus=(1.0, 1.0 + REL)), [0.9, 1.1], [0.0])
+        assert [tol for *_, tol, _ in calls] == [None, None]
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            _circle_cell,
+            _narrowed_annulus,
+            _endpoint_band,
+            _transversality_floor,
+            _window_end,
+            _grazing_step,
+            _loose_error,
+        ],
+    )
+    def test_uncertified_cell_is_recomputed(self, request, monkeypatch, path):
+        # The path's cell, the middle sigma, is evaluated loose and then at
+        # the default tolerance; the other two once each, loose. A path
+        # returns its problem, sigmas and the cell's loose and tight errors.
+        problem, sigmas, loose_error, error = path(request, monkeypatch)
+        calls = log_misses(monkeypatch)
+        scan = zero_set_scan(problem, sigmas, [0.0])
+        sigma = sigmas[1]
+        assert calls == [
+            (sigmas[0], 0.0, LOOSE, None),
+            (sigma, 0.0, LOOSE, loose_error),
+            (sigma, 0.0, None, error),
+            (sigmas[2], 0.0, LOOSE, None),
+        ]
+        assert scan.signs[:, 0].tolist() == tight_scan(problem, sigmas, [0.0])[0][:, 0].tolist()
+        assert (scan.signs[1, 0] == 0) == (error is not None)
 
 
 class TestZeroSetScanFailures:
@@ -588,9 +796,12 @@ class TestZeroSetScanFailures:
 
     def test_failed_cell_is_zero_and_the_scan_continues(self, quarter_problem_radial, monkeypatch):
         miss, calls = stub_miss(failing={(SCAN_SIGMAS[2], SCAN_MUS[1])})
-        monkeypatch.setattr(continuation, "miss", miss)
+        scan_with(monkeypatch, miss)
         scan = zero_set_scan(quarter_problem_radial, SCAN_SIGMAS, SCAN_MUS)
-        assert len(calls) == SCAN_SIGMAS.size * SCAN_MUS.size
+        # The failed cell is tried twice, loose and then at the default tolerance.
+        assert len(calls) == SCAN_SIGMAS.size * SCAN_MUS.size + 1
+        assert calls[5:7] == [(SCAN_SIGMAS[2], SCAN_MUS[1], LOOSE), (SCAN_SIGMAS[2], SCAN_MUS[1], None)]
+        assert all(tol == LOOSE for *_, tol in calls[:5] + calls[7:])
         expected = np.sign(SCAN_SIGMAS[:, None] - np.sqrt(1.0 + SCAN_MUS[None, :])).astype(int)
         expected[2, 1] = 0
         assert np.array_equal(scan.signs, expected)
@@ -602,7 +813,7 @@ class TestZeroSetScanFailures:
         # One rule, one message: both rows, and the failed boundary cell with
         # its error, chained as the cause.
         miss, _ = stub_miss(failing={(SCAN_SIGMAS[-1], SCAN_MUS[1])})
-        monkeypatch.setattr(continuation, "miss", miss)
+        scan_with(monkeypatch, miss)
         with pytest.raises(BoundaryHypothesisFailure) as err:
             zero_set_scan(quarter_problem_radial, SCAN_SIGMAS, SCAN_MUS)
         assert str(err.value) == (
@@ -615,7 +826,7 @@ class TestZeroSetScanFailures:
 
     def test_equal_boundary_signs(self, quarter_problem_radial, monkeypatch):
         miss, _ = stub_miss(value=lambda sigma, mu: 1.0)
-        monkeypatch.setattr(continuation, "miss", miss)
+        scan_with(monkeypatch, miss)
         with pytest.raises(BoundaryHypothesisFailure) as err:
             zero_set_scan(quarter_problem_radial, SCAN_SIGMAS, SCAN_MUS)
         assert str(err.value) == (

@@ -27,6 +27,7 @@ from symorbit import (
     crossing_time,
     energy,
     flow,
+    miss,
     zero_set_scan,
 )
 from symorbit import forcefield, integrator, section, serialize
@@ -1105,6 +1106,19 @@ class TestPrefix:
         assert trajectory_bits(traj) == trajectory_bits(flow(field, mu, x, v, self.T_END))
         assert traj._dense[0] is not prefix._dense[0]
 
+    def test_loose_crossing_starts_at_the_launch(self, kepler_radial_field, launch, launches):
+        # A crossing flow at the zero-set scan's loose tolerance keeps its
+        # controller state, and that state is the loose controller's.
+        _, _, loose = crossing_time(
+            kepler_radial_field, self.MU, *launch, SectionSpec.positive_y_axis(1.0), self.T_END, tol=1e-8
+        )
+        assert loose._resume is not None and (loose._resume.rtol, loose._resume.atol) == (1e-8, 1e-8)
+        before = launches()
+        traj = flow(kepler_radial_field, self.MU, *launch, self.T_END, prefix=loose)
+        assert launches() == before + 1
+        assert trajectory_bits(traj) == trajectory_bits(flow(kepler_radial_field, self.MU, *launch, self.T_END))
+        assert traj._dense[0] is not loose._dense[0]
+
     def _stateless(self, kind, field, launch, prefix):
         """A trajectory that keeps no controller state, of each kind."""
         if kind == "capped first step":
@@ -1354,13 +1368,27 @@ class TestForceEvaluationCount:
         assert products[0] == 2 * (2 + 15 * accepted + 11 * rejected)
 
     def test_sign_scan_grid(self, counters, quarter_problem_radial):
-        # The benchmark's seed-0 miss-sign grid: 861 flows, each stopped at its
-        # crossing, and the evaluation count of its traced run before the
-        # stages were written into the step kernel.
+        # The benchmark's seed-0 miss-sign grid, one miss per cell at the
+        # default tolerance: 861 flows, each stopped at its crossing, and the
+        # evaluation count of its traced run before the stages were written
+        # into the step kernel.
         calls, trials = counters
-        scan = zero_set_scan(quarter_problem_radial, np.linspace(0.9, 1.1, 41), np.linspace(0.0, 0.05, 21))
-        assert np.all(scan.signs != 0)
+        for sigma in np.linspace(0.9, 1.1, 41).tolist():
+            for mu in np.linspace(0.0, 0.05, 21).tolist():
+                miss(quarter_problem_radial, sigma, mu)
         accepted, rejected = self._split(trials)
         assert (accepted, rejected) == (11424, 511)
         assert calls[0] == 861 * 2
         assert calls[0] + 15 * accepted + 11 * rejected == 178703
+
+    def test_sign_scan_grid_scan(self, counters, quarter_problem_radial):
+        # The same grid scanned: 861 loose flows, and one flow at the default
+        # tolerance for the circle cell sigma = 1, mu = 0, whose loose sign
+        # is not certified.
+        calls, trials = counters
+        scan = zero_set_scan(quarter_problem_radial, np.linspace(0.9, 1.1, 41), np.linspace(0.0, 0.05, 21))
+        assert np.all(scan.signs != 0)
+        accepted, rejected = self._split(trials)
+        assert (accepted, rejected) == (4409, 337)
+        assert calls[0] == 862 * 2
+        assert calls[0] + 15 * accepted + 11 * rejected == 71566

@@ -18,7 +18,7 @@ from symorbit import (
     miss,
 )
 from symorbit.integrator import _P, _coefficient_bound, _normal_terms
-from symorbit.section import _SectionScan
+from symorbit.section import _SectionScan, _clears, _derivative, _roots
 
 from oracles import normal_coefficients_loop, same_float, section_frame_numpy
 
@@ -515,3 +515,22 @@ class TestFusedScanTests:
         assert len(coefficients) == len(want) == _P.shape[1]
         assert all(same_float(a, b) for a, b in zip(coefficients, want))
         assert same_float(bound, _coefficient_bound((c0, *want)))
+
+
+class TestClearsMonotoneCrossingStep:
+    """A loose crossing is certified only where g is monotone on the
+    crossing's step (`section._clears`): a second root of g in that step
+    could come first in a flow at another tolerance."""
+
+    @pytest.mark.parametrize(
+        "section, clear", [(SectionSpec.positive_y_axis(1.0), True), (SectionSpec((-2.0, 1.1), (2.0, 1.1)), False)]
+    )
+    def test_extremum_in_the_crossing_step(self, kepler_field, section, clear):
+        # The Kepler flow at 1.05 times circular speed crosses the y-axis at
+        # y = 1.1025, and the line y = 1.1 upwards 0.16 before its highest
+        # point, y = 1.108, which lies in the same loose step.
+        t_star, _, traj = crossing_time(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.05), section, 2 * math.pi, tol=1e-8)
+        n0, n1 = -section.unit[1], section.unit[0]
+        slope = _derivative((0.0, *_normal_terms(traj._dense[-1], n0, n1)[0]))
+        assert (_roots(slope, 0.0, 1.0) == []) == clear
+        assert _clears(section, traj, t_star, 1e-5, 1e-5) == clear
