@@ -29,14 +29,17 @@ from .shooting import Bracket, MissValue, Mode, ShootingProblem, _check_mu, _che
 # The scan's loose sign evaluations run at _SCAN_TOL, and a loose sign is kept
 # when the loose miss clears every threshold by _CERTIFY * _SCAN_TOL, relative
 # (`_certified`). DOP853's global error is proportional to its tolerance
-# (Hairer, Norsett & Wanner, Solving ODEs I, II.4). Measured on the sign_scan
-# grids at seeds 0-9, 41 x 21 grids over sigma = 1 +- eta on the half alpha =
-# 0.5 and alpha = 3 families and zero_set_heatmap.py's grids at alpha = 1, 1.5
-# and 3, the loose result differs from the default by at most 12.6 _SCAN_TOL v0
-# in the miss, 7.6 in the normal speed, 2.3 _SCAN_TOL lengths in the crossing's
-# tangent coordinate and 2.5 _SCAN_TOL windows in t*: the margin leaves at
-# least 79x over each.
-_SCAN_TOL = 1e-8
+# (Hairer, Norsett & Wanner, Solving ODEs I, II.4). Measured on 12,168 cells
+# (the sign_scan grids at seeds 0-9, 41 x 21 grids over sigma = 1 +- eta on the
+# half alpha = 0.5 family at mu <= 0.04 and 0.05 and the alpha = 3 family at
+# mu <= 0.01, and zero_set_heatmap.py's grids at alpha = 1, 1.5 and 3), the
+# loose result differs from the default by at most 6.9 _SCAN_TOL v0 in the
+# miss, 8.4 in the normal speed, 2.7 _SCAN_TOL lengths in the crossing's
+# tangent coordinate and 1.9 _SCAN_TOL windows in t*: the margin leaves at
+# least 118x over each. A looser _SCAN_TOL saves no step here: a seed-0
+# sign_scan cell takes 4.0 steps at 1e-7 and at 1e-6, the floor set by the
+# controller's growth from the starting step.
+_SCAN_TOL = 1e-7
 _CERTIFY = 1e3
 
 
@@ -244,13 +247,14 @@ def _loose_problem(problem: ShootingProblem) -> ShootingProblem | None:
 
 def _certified(problem: ShootingProblem, loose: MissValue) -> bool:
     """Whether the loose miss's sign is certified, by the rule that
-    `zero_set_scan` states; `section._clears` checks the section's part."""
+    `zero_set_scan` states; `section._clears` checks the section's part on
+    the miss's scan record."""
     rel = _CERTIFY * _SCAN_TOL
     v0 = problem.circular_velocity
     return (
         abs(loose.value) >= rel * v0
         and loose.t_star <= (1.0 - rel) * problem.window
-        and _clears(problem.section, loose.trajectory, loose.t_star, rel, rel * v0)
+        and _clears(problem.section, loose.record, rel, rel * v0)
     )
 
 
@@ -264,8 +268,10 @@ def zero_set_scan(
     Every mu must lie in the field's open mu range and every sigma in the
     speed band, checked before the first miss (miss's ValueError). Each cell
     is first evaluated at the loose tolerance _SCAN_TOL, in the annulus
-    narrowed by _CERTIFY * _SCAN_TOL at both ends (`_loose_problem`), and
-    that sign is kept when it is certified (`_certified`): |miss| and the
+    narrowed by _CERTIFY * _SCAN_TOL at both ends (`_loose_problem`), its
+    crossing time bisected only to a tenth of that tolerance, and that sign
+    is kept when it is certified (`_certified`, from what the loose miss's
+    section scan recorded, with no step evaluated again): |miss| and the
     crossing's normal speed over the transversality floor exceed that margin
     times the circular speed, and the crossing clears the segment's endpoint
     bands, the section line before it and the window's end by the margin

@@ -22,8 +22,9 @@ the degree. The scanner:
   derivative, recursively down to degree 1, and bisects each monotone piece;
 - refines each candidate on the same polynomial by the package's one
   bisection primitive (`integrator._bisect`) down to 1e-12 max(t_hi, 1) for
-  the window [0, t_hi], then classifies it; only then is the step's state at
-  the crossing built.
+  the window [0, t_hi], or a tenth of a loose flow's tolerance times
+  max(t_hi, 1), then classifies it; only then is the step's state at the
+  crossing built.
 
 A `SectionSpec` computes its frame once, on floats: its length and unit
 tangent (ux, uy), the unit normal being (-uy, ux). The scanner reads the
@@ -36,9 +37,11 @@ zero, so they equal the numpy dot products of the same vectors bit for bit.
 integration ends at the step that holds the first crossing (terminal event
 location) instead of running to the end of its window. A crossing is stated
 once, as its time t* and tangent speed; the state there is the trajectory's
-at t*, which evaluates the same step. `_clears` tells whether a found
-crossing clears each of the scanner's thresholds by a margin, for the
-zero-set scan's certified loose signs.
+at t*, which evaluates the same step. The scanner also keeps a record of
+what it read: each step's normal polynomial and, last, the crossing's
+tangent coordinate and normal speed. From that record alone `_clears` tells
+whether a found crossing clears each of the scanner's thresholds by a
+margin, for the zero-set scan's certified loose signs.
 """
 
 from __future__ import annotations
@@ -124,20 +127,30 @@ class _SectionScan:
     from the launch at t = 0, and each step's end state (x, y, vx, vy), which
     a step reaching t_hi does not need; returns True once the window is
     covered or a crossing found, whose (t*, tangent speed) is then `event`.
-    It keeps no value between steps: `flow` passes a step's end state as the
-    next one's y_left.
+    Its search carries no value from one step to the next: `flow` passes a
+    step's end state as the next one's y_left.
     Raises BoundaryCrossing or TangentialCrossing when the first crossing is one.
-    Crossing times are bisected to 1e-12 max(t_hi, 1), taken from the t_hi
-    given here: lowering `t_hi` later shortens the window, not the tolerance.
+    Crossing times are bisected to 1e-12 max(t_hi, 1), or to 0.1 tol
+    max(t_hi, 1) for a flow at a loose `tol`, taken from the t_hi given here:
+    lowering `t_hi` later shortens the window, not the tolerance.
+
+    `record` receives, for `_clears`, the coefficients of the normal
+    polynomial g (constant first) of each step scanned, and after the
+    crossing's step the crossing's (tangent coordinate, normal speed).
     """
 
-    def __init__(self, section: SectionSpec, t_hi: float):
+    def __init__(self, section: SectionSpec, t_hi: float, tol: float | None = None, record: list | None = None):
         self.section = section
         ux, uy = section.unit
         (self._n0, self._n1), (self._s0, self._s1) = (-uy, ux), section.start
         self._bt = _END_BAND * section.length
-        self.t_hi, self.time_tol = t_hi, 1e-12 * max(t_hi, 1.0)
+        # A decade below a loose flow's tolerance, the bisection adds little
+        # to the flow's own error in the miss. At the tolerance itself it
+        # added up to 20 tol v0 where the tangent speed changes fastest, on
+        # launches at alpha = 3 that nearly leave the annulus.
+        self.t_hi, self.time_tol = t_hi, (1e-12 if tol is None else 0.1 * tol) * max(t_hi, 1.0)
         self.event: tuple[float, float] | None = None
+        self.record = [] if record is None else record
 
     def __call__(self, step, y_right) -> bool:
         t_left, h, y_left, _ = step
@@ -148,6 +161,7 @@ class _SectionScan:
         c0 = n0 * (y_left[0] - s0) + n1 * (y_left[1] - s1)
         coefficients, bound = _normal_terms(step, n0, n1)
         c = (c0, *coefficients)
+        self.record.append(c)
 
         t_b = t_left + h
         last = not t_b < t_hi
@@ -194,6 +208,7 @@ class _SectionScan:
                 f"normal speed {n_speed:.3g} below floor "
                 f"{section.transversality_floor:g} at t={t_star:.6g}"
             )
+        self.record.append((tau, n_speed))
         return t_star, tangent_speed
 
 
@@ -233,32 +248,30 @@ def _clear_of_zero(c, margin: float) -> bool:
     return min(values) > margin or max(values) < -margin
 
 
-def _clears(section: SectionSpec, traj: Trajectory, t_star: float, rel: float, speed: float) -> bool:
-    """Whether the crossing at t_star that `crossing_time` found on `traj`
-    clears each threshold of the scanner by a margin, rel times the
-    segment's length in position and `speed` in normal speed: its tangent
-    coordinate lies outside the endpoint bands, its normal speed above the
-    transversality floor, and before it the normal coordinate g stays off
-    the section line. That is, on each step before the crossing's |g| stays
-    above the margin (g / theta on a step that starts on the line, as a
-    launch on it does), and on the crossing's step |g'| does, so g is
-    monotone there and crosses the line once.
+def _clears(section: SectionSpec, record: list, rel: float, speed: float) -> bool:
+    """Whether the crossing that `crossing_time` found, with the scan's
+    `record` of it (`_SectionScan`), clears each threshold of the scanner by
+    a margin, rel times the segment's length in position and `speed` in
+    normal speed: its tangent coordinate lies outside the endpoint bands, its
+    normal speed above the transversality floor, and before it the normal
+    coordinate g stays off the section line. That is, on each step before the
+    crossing's |g| stays above the margin (g / theta on a step that starts on
+    the line, as a launch on it does), and on the crossing's step |g'| does,
+    so g is monotone there and crosses the line once. The record holds every
+    value read here: no step is evaluated again.
     """
-    length, (ux, uy), (s0, s1) = section.length, section.unit, section.start
-    n0, n1, margin = -uy, ux, rel * length
+    length = section.length
+    margin = rel * length
     band = _END_BAND * length + margin
-    *earlier, last = traj._dense
-    px, py, vx, vy = _step_eval(last, t_star).tolist()
-    if not band <= section.tangent_coord((px, py)) <= length - band:
+    *earlier, last, (tau, n_speed) = record
+    if not band <= tau <= length - band:
         return False
-    if not abs(section.speeds(vx, vy)[0]) >= section.transversality_floor + speed:
+    if not abs(n_speed) >= section.transversality_floor + speed:
         return False
-    for step in earlier:
-        y = step[2]
-        c = (n0 * (y[0] - s0) + n1 * (y[1] - s1), *_normal_terms(step, n0, n1)[0])
+    for c in earlier:
         if not _clear_of_zero(c[1:] if c[0] == 0.0 else c, margin):
             return False
-    return _clear_of_zero(_derivative((0.0, *_normal_terms(last, n0, n1)[0])), margin)
+    return _clear_of_zero(_derivative(last), margin)
 
 
 def crossing_time(
@@ -269,21 +282,24 @@ def crossing_time(
     section: SectionSpec,
     window: float,
     tol: float | None = None,
+    record: list | None = None,
 ) -> tuple[float, float, Trajectory]:
     """Crossing time t(v, mu) of the flow from (x0, v) with the section.
 
     Integrates from 0 towards `window`, at the integrator's tolerances (`tol`
-    is `flow`'s: only the zero-set scan's loose evaluations pass it),
-    with the section scan of [0, window] as the flow's stop callback and
-    returns (t*, tangent speed at t*, trajectory); the trajectory ends with
-    the step that holds t*. The result is the one the scan gives on the flow
-    over the whole window. If the orbit leaves the annulus first, the last
-    step of the DomainExit's trajectory, which ends at the exit, is scanned
-    up to the exit, with the bisection tolerance still taken from the
-    window's nominal end; DomainExit propagates only when no crossing
-    happened before it.
+    is `flow`'s, and sets the bisection of t* too, by `_SectionScan`'s rule:
+    only the zero-set scan's loose evaluations pass it), with the section
+    scan of [0, window] as the flow's stop callback and returns (t*, tangent
+    speed at t*, trajectory); the trajectory ends with the step that holds
+    t*. The result is the one the scan gives on the flow over the whole
+    window. If the orbit leaves the annulus first, the last step of the
+    DomainExit's trajectory, which ends at the exit, is scanned up to the
+    exit, with the bisection tolerance still taken from the window's nominal
+    end; DomainExit propagates only when no crossing happened before it. A
+    list passed as `record` receives the scan's record of the crossing,
+    which `_clears` reads.
     """
-    scan = _SectionScan(section, window)
+    scan = _SectionScan(section, window, tol, record)
     try:
         traj = flow(field, mu, x0, v, window, stop=scan, tol=tol)
     except DomainExit as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -131,12 +131,15 @@ class ShootingProblem:
 @dataclass(frozen=True)
 class MissValue:
     """The miss at launch multiplier `sigma`: the section-aligned velocity
-    component `value` at the crossing time `t_star`, and the trajectory that
-    ends with the crossing's step."""
+    component `value` at the crossing time `t_star`, the trajectory that
+    ends with the crossing's step, and the section scan's record of the
+    crossing (`crossing_time`'s `record`), which the zero-set scan's
+    certification reads."""
     sigma: float
     value: float
     t_star: float
     trajectory: Trajectory
+    record: list | None = dc_field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -163,10 +166,12 @@ def _check_sigma(problem: ShootingProblem, sigma: float) -> None:
 
 def miss(problem: ShootingProblem, sigma: float, mu: float, tol: float | None = None) -> MissValue:
     """Miss value for launch speed multiplier sigma at parameter mu, which must
-    lie in the field's open mu range; `tol` is `flow`'s, which only the
-    zero-set scan's loose evaluations pass."""
+    lie in the field's open mu range; `tol` is `crossing_time`'s, which only
+    the zero-set scan's loose evaluations pass: it sets the flow's tolerances
+    and the bisection of t*."""
     _check_mu(problem, mu)
     _check_sigma(problem, sigma)
+    record = []
     t_star, tangent_speed, traj = crossing_time(
         problem.field,
         mu,
@@ -175,8 +180,9 @@ def miss(problem: ShootingProblem, sigma: float, mu: float, tol: float | None = 
         problem.section,
         problem.window,
         tol,
+        record,
     )
-    return MissValue(sigma=sigma, value=tangent_speed, t_star=t_star, trajectory=traj)
+    return MissValue(sigma=sigma, value=tangent_speed, t_star=t_star, trajectory=traj, record=record)
 
 
 @dataclass(frozen=True)

@@ -635,7 +635,7 @@ def _circle_cell(request, monkeypatch):
 
 def _narrowed_annulus(request, monkeypatch):
     # At sigma = 1.05 the Kepler orbit crosses the y-axis at radius
-    # sigma^2, its largest so far, 5e-6 inside r_out: inside the annulus,
+    # sigma^2, its largest so far, 5e-5 inside r_out: inside the annulus,
     # outside the narrowed one.
     problem = kepler_quarter(annulus=(0.5, 1.05**2 * (1.0 + 0.5 * REL)))
     with pytest.raises(DomainExit):
@@ -657,7 +657,7 @@ def _endpoint_band(request, monkeypatch):
 
 
 def _transversality_floor(request, monkeypatch):
-    # A floor 5e-6 v0 below the normal speed 1 / sigma at the Kepler orbit's
+    # A floor 5e-5 v0 below the normal speed 1 / sigma at the Kepler orbit's
     # crossing at sigma = 1.1, which the launches at 0.95 and 1.05 clear by more.
     floor = 1.0 / 1.1 - 0.5 * REL
     section = functools.partial(SectionSpec.positive_y_axis, transversality_floor=floor)
@@ -669,7 +669,7 @@ def _transversality_floor(request, monkeypatch):
 
 
 def _window_end(request, monkeypatch):
-    # A window that ends 5e-6 of itself after the crossing at sigma = 1.1,
+    # A window that ends 5e-5 of itself after the crossing at sigma = 1.1,
     # the latest of the three.
     t_star = miss(kepler_quarter(), 1.1, 0.0).t_star
     monkeypatch.setattr(shooting, "_window", lambda radius, v0: t_star / (1.0 - 0.5 * REL))
@@ -680,13 +680,13 @@ def _window_end(request, monkeypatch):
 
 
 def _grazing_step(request, monkeypatch):
-    # At sigma = 0.9019 the loose flow's last node before its crossing step
-    # lies 1.7e-5 off the y-axis, within the margin 3.75e-5.
+    # At sigma = 1.1308 the loose flow's last node before its crossing step
+    # lies 1.9e-4 off the y-axis, within the margin 3.75e-4.
     problem = request.getfixturevalue("quarter_problem_radial")
-    value, _ = loose_crossing(problem, 0.9019, 0.0)
+    value, _ = loose_crossing(problem, 1.1308, 0.0)
     x_left = value.trajectory._dense[-1][2][0]
     assert 0.0 < x_left < REL * problem.section.length
-    return problem, [0.9, 0.9019, 1.1], None, None
+    return problem, [0.9, 1.1308, 1.1], None, None
 
 
 def _loose_error(request, monkeypatch):
@@ -743,6 +743,34 @@ class TestCertifiedScan:
         with pytest.raises(BoundaryHypothesisFailure):
             zero_set_scan(kepler_quarter(annulus=(1.0, 1.0 + REL)), [0.9, 1.1], [0.0])
         assert [tol for *_, tol, _ in calls] == [None, None]
+
+    def test_loose_miss_keeps_79x_of_the_margin(self, half_problem_a3):
+        # At sigma = 0.966, mu = 0.004 on the half alpha = 3 family the launch
+        # nearly leaves the annulus and the tangent speed changes fast at the
+        # crossing: a t* bisected only to LOOSE windows moves the loose miss
+        # 27 LOOSE v0 off the default one, which leaves the margin only 37x
+        # over it. Bisected a decade finer it moves it 3.3.
+        problem = half_problem_a3
+        loose = miss(continuation._loose_problem(problem), 0.966, 0.004, LOOSE)
+        tight = miss(problem, 0.966, 0.004)
+        assert abs(loose.value - tight.value) < REL * problem.circular_velocity / 79
+
+    def test_certification_reads_the_scan_record(self, quarter_problem_radial, monkeypatch):
+        # A loose miss and its certification form each step's normal
+        # polynomial once and the state at the crossing once: the
+        # certification reads what the section scan recorded.
+        calls = dict.fromkeys(["_normal_terms", "_step_eval"], 0)
+        for name in calls:
+
+            def counted(*args, name=name, original=getattr(section_module, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(section_module, name, counted)
+        problem = quarter_problem_radial
+        value = miss(continuation._loose_problem(problem), 0.95, 0.02, LOOSE)
+        assert continuation._certified(problem, value)
+        assert calls == {"_normal_terms": value.trajectory.n_steps, "_step_eval": 1}
 
     @pytest.mark.parametrize(
         "path",

@@ -529,8 +529,9 @@ class TestClearsMonotoneCrossingStep:
         # The Kepler flow at 1.05 times circular speed crosses the y-axis at
         # y = 1.1025, and the line y = 1.1 upwards 0.16 before its highest
         # point, y = 1.108, which lies in the same loose step.
-        t_star, _, traj = crossing_time(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.05), section, 2 * math.pi, tol=1e-8)
+        record = []
+        _, _, traj = crossing_time(kepler_field, 0.0, (1.0, 0.0), (0.0, 1.05), section, 2 * math.pi, 1e-8, record)
         n0, n1 = -section.unit[1], section.unit[0]
         slope = _derivative((0.0, *_normal_terms(traj._dense[-1], n0, n1)[0]))
         assert (_roots(slope, 0.0, 1.0) == []) == clear
-        assert _clears(section, traj, t_star, 1e-5, 1e-5) == clear
+        assert _clears(section, record, 1e-5, 1e-5) == clear
