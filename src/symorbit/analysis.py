@@ -7,12 +7,18 @@ the polar-angle advance between consecutive apsides is a quadrature with
 inverse-square-root endpoint singularities removed by a sin^2 substitution.
 Near the circular solution the advance approaches a closed-form limit.
 
-A turning radius is bracketed by one expansion loop (`_turning_radius`) and
-bisected to adjacent floats by the package's one bisection loop
-(`integrator._bisect`). An apsis is a sign change of the radial speed at the
-step nodes, found by the integrator's sign-change rule (`_sign_changes`) and
-refined on its step's interpolant (`Trajectory.refine_in_step`); no step is
-sampled that holds no apsis.
+Both rest on one form of the effective potential: its increment from a
+turning radius, given the radius and its offset from it (`_ueff_increment`),
+so that no near-equal potentials are subtracted. The launch radius is one
+turning radius; the other is bracketed by one expansion loop
+(`_turning_radius`) and bisected from the launch radius to adjacent floats by
+the package's one bisection loop (`integrator._bisect`). The quadrature takes
+each node's increment from r_min near r_min, and from r_max elsewhere.
+
+An apsis is a sign change of the radial speed at the step nodes, found by the
+integrator's sign-change rule (`_sign_changes`) and refined on its step's
+interpolant (`Trajectory.refine_in_step`); no step is sampled that holds no
+apsis.
 """
 
 from __future__ import annotations
@@ -46,6 +52,12 @@ class RadialProblem:
     r_min: float
     r_max: float
 
+    @property
+    def circular(self) -> bool:
+        """Turning radii within 1e-9 of each other: no radial oscillation to
+        integrate or sample."""
+        return self.r_max - self.r_min < 1e-9
+
 
 def angular_momentum(state: State) -> float:
     x, y = state.position
@@ -66,17 +78,16 @@ def _circular_radius(params: PowerLawParams, K: float) -> float:
     return (K * K / params.kappa) ** (1.0 / (2.0 - params.alpha))
 
 
-def _turning_radius(g, inside, start, factor):
-    """Root of g between `inside`, where g < 0, and the first radius of start,
-    start * factor, start * factor^2, ... where g >= 0 (factor 0.5 searches
-    inwards, 2 outwards; NoBoundedMotion past [1e-300, 1e300]); that radius
-    itself when g is exactly 0 there. None when the bisection finds no sign
-    change because g(inside) >= 0: no end of the bracket is returned as a
-    root unless g crosses zero there.
+def _turning_radius(g, a, start, factor):
+    """Root of g between a and the first radius of start, start * factor,
+    start * factor^2, ... where g >= 0 (factor 0.5 searches inwards, 2
+    outwards; NoBoundedMotion past [1e-300, 1e300]); that radius itself when g
+    is exactly 0 there. g < 0 is taken to hold just past a, which is never
+    evaluated: g(a) = 0 at a launch radius needs no nudge off it. A g that
+    never crosses gives a radius within an ulp of a, never the expanded end.
 
-    `_bisect` halves the bracket to adjacent floats, deciding by the package's
-    sign-change rule (`_crossed`); the end past the sign change is the root,
-    as in `section._roots`.
+    `_bisect` halves the bracket to adjacent floats, deciding by the sign of
+    g; the end past the sign change is the root, as in `section._roots`.
     """
     out = start
     while True:
@@ -89,32 +100,22 @@ def _turning_radius(g, inside, start, factor):
     if g_out == 0.0:
         return out
     if factor < 1.0:
-        a, b, ga = out, inside, g_out
-    else:
-        a, b, ga = inside, out, g(inside)
-        if not ga < 0.0:
-            return None
-    root = _bisect(lambda m: _crossed(ga, g(m)), a, b)[1]
-    if root == inside and not g(inside) < 0.0:
-        return None  # inwards, the bisection met no g <= 0 short of inside
-    return root
+        return _bisect(lambda m: g(m) <= 0.0, out, a)[1]
+    return _bisect(lambda m: g(m) >= 0.0, a, out)[1]
 
 
-def _ueff_increment(params: PowerLawParams, K: float, a: float, r):
-    """U_eff(a) - U_eff(r), evaluated without forming the near-equal potentials.
+def _ueff_increment(params: PowerLawParams, K: float, a, r, dr):
+    """U_eff(a) - U_eff(r) at r = a + dr, given both: elementwise over arrays.
 
-    Cancellation-free in (r - a), which keeps nearly-circular level sets at
-    full precision where the direct difference is pure round-off; from ratios
-    far inside a, where r - a loses r's digits, or where a * a * r * r underflows.
+    dr carries the increment's digits where r is near a, so nearly-circular
+    level sets keep full precision where the direct difference is pure
+    round-off; r carries its own where it lies far inside a, where a + dr has
+    lost them. The kinetic part is a product of ratios: a^2 r^2, which
+    overflows or underflows at radii far from 1, is never formed.
     """
-    dr = r - a
-    den = a * a * r * r
-    if np.all(dr >= -0.5 * a) and np.all(den > 0.0):
-        ell = np.log1p(dr / a)
-        dk = 0.5 * K * K * dr * (r + a) / den
-    else:
-        ell = np.log(r / a)
-        dk = 0.5 * (K / a) * (K / r) * (dr / r) * ((r + a) / a)
+    # log1p's argument is clamped where log(r / a) is taken instead.
+    ell = np.where(dr >= -0.5 * a, np.log1p(np.maximum(dr / a, -0.5)), np.log(r / a))
+    dk = 0.5 * (K / a) * (K / r) * (dr / r) * ((r + a) / a)
     if params.alpha == 0.0:
         du = -params.kappa * ell
     else:
@@ -131,8 +132,11 @@ def radial_problem_from_launch(
     The launch point is itself a radial turning point (pericenter for
     |sigma| > 1, apocenter for |sigma| < 1), so that radius is taken exactly
     and only the opposite turning radius is solved for, via the increment form
-    of the effective potential. A negative sigma launches retrograde: the
-    level set is the mirror image of |sigma|'s, with K of the launch's sign.
+    of the effective potential. It is bisected between the launch radius and
+    the first of 2m, 4m, ... with m = max(r_c, radius) (inwards m/2, m/4, ...
+    with m = min(r_c, radius)) that lies at or past it, r_c being the
+    circular radius. A negative sigma launches retrograde: the level set is
+    the mirror image of |sigma|'s, with K of the launch's sign.
     """
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be a finite positive number, got {radius}")
@@ -153,29 +157,12 @@ def radial_problem_from_launch(
         raise NoBoundedMotion(f"E={E} >= 0 is unbounded for alpha={params.alpha}")
 
     def g(r):
-        return -_ueff_increment(params, K, a, r)  # U_eff(r) - U_eff(a)
+        return -_ueff_increment(params, K, a, r, r - a)  # U_eff(r) - U_eff(a)
 
-    # The search starts inside, at r_c or a nudge off a, whichever is further
-    # from a. Where the other turning radius lies nearer to a than that, g >= 0
-    # there and the nudge is halved until g < 0; a nudge that rounds to a
-    # leaves no radius between a and the other turning radius, and the level
-    # set is circular to working precision.
     r_c = _circular_radius(params, abs(K))
-    side = 1.0 if speed > 1.0 else -1.0
-    nudge = 1e-12
     if speed > 1.0:
-        inside, start, factor = max(r_c, a * (1.0 + nudge)), max(2.0 * r_c, 2.0 * a), 2.0
-    else:
-        inside, start, factor = min(r_c, a * (1.0 - nudge)), min(0.5 * r_c, 0.5 * a), 0.5
-    while (other := _turning_radius(g, inside, start, factor)) is None:
-        nudge *= 0.5
-        inside = a * (1.0 + side * nudge)
-        if inside == a:
-            other = a
-            break
-    if speed > 1.0:
-        return RadialProblem(params=params, E=E, K=K, r_min=a, r_max=other)
-    return RadialProblem(params=params, E=E, K=K, r_min=other, r_max=a)
+        return RadialProblem(params=params, E=E, K=K, r_min=a, r_max=_turning_radius(g, a, 2.0 * max(r_c, a), 2.0))
+    return RadialProblem(params=params, E=E, K=K, r_min=_turning_radius(g, a, 0.5 * min(r_c, a), 0.5), r_max=a)
 
 
 def apsides(traj: Trajectory) -> list[dict]:
@@ -225,24 +212,32 @@ def _gauss_rule():
 def apsidal_angle(problem: RadialProblem) -> float:
     """Polar-angle advance between consecutive turning radii.
 
-    Gauss-Legendre quadrature after r = r_min + (r_max - r_min) sin^2(theta),
-    which absorbs both endpoint singularities. Degenerate (circular) level
-    sets fall back to the closed-form limit.
+    After r = r_min + span sin^2(theta), span = r_max - r_min, the advance is
+    the integral over theta in (0, pi/2) of 2K / (r^2 sqrt(H)), in the
+    factored form H = 2 (E - U_eff(r)) / (span^2 sin^2 cos^2), which absorbs
+    both endpoint singularities; it is taken by Gauss-Legendre quadrature.
+    E - U_eff(r) is the increment from r_min where r - r_min = span sin^2 is
+    at most both r_max - r = span cos^2 and r_min itself, and from r_max
+    elsewhere: each node's increment is taken from the nearer turning radius,
+    and never from a tiny r_min at r beyond 2 r_min, where the kinetic and
+    potential parts are large and cancel. Each dr is formed as the product
+    +span sin^2 or -span cos^2, never by subtraction. Circular level sets
+    fall back to the closed-form limit.
     """
-    params, E, K = problem.params, problem.E, abs(problem.K)
+    params, K = problem.params, abs(problem.K)
     r_min, r_max = problem.r_min, problem.r_max
-    span = r_max - r_min
-    if span < 1e-9:
+    if problem.circular:
         return apsidal_limit(params, 0.5 * (r_min + r_max))
 
     w, s, c = _gauss_rule()
-    dr = span * s * s  # r - r_min, never formed by subtraction
-    r = r_min + dr
-    # E - U_eff(r) = U_eff(r_min) - U_eff(r) since r_min is a root; the
-    # increment form avoids the round-off that dominates near-circular sets.
-    f2 = np.maximum(2.0 * _ueff_increment(params, K, r_min, r), 1e-300)
-    integrand = (K / (r * r)) * (2.0 * span * s * c) / np.sqrt(f2)
-    return float(np.sum(w * integrand))
+    span = r_max - r_min
+    up, down = span * s * s, span * c * c  # r - r_min and r_max - r
+    low = up <= np.minimum(down, r_min)
+    a = np.where(low, r_min, r_max)
+    dr = np.where(low, up, -down)
+    r = a + dr
+    h = 2.0 * _ueff_increment(params, K, a, r, dr) / (up * down)
+    return float(np.sum(w * (2.0 * K / (r * r * np.sqrt(h)))))
 
 
 def apsidal_limit(params: PowerLawParams, r0: float) -> float:

@@ -377,13 +377,12 @@ def _one_period(config: RunConfig, sigma: float, v0: float):
 def cmd_analyze(config: RunConfig, sigma: float, as_json: bool) -> int:
     params = config.field.base
     problem = radial_problem_from_launch(params, config.radius, sigma)
-    circular = problem.r_max - problem.r_min < 1e-9
     phi = apsidal_angle(problem)
     # 3U' + rU'' = (2 - alpha) kappa r^-(alpha + 1) is positive: the level set
     # above has already refused every alpha >= 2 as NoBoundedMotion.
     phi_limit = apsidal_limit(params, config.radius)
 
-    apsis_list = [] if circular else apsides(_one_period(config, sigma, circular_speed(params, config.radius)))
+    apsis_list = [] if problem.circular else apsides(_one_period(config, sigma, circular_speed(params, config.radius)))
 
     payload = {
         "E": problem.E,
@@ -392,7 +391,7 @@ def cmd_analyze(config: RunConfig, sigma: float, as_json: bool) -> int:
         "r_max": problem.r_max,
         "Phi": phi,
         "Phi_limit": phi_limit,
-        "circular": bool(circular),
+        "circular": problem.circular,
         "apsides": apsis_list,
     }
     _emit(payload, as_json)
