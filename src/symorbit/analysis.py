@@ -54,9 +54,9 @@ class RadialProblem:
 
     @property
     def circular(self) -> bool:
-        """Turning radii within 1e-9 of each other: no radial oscillation to
-        integrate or sample."""
-        return self.r_max - self.r_min < 1e-9
+        """Turning radii within 1e-9 r_max of each other: no radial
+        oscillation to integrate or sample, at every scale."""
+        return self.r_max - self.r_min < 1e-9 * self.r_max
 
 
 def angular_momentum(state: State) -> float:
@@ -172,7 +172,9 @@ def apsides(traj: Trajectory) -> list[dict]:
 
     The radial speed is read at the step nodes; each of its sign changes is
     refined on its step's interpolant. A launch point with vanishing radial
-    speed is itself an apsis, classified by the radius at the next node.
+    speed is itself an apsis, classified by the sign of the radial speed at
+    the next node: the radius there can round to the launch radius at large
+    scales.
     Circular trajectories (radial speed at noise level at every node) yield
     an empty list.
     """
@@ -185,7 +187,7 @@ def apsides(traj: Trajectory) -> list[dict]:
 
     events = []
     if abs(vals[0]) < 1e-9 * v_scale:
-        kind = "pericenter" if radii[1] > radii[0] else "apocenter"
+        kind = "pericenter" if vals[1] > 0.0 else "apocenter"
         events.append({"kind": kind, "t": 0.0, "r": math.hypot(ys[0, 0], ys[0, 1])})
     for i, _, ga in _sign_changes(list(enumerate(vals.tolist()))):
         t, y = traj.refine_in_step(i, lambda s: _crossed(ga, s[0] * s[2] + s[1] * s[3]))

@@ -324,50 +324,36 @@ def solve(
     )
 
 
-# Geometry for the sign-pattern probe: the unperturbed power law is defined on
-# the whole punctured plane, and for alpha >= 2 the angle-pi crossing can sit
-# far from the launch circle, so the probe uses a wide annulus and section.
-_SIGN_TABLE_ANNULUS = (0.05, 20.0)
-_SIGN_TABLE_SECTION_SPAN = (0.1, 8.0)
-
-
-def sign_table(
-    params: PowerLawParams,
-    epsilon: float = 0.05,
-    radius: float = 1.0,
-) -> int:
+def sign_table(params: PowerLawParams, epsilon: float = 0.05) -> int:
     """Sign of the horizontal velocity at the first negative-x-axis crossing.
 
-    Pure power law (mu = 0), launch speed (1 + epsilon) times circular.
-    Requires alpha != 1: there the crossing is orthogonal for every epsilon
-    and the sign degenerates.
+    Pure power law (mu = 0), launch from (1, 0) at speed (1 + epsilon) times
+    circular, over three circular periods. By mechanical similarity the sign
+    is the same at every launch radius. The unperturbed power law is defined
+    on the whole punctured plane, and for alpha >= 2 the angle-pi crossing can
+    sit far from the launch circle, so the probe uses a wide annulus and
+    section. Requires alpha != 1: there the crossing is orthogonal for every
+    epsilon and the sign degenerates.
     """
     if params.alpha == 1.0:
         raise ValueError("sign pattern undefined at alpha == 1")
     if not (math.isfinite(epsilon) and epsilon != 0.0):
         raise ValueError(f"epsilon must be a finite nonzero number, got {epsilon}")
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be a finite positive number, got {radius}")
-    field = ForceField(
-        base=params,
-        mu_range=1.0,
-        annulus=(_SIGN_TABLE_ANNULUS[0] * radius, _SIGN_TABLE_ANNULUS[1] * radius),
-    )
-    v0 = circular_speed(params, radius)
-    w = v0 / radius
+    field = ForceField(base=params, mu_range=1.0, annulus=(0.05, 20.0))
+    v0 = circular_speed(params, 1.0)
     section = SectionSpec(
-        start=(-_SIGN_TABLE_SECTION_SPAN[1] * radius, 0.0),
-        end=(-_SIGN_TABLE_SECTION_SPAN[0] * radius, 0.0),
+        start=(-8.0, 0.0),
+        end=(-0.1, 0.0),
         transversality_floor=1e-6 * v0,
         kind="negative_x_axis",
     )
     _, tangent_speed, _ = crossing_time(
         field,
         0.0,
-        np.array([radius, 0.0]),
+        np.array([1.0, 0.0]),
         np.array([0.0, (1.0 + epsilon) * v0]),
         section,
-        3.0 * (2.0 * math.pi / w),
+        3.0 * (2.0 * math.pi / v0),
     )
     return 1 if tangent_speed > 0 else -1
 

@@ -317,6 +317,18 @@ class TestApsides:
         for e in events:
             assert e["r"] == pytest.approx(lo if e["kind"] == "pericenter" else hi, rel=1e-9)
 
+    def test_launch_kind_at_a_large_scale(self, kepler_params):
+        # At R = 1e5 the radius after the short first step rounds to the
+        # launch radius: the launch is classified by the sign of the radial
+        # speed there, not read as an apocenter followed by another.
+        radius, sigma = 1e5, 1.05
+        field_ = ForceField(base=kepler_params, annulus=(0.5 * radius, 2.0 * radius))
+        v = circular_speed(kepler_params, radius)
+        traj = flow(field_, 0.0, (radius, 0.0), (0.0, sigma * v), 2.0 * math.pi * radius / v)
+        kinds = [e["kind"] for e in apsides(traj)]
+        assert len(kinds) >= 2 and kinds[0] == "pericenter"
+        assert all(a != b for a, b in zip(kinds, kinds[1:]))
+
     def test_soft_force_launch_pericenter(self):
         # epsilon > 0 launch point is a radius minimum.
         params = PowerLawParams(1.0, 0.5)
@@ -330,7 +342,7 @@ def sampled_apsides(traj):
     """Reference for apsides: (kind, t, r) from the radial speed sampled at
     four points per step, sign changes found by products and each bisected in
     t through Trajectory.eval_many; an endpoint apsis is classified by the
-    radius at the first sample."""
+    sign of the radial speed at the first sample."""
     t_left = np.array([step[0] for step in traj._dense])
     h = np.array([step[1] for step in traj._dense])
     ts = np.concatenate([[0.0], (t_left[:, None] + h[:, None] * np.arange(1, 5) / 4).ravel()])
@@ -349,7 +361,7 @@ def sampled_apsides(traj):
         return []
     events = []
     if abs(vals[0]) < 1e-9 * v_scale:
-        kind = "pericenter" if radius(ts[1]) > radius(0.0) else "apocenter"
+        kind = "pericenter" if vals[1] > 0.0 else "apocenter"
         events.append((kind, 0.0, radius(0.0)))
     for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
         fa = float(vals[i])
@@ -549,6 +561,14 @@ class TestMechanicalSimilarity:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_near_the_circle(self, alpha, sign):
         assert max(self._spread(alpha, 1.0 + sign * d) for d in _NEAR_CIRCLE_OFFSETS) <= 1e-7
+
+    def test_eccentric_launch_at_a_small_scale(self):
+        # At radius 1e-9 the span of the sigma = 1.05 level set is 1.4e-10,
+        # below an absolute 1e-9: it is no circle, and its Phi is the unit
+        # launch's, not the near-circular limit 2.56510.
+        problem = radial_problem_from_launch(PowerLawParams(1.0, 0.5), 1e-9, 1.05)
+        assert not problem.circular
+        assert apsidal_angle(problem) == pytest.approx(_phi(0.5, 1.05), rel=1e-11)
 
     @pytest.mark.parametrize("radius", [1e-100, 1e80, 1e100])
     @pytest.mark.parametrize("sigma", [0.95, 1.05])

@@ -456,14 +456,14 @@ def _defect(*args, **kwargs):
     [
         ("solve", [], "solve_orbit"),
         ("sweep", [], "run_sweep"),
-        ("verify", [], "sign_table"),  # one _VERIFY_CHECKS entry
+        ("verify", [], "orbit"),  # one _VERIFY_CHECKS entry
         ("analyze", ["--sigma", "1.05"], "apsides"),
     ],
 )
 def test_a_value_error_from_a_commands_own_work_propagates(config_path, capsys, monkeypatch, command, extra, name):
     # Only main's refusal point, before any work, maps a ValueError to a
     # configuration error; one raised later is a defect, with its traceback.
-    if name == "sign_table":
+    if name == "orbit":
         monkeypatch.setattr(cli, "_VERIFY_CHECKS", tuple((n, _defect if n == name else f) for n, f in cli._VERIFY_CHECKS))
     else:
         monkeypatch.setattr(cli, name, _defect)
@@ -605,30 +605,6 @@ class TestConfigKeys:
         assert out == "" and "Traceback" not in err
         assert "configuration error: configuration key 'radius' must be" in err
         assert "the solve window 0.75 * 2 pi radius / v0 exceeds 1e-14" in err
-
-    def test_sign_table_probe_below_the_time_resolution_fails_its_check(self, tmp_path, capsys):
-        # The radius check bounds the solve window at the configured alpha 2:
-        # 0.75 * 2 pi * 100**2 / 1e18 = 4.7e-14 loads. verify's sign table
-        # probes alpha 0 at the same radius over 3 periods, 3 * 2 pi * 100 /
-        # 1e18 = 1.9e-15, which flow refuses: that is the check's failure,
-        # not a configuration error.
-        cfg = tmp_path / "c.json"
-        field = {
-            "kappa": 1e36,
-            "alpha": 2.0,
-            "annulus": [50.0, 200.0],
-            "perturbation": {"kind": "axis_poly", "params": {"cx": 1.0, "px": 2, "cy": 1.0, "py": 3}, "symmetries": ["x_axis"]},
-        }
-        cfg.write_text(json.dumps({"field": field, "mode": "half", "radius": 100.0, "mu": 0.01}))
-        assert main(["verify", "--config", str(cfg), "--json"]) == cli.EXIT_VALIDATION
-        out, err = capsys.readouterr()
-        assert "configuration error" not in err and "Traceback" not in err
-        (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "sign_table"]
-        assert not check["passed"]
-        assert check["detail"] == {
-            "error": "ValueError",
-            "message": "alpha=0.0: t_end=1.88496e-15 is at or below the integrator's time resolution 1e-14",
-        }
 
     @pytest.mark.parametrize("kappa, loads", [(2e29, True), (3e29, False)])
     def test_solve_window_bound(self, tmp_path, kappa, loads):
@@ -1050,13 +1026,7 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         names = {c["name"] for c in payload["checks"]}
-        assert names == {
-            "symmetry",
-            "sign_table",
-            "radial_accel_identity",
-            "crossing_continuity",
-            "conservation",
-        }
+        assert names == {"symmetry", "crossing_continuity", "conservation", "orbit"}
 
     def test_broken_symmetry_fails_named_check(self, tmp_path, capsys):
         cfg = write_config(
@@ -1079,27 +1049,51 @@ class TestVerifyCommand:
         failing = [c["name"] for c in payload["checks"] if not c["passed"]]
         assert "symmetry" in failing
 
-    def test_probe_overflow_fails_its_check(self, tmp_path, capsys):
+    def test_orbit_step_failure_fails_its_check(self, tmp_path, capsys):
         # radius 1e100 is a valid launch at alpha = 0.5 (U'' = -1.5e-250), but
-        # the radial-acceleration probe at alpha = 2 overflows r**4: that check
-        # fails with the error named, and the other checks still run.
+        # the flow's first step underflows at this scale: the orbit check
+        # fails with solve's StepFailure named, and the other checks still run.
         cfg = tmp_path / "c.json"
         field = {"kappa": 1.0, "alpha": 0.5, "annulus": [0.5, 1e250]}
         cfg.write_text(json.dumps({"field": field, "radius": 1e100, "mode": "half"}))
         assert main(["verify", "--config", str(cfg), "--json"]) == 4
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-        assert len(checks) == 5 and checks["symmetry"]["passed"]
-        assert checks["radial_accel_identity"]["detail"]["error"] == "OverflowError"
+        assert len(checks) == 4 and checks["symmetry"]["passed"]
+        assert checks["orbit"]["detail"] == {
+            "error": "StepFailure",
+            "message": "step size underflow at t=0.0 (h=9.999999999999999e-05)",
+        }
         assert main(["solve", "--config", str(cfg)]) == 5
         assert main(["analyze", "--config", str(cfg), "--sigma", "1.05"]) == 5
         # analyze's level set is the unit one, scaled; like solve, it fails in
-        # the flow, whose first step underflows at this scale.
+        # the flow.
         assert capsys.readouterr().err.count("StepFailure: step size underflow at t=0.0") == 2
+
+    @pytest.mark.parametrize("radius", [1e-3, 1e-2, 1.0, 1e4, 1e6])
+    def test_orbit_check_answers_as_solve_does(self, tmp_path, capsys, radius):
+        # Quarter radial_power with lam = R^2: the same circle at every R,
+        # scaled. Away from R = 1 solve fails on its absolute tolerances
+        # (NonConvergence below, symmetry residuals above); verify fails
+        # exactly when solve does, its orbit check with solve's error.
+        cfg = tmp_path / "c.json"
+        perturbation = {"kind": "radial_power", "params": {"lam": radius**2, "beta": 3.0}, "symmetries": ["x_axis", "y_axis"]}
+        field = {"kappa": 1.0, "alpha": 1.0, "perturbation": perturbation, "annulus": [0.5 * radius, 2.0 * radius]}
+        cfg.write_text(json.dumps({"field": field, "radius": radius, "solve_tol": 1e-10, "mu": 0.05}))
+        solved = main(["solve", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        verified = main(["verify", "--config", str(cfg), "--json"])
+        orbit = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}["orbit"]
+        assert (verified == 0) == (solved == 0) == orbit["passed"]
+        if solved == cli.EXIT_VALIDATION:
+            failed = ", ".join(orbit["detail"]["failed_checks"])
+            assert err == f"solve failed: ValidationFailure at mu=0.05 ({failed})\n"
+        elif solved != 0:
+            assert err == f"{orbit['detail']['error']}: {orbit['detail']['message']}\n"
 
     def test_plain_output_lines(self, config_path, capsys):
         assert main(["verify", "--config", str(config_path)]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 4
 
     # Seeds whose continuity probes drew mu past the family's range (NoCrossing)
     # while mu was capped only by 0.05 and half the mu range.
@@ -1152,9 +1146,12 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg), "--json"]) == 4
         out, err = capsys.readouterr()
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
-        assert [name for name, c in checks.items() if not c["passed"]] == ["crossing_continuity"]
+        assert [name for name, c in checks.items() if not c["passed"]] == ["crossing_continuity", "orbit"]
         assert "narrower than the probe step 1e-3" in checks["crossing_continuity"]["detail"]["message"]
-        assert err == "failing checks: crossing_continuity\n"
+        # At mu = 0.02 sigma* leaves the bracket of half-width eta = 1e-6:
+        # the orbit check fails as solve does.
+        assert checks["orbit"]["detail"]["error"] == "BracketFailure"
+        assert err == "failing checks: crossing_continuity, orbit\n"
 
     def test_continuity_probe_error_fails_the_check(self, config_path, capsys, monkeypatch):
         def no_crossing(*args, **kwargs):

@@ -529,14 +529,9 @@ class TestSignTable:
         with pytest.raises(ValueError, match="^epsilon must be a finite nonzero number"):
             sign_table(PowerLawParams(1.0, 0.5), epsilon)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
-    def test_non_finite_radius_rejected(self, radius):
-        with pytest.raises(ValueError, match="^radius must be a finite positive number"):
-            sign_table(PowerLawParams(1.0, 0.5), 0.05, radius)
-
-    def test_scales_with_kappa_and_radius(self):
-        assert sign_table(PowerLawParams(3.0, 0.5), 0.05, radius=1.7) == +1
-        assert sign_table(PowerLawParams(3.0, 3.0), -0.05, radius=0.8) == +1
+    def test_scales_with_kappa(self):
+        assert sign_table(PowerLawParams(3.0, 0.5), 0.05) == +1
+        assert sign_table(PowerLawParams(3.0, 3.0), -0.05) == +1
 
 
 class TestContinuityProbe:
